@@ -3,9 +3,9 @@
 A :class:`Session` owns the pieces every experiment driver used to
 assemble by hand: the :class:`~repro.experiments.runner.ParallelRunner`
 (worker fan-out + content-hash result cache), session-wide engine
-selection (``engine=`` / ``reception_kernel=`` defaults applied to any
-spec that leaves them unset), the policy network payload for Dimmer
-runs, and JSON artifact emission.
+selection (an ``engine=`` default applied to any spec that leaves it
+unset), the policy network payload for Dimmer runs, and JSON artifact
+emission.
 
 Running experiments is declarative: build an
 :class:`~repro.experiments.spec.ExperimentSpec` (or a grid of them) and
@@ -28,9 +28,9 @@ drivers (:meth:`Session.sweep`, :meth:`Session.dynamic_comparison`,
 :meth:`Session.dcube`, :meth:`Session.feature_sweep`,
 :meth:`Session.scenario_family`) build the same spec grids the paper
 harnesses always ran and aggregate them into the historical result
-objects — the legacy ``run_*_parallel`` functions are deprecated shims
-over them.  Cache keys are unchanged: a cache directory warmed by the
-old drivers is a full cache hit for the equivalent specs.
+objects.  Cache keys are unchanged from the hand-built task dicts that
+preceded the specs: a cache directory warmed by those tasks is a full
+cache hit for the equivalent specs.
 """
 
 from __future__ import annotations
@@ -96,16 +96,11 @@ class Session:
         On-disk result cache directory (``None`` disables caching);
         ignored when ``runner`` is given.
     runner:
-        An existing :class:`ParallelRunner` to reuse (the deprecated
-        ``run_*_parallel`` shims pass theirs through).
+        An existing :class:`ParallelRunner` to reuse.
     engine:
         Default flood engine applied to any spec with an unset
         ``engine`` field (``"scalar"`` / ``"vectorized"`` /
         ``"vectorized-log"``).
-    reception_kernel:
-        Default batched-path reception kernel (``"batched"`` /
-        ``"per-flood"``) applied to any spec with an unset
-        ``reception_kernel`` field.
     network:
         Session-wide policy network (live ``QNetwork`` /
         ``QuantizedNetwork`` or its JSON payload) injected into any
@@ -128,7 +123,6 @@ class Session:
         cache_dir: Optional[Union[str, Path]] = None,
         runner: Optional[ParallelRunner] = None,
         engine: Optional[str] = None,
-        reception_kernel: Optional[str] = None,
         network: Any = None,
         retry_policy: Any = None,
         shard_timeout_s: Optional[float] = None,
@@ -146,7 +140,6 @@ class Session:
             )
         )
         self.engine = engine
-        self.reception_kernel = reception_kernel
         self.network = _network_payload(network)
 
     @property
@@ -163,7 +156,7 @@ class Session:
     # Spec execution
     # ------------------------------------------------------------------
     def prepare(self, spec: ExperimentSpec) -> ExperimentSpec:
-        """Apply session defaults (engine, reception kernel, network).
+        """Apply session defaults (engine, network).
 
         Only fields the spec leaves :data:`UNSET` are filled in, and the
         network payload only reaches Dimmer specs — so a spec that sets
@@ -174,12 +167,6 @@ class Session:
         updates: Dict[str, Any] = {}
         if self.engine is not None and "engine" in names and spec.engine is UNSET:
             updates["engine"] = self.engine
-        if (
-            self.reception_kernel is not None
-            and "reception_kernel" in names
-            and spec.reception_kernel is UNSET
-        ):
-            updates["reception_kernel"] = self.reception_kernel
         if (
             self.network is not None
             and "network" in names

@@ -305,38 +305,3 @@ def run_dcube_comparison(
                 )
             )
     return comparison
-
-
-def run_dcube_comparison_parallel(
-    runner: "ParallelRunner",
-    network: Union[QNetwork, QuantizedNetwork],
-    levels: Sequence[int] = DCUBE_LEVELS,
-    protocols: Sequence[str] = DCUBE_PROTOCOLS,
-    topology_spec: Optional[Dict] = None,
-    num_rounds: int = 200,
-    num_sources: int = 5,
-    max_retries: int = 5,
-    seed: int = 0,
-) -> DCubeComparison:
-    """Run the Fig. 7 grid through a :class:`ParallelRunner`.
-
-    .. deprecated::
-        Thin shim over :meth:`repro.api.Session.dcube`, kept for
-        backwards compatibility; one
-        :class:`~repro.experiments.spec.DCubeSpec` task per (level,
-        protocol) grid point with unchanged cache keys, identical
-        results to the serial :func:`run_dcube_comparison` for the same
-        ``seed``.
-    """
-    from repro.api import Session
-
-    return Session(runner=runner).dcube(
-        network=network,
-        levels=levels,
-        protocols=protocols,
-        topology_spec=topology_spec,
-        num_rounds=num_rounds,
-        num_sources=num_sources,
-        max_retries=max_retries,
-        seed=seed,
-    )

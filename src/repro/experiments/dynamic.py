@@ -199,31 +199,3 @@ def _dynamic_result_from_task(entry: dict) -> DynamicRunResult:
         interference_ratio=series["interference_ratio"],
         metrics=ExperimentMetrics.from_dict(entry["metrics"]),
     )
-
-
-def run_dynamic_comparison_parallel(
-    runner: "ParallelRunner",
-    network: Union[QNetwork, QuantizedNetwork],
-    topology_spec: Optional[dict] = None,
-    time_scale: float = 1.0,
-    round_period_s: float = 4.0,
-    seed: int = 0,
-) -> DynamicComparison:
-    """Run the Fig. 4c vs 4d comparison through a :class:`ParallelRunner`.
-
-    .. deprecated::
-        Thin shim over :meth:`repro.api.Session.dynamic_comparison`,
-        kept for backwards compatibility; the two protocol timelines run
-        as :class:`~repro.experiments.spec.DynamicSpec` tasks with
-        unchanged cache keys, and for a given ``seed`` the rebuilt
-        results match the serial :func:`run_dynamic_comparison`.
-    """
-    from repro.api import Session
-
-    return Session(runner=runner).dynamic_comparison(
-        network=network,
-        topology_spec=topology_spec,
-        time_scale=time_scale,
-        round_period_s=round_period_s,
-        seed=seed,
-    )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -210,44 +210,6 @@ def _sweep(
             )
         )
     return result
-
-
-def run_feature_sweep_parallel(
-    runner: "ParallelRunner",
-    dimension: str,
-    values: Sequence[int],
-    topology_spec: Optional[Dict] = None,
-    models_per_value: int = 3,
-    profile: Optional[TrainingProfile] = None,
-    training_episodes: Sequence[EpisodeSpec] = DEFAULT_TRAINING_EPISODES,
-    evaluation_episodes: Sequence[EpisodeSpec] = EVALUATION_EPISODES,
-    evaluation_repeats: int = 2,
-    data_dir: Optional[Path] = None,
-    seed: int = 0,
-) -> FeatureSweepResult:
-    """Run one Fig. 4b panel through a :class:`ParallelRunner`.
-
-    .. deprecated::
-        Thin shim over :meth:`repro.api.Session.feature_sweep`, kept
-        for backwards compatibility.  Every (value, model) pair becomes
-        one cached :class:`~repro.experiments.spec.FeatureSweepSpec`
-        task with unchanged cache keys; seeds match the serial
-        :func:`_sweep`, so results are identical.
-    """
-    from repro.api import Session
-
-    return Session(runner=runner).feature_sweep(
-        dimension,
-        values=values,
-        topology_spec=topology_spec,
-        models_per_value=models_per_value,
-        profile=profile,
-        training_episodes=training_episodes,
-        evaluation_episodes=evaluation_episodes,
-        evaluation_repeats=evaluation_repeats,
-        data_dir=data_dir,
-        seed=seed,
-    )
 
 
 def sweep_input_nodes(

@@ -9,7 +9,7 @@ several independent runs, with standard deviations as error bars.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -85,7 +85,6 @@ def run_single_sweep_point(
     round_period_s: float,
     seed: int,
     engine: str = "vectorized",
-    reception_kernel: Optional[str] = None,
 ) -> ExperimentMetrics:
     """Run one protocol at one interference ratio (one Fig. 5 grid point)."""
     simulator = NetworkSimulator(
@@ -94,8 +93,6 @@ def run_single_sweep_point(
             round_period_s=round_period_s, channel_hopping=False, seed=seed, engine=engine
         ),
     )
-    if reception_kernel is not None:
-        simulator.engine.flood.reception_kernel = reception_kernel
     simulator.set_interference(jamming_interference(topology, ratio))
     if protocol == "dimmer":
         if network is None:
@@ -174,38 +171,3 @@ def run_interference_sweep(
             )
     return result
 
-
-def run_interference_sweep_parallel(
-    runner: "ParallelRunner",
-    network: Optional[Union[QNetwork, QuantizedNetwork]] = None,
-    ratios: Sequence[float] = PAPER_INTERFERENCE_RATIOS,
-    protocols: Sequence[str] = PAPER_PROTOCOLS,
-    topology_spec: Optional[Dict] = None,
-    rounds_per_run: int = 75,
-    runs: int = 3,
-    round_period_s: float = 4.0,
-    engine: str = "vectorized",
-    seed: int = 0,
-) -> SweepResult:
-    """Run the Fig. 5 sweep through a :class:`ParallelRunner`.
-
-    .. deprecated::
-        Thin shim over :meth:`repro.api.Session.sweep`, kept for
-        backwards compatibility.  Every (protocol, ratio, run) triple
-        becomes one cached :class:`~repro.experiments.spec.SweepSpec`
-        task with the same content-hash cache key as ever, so existing
-        cache directories stay warm.
-    """
-    from repro.api import Session
-
-    return Session(runner=runner).sweep(
-        network=network,
-        ratios=ratios,
-        protocols=protocols,
-        topology_spec=topology_spec,
-        rounds_per_run=rounds_per_run,
-        runs=runs,
-        round_period_s=round_period_s,
-        engine=engine,
-        seed=seed,
-    )

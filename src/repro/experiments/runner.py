@@ -939,7 +939,6 @@ def run_sweep_point(
     rounds: int = 75,
     round_period_s: float = 4.0,
     engine: str = "vectorized",
-    reception_kernel: Optional[str] = None,
     network: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
     """One (protocol, interference-ratio) run of the Fig. 5 sweep."""
@@ -956,7 +955,6 @@ def run_sweep_point(
         round_period_s,
         seed,
         engine=engine,
-        reception_kernel=reception_kernel,
     )
     return metrics.as_dict()
 
@@ -1155,7 +1153,6 @@ def run_mobile_jammer_task(
     interference_ratio: float = 0.3,
     speed_mps: float = 1.0,
     engine: str = "vectorized",
-    reception_kernel: Optional[str] = None,
     network: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
     """A protocol under a jammer patrolling across the deployment.
@@ -1176,8 +1173,6 @@ def run_mobile_jammer_task(
             round_period_s=round_period_s, channel_hopping=False, engine=engine, seed=seed
         ),
     )
-    if reception_kernel is not None:
-        simulator.engine.flood.reception_kernel = reception_kernel
     runner = _scenario_protocol(protocol, simulator, network)
     for _ in range(rounds):
         simulator.set_interference(scenario.interference_at(simulator.time_ms / 1000.0))
@@ -1205,7 +1200,6 @@ def run_node_churn_task(
     min_outage_rounds: int = 3,
     max_outage_rounds: int = 8,
     engine: str = "vectorized",
-    reception_kernel: Optional[str] = None,
     network: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
     """A protocol while sources churn (nodes leave and rejoin the bus)."""
@@ -1226,8 +1220,6 @@ def run_node_churn_task(
             round_period_s=round_period_s, channel_hopping=False, engine=engine, seed=seed
         ),
     )
-    if reception_kernel is not None:
-        simulator.engine.flood.reception_kernel = reception_kernel
     runner = _scenario_protocol(protocol, simulator, network)
     active_counts: List[int] = []
     for round_index in range(rounds):

@@ -4,9 +4,9 @@ Every experiment family in this repository is ultimately "a registered
 worker function plus a JSON-able parameter dict plus a seed" — that is
 what :class:`~repro.experiments.runner.ScenarioTask` encodes and what
 the on-disk result cache hashes.  Historically each family hand-built
-those dicts in its own ``run_*_parallel`` driver, which meant each new
-scenario family duplicated the marshalling, the cache-key
-canonicalization and the grid expansion.
+those dicts in its own parallel driver, which meant each new scenario
+family duplicated the marshalling, the cache-key canonicalization and
+the grid expansion.
 
 This module replaces the hand-marshalling with frozen
 :class:`ExperimentSpec` dataclasses, one per family:
@@ -46,8 +46,7 @@ Specs are declarative and JSON round-trippable:
   specs, in deterministic order.
 
 The :class:`~repro.api.Session` facade runs specs through the parallel
-runner; the historical ``run_*_parallel`` drivers survive as deprecated
-shims over it.
+runner.
 """
 
 from __future__ import annotations
@@ -358,7 +357,6 @@ class SweepSpec(ExperimentSpec):
         "rounds": int,
         "round_period_s": float,
         "engine": str,
-        "reception_kernel": str,
         "network": _cast_network,
     }
 
@@ -368,7 +366,6 @@ class SweepSpec(ExperimentSpec):
     rounds: Any = UNSET
     round_period_s: Any = UNSET
     engine: Any = UNSET
-    reception_kernel: Any = UNSET
     network: Any = UNSET
 
     def parse(self, entry: Dict[str, Any]) -> Any:
@@ -518,7 +515,6 @@ class MobileJammerSpec(ExperimentSpec):
         "interference_ratio": float,
         "speed_mps": float,
         "engine": str,
-        "reception_kernel": str,
         "network": _cast_network,
     }
 
@@ -530,7 +526,6 @@ class MobileJammerSpec(ExperimentSpec):
     interference_ratio: Any = UNSET
     speed_mps: Any = UNSET
     engine: Any = UNSET
-    reception_kernel: Any = UNSET
     network: Any = UNSET
 
 
@@ -551,7 +546,6 @@ class NodeChurnSpec(ExperimentSpec):
         "min_outage_rounds": int,
         "max_outage_rounds": int,
         "engine": str,
-        "reception_kernel": str,
         "network": _cast_network,
     }
 
@@ -564,7 +558,6 @@ class NodeChurnSpec(ExperimentSpec):
     min_outage_rounds: Any = UNSET
     max_outage_rounds: Any = UNSET
     engine: Any = UNSET
-    reception_kernel: Any = UNSET
     network: Any = UNSET
 
 

@@ -302,13 +302,6 @@ class FloodResult:
 #: beats the exact gather-product kernel).
 FLOOD_ENGINES = ("scalar", "vectorized", "vectorized-log")
 
-#: Batched reception-probability kernels of the vectorized batch path.
-#: ``"batched"`` evaluates a whole phase's (flood, receiver) grid with one
-#: segmented masked product; ``"per-flood"`` is the PR 3 reference loop
-#: (one ``failure[tx].prod(axis=0)`` per flood), kept selectable for the
-#: in-run benchmark ratio and for kernel-parity tests.
-RECEPTION_KERNELS = ("batched", "per-flood")
-
 #: Element budget of one gathered transmitter-row chunk in the batched
 #: kernel (float64 count, ~2 MB): keeps the gather and its product
 #: inside the cache and the reusable workspace small, without changing
@@ -406,7 +399,6 @@ class GlossyFlood:
         self.radio = radio if radio is not None else RadioModel()
         self.rng = rng if rng is not None else np.random.default_rng()
         self.engine = engine  # validated by the property setter
-        self._reception_kernel = "batched"
         #: Failure matrix with an all-ones padding row, cached for the
         #: batched kernel (see :meth:`_failure_padded`).
         self._failure_padded_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -437,25 +429,6 @@ class GlossyFlood:
         if value not in FLOOD_ENGINES:
             raise ValueError(f"engine must be one of {FLOOD_ENGINES}, got {value!r}")
         self._engine = value
-
-    @property
-    def reception_kernel(self) -> str:
-        """Batched-path reception kernel (see :data:`RECEPTION_KERNELS`).
-
-        The default ``"batched"`` is bit-for-bit identical to the
-        ``"per-flood"`` reference loop, which benchmarks re-select for
-        the in-run speedup ratio; assignment is validated so a typo
-        cannot silently fall back to the default kernel.
-        """
-        return self._reception_kernel
-
-    @reception_kernel.setter
-    def reception_kernel(self, value: str) -> None:
-        if value not in RECEPTION_KERNELS:
-            raise ValueError(
-                f"reception_kernel must be one of {RECEPTION_KERNELS}, got {value!r}"
-            )
-        self._reception_kernel = value
 
     def _normalize_n_tx(
         self,
@@ -851,9 +824,9 @@ class GlossyFlood:
         State lives in per-node vectors aligned with the
         :meth:`~repro.net.link.LinkModel.prr_matrix` index order; every
         phase draws all reception outcomes in one batched RNG call, and
-        the interference penalties of the whole slot are precomputed as
-        one :meth:`~repro.net.interference.InterferenceSource.penalty_timeline`
-        before the phase loop.  The per-phase logic mirrors
+        the interference penalties of the whole slot are precomputed by
+        one :meth:`~repro.net.interference.InterferenceSource.penalty_windows`
+        call before the phase loop.  The per-phase logic mirrors
         :meth:`_run_scalar` exactly — only the RNG consumption pattern
         differs, so results are statistically (not bit-for-bit)
         identical under a fixed seed.
@@ -879,15 +852,15 @@ class GlossyFlood:
         boost_factor = 1.0 + self.link_model.capture_boost
         no_interference = isinstance(interference, NoInterference)
         if not no_interference:
-            # The whole slot's burst-overlap timeline in one evaluation,
-            # instead of one penalty_batch call per phase.
-            penalty_timeline = interference.penalty_timeline(
-                self._coords, start_ms, phase_ms, num_phases, channel
+            # The whole slot's burst-overlap timeline in one evaluation:
+            # row ``p`` holds the penalties of phase ``p``.
+            penalties = interference.penalty_windows(
+                self._coords, start_ms + phase_ms * np.arange(num_phases), phase_ms, channel
             )
             # A row of zeros multiplies the probabilities by exactly 1.0,
             # so skipping it is bit-identical and spares two vector
             # operations for every clean phase of the slot.
-            penalized_phases = penalty_timeline.any(axis=1)
+            penalized_phases = penalties.any(axis=1)
         # Participants whose radio is still on.
         on_air = np.ones(n_all, dtype=bool) if part_mask is None else part_mask.copy()
         for phase in range(num_phases):
@@ -917,7 +890,7 @@ class GlossyFlood:
                 probabilities *= boost_factor
                 np.minimum(probabilities, 1.0, out=probabilities)
             if not no_interference and penalized_phases[phase]:
-                probabilities = probabilities * (1.0 - penalty_timeline[phase])
+                probabilities = probabilities * (1.0 - penalties[phase])
             # Transmitters cannot listen (transmit is a subset of
             # on_air, so the XOR is exactly "on air and not sending");
             # a draw >= probability fails.
@@ -1040,7 +1013,7 @@ class GlossyFlood:
         if not no_interference:
             # One evaluation covers every (flood, phase) window of the
             # batch; each row equals the corresponding row of the
-            # per-flood ``penalty_timeline`` call.
+            # single-flood call in :meth:`_run_vectorized`.
             phase_offsets = phase_ms * np.arange(num_phases)
             window_starts = (np.asarray(start_times)[:, None] + phase_offsets).ravel()
             window_channels = np.repeat(np.asarray(channels, dtype=np.int64), num_phases)
@@ -1054,16 +1027,12 @@ class GlossyFlood:
             on_air = np.ones((count, n_all), dtype=bool)
         else:
             on_air = np.broadcast_to(part_mask, (count, n_all)).copy()
-        per_flood_kernel = self.engine == "vectorized" and (
-            self.reception_kernel == "per-flood"
-        )
         log_failure = (
             self.link_model.log_failure_matrix()
             if self.engine == "vectorized-log"
             else None
         )
         probabilities = np.zeros((count, n_all))
-        stale_rows: List[int] = []
         for phase in range(num_phases):
             transmit = next_tx == phase
             tx_counts = transmit.sum(axis=1)
@@ -1071,62 +1040,36 @@ class GlossyFlood:
             if len(active) == 0:
                 # No flood transmits: no state can change this phase.
                 continue
-            if per_flood_kernel:
-                # PR 3 reference: one probability row at a time (each
-                # flood has its own transmitter set); inactive floods
-                # keep an all-zero row, turning every update below into
-                # a no-op for them.  Rows written in an earlier phase
-                # are zeroed individually — rows of floods active again
-                # get overwritten below anyway.
-                active_set = set(active.tolist())
-                for k in stale_rows:
-                    if k not in active_set:
-                        probabilities[k] = 0.0
-                stale_rows = active.tolist()
-                for k in active:
-                    tx_indices = transmit[k].nonzero()[0]
-                    row = probabilities[k]
-                    if len(tx_indices) == 1:
-                        np.copyto(row, prr[tx_indices[0]])
-                    else:
-                        np.subtract(1.0, link_failure[tx_indices].prod(axis=0), out=row)
-                        row *= boost_factor
-                        np.minimum(row, 1.0, out=row)
-                    if not no_interference and penalized_phases[phase, k]:
-                        row *= 1.0 - timelines[phase, k]
-            else:
-                # One kernel call covers the whole phase's
-                # (flood, receiver) grid, restricted to the undecided
-                # listeners — the only receivers whose draws can still
-                # change state (a received on-air node is either armed,
-                # so it cannot re-arm, or about to switch off), so the
-                # restriction is bit-identical.  Inactive rows and
-                # decided columns stay zero.
-                probabilities.fill(0.0)
-                undecided = on_air & ~received
-                # Floods whose own listeners have all decoded draw no
-                # consequences from this phase's successes; only the
-                # others need probability rows.
-                active = active[undecided[active].any(axis=1)]
-                columns = np.flatnonzero(undecided[active].any(axis=0))
-                if len(active) and len(columns):
-                    self._phase_success_batched(
-                        transmit,
-                        tx_counts,
-                        active,
-                        columns,
-                        prr,
-                        link_failure,
-                        log_failure,
-                        boost_factor,
-                        probabilities,
-                    )
-                    if not no_interference and penalized_phases[phase].any():
-                        # Batched penalty: rows without a burst multiply
-                        # by exactly 1.0 and zero rows stay zero, so one
-                        # (K, N) multiply equals the per-flood
-                        # application.
-                        probabilities *= 1.0 - timelines[phase]
+            # One kernel call covers the whole phase's (flood, receiver)
+            # grid, restricted to the undecided listeners — the only
+            # receivers whose draws can still change state (a received
+            # on-air node is either armed, so it cannot re-arm, or about
+            # to switch off), so the restriction is bit-identical.
+            # Inactive rows and decided columns stay zero.
+            probabilities.fill(0.0)
+            undecided = on_air & ~received
+            # Floods whose own listeners have all decoded draw no
+            # consequences from this phase's successes; only the others
+            # need probability rows.
+            active = active[undecided[active].any(axis=1)]
+            columns = np.flatnonzero(undecided[active].any(axis=0))
+            if len(active) and len(columns):
+                self._phase_success_batched(
+                    transmit,
+                    tx_counts,
+                    active,
+                    columns,
+                    prr,
+                    link_failure,
+                    log_failure,
+                    boost_factor,
+                    probabilities,
+                )
+                if not no_interference and penalized_phases[phase].any():
+                    # Batched penalty: rows without a burst multiply by
+                    # exactly 1.0 and zero rows stay zero, so one (K, N)
+                    # multiply equals the per-flood application.
+                    probabilities *= 1.0 - timelines[phase]
             success = (draws[phase] < probabilities) & (on_air ^ transmit)
             newly = success & ~received
             received |= newly
@@ -1151,28 +1094,26 @@ class GlossyFlood:
             pending_any = (next_tx >= 0).any(axis=1)
             if not pending_any.any():
                 break
-            if not per_flood_kernel:
-                # Flood-level early exit: a flood whose on-air nodes
-                # have all decoded evolves deterministically (armed
-                # transmitters just spend their budget every second
-                # phase, and no draw can change any state), so its
-                # leftover phases are replayed in closed form and the
-                # flood retires from the batch.  The draws were
-                # generated up front, so still-undecided floods keep
-                # bit-identical streams.
-                decided = pending_any & ~(on_air & ~received).any(axis=1)
-                if decided.any():
-                    _finish_pending_transmissions(
-                        next_tx,
-                        transmissions,
-                        n_tx_vec,
-                        off_after,
-                        on_air,
-                        num_phases,
-                        flood_mask=decided,
-                    )
-                    if not (next_tx >= 0).any():
-                        break
+            # Flood-level early exit: a flood whose on-air nodes have all
+            # decoded evolves deterministically (armed transmitters just
+            # spend their budget every second phase, and no draw can
+            # change any state), so its leftover phases are replayed in
+            # closed form and the flood retires from the batch.  The
+            # draws were generated up front, so still-undecided floods
+            # keep bit-identical streams.
+            decided = pending_any & ~(on_air & ~received).any(axis=1)
+            if decided.any():
+                _finish_pending_transmissions(
+                    next_tx,
+                    transmissions,
+                    n_tx_vec,
+                    off_after,
+                    on_air,
+                    num_phases,
+                    flood_mask=decided,
+                )
+                if not (next_tx >= 0).any():
+                    break
 
         on_phases = np.where(off_after < 0, num_phases, np.minimum(off_after, num_phases))
         radio_on = np.minimum(slot_ms, on_phases * phase_ms)
@@ -1273,7 +1214,8 @@ class GlossyFlood:
         one ``multiply.reduce`` per chunk.  Transmitter rows that are
         ``1.0`` at every undecided column are dropped up front (exact
         no-op factors), and the remaining factors multiply in the same
-        order as the per-flood ``failure[tx].prod(axis=0)`` loop with
+        order as the single-flood ``failure[tx].prod(axis=0)`` of
+        :meth:`_run_vectorized` with
         only exact ``* 1.0`` padding appended at segment tails, so
         results are bit-for-bit identical.  Chunking along the flood
         axis keeps each gather + product inside

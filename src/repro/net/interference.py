@@ -37,9 +37,9 @@ DEFAULT_BURST_MS = 13.0
 #: Largest fraction of a frame a 0 dBm burst may clip while the frame
 #: stays decodable: overlaps at or below this fraction only shave the
 #: frame tail and cost nothing, anything above corrupts the frame.
-#: Shared by the scalar ``penalty`` paths, the batched ``penalty_batch``
-#: implementations and the per-slot ``penalty_timeline`` precompute so
-#: the three formulations can never drift apart.
+#: Shared by the scalar ``penalty`` paths and the vectorized
+#: ``penalty_windows`` implementations so the two formulations can
+#: never drift apart.
 BURST_OVERLAP_DECODE_THRESHOLD = 0.1
 
 
@@ -96,99 +96,40 @@ class InterferenceSource(abc.ABC):
         """Whether the source can emit at all at ``time_ms`` (default: yes)."""
         return True
 
-    def penalty_batch(
-        self,
-        positions: np.ndarray,
-        start_ms: float,
-        duration_ms: float,
-        channel: int,
-    ) -> np.ndarray:
-        """Vectorized :meth:`penalty` for an ``(N, 2)`` array of positions.
-
-        The default implementation loops over :meth:`penalty`, so any
-        subclass is automatically correct; the built-in sources override
-        it with batched formulations for the vectorized flood engine.
-        """
-        positions = np.asarray(positions, dtype=float)
-        return np.array(
-            [
-                self.penalty((float(x), float(y)), start_ms, duration_ms, channel)
-                for x, y in positions
-            ],
-            dtype=float,
-        )
-
-    def penalty_timeline(
-        self,
-        positions: np.ndarray,
-        start_ms: float,
-        phase_ms: float,
-        num_phases: int,
-        channel: int,
-    ) -> np.ndarray:
-        """Penalties of every (phase, receiver) pair of a slot at once.
-
-        Returns a ``(num_phases, N)`` array whose row ``p`` equals
-        ``penalty_batch(positions, start_ms + p * phase_ms, phase_ms,
-        channel)``.  The vectorized flood engine evaluates this once per
-        flood and indexes rows, instead of re-evaluating
-        :meth:`penalty_batch` in every phase.  The default implementation
-        stacks :meth:`penalty_batch` rows, so any subclass is
-        automatically consistent; the built-in sources override it with
-        formulations that amortize the spatial factors and burst-overlap
-        bookkeeping across the whole slot.
-        """
-        positions = np.asarray(positions, dtype=float)
-        if num_phases <= 0:
-            return np.zeros((0, len(positions)))
-        return np.stack(
-            [
-                self.penalty_batch(
-                    positions, start_ms + phase * phase_ms, phase_ms, channel
-                )
-                for phase in range(num_phases)
-            ]
-        )
-
     def penalty_windows(
         self,
         positions: np.ndarray,
         starts_ms: np.ndarray,
         duration_ms: float,
-        channels: "Union[int, np.ndarray]",
+        channels: Union[int, np.ndarray],
     ) -> np.ndarray:
-        """Penalties of arbitrary reception windows in one evaluation.
+        """Penalties of many reception windows at every position at once.
 
-        Generalizes :meth:`penalty_timeline` to non-uniform window
-        starts and per-window channels: returns an ``(M, N)`` array
-        whose row ``m`` equals ``penalty_batch(positions, starts_ms[m],
-        duration_ms, channels[m])``.  The LWB round engine uses it to
-        evaluate the timelines of *all* data slots of a round in one
-        call.  The default implementation stacks :meth:`penalty_batch`
-        rows, so any subclass is automatically consistent; the built-in
-        sources override it with closed-form NumPy versions.
+        Returns an ``(M, N)`` array whose entry ``[m, i]`` equals
+        ``penalty(positions[i], starts_ms[m], duration_ms, channels[m])``
+        (``channels`` is one channel for every window or one per
+        window).  The vectorized flood engines evaluate a whole slot —
+        or all data slots of a round — in one call.  The default
+        implementation loops over :meth:`penalty`, so any subclass is
+        automatically correct; the built-in sources override it with
+        closed-form NumPy versions that match :meth:`penalty` exactly.
         """
         positions = np.asarray(positions, dtype=float)
         starts_ms = np.asarray(starts_ms, dtype=float)
-        if len(starts_ms) == 0:
-            return np.zeros((0, len(positions)))
-        channel_list = self._window_channels(channels, len(starts_ms))
-        return np.stack(
-            [
-                self.penalty_batch(positions, float(start), duration_ms, channel)
-                for start, channel in zip(starts_ms, channel_list)
-            ]
-        )
-
-    @staticmethod
-    def _window_channels(channels: "Union[int, np.ndarray]", count: int) -> List[int]:
-        """Normalize the per-window channel argument to a list."""
         if isinstance(channels, (int, np.integer)):
-            return [int(channels)] * count
-        channel_list = [int(c) for c in channels]
-        if len(channel_list) != count:
-            raise ValueError("channels must be scalar or match the window count")
-        return channel_list
+            channel_list = [int(channels)] * len(starts_ms)
+        else:
+            channel_list = [int(c) for c in channels]
+            if len(channel_list) != len(starts_ms):
+                raise ValueError("channels must be scalar or match the window count")
+        points = [(float(x), float(y)) for x, y in positions]
+        return np.array(
+            [
+                [self.penalty(point, float(start), duration_ms, channel) for point in points]
+                for start, channel in zip(starts_ms, channel_list)
+            ],
+            dtype=float,
+        ).reshape(len(starts_ms), len(positions))
 
 
 @dataclass
@@ -200,21 +141,6 @@ class NoInterference(InterferenceSource):
 
     def is_active(self, time_ms: float) -> bool:
         return False
-
-    def penalty_batch(
-        self, positions: np.ndarray, start_ms: float, duration_ms: float, channel: int
-    ) -> np.ndarray:
-        return np.zeros(len(positions))
-
-    def penalty_timeline(
-        self,
-        positions: np.ndarray,
-        start_ms: float,
-        phase_ms: float,
-        num_phases: int,
-        channel: int,
-    ) -> np.ndarray:
-        return np.zeros((max(0, num_phases), len(positions)))
 
     def penalty_windows(
         self,
@@ -338,31 +264,6 @@ class BurstJammer(InterferenceSource):
         distance = np.hypot(delta[:, 0], delta[:, 1])
         factor = 1.0 - (distance - self.range_m) / self.range_m
         return np.clip(factor, 0.0, 1.0)
-
-    def penalty_batch(
-        self, positions: np.ndarray, start_ms: float, duration_ms: float, channel: int
-    ) -> np.ndarray:
-        positions = np.asarray(positions, dtype=float)
-        if not self.is_active(start_ms):
-            return np.zeros(len(positions))
-        if self.channels is not None and channel not in self.channels:
-            return np.zeros(len(positions))
-        if self.burst_overlap_fraction(start_ms, duration_ms) <= BURST_OVERLAP_DECODE_THRESHOLD:
-            return np.zeros(len(positions))
-        return self._spatial_factor_batch(positions)
-
-    def penalty_timeline(
-        self,
-        positions: np.ndarray,
-        start_ms: float,
-        phase_ms: float,
-        num_phases: int,
-        channel: int,
-    ) -> np.ndarray:
-        if num_phases <= 0:
-            return np.zeros((0, len(np.asarray(positions))))
-        starts = start_ms + phase_ms * np.arange(num_phases)
-        return self.penalty_windows(positions, starts, phase_ms, channel)
 
     def penalty_windows(
         self,
@@ -543,33 +444,6 @@ class WifiInterference(InterferenceSource):
             best = np.maximum(best, factor)
         return best
 
-    def penalty_batch(
-        self, positions: np.ndarray, start_ms: float, duration_ms: float, channel: int
-    ) -> np.ndarray:
-        positions = np.asarray(positions, dtype=float)
-        if not self.is_active(start_ms):
-            return np.zeros(len(positions))
-        spectral = max(wifi_overlap(channel, wifi) for wifi in self.wifi_channels)
-        spectral = max(spectral, self.spectral_floor)
-        if spectral <= 0.0:
-            return np.zeros(len(positions))
-        if self._burst_active(start_ms, duration_ms) <= BURST_OVERLAP_DECODE_THRESHOLD:
-            return np.zeros(len(positions))
-        return np.minimum(1.0, spectral * self._spatial_factor_batch(positions))
-
-    def penalty_timeline(
-        self,
-        positions: np.ndarray,
-        start_ms: float,
-        phase_ms: float,
-        num_phases: int,
-        channel: int,
-    ) -> np.ndarray:
-        if num_phases <= 0:
-            return np.zeros((0, len(np.asarray(positions))))
-        starts = start_ms + phase_ms * np.arange(num_phases)
-        return self.penalty_windows(positions, starts, phase_ms, channel)
-
     def _spectral_factor(self, channel: int) -> float:
         """Worst-case WiFi overlap of one 802.15.4 channel, floored."""
         spectral = max(wifi_overlap(channel, wifi) for wifi in self.wifi_channels)
@@ -703,27 +577,6 @@ class AmbientInterference(InterferenceSource):
                 return 1.0
         return 0.0
 
-    def penalty_batch(
-        self, positions: np.ndarray, start_ms: float, duration_ms: float, channel: int
-    ) -> np.ndarray:
-        # Ambient bursts corrupt the whole deployment equally: the scalar
-        # penalty is position-independent, so one evaluation serves all.
-        value = self.penalty((0.0, 0.0), start_ms, duration_ms, channel)
-        return np.full(len(positions), value)
-
-    def penalty_timeline(
-        self,
-        positions: np.ndarray,
-        start_ms: float,
-        phase_ms: float,
-        num_phases: int,
-        channel: int,
-    ) -> np.ndarray:
-        if num_phases <= 0:
-            return np.zeros((0, len(np.asarray(positions))))
-        starts = start_ms + phase_ms * np.arange(num_phases)
-        return self.penalty_windows(positions, starts, phase_ms, channel)
-
     def penalty_windows(
         self,
         positions: np.ndarray,
@@ -783,31 +636,6 @@ class CompositeInterference(InterferenceSource):
         survival = 1.0
         for source in self.sources:
             survival *= 1.0 - source.penalty(position, start_ms, duration_ms, channel)
-        return 1.0 - survival
-
-    def penalty_batch(
-        self, positions: np.ndarray, start_ms: float, duration_ms: float, channel: int
-    ) -> np.ndarray:
-        positions = np.asarray(positions, dtype=float)
-        survival = np.ones(len(positions))
-        for source in self.sources:
-            survival *= 1.0 - source.penalty_batch(positions, start_ms, duration_ms, channel)
-        return 1.0 - survival
-
-    def penalty_timeline(
-        self,
-        positions: np.ndarray,
-        start_ms: float,
-        phase_ms: float,
-        num_phases: int,
-        channel: int,
-    ) -> np.ndarray:
-        positions = np.asarray(positions, dtype=float)
-        survival = np.ones((max(0, num_phases), len(positions)))
-        for source in self.sources:
-            survival *= 1.0 - source.penalty_timeline(
-                positions, start_ms, phase_ms, num_phases, channel
-            )
         return 1.0 - survival
 
     def penalty_windows(

@@ -451,8 +451,7 @@ class LWBRoundEngine:
         :class:`~repro.net.glossy.GlossyFlood`).  The batched data-slot
         phase loop of the store round path is what the engine choice
         accelerates; :attr:`flood` exposes the underlying
-        :class:`~repro.net.glossy.GlossyFlood` (benchmarks re-select
-        its ``reception_kernel`` for in-run reference ratios).
+        :class:`~repro.net.glossy.GlossyFlood`.
     """
 
     def __init__(

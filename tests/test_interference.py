@@ -36,7 +36,7 @@ class TestBurstPeriod:
         jammer = BurstJammer(position=(0.0, 0.0), interference_ratio=0.0)
         assert jammer.period_ms == float("inf")
         assert jammer.penalty((0.0, 0.0), 1.0, 2.0, 26) == 0.0
-        assert not jammer.penalty_batch(np.zeros((4, 2)), 1.0, 2.0, 26).any()
+        assert not jammer.penalty_windows(np.zeros((4, 2)), np.array([1.0]), 2.0, 26).any()
 
 
 class TestNoInterference:
@@ -155,8 +155,33 @@ class TestAmbientInterference:
             AmbientInterference(rate=1.5)
 
 
+def window_channels(pattern, count):
+    """A ``penalty_windows`` channel argument: one channel for every
+    window (``"26"``, ``"15"``), or one channel per window (channels 12
+    and 17 sit inside a WiFi channel, so their spectral factor exceeds
+    the WiFi floor)."""
+    if pattern == "per-window":
+        return np.resize(np.array([26, 15, 12, 26, 17, 11]), count)
+    return int(pattern)
+
+
+def assert_windows_match_scalar_penalty(source, positions, starts, duration, channels):
+    """Row ``m`` of ``penalty_windows`` is exactly the scalar ``penalty``
+    of every position in window ``m``."""
+    windows = source.penalty_windows(positions, starts, duration, channels)
+    assert windows.shape == (len(starts), len(positions))
+    per_window = np.broadcast_to(channels, (len(starts),))
+    for row, (start, channel) in enumerate(zip(starts, per_window)):
+        expected = [
+            source.penalty((float(x), float(y)), float(start), duration, int(channel))
+            for x, y in positions
+        ]
+        assert windows[row].tolist() == expected, (type(source).__name__, row)
+
+
 class TestScalarBatchEquivalence:
-    """The scalar, batched and timeline formulations must agree exactly."""
+    """The vectorized ``penalty_windows`` must equal the scalar
+    ``penalty`` oracle exactly, for every built-in source."""
 
     POSITIONS = np.array(
         [[0.0, 0.0], [1.0, 1.0], [4.0, 0.0], [7.5, 0.0], [9.9, 0.1], [40.0, 40.0]]
@@ -183,32 +208,29 @@ class TestScalarBatchEquivalence:
             ),
         ]
 
-    @pytest.mark.parametrize("channel", [26, 15])
-    def test_penalty_batch_matches_scalar_penalty(self, channel):
+    @pytest.mark.parametrize("pattern", ["26", "15", "per-window"])
+    def test_windows_match_scalar_penalty(self, pattern):
+        """Both source lists of this module, over irregular windows and
+        whole uniform slot timelines."""
+        starts = np.concatenate(
+            [
+                [0.0, 5.5, 7.5, 22.0, 61.0, 100.0, 101.6, 130.0, 333.3, 480.0],
+                17.3 + 1.6 * np.arange(12),
+                123.4 + 1.6 * np.arange(12),
+            ]
+        )
+        channels = window_channels(pattern, len(starts))
         for source in self.sources():
-            for start in (0.0, 5.5, 61.0, 130.0, 333.3):
-                batch = source.penalty_batch(self.POSITIONS, start, 1.6, channel)
-                scalar = [
-                    source.penalty((float(x), float(y)), start, 1.6, channel)
-                    for x, y in self.POSITIONS
-                ]
-                assert batch.tolist() == pytest.approx(scalar, abs=0.0)
-
-    @pytest.mark.parametrize("channel", [26, 15])
-    def test_penalty_timeline_matches_penalty_batch(self, channel):
-        for source in self.sources():
-            for start in (0.0, 17.3, 123.4):
-                timeline = source.penalty_timeline(self.POSITIONS, start, 1.6, 12, channel)
-                reference = np.stack(
-                    [
-                        source.penalty_batch(self.POSITIONS, start + p * 1.6, 1.6, channel)
-                        for p in range(12)
-                    ]
-                )
-                assert np.array_equal(timeline, reference)
+            assert_windows_match_scalar_penalty(
+                source, self.POSITIONS, starts, 1.6, channels
+            )
+        for source in TestPenaltyWindows().sources():
+            assert_windows_match_scalar_penalty(
+                source, TestPenaltyWindows.POSITIONS, starts, 1.6, channels
+            )
 
     def test_overlap_cutoff_is_shared(self):
-        """The decode threshold gates penalty and penalty_batch identically.
+        """The decode threshold gates penalty and penalty_windows identically.
 
         A burst overlap just below the shared cutoff must be free in both
         formulations, just above must jam in both — so the cutoff cannot
@@ -226,25 +248,33 @@ class TestScalarBatchEquivalence:
         ]:
             start = 13.0 - fraction * duration
             scalar = jammer.penalty(position, start, duration, 26)
-            batch = jammer.penalty_batch(positions, start, duration, 26)
-            timeline = jammer.penalty_timeline(positions, start, duration, 1, 26)
+            windows = jammer.penalty_windows(positions, np.array([start]), duration, 26)
             expected = 1.0 if jammed else 0.0
             assert scalar == pytest.approx(expected)
-            assert batch[0] == pytest.approx(expected)
-            assert timeline[0, 0] == pytest.approx(expected)
+            assert windows[0, 0] == pytest.approx(expected)
 
-    def test_default_timeline_stacks_penalty_batch(self):
-        """Custom sources inherit a timeline consistent with penalty_batch."""
+    def test_default_windows_stack_scalar_penalty(self):
+        """Custom sources inherit penalty_windows from their penalty."""
 
         class HalfJam(InterferenceSource):
             def penalty(self, position, start_ms, duration_ms, channel):
-                return 0.5 if start_ms < 5.0 else 0.0
+                return 0.5 if start_ms < 5.0 and channel == 26 else 0.0
 
         source = HalfJam()
-        timeline = source.penalty_timeline(self.POSITIONS, 0.0, 2.0, 4, 26)
-        assert timeline.shape == (4, len(self.POSITIONS))
-        assert timeline[0].tolist() == [0.5] * len(self.POSITIONS)
-        assert timeline[3].tolist() == [0.0] * len(self.POSITIONS)
+        starts = 2.0 * np.arange(4)
+        windows = source.penalty_windows(self.POSITIONS, starts, 2.0, 26)
+        assert windows.shape == (4, len(self.POSITIONS))
+        assert windows[0].tolist() == [0.5] * len(self.POSITIONS)
+        assert windows[3].tolist() == [0.0] * len(self.POSITIONS)
+        assert_windows_match_scalar_penalty(
+            source, self.POSITIONS, starts, 2.0, np.array([26, 15, 26, 26])
+        )
+        assert source.penalty_windows(self.POSITIONS, np.array([]), 2.0, 26).shape == (
+            0,
+            len(self.POSITIONS),
+        )
+        with pytest.raises(ValueError):
+            source.penalty_windows(self.POSITIONS, starts, 2.0, np.array([26, 15]))
 
 
 class TestCompositeInterference:
@@ -273,9 +303,9 @@ class TestCompositeInterference:
 
 
 class TestPenaltyWindows:
-    """penalty_windows must equal stacked penalty_batch rows for every
-    built-in source (that is the base-class contract the round engine
-    relies on when it evaluates all slots of a round in one call)."""
+    """``penalty_windows`` evaluates the timelines of all slots of a
+    round in one call; its rows must match the scalar ``penalty`` of
+    each window for every built-in source."""
 
     POSITIONS = np.array([[0.0, 0.0], [3.0, 1.0], [40.0, 40.0]])
 
@@ -294,30 +324,19 @@ class TestPenaltyWindows:
             ),
         ]
 
-    def test_windows_match_penalty_batch_rows(self):
-        starts = np.array([0.0, 7.5, 22.0, 100.0, 101.6, 480.0])
-        for source in self.sources():
-            windows = source.penalty_windows(self.POSITIONS, starts, 1.6, 26)
-            assert windows.shape == (len(starts), len(self.POSITIONS))
-            for row, start in enumerate(starts):
-                expected = source.penalty_batch(self.POSITIONS, float(start), 1.6, 26)
-                assert windows[row].tolist() == expected.tolist(), type(source).__name__
-
     def test_windows_match_timeline(self):
+        """The uniform slot timeline the single-flood path requests
+        (``start + phase_ms * arange(num_phases)``)."""
+        starts = 50.0 + 1.6 * np.arange(12)
         for source in self.sources():
-            timeline = source.penalty_timeline(self.POSITIONS, 50.0, 1.6, 12, 26)
-            starts = 50.0 + 1.6 * np.arange(12)
-            windows = source.penalty_windows(self.POSITIONS, starts, 1.6, 26)
-            assert (timeline == windows).all(), type(source).__name__
+            assert_windows_match_scalar_penalty(source, self.POSITIONS, starts, 1.6, 26)
 
     def test_per_window_channels(self):
         jammer = BurstJammer(position=(1.0, 1.0), interference_ratio=0.9, channels=(26,))
         starts = np.array([0.0, 1.6, 3.2])
         channels = np.array([26, 11, 26])
-        windows = jammer.penalty_windows(self.POSITIONS, starts, 1.6, channels)
-        for row, (start, channel) in enumerate(zip(starts, channels)):
-            expected = jammer.penalty_batch(self.POSITIONS, float(start), 1.6, int(channel))
-            assert windows[row].tolist() == expected.tolist()
+        assert_windows_match_scalar_penalty(jammer, self.POSITIONS, starts, 1.6, channels)
+        assert not jammer.penalty_windows(self.POSITIONS, starts, 1.6, channels)[1].any()
 
     def test_empty_windows(self):
         for source in self.sources():

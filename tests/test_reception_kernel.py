@@ -2,11 +2,13 @@
 
 Three layers of guarantees:
 
-* **Kernel parity** — the batched masked-product kernel (default) is
-  bit-for-bit identical to the per-flood ``failure[tx].prod(axis=0)``
-  reference loop (``reception_kernel = "per-flood"``) and to sequential
-  :meth:`~repro.net.glossy.GlossyFlood.run` calls, including the
-  flood-level early exit's closed-form tail.
+* **Kernel parity** — the batched masked-product kernel of
+  :meth:`~repro.net.glossy.GlossyFlood.run_batch` is bit-for-bit
+  identical to the per-flood reference: sequential
+  :meth:`~repro.net.glossy.GlossyFlood.run` calls, each computing its
+  own ``failure[tx].prod(axis=0)``.  This includes the flood-level early
+  exit's closed-form tail and topologies with gray-zone links, where the
+  products carry factors far from 0 and 1.
 * **Edge cases** — K=0 slots, a single-node network, an all-links-zero
   PRR matrix, and a flood whose initiator was churned out mid-round all
   behave exactly like the sequential path.
@@ -19,21 +21,36 @@ import numpy as np
 import pytest
 
 from repro.experiments.scenarios import jamming_interference
-from repro.net.glossy import FLOOD_ENGINES, RECEPTION_KERNELS, GlossyFlood
+from repro.net.glossy import FLOOD_ENGINES, GlossyFlood
 from repro.net.link import LinkModel
 from repro.net.simulator import NetworkSimulator, SimulatorConfig
 from repro.net.topology import grid_topology, random_topology
 
 
-def make_flood(topology, engine="vectorized", kernel="batched", seed=9, link_seed=1):
-    flood = GlossyFlood(
-        topology,
-        LinkModel(topology, seed=link_seed),
-        rng=np.random.default_rng(seed),
-        engine=engine,
+def make_flood(topology, engine="vectorized", seed=9, link_seed=1, gray_links=False):
+    link_model = LinkModel(topology, seed=link_seed)
+    if gray_links:
+        add_gray_links(link_model)
+    return GlossyFlood(
+        topology, link_model, rng=np.random.default_rng(seed), engine=engine
     )
-    flood.reception_kernel = kernel
-    return flood
+
+
+def add_gray_links(link_model, share=0.3, seed=4):
+    """Override a seeded share of the existing links with PRRs in [0.05, 0.95].
+
+    Generated topologies have almost no gray-zone links (their PRRs sit
+    at 0 or near 1), so without overrides every kernel product only
+    sees factors near 0 or 1.
+    """
+    prr = link_model.prr_matrix()
+    ids = link_model.topology.node_ids
+    senders, receivers = np.nonzero(np.triu(prr > 0.0, k=1))
+    rng = np.random.default_rng(seed)
+    chosen = rng.random(len(senders)) < share
+    for a, b in zip(senders[chosen], receivers[chosen]):
+        link_model.set_link_quality(ids[a], ids[b], float(rng.uniform(0.05, 0.95)))
+    return link_model
 
 
 def assert_results_identical(first, second):
@@ -53,42 +70,47 @@ def run_batch_under(flood, initiators, **kwargs):
     return flood.run_batch(initiators=initiators, **kwargs)
 
 
+def run_sequential_under(flood, initiators, **kwargs):
+    """The per-flood reference of :func:`run_batch_under`: one ``run``
+    per flood, in order, under the same generator."""
+    n_tx = kwargs.pop("n_tx", 2)
+    starts = kwargs.pop("start_times", [22.0 * k for k in range(len(initiators))])
+    kwargs.setdefault("max_slot_ms", 20.0)
+    return [
+        flood.run(initiator=initiator, n_tx=n_tx, start_ms=start, **kwargs)
+        for initiator, start in zip(initiators, starts)
+    ]
+
+
+def assert_batch_equals_sequential(topology, initiators, gray_links=False, **kwargs):
+    batched = run_batch_under(
+        make_flood(topology, gray_links=gray_links), initiators, **dict(kwargs)
+    )
+    sequential = run_sequential_under(
+        make_flood(topology, gray_links=gray_links), initiators, **dict(kwargs)
+    )
+    assert_results_identical(batched, sequential)
+    return batched
+
+
 class TestKernelParity:
     @pytest.mark.parametrize("ratio", [0.0, 0.25])
     def test_batched_equals_per_flood_reference(self, ratio):
         topology = random_topology(40, seed=5)
         interference = jamming_interference(topology, ratio) if ratio else None
-        initiators = list(topology.node_ids[:12])
-        results = {}
-        for kernel in RECEPTION_KERNELS:
-            results[kernel] = run_batch_under(
-                make_flood(topology, kernel=kernel),
-                initiators,
-                interference=interference,
-            )
-        assert_results_identical(results["batched"], results["per-flood"])
+        assert_batch_equals_sequential(
+            topology, list(topology.node_ids[:12]), interference=interference
+        )
 
     def test_batched_equals_sequential_runs(self):
         topology = random_topology(30, seed=7)
-        interference = jamming_interference(topology, 0.2)
         initiators = [0, 4, 9, 15, 21]
-        starts = [100.0 + 22.0 * k for k in range(len(initiators))]
-        # One generator drives all sequential floods, like run_batch does.
-        flood = make_flood(topology)
-        sequential = [
-            flood.run(
-                initiator=initiator,
-                n_tx=2,
-                start_ms=start,
-                interference=interference,
-                max_slot_ms=20.0,
-            )
-            for initiator, start in zip(initiators, starts)
-        ]
-        batched = run_batch_under(
-            make_flood(topology), initiators, start_times=starts, interference=interference
+        assert_batch_equals_sequential(
+            topology,
+            initiators,
+            start_times=[100.0 + 22.0 * k for k in range(len(initiators))],
+            interference=jamming_interference(topology, 0.2),
         )
-        assert_results_identical(sequential, batched)
 
     def test_per_node_budgets_and_participants(self):
         topology = random_topology(25, seed=3)
@@ -96,15 +118,89 @@ class TestKernelParity:
         n_tx[:10] = 3  # forwarders; the rest are passive receivers
         mask = np.ones(25, dtype=bool)
         mask[[7, 19]] = False
-        results = {}
-        for kernel in RECEPTION_KERNELS:
-            results[kernel] = run_batch_under(
-                make_flood(topology, kernel=kernel),
-                [0, 1, 2, 3],
-                n_tx=n_tx,
-                participants=mask,
-            )
-        assert_results_identical(results["batched"], results["per-flood"])
+        assert_batch_equals_sequential(
+            topology, [0, 1, 2, 3], n_tx=n_tx, participants=mask
+        )
+
+    @pytest.mark.parametrize("ratio", [0.0, 0.25])
+    def test_batched_equals_per_flood_reference_on_gray_links(self, ratio):
+        """Gray-zone links put factors far from 0 and 1 into the
+        products, so the draws are decided on intermediate
+        probabilities rather than on values pinned at 0 or 1."""
+        topology = random_topology(40, seed=5)
+        gray = add_gray_links(LinkModel(topology, seed=1)).prr_matrix()
+        assert ((gray > 0.05) & (gray < 0.95)).sum() >= 50
+        interference = jamming_interference(topology, ratio) if ratio else None
+        assert_batch_equals_sequential(
+            topology,
+            list(topology.node_ids[:12]),
+            gray_links=True,
+            n_tx=3,
+            interference=interference,
+        )
+
+
+class TestKernelProbabilities:
+    """Flood outcomes only change when a draw lands between two
+    probabilities, so outcome parity cannot see last-bit differences.
+    These tests compare the kernel's probabilities themselves with the
+    per-flood product ``1 - failure[tx].prod(axis=0)`` of
+    :meth:`~repro.net.glossy.GlossyFlood.run`, bit for bit, on gray-zone
+    links where the factor order changes the rounding."""
+
+    @staticmethod
+    def per_flood_probabilities(link_model, transmit):
+        prr = link_model.prr_matrix()
+        failure = 1.0 - prr
+        boost = 1.0 + link_model.capture_boost
+        rows = []
+        for mask in transmit:
+            tx = np.flatnonzero(mask)
+            if len(tx) == 1:
+                rows.append(prr[tx[0]])
+            else:
+                rows.append(np.minimum((1.0 - failure[tx].prod(axis=0)) * boost, 1.0))
+        return np.array(rows)
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_kernel_equals_per_flood_products_on_gray_links(self, monkeypatch, streaming):
+        import repro.net.glossy as glossy_module
+
+        if streaming:
+            monkeypatch.setattr(glossy_module, "KERNEL_STREAM_MIN_ROW", 1)
+        else:
+            monkeypatch.setattr(glossy_module, "KERNEL_STREAM_MIN_ROW", 10**9)
+            monkeypatch.setattr(glossy_module, "KERNEL_CHUNK_ELEMENTS", 256)
+        topology = random_topology(40, seed=5)
+        flood = make_flood(topology)
+        # Every link gray: a strong link would round its receiver's
+        # probability to exactly 1.0 whatever the factor order.
+        link_model = add_gray_links(flood.link_model, share=1.0)
+        rng = np.random.default_rng(2)
+        transmit = np.zeros((16, 40), dtype=bool)
+        for k, count in enumerate(rng.integers(1, 12, size=16)):
+            transmit[k, rng.choice(40, size=count, replace=False)] = True
+        tx_counts = transmit.sum(axis=1)
+        active = np.arange(16)
+        columns = np.arange(40)
+        out = np.zeros((16, 40))
+        flood._phase_success_batched(
+            transmit,
+            tx_counts,
+            active,
+            columns,
+            link_model.prr_matrix(),
+            link_model._failure_matrix,
+            None,
+            1.0 + link_model.capture_boost,
+            out,
+        )
+        expected = self.per_flood_probabilities(link_model, transmit)
+        # Only listeners are ever read; transmitter columns may differ.
+        listening = ~transmit
+        assert np.array_equal(out[listening], expected[listening])
+        # The gray links put factors far from 0 and 1 into the products.
+        assert ((expected > 0.05) & (expected < 0.95) & listening).any()
 
 
 class TestRunBatchEdgeCases:
@@ -192,17 +288,13 @@ class TestLogMode:
         result = simulator.run_round(n_tx=2)
         assert result.reliability > 0.5
 
-    def test_unknown_reception_kernel_values_listed(self):
-        assert RECEPTION_KERNELS == ("batched", "per-flood")
-
     def test_log_kernel_probability_deviation_bound(self):
         """The log-domain matmul reproduces the exact failure products to
-        well under 1e-9, including intermediate PRRs and severed links."""
+        well under 1e-9, including gray-zone PRRs and severed links."""
         topology = random_topology(60, seed=6)
-        link = LinkModel(topology, seed=1)
-        # Intermediate PRRs exercise the log/exp round-trip error; a
+        # Gray-zone PRRs exercise the log/exp round-trip error; a
         # severed link exercises the -inf clamp.
-        link.set_link_quality(0, 1, 0.37, symmetric=True)
+        link = add_gray_links(LinkModel(topology, seed=1))
         link.set_link_quality(2, 3, 1.0, symmetric=True)
         link.set_link_quality(4, 5, 0.0, symmetric=True)
         prr = link.prr_matrix()
@@ -218,7 +310,8 @@ class TestLogMode:
                 mask[tx] = 1.0
                 approximate = -np.expm1(mask @ log_failure)
                 worst = max(worst, float(np.abs(exact - approximate).max()))
-        assert worst < 1e-9
+        # Nonzero: the gray links really take the approximate round trip.
+        assert 0.0 < worst < 1e-9
 
     def test_log_mode_statistics_match_exact_mode(self):
         """Aggregate flood statistics under the log kernel match the
@@ -255,8 +348,9 @@ class TestLogMode:
 
 class TestKernelBranchCoverage:
     """Both exact-kernel variants must be bit-identical to the
-    per-flood reference — including the streaming-accumulator branch,
-    which only engages naturally at production sizes."""
+    per-flood reference (sequential ``run`` calls) — including the
+    streaming-accumulator branch, which only engages naturally at
+    production sizes."""
 
     def test_streaming_branch_forced_parity(self, monkeypatch):
         """Force the streaming accumulator (and tiny chunks for the
@@ -266,16 +360,13 @@ class TestKernelBranchCoverage:
         monkeypatch.setattr(glossy_module, "KERNEL_STREAM_MIN_ROW", 1)
         monkeypatch.setattr(glossy_module, "KERNEL_CHUNK_ELEMENTS", 64)
         topology = random_topology(40, seed=5)
-        interference = jamming_interference(topology, 0.25)
-        results = {
-            kernel: run_batch_under(
-                make_flood(topology, kernel=kernel),
+        for gray_links in (False, True):
+            assert_batch_equals_sequential(
+                topology,
                 list(topology.node_ids[:12]),
-                interference=interference,
+                gray_links=gray_links,
+                interference=jamming_interference(topology, 0.25),
             )
-            for kernel in RECEPTION_KERNELS
-        }
-        assert_results_identical(results["batched"], results["per-flood"])
 
     def test_streaming_branch_natural_parity_at_scale(self):
         """A 120-node, 40-flood workload crosses KERNEL_STREAM_MIN_ROW
@@ -285,6 +376,7 @@ class TestKernelBranchCoverage:
 
         topology = random_topology(120, seed=9)
         interference = jamming_interference(topology, 0.2)
+        initiators = list(topology.node_ids[:40])
         streaming_min = glossy_module.KERNEL_STREAM_MIN_ROW
 
         spy_hits = []
@@ -301,16 +393,13 @@ class TestKernelBranchCoverage:
 
         glossy_module.GlossyFlood._phase_success_batched = spy
         try:
-            results = {
-                kernel: run_batch_under(
-                    make_flood(topology, kernel=kernel),
-                    list(topology.node_ids[:40]),
-                    n_tx=3,
-                    interference=interference,
-                )
-                for kernel in RECEPTION_KERNELS
-            }
+            batched = run_batch_under(
+                make_flood(topology), initiators, n_tx=3, interference=interference
+            )
         finally:
             glossy_module.GlossyFlood._phase_success_batched = original_kernel
         assert spy_hits, "workload never crossed the streaming threshold"
-        assert_results_identical(results["batched"], results["per-flood"])
+        sequential = run_sequential_under(
+            make_flood(topology), initiators, n_tx=3, interference=interference
+        )
+        assert_results_identical(batched, sequential)

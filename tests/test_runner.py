@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.experiments.interference_sweep import (
-    run_interference_sweep,
-    run_interference_sweep_parallel,
-)
+from repro.api import Session
+from repro.experiments.interference_sweep import run_interference_sweep
 from repro.experiments.runner import (
     EXPERIMENTS,
     ParallelRunner,
@@ -197,9 +195,7 @@ class TestBuiltInExperiments:
             runs=2,
             seed=5,
         )
-        runner = ParallelRunner(max_workers=2)
-        parallel = run_interference_sweep_parallel(
-            runner,
+        parallel = Session(max_workers=2).sweep(
             network=untrained_network,
             ratios=(0.0, 0.3),
             protocols=("lwb", "dimmer"),

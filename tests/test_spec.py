@@ -9,10 +9,10 @@ Three contracts:
   on the process, the field ordering of its payload, or how a caller
   spelled numeric values; and it equals the key of the hand-built
   parameter dicts the pre-spec drivers used, so cache directories
-  warmed by the deprecated ``run_*_parallel`` shims stay warm.
-* **Shim == Session** — each deprecated driver produces the same
-  results as the session method it now wraps, on one small point per
-  family.
+  warmed by those drivers stay warm.
+* **Session == direct call** — running a spec through the session
+  gives the same result as calling its worker directly, and the
+  session's figure drivers reuse the historical cache keys.
 """
 
 import json
@@ -219,8 +219,8 @@ class TestCacheKeys:
         assert "label" not in a.to_payload()
 
     def test_sweep_key_matches_legacy_driver_params(self):
-        # Byte-for-byte what run_interference_sweep_parallel built
-        # before the spec layer existed.
+        # Byte-for-byte what the Fig. 5 parallel driver built before the
+        # spec layer existed.
         protocol, ratio, run_index, seed = "lwb", 0.15, 1, 3
         legacy = ScenarioTask(
             experiment="sweep_point",
@@ -275,27 +275,6 @@ class TestCacheKeys:
         )
         assert spec.key() == legacy.key()
 
-    def test_cache_warmed_by_deprecated_shim_hits_for_session(self, tmp_path):
-        """Acceptance: a cache dir warmed by a deprecated run_*_parallel
-        shim is a full cache hit for the equivalent spec grid."""
-        from repro.experiments.interference_sweep import run_interference_sweep_parallel
-
-        kwargs = dict(
-            ratios=(0.0, 0.2), protocols=("lwb",), rounds_per_run=4, runs=2, seed=7,
-        )
-        shim_result = run_interference_sweep_parallel(
-            ParallelRunner(max_workers=1, cache_dir=tmp_path), **kwargs
-        )
-
-        session = Session(max_workers=1, cache_dir=tmp_path)
-        direct = session.sweep(**kwargs)
-        assert session.stats.executed == 0
-        assert session.stats.cache_misses == 0
-        assert session.stats.cache_hits == 4
-        for point in shim_result.points:
-            twin = direct.point(point.protocol, point.interference_ratio)
-            assert twin.metrics.reliability == point.metrics.reliability
-
     def test_cache_warmed_by_legacy_tasks_hits_for_specs(self, tmp_path):
         """A cache dir warmed pre-spec must be a full hit for specs."""
         seeds = [stable_seed(3, "lwb", 15, i) for i in range(2)]
@@ -332,11 +311,6 @@ class TestSessionFacade:
         trace = REPRESENTATIVES["trace_episode"]
         assert session.prepare(trace) == trace
 
-    def test_reception_kernel_default(self):
-        session = Session(max_workers=1, reception_kernel="per-flood")
-        injected = session.prepare(SweepSpec(protocol="lwb", ratio=0.1))
-        assert injected.reception_kernel == "per-flood"
-
     def test_network_injected_into_dimmer_specs_only(self, untrained_network):
         session = Session(max_workers=1, network=untrained_network)
         dimmer = session.prepare(MobileJammerSpec(protocol="dimmer", rounds=2))
@@ -366,78 +340,8 @@ class TestSessionFacade:
 
 
 class TestShimEqualsSession:
-    """One small point per family: the deprecated driver == Session."""
-
-    def test_sweep(self):
-        from repro.experiments.interference_sweep import run_interference_sweep_parallel
-
-        kwargs = dict(
-            ratios=(0.0, 0.2), protocols=("lwb",), rounds_per_run=5, runs=2, seed=5,
-        )
-        shim = run_interference_sweep_parallel(
-            ParallelRunner(max_workers=1), **kwargs
-        )
-        direct = Session(max_workers=1).sweep(**kwargs)
-        for point in shim.points:
-            twin = direct.point(point.protocol, point.interference_ratio)
-            assert twin.metrics.reliability == pytest.approx(point.metrics.reliability)
-            assert twin.metrics.radio_on_ms == pytest.approx(point.metrics.radio_on_ms)
-
-    def test_dynamic(self, untrained_network):
-        from repro.experiments.dynamic import run_dynamic_comparison_parallel
-
-        shim = run_dynamic_comparison_parallel(
-            ParallelRunner(max_workers=1), untrained_network, time_scale=0.02, seed=2
-        )
-        direct = Session(max_workers=1).dynamic_comparison(
-            network=untrained_network, time_scale=0.02, seed=2
-        )
-        assert direct.dimmer.metrics.reliability == pytest.approx(
-            shim.dimmer.metrics.reliability
-        )
-        assert direct.pid.n_tx.values == shim.pid.n_tx.values
-
-    def test_dcube(self):
-        from repro.experiments.dcube import run_dcube_comparison_parallel
-
-        kwargs = dict(levels=(1,), protocols=("lwb", "crystal"), num_rounds=6, seed=4)
-        shim = run_dcube_comparison_parallel(
-            ParallelRunner(max_workers=1), network=None, **kwargs
-        )
-        direct = Session(max_workers=1).dcube(**kwargs)
-        for protocol in ("lwb", "crystal"):
-            assert direct.get(protocol, 1).reliability == pytest.approx(
-                shim.get(protocol, 1).reliability
-            )
-            assert direct.get(protocol, 1).energy_j == pytest.approx(
-                shim.get(protocol, 1).energy_j
-            )
-
-    def test_feature_sweep(self, tmp_path):
-        from repro.experiments.feature_selection import run_feature_sweep_parallel
-        from repro.experiments.training import TrainingProfile
-
-        kwargs = dict(
-            values=(2,),
-            models_per_value=1,
-            profile=TrainingProfile(
-                name="t", trace_repetitions=1, training_iterations=40, anneal_steps=20
-            ),
-            training_episodes=(((2, 0.0),),),
-            evaluation_episodes=(((2, 0.0),),),
-            evaluation_repeats=1,
-            seed=1,
-        )
-        shim = run_feature_sweep_parallel(
-            ParallelRunner(max_workers=1), "input_nodes",
-            data_dir=tmp_path / "shim", **kwargs
-        )
-        direct = Session(max_workers=1).feature_sweep(
-            "input_nodes", data_dir=tmp_path / "direct", **kwargs
-        )
-        assert direct.points[0].reliability == pytest.approx(shim.points[0].reliability)
-        assert direct.points[0].radio_on_ms == pytest.approx(shim.points[0].radio_on_ms)
-        assert direct.points[0].dqn_size_kb == shim.points[0].dqn_size_kb
+    """Session results equal the direct calls and legacy grids they
+    replaced."""
 
     def test_trace_episode(self):
         from repro.net.topology import kiel_testbed
