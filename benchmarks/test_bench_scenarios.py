@@ -6,17 +6,15 @@ the node-churn family lets traffic sources drop off the bus and rejoin.
 Static LWB (``N_TX = 3``), Dimmer (DQN adaptivity) and the PID baseline
 run the same scripted scenarios; the grid fans out through the
 :class:`~repro.experiments.runner.ParallelRunner` and the aggregated
-results are recorded in ``BENCH_scenarios.json`` next to the figure
-benchmarks.
+results are printed as tables; the benchmark writes no files (the
+committed ``BENCH_scenarios.json`` keeps earlier recorded numbers as
+history).
 
 Expected shape: under the patrolling jammer the adaptive protocols buy
 reliability with extra radio-on time compared to static LWB; under pure
 churn (no interference) every protocol delivers, since leaving nodes
 are removed from the schedule.
 """
-
-import json
-from pathlib import Path
 
 from figure_helpers import benchmark_session
 
@@ -30,8 +28,6 @@ PROTOCOLS = ("lwb", "dimmer", "pid")
 ROUNDS = 30
 RUNS = 2
 SEED = 9
-
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_scenarios.json"
 
 
 def run_scenario_grid(network):
@@ -86,24 +82,6 @@ def test_scenario_families_dimmer_vs_baselines(benchmark, pretrained_network):
             rows,
             title=f"{family}: Dimmer vs baselines ({RUNS} runs x {ROUNDS} rounds)",
         ))
-
-    BENCH_PATH.write_text(
-        json.dumps(
-            {
-                "rounds": ROUNDS,
-                "runs": RUNS,
-                "seed": SEED,
-                "results": {
-                    family: {
-                        protocol: grid[(family, protocol)] for protocol in PROTOCOLS
-                    }
-                    for family in FAMILIES
-                },
-            },
-            indent=2,
-        )
-        + "\n"
-    )
 
     # Every protocol keeps the bus usable in both families.
     for (family, protocol), metrics in grid.items():

@@ -42,8 +42,12 @@ class FloodResult:
     materialized on first access (and cached, so in-place edits through
     a view stay visible to the aggregate properties).
 
-    Results can equivalently be built from per-node dicts (the scalar
-    reference engine does); the arrays are then materialized lazily.
+    Results can equivalently be built from per-node dicts; the arrays
+    are then materialized lazily.  The scalar engine and the per-node
+    reference loop build theirs that way, in participant order: the
+    dict-backed aggregates sum sequentially in that order (the array
+    path's ``mean`` sums pairwise), so only a dict-built result
+    reproduces the reference loop bit for bit.
 
     Attributes
     ----------
@@ -378,12 +382,16 @@ class GlossyFlood:
         Random generator used for reception draws; pass a seeded
         generator for reproducible floods.
     engine:
-        ``"scalar"`` runs the per-node reference implementation;
-        ``"vectorized"`` advances each phase with NumPy state vectors
-        and batched reception draws (statistically equivalent, much
-        faster on large topologies); ``"vectorized-log"`` additionally
-        switches :meth:`run_batch` to the log-domain matmul kernel
-        (approximate-but-close, for 1000+ node topologies).
+        ``"scalar"`` advances each phase with NumPy state vectors but
+        draws like the per-node reference loop (:meth:`_run_scalar`) —
+        one draw per listener with a non-zero reception probability,
+        in participant order — so its results equal that loop's bit
+        for bit; ``"vectorized"`` draws one block per flood up front
+        (statistically equivalent to the scalar engine, and
+        :meth:`run_batch` advances whole rounds of floods together);
+        ``"vectorized-log"`` additionally switches :meth:`run_batch` to
+        the log-domain matmul kernel (approximate-but-close, for 1000+
+        node topologies).
     """
 
     def __init__(
@@ -430,28 +438,6 @@ class GlossyFlood:
             raise ValueError(f"engine must be one of {FLOOD_ENGINES}, got {value!r}")
         self._engine = value
 
-    def _normalize_n_tx(
-        self,
-        n_tx: Union[int, Mapping[int, int], np.ndarray],
-        participants: Sequence[int],
-    ) -> Dict[int, int]:
-        """Expand a global N_TX value into a per-node mapping."""
-        if isinstance(n_tx, (int, np.integer)):
-            if n_tx < 0:
-                raise ValueError("n_tx must be non-negative")
-            return {node: int(n_tx) for node in participants}
-        if isinstance(n_tx, np.ndarray):
-            index = self.link_model.node_index
-            vec = self._n_tx_vector(n_tx, None, None)
-            return {node: int(vec[index[node]]) for node in participants}
-        per_node = {}
-        for node in participants:
-            value = n_tx.get(node, 0)
-            if value < 0:
-                raise ValueError("n_tx must be non-negative")
-            per_node[node] = value
-        return per_node
-
     def _n_tx_vector(
         self,
         n_tx: Union[int, Mapping[int, int], np.ndarray],
@@ -481,11 +467,7 @@ class GlossyFlood:
             return np.where(part_mask, vec, np.int64(0))
         vec = np.zeros(self._n, dtype=np.int64)
         if part_list is None:
-            part_list = (
-                list(self.node_ids)
-                if part_mask is None
-                else self._ids_arr[part_mask].tolist()
-            )
+            part_list = self._participant_ids(part_mask)
         for node in part_list:
             value = n_tx.get(node, 0)
             if value < 0:
@@ -533,6 +515,93 @@ class GlossyFlood:
         max_slot_ms:
             Slot length; the flood is truncated when it runs out of slot.
         """
+        part_mask, part_list, n_tx_vec, interference, slot_ms, phase_ms, num_phases = (
+            self._flood_setup(
+                initiator, n_tx, packet_bytes, interference, participants, max_slot_ms
+            )
+        )
+        if self.engine == "scalar":
+            # Same phase loop, per-node draw order, dict-backed result.
+            if part_list is None:
+                part_list = self._participant_ids(part_mask)
+        else:
+            # "vectorized-log" only changes the batched kernel; a single
+            # flood always runs the exact vectorized path.
+            part_list = None
+        return self._run_vectorized(
+            initiator=initiator,
+            part_mask=part_mask,
+            n_tx_vec=n_tx_vec,
+            channel=channel,
+            start_ms=start_ms,
+            interference=interference,
+            slot_ms=slot_ms,
+            phase_ms=phase_ms,
+            num_phases=num_phases,
+            participants=part_list,
+        )
+
+    def _run_oracle(
+        self,
+        initiator: int,
+        n_tx: Union[int, Mapping[int, int], np.ndarray] = 3,
+        packet_bytes: int = DEFAULT_PACKET_BYTES,
+        channel: int = 26,
+        start_ms: float = 0.0,
+        interference: Optional[InterferenceSource] = None,
+        participants: Optional[Union[Sequence[int], np.ndarray]] = None,
+        max_slot_ms: Optional[float] = None,
+    ) -> FloodResult:
+        """:meth:`run` on the per-node reference loop (:meth:`_run_scalar`).
+
+        Takes :meth:`run`'s arguments through the same normalization.
+        The ``"scalar"`` engine must equal this bit for bit — same
+        results, same generator state afterwards; the parity tests and
+        the flood-speed benchmark's ``"scalar"`` column call it.
+        """
+        part_mask, part_list, n_tx_vec, interference, slot_ms, phase_ms, num_phases = (
+            self._flood_setup(
+                initiator, n_tx, packet_bytes, interference, participants, max_slot_ms
+            )
+        )
+        if part_list is None:
+            part_list = self._participant_ids(part_mask)
+        index = self.link_model.node_index
+        return self._run_scalar(
+            initiator=initiator,
+            participants=part_list,
+            per_node_n_tx={node: int(n_tx_vec[index[node]]) for node in part_list},
+            channel=channel,
+            start_ms=start_ms,
+            interference=interference,
+            slot_ms=slot_ms,
+            phase_ms=phase_ms,
+            num_phases=num_phases,
+        )
+
+    def _participant_ids(self, part_mask: Optional[np.ndarray]) -> List[int]:
+        """Participant ids in index order (every node when ``part_mask`` is None)."""
+        return list(self.node_ids) if part_mask is None else self._ids_arr[part_mask].tolist()
+
+    def _flood_setup(
+        self,
+        initiator: int,
+        n_tx: Union[int, Mapping[int, int], np.ndarray],
+        packet_bytes: int,
+        interference: Optional[InterferenceSource],
+        participants: Optional[Union[Sequence[int], np.ndarray]],
+        max_slot_ms: Optional[float],
+    ) -> Tuple[Optional[np.ndarray], Optional[List[int]], np.ndarray, InterferenceSource,
+               float, float, int]:
+        """Validate and normalize :meth:`run`'s arguments.
+
+        Returns ``(part_mask, part_list, n_tx_vec, interference,
+        slot_ms, phase_ms, num_phases)``: the participation mask
+        (``None`` = every node), the participant list when one was
+        given (its order is the scalar engine's draw order), the
+        per-node N_TX vector in index order with the initiator's entry
+        raised to at least 1, and the slot timing.
+        """
         index = self.link_model.node_index
         part_mask: Optional[np.ndarray] = None
         part_list: Optional[List[int]] = None
@@ -554,50 +623,15 @@ class GlossyFlood:
             part_mask = np.zeros(self._n, dtype=bool)
             for node in part_list:
                 part_mask[index[node]] = True
+        n_tx_vec = self._n_tx_vector(n_tx, part_mask, part_list)
+        # The initiator must transmit at least once for the flood to exist.
+        init_idx = index[initiator]
+        n_tx_vec[init_idx] = max(1, n_tx_vec[init_idx])
         interference = interference if interference is not None else NoInterference()
         slot_ms = max_slot_ms if max_slot_ms is not None else self.radio.max_slot_ms
-
         phase_ms = self.radio.phase_duration_ms(packet_bytes)
         num_phases = max(1, int(math.floor(slot_ms / phase_ms)))
-
-        if self.engine != "scalar":
-            # "vectorized-log" only changes the batched kernel; a single
-            # flood always runs the exact vectorized path.
-            n_tx_vec = self._n_tx_vector(n_tx, part_mask, part_list)
-            init_idx = index[initiator]
-            n_tx_vec[init_idx] = max(1, n_tx_vec[init_idx])
-            return self._run_vectorized(
-                initiator=initiator,
-                part_mask=part_mask,
-                n_tx_vec=n_tx_vec,
-                channel=channel,
-                start_ms=start_ms,
-                interference=interference,
-                slot_ms=slot_ms,
-                phase_ms=phase_ms,
-                num_phases=num_phases,
-            )
-
-        if part_list is None:
-            part_list = (
-                list(self.node_ids)
-                if part_mask is None
-                else self._ids_arr[part_mask].tolist()
-            )
-        per_node_n_tx = self._normalize_n_tx(n_tx, part_list)
-        # The initiator must transmit at least once for the flood to exist.
-        per_node_n_tx[initiator] = max(1, per_node_n_tx[initiator])
-        return self._run_scalar(
-            initiator=initiator,
-            participants=part_list,
-            per_node_n_tx=per_node_n_tx,
-            channel=channel,
-            start_ms=start_ms,
-            interference=interference,
-            slot_ms=slot_ms,
-            phase_ms=phase_ms,
-            num_phases=num_phases,
-        )
+        return part_mask, part_list, n_tx_vec, interference, slot_ms, phase_ms, num_phases
 
     def run_batch(
         self,
@@ -718,7 +752,11 @@ class GlossyFlood:
         phase_ms: float,
         num_phases: int,
     ) -> FloodResult:
-        """Reference implementation: per-node dict bookkeeping."""
+        """Reference implementation: per-node dict bookkeeping.
+
+        The readable oracle of the scalar engine; production code runs
+        :meth:`_run_vectorized` instead (see :meth:`_run_oracle`).
+        """
         received: Dict[int, bool] = {node: False for node in participants}
         reception_phase: Dict[int, Optional[int]] = {node: None for node in participants}
         transmissions: Dict[int, int] = {node: 0 for node in participants}
@@ -818,18 +856,33 @@ class GlossyFlood:
         slot_ms: float,
         phase_ms: float,
         num_phases: int,
+        participants: Optional[List[int]] = None,
     ) -> FloodResult:
         """NumPy formulation: one phase is a handful of matrix operations.
 
         State lives in per-node vectors aligned with the
-        :meth:`~repro.net.link.LinkModel.prr_matrix` index order; every
-        phase draws all reception outcomes in one batched RNG call, and
+        :meth:`~repro.net.link.LinkModel.prr_matrix` index order, and
         the interference penalties of the whole slot are precomputed by
         one :meth:`~repro.net.interference.InterferenceSource.penalty_windows`
         call before the phase loop.  The per-phase logic mirrors
-        :meth:`_run_scalar` exactly — only the RNG consumption pattern
-        differs, so results are statistically (not bit-for-bit)
-        identical under a fixed seed.
+        :meth:`_run_scalar` exactly; how the randomness is consumed
+        depends on ``participants``:
+
+        * ``None`` (the vectorized engines): one ``(num_phases, N)``
+          block of draws up front, row ``p`` serving phase ``p``.
+          Results are statistically (not bit-for-bit) identical to
+          :meth:`_run_scalar` under a fixed seed, and the result is
+          array-backed in index order.
+        * the participant ids (the scalar engine): the per-node loop's
+          draw order — one draw per listener with a non-zero reception
+          probability, in participant order, taken as one
+          ``rng.random(k)`` call per phase (equal to ``k`` sequential
+          ``rng.random()`` calls); multi-transmitter failure products
+          multiply in participant order, and single-transmitter
+          probabilities are ``1 - (1 - prr)``, the per-node loop's
+          one-factor product.  The result is dict-backed in participant order,
+          so it equals :meth:`_run_scalar` bit for bit, down to the
+          generator state afterwards.
         """
         index = self.link_model.node_index
         n_all = self._n
@@ -845,10 +898,21 @@ class GlossyFlood:
         reception_phase[init_idx] = 0
         next_tx[init_idx] = 0
 
-        # One batched draw for the whole slot: row ``p`` serves phase ``p``.
-        draws = self.rng.random((num_phases, n_all))
         prr = self.link_model.prr_matrix()
         link_failure = self.link_model._failure_matrix
+        if participants is None:
+            draw_order = tx_order = None
+            solo_success = prr
+            # One batched draw for the whole slot: row ``p`` serves phase ``p``.
+            draws = self.rng.random((num_phases, n_all))
+        else:
+            draw_order = np.array([index[node] for node in participants], dtype=np.int64)
+            # Index-ordered participants already list transmitters in
+            # participant order; only a shuffled list needs reordering.
+            tx_order = draw_order if (np.diff(draw_order) < 0).any() else None
+            # The per-node loop computes 1 - (1 - prr), which need not
+            # round back to prr.
+            solo_success = 1.0 - link_failure
         boost_factor = 1.0 + self.link_model.capture_boost
         no_interference = isinstance(interference, NoInterference)
         if not no_interference:
@@ -880,12 +944,14 @@ class GlossyFlood:
             # reception fails only if every non-self link fails, with
             # the capture boost rewarding >1 synchronized senders.
             if num_tx == 1:
-                probabilities = prr[tx_indices[0]]
+                probabilities = solo_success[tx_indices[0]]
             else:
                 # Values at transmitter indices diverge from the
                 # reference method (no per-transmitter boost
                 # exception) but are never consumed: transmitters
                 # are masked out of ``success`` below.
+                if tx_order is not None:
+                    tx_indices = tx_order[transmit[tx_order]]
                 probabilities = 1.0 - link_failure[tx_indices].prod(axis=0)
                 probabilities *= boost_factor
                 np.minimum(probabilities, 1.0, out=probabilities)
@@ -894,7 +960,18 @@ class GlossyFlood:
             # Transmitters cannot listen (transmit is a subset of
             # on_air, so the XOR is exactly "on air and not sending");
             # a draw >= probability fails.
-            success = (draws[phase] < probabilities) & (on_air ^ transmit)
+            listening = on_air ^ transmit
+            if draw_order is None:
+                success = (draws[phase] < probabilities) & listening
+            else:
+                # The per-node loop's draws: one per listener with a
+                # non-zero probability, in participant order.
+                listeners = draw_order[listening[draw_order]]
+                listeners = listeners[probabilities[listeners] > 0.0]
+                success = np.zeros(n_all, dtype=bool)
+                if len(listeners):
+                    uniforms = self.rng.random(len(listeners))
+                    success[listeners] = uniforms < probabilities[listeners]
             newly = success & ~received
             received |= newly
             reception_phase[newly] = phase
@@ -931,6 +1008,21 @@ class GlossyFlood:
         on_phases = np.where(off_after < 0, num_phases, np.minimum(off_after, num_phases))
         radio_on = np.minimum(slot_ms, on_phases * phase_ms)
 
+        if draw_order is not None:
+            # Dict-backed like the per-node loop's result: its aggregates
+            # sum in participant order.
+            return FloodResult(
+                initiator=initiator,
+                received=dict(zip(participants, received[draw_order].tolist())),
+                reception_phase={
+                    node: (value if value >= 0 else None)
+                    for node, value in zip(participants, reception_phase[draw_order].tolist())
+                },
+                transmissions=dict(zip(participants, transmissions[draw_order].tolist())),
+                radio_on_ms=dict(zip(participants, radio_on[draw_order].tolist())),
+                slot_duration_ms=slot_ms,
+                channel=channel,
+            )
         if part_mask is None:
             return FloodResult(
                 initiator=initiator,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.net.link import LinkModel
-from repro.net.topology import grid_topology, kiel_testbed, random_topology
+from repro.net.topology import dcube_testbed, grid_topology, kiel_testbed, random_topology
 
 
 @pytest.fixture()
@@ -93,22 +93,33 @@ class TestPrrMatrix:
         "topology",
         [
             kiel_testbed(),
+            dcube_testbed(),
             grid_topology(rows=3, cols=4, spacing_m=5.0, comm_range_m=9.0),
             random_topology(25, seed=9),
         ],
-        ids=["kiel", "grid", "random"],
+        ids=["kiel", "dcube", "grid", "random"],
     )
     def test_matrix_matches_per_pair_prr(self, topology):
+        """Exact equality, before and after ``set_link_quality`` overrides:
+        the scalar flood engine reads the matrix where the per-node
+        reference loop calls :meth:`LinkModel.prr`, and the two must
+        agree bit for bit."""
         model = LinkModel(topology, seed=2)
-        matrix = model.prr_matrix()
         ids = topology.node_ids
-        assert matrix.shape == (len(ids), len(ids))
-        for i, a in enumerate(ids):
-            for j, b in enumerate(ids):
-                if a == b:
-                    assert matrix[i, j] == 0.0
-                else:
-                    assert matrix[i, j] == pytest.approx(model.prr(a, b), abs=1e-12)
+        rng = np.random.default_rng(5)
+        for overridden in (False, True):
+            if overridden:
+                for a, b in rng.choice(ids, size=(len(ids), 2)):
+                    if a != b:
+                        model.set_link_quality(int(a), int(b), float(rng.uniform(0.05, 0.95)))
+            matrix = model.prr_matrix()
+            assert matrix.shape == (len(ids), len(ids))
+            for i, a in enumerate(ids):
+                for j, b in enumerate(ids):
+                    if a == b:
+                        assert matrix[i, j] == 0.0
+                    else:
+                        assert matrix[i, j] == model.prr(a, b), (overridden, a, b)
 
     def test_matrix_is_cached_and_read_only(self, kiel):
         model = LinkModel(kiel, seed=0)
