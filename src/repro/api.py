@@ -99,8 +99,7 @@ class Session:
         An existing :class:`ParallelRunner` to reuse.
     engine:
         Default flood engine applied to any spec with an unset
-        ``engine`` field (``"scalar"`` / ``"vectorized"`` /
-        ``"vectorized-log"``).
+        ``engine`` field (``"scalar"`` / ``"vectorized"``).
     network:
         Session-wide policy network (live ``QNetwork`` /
         ``QuantizedNetwork`` or its JSON payload) injected into any

@@ -36,6 +36,7 @@ from repro.experiments.reporting import format_table
 from repro.experiments.resilience import GridInterrupted, RetryPolicy
 from repro.experiments.runner import FAILURE_KEY, RunnerError
 from repro.experiments.spec import load_specs
+from repro.net import FLOOD_ENGINES
 
 #: Manifest file name used by ``--resume`` without an explicit path.
 DEFAULT_CHECKPOINT_NAME = "grid_checkpoint.jsonl"
@@ -417,11 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     scenarios.add_argument("--rounds", type=int, default=40)
     scenarios.add_argument("--runs", type=int, default=3)
     scenarios.add_argument(
-        "--engine", choices=("scalar", "vectorized", "vectorized-log"),
-        default="vectorized",
-        help="flood engine for the scenario simulators; vectorized-log "
-             "enables the log-domain matmul reception kernel meant for "
-             "1000+ node topologies",
+        "--engine", choices=FLOOD_ENGINES, default="vectorized",
+        help="flood engine for the scenario simulators",
     )
     scenarios.set_defaults(func=cmd_scenarios)
 
@@ -438,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--engine", dest="session_engine", default=None,
-        choices=("scalar", "vectorized", "vectorized-log"),
+        choices=FLOOD_ENGINES,
         help="session-wide flood engine applied to specs that leave "
              "'engine' unset",
     )

@@ -299,12 +299,7 @@ class FloodResult:
 
 
 #: Flood engine implementations selectable via ``SimulatorConfig.engine``.
-#: ``"vectorized-log"`` behaves exactly like ``"vectorized"`` except in
-#: :meth:`GlossyFlood.run_batch`, where it assembles the multi-transmitter
-#: reception probabilities through one log-domain matmul per phase
-#: (approximate to ~1e-12, targeted at 1000+ node topologies where BLAS
-#: beats the exact gather-product kernel).
-FLOOD_ENGINES = ("scalar", "vectorized", "vectorized-log")
+FLOOD_ENGINES = ("scalar", "vectorized")
 
 #: Element budget of one gathered transmitter-row chunk in the batched
 #: kernel (float64 count, ~2 MB): keeps the gather and its product
@@ -388,10 +383,7 @@ class GlossyFlood:
         in participant order — so its results equal that loop's bit
         for bit; ``"vectorized"`` draws one block per flood up front
         (statistically equivalent to the scalar engine, and
-        :meth:`run_batch` advances whole rounds of floods together);
-        ``"vectorized-log"`` additionally switches :meth:`run_batch` to
-        the log-domain matmul kernel (approximate-but-close, for 1000+
-        node topologies).
+        :meth:`run_batch` advances whole rounds of floods together).
     """
 
     def __init__(
@@ -525,8 +517,6 @@ class GlossyFlood:
             if part_list is None:
                 part_list = self._participant_ids(part_mask)
         else:
-            # "vectorized-log" only changes the batched kernel; a single
-            # flood always runs the exact vectorized path.
             part_list = None
         return self._run_vectorized(
             initiator=initiator,
@@ -662,10 +652,7 @@ class GlossyFlood:
         interleave only exact ``* 1.0`` factors with the per-flood
         products, and the flood-level early exit, which replays the
         deterministic tail of fully-decoded floods in closed form.  The
-        ``"vectorized-log"`` engine swaps the multi-transmitter product
-        for one log-domain matmul per phase (approximate to ~1e-12 in
-        the probabilities, so individual draws may flip); the scalar
-        engine simply loops :meth:`run`.
+        scalar engine simply loops :meth:`run`.
 
         Parameters
         ----------
@@ -1119,11 +1106,6 @@ class GlossyFlood:
             on_air = np.ones((count, n_all), dtype=bool)
         else:
             on_air = np.broadcast_to(part_mask, (count, n_all)).copy()
-        log_failure = (
-            self.link_model.log_failure_matrix()
-            if self.engine == "vectorized-log"
-            else None
-        )
         probabilities = np.zeros((count, n_all))
         for phase in range(num_phases):
             transmit = next_tx == phase
@@ -1153,7 +1135,6 @@ class GlossyFlood:
                     columns,
                     prr,
                     link_failure,
-                    log_failure,
                     boost_factor,
                     probabilities,
                 )
@@ -1283,7 +1264,6 @@ class GlossyFlood:
         columns: np.ndarray,
         prr: np.ndarray,
         link_failure: np.ndarray,
-        log_failure: Optional[np.ndarray],
         boost_factor: float,
         out: np.ndarray,
     ) -> None:
@@ -1297,9 +1277,9 @@ class GlossyFlood:
         bit-identical; every other entry of ``out`` must already be
         zero).
 
-        **Exact kernel** (``log_failure is None``): the masked product
+        The masked product
         ``np.prod(np.where(mask[:, :, None], failure[None], 1.0), axis=1)``
-        evaluated without materializing the ``(K, N, N)`` cube — every
+        is evaluated without materializing the ``(K, N, N)`` cube — every
         flood's transmitter rows are padded to a shared length with the
         all-ones row of :meth:`_failure_padded`, gathered
         transmitter-major into a reusable workspace, and reduced with
@@ -1313,17 +1293,9 @@ class GlossyFlood:
         axis keeps each gather + product inside
         :data:`KERNEL_CHUNK_ELEMENTS` doubles (cache-resident).
 
-        **Log kernel** (``"vectorized-log"``): one
-        ``(A, N) x (N, U)`` matmul of the transmitter masks against
-        ``log1p(-prr)`` sums the failure logs, and ``-expm1`` maps the
-        sums back to success probabilities — approximate (log/exp
-        round-trip, deviations around 1e-12), but constant memory and
-        BLAS-fast on 1000+ node topologies.
-
-        Both kernels apply the capture boost only to floods with >= 2
-        transmitters and serve single-transmitter floods straight from
-        the PRR matrix (so phase 0 — the initiator's solo transmission
-        — stays exact even in log mode).
+        The capture boost applies only to floods with >= 2 transmitters;
+        single-transmitter floods are served straight from the PRR
+        matrix.
         """
         counts = tx_counts[active]
         multi = counts >= 2
@@ -1338,16 +1310,6 @@ class GlossyFlood:
         if not multi.any():
             return
         rows = active[multi]
-
-        if log_failure is not None:
-            block = transmit[rows].astype(np.float64) @ log_failure[:, columns]
-            np.expm1(block, out=block)
-            np.negative(block, out=block)
-            block *= boost_factor
-            np.minimum(block, 1.0, out=block)
-            out[np.ix_(rows, columns)] = block
-            return
-
         n = self._n
         padded = self._failure_padded(link_failure)
         if num_cols < n:

@@ -26,13 +26,6 @@ from repro.net.topology import Topology
 PRR_SNR_MIDPOINT_DB = 4.0
 PRR_SNR_SLOPE_PER_DB = 1.2
 
-#: Floor applied to ``log1p(-prr)`` entries in :meth:`LinkModel.log_failure_matrix`.
-#: ``prr == 1`` links have a failure log of ``-inf``, which would poison the
-#: log-domain matmul kernel (``0 * -inf == nan``); clamping at -745 keeps the
-#: back-transform exact to double precision (``exp(-745)`` already underflows
-#: to a subnormal, so a clamped link still contributes certain success).
-LOG_FAILURE_FLOOR = -745.0
-
 
 @dataclass(frozen=True)
 class LinkQuality:
@@ -83,7 +76,6 @@ class LinkModel:
     _overrides: Dict[Tuple[int, int], float] = field(default_factory=dict, repr=False)
     _prr_matrix: Optional[np.ndarray] = field(default=None, repr=False)
     _failure_matrix: Optional[np.ndarray] = field(default=None, repr=False)
-    _log_failure_matrix: Optional[np.ndarray] = field(default=None, repr=False)
     _node_index: Dict[int, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -133,7 +125,6 @@ class LinkModel:
         self._cache.clear()
         self._prr_matrix = None
         self._failure_matrix = None
-        self._log_failure_matrix = None
 
     def set_link_quality(
         self, sender: int, receiver: int, prr: float, symmetric: bool = True
@@ -275,29 +266,6 @@ class LinkModel:
             failure.setflags(write=False)
             self._failure_matrix = failure
         return self._prr_matrix
-
-    def log_failure_matrix(self) -> np.ndarray:
-        """``log1p(-prr)`` of every directed link as an ``(N, N)`` matrix.
-
-        Entry ``[i, j]`` is the log of the failure probability of the
-        link ``node_ids[i] -> node_ids[j]``, floored at
-        :data:`LOG_FAILURE_FLOOR` so that certain links (``prr == 1``)
-        stay finite.  The zero diagonal of :meth:`prr_matrix` maps to a
-        zero log — a no-op summand, mirroring the no-op factor of the
-        product formulation.  This is what the ``"vectorized-log"``
-        flood engine turns the per-phase failure products into one
-        ``(K, N) x (N, N)`` matmul with; it is precomputed once per
-        topology and cached alongside the PRR matrix (mutating link
-        qualities invalidates it the same way).
-        """
-        if self._log_failure_matrix is None:
-            self.prr_matrix()
-            with np.errstate(divide="ignore"):
-                log_failure = np.log1p(-self._prr_matrix)
-            np.maximum(log_failure, LOG_FAILURE_FLOOR, out=log_failure)
-            log_failure.setflags(write=False)
-            self._log_failure_matrix = log_failure
-        return self._log_failure_matrix
 
     def reception_probabilities(
         self,

@@ -15,8 +15,8 @@ plain LWB's energy consumption rises under interference (§V-E).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from repro.net.channels import ChannelHopper
 from repro.net.glossy import FloodResult, GlossyFlood
 from repro.net.interference import InterferenceSource, NoInterference
 from repro.net.link import LinkModel
-from repro.net.node import Node, NodeRole, NodeStateArray
+from repro.net.node import NodeStateArray
 from repro.net.packet import (
     DEFAULT_PACKET_BYTES,
     DataPacket,
@@ -445,11 +445,9 @@ class LWBRoundEngine:
     rng:
         Random generator shared by all floods of this engine.
     engine:
-        Flood engine implementation (``"scalar"`` reference,
-        ``"vectorized"``, or ``"vectorized-log"`` — the log-domain
-        matmul reception kernel for 1000+ node topologies; see
-        :class:`~repro.net.glossy.GlossyFlood`).  The batched data-slot
-        phase loop of the store round path is what the engine choice
+        Flood engine implementation (``"scalar"`` reference or
+        ``"vectorized"``; see :class:`~repro.net.glossy.GlossyFlood`).
+        The batched data-slot phase loop is what the engine choice
         accelerates; :attr:`flood` exposes the underlying
         :class:`~repro.net.glossy.GlossyFlood`.
     """
@@ -499,7 +497,7 @@ class LWBRoundEngine:
 
     def run_round(
         self,
-        nodes: Mapping[int, Node],
+        nodes: NodeStateArray,
         schedule: Schedule,
         start_ms: float = 0.0,
         interference: Optional[InterferenceSource] = None,
@@ -508,16 +506,21 @@ class LWBRoundEngine:
     ) -> RoundResult:
         """Execute one LWB round.
 
+        No per-node Python calls run anywhere: the schedule's ``n_tx``
+        broadcasts through the synchronized mask, ``effective_n_tx`` is
+        a ``where`` over the role codes, the data slots run as one
+        batched phase loop, each slot's feedback header scatters into
+        the ``(N, N)`` tables with one fancy index, and the end-of-round
+        statistics of all nodes are a single vectorized counter update.
+
         Parameters
         ----------
         nodes:
-            Node state keyed by id; their roles and ``n_tx`` values are
-            read (passive receivers flood with ``N_TX = 0``), and their
-            statistics and overheard feedback are updated in place.  A
-            :class:`~repro.net.node.NodeStateArray` aligned with the
-            topology order (what every simulator owns) drives the whole
-            round with masked vector operations; any other mapping of
-            ``Node`` objects takes the per-node reference path.
+            Node state store whose ``node_ids`` equal the topology order
+            (what every simulator owns); roles and ``n_tx`` values are
+            read (passive receivers flood with ``N_TX = 0``), and
+            statistics and overheard feedback are updated in place.  Any
+            other input raises :class:`ValueError`.
         schedule:
             The schedule computed by the coordinator for this round.
         start_ms:
@@ -534,42 +537,18 @@ class LWBRoundEngine:
             ``None`` means broadcast semantics (every node is a
             destination of every packet).
         """
-        interference = interference if interference is not None else NoInterference()
-        if (
+        if not (
             isinstance(nodes, NodeStateArray)
             and nodes.node_ids == self._flood.node_ids
         ):
-            return self._run_round_store(
-                nodes, schedule, start_ms, interference, collect_feedback, destinations
+            raise ValueError(
+                "run_round needs a NodeStateArray whose node_ids equal the "
+                "topology order"
             )
-        return self._run_round_nodes(
-            nodes, schedule, start_ms, interference, collect_feedback, destinations
-        )
-
-    def _run_round_store(
-        self,
-        store: NodeStateArray,
-        schedule: Schedule,
-        start_ms: float,
-        interference: InterferenceSource,
-        collect_feedback: bool,
-        destinations: Optional[Sequence[int]],
-    ) -> RoundResult:
-        """Array round path: no per-node Python calls anywhere.
-
-        Equivalent to :meth:`_run_round_nodes` over the store's views —
-        and bit-for-bit identical to it under a fixed seed (the
-        fingerprint test pins this) — but every per-node update is a
-        masked vector operation: the schedule's ``n_tx`` broadcasts
-        through the synchronized mask, ``effective_n_tx`` is a
-        ``where`` over the role codes, each data slot scatters the
-        source's feedback header into the ``(N, N)`` tables with one
-        fancy index, and the end-of-round ``record_slot`` for all nodes
-        is a single vectorized counter update.
-        """
+        interference = interference if interference is not None else NoInterference()
         coordinator = self.topology.coordinator
         index = self.link_model.node_index
-        node_ids = store.node_ids
+        node_ids = nodes.node_ids
         n = len(node_ids)
 
         # --- Control slot: flood the schedule from the coordinator. -----
@@ -592,9 +571,9 @@ class LWBRoundEngine:
         # Synchronized nodes apply the new retransmission parameter
         # immediately after the control slot; roles and n_tx stay
         # constant for the rest of the round.
-        store.synchronized[:] = synchronized
-        store.apply_n_tx_where(synchronized, schedule.n_tx)
-        effective_n_tx = store.effective_n_tx()
+        nodes.synchronized[:] = synchronized
+        nodes.apply_n_tx_where(synchronized, schedule.n_tx)
+        effective_n_tx = nodes.effective_n_tx()
 
         packets_expected = np.zeros(n, dtype=np.int64)
         packets_received = np.zeros(n, dtype=np.int64)
@@ -692,7 +671,7 @@ class LWBRoundEngine:
                 )
                 continue
 
-            feedback = store.feedback_for(index[source]) if collect_feedback else None
+            feedback = nodes.feedback_for(index[source]) if collect_feedback else None
             feedback_headers.append(feedback)
             radio_on += radio_table[executed_index]
             executed_index += 1
@@ -724,21 +703,21 @@ class LWBRoundEngine:
                 target_cols = executed_cols[slot_rows]
                 radio_values = np.array([h.radio_on_ms for h in feedback_headers])
                 reliability_values = np.array([h.reliability for h in feedback_headers])
-                store.feedback_radio_on[receiver_rows, target_cols] = radio_values[slot_rows]
-                store.feedback_reliability[receiver_rows, target_cols] = (
+                nodes.feedback_radio_on[receiver_rows, target_cols] = radio_values[slot_rows]
+                nodes.feedback_reliability[receiver_rows, target_cols] = (
                     reliability_values[slot_rows]
                 )
-                store.feedback_valid[receiver_rows, target_cols] = True
+                nodes.feedback_valid[receiver_rows, target_cols] = True
             else:
                 for position, (_, source) in enumerate(executed):
-                    store.observe_feedback_rows(
+                    nodes.observe_feedback_rows(
                         received_table[position], index[source], feedback_headers[position]
                     )
 
         # Update the per-node statistics used for the feedback headers of
         # the *next* round in one batched counter update.
         num_slots = len(schedule.slots) + 1
-        store.record_round_statistics(
+        nodes.record_round_statistics(
             packets_expected, packets_received, radio_on / num_slots
         )
 
@@ -756,187 +735,3 @@ class LWBRoundEngine:
             packets_received=packets_received,
             node_ids=node_ids,
         )
-
-    def _run_round_nodes(
-        self,
-        nodes: Mapping[int, Node],
-        schedule: Schedule,
-        start_ms: float,
-        interference: InterferenceSource,
-        collect_feedback: bool,
-        destinations: Optional[Sequence[int]],
-    ) -> RoundResult:
-        """Reference round path over arbitrary ``Node`` mappings."""
-        coordinator = self.topology.coordinator
-        all_ids = list(nodes.keys())
-        n = len(all_ids)
-        # The engine's array order is the topology (matrix) order; when
-        # the caller's node set matches it — every simulator does — the
-        # whole round aggregates with NumPy vectors and no per-node dict
-        # bookkeeping.
-        aligned = tuple(all_ids) == self._flood.node_ids
-        ids_arr = np.array(all_ids, dtype=np.int64)
-        pos = {node: i for i, node in enumerate(all_ids)}
-
-        # --- Control slot: flood the schedule from the coordinator. -----
-        control_channel = self.hopper.control_channel()
-        control_packet = schedule.to_packet(coordinator)
-        control_flood = self._flood.run(
-            initiator=coordinator,
-            n_tx=max(schedule.n_tx, 1),
-            packet_bytes=control_packet.total_bytes,
-            channel=control_channel,
-            start_ms=self._slot_start_ms(start_ms, 0),
-            interference=interference,
-            participants=None if aligned else all_ids,
-            max_slot_ms=self.slot_ms,
-        )
-        if aligned:
-            synchronized = control_flood.received_array.copy()
-            radio_on = control_flood.radio_on_array.copy()
-        else:
-            synchronized = np.zeros(n, dtype=bool)
-            radio_on = np.full(n, self.slot_ms)
-            self._scatter(control_flood, pos, synchronized, radio_on)
-        synchronized[pos[coordinator]] = True
-
-        # Synchronized nodes apply the new retransmission parameter
-        # immediately after the control slot.
-        sync_list = synchronized.tolist()
-        for i, node_id in enumerate(all_ids):
-            nodes[node_id].synchronized = sync_list[i]
-        for node_id in ids_arr[synchronized].tolist():
-            nodes[node_id].apply_n_tx(schedule.n_tx)
-        # Per-node retransmission budget for the data slots (constant for
-        # the rest of the round: roles and n_tx only change between
-        # rounds or at the control slot handled above).
-        effective_n_tx = np.fromiter(
-            (nodes[node_id].effective_n_tx for node_id in all_ids),
-            dtype=np.int64,
-            count=n,
-        )
-
-        packets_expected = np.zeros(n, dtype=np.int64)
-        packets_received = np.zeros(n, dtype=np.int64)
-        if destinations is not None:
-            destination_mask = np.zeros(n, dtype=bool)
-            for node in destinations:
-                destination_mask[pos[node]] = True
-        else:
-            destination_mask = np.ones(n, dtype=bool)
-
-        # --- Data slots. -------------------------------------------------
-        slot_results: List[SlotResult] = []
-        sync_rows = np.flatnonzero(synchronized)
-        for slot_index, source in enumerate(schedule.slots):
-            channel = self.hopper.data_channel(slot_index)
-            slot_start = self._slot_start_ms(start_ms, slot_index + 1)
-            source_pos = pos[source]
-            slot_destinations = destination_mask.copy()
-            slot_destinations[source_pos] = False
-
-            if not synchronized[source_pos]:
-                # The source missed the schedule: the slot stays empty.
-                # Synchronized nodes still listen for the announced packet
-                # and unsynchronized ones listen trying to re-sync.
-                radio_on += self.slot_ms
-                packets_expected[slot_destinations] += 1
-                empty = FloodResult.empty(
-                    initiator=source,
-                    node_ids=all_ids,
-                    slot_duration_ms=self.slot_ms,
-                    channel=channel,
-                    radio_on_ms=self.slot_ms,
-                )
-                slot_results.append(
-                    SlotResult(slot_index=slot_index, source=source, channel=channel, flood=empty)
-                )
-                continue
-
-            flood = self._flood.run(
-                initiator=source,
-                n_tx=effective_n_tx if aligned else {
-                    node: int(effective_n_tx[pos[node]]) for node in ids_arr[synchronized].tolist()
-                },
-                packet_bytes=DataPacket(source=source).total_bytes,
-                channel=channel,
-                start_ms=slot_start,
-                interference=interference,
-                participants=synchronized if aligned else ids_arr[synchronized].tolist(),
-                max_slot_ms=self.slot_ms,
-            )
-
-            feedback = nodes[source].statistics.to_feedback() if collect_feedback else None
-            # Participants contribute their measured radio-on time;
-            # unsynchronized nodes keep listening the whole slot.
-            slot_radio = np.full(n, self.slot_ms)
-            received_full = np.zeros(n, dtype=bool)
-            if aligned:
-                slot_radio[sync_rows] = flood.radio_on_array
-                received_full[sync_rows] = flood.received_array
-            else:
-                self._scatter(flood, pos, received_full, slot_radio)
-            radio_on += slot_radio
-            packets_expected[slot_destinations] += 1
-            packets_received[slot_destinations & received_full] += 1
-            if collect_feedback and feedback is not None:
-                for node_id in ids_arr[received_full].tolist():
-                    nodes[node_id].observe_feedback(source, feedback)
-
-            slot_results.append(
-                SlotResult(
-                    slot_index=slot_index,
-                    source=source,
-                    channel=channel,
-                    flood=flood,
-                    feedback=feedback,
-                )
-            )
-
-        # Update the per-node statistics used for the feedback headers of
-        # the *next* round: reliability reflects this round's outcome,
-        # radio-on time is a rolling average over the last few rounds
-        # ("averaged over the last floods" in the paper).
-        num_slots = len(schedule.slots) + 1
-        expected_list = packets_expected.tolist()
-        received_list = packets_received.tolist()
-        per_slot_list = (radio_on / num_slots).tolist()
-        for i, node_id in enumerate(all_ids):
-            statistics = nodes[node_id].statistics
-            statistics.packets_expected = expected_list[i]
-            statistics.packets_received = received_list[i]
-            statistics.radio_on.record_slot(per_slot_list[i])
-
-        self.hopper.advance_round(len(schedule.slots))
-
-        return RoundResult(
-            round_index=schedule.round_index,
-            schedule=schedule,
-            start_ms=start_ms,
-            control_flood=control_flood,
-            slots=slot_results,
-            synchronized=synchronized,
-            radio_on_ms=radio_on,
-            packets_expected=packets_expected,
-            packets_received=packets_received,
-            node_ids=all_ids,
-        )
-
-    @staticmethod
-    def _scatter(
-        flood: FloodResult,
-        pos: Dict[int, int],
-        received_out: np.ndarray,
-        radio_out: np.ndarray,
-    ) -> None:
-        """Scatter a flood's per-participant vectors into round order.
-
-        Fallback for callers whose node ordering differs from the
-        topology (matrix) order; entries of nodes absent from the flood
-        are left at their pre-filled defaults.
-        """
-        received = flood.received_array.tolist()
-        radio = flood.radio_on_array.tolist()
-        for i, node in enumerate(flood.node_ids):
-            received_out[pos[node]] = received[i]
-            radio_out[pos[node]] = radio[i]

@@ -42,12 +42,9 @@ class SimulatorConfig:
     tx_power_dbm: float = 0.0
     default_n_tx: int = 3
     channel_hopping: bool = True
-    #: Flood engine: ``"scalar"`` (per-node reference), ``"vectorized"``
-    #: (default: exact batched reception kernel), or ``"vectorized-log"``
-    #: (opt-in: the batched data slots assemble reception probabilities
-    #: through one log-domain matmul per phase — approximate to ~1e-12
-    #: in the probabilities, meant for 1000+ node topologies where BLAS
-    #: wins; see ``docs/engine_and_runner.md``).  The ``REPRO_ENGINE``
+    #: Flood engine: ``"scalar"`` (per-node reference) or
+    #: ``"vectorized"`` (default: exact batched reception kernel; see
+    #: ``docs/engine_and_runner.md``).  The ``REPRO_ENGINE``
     #: environment variable overrides the default, which is how CI runs
     #: the whole suite under the scalar reference engine as well.
     engine: str = field(default_factory=lambda: os.environ.get("REPRO_ENGINE", "vectorized"))

@@ -85,11 +85,11 @@ class TestBenchOutputContract:
             return original(seed=seed, **params)
 
         monkeypatch.setitem(EXPERIMENTS, "mobile_jammer_run", spy)
-        code, output = run_scenarios(tmp_path, extra=["--engine", "vectorized-log"])
+        code, output = run_scenarios(tmp_path, extra=["--engine", "scalar"])
         assert code == 0
-        assert seen == ["vectorized-log"]
+        assert seen == ["scalar"]
         payload = json.loads(output.read_text())
-        assert payload["engine"] == "vectorized-log"
+        assert payload["engine"] == "scalar"
         assert payload["protocols"]["lwb"]["reliability"] >= 0.0
 
 class TestRunSpecSubcommand:

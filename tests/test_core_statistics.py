@@ -6,21 +6,14 @@ import pytest
 from repro.core.statistics import GlobalView, StatisticsCollector
 from repro.net.channels import ChannelHopper
 from repro.net.lwb import LWBRoundEngine, Schedule
-from repro.net.node import Node, NodeRole
+from repro.net.node import NodeStateArray
 from repro.net.topology import kiel_testbed
 
 
 @pytest.fixture()
 def round_result(kiel):
     engine = LWBRoundEngine(kiel, hopper=ChannelHopper(enabled=False), rng=np.random.default_rng(0))
-    nodes = {
-        node_id: Node(
-            node_id=node_id,
-            position=kiel.positions[node_id],
-            role=NodeRole.COORDINATOR if node_id == kiel.coordinator else NodeRole.FORWARDER,
-        )
-        for node_id in kiel.node_ids
-    }
+    nodes = NodeStateArray(kiel.node_ids, positions=kiel.positions, coordinator=kiel.coordinator)
     schedule = Schedule(round_index=0, n_tx=3, slots=tuple(kiel.node_ids))
     return engine.run_round(nodes, schedule)
 

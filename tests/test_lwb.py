@@ -6,7 +6,7 @@ import pytest
 from repro.net.channels import ChannelHopper
 from repro.net.interference import BurstJammer, CompositeInterference
 from repro.net.lwb import LWBRoundEngine, Schedule, build_observer_view
-from repro.net.node import Node, NodeRole
+from repro.net.node import Node, NodeRole, NodeStateArray
 from repro.net.topology import kiel_testbed
 
 
@@ -15,13 +15,13 @@ def engine(kiel):
     return LWBRoundEngine(kiel, hopper=ChannelHopper(enabled=False), rng=np.random.default_rng(0))
 
 
+def make_store(kiel):
+    return NodeStateArray(kiel.node_ids, positions=kiel.positions, coordinator=kiel.coordinator)
+
+
 @pytest.fixture()
 def nodes(kiel):
-    built = {}
-    for node_id in kiel.node_ids:
-        role = NodeRole.COORDINATOR if node_id == kiel.coordinator else NodeRole.FORWARDER
-        built[node_id] = Node(node_id=node_id, position=kiel.positions[node_id], role=role)
-    return built
+    return make_store(kiel)
 
 
 def make_schedule(kiel, n_tx=3, round_index=0):
@@ -87,12 +87,7 @@ class TestRoundExecution:
 
     def test_passive_nodes_save_energy(self, engine, kiel, nodes):
         baseline = engine.run_round(nodes, make_schedule(kiel))
-        passive_nodes = {}
-        for node_id in kiel.node_ids:
-            role = NodeRole.COORDINATOR if node_id == kiel.coordinator else NodeRole.FORWARDER
-            passive_nodes[node_id] = Node(
-                node_id=node_id, position=kiel.positions[node_id], role=role
-            )
+        passive_nodes = make_store(kiel)
         chosen = [n for n in kiel.node_ids if n != kiel.coordinator][:5]
         for node in chosen:
             passive_nodes[node].set_role(NodeRole.PASSIVE)
@@ -116,6 +111,20 @@ class TestRoundExecution:
 
     def test_round_airtime_scales_with_slots(self, engine):
         assert engine.round_airtime_ms(10) > engine.round_airtime_ms(2)
+
+    def test_rejects_node_state_other_than_the_aligned_store(self, engine, kiel):
+        node_dict = {
+            node_id: Node(node_id=node_id, position=kiel.positions[node_id])
+            for node_id in kiel.node_ids
+        }
+        misordered = NodeStateArray(
+            tuple(reversed(kiel.node_ids)),
+            positions=kiel.positions,
+            coordinator=kiel.coordinator,
+        )
+        for nodes in (node_dict, misordered):
+            with pytest.raises(ValueError, match="NodeStateArray"):
+                engine.run_round(nodes, make_schedule(kiel))
 
 
 class TestObserverView:

@@ -28,7 +28,7 @@ from repro.net.link import LinkModel
 from repro.net.node import Node, NodeRole, NodeStateArray, NodeStatistics
 from repro.net.packet import DimmerFeedbackHeader
 from repro.net.simulator import NetworkSimulator, SimulatorConfig
-from repro.net.topology import kiel_testbed, random_topology
+from repro.net.topology import random_topology
 
 
 # ----------------------------------------------------------------------
@@ -312,90 +312,6 @@ class TestRadioOnColumns:
         assert columns.recent_average_ms(0) == 0.0
         assert columns.recent_average_ms(1) == 7.0
         assert columns.view(0).total_ms == 5.0
-
-
-# ----------------------------------------------------------------------
-# Round-path equivalence: store path vs per-node reference path
-# ----------------------------------------------------------------------
-class TestRoundPathEquivalence:
-    @pytest.mark.parametrize("ratio", [0.0, 0.25])
-    def test_store_and_dict_paths_bit_identical(self, ratio):
-        """The array fast path and the per-node reference path must
-        produce identical rounds, node statistics and feedback tables
-        under the same seed."""
-        from repro.net.channels import ChannelHopper
-        from repro.net.lwb import LWBRoundEngine, Schedule
-
-        topology = kiel_testbed()
-        interference = jamming_interference(topology, ratio) if ratio else None
-
-        def run(nodes_factory):
-            engine = LWBRoundEngine(
-                topology,
-                hopper=ChannelHopper(enabled=False),
-                rng=np.random.default_rng(42),
-                engine="vectorized",
-            )
-            nodes = nodes_factory(engine)
-            results = []
-            for i in range(4):
-                results.append(
-                    engine.run_round(
-                        nodes,
-                        Schedule(round_index=i, n_tx=2, slots=tuple(topology.node_ids)),
-                        start_ms=i * 1000.0,
-                        interference=interference,
-                    )
-                )
-            return nodes, results
-
-        def store_factory(engine):
-            return NodeStateArray(
-                topology.node_ids,
-                positions=topology.positions,
-                coordinator=topology.coordinator,
-            )
-
-        def dict_factory(engine):
-            return {
-                node_id: Node(
-                    node_id=node_id,
-                    position=topology.positions[node_id],
-                    role=(
-                        NodeRole.COORDINATOR
-                        if node_id == topology.coordinator
-                        else NodeRole.FORWARDER
-                    ),
-                )
-                for node_id in topology.node_ids
-            }
-
-        store, store_results = run(store_factory)
-        nodes, dict_results = run(dict_factory)
-
-        for a, b in zip(store_results, dict_results):
-            assert (a.synchronized_array == b.synchronized_array).all()
-            assert (a.radio_on_array == b.radio_on_array).all()
-            assert (a.packets_expected_array == b.packets_expected_array).all()
-            assert (a.packets_received_array == b.packets_received_array).all()
-            for slot_a, slot_b in zip(a.slots, b.slots):
-                assert (slot_a.flood.received_array == slot_b.flood.received_array).all()
-                assert (slot_a.flood.radio_on_array == slot_b.flood.radio_on_array).all()
-                assert slot_a.feedback == slot_b.feedback
-        for node_id in topology.node_ids:
-            assert store[node_id].n_tx == nodes[node_id].n_tx
-            assert store[node_id].synchronized == nodes[node_id].synchronized
-            assert (
-                store[node_id].statistics.packets_expected
-                == nodes[node_id].statistics.packets_expected
-            )
-            assert dict(store[node_id].neighbor_feedback) == dict(
-                nodes[node_id].neighbor_feedback
-            )
-            assert (
-                store[node_id].statistics.to_feedback()
-                == nodes[node_id].statistics.to_feedback()
-            )
 
 
 class TestBatchedFloodEquivalence:

@@ -1,4 +1,4 @@
-"""Tests for the batched reception kernel and the log-matmul engine.
+"""Tests for the batched reception kernel and the engine selector.
 
 Three layers of guarantees:
 
@@ -12,18 +12,18 @@ Three layers of guarantees:
 * **Edge cases** — K=0 slots, a single-node network, an all-links-zero
   PRR matrix, and a flood whose initiator was churned out mid-round all
   behave exactly like the sequential path.
-* **Log mode** — ``engine="vectorized-log"`` runs end to end, and its
-  probability kernel deviates from the exact product by less than
-  ``1e-9`` (documented approximate-but-close).
+* **Engine names** — every entry point accepts only the engines of
+  :data:`~repro.net.glossy.FLOOD_ENGINES`.
 """
 
 import numpy as np
 import pytest
 
+from repro.experiments import bench
 from repro.experiments.scenarios import jamming_interference
 from repro.net.glossy import FLOOD_ENGINES, GlossyFlood
 from repro.net.link import LinkModel
-from repro.net.simulator import NetworkSimulator, SimulatorConfig
+from repro.net.simulator import SimulatorConfig
 from repro.net.topology import grid_topology, random_topology
 
 
@@ -191,7 +191,6 @@ class TestKernelProbabilities:
             columns,
             link_model.prr_matrix(),
             link_model._failure_matrix,
-            None,
             1.0 + link_model.capture_boost,
             out,
         )
@@ -204,13 +203,13 @@ class TestKernelProbabilities:
 
 
 class TestRunBatchEdgeCases:
-    @pytest.mark.parametrize("engine", ["scalar", "vectorized", "vectorized-log"])
+    @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
     def test_zero_slots(self, engine):
         topology = random_topology(10, seed=2)
         flood = make_flood(topology, engine=engine)
         assert flood.run_batch(initiators=[], n_tx=2) == []
 
-    @pytest.mark.parametrize("engine", ["vectorized", "vectorized-log"])
+    @pytest.mark.parametrize("engine", ["vectorized"])
     def test_single_node_network(self, engine):
         topology = grid_topology(rows=1, cols=1)
         batched = run_batch_under(
@@ -229,7 +228,7 @@ class TestRunBatchEdgeCases:
         assert batched[0].transmissions_array[0] == 3
         assert batched[0].reliability == 1.0
 
-    @pytest.mark.parametrize("engine", ["vectorized", "vectorized-log"])
+    @pytest.mark.parametrize("engine", ["vectorized"])
     def test_all_links_zero_prr(self, engine):
         # Nodes spaced far beyond communication range: every off-diagonal
         # PRR is exactly zero, so only initiators ever receive.
@@ -252,7 +251,7 @@ class TestRunBatchEdgeCases:
             assert len(set(others)) == 1
             assert others[0] > result.radio_on_ms[initiator]
 
-    @pytest.mark.parametrize("engine", ["vectorized", "vectorized-log"])
+    @pytest.mark.parametrize("engine", ["vectorized"])
     def test_initiator_churned_out_mid_round(self, engine):
         """A source whose links were severed (node churn) still owns its
         slot: its flood executes but nobody can decode it."""
@@ -280,70 +279,22 @@ class TestRunBatchEdgeCases:
         assert batched[0].reliability > 0.5
 
 
-class TestLogMode:
-    def test_engine_is_registered_and_validated(self):
-        assert "vectorized-log" in FLOOD_ENGINES
-        config = SimulatorConfig(engine="vectorized-log", seed=3, channel_hopping=False)
-        simulator = NetworkSimulator(random_topology(15, seed=1), config)
-        result = simulator.run_round(n_tx=2)
-        assert result.reliability > 0.5
-
-    def test_log_kernel_probability_deviation_bound(self):
-        """The log-domain matmul reproduces the exact failure products to
-        well under 1e-9, including gray-zone PRRs and severed links."""
-        topology = random_topology(60, seed=6)
-        # Gray-zone PRRs exercise the log/exp round-trip error; a
-        # severed link exercises the -inf clamp.
-        link = add_gray_links(LinkModel(topology, seed=1))
-        link.set_link_quality(2, 3, 1.0, symmetric=True)
-        link.set_link_quality(4, 5, 0.0, symmetric=True)
-        prr = link.prr_matrix()
-        failure = 1.0 - prr
-        log_failure = link.log_failure_matrix()
-        rng = np.random.default_rng(0)
-        worst = 0.0
-        for num_tx in (2, 5, 15, 30, 59):
-            for _ in range(20):
-                tx = np.sort(rng.choice(60, size=num_tx, replace=False))
-                exact = 1.0 - failure[tx].prod(axis=0)
-                mask = np.zeros(60)
-                mask[tx] = 1.0
-                approximate = -np.expm1(mask @ log_failure)
-                worst = max(worst, float(np.abs(exact - approximate).max()))
-        # Nonzero: the gray links really take the approximate round trip.
-        assert 0.0 < worst < 1e-9
-
-    def test_log_mode_statistics_match_exact_mode(self):
-        """Aggregate flood statistics under the log kernel match the
-        exact kernel closely (draw flips are rare)."""
-        topology = random_topology(40, seed=8)
-        interference = jamming_interference(topology, 0.15)
-        reliabilities = {}
-        for engine in ("vectorized", "vectorized-log"):
-            flood = make_flood(topology, engine=engine, seed=11)
-            totals = []
-            for start in range(12):
-                results = run_batch_under(
-                    flood,
-                    list(topology.node_ids[:8]),
-                    start_times=[start * 200.0 + 22.0 * k for k in range(8)],
-                    interference=interference,
-                )
-                totals.extend(r.reliability for r in results)
-            reliabilities[engine] = float(np.mean(totals))
-        assert reliabilities["vectorized-log"] == pytest.approx(
-            reliabilities["vectorized"], abs=0.02
-        )
-
-    def test_log_failure_matrix_invalidated_by_churn(self):
-        topology = random_topology(12, seed=2)
-        link = LinkModel(topology, seed=1)
-        before = link.log_failure_matrix()
-        link.set_link_quality(0, 1, 0.0)
-        after = link.log_failure_matrix()
-        assert after is not before
-        index = link.node_index
-        assert after[index[0], index[1]] == 0.0  # log(1 - 0.0) == 0
+class TestEngineNames:
+    @pytest.mark.parametrize(
+        "entry_point",
+        [
+            lambda: SimulatorConfig(engine="vectorized-log"),
+            lambda: GlossyFlood(random_topology(5, seed=1), engine="vectorized-log"),
+            lambda: bench.main(["scenarios", "--engine", "vectorized-log"]),
+        ],
+        ids=["SimulatorConfig", "GlossyFlood", "repro-bench"],
+    )
+    def test_retired_log_engine_rejected(self, entry_point):
+        assert FLOOD_ENGINES == ("scalar", "vectorized")
+        with pytest.raises((ValueError, SystemExit)) as rejected:
+            entry_point()
+        if rejected.type is SystemExit:
+            assert rejected.value.code == 2  # argparse usage error
 
 
 class TestKernelBranchCoverage:
@@ -371,7 +322,7 @@ class TestKernelBranchCoverage:
     def test_streaming_branch_natural_parity_at_scale(self):
         """A 120-node, 40-flood workload crosses KERNEL_STREAM_MIN_ROW
         on its own (floods x listeners >= 3072), exercising the branch
-        the 200-2000-node round paths take in production."""
+        the 200-500-node round paths take in production."""
         import repro.net.glossy as glossy_module
 
         topology = random_topology(120, seed=9)
