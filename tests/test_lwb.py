@@ -112,19 +112,22 @@ class TestRoundExecution:
     def test_round_airtime_scales_with_slots(self, engine):
         assert engine.round_airtime_ms(10) > engine.round_airtime_ms(2)
 
-    def test_rejects_node_state_other_than_the_aligned_store(self, engine, kiel):
-        node_dict = {
-            node_id: Node(node_id=node_id, position=kiel.positions[node_id])
-            for node_id in kiel.node_ids
-        }
-        misordered = NodeStateArray(
-            tuple(reversed(kiel.node_ids)),
-            positions=kiel.positions,
-            coordinator=kiel.coordinator,
-        )
-        for nodes in (node_dict, misordered):
-            with pytest.raises(ValueError, match="NodeStateArray"):
-                engine.run_round(nodes, make_schedule(kiel))
+    @pytest.mark.parametrize("kind", ["dict", "misordered", "subset"])
+    def test_rejects_node_state_other_than_the_aligned_store(self, engine, kiel, kind):
+        if kind == "dict":
+            nodes = {
+                node_id: Node(node_id=node_id, position=kiel.positions[node_id])
+                for node_id in kiel.node_ids
+            }
+        else:
+            node_ids = (
+                tuple(reversed(kiel.node_ids)) if kind == "misordered" else kiel.node_ids[:-1]
+            )
+            nodes = NodeStateArray(
+                node_ids, positions=kiel.positions, coordinator=kiel.coordinator
+            )
+        with pytest.raises(ValueError, match="NodeStateArray"):
+            engine.run_round(nodes, make_schedule(kiel))
 
 
 class TestObserverView:

@@ -28,7 +28,7 @@ from repro.net.link import LinkModel
 from repro.net.node import Node, NodeRole, NodeStateArray, NodeStatistics
 from repro.net.packet import DimmerFeedbackHeader
 from repro.net.simulator import NetworkSimulator, SimulatorConfig
-from repro.net.topology import random_topology
+from repro.net.topology import kiel_testbed, random_topology
 
 
 # ----------------------------------------------------------------------
@@ -312,6 +312,63 @@ class TestRadioOnColumns:
         assert columns.recent_average_ms(0) == 0.0
         assert columns.recent_average_ms(1) == 7.0
         assert columns.view(0).total_ms == 5.0
+
+
+# ----------------------------------------------------------------------
+# Round write-back: what a round leaves in the store
+# ----------------------------------------------------------------------
+class TestRoundWritesBackToStore:
+    @pytest.mark.parametrize("ratio", [0.0, 0.25])
+    def test_round_results_land_in_the_store(self, ratio):
+        """Every round writes its synchronization, ``n_tx``, statistics
+        and overheard feedback headers back into the store, and each data
+        slot carries its source's header from the end of the last round."""
+        from repro.net.channels import ChannelHopper
+        from repro.net.lwb import LWBRoundEngine, Schedule
+
+        topology = kiel_testbed()
+        interference = jamming_interference(topology, ratio) if ratio else None
+        engine = LWBRoundEngine(
+            topology,
+            hopper=ChannelHopper(enabled=False),
+            rng=np.random.default_rng(42),
+            engine="vectorized",
+        )
+        store = NodeStateArray(
+            topology.node_ids,
+            positions=topology.positions,
+            coordinator=topology.coordinator,
+        )
+        for i in range(4):
+            n_tx = 2 + i % 2
+            n_tx_before = {node_id: store[node_id].n_tx for node_id in topology.node_ids}
+            headers_before = {
+                node_id: store[node_id].statistics.to_feedback()
+                for node_id in topology.node_ids
+            }
+            result = engine.run_round(
+                store,
+                Schedule(round_index=i, n_tx=n_tx, slots=tuple(topology.node_ids)),
+                start_ms=i * 1000.0,
+                interference=interference,
+            )
+            assert (store.synchronized == result.synchronized_array).all()
+            assert (store.packets_expected == result.packets_expected_array).all()
+            assert (store.packets_received == result.packets_received_array).all()
+            for row, node_id in enumerate(topology.node_ids):
+                node = store[node_id]
+                assert node.n_tx == (n_tx if node.synchronized else n_tx_before[node_id])
+                expected = int(result.packets_expected_array[row])
+                received = int(result.packets_received_array[row])
+                assert node.statistics.to_feedback().reliability == (
+                    1.0 if expected == 0 else received / expected
+                )
+            executed = [slot for slot in result.slots if slot.feedback is not None]
+            assert executed
+            for slot in executed:
+                assert slot.feedback == headers_before[slot.source]
+                for receiver in slot.flood.receivers():
+                    assert store[receiver].neighbor_feedback[slot.source] == slot.feedback
 
 
 class TestBatchedFloodEquivalence:

@@ -1,6 +1,6 @@
 """Tests for the batched reception kernel and the engine selector.
 
-Three layers of guarantees:
+Four layers of guarantees:
 
 * **Kernel parity** — the batched masked-product kernel of
   :meth:`~repro.net.glossy.GlossyFlood.run_batch` is bit-for-bit
@@ -11,7 +11,8 @@ Three layers of guarantees:
   products carry factors far from 0 and 1.
 * **Edge cases** — K=0 slots, a single-node network, an all-links-zero
   PRR matrix, and a flood whose initiator was churned out mid-round all
-  behave exactly like the sequential path.
+  behave exactly like the sequential path, under both engines.
+* **Cache invalidation** — node churn rebuilds the cached failure matrix.
 * **Engine names** — every entry point accepts only the engines of
   :data:`~repro.net.glossy.FLOOD_ENGINES`.
 """
@@ -209,14 +210,14 @@ class TestRunBatchEdgeCases:
         flood = make_flood(topology, engine=engine)
         assert flood.run_batch(initiators=[], n_tx=2) == []
 
-    @pytest.mark.parametrize("engine", ["vectorized"])
+    @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
     def test_single_node_network(self, engine):
         topology = grid_topology(rows=1, cols=1)
         batched = run_batch_under(
             make_flood(topology, engine=engine), [0, 0], n_tx=3
         )
         # One shared generator drives the sequential comparison floods.
-        flood = make_flood(topology)
+        flood = make_flood(topology, engine=engine)
         sequential = [
             flood.run(initiator=0, n_tx=3, start_ms=s, max_slot_ms=20.0)
             for s in (0.0, 22.0)
@@ -228,7 +229,7 @@ class TestRunBatchEdgeCases:
         assert batched[0].transmissions_array[0] == 3
         assert batched[0].reliability == 1.0
 
-    @pytest.mark.parametrize("engine", ["vectorized"])
+    @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
     def test_all_links_zero_prr(self, engine):
         # Nodes spaced far beyond communication range: every off-diagonal
         # PRR is exactly zero, so only initiators ever receive.
@@ -236,7 +237,7 @@ class TestRunBatchEdgeCases:
         initiators = [0, 1, 2]
         flood_a = make_flood(topology, engine=engine)
         batched = run_batch_under(flood_a, initiators, n_tx=2)
-        flood_b = make_flood(topology)
+        flood_b = make_flood(topology, engine=engine)
         sequential = [
             flood_b.run(initiator=i, n_tx=2, start_ms=22.0 * k, max_slot_ms=20.0)
             for k, i in enumerate(initiators)
@@ -251,7 +252,7 @@ class TestRunBatchEdgeCases:
             assert len(set(others)) == 1
             assert others[0] > result.radio_on_ms[initiator]
 
-    @pytest.mark.parametrize("engine", ["vectorized"])
+    @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
     def test_initiator_churned_out_mid_round(self, engine):
         """A source whose links were severed (node churn) still owns its
         slot: its flood executes but nobody can decode it."""
@@ -267,7 +268,7 @@ class TestRunBatchEdgeCases:
 
         initiators = [0, victim, 11]
         batched = run_batch_under(churned_flood(engine), initiators, n_tx=2)
-        flood = churned_flood("vectorized")
+        flood = churned_flood(engine)
         sequential = [
             flood.run(initiator=i, n_tx=2, start_ms=22.0 * k, max_slot_ms=20.0)
             for k, i in enumerate(initiators)
@@ -277,6 +278,23 @@ class TestRunBatchEdgeCases:
         assert batched[1].reliability == 0.0
         # The healthy slots still flood normally.
         assert batched[0].reliability > 0.5
+
+
+class TestFailureMatrixCache:
+    def test_failure_matrix_invalidated_by_churn(self):
+        """The cached ``1 - PRR`` matrix the batched kernel multiplies is
+        rebuilt after node churn, not served stale."""
+        topology = random_topology(12, seed=2)
+        link = LinkModel(topology, seed=1)
+        link.prr_matrix()
+        before = link._failure_matrix
+        a, b = np.argwhere(np.triu(before < 1.0, k=1))[0]
+        link.set_link_quality(topology.node_ids[a], topology.node_ids[b], 0.0)
+        link.prr_matrix()
+        after = link._failure_matrix
+        assert after is not before
+        assert after[a, b] == after[b, a] == 1.0
+        assert np.array_equal(after, 1.0 - link.prr_matrix())
 
 
 class TestEngineNames:
