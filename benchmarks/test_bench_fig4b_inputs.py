@@ -26,8 +26,8 @@ BENCH_PROFILE = TrainingProfile(
 
 def test_fig4b_input_nodes(benchmark):
     # One FeatureSweepSpec training+evaluation worker task per K value,
-    # fanned out by the session (seeds match the serial
-    # sweep_input_nodes).
+    # fanned out by the session (per-model seeds depend only on the
+    # sweep seed, never on the worker count).
     result = benchmark.pedantic(
         benchmark_session().feature_sweep,
         args=("input_nodes",),

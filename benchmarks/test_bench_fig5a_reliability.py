@@ -25,9 +25,8 @@ def get_sweep(network):
     key = id(network)
     if key not in _SWEEP_CACHE:
         # Every (protocol, ratio, run) triple is one SweepSpec worker
-        # task; the per-task seeds match the serial
-        # ``run_interference_sweep``, so the fanned-out sweep reproduces
-        # the serial figures exactly.
+        # task with a content-derived seed, so the figures do not depend
+        # on the worker count.
         _SWEEP_CACHE[key] = benchmark_session(network).sweep(
             ratios=RATIOS,
             rounds_per_run=ROUNDS_PER_RUN,

@@ -23,8 +23,8 @@ def get_comparison(network):
     if key not in _COMPARISON_CACHE:
         # One DCubeSpec worker task per (protocol, WiFi-level) grid
         # point on the 48-node D-Cube deployment (workers rebuild it
-        # from the default topology spec); results equal the serial
-        # ``run_dcube_comparison`` for the same seed.
+        # from the default topology spec); for the same seed the results
+        # do not depend on the worker count.
         _COMPARISON_CACHE[key] = benchmark_session(network).dcube(
             num_rounds=NUM_ROUNDS,
             num_sources=5,

@@ -26,8 +26,8 @@ def main(num_rounds: int = 120) -> None:
         f"{num_rounds} one-second rounds per scenario ..."
     )
     # One DCubeSpec worker task per (protocol, WiFi-level) grid point;
-    # the workers rebuild the deployment from the default topology spec
-    # and the results equal the serial run_dcube_comparison.
+    # the workers rebuild the deployment from the default topology spec,
+    # and the worker count never changes the results.
     session = Session(network=agent.online)
     comparison = session.dcube(num_rounds=num_rounds, num_sources=5, seed=5)
 

@@ -27,8 +27,8 @@ def main(time_scale: float = 0.25) -> None:
 
     print(f"running the SV-C timeline at time scale {time_scale} ...")
     # The two protocol timelines run as independent DynamicSpec worker
-    # tasks; for a given seed the results match the serial
-    # run_dynamic_comparison exactly.
+    # tasks; for a given seed the results do not depend on the worker
+    # count.
     session = Session(network=agent.online)
     comparison = session.dynamic_comparison(time_scale=time_scale, seed=1)
 

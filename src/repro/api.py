@@ -218,18 +218,18 @@ class Session:
     ):
         """Fig. 5: the protocol x interference-ratio sweep.
 
-        Every (protocol, ratio, run) triple is one :class:`SweepSpec`;
-        per-task seeds match the serial ``run_interference_sweep``, so
-        results — and cache keys — are identical to the historical
-        parallel driver.
+        Every (protocol, ratio, run) triple is one :class:`SweepSpec`
+        seeded by :func:`stable_seed` over (seed, protocol, ratio
+        percent, run index), so the worker count never changes results,
+        and cache keys equal the historical parallel driver's.
         """
         from repro.experiments.interference_sweep import (
             PAPER_INTERFERENCE_RATIOS,
             PAPER_PROTOCOLS,
             SweepPoint,
             SweepResult,
-            aggregate_experiment_metrics,
         )
+        from repro.experiments.metrics import aggregate_experiment_metrics
 
         ratios = tuple(PAPER_INTERFERENCE_RATIOS if ratios is None else ratios)
         protocols = tuple(PAPER_PROTOCOLS if protocols is None else protocols)

@@ -20,11 +20,11 @@ import numpy as np
 
 from repro.baselines.crystal import CrystalConfig, CrystalProtocol
 from repro.baselines.static_lwb import StaticLWBProtocol
-from repro.core.config import DimmerConfig, dcube_config
+from repro.core.config import dcube_config
 from repro.core.protocol import DimmerProtocol
 from repro.experiments.scenarios import dcube_wifi_interference
 from repro.net.simulator import NetworkSimulator, SimulatorConfig
-from repro.net.topology import Topology, dcube_testbed
+from repro.net.topology import Topology
 from repro.rl.qnetwork import QNetwork
 from repro.rl.quantized import QuantizedNetwork
 
@@ -72,10 +72,6 @@ class DCubeComparison:
     def reliability_series(self, protocol: str) -> List[float]:
         """Reliability per level for one protocol (a Fig. 7a bar group)."""
         return [self.get(protocol, level).reliability for level in self.levels()]
-
-    def energy_series(self, protocol: str) -> List[float]:
-        """Energy per level for one protocol (a Fig. 7b bar group)."""
-        return [self.get(protocol, level).energy_j for level in self.levels()]
 
 
 @dataclass
@@ -258,50 +254,3 @@ def run_single_dcube_point(
     return _run_bus_protocol(
         protocol, level, network, topology, num_rounds, num_sources, max_retries, seed
     )
-
-
-def run_dcube_comparison(
-    network: Union[QNetwork, QuantizedNetwork],
-    levels: Sequence[int] = DCUBE_LEVELS,
-    protocols: Sequence[str] = DCUBE_PROTOCOLS,
-    topology: Optional[Topology] = None,
-    num_rounds: int = 200,
-    num_sources: int = 5,
-    max_retries: int = 5,
-    seed: int = 0,
-) -> DCubeComparison:
-    """Run the full Fig. 7 comparison.
-
-    Parameters
-    ----------
-    network:
-        The DQN trained on the 18-node testbed — used as-is, without
-        retraining, which is the point of §V-E.
-    levels:
-        Interference settings (0 = none, 1 and 2 = D-Cube WiFi levels).
-    protocols:
-        Subset of ``("lwb", "dimmer", "crystal")``.
-    num_rounds:
-        Rounds (1 s each) per run; the paper averages ten 10-minute runs,
-        the default here is one compressed run per grid point.
-    num_sources:
-        Number of known source nodes (5 in the EWSN data-collection
-        scenario evaluated by the paper).
-    """
-    topology = topology if topology is not None else dcube_testbed()
-    comparison = DCubeComparison()
-    for level in levels:
-        for protocol in protocols:
-            comparison.results.append(
-                run_single_dcube_point(
-                    protocol,
-                    level,
-                    network,
-                    topology,
-                    num_rounds,
-                    num_sources,
-                    max_retries,
-                    seed,
-                )
-            )
-    return comparison

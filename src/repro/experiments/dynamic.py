@@ -11,15 +11,15 @@ average radio-on time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 from repro.baselines.pid import PIDProtocol
 from repro.baselines.static_lwb import StaticLWBProtocol
 from repro.core.config import DimmerConfig
 from repro.core.protocol import DimmerProtocol
 from repro.experiments.metrics import ExperimentMetrics, TimeSeries, summarize_rounds
-from repro.experiments.scenarios import DynamicInterferenceScenario, paper_dynamic_scenario
+from repro.experiments.scenarios import paper_dynamic_scenario
 from repro.net.simulator import NetworkSimulator, SimulatorConfig
 from repro.net.topology import Topology, kiel_testbed
 from repro.rl.qnetwork import QNetwork
@@ -49,23 +49,30 @@ class DynamicRunResult:
         return self.reliability.window_average(start_s, end_s)
 
 
-def _build_protocol(
+def build_protocol(
     protocol: str,
     simulator: NetworkSimulator,
     network: Optional[Union[QNetwork, QuantizedNetwork]],
-    config: Optional[DimmerConfig],
+    n_tx: int = 3,
 ):
+    """The protocol runner of the sweep, dynamic and scenario workers.
+
+    ``"dimmer"`` runs the policy ``network`` without channel hopping or
+    forwarder selection, ``"pid"`` the PID baseline and ``"lwb"`` static
+    LWB with a fixed ``n_tx``.
+    """
     if protocol == "dimmer":
         if network is None:
-            raise ValueError("the Dimmer run needs a trained policy network")
-        dimmer_config = config if config is not None else DimmerConfig(
-            channel_hopping=False, enable_forwarder_selection=False
+            raise ValueError("the Dimmer runs need a trained policy network")
+        return DimmerProtocol(
+            simulator,
+            network,
+            DimmerConfig(channel_hopping=False, enable_forwarder_selection=False),
         )
-        return DimmerProtocol(simulator, network, dimmer_config)
     if protocol == "pid":
         return PIDProtocol(simulator)
     if protocol == "lwb":
-        return StaticLWBProtocol(simulator, n_tx=3)
+        return StaticLWBProtocol(simulator, n_tx)
     raise ValueError(f"unsupported protocol: {protocol!r} (expected one of {SUPPORTED_PROTOCOLS})")
 
 
@@ -73,10 +80,8 @@ def run_dynamic_experiment(
     protocol: str = "dimmer",
     network: Optional[Union[QNetwork, QuantizedNetwork]] = None,
     topology: Optional[Topology] = None,
-    scenario: Optional[DynamicInterferenceScenario] = None,
     time_scale: float = 1.0,
     round_period_s: float = 4.0,
-    config: Optional[DimmerConfig] = None,
     seed: int = 0,
 ) -> DynamicRunResult:
     """Run the §V-C dynamic-interference timeline with one protocol.
@@ -89,12 +94,9 @@ def run_dynamic_experiment(
         Trained policy network (required for Dimmer).
     topology:
         Deployment (defaults to the 18-node testbed of Fig. 4a).
-    scenario:
-        Interference timeline (defaults to the paper's 27-minute script,
-        compressed by ``time_scale``).
     time_scale:
-        Compression factor for the default scenario; 1.0 reproduces the
-        paper's 27 minutes, smaller values shorten every segment
+        Compression factor for the paper's 27-minute interference
+        timeline: 1.0 reproduces it, smaller values shorten every segment
         proportionally so tests and benchmarks stay fast.
     round_period_s:
         LWB round period (4 s in the paper).
@@ -102,7 +104,7 @@ def run_dynamic_experiment(
         Seed for the simulator.
     """
     topology = topology if topology is not None else kiel_testbed()
-    scenario = scenario if scenario is not None else paper_dynamic_scenario(topology, time_scale)
+    scenario = paper_dynamic_scenario(topology, time_scale)
     simulator = NetworkSimulator(
         topology,
         SimulatorConfig(
@@ -111,7 +113,7 @@ def run_dynamic_experiment(
             seed=seed,
         ),
     )
-    runner = _build_protocol(protocol, simulator, network, config)
+    runner = build_protocol(protocol, simulator, network)
 
     reliability = TimeSeries(label=f"{protocol}-reliability")
     n_tx_series = TimeSeries(label=f"{protocol}-ntx")
@@ -150,33 +152,6 @@ class DynamicComparison:
     def radio_on_advantage_ms(self) -> float:
         """How much less radio-on time Dimmer needs than the PID baseline."""
         return self.pid.metrics.radio_on_ms - self.dimmer.metrics.radio_on_ms
-
-
-def run_dynamic_comparison(
-    network: Union[QNetwork, QuantizedNetwork],
-    topology: Optional[Topology] = None,
-    time_scale: float = 1.0,
-    round_period_s: float = 4.0,
-    seed: int = 0,
-) -> DynamicComparison:
-    """Run Dimmer and the PID baseline against the same dynamic timeline."""
-    topology = topology if topology is not None else kiel_testbed()
-    dimmer = run_dynamic_experiment(
-        "dimmer",
-        network=network,
-        topology=topology,
-        time_scale=time_scale,
-        round_period_s=round_period_s,
-        seed=seed,
-    )
-    pid = run_dynamic_experiment(
-        "pid",
-        topology=topology,
-        time_scale=time_scale,
-        round_period_s=round_period_s,
-        seed=seed,
-    )
-    return DynamicComparison(dimmer=dimmer, pid=pid)
 
 
 def _dynamic_result_from_task(entry: dict) -> DynamicRunResult:

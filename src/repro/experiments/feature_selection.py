@@ -24,15 +24,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.experiments.training import TrainingPipeline, TrainingProfile
-from repro.net.topology import Topology, kiel_testbed
+from repro.net.topology import Topology
 from repro.rl.features import FeatureConfig
-from repro.rl.trace_env import DEFAULT_TRAINING_EPISODES, EpisodeSpec, SimulationEnvironment
-
-#: K values swept in Fig. 4b(i) ("1, 5, 10, 15, All" on an 18-node testbed).
-PAPER_INPUT_NODE_VALUES = (1, 5, 10, 15, 18)
-
-#: M values swept in Fig. 4b(ii) ("None" to 5).
-PAPER_HISTORY_VALUES = (0, 1, 2, 3, 4, 5)
+from repro.rl.trace_env import EpisodeSpec, SimulationEnvironment
 
 #: Episodes used to evaluate trained models: mild and heavy interference
 #: plus calm periods, mirroring the evaluation dataset of §V-B.
@@ -56,17 +50,6 @@ class FeatureSweepPoint:
     dqn_size_kb: float
     models: int
 
-    def as_row(self) -> List[float]:
-        """Row representation used by the benchmark tables."""
-        return [
-            float(self.value),
-            self.radio_on_ms,
-            self.radio_on_std_ms,
-            self.reliability,
-            self.reliability_std,
-            self.dqn_size_kb,
-        ]
-
 
 @dataclass
 class FeatureSweepResult:
@@ -78,10 +61,6 @@ class FeatureSweepResult:
     def values(self) -> List[int]:
         """Swept values in order."""
         return [point.value for point in self.points]
-
-    def best_by_radio_on(self) -> FeatureSweepPoint:
-        """The swept value with the lowest radio-on time."""
-        return min(self.points, key=lambda point: point.radio_on_ms)
 
     def point(self, value: int) -> FeatureSweepPoint:
         """Look up the sweep point for a given value."""
@@ -147,9 +126,8 @@ def train_and_evaluate_point(
 ) -> tuple:
     """Train one model for one swept value and greedy-evaluate it.
 
-    This is the unit of work both the serial sweep and the
-    ``feature_sweep_point`` runner experiment execute; returns
-    ``(reliability, radio_on_ms, dqn_size_kb)``.
+    This is the unit of work of the ``feature_sweep_point`` runner
+    experiment; returns ``(reliability, radio_on_ms, dqn_size_kb)``.
     """
     config = feature_config_for(dimension, value)
     pipeline = TrainingPipeline(
@@ -163,106 +141,4 @@ def train_and_evaluate_point(
     agent, _ = pipeline.train()
     return _evaluate_model(
         agent, config, topology, evaluation_episodes, evaluation_repeats, seed=eval_seed
-    )
-
-
-def _sweep(
-    dimension: str,
-    values: Sequence[int],
-    topology: Topology,
-    models_per_value: int,
-    profile: TrainingProfile,
-    training_episodes: Sequence[EpisodeSpec],
-    evaluation_episodes: Sequence[EpisodeSpec],
-    evaluation_repeats: int,
-    data_dir: Optional[Path],
-    seed: int,
-) -> FeatureSweepResult:
-    result = FeatureSweepResult(dimension=dimension)
-    for value in values:
-        reliabilities: List[float] = []
-        radio_on: List[float] = []
-        size_kb = 0.0
-        for model_index in range(models_per_value):
-            reliability, radio, size_kb = train_and_evaluate_point(
-                dimension,
-                value,
-                topology,
-                profile,
-                training_episodes,
-                evaluation_episodes,
-                evaluation_repeats,
-                data_dir,
-                train_seed=seed + 31 * model_index,
-                eval_seed=seed + 7 + model_index,
-            )
-            reliabilities.append(reliability)
-            radio_on.append(radio)
-        result.points.append(
-            FeatureSweepPoint(
-                value=value,
-                radio_on_ms=float(np.mean(radio_on)),
-                radio_on_std_ms=float(np.std(radio_on)),
-                reliability=float(np.mean(reliabilities)),
-                reliability_std=float(np.std(reliabilities)),
-                dqn_size_kb=size_kb,
-                models=models_per_value,
-            )
-        )
-    return result
-
-
-def sweep_input_nodes(
-    values: Sequence[int] = PAPER_INPUT_NODE_VALUES,
-    topology: Optional[Topology] = None,
-    models_per_value: int = 3,
-    profile: Optional[TrainingProfile] = None,
-    training_episodes: Sequence[EpisodeSpec] = DEFAULT_TRAINING_EPISODES,
-    evaluation_episodes: Sequence[EpisodeSpec] = EVALUATION_EPISODES,
-    evaluation_repeats: int = 2,
-    data_dir: Optional[Path] = None,
-    seed: int = 0,
-) -> FeatureSweepResult:
-    """Fig. 4b(i): sweep the number of input nodes K."""
-    topology = topology if topology is not None else kiel_testbed()
-    profile = profile if profile is not None else TrainingProfile.fast()
-    return _sweep(
-        "input_nodes",
-        values,
-        topology,
-        models_per_value,
-        profile,
-        training_episodes,
-        evaluation_episodes,
-        evaluation_repeats,
-        data_dir,
-        seed,
-    )
-
-
-def sweep_history_size(
-    values: Sequence[int] = PAPER_HISTORY_VALUES,
-    topology: Optional[Topology] = None,
-    models_per_value: int = 3,
-    profile: Optional[TrainingProfile] = None,
-    training_episodes: Sequence[EpisodeSpec] = DEFAULT_TRAINING_EPISODES,
-    evaluation_episodes: Sequence[EpisodeSpec] = EVALUATION_EPISODES,
-    evaluation_repeats: int = 2,
-    data_dir: Optional[Path] = None,
-    seed: int = 0,
-) -> FeatureSweepResult:
-    """Fig. 4b(ii): sweep the number of historical features M."""
-    topology = topology if topology is not None else kiel_testbed()
-    profile = profile if profile is not None else TrainingProfile.fast()
-    return _sweep(
-        "history",
-        values,
-        topology,
-        models_per_value,
-        profile,
-        training_episodes,
-        evaluation_episodes,
-        evaluation_repeats,
-        data_dir,
-        seed,
     )

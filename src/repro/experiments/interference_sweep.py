@@ -9,22 +9,13 @@ several independent runs, with standard deviations as error bars.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
-import numpy as np
-
-from repro.baselines.pid import PIDProtocol
-from repro.baselines.static_lwb import StaticLWBProtocol
-from repro.core.config import DimmerConfig
-from repro.core.protocol import DimmerProtocol
-from repro.experiments.metrics import (
-    ExperimentMetrics,
-    aggregate_experiment_metrics,
-    summarize_protocol_history,
-)
+from repro.experiments.dynamic import build_protocol
+from repro.experiments.metrics import ExperimentMetrics, summarize_protocol_history
 from repro.experiments.scenarios import jamming_interference
 from repro.net.simulator import NetworkSimulator, SimulatorConfig
-from repro.net.topology import Topology, kiel_testbed
+from repro.net.topology import Topology
 from repro.rl.qnetwork import QNetwork
 from repro.rl.quantized import QuantizedNetwork
 
@@ -94,80 +85,6 @@ def run_single_sweep_point(
         ),
     )
     simulator.set_interference(jamming_interference(topology, ratio))
-    if protocol == "dimmer":
-        if network is None:
-            raise ValueError("the Dimmer runs need a trained policy network")
-        runner = DimmerProtocol(
-            simulator,
-            network,
-            DimmerConfig(channel_hopping=False, enable_forwarder_selection=False),
-        )
-    elif protocol == "pid":
-        runner = PIDProtocol(simulator)
-    elif protocol == "lwb":
-        runner = StaticLWBProtocol(simulator, n_tx=3)
-    else:
-        raise ValueError(f"unsupported protocol: {protocol!r}")
+    runner = build_protocol(protocol, simulator, network)
     runner.run(rounds)
     return summarize_protocol_history(runner.history, energy_j=simulator.total_energy_j())
-
-
-def run_interference_sweep(
-    network: Optional[Union[QNetwork, QuantizedNetwork]] = None,
-    ratios: Sequence[float] = PAPER_INTERFERENCE_RATIOS,
-    protocols: Sequence[str] = PAPER_PROTOCOLS,
-    topology: Optional[Topology] = None,
-    rounds_per_run: int = 75,
-    runs: int = 3,
-    round_period_s: float = 4.0,
-    seed: int = 0,
-) -> SweepResult:
-    """Run the Fig. 5 sweep.
-
-    Parameters
-    ----------
-    network:
-        Trained policy network; required whenever ``"dimmer"`` is among
-        the protocols.
-    ratios:
-        Interference ratios (duty cycles) to evaluate.
-    protocols:
-        Subset of ``("lwb", "dimmer", "pid")``.
-    rounds_per_run:
-        Rounds per individual run (the paper runs 30 minutes at 4 s per
-        round, i.e. 450 rounds; the default is reduced so benchmarks run
-        in reasonable time while keeping stable averages).
-    runs:
-        Independent runs per (protocol, ratio) pair, averaged like the
-        paper's three 30-minute runs.
-    """
-    from repro.experiments.runner import stable_seed
-
-    topology = topology if topology is not None else kiel_testbed()
-    result = SweepResult()
-    for protocol in protocols:
-        for ratio in ratios:
-            per_run: List[ExperimentMetrics] = []
-            for run_index in range(runs):
-                per_run.append(
-                    run_single_sweep_point(
-                        protocol,
-                        ratio,
-                        network,
-                        topology,
-                        rounds_per_run,
-                        round_period_s,
-                        # Mixed with a content-stable hash (not the salted
-                        # built-in) so results reproduce across processes.
-                        seed=stable_seed(seed, protocol, round(ratio * 100), run_index),
-                    )
-                )
-            result.points.append(
-                SweepPoint(
-                    protocol=protocol,
-                    interference_ratio=ratio,
-                    metrics=aggregate_experiment_metrics(per_run),
-                )
-            )
-    return result
-

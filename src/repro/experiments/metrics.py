@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
@@ -112,20 +112,6 @@ def summarize_round_results(results: Sequence, energy_j: float = 0.0) -> Experim
     reliabilities = np.fromiter((r.reliability for r in results), dtype=float, count=count)
     radio_on = np.fromiter((r.average_radio_on_ms for r in results), dtype=float, count=count)
     return summarize_rounds(reliabilities, radio_on, energy_j=energy_j)
-
-
-def per_node_reliability_matrix(results: Sequence) -> np.ndarray:
-    """Stack per-node reliabilities of many rounds into a (rounds, N) matrix.
-
-    Rows follow ``results`` order, columns the ``node_ids`` of the first
-    round (every round of one simulator covers the same node set).
-    Useful for worst-node analyses over a whole experiment.
-    """
-    if not results:
-        return np.zeros((0, 0))
-    expected = np.stack([r.packets_expected_array for r in results])
-    received = np.stack([r.packets_received_array for r in results])
-    return np.divide(received, expected, out=np.ones_like(expected, dtype=float), where=expected > 0)
 
 
 def summarize_protocol_history(history: Iterable, energy_j: float = 0.0) -> ExperimentMetrics:

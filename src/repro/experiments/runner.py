@@ -908,7 +908,7 @@ def network_from_payload(payload: Mapping[str, Any]):
 
     Returns a ``QNetwork`` for float payloads and a ``QuantizedNetwork``
     (at the original scale) for quantized ones, so workers run the same
-    inference pipeline the serial caller would.
+    inference pipeline the calling process would.
     """
     from repro.rl.qnetwork import QNetwork
     from repro.rl.quantized import QuantizedNetwork
@@ -1080,13 +1080,7 @@ def run_feature_sweep_point(
     from repro.experiments.training import TrainingProfile
 
     topo = build_topology(topology or {"kind": "kiel"})
-    profile = dict(profile or {})
-    training_profile = TrainingProfile(
-        name=str(profile.get("name", "fast")),
-        trace_repetitions=int(profile.get("trace_repetitions", 1)),
-        training_iterations=int(profile.get("training_iterations", 8000)),
-        anneal_steps=int(profile.get("anneal_steps", 4000)),
-    )
+    training_profile = TrainingProfile(**profile) if profile else TrainingProfile.fast()
     episodes = [
         tuple((int(rounds), float(ratio)) for rounds, ratio in episode)
         for episode in training_episodes
@@ -1115,33 +1109,6 @@ def run_feature_sweep_point(
     }
 
 
-def _scenario_protocol(protocol: str, simulator, network: Optional[Mapping[str, Any]]):
-    """Build the protocol runner for a scenario experiment.
-
-    ``"lwb"`` returns ``None`` (the caller drives plain static rounds);
-    ``"dimmer"`` and ``"pid"`` return protocol objects whose
-    ``run_round`` closes the corresponding adaptation loop.
-    """
-    if protocol == "lwb":
-        return None
-    if protocol == "dimmer":
-        from repro.core.config import DimmerConfig
-        from repro.core.protocol import DimmerProtocol
-
-        if network is None:
-            raise ValueError("the Dimmer runs need a trained policy network")
-        return DimmerProtocol(
-            simulator,
-            network_from_payload(network),
-            DimmerConfig(channel_hopping=False, enable_forwarder_selection=False),
-        )
-    if protocol == "pid":
-        from repro.baselines.pid import PIDProtocol
-
-        return PIDProtocol(simulator)
-    raise ValueError(f"unsupported protocol: {protocol!r}")
-
-
 @register_experiment("mobile_jammer_run")
 def run_mobile_jammer_task(
     seed: int = 0,
@@ -1160,10 +1127,13 @@ def run_mobile_jammer_task(
     ``protocol`` selects static LWB (default), Dimmer (needs a
     ``network`` payload) or the PID baseline.
     """
+    from repro.experiments.dynamic import build_protocol
+    from repro.experiments.metrics import summarize_round_results
     from repro.experiments.scenarios import MobileJammerScenario
     from repro.net.simulator import NetworkSimulator, SimulatorConfig
 
     topo = build_topology(topology or {"kind": "kiel"})
+    net = network_from_payload(network) if network is not None else None
     scenario = MobileJammerScenario.across(
         topo, interference_ratio=interference_ratio, speed_mps=speed_mps
     )
@@ -1173,15 +1143,10 @@ def run_mobile_jammer_task(
             round_period_s=round_period_s, channel_hopping=False, engine=engine, seed=seed
         ),
     )
-    runner = _scenario_protocol(protocol, simulator, network)
+    runner = build_protocol(protocol, simulator, net, n_tx=n_tx)
     for _ in range(rounds):
         simulator.set_interference(scenario.interference_at(simulator.time_ms / 1000.0))
-        if runner is None:
-            simulator.run_round(n_tx=n_tx)
-        else:
-            runner.run_round()
-    from repro.experiments.metrics import summarize_round_results
-
+        runner.run_round()
     summary = summarize_round_results(simulator.round_history).as_dict()
     summary["protocol"] = protocol
     summary["energy_j"] = simulator.total_energy_j()
@@ -1203,10 +1168,13 @@ def run_node_churn_task(
     network: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
     """A protocol while sources churn (nodes leave and rejoin the bus)."""
+    from repro.experiments.dynamic import build_protocol
+    from repro.experiments.metrics import summarize_round_results
     from repro.experiments.scenarios import NodeChurnScenario
     from repro.net.simulator import NetworkSimulator, SimulatorConfig
 
     topo = build_topology(topology or {"kind": "kiel"})
+    net = network_from_payload(network) if network is not None else None
     scenario = NodeChurnScenario(
         topology=topo,
         churn_rate=churn_rate,
@@ -1220,18 +1188,13 @@ def run_node_churn_task(
             round_period_s=round_period_s, channel_hopping=False, engine=engine, seed=seed
         ),
     )
-    runner = _scenario_protocol(protocol, simulator, network)
+    runner = build_protocol(protocol, simulator, net, n_tx=n_tx)
     active_counts: List[int] = []
     for round_index in range(rounds):
         sources = scenario.active_sources(round_index)
         active_counts.append(len(sources))
         simulator.set_sources(sources)
-        if runner is None:
-            simulator.run_round(n_tx=n_tx)
-        else:
-            runner.run_round(sources=sources)
-    from repro.experiments.metrics import summarize_round_results
-
+        runner.run_round(sources=sources)
     summary = summarize_round_results(simulator.round_history).as_dict()
     summary["average_active_sources"] = float(np.mean(active_counts))
     summary["protocol"] = protocol

@@ -52,7 +52,7 @@ runner.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, ClassVar, Dict, List, Mapping, Optional, Type
 
@@ -133,6 +133,9 @@ def _cast_episode_list(value: Any) -> List[List[List[float]]]:
 
 
 def _cast_profile(value: Any) -> Dict[str, Any]:
+    from repro.experiments.training import TrainingProfile
+
+    known = [profile_field.name for profile_field in fields(TrainingProfile)]
     if not isinstance(value, Mapping):
         # Accept a live TrainingProfile.
         if not hasattr(value, "trace_repetitions"):
@@ -140,25 +143,16 @@ def _cast_profile(value: Any) -> Dict[str, Any]:
                 "profile must be a mapping of TrainingProfile fields or a "
                 f"TrainingProfile, got {value!r}"
             )
-        value = {
-            "name": value.name,
-            "trace_repetitions": value.trace_repetitions,
-            "training_iterations": value.training_iterations,
-            "anneal_steps": value.anneal_steps,
-        }
-    known = ("name", "trace_repetitions", "training_iterations", "anneal_steps")
+        value = {name: getattr(value, name) for name in known}
     unknown = sorted(set(value) - set(known))
     if unknown:
         # Same fail-loudly contract as top-level spec fields: a
         # misspelled profile key must not silently fall back to the
         # defaults (and hash to a different cache key).
-        raise ValueError(f"unknown profile key(s) {unknown}; known keys: {list(known)}")
-    return {
-        "name": str(value.get("name", "fast")),
-        "trace_repetitions": int(value.get("trace_repetitions", 1)),
-        "training_iterations": int(value.get("training_iterations", 8000)),
-        "anneal_steps": int(value.get("anneal_steps", 4000)),
-    }
+        raise ValueError(f"unknown profile key(s) {unknown}; known keys: {known}")
+    # Unset keys take the ``fast`` profile's values, cast to their types.
+    defaults = asdict(TrainingProfile.fast())
+    return {name: type(defaults[name])(value.get(name, defaults[name])) for name in known}
 
 
 def _cast_churn(value: Any) -> List[Dict[str, Any]]:

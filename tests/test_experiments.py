@@ -2,19 +2,20 @@
 
 import pytest
 
-from repro.experiments.dcube import AperiodicTraffic, run_dcube_comparison
+from repro.api import Session
+from repro.experiments.dcube import AperiodicTraffic
 from repro.experiments.dynamic import run_dynamic_experiment
 from repro.experiments.forwarder import run_forwarder_selection_experiment
-from repro.experiments.interference_sweep import run_interference_sweep
 from repro.experiments.metrics import ExperimentMetrics, TimeSeries, summarize_rounds
 from repro.experiments.reporting import format_metrics_table, format_series, format_table
+from repro.experiments.runner import build_topology
 from repro.experiments.scenarios import (
     DynamicInterferenceScenario,
     dcube_wifi_interference,
     jamming_interference,
     paper_dynamic_scenario,
 )
-from repro.net.topology import dcube_testbed, grid_topology, kiel_testbed
+from repro.net.topology import dcube_testbed, kiel_testbed
 from repro.rl.qnetwork import QNetwork
 
 
@@ -23,9 +24,15 @@ def network():
     return QNetwork((31, 30, 3), seed=0)
 
 
+#: A six-node grid, as the topology spec the Session drivers take.
+SMALL_GRID_SPEC = {
+    "kind": "grid", "rows": 2, "cols": 3, "spacing_m": 6.0, "comm_range_m": 9.0, "name": "tiny",
+}
+
+
 @pytest.fixture(scope="module")
 def small_grid():
-    return grid_topology(rows=2, cols=3, spacing_m=6.0, comm_range_m=9.0, name="tiny")
+    return build_topology(SMALL_GRID_SPEC)
 
 
 class TestMetrics:
@@ -123,14 +130,34 @@ class TestDynamicExperiment:
         assert len(result.n_tx) == len(result.reliability)
         assert 0.0 <= result.metrics.reliability <= 1.0
 
+    def test_session_comparison_equals_single_runs(self, network, small_grid):
+        comparison = Session(max_workers=1).dynamic_comparison(
+            network, topology_spec=SMALL_GRID_SPEC, time_scale=0.03, seed=1
+        )
+        for run, direct in (
+            (comparison.dimmer, run_dynamic_experiment(
+                "dimmer", network=network, topology=small_grid, time_scale=0.03, seed=1
+            )),
+            (comparison.pid, run_dynamic_experiment(
+                "pid", topology=small_grid, time_scale=0.03, seed=1
+            )),
+        ):
+            assert run.protocol == direct.protocol
+            assert run.metrics.as_dict() == direct.metrics.as_dict()
+            assert list(run.n_tx.values) == list(direct.n_tx.values)
+            assert list(run.reliability.times_s) == list(direct.reliability.times_s)
+        assert comparison.radio_on_advantage_ms == (
+            comparison.pid.metrics.radio_on_ms - comparison.dimmer.metrics.radio_on_ms
+        )
+
 
 class TestInterferenceSweep:
-    def test_small_sweep_structure(self, network, small_grid):
-        result = run_interference_sweep(
+    def test_small_sweep_structure(self, network):
+        result = Session(max_workers=1).sweep(
             network=network,
             ratios=(0.0, 0.3),
             protocols=("lwb", "dimmer"),
-            topology=small_grid,
+            topology_spec=SMALL_GRID_SPEC,
             rounds_per_run=4,
             runs=1,
             seed=0,
@@ -171,12 +198,12 @@ class TestDCubeExperiment:
         with pytest.raises(ValueError):
             AperiodicTraffic(sources=[1], min_gap_rounds=0)
 
-    def test_small_dcube_comparison(self, network, small_grid):
-        comparison = run_dcube_comparison(
+    def test_small_dcube_comparison(self, network):
+        comparison = Session(max_workers=1).dcube(
             network=network,
             levels=(0,),
             protocols=("lwb", "dimmer", "crystal"),
-            topology=small_grid,
+            topology_spec=SMALL_GRID_SPEC,
             num_rounds=12,
             num_sources=2,
             seed=0,

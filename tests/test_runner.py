@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.api import Session
-from repro.experiments.interference_sweep import run_interference_sweep
 from repro.experiments.runner import (
     EXPERIMENTS,
     ParallelRunner,
@@ -17,6 +16,7 @@ from repro.experiments.runner import (
     stable_seed,
 )
 from repro.experiments.scenarios import MobileJammerScenario, NodeChurnScenario
+from repro.experiments.spec import SPEC_FAMILIES
 from repro.net.topology import kiel_testbed
 from repro.rl.qnetwork import QNetwork
 
@@ -185,9 +185,11 @@ class TestBuiltInExperiments:
         for name in ("sweep_point", "dynamic_run", "dcube_point",
                      "mobile_jammer_run", "node_churn_run"):
             assert name in EXPERIMENTS
+        for spec_class in SPEC_FAMILIES.values():
+            assert spec_class.experiment in EXPERIMENTS
 
     def test_parallel_sweep_matches_serial(self, untrained_network):
-        serial = run_interference_sweep(
+        grid = dict(
             network=untrained_network,
             ratios=(0.0, 0.3),
             protocols=("lwb", "dimmer"),
@@ -195,18 +197,12 @@ class TestBuiltInExperiments:
             runs=2,
             seed=5,
         )
-        parallel = Session(max_workers=2).sweep(
-            network=untrained_network,
-            ratios=(0.0, 0.3),
-            protocols=("lwb", "dimmer"),
-            rounds_per_run=8,
-            runs=2,
-            seed=5,
-        )
+        serial = Session(max_workers=1).sweep(**grid)
+        parallel = Session(max_workers=2).sweep(**grid)
+        assert len(parallel.points) == len(serial.points) == 4
         for point in serial.points:
             twin = parallel.point(point.protocol, point.interference_ratio)
-            assert twin.metrics.reliability == pytest.approx(point.metrics.reliability)
-            assert twin.metrics.radio_on_ms == pytest.approx(point.metrics.radio_on_ms)
+            assert twin.metrics.as_dict() == point.metrics.as_dict()
 
     def test_mobile_jammer_task_degrades_reliability(self):
         runner = ParallelRunner(max_workers=1)

@@ -1,6 +1,6 @@
 """Tests for the declarative spec layer and the :class:`Session` facade.
 
-Three contracts:
+Four contracts:
 
 * **JSON round trip** — for every registered family,
   ``from_payload(to_payload(s)) == s``, unknown fields are rejected and
@@ -13,9 +13,14 @@ Three contracts:
 * **Session == direct call** — running a spec through the session
   gives the same result as calling its worker directly, and the
   session's figure drivers reuse the historical cache keys.
+* **Pinned worker output** — every registered worker, with each
+  protocol it runs, returns an entry whose SHA-256 digest is pinned
+  per flood engine.
 """
 
+import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -24,6 +29,7 @@ from repro.experiments.runner import (
     EXPERIMENTS,
     ParallelRunner,
     ScenarioTask,
+    network_payload,
     stable_seed,
 )
 from repro.experiments.spec import (
@@ -41,6 +47,7 @@ from repro.experiments.spec import (
     load_specs,
     spec_from_payload,
 )
+from repro.net.simulator import SimulatorConfig
 
 #: One representative (small but fully populated) spec per family.
 REPRESENTATIVES = {
@@ -75,6 +82,135 @@ REPRESENTATIVES = {
         protocol="lwb", rounds=4, round_period_s=1.0, churn_rate=0.4, seed=2,
     ),
 }
+
+#: Protocols each protocol-carrying family is fingerprinted with.
+FINGERPRINT_PROTOCOLS = {
+    "sweep": ("lwb", "pid", "dimmer"),
+    "dynamic": ("lwb", "pid", "dimmer"),
+    "mobile_jammer": ("lwb", "pid", "dimmer"),
+    "node_churn": ("lwb", "pid", "dimmer"),
+    "dcube": ("crystal", "lwb", "dimmer"),
+}
+
+#: Fingerprinted shards: every representative under its family name,
+#: plus ``family:protocol`` for each protocol it does not already run.
+FINGERPRINT_SHARDS = sorted(REPRESENTATIVES) + [
+    f"{family}:{protocol}"
+    for family, protocols in FINGERPRINT_PROTOCOLS.items()
+    for protocol in protocols
+    if protocol != REPRESENTATIVES[family].protocol
+]
+
+#: SHA-256 of ``json.dumps(entry, sort_keys=True)`` for every worker
+#: result in FINGERPRINT_SHARDS, per default flood engine (what
+#: ``REPRO_ENGINE`` selects).  Any change to a worker's output changes
+#: its digest; re-record only for an intended behaviour change.
+WORKER_FINGERPRINTS = {
+    "vectorized": {
+        "dcube":
+            "ad18c6668147e811f4be2fd6204803345771db6fb316291f972d28bba5224f8b",
+        "dynamic":
+            "070ee663e165a49a3653fa54d4975a8fb886db83353e6765b2d02e886b7502db",
+        "feature_sweep":
+            "eb3d58e3858da803528d158a3f7a9c3016248835211ec79bb92ec862dbb573a8",
+        "mobile_jammer":
+            "9d8bc85c35cf406d076fbf52418b9f54390fa1f02fa775464b10fcda323ad0e4",
+        "node_churn":
+            "fdf7dd20aaf9f7590a865cc8d0f17787f24e0393a1048caa3b862bc537fc0245",
+        "sweep":
+            "cb6b4cb72d5ec98417e0bd1025a990b6d577be1fa9522e21e6667342b0f5f23d",
+        "trace_episode":
+            "c58364ae553b89bce24bab51eabbc4049b440b0f6bed18395f27846aa7014922",
+        "sweep:pid":
+            "db055a14dd963b44e2209ad44b666cca11125d857e0ea202dca6782fd34c0e22",
+        "sweep:dimmer":
+            "9f0f80d95ecffe78c981ca85a104d57b706db6a1715c15476433d482bfd2dc0e",
+        "dynamic:lwb":
+            "5b62141d662fcad64aa3340a0b0a03faefa1dd49bfb431656f05b98ffa8bd363",
+        "dynamic:dimmer":
+            "92cb41dfa4a3b0cc1685879f298220215a4a22d45f0e1e405193f77a8e84a5e1",
+        "mobile_jammer:pid":
+            "23660948e6ad3b7edb5ce029b1ba5a81433817d87e96e549483a8d2daa1f4cb4",
+        "mobile_jammer:dimmer":
+            "3ba7af4657446e123d6c33a9506bdb7da4f7a9c8c7be406af041b45a2f7301f1",
+        "node_churn:pid":
+            "dc464a4e8f0c678922a6d8e1329fad15304045d51e6bd9da82c611f6967f0afb",
+        "node_churn:dimmer":
+            "4e6151a2be0ce817cba1213e36198c51b64964cb4c2b7e891a408d8e27383109",
+        "dcube:lwb":
+            "204095c5f7ad3109c689f97b4727c61c58981e35cd3cf54743bcb010fbd73981",
+        "dcube:dimmer":
+            "1d48cfe032d374f96c25fd1d308738827d6a3f0806a8bc7f9b6890b6d26cce12",
+    },
+    "scalar": {
+        "dcube":
+            "ad18c6668147e811f4be2fd6204803345771db6fb316291f972d28bba5224f8b",
+        "dynamic":
+            "894024d20c1237b040cef11dab30e7f12961eb94ab4f4dd5657b9099603205ae",
+        "feature_sweep":
+            "eb3d58e3858da803528d158a3f7a9c3016248835211ec79bb92ec862dbb573a8",
+        "mobile_jammer":
+            "9d8bc85c35cf406d076fbf52418b9f54390fa1f02fa775464b10fcda323ad0e4",
+        "node_churn":
+            "fdf7dd20aaf9f7590a865cc8d0f17787f24e0393a1048caa3b862bc537fc0245",
+        "sweep":
+            "cb6b4cb72d5ec98417e0bd1025a990b6d577be1fa9522e21e6667342b0f5f23d",
+        "trace_episode":
+            "b100ae7c1421b3e4b8755bd3258691876eb51f1d7aa27533b226305bb7c1e090",
+        "sweep:pid":
+            "db055a14dd963b44e2209ad44b666cca11125d857e0ea202dca6782fd34c0e22",
+        "sweep:dimmer":
+            "9f0f80d95ecffe78c981ca85a104d57b706db6a1715c15476433d482bfd2dc0e",
+        "dynamic:lwb":
+            "ed8b7065431a46a3a60a06af909c4ab5cc4593ec47242f614d27d9b019728c9e",
+        "dynamic:dimmer":
+            "8a2ea8b8e2c65850eaebc836f587bc5747c1e478b3ccb95cf7153619324d9b66",
+        "mobile_jammer:pid":
+            "23660948e6ad3b7edb5ce029b1ba5a81433817d87e96e549483a8d2daa1f4cb4",
+        "mobile_jammer:dimmer":
+            "3ba7af4657446e123d6c33a9506bdb7da4f7a9c8c7be406af041b45a2f7301f1",
+        "node_churn:pid":
+            "dc464a4e8f0c678922a6d8e1329fad15304045d51e6bd9da82c611f6967f0afb",
+        "node_churn:dimmer":
+            "4e6151a2be0ce817cba1213e36198c51b64964cb4c2b7e891a408d8e27383109",
+        "dcube:lwb":
+            "1bfc9ffb2d890be9bba40b23fce671b03f5773b6bdcbfbf148feb65330487960",
+        "dcube:dimmer":
+            "3e7e5262fed482092f9688b665ad43e0d8c295119c2301f9b56ed98fe5245044",
+    },
+}
+
+
+def _fingerprint_spec(shard, network, data_dir):
+    """The spec of one fingerprinted shard (Dimmer runs carry ``network``)."""
+    family, _, protocol = shard.partition(":")
+    spec = REPRESENTATIVES[family]
+    if protocol:
+        spec = replace(
+            spec,
+            protocol=protocol,
+            network=network_payload(network) if protocol == "dimmer" else UNSET,
+        )
+    if family == "feature_sweep":
+        # A fresh data dir, so the shard collects and trains instead of
+        # loading a cached model.
+        spec = replace(spec, data_dir=str(data_dir))
+    return spec
+
+
+class TestWorkerFingerprints:
+    def test_every_family_is_fingerprinted(self):
+        assert len(FINGERPRINT_SHARDS) == 17
+        assert {shard.partition(":")[0] for shard in FINGERPRINT_SHARDS} == set(
+            SPEC_FAMILIES
+        )
+
+    @pytest.mark.parametrize("shard", FINGERPRINT_SHARDS)
+    def test_worker_output_is_pinned(self, shard, untrained_network, tmp_path):
+        spec = _fingerprint_spec(shard, untrained_network, tmp_path)
+        (entry,) = Session(max_workers=1).run_entries([spec])
+        digest = hashlib.sha256(json.dumps(entry, sort_keys=True).encode()).hexdigest()
+        assert digest == WORKER_FINGERPRINTS[SimulatorConfig().engine][shard]
 
 
 class TestPayloadRoundTrip:
