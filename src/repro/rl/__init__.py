@@ -27,7 +27,7 @@ from repro.rl.exp3 import Exp3
 from repro.rl.features import FeatureConfig, FeatureEncoder
 from repro.rl.qnetwork import QNetwork
 from repro.rl.quantized import QuantizationReport, QuantizedNetwork
-from repro.rl.replay_buffer import ReplayBuffer, Transition
+from repro.rl.replay_buffer import ReplayBuffer
 from repro.rl.reward import RewardConfig, compute_reward
 from repro.rl.trace_env import (
     DecisionPoint,
@@ -51,7 +51,6 @@ __all__ = [
     "QuantizationReport",
     "QuantizedNetwork",
     "ReplayBuffer",
-    "Transition",
     "RewardConfig",
     "compute_reward",
     "DecisionPoint",

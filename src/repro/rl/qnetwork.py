@@ -11,19 +11,10 @@ Adam, Huber or MSE loss) to run the offline DQN training of §IV-B.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-
-@dataclass
-class _AdamState:
-    """Per-parameter Adam moment estimates."""
-
-    m: np.ndarray
-    v: np.ndarray
 
 
 class QNetwork:
@@ -55,17 +46,35 @@ class QNetwork:
             raise ValueError("only the 'relu' hidden activation is supported")
         self.layer_sizes: Tuple[int, ...] = tuple(int(s) for s in layer_sizes)
         self.hidden_activation = hidden_activation
+        # One contiguous parameter vector and one gradient vector; the
+        # per-layer weights and biases are views into them, so the
+        # optimizers update every parameter group in one vector step.
+        pairs = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
+        size = sum(fan_in * fan_out + fan_out for fan_in, fan_out in pairs)
+        self._parameters = np.zeros(size)
+        self._gradient = np.zeros(size)
+        self.weights, self.biases = self._layer_views(self._parameters)
+        self._grad_weights, self._grad_biases = self._layer_views(self._gradient)
         rng = np.random.default_rng(seed)
-        self.weights: List[np.ndarray] = []
-        self.biases: List[np.ndarray] = []
-        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+        for weights, (fan_in, fan_out) in zip(self.weights, pairs):
             # He initialization suits ReLU hidden layers.
             scale = np.sqrt(2.0 / fan_in)
-            self.weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
-        self._adam_w: Optional[List[_AdamState]] = None
-        self._adam_b: Optional[List[_AdamState]] = None
+            weights[...] = rng.normal(0.0, scale, size=(fan_in, fan_out))
+        self._adam_m = np.zeros(size)
+        self._adam_v = np.zeros(size)
         self._adam_t = 0
+
+    def _layer_views(self, flat: np.ndarray) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+        """Per-layer weight and bias views into a flat parameter-sized vector."""
+        weights: List[np.ndarray] = []
+        biases: List[np.ndarray] = []
+        offset = 0
+        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            weights.append(flat[offset: offset + fan_in * fan_out].reshape(fan_in, fan_out))
+            offset += fan_in * fan_out
+            biases.append(flat[offset: offset + fan_out])
+            offset += fan_out
+        return weights, biases
 
     # ------------------------------------------------------------------
     # Introspection
@@ -83,7 +92,7 @@ class QNetwork:
     @property
     def num_parameters(self) -> int:
         """Total number of trainable parameters (weights plus biases)."""
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return self._parameters.size
 
     # ------------------------------------------------------------------
     # Inference
@@ -140,7 +149,9 @@ class QNetwork:
         When ``actions`` is given, only the Q-value of the taken action
         contributes to the loss (the usual DQN regression); ``targets``
         is then a vector of scalar TD targets.  Without ``actions``,
-        ``targets`` must have the full output shape.
+        ``targets`` must have the full output shape.  The returned
+        gradients are views into the network's gradient buffer, which
+        the next call overwrites.
         """
         x = np.asarray(states, dtype=float)
         if x.ndim == 1:
@@ -170,16 +181,14 @@ class QNetwork:
         else:
             raise ValueError(f"unsupported loss: {loss}")
 
-        grad_w: List[np.ndarray] = [np.zeros_like(w) for w in self.weights]
-        grad_b: List[np.ndarray] = [np.zeros_like(b) for b in self.biases]
         upstream = delta / batch
         for layer in range(len(self.weights) - 1, -1, -1):
-            grad_w[layer] = post[layer].T @ upstream
-            grad_b[layer] = upstream.sum(axis=0)
+            np.matmul(post[layer].T, upstream, out=self._grad_weights[layer])
+            np.add.reduce(upstream, axis=0, out=self._grad_biases[layer])
             if layer > 0:
                 upstream = upstream @ self.weights[layer].T
                 upstream = upstream * (pre[layer - 1] > 0.0)
-        return grad_w, grad_b, loss_value
+        return self._grad_weights, self._grad_biases, loss_value
 
     def train_step(
         self,
@@ -191,41 +200,37 @@ class QNetwork:
         loss: str = "huber",
     ) -> float:
         """Run one gradient step on a mini-batch and return the loss."""
-        grad_w, grad_b, loss_value = self.gradients(states, targets, actions, loss=loss)
+        _, _, loss_value = self.gradients(states, targets, actions, loss=loss)
         if optimizer == "sgd":
-            for layer in range(len(self.weights)):
-                self.weights[layer] -= learning_rate * grad_w[layer]
-                self.biases[layer] -= learning_rate * grad_b[layer]
+            self._parameters -= learning_rate * self._gradient
         elif optimizer == "adam":
-            self._adam_update(grad_w, grad_b, learning_rate)
+            self._adam_update(learning_rate)
         else:
             raise ValueError(f"unsupported optimizer: {optimizer}")
         return loss_value
 
     def _adam_update(
         self,
-        grad_w: List[np.ndarray],
-        grad_b: List[np.ndarray],
         learning_rate: float,
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
     ) -> None:
-        if self._adam_w is None or self._adam_b is None:
-            self._adam_w = [_AdamState(np.zeros_like(w), np.zeros_like(w)) for w in self.weights]
-            self._adam_b = [_AdamState(np.zeros_like(b), np.zeros_like(b)) for b in self.biases]
+        """One Adam step over the whole parameter vector."""
         self._adam_t += 1
         t = self._adam_t
-        for layer in range(len(self.weights)):
-            for params, grads, state in (
-                (self.weights[layer], grad_w[layer], self._adam_w[layer]),
-                (self.biases[layer], grad_b[layer], self._adam_b[layer]),
-            ):
-                state.m = beta1 * state.m + (1 - beta1) * grads
-                state.v = beta2 * state.v + (1 - beta2) * grads**2
-                m_hat = state.m / (1 - beta1**t)
-                v_hat = state.v / (1 - beta2**t)
-                params -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        grads = self._gradient
+        m = self._adam_m
+        v = self._adam_v
+        # In place, but each element sees the same operations in the
+        # same order as m = beta1 * m + (1 - beta1) * g (and likewise v).
+        m *= beta1
+        m += (1 - beta1) * grads
+        v *= beta2
+        v += (1 - beta2) * grads**2
+        m_hat = m / (1 - beta1**t)
+        v_hat = v / (1 - beta2**t)
+        self._parameters -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
     # ------------------------------------------------------------------
     # Weight management
@@ -238,7 +243,11 @@ class QNetwork:
         }
 
     def set_weights(self, parameters: Dict[str, List[np.ndarray]]) -> None:
-        """Load weights and biases (shapes must match)."""
+        """Load weights and biases (shapes must match).
+
+        The values are copied into the existing parameter vector, so the
+        optimizer state and every view of the parameters stay attached.
+        """
         weights = parameters["weights"]
         biases = parameters["biases"]
         if len(weights) != len(self.weights) or len(biases) != len(self.biases):
@@ -246,14 +255,17 @@ class QNetwork:
         for target, source in zip(self.weights, weights):
             if target.shape != np.asarray(source).shape:
                 raise ValueError("weight shape mismatch")
-        self.weights = [np.array(w, dtype=float) for w in weights]
-        self.biases = [np.array(b, dtype=float) for b in biases]
+        for target, source in zip(self.biases, biases):
+            if target.shape != np.asarray(source).shape:
+                raise ValueError("bias shape mismatch")
+        for target, source in zip(self.weights + self.biases, [*weights, *biases]):
+            target[...] = source
 
     def copy_from(self, other: "QNetwork") -> None:
         """Copy another network's parameters into this one (target-network sync)."""
         if other.layer_sizes != self.layer_sizes:
             raise ValueError("cannot copy weights between different architectures")
-        self.set_weights(other.get_weights())
+        self._parameters[...] = other._parameters
 
     def clone(self) -> "QNetwork":
         """Return a deep copy of this network."""

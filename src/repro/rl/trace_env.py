@@ -703,21 +703,35 @@ class TraceEnvironment(Environment):
         self._episode: List[DecisionPoint] = []
         self._cursor = 0
         self.n_tx = 3
-        self._expected_nodes: List[int] = []
+        #: History-free encoding prefix (radio rows, reliability rows
+        #: and the N_TX one-hot) per (id of a point of ``episodes``,
+        #: N_TX); the trace is fixed, so each is computed once.
+        self._prefixes: Dict[Tuple[int, int], np.ndarray] = {}
 
     @property
     def state_size(self) -> int:
         return self.feature_config.input_size
 
     def _encode_point(self, point: DecisionPoint, n_tx: int) -> Tuple[np.ndarray, TraceRecord]:
+        """Encode ``point`` under ``n_tx``, then record its outcome in the history.
+
+        Equals ``encoder.encode_round`` on the point's record: the cached
+        history-free prefix followed by the current loss history.
+        """
         record = point.outcome(n_tx)
-        state = self.encoder.encode_round(
-            record.reliabilities,
-            record.radio_on_ms,
-            n_tx,
-            record.had_losses,
-            expected_nodes=list(record.reliabilities),
-        )
+        key = (id(point), n_tx)
+        prefix = self._prefixes.get(key)
+        if prefix is None:
+            full = self.encoder.encode(
+                record.reliabilities,
+                record.radio_on_ms,
+                n_tx,
+                expected_nodes=list(record.reliabilities),
+            )
+            prefix = full[: full.shape[0] - self.feature_config.history_size].copy()
+            self._prefixes[key] = prefix
+        state = np.concatenate((prefix, self.encoder.history))
+        self.encoder.record_history(record.had_losses)
         return state, record
 
     def reset(self) -> np.ndarray:

@@ -1,10 +1,15 @@
 """Tests for the DQN agent and its training loop."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.net.trace import TraceRecord, TraceSet
 from repro.rl.dqn import DQNAgent, DQNConfig, EpsilonSchedule
 from repro.rl.environment import Environment, StepResult
+from repro.rl.features import FeatureConfig
+from repro.rl.trace_env import TraceEnvironment
 
 
 class CorridorEnvironment(Environment):
@@ -150,3 +155,79 @@ class TestDQNAgent:
         other.load(path)
         state = np.ones(5)
         assert np.allclose(agent.online(state), other.online(state))
+
+    def test_train_batch_after_load_moves_loaded_network(self, tmp_path):
+        # The optimizer must update the parameters load() wrote, not a
+        # buffer the loaded values were rebound away from.
+        path = tmp_path / "agent.json"
+        DQNAgent(DQNConfig(state_size=5, seed=0)).save(path)
+        agent = DQNAgent(DQNConfig(state_size=5, batch_size=4, seed=1))
+        rng = np.random.default_rng(0)
+        for _ in range(8):
+            agent.buffer.push(rng.uniform(-1, 1, 5), int(rng.integers(3)), 1.0,
+                              rng.uniform(-1, 1, 5), False)
+        agent.load(path)
+        state = np.ones(5)
+        loaded = agent.online.forward(state).copy()
+        agent.train_batch()
+        assert not np.array_equal(agent.online.forward(state), loaded)
+
+
+def synthetic_trace(seed: int, episodes: int = 2, rounds: int = 12, n_max: int = 3) -> TraceSet:
+    """A seeded trace of 6 nodes, built without the simulator (engine-independent)."""
+    rng = np.random.default_rng(seed)
+    trace = TraceSet()
+    round_index = 0
+    for _ in range(episodes):
+        trace.start_episode()
+        for _ in range(rounds):
+            for n_tx in range(n_max + 1):
+                reliabilities = np.minimum(1.0, rng.uniform(0.3, 1.2, size=6) + 0.1 * n_tx)
+                trace.append(TraceRecord(
+                    round_index=round_index,
+                    n_tx=n_tx,
+                    reliabilities=reliabilities,
+                    radio_on_ms=rng.uniform(2.0, 20.0, size=6),
+                    had_losses=bool(reliabilities.min() < 1.0),
+                    node_ids=list(range(6)),
+                ))
+            round_index += 1
+    return trace
+
+
+class TestTrainingFingerprint:
+    """Bit-for-bit pin of a training run that wraps the replay buffer.
+
+    256 buffer slots against about 2000 stored transitions: the buffer
+    fills after 256 steps and then overwrites its oldest transitions,
+    which the paper-scale profiles do but the fast profile never does.
+    The target network syncs 40 times and the trace environment draws
+    random episodes and start offsets, so the digests cover the replay
+    ring order, the Adam state, the target sync and the environment's
+    state encoding together.
+    """
+
+    WEIGHTS_SHA256 = "41c4e761fda26ad438597e14e809391805cb9f154a2eee5360eba5694f7dac59"
+    LOSSES_SHA256 = "a77691338a13e66c266d0da47b0722fb8f43b24318bb575ced3a34c7bdd66043"
+
+    def test_wrapped_buffer_training_is_pinned(self):
+        features = FeatureConfig(num_input_nodes=4, history_size=2, n_max=3)
+        environment = TraceEnvironment(
+            synthetic_trace(seed=0), feature_config=features, episode_length=10, seed=3
+        )
+        agent = DQNAgent(DQNConfig(
+            state_size=features.input_size,
+            buffer_capacity=256,
+            train_start=64,
+            target_sync_interval=50,
+            epsilon=EpsilonSchedule(anneal_steps=1000),
+            seed=5,
+        ))
+        result = agent.train(environment, iterations=2000)
+        assert agent.buffer.is_full
+        assert (result.episodes, len(result.losses)) == (200, 1937)
+        parameters = agent.online.weights + agent.online.biases
+        weights_digest = hashlib.sha256(b"".join(p.tobytes() for p in parameters)).hexdigest()
+        losses_digest = hashlib.sha256(np.asarray(result.losses, dtype=float).tobytes()).hexdigest()
+        assert weights_digest == self.WEIGHTS_SHA256
+        assert losses_digest == self.LOSSES_SHA256

@@ -5,7 +5,7 @@ import pytest
 
 from repro.net.topology import grid_topology
 from repro.rl.environment import Action, apply_action
-from repro.rl.features import FeatureConfig
+from repro.rl.features import FeatureConfig, FeatureEncoder
 from repro.rl.trace_env import (
     SimulationEnvironment,
     TraceEnvironment,
@@ -159,6 +159,30 @@ class TestTraceEnvironment:
         env.reset()
         result = env.step(Action.INCREASE)
         assert result.info["n_tx"] == 2
+
+    def test_states_equal_per_round_encoding(self, tiny_trace):
+        # Reference: FeatureEncoder.encode_round on every visited record.
+        # The second episode visits other N_TX values at the same points;
+        # the third repeats the first, so its states come from cached
+        # encodings.
+        config = FeatureConfig(num_input_nodes=4, history_size=2, n_max=3)
+        env = TraceEnvironment(tiny_trace, feature_config=config, initial_n_tx=1, seed=0)
+        (points,) = group_decision_points(tiny_trace)
+        for actions in ([2, 2, 0], [1, 0, 2], [2, 2, 0]):
+            encoder = FeatureEncoder(config)
+            states = [env.reset()]
+            n_tx = [1]
+            for action in actions:
+                result = env.step(action)
+                states.append(result.state)
+                n_tx.append(result.info["n_tx"])
+            for state, point, value in zip(states, points, n_tx):
+                record = point.outcome(value)
+                expected = encoder.encode_round(
+                    record.reliabilities, record.radio_on_ms, value, record.had_losses,
+                    expected_nodes=list(record.reliabilities),
+                )
+                np.testing.assert_array_equal(state, expected)
 
     def test_step_before_reset_rejected(self, tiny_trace):
         config = FeatureConfig(num_input_nodes=4, history_size=2, n_max=3)

@@ -79,6 +79,47 @@ class TestTraining:
         loss = network.train_step(np.ones((2, 4)), np.zeros((2, 2)), optimizer="sgd")
         assert loss >= 0.0
 
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_matches_per_layer_reference(self, optimizer):
+        # Reference: per-layer backward pass and per-group updates with
+        # the same elementwise formulas; the flat vectors must agree bit
+        # for bit over 20 action-masked Huber steps on a 3-layer net.
+        network = QNetwork((6, 5, 4, 3), seed=0)
+        params = network.get_weights()
+        groups = params["weights"] + params["biases"]
+        m = [np.zeros_like(p) for p in groups]
+        v = [np.zeros_like(p) for p in groups]
+        rng = np.random.default_rng(1)
+        for t in range(1, 21):
+            x = rng.normal(size=(8, 6))
+            targets = rng.normal(size=8)
+            actions = rng.integers(0, 3, size=8)
+            pre, post = [], [x]
+            for layer, (w, b) in enumerate(zip(params["weights"], params["biases"])):
+                pre.append(post[-1] @ w + b)
+                post.append(pre[-1] if layer == 2 else np.maximum(pre[-1], 0.0))
+            full = post[-1].copy()
+            full[np.arange(8), actions] = targets
+            upstream = np.clip(post[-1] - full, -1.0, 1.0) / 8
+            grads = [None] * 6
+            for layer in (2, 1, 0):
+                grads[layer] = post[layer].T @ upstream
+                grads[3 + layer] = upstream.sum(axis=0)
+                if layer > 0:
+                    upstream = (upstream @ params["weights"][layer].T) * (pre[layer - 1] > 0.0)
+            for i, (p, g) in enumerate(zip(groups, grads)):
+                if optimizer == "sgd":
+                    p -= 1e-2 * g
+                    continue
+                m[i] = 0.9 * m[i] + (1 - 0.9) * g
+                v[i] = 0.999 * v[i] + (1 - 0.999) * g**2
+                m_hat = m[i] / (1 - 0.9**t)
+                v_hat = v[i] / (1 - 0.999**t)
+                p -= 1e-2 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            network.train_step(x, targets, actions=actions, learning_rate=1e-2, optimizer=optimizer)
+            for got, expected in zip(network.weights + network.biases, groups):
+                np.testing.assert_array_equal(got, expected)
+
     def test_unknown_optimizer_rejected(self):
         with pytest.raises(ValueError):
             QNetwork((4, 8, 2), seed=0).train_step(np.ones((1, 4)), np.zeros((1, 2)), optimizer="rmsprop")
@@ -107,6 +148,23 @@ class TestWeightManagement:
         params["weights"][0] = np.zeros((3, 8))
         with pytest.raises(ValueError):
             network.set_weights(params)
+
+    def test_set_weights_bias_shape_checked(self):
+        network = QNetwork((4, 8, 2))
+        params = network.get_weights()
+        params["biases"][1] = np.zeros(3)
+        with pytest.raises(ValueError):
+            network.set_weights(params)
+
+    def test_set_weights_copies_into_existing_storage(self):
+        network = QNetwork((4, 8, 2), seed=0)
+        views = network.weights + network.biases
+        params = QNetwork((4, 8, 2), seed=1).get_weights()
+        network.set_weights(params)
+        for view, expected in zip(views, params["weights"] + params["biases"]):
+            assert view is not expected
+            np.testing.assert_array_equal(view, expected)
+        assert all(a is b for a, b in zip(views, network.weights + network.biases))
 
     def test_save_load_roundtrip(self, tmp_path):
         network = QNetwork(seed=0)

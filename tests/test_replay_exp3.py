@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.rl.exp3 import Exp3
-from repro.rl.replay_buffer import ReplayBuffer, Transition
+from repro.rl.replay_buffer import ReplayBuffer
 
 
 class TestReplayBuffer:
@@ -51,10 +51,67 @@ class TestReplayBuffer:
         buffer.clear()
         assert len(buffer) == 0
 
-    def test_transition_dataclass(self):
-        transition = Transition(np.zeros(2), 1, 0.5, np.ones(2), True)
-        assert transition.action == 1
-        assert transition.done
+    def test_wrapped_ring_sample_is_pinned(self):
+        # 7 transitions into 5 slots: transitions 5 and 6 overwrite
+        # slots 0 and 1, so slot i holds transition [5, 6, 2, 3, 4][i].
+        # Consecutive transitions share their state arrays except after
+        # the episode end at transition 3.
+        buffer = ReplayBuffer(capacity=5, seed=0)
+        states = [np.array([float(i), -float(i)]) for i in range(8)]
+        for i in range(7):
+            state = states[i].copy() if i == 4 else states[i]
+            buffer.push(state, i % 3, float(i), states[i + 1], i == 3)
+        states, actions, rewards, next_states, dones = buffer.sample(16)
+        expected = np.array([4, 3, 2, 6, 6, 5, 5, 5, 5, 4, 3, 4, 2, 3, 4, 3], dtype=float)
+        np.testing.assert_array_equal(states, np.stack([expected, -expected], axis=1))
+        np.testing.assert_array_equal(next_states, np.stack([expected + 1, -expected - 1], axis=1))
+        np.testing.assert_array_equal(actions, [1, 0, 2, 0, 0, 2, 2, 2, 2, 1, 0, 1, 2, 0, 1, 0])
+        np.testing.assert_array_equal(rewards, expected)
+        np.testing.assert_array_equal(dones, expected == 3)
+        assert states.dtype == rewards.dtype == np.float64
+        assert actions.dtype == np.int64
+
+    def test_matches_list_ring_through_growth_and_wrap(self):
+        # Reference: a plain list ring of transitions.  1500 slots and
+        # 4000 pushes grow every array past its first allocation and
+        # then wrap the ring, with episode ends breaking the chain of
+        # shared states.  The last 1600 pushes share no state object,
+        # so the live transitions use all 2 * capacity rows.
+        capacity = 1500
+        buffer = ReplayBuffer(capacity=capacity, seed=4)
+        reference = []
+        rng = np.random.default_rng(1)
+        state = rng.normal(size=3)
+        for i in range(4000):
+            next_state = rng.normal(size=3)
+            done = i % 37 == 36
+            transition = (state, i % 3, float(i), next_state, done)
+            buffer.push(*transition)
+            if len(reference) < capacity:
+                reference.append(transition)
+            else:
+                reference[i % capacity] = transition
+            if done:
+                state = rng.normal(size=3)
+            else:
+                state = next_state.copy() if i >= 2400 else next_state
+        # 16 draws per slot on average reach every slot.
+        indices = np.random.default_rng(4).integers(0, capacity, size=16 * capacity)
+        assert len(np.unique(indices)) == capacity
+        batch = buffer.sample(16 * capacity)
+        for column, values in enumerate(batch):
+            expected = np.array([reference[i][column] for i in indices])
+            np.testing.assert_array_equal(values, expected)
+
+    def test_push_stores_every_field(self):
+        buffer = ReplayBuffer(capacity=4, seed=0)
+        buffer.push(np.zeros(2), 1, 0.5, np.ones(2), True)
+        states, actions, rewards, next_states, dones = buffer.sample(1)
+        assert actions[0] == 1
+        assert dones[0]
+        assert rewards[0] == 0.5
+        np.testing.assert_array_equal(states, [[0.0, 0.0]])
+        np.testing.assert_array_equal(next_states, [[1.0, 1.0]])
 
 
 class TestExp3:
