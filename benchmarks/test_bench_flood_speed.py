@@ -144,11 +144,7 @@ def _round_path_timer(topology, interference, rounds):
             rng=np.random.default_rng(7),
             engine="vectorized",
         )
-        store = NodeStateArray(
-            topology.node_ids,
-            positions=topology.positions,
-            coordinator=topology.coordinator,
-        )
+        store = NodeStateArray(topology.node_ids, coordinator=topology.coordinator)
         round_engine.run_round(  # warm caches
             store,
             Schedule(round_index=0, n_tx=3, slots=slots),

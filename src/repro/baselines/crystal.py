@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.net.channels import ChannelHopper
-from repro.net.energy import EnergyModel, RadioOnTracker
+from repro.net.energy import EnergyModel, RadioOnLedger
 from repro.net.glossy import GlossyFlood
 from repro.net.interference import InterferenceSource, NoInterference
 from repro.net.link import LinkModel
@@ -121,9 +121,8 @@ class CrystalProtocol:
         self.delivered_packets = 0
         self.generated_packets = 0
         self._packet_counter = 0
-        self.radio_on_totals: Dict[int, RadioOnTracker] = {
-            node: RadioOnTracker() for node in topology.node_ids
-        }
+        #: One slot per node per epoch: the epoch's whole radio-on time.
+        self.radio_on_totals = RadioOnLedger(topology.num_nodes)
         self.history: List[EpochSummary] = []
 
     # ------------------------------------------------------------------
@@ -154,10 +153,6 @@ class CrystalProtocol:
     # ------------------------------------------------------------------
     # Epoch execution
     # ------------------------------------------------------------------
-    def _record_flood_energy(self, radio_on_ms: Dict[int, float]) -> None:
-        for node in self.topology.node_ids:
-            self.radio_on_totals[node].record_slot(radio_on_ms.get(node, 0.0))
-
     def _noise_detected(self, slot_start_ms: float, channel: int) -> bool:
         """Noise detection: sample the medium at the sink before sleeping."""
         penalty = self.interference.penalty(
@@ -239,7 +234,9 @@ class CrystalProtocol:
                     extra_budget = min(extra_budget + config.noise_extra_pairs, 3 * config.noise_extra_pairs)
             pairs += 1
 
-        self._record_flood_energy(radio_on_epoch)
+        self.radio_on_totals.record_round(
+            np.fromiter(radio_on_epoch.values(), dtype=float, count=len(radio_on_epoch))
+        )
         pending_before = len(delivered) + self.pending_count()
         summary = EpochSummary(
             epoch_index=self.epoch_index,
@@ -275,8 +272,15 @@ class CrystalProtocol:
 
     def total_energy_j(self) -> float:
         """Total radio energy spent by the whole network so far (joules)."""
-        return self.energy_model.network_energy_j(self.radio_on_totals)
+        # Per-node energies summed in node order, not the energy of the
+        # summed total: the two differ in the last bit.
+        totals = self.radio_on_totals.total_ms.tolist()
+        return sum(self.energy_model.energy_j(total) for total in totals)
 
     def average_radio_on_ms(self) -> float:
         """Per-slot radio-on time averaged over all nodes and slots."""
-        return self.energy_model.network_average_radio_on_ms(self.radio_on_totals)
+        totals = self.radio_on_totals.total_ms.tolist()
+        slots = self.radio_on_totals.slot_count * len(totals)
+        if slots == 0:
+            return 0.0
+        return sum(totals) / slots

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.core.statistics import GlobalView, StatisticsCollector
-from repro.net.lwb import RoundResult
+from repro.net.lwb import RoundHistoryAverages, RoundResult
 from repro.net.simulator import NetworkSimulator
 
 
@@ -121,7 +121,7 @@ class PIDRoundSummary:
     result: RoundResult
 
 
-class PIDProtocol:
+class PIDProtocol(RoundHistoryAverages):
     """Adaptive LWB driven by the PI(D) controller.
 
     Structurally identical to :class:`~repro.core.protocol.DimmerProtocol`
@@ -189,19 +189,3 @@ class PIDProtocol:
         if num_rounds < 0:
             raise ValueError("num_rounds must be non-negative")
         return [self.run_round(sources=sources, destinations=destinations) for _ in range(num_rounds)]
-
-    def average_reliability(self, last_n_rounds: Optional[int] = None) -> float:
-        """Reliability averaged over the executed rounds."""
-        history = self.history if last_n_rounds is None else self.history[-last_n_rounds:]
-        if not history:
-            return 1.0
-        expected = sum(sum(s.result.packets_expected.values()) for s in history)
-        received = sum(sum(s.result.packets_received.values()) for s in history)
-        return 1.0 if expected == 0 else received / expected
-
-    def average_radio_on_ms(self, last_n_rounds: Optional[int] = None) -> float:
-        """Radio-on time per slot averaged over the executed rounds."""
-        history = self.history if last_n_rounds is None else self.history[-last_n_rounds:]
-        if not history:
-            return 0.0
-        return sum(s.average_radio_on_ms for s in history) / len(history)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.net.lwb import RoundResult
+from repro.net.lwb import RoundHistoryAverages, RoundResult
 from repro.net.simulator import NetworkSimulator
 
 
@@ -29,7 +29,7 @@ class StaticRoundSummary:
     result: RoundResult
 
 
-class StaticLWBProtocol:
+class StaticLWBProtocol(RoundHistoryAverages):
     """LWB with a fixed retransmission parameter.
 
     Parameters
@@ -85,19 +85,3 @@ class StaticLWBProtocol:
         if num_rounds < 0:
             raise ValueError("num_rounds must be non-negative")
         return [self.run_round(sources=sources, destinations=destinations) for _ in range(num_rounds)]
-
-    def average_reliability(self, last_n_rounds: Optional[int] = None) -> float:
-        """Reliability averaged over the executed rounds."""
-        history = self.history if last_n_rounds is None else self.history[-last_n_rounds:]
-        if not history:
-            return 1.0
-        expected = sum(sum(s.result.packets_expected.values()) for s in history)
-        received = sum(sum(s.result.packets_received.values()) for s in history)
-        return 1.0 if expected == 0 else received / expected
-
-    def average_radio_on_ms(self, last_n_rounds: Optional[int] = None) -> float:
-        """Radio-on time per slot averaged over the executed rounds."""
-        history = self.history if last_n_rounds is None else self.history[-last_n_rounds:]
-        if not history:
-            return 0.0
-        return sum(s.average_radio_on_ms for s in history) / len(history)

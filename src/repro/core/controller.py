@@ -35,16 +35,16 @@ class RoundCommand:
     """Command the coordinator disseminates at the start of a round.
 
     ``role_codes`` mirrors ``roles`` in the forwarder selection's
-    ``node_ids``-aligned integer form, letting a store-backed protocol
-    apply all roles with one bulk
-    :meth:`~repro.net.node.NodeStateArray.set_role_codes` call.
+    ``node_ids``-aligned integer form, so the protocol applies all roles
+    with one bulk :meth:`~repro.net.node.NodeStateArray.set_role_codes`
+    call.
     """
 
     n_tx: int
     mode: ControllerMode
     roles: Dict[int, NodeRole]
+    role_codes: np.ndarray
     learning_node: Optional[int] = None
-    role_codes: Optional["np.ndarray"] = None
 
     @property
     def forwarder_selection(self) -> bool:

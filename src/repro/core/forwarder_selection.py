@@ -68,7 +68,7 @@ class LearningStep:
     learning_node: Optional[int]
     chosen_arm: Optional[int]
     roles: Dict[int, NodeRole]
-    role_codes: Optional[np.ndarray] = None
+    role_codes: np.ndarray
 
 
 class ForwarderSelection:

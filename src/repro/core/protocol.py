@@ -14,9 +14,9 @@ from typing import List, Optional, Sequence, Union
 
 from repro.core.adaptivity import AdaptivityControl
 from repro.core.config import DimmerConfig
-from repro.core.controller import ControllerMode, DimmerController, RoundCommand
-from repro.net.lwb import RoundResult
-from repro.net.node import NodeRole, NodeStateArray
+from repro.core.controller import ControllerMode, DimmerController
+from repro.net.lwb import RoundHistoryAverages, RoundResult
+from repro.net.node import NodeRole
 from repro.net.simulator import NetworkSimulator
 from repro.rl.qnetwork import QNetwork
 from repro.rl.quantized import QuantizedNetwork
@@ -38,7 +38,7 @@ class ProtocolRoundSummary:
     result: RoundResult
 
 
-class DimmerProtocol:
+class DimmerProtocol(RoundHistoryAverages):
     """Runs Dimmer rounds on a network simulator.
 
     Parameters
@@ -78,25 +78,6 @@ class DimmerProtocol:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _apply_roles(self, command: RoundCommand) -> None:
-        nodes = self.simulator.nodes
-        if (
-            command.role_codes is not None
-            and isinstance(nodes, NodeStateArray)
-            and nodes.node_ids == tuple(self.controller.forwarder_selection.node_ids)
-        ):
-            # Bulk apply: one masked assignment instead of one Python
-            # call per node (coordinator rows are protected in place).
-            nodes.set_role_codes(command.role_codes)
-            return
-        for node_id, role in command.roles.items():
-            node = nodes.get(node_id)
-            if node is None or node.is_coordinator:
-                continue
-            if role is NodeRole.COORDINATOR:
-                continue
-            node.set_role(role)
-
     def run_round(
         self,
         sources: Optional[Sequence[int]] = None,
@@ -114,7 +95,9 @@ class DimmerProtocol:
             (data-collection scenarios with a single sink).
         """
         command = self.controller.next_command()
-        self._apply_roles(command)
+        # The forwarder selection's node order is the topology order,
+        # which is the store's; coordinator rows are protected in place.
+        self.simulator.node_state.set_role_codes(command.role_codes)
         schedule = self.simulator.build_schedule(
             n_tx=command.n_tx,
             forwarder_selection=command.forwarder_selection,
@@ -164,19 +147,3 @@ class DimmerProtocol:
     def n_tx(self) -> int:
         """Retransmission parameter currently in force."""
         return self.controller.n_tx
-
-    def average_reliability(self, last_n_rounds: Optional[int] = None) -> float:
-        """Reliability averaged over the protocol's executed rounds."""
-        history = self.history if last_n_rounds is None else self.history[-last_n_rounds:]
-        if not history:
-            return 1.0
-        expected = sum(sum(s.result.packets_expected.values()) for s in history)
-        received = sum(sum(s.result.packets_received.values()) for s in history)
-        return 1.0 if expected == 0 else received / expected
-
-    def average_radio_on_ms(self, last_n_rounds: Optional[int] = None) -> float:
-        """Radio-on time per slot averaged over the protocol's executed rounds."""
-        history = self.history if last_n_rounds is None else self.history[-last_n_rounds:]
-        if not history:
-            return 0.0
-        return sum(s.average_radio_on_ms for s in history) / len(history)

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.net.lwb import RoundResult, build_observer_view, observer_view_arrays
+from repro.net.lwb import RoundResult, observer_view_arrays
 from repro.net.packet import DimmerFeedbackHeader
 
 

@@ -18,13 +18,7 @@ from repro.net.channels import (
     ChannelHopper,
     wifi_overlap,
 )
-from repro.net.energy import (
-    EnergyModel,
-    RadioOnColumns,
-    RadioOnLedger,
-    RadioOnTracker,
-    RadioOnView,
-)
+from repro.net.energy import EnergyModel, RadioOnLedger
 from repro.net.glossy import FLOOD_ENGINES, FloodResult, GlossyFlood
 from repro.net.interference import (
     AmbientInterference,
@@ -35,8 +29,8 @@ from repro.net.interference import (
     WifiInterference,
 )
 from repro.net.link import LinkModel, LinkQuality
-from repro.net.lwb import LWBRound, LWBRoundEngine, RoundResult, Schedule, SlotResult
-from repro.net.node import Node, NodeRole, NodeStateArray, NodeStatistics
+from repro.net.lwb import LWBRoundEngine, RoundResult, Schedule, SlotResult
+from repro.net.node import NodeRole, NodeStateArray
 from repro.net.packet import (
     DimmerFeedbackHeader,
     DataPacket,
@@ -54,10 +48,7 @@ __all__ = [
     "ChannelHopper",
     "wifi_overlap",
     "EnergyModel",
-    "RadioOnColumns",
     "RadioOnLedger",
-    "RadioOnTracker",
-    "RadioOnView",
     "FLOOD_ENGINES",
     "FloodResult",
     "GlossyFlood",
@@ -69,15 +60,12 @@ __all__ = [
     "WifiInterference",
     "LinkModel",
     "LinkQuality",
-    "LWBRound",
     "LWBRoundEngine",
     "RoundResult",
     "Schedule",
     "SlotResult",
-    "Node",
     "NodeRole",
     "NodeStateArray",
-    "NodeStatistics",
     "DimmerFeedbackHeader",
     "DataPacket",
     "Packet",

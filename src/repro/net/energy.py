@@ -5,89 +5,51 @@ time the radio spent listening or transmitting per slot, averaged over
 all slots, counting slots in which no packet was received).  Energy in
 Fig. 7b is derived from the accumulated radio-on time via the radio's
 power model.
+
+:class:`RadioOnLedger` is the one radio-on accumulator: the node-state
+store keeps one for the feedback headers, the simulator one for its
+energy totals, and Crystal one for its per-epoch accounting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.net.radio import RadioModel
 
 
-@dataclass
-class RadioOnTracker:
-    """Per-node accumulator of radio-on time.
-
-    Tracks both a bounded window of recent slots (used for the Dimmer
-    feedback header, which reports the radio-on time averaged over the
-    last floods) and lifetime totals (used for energy accounting).
-    """
-
-    window: int = 8
-    _recent_ms: List[float] = field(default_factory=list, repr=False)
-    total_ms: float = 0.0
-    slot_count: int = 0
-
-    def record_slot(self, radio_on_ms: float) -> None:
-        """Record the radio-on time of one slot."""
-        if radio_on_ms < 0:
-            raise ValueError("radio_on_ms must be non-negative")
-        self._recent_ms.append(radio_on_ms)
-        if len(self._recent_ms) > self.window:
-            self._recent_ms.pop(0)
-        self.total_ms += radio_on_ms
-        self.slot_count += 1
-
-    @property
-    def recent_average_ms(self) -> float:
-        """Radio-on time averaged over the last ``window`` slots."""
-        if not self._recent_ms:
-            return 0.0
-        return sum(self._recent_ms) / len(self._recent_ms)
-
-    @property
-    def lifetime_average_ms(self) -> float:
-        """Radio-on time averaged over every slot ever recorded."""
-        if self.slot_count == 0:
-            return 0.0
-        return self.total_ms / self.slot_count
-
-    def reset_recent(self) -> None:
-        """Clear the recent window (totals are preserved)."""
-        self._recent_ms.clear()
-
-
 class RadioOnLedger:
     """Array-backed radio-on accounting for a whole network at once.
 
-    The vectorized twin of one :class:`RadioOnTracker` per node: lifetime
-    totals and the bounded recent window live in NumPy arrays aligned
-    with ``node_ids``, so recording a full round is a couple of vector
-    operations instead of ``nodes x slots`` Python calls.  All slots of
-    one :meth:`record_round` call share the same per-slot value per node
-    — exactly how the round engine accounts radio-on time.
+    Lifetime totals and a bounded window of recent slots live in NumPy
+    arrays aligned with the network's node order; every write records
+    all nodes, so the slot counter and the ring cursor are shared.  All
+    slots of one :meth:`record_round` call share the same per-slot value
+    per node — exactly how the round engine accounts radio-on time.
+
+    The per-node recent average (what the Dimmer feedback header
+    reports) sums the window oldest first in Python, which keeps the
+    headers bit-identical to a per-node list of the last ``window``
+    values.
     """
 
-    def __init__(self, node_ids: Sequence[int], window: int = 8) -> None:
+    def __init__(self, num_nodes: int, window: int = 8) -> None:
         if window <= 0:
             raise ValueError("window must be positive")
-        self.node_ids = tuple(node_ids)
         self.window = window
-        n = len(self.node_ids)
-        self.total_ms = np.zeros(n)
+        self.total_ms = np.zeros(num_nodes)
         self.slot_count = 0
         #: Ring buffer of the last ``window`` per-slot values per node.
-        self._recent = np.zeros((window, n))
+        self._recent = np.zeros((window, num_nodes))
         self._recent_len = 0
         self._cursor = 0
 
-    def record_round(self, per_slot_ms: np.ndarray, num_slots: int) -> None:
+    def record_round(self, per_slot_ms: np.ndarray, num_slots: int = 1) -> None:
         """Record ``num_slots`` slots, each costing ``per_slot_ms`` per node."""
         per_slot_ms = np.asarray(per_slot_ms, dtype=float)
-        if per_slot_ms.shape != (len(self.node_ids),):
+        if per_slot_ms.shape != self.total_ms.shape:
             raise ValueError("per_slot_ms must have one entry per node")
         if (per_slot_ms < 0).any():
             raise ValueError("radio_on_ms must be non-negative")
@@ -101,19 +63,17 @@ class RadioOnLedger:
         self._cursor = (self._cursor + fill) % self.window
         self._recent_len = min(self.window, self._recent_len + num_slots)
 
-    @property
-    def recent_average_ms(self) -> np.ndarray:
-        """Per-node radio-on time averaged over the last ``window`` slots."""
-        if self._recent_len == 0:
-            return np.zeros(len(self.node_ids))
-        return self._recent[: self._recent_len].mean(axis=0)
-
-    @property
-    def lifetime_average_ms(self) -> np.ndarray:
-        """Per-node radio-on time averaged over every slot ever recorded."""
-        if self.slot_count == 0:
-            return np.zeros(len(self.node_ids))
-        return self.total_ms / self.slot_count
+    def recent_average_ms(self, index: int) -> float:
+        """Radio-on time of node ``index`` averaged over the recent window."""
+        length = self._recent_len
+        if length == 0:
+            return 0.0
+        if length < self.window:
+            rows = range(length)
+        else:
+            rows = [(self._cursor + offset) % self.window for offset in range(self.window)]
+        column = self._recent[:, index]
+        return sum([float(column[row]) for row in rows]) / length
 
     def reset(self) -> None:
         """Forget all accumulated accounting."""
@@ -122,168 +82,6 @@ class RadioOnLedger:
         self._recent[:] = 0.0
         self._recent_len = 0
         self._cursor = 0
-
-
-class RadioOnColumns:
-    """Struct-of-arrays backing for one :class:`RadioOnTracker` per node.
-
-    Where :class:`RadioOnLedger` aggregates the *network's* lifetime
-    accounting (a shared slot counter), ``RadioOnColumns`` holds the
-    *per-node* tracker state of :class:`~repro.net.node.NodeStatistics`
-    in ``node_ids``-aligned arrays: lifetime totals, per-node slot
-    counts, and one bounded recent window per node (a ring buffer
-    column).  Recording a whole round for every node is a handful of
-    vector operations (:meth:`record_slot_all`); a
-    :class:`RadioOnView` over one column behaves exactly like a
-    standalone :class:`RadioOnTracker`.
-
-    The per-node recent *average* is computed by summing the window in
-    chronological order (oldest first), reproducing the float summation
-    order of ``RadioOnTracker.recent_average_ms`` bit for bit — which is
-    what keeps the Dimmer feedback headers of the array-backed round
-    path identical to the legacy per-node dataclasses.
-    """
-
-    def __init__(self, num_nodes: int, window: int = 8) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
-        if num_nodes < 0:
-            raise ValueError("num_nodes must be non-negative")
-        self.window = window
-        self.num_nodes = num_nodes
-        self.total_ms = np.zeros(num_nodes)
-        self.slot_count = np.zeros(num_nodes, dtype=np.int64)
-        #: Ring buffer of the last ``window`` per-slot values per node.
-        self._recent = np.zeros((window, num_nodes))
-        self._recent_len = np.zeros(num_nodes, dtype=np.int64)
-        self._cursor = np.zeros(num_nodes, dtype=np.int64)
-        self._columns = np.arange(num_nodes)
-
-    def record_slot_all(self, radio_on_ms: np.ndarray) -> None:
-        """Record one slot for every node at once (vectorized)."""
-        radio_on_ms = np.asarray(radio_on_ms, dtype=float)
-        if radio_on_ms.shape != (self.num_nodes,):
-            raise ValueError("radio_on_ms must have one entry per node")
-        if (radio_on_ms < 0).any():
-            raise ValueError("radio_on_ms must be non-negative")
-        self.total_ms += radio_on_ms
-        self.slot_count += 1
-        self._recent[self._cursor, self._columns] = radio_on_ms
-        self._cursor += 1
-        self._cursor[self._cursor >= self.window] = 0
-        np.minimum(self._recent_len + 1, self.window, out=self._recent_len)
-
-    def record_slot(self, index: int, radio_on_ms: float) -> None:
-        """Record one slot for the node at ``index`` (scalar path)."""
-        if radio_on_ms < 0:
-            raise ValueError("radio_on_ms must be non-negative")
-        self.total_ms[index] += radio_on_ms
-        self.slot_count[index] += 1
-        cursor = self._cursor[index]
-        self._recent[cursor, index] = radio_on_ms
-        self._cursor[index] = (cursor + 1) % self.window
-        if self._recent_len[index] < self.window:
-            self._recent_len[index] += 1
-
-    def _recent_values(self, index: int) -> List[float]:
-        """Recent window of one node, oldest first (chronological)."""
-        length = int(self._recent_len[index])
-        if length == 0:
-            return []
-        cursor = int(self._cursor[index])
-        if length < self.window:
-            rows = range(length)
-        else:
-            rows = [(cursor + offset) % self.window for offset in range(self.window)]
-        column = self._recent[:, index]
-        return [float(column[row]) for row in rows]
-
-    def recent_average_ms(self, index: int) -> float:
-        """Recent-window average of one node, bit-equal to the tracker's."""
-        values = self._recent_values(index)
-        if not values:
-            return 0.0
-        return sum(values) / len(values)
-
-    def lifetime_average_ms(self, index: int) -> float:
-        """Lifetime per-slot average of one node."""
-        count = int(self.slot_count[index])
-        if count == 0:
-            return 0.0
-        return float(self.total_ms[index]) / count
-
-    def reset_recent(self, index: Optional[int] = None) -> None:
-        """Clear the recent window of one node (or all; totals preserved)."""
-        if index is None:
-            self._recent[:] = 0.0
-            self._recent_len[:] = 0
-            self._cursor[:] = 0
-        else:
-            self._recent[:, index] = 0.0
-            self._recent_len[index] = 0
-            self._cursor[index] = 0
-
-    def view(self, index: int) -> "RadioOnView":
-        """A tracker-compatible view over one node's column."""
-        return RadioOnView(self, index)
-
-
-class RadioOnView:
-    """One node's slice of a :class:`RadioOnColumns`.
-
-    Duck-types :class:`RadioOnTracker` — ``record_slot``,
-    ``recent_average_ms``, ``lifetime_average_ms``, ``reset_recent``,
-    ``total_ms``, ``slot_count``, ``window`` — so code written against
-    the per-node tracker (the energy model, the feedback encoding,
-    tests) works unchanged against the struct-of-arrays backing.
-    """
-
-    __slots__ = ("_columns", "_index")
-
-    def __init__(self, columns: RadioOnColumns, index: int) -> None:
-        self._columns = columns
-        self._index = index
-
-    @property
-    def window(self) -> int:
-        """Size of the bounded recent window."""
-        return self._columns.window
-
-    @property
-    def total_ms(self) -> float:
-        """Lifetime radio-on total of this node."""
-        return float(self._columns.total_ms[self._index])
-
-    @total_ms.setter
-    def total_ms(self, value: float) -> None:
-        self._columns.total_ms[self._index] = value
-
-    @property
-    def slot_count(self) -> int:
-        """Number of slots ever recorded for this node."""
-        return int(self._columns.slot_count[self._index])
-
-    @slot_count.setter
-    def slot_count(self, value: int) -> None:
-        self._columns.slot_count[self._index] = value
-
-    def record_slot(self, radio_on_ms: float) -> None:
-        """Record the radio-on time of one slot."""
-        self._columns.record_slot(self._index, radio_on_ms)
-
-    @property
-    def recent_average_ms(self) -> float:
-        """Radio-on time averaged over the last ``window`` slots."""
-        return self._columns.recent_average_ms(self._index)
-
-    @property
-    def lifetime_average_ms(self) -> float:
-        """Radio-on time averaged over every slot ever recorded."""
-        return self._columns.lifetime_average_ms(self._index)
-
-    def reset_recent(self) -> None:
-        """Clear the recent window (totals are preserved)."""
-        self._columns.reset_recent(self._index)
 
 
 @dataclass
@@ -306,40 +104,6 @@ class EnergyModel:
         """Energy of a single slot given its radio-on time."""
         return self.radio.radio_on_energy_mj(radio_on_ms, self.tx_fraction)
 
-    def node_energy_j(self, tracker: RadioOnTracker) -> float:
-        """Lifetime energy of one node in joules."""
-        return self.radio.radio_on_energy_mj(tracker.total_ms, self.tx_fraction) / 1000.0
-
-    def network_energy_j(
-        self, trackers: Union[Dict[int, RadioOnTracker], RadioOnLedger, RadioOnColumns]
-    ) -> float:
-        """Total energy across all nodes in joules (the Fig. 7b metric).
-
-        Accepts the per-node tracker dict, a :class:`RadioOnLedger`, or
-        the per-node :class:`RadioOnColumns` backing; the energy model is
-        linear in radio-on time, so array totals convert in one call.
-        """
-        if isinstance(trackers, (RadioOnLedger, RadioOnColumns)):
-            total_ms = float(trackers.total_ms.sum())
-            return self.radio.radio_on_energy_mj(total_ms, self.tx_fraction) / 1000.0
-        return sum(self.node_energy_j(tracker) for tracker in trackers.values())
-
-    def network_average_radio_on_ms(
-        self, trackers: Union[Dict[int, RadioOnTracker], RadioOnLedger, RadioOnColumns]
-    ) -> float:
-        """Average per-slot radio-on time across all nodes and slots."""
-        if isinstance(trackers, RadioOnColumns):
-            slots = int(trackers.slot_count.sum())
-            if slots == 0:
-                return 0.0
-            return float(trackers.total_ms.sum()) / slots
-        if isinstance(trackers, RadioOnLedger):
-            slots = trackers.slot_count * len(trackers.node_ids)
-            if slots == 0:
-                return 0.0
-            return float(trackers.total_ms.sum()) / slots
-        total_ms = sum(t.total_ms for t in trackers.values())
-        slots = sum(t.slot_count for t in trackers.values())
-        if slots == 0:
-            return 0.0
-        return total_ms / slots
+    def energy_j(self, radio_on_ms: float) -> float:
+        """Energy in joules of ``radio_on_ms`` of accumulated radio-on time."""
+        return self.radio.radio_on_energy_mj(radio_on_ms, self.tx_fraction) / 1000.0

@@ -16,7 +16,7 @@ plain LWB's energy consumption rises under interference (§V-E).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,11 +97,18 @@ class SlotResult:
 class RoundResult:
     """Outcome of a full LWB/Dimmer round.
 
-    Per-node aggregates are array-backed (aligned with
-    :attr:`node_ids`); the dict attributes of the original API —
-    ``synchronized``, ``radio_on_ms``, ``packets_expected``,
-    ``packets_received`` — are lazy views materialized on first access.
-    Results can equivalently be built from per-node dicts.
+    Per-node aggregates are NumPy arrays aligned with :attr:`node_ids`
+    (the topology order).
+
+    Attributes
+    ----------
+    synchronized_array:
+        Per-node flag: did the node decode this round's schedule?
+    radio_on_array:
+        Whole-round radio-on time of each node.
+    packets_expected_array, packets_received_array:
+        Packets each node was scheduled to receive / actually received
+        this round.
     """
 
     __slots__ = (
@@ -111,14 +118,10 @@ class RoundResult:
         "control_flood",
         "slots",
         "node_ids",
-        "_sync_arr",
-        "_radio_arr",
-        "_expected_arr",
-        "_received_arr",
-        "_sync_map",
-        "_radio_map",
-        "_expected_map",
-        "_received_map",
+        "synchronized_array",
+        "radio_on_array",
+        "packets_expected_array",
+        "packets_received_array",
     )
 
     def __init__(
@@ -128,122 +131,25 @@ class RoundResult:
         start_ms: float,
         control_flood: FloodResult,
         slots: List[SlotResult],
-        synchronized: Union[Dict[int, bool], np.ndarray],
-        radio_on_ms: Union[Dict[int, float], np.ndarray, None] = None,
-        packets_expected: Union[Dict[int, int], np.ndarray, None] = None,
-        packets_received: Union[Dict[int, int], np.ndarray, None] = None,
-        node_ids: Optional[Sequence[int]] = None,
+        node_ids: Sequence[int],
+        synchronized_array: np.ndarray,
+        radio_on_array: np.ndarray,
+        packets_expected_array: np.ndarray,
+        packets_received_array: np.ndarray,
     ) -> None:
         self.round_index = round_index
         self.schedule = schedule
         self.start_ms = start_ms
         self.control_flood = control_flood
         self.slots = slots
-        if isinstance(synchronized, np.ndarray):
-            if node_ids is None:
-                raise ValueError("node_ids is required for array-backed construction")
-            self.node_ids = tuple(node_ids)
-            n = len(self.node_ids)
-            self._sync_arr = np.asarray(synchronized, dtype=bool)
-            self._radio_arr = (
-                np.zeros(n) if radio_on_ms is None else np.asarray(radio_on_ms, dtype=float)
-            )
-            self._expected_arr = (
-                np.zeros(n, dtype=np.int64)
-                if packets_expected is None
-                else np.asarray(packets_expected, dtype=np.int64)
-            )
-            self._received_arr = (
-                np.zeros(n, dtype=np.int64)
-                if packets_received is None
-                else np.asarray(packets_received, dtype=np.int64)
-            )
-            self._sync_map = None
-            self._radio_map = None
-            self._expected_map = None
-            self._received_map = None
-        else:
-            self.node_ids = tuple(synchronized)
-            self._sync_map = dict(synchronized)
-            self._radio_map = dict(radio_on_ms) if radio_on_ms is not None else {}
-            self._expected_map = dict(packets_expected) if packets_expected is not None else {}
-            self._received_map = dict(packets_received) if packets_received is not None else {}
-            self._sync_arr = None
-            self._radio_arr = None
-            self._expected_arr = None
-            self._received_arr = None
+        self.node_ids = tuple(node_ids)
+        self.synchronized_array = synchronized_array
+        self.radio_on_array = radio_on_array
+        self.packets_expected_array = packets_expected_array
+        self.packets_received_array = packets_received_array
 
     # ------------------------------------------------------------------
-    # Array accessors
-    # ------------------------------------------------------------------
-    def _from_map(self, mapping: Dict[int, float], dtype) -> np.ndarray:
-        return np.fromiter(
-            (mapping.get(node, 0) for node in self.node_ids),
-            dtype=dtype,
-            count=len(self.node_ids),
-        )
-
-    @property
-    def synchronized_array(self) -> np.ndarray:
-        """Per-node sync flags in :attr:`node_ids` order."""
-        if self._sync_arr is None:
-            self._sync_arr = self._from_map(self._sync_map, bool)
-        return self._sync_arr
-
-    @property
-    def radio_on_array(self) -> np.ndarray:
-        """Per-node whole-round radio-on totals in :attr:`node_ids` order."""
-        if self._radio_arr is None:
-            self._radio_arr = self._from_map(self._radio_map, float)
-        return self._radio_arr
-
-    @property
-    def packets_expected_array(self) -> np.ndarray:
-        """Per-node expected-packet counts in :attr:`node_ids` order."""
-        if self._expected_arr is None:
-            self._expected_arr = self._from_map(self._expected_map, np.int64)
-        return self._expected_arr
-
-    @property
-    def packets_received_array(self) -> np.ndarray:
-        """Per-node received-packet counts in :attr:`node_ids` order."""
-        if self._received_arr is None:
-            self._received_arr = self._from_map(self._received_map, np.int64)
-        return self._received_arr
-
-    # ------------------------------------------------------------------
-    # Dict views (API-compatibility shims)
-    # ------------------------------------------------------------------
-    @property
-    def synchronized(self) -> Dict[int, bool]:
-        """Per-node flag: did the node decode this round's schedule?"""
-        if self._sync_map is None:
-            self._sync_map = dict(zip(self.node_ids, self._sync_arr.tolist()))
-        return self._sync_map
-
-    @property
-    def radio_on_ms(self) -> Dict[int, float]:
-        """Whole-round radio-on time of each node."""
-        if self._radio_map is None:
-            self._radio_map = dict(zip(self.node_ids, self._radio_arr.tolist()))
-        return self._radio_map
-
-    @property
-    def packets_expected(self) -> Dict[int, int]:
-        """Packets each node was scheduled to receive this round."""
-        if self._expected_map is None:
-            self._expected_map = dict(zip(self.node_ids, self._expected_arr.tolist()))
-        return self._expected_map
-
-    @property
-    def packets_received(self) -> Dict[int, int]:
-        """Packets each node actually received this round."""
-        if self._received_map is None:
-            self._received_map = dict(zip(self.node_ids, self._received_arr.tolist()))
-        return self._received_map
-
-    # ------------------------------------------------------------------
-    # Scalar accessors (no dict materialization)
+    # Scalar accessors
     # ------------------------------------------------------------------
     def _position(self, node: int) -> int:
         """Array index of ``node``, or ``-1`` when absent."""
@@ -253,29 +159,19 @@ class RoundResult:
             return -1
 
     def packets_expected_at(self, node: int) -> int:
-        """Expected-packet count of one node (0 when unknown).
-
-        A materialized ``packets_expected`` view wins once it exists
-        (views are the mutable face of the result).
-        """
-        if self._expected_map is not None:
-            return self._expected_map.get(node, 0)
+        """Expected-packet count of one node (0 when unknown)."""
         position = self._position(node)
-        return int(self._expected_arr[position]) if position >= 0 else 0
+        return int(self.packets_expected_array[position]) if position >= 0 else 0
 
     def packets_received_at(self, node: int) -> int:
         """Received-packet count of one node (0 when unknown)."""
-        if self._received_map is not None:
-            return self._received_map.get(node, 0)
         position = self._position(node)
-        return int(self._received_arr[position]) if position >= 0 else 0
+        return int(self.packets_received_array[position]) if position >= 0 else 0
 
     def radio_on_at(self, node: int) -> float:
         """Whole-round radio-on time of one node (0.0 when unknown)."""
-        if self._radio_map is not None:
-            return self._radio_map.get(node, 0.0)
         position = self._position(node)
-        return float(self._radio_arr[position]) if position >= 0 else 0.0
+        return float(self.radio_on_array[position]) if position >= 0 else 0.0
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -321,45 +217,40 @@ class RoundResult:
         return dict(zip(self.node_ids, (self.radio_on_array / num_slots).tolist()))
 
 
-#: Alias kept for API clarity: a "round" object is its result.
-LWBRound = RoundResult
+def average_reliability(results: Sequence[RoundResult]) -> float:
+    """Reliability pooled over ``results``: received / expected packets.
 
-
-def build_observer_view(
-    result: RoundResult,
-    observer: int,
-    expected_nodes: Optional[Sequence[int]] = None,
-    pessimistic_radio_on_ms: float = 20.0,
-) -> Dict[str, Dict[int, float]]:
-    """Reconstruct what ``observer`` legitimately knows after a round.
-
-    Dimmer closes its feedback loop through the two-byte headers carried
-    by data packets: an observer only knows the performance of nodes
-    whose packet it received this round; every other scheduled node is
-    filled in pessimistically (0 % reliability, 100 % radio-on time) and
-    reported under ``"missing"``.  The observer's own statistics are
-    exact.  This helper is shared by the coordinator-side statistics
-    collector, the trace recorder (so training data has the same
-    distribution as deployment inputs) and the simulation training
-    environment.
-
-    Returns a dict with keys ``"reliability"``, ``"radio_on_ms"`` and
-    ``"missing"`` (the latter mapping node -> 1.0 markers).
+    The counts are exact integer sums; no expected packet means 1.0.
     """
-    node_ids, rel_arr, radio_arr, missing_mask = observer_view_arrays(
-        result,
-        observer,
-        expected_nodes=expected_nodes,
-        pessimistic_radio_on_ms=pessimistic_radio_on_ms,
-    )
-    missing = {
-        node: 1.0 for node, flag in zip(node_ids, missing_mask.tolist()) if flag
-    }
-    return {
-        "reliability": dict(zip(node_ids, rel_arr.tolist())),
-        "radio_on_ms": dict(zip(node_ids, radio_arr.tolist())),
-        "missing": missing,
-    }
+    expected = sum(int(result.packets_expected_array.sum()) for result in results)
+    received = sum(int(result.packets_received_array.sum()) for result in results)
+    return 1.0 if expected == 0 else received / expected
+
+
+class RoundHistoryAverages:
+    """Round-history averages of a protocol.
+
+    Mixed into the protocols whose ``history`` lists per-round
+    summaries, each carrying its round's :class:`RoundResult` as
+    ``result``.
+    """
+
+    history: list
+
+    def _results(self, last_n_rounds: Optional[int]) -> List[RoundResult]:
+        history = self.history if last_n_rounds is None else self.history[-last_n_rounds:]
+        return [summary.result for summary in history]
+
+    def average_reliability(self, last_n_rounds: Optional[int] = None) -> float:
+        """Reliability averaged over the (last ``n``) executed rounds."""
+        return average_reliability(self._results(last_n_rounds))
+
+    def average_radio_on_ms(self, last_n_rounds: Optional[int] = None) -> float:
+        """Radio-on time per slot averaged over the (last ``n``) executed rounds."""
+        results = self._results(last_n_rounds)
+        if not results:
+            return 0.0
+        return sum(result.average_radio_on_ms for result in results) / len(results)
 
 
 def observer_view_arrays(
@@ -368,13 +259,20 @@ def observer_view_arrays(
     expected_nodes: Optional[Sequence[int]] = None,
     pessimistic_radio_on_ms: float = 20.0,
 ) -> "Tuple[List[int], np.ndarray, np.ndarray, np.ndarray]":
-    """Array-backed :func:`build_observer_view`.
+    """Reconstruct what ``observer`` legitimately knows after a round.
+
+    Dimmer closes its feedback loop through the two-byte headers carried
+    by data packets: an observer only knows the performance of nodes
+    whose packet it received this round; every other scheduled node is
+    filled in pessimistically (0 % reliability, 100 % radio-on time) and
+    flagged as missing.  The observer's own statistics are exact.  This
+    helper is shared by the coordinator-side statistics collector (its
+    :class:`~repro.core.statistics.GlobalView`), the trace recorder (so
+    training data has the same distribution as deployment inputs) and
+    the simulation training environment.
 
     Returns ``(node_ids, reliabilities, radio_on_ms, missing_mask)``
-    with the arrays aligned to the sorted ``node_ids`` list; the values
-    equal the dict variant element for element.  This is what the
-    statistics collector builds its :class:`~repro.core.statistics.GlobalView`
-    from without any per-node dict bookkeeping.
+    with the arrays aligned to the sorted ``node_ids`` list.
     """
     received_feedback: Dict[int, DimmerFeedbackHeader] = {}
     for slot in result.slots:
@@ -391,7 +289,7 @@ def observer_view_arrays(
     count = len(node_ids)
 
     # Pessimistic defaults, then overlay the received headers, then the
-    # observer's own exact statistics — same precedence as the dict path.
+    # observer's own exact statistics.
     rel_arr = np.zeros(count)
     radio_arr = np.full(count, pessimistic_radio_on_ms)
     missing_mask = np.ones(count, dtype=bool)
@@ -729,9 +627,9 @@ class LWBRoundEngine:
             start_ms=start_ms,
             control_flood=control_flood,
             slots=slot_results,
-            synchronized=synchronized,
-            radio_on_ms=radio_on,
-            packets_expected=packets_expected,
-            packets_received=packets_received,
             node_ids=node_ids,
+            synchronized_array=synchronized,
+            radio_on_array=radio_on,
+            packets_expected_array=packets_expected,
+            packets_received_array=packets_received,
         )

@@ -1,33 +1,27 @@
-"""Node state, backed by struct-of-arrays storage.
+"""Node state of a whole deployment, as struct-of-arrays storage.
 
 Each node keeps its role, current retransmission parameter, its local
 statistics (reliability and radio-on time, fed back to the coordinator
 through the two-byte Dimmer header), and its view of the rest of the
 network as assembled from the feedback headers it overheard.
 
-Since PR 3 the per-node state of a whole deployment lives in one
-:class:`NodeStateArray` — ``node_ids``-aligned NumPy arrays for roles,
-``n_tx``, sync flags, the reliability counters, the radio-on
-accumulators, and two ``(N, N)`` tables for the overheard feedback
-headers.  :class:`Node` and :class:`NodeStatistics` survive as
-lightweight *views* over one row of those arrays, so all existing code
-(the controller, the forwarder selection, the trace recorder, tests
-that build standalone nodes) keeps working unchanged while the LWB
-round engine updates the whole network with masked vector operations
-and zero per-node Python calls.
+:class:`NodeStateArray` holds that state for every node at once —
+``node_ids``-aligned NumPy arrays for roles, ``n_tx``, sync flags and
+the reliability counters, one :class:`~repro.net.energy.RadioOnLedger`
+for the radio-on window, and two ``(N, N)`` tables for the overheard
+feedback headers — so the LWB round engine updates the whole network
+with masked vector operations and zero per-node Python calls.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Mapping as MappingABC, MutableMapping
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.net.energy import RadioOnColumns, RadioOnView
+from repro.net.energy import RadioOnLedger
 from repro.net.packet import DimmerFeedbackHeader
-from repro.net.topology import Position
 
 
 class NodeRole(enum.Enum):
@@ -46,17 +40,10 @@ _ROLE_TO_CODE = {
     NodeRole.FORWARDER: ROLE_FORWARDER,
     NodeRole.PASSIVE: ROLE_PASSIVE,
 }
-_CODE_TO_ROLE = (NodeRole.COORDINATOR, NodeRole.FORWARDER, NodeRole.PASSIVE)
 
 
-class NodeStateArray(MappingABC):
+class NodeStateArray:
     """Struct-of-arrays node state for a whole deployment.
-
-    The array is also a ``Mapping[int, Node]``: indexing by node id
-    returns a cached :class:`Node` view over the corresponding row, so
-    a :class:`~repro.net.simulator.NetworkSimulator` can expose it
-    directly as its ``nodes`` attribute without any per-node objects on
-    the hot path.
 
     Attributes
     ----------
@@ -74,8 +61,9 @@ class NodeStateArray(MappingABC):
     packets_expected, packets_received:
         Per-round reliability counters (the feedback-header estimate).
     radio_on:
-        :class:`~repro.net.energy.RadioOnColumns` — per-node radio-on
-        accumulators (recent window + lifetime totals).
+        :class:`~repro.net.energy.RadioOnLedger` — per-node radio-on
+        accumulators (recent window + lifetime totals), one slot per
+        round.
     feedback_radio_on, feedback_reliability, feedback_valid:
         ``(N, N)`` overheard-feedback tables: row ``i`` column ``j``
         holds the most recent header node ``i`` overheard from node
@@ -85,7 +73,6 @@ class NodeStateArray(MappingABC):
     def __init__(
         self,
         node_ids: Sequence[int],
-        positions: Optional[Mapping[int, Position]] = None,
         coordinator: Optional[int] = None,
         default_n_tx: int = 3,
         window: int = 8,
@@ -98,7 +85,6 @@ class NodeStateArray(MappingABC):
             raise ValueError("node_ids must be unique")
         self.index: Dict[int, int] = {node: i for i, node in enumerate(self.node_ids)}
         self.ids_array = np.array(self.node_ids, dtype=np.int64)
-        self.positions: Dict[int, Position] = dict(positions) if positions is not None else {}
         self.role_codes = np.full(n, ROLE_FORWARDER, dtype=np.int8)
         if coordinator is not None:
             if coordinator not in self.index:
@@ -108,35 +94,10 @@ class NodeStateArray(MappingABC):
         self.synchronized = np.ones(n, dtype=bool)
         self.packets_expected = np.zeros(n, dtype=np.int64)
         self.packets_received = np.zeros(n, dtype=np.int64)
-        self.radio_on = RadioOnColumns(n, window=window)
+        self.radio_on = RadioOnLedger(n, window=window)
         self.feedback_radio_on = np.zeros((n, n))
         self.feedback_reliability = np.zeros((n, n))
         self.feedback_valid = np.zeros((n, n), dtype=bool)
-        self._views: Dict[int, "Node"] = {}
-
-    # ------------------------------------------------------------------
-    # Mapping protocol (node id -> Node view)
-    # ------------------------------------------------------------------
-    def __getitem__(self, node_id: int) -> "Node":
-        view = self._views.get(node_id)
-        if view is None:
-            index = self.index.get(node_id)
-            if index is None:
-                raise KeyError(node_id)
-            view = Node(
-                node_id=node_id,
-                position=self.positions.get(node_id, (0.0, 0.0)),
-                _store=self,
-                _index=index,
-            )
-            self._views[node_id] = view
-        return view
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.node_ids)
-
-    def __len__(self) -> int:
-        return len(self.node_ids)
 
     # ------------------------------------------------------------------
     # Vectorized round-path operations
@@ -164,10 +125,9 @@ class NodeStateArray(MappingABC):
     def feedback_for(self, index: int) -> DimmerFeedbackHeader:
         """The Dimmer feedback header node ``index`` would send now.
 
-        Matches ``NodeStatistics.to_feedback()`` of the legacy
-        dataclasses bit for bit: the reliability ratio is computed with
-        the same integer division and the radio-on average sums the
-        recent window in chronological order.
+        The reliability ratio is an integer division of the counters
+        and the radio-on average sums the recent window in chronological
+        order, as a node holding plain per-slot lists would compute it.
         """
         expected = int(self.packets_expected[index])
         reliability = 1.0 if expected == 0 else int(self.packets_received[index]) / expected
@@ -181,8 +141,8 @@ class NodeStateArray(MappingABC):
     ) -> None:
         """Record ``feedback`` from one source at every masked receiver.
 
-        One fancy index per table — the vectorized equivalent of calling
-        ``observe_feedback`` on every receiving node.
+        One fancy index per table; a later header from the same source
+        overwrites the earlier one.
         """
         self.feedback_radio_on[receiver_mask, source_index] = feedback.radio_on_ms
         self.feedback_reliability[receiver_mask, source_index] = feedback.reliability
@@ -197,7 +157,7 @@ class NodeStateArray(MappingABC):
         """Batch-update every node's statistics at the end of a round."""
         self.packets_expected[:] = packets_expected
         self.packets_received[:] = packets_received
-        self.radio_on.record_slot_all(per_slot_radio_on_ms)
+        self.radio_on.record_round(per_slot_radio_on_ms)
 
     def set_role(self, node_id: int, role: NodeRole) -> None:
         """Set one node's role, enforcing the coordinator demotion guard."""
@@ -213,7 +173,7 @@ class NodeStateArray(MappingABC):
         """Bulk-apply per-node role codes (coordinator rows are protected).
 
         Rows currently holding ``ROLE_COORDINATOR`` keep it regardless of
-        the incoming code — the vectorized counterpart of the per-node
+        the incoming code — the bulk counterpart of :meth:`set_role`'s
         demotion guard, used by the protocol's forwarder-selection role
         updates.
         """
@@ -232,274 +192,3 @@ class NodeStateArray(MappingABC):
         """Sorted ids of nodes currently acting as passive receivers."""
         mask = self.role_codes == ROLE_PASSIVE
         return sorted(self.ids_array[mask].tolist())
-
-
-class _NeighborFeedbackView(MutableMapping):
-    """Dict-compatible view over one row of the feedback tables.
-
-    Sources that are part of the backing store live in the ``(N, N)``
-    arrays; headers overheard from foreign node ids (possible only on
-    standalone nodes, e.g. in tests) go to a per-view overflow dict.
-    """
-
-    __slots__ = ("_store", "_row", "_overflow")
-
-    def __init__(self, store: NodeStateArray, row: int) -> None:
-        self._store = store
-        self._row = row
-        self._overflow: Dict[int, DimmerFeedbackHeader] = {}
-
-    def __getitem__(self, source: int) -> DimmerFeedbackHeader:
-        column = self._store.index.get(source)
-        if column is not None and self._store.feedback_valid[self._row, column]:
-            return DimmerFeedbackHeader(
-                radio_on_ms=float(self._store.feedback_radio_on[self._row, column]),
-                reliability=float(self._store.feedback_reliability[self._row, column]),
-            )
-        return self._overflow[source]
-
-    def __setitem__(self, source: int, feedback: DimmerFeedbackHeader) -> None:
-        column = self._store.index.get(source)
-        if column is not None:
-            self._store.feedback_radio_on[self._row, column] = feedback.radio_on_ms
-            self._store.feedback_reliability[self._row, column] = feedback.reliability
-            self._store.feedback_valid[self._row, column] = True
-        else:
-            self._overflow[source] = feedback
-
-    def __delitem__(self, source: int) -> None:
-        column = self._store.index.get(source)
-        if column is not None and self._store.feedback_valid[self._row, column]:
-            self._store.feedback_valid[self._row, column] = False
-            return
-        del self._overflow[source]
-
-    def __iter__(self) -> Iterator[int]:
-        valid = self._store.feedback_valid[self._row]
-        for column in np.flatnonzero(valid):
-            yield self._store.node_ids[column]
-        yield from self._overflow
-
-    def __len__(self) -> int:
-        return int(self._store.feedback_valid[self._row].sum()) + len(self._overflow)
-
-
-class NodeStatistics:
-    """Local performance statistics a node measures about itself.
-
-    ``packets_expected`` / ``packets_received`` track the schedule-based
-    reliability estimate: a packet announced in the schedule but not
-    received during its slot is counted as lost.
-
-    The counters and the radio-on accumulator live in a
-    :class:`NodeStateArray` row; a standalone ``NodeStatistics()``
-    allocates a private single-node store, so the class still behaves
-    exactly like the original dataclass.
-    """
-
-    __slots__ = ("_store", "_index", "_radio_view")
-
-    def __init__(
-        self,
-        packets_expected: int = 0,
-        packets_received: int = 0,
-        _store: Optional[NodeStateArray] = None,
-        _index: int = 0,
-    ) -> None:
-        if _store is None:
-            _store = NodeStateArray([0])
-        self._store = _store
-        self._index = _index
-        self._radio_view: Optional[RadioOnView] = None
-        if packets_expected:
-            self.packets_expected = packets_expected
-        if packets_received:
-            self.packets_received = packets_received
-
-    @property
-    def packets_expected(self) -> int:
-        """Packets announced for this node in the current window."""
-        return int(self._store.packets_expected[self._index])
-
-    @packets_expected.setter
-    def packets_expected(self, value: int) -> None:
-        self._store.packets_expected[self._index] = value
-
-    @property
-    def packets_received(self) -> int:
-        """Packets actually received in the current window."""
-        return int(self._store.packets_received[self._index])
-
-    @packets_received.setter
-    def packets_received(self, value: int) -> None:
-        self._store.packets_received[self._index] = value
-
-    @property
-    def radio_on(self) -> RadioOnView:
-        """Tracker-compatible view of this node's radio-on accumulators."""
-        if self._radio_view is None:
-            self._radio_view = self._store.radio_on.view(self._index)
-        return self._radio_view
-
-    @property
-    def reliability(self) -> float:
-        """Packet reception rate (received / expected); 1.0 when idle."""
-        if self.packets_expected == 0:
-            return 1.0
-        return self.packets_received / self.packets_expected
-
-    def record_slot(self, received: bool, radio_on_ms: float, expected: bool = True) -> None:
-        """Record the outcome of one data slot."""
-        if expected:
-            self._store.packets_expected[self._index] += 1
-            if received:
-                self._store.packets_received[self._index] += 1
-        self.radio_on.record_slot(radio_on_ms)
-
-    def reset_window(self) -> None:
-        """Reset the per-round counters (called at every round boundary)."""
-        self._store.packets_expected[self._index] = 0
-        self._store.packets_received[self._index] = 0
-        self._store.radio_on.reset_recent(self._index)
-
-    def to_feedback(self) -> DimmerFeedbackHeader:
-        """Quantize the local statistics into the two-byte Dimmer header."""
-        return self._store.feedback_for(self._index)
-
-
-class Node:
-    """A TelosB-class node participating in the flood.
-
-    A lightweight view over one row of a :class:`NodeStateArray`.
-    Constructing a ``Node`` directly (the legacy dataclass API)
-    allocates a private single-node store, so standalone nodes behave
-    exactly as before; nodes obtained from a shared store (what the
-    simulator hands out) all read and write the same arrays the round
-    engine updates with vector operations.
-
-    Parameters
-    ----------
-    node_id:
-        Unique identifier of the node.
-    position:
-        Physical position in metres (used by the link and interference
-        models).
-    role:
-        Current role: coordinator, active forwarder, or passive receiver
-        (a passive receiver turns its radio off after the first
-        successful reception of a flood and never retransmits).
-    n_tx:
-        Number of retransmissions the node performs within a Glossy
-        flood; 0 means receive-only.
-    """
-
-    __slots__ = ("node_id", "position", "_store", "_index", "_statistics", "_feedback")
-
-    def __init__(
-        self,
-        node_id: int,
-        position: Position,
-        role: NodeRole = NodeRole.FORWARDER,
-        n_tx: int = 3,
-        synchronized: bool = True,
-        _store: Optional[NodeStateArray] = None,
-        _index: int = 0,
-    ) -> None:
-        self.node_id = node_id
-        self.position = position
-        if _store is None:
-            if n_tx < 0:
-                raise ValueError("n_tx must be non-negative")
-            _store = NodeStateArray([node_id], positions={node_id: position})
-            _store.role_codes[0] = _ROLE_TO_CODE[role]
-            _store.n_tx[0] = n_tx
-            _store.synchronized[0] = synchronized
-            _index = 0
-        self._store = _store
-        self._index = _index
-        self._statistics: Optional[NodeStatistics] = None
-        self._feedback: Optional[_NeighborFeedbackView] = None
-
-    # ------------------------------------------------------------------
-    # Scalar state (array-backed properties)
-    # ------------------------------------------------------------------
-    @property
-    def role(self) -> NodeRole:
-        """Current role of the node."""
-        return _CODE_TO_ROLE[self._store.role_codes[self._index]]
-
-    @role.setter
-    def role(self, role: NodeRole) -> None:
-        self._store.role_codes[self._index] = _ROLE_TO_CODE[role]
-
-    @property
-    def n_tx(self) -> int:
-        """Retransmission parameter currently configured."""
-        return int(self._store.n_tx[self._index])
-
-    @n_tx.setter
-    def n_tx(self, value: int) -> None:
-        self._store.n_tx[self._index] = value
-
-    @property
-    def synchronized(self) -> bool:
-        """Whether the node decoded the most recent schedule."""
-        return bool(self._store.synchronized[self._index])
-
-    @synchronized.setter
-    def synchronized(self, value: bool) -> None:
-        self._store.synchronized[self._index] = value
-
-    @property
-    def statistics(self) -> NodeStatistics:
-        """View of the node's local statistics."""
-        if self._statistics is None:
-            self._statistics = NodeStatistics(_store=self._store, _index=self._index)
-        return self._statistics
-
-    @property
-    def neighbor_feedback(self) -> MutableMapping:
-        """Most recent feedback header overheard from every other node."""
-        if self._feedback is None:
-            self._feedback = _NeighborFeedbackView(self._store, self._index)
-        return self._feedback
-
-    # ------------------------------------------------------------------
-    # Behaviour (unchanged API)
-    # ------------------------------------------------------------------
-    @property
-    def is_coordinator(self) -> bool:
-        """Whether the node is the LWB coordinator (host)."""
-        return self._store.role_codes[self._index] == ROLE_COORDINATOR
-
-    @property
-    def is_passive(self) -> bool:
-        """Whether the node currently acts as a passive receiver."""
-        return self._store.role_codes[self._index] == ROLE_PASSIVE
-
-    @property
-    def effective_n_tx(self) -> int:
-        """Retransmissions the node actually performs given its role."""
-        if self.is_passive:
-            return 0
-        return self.n_tx
-
-    def apply_n_tx(self, n_tx: int) -> None:
-        """Apply a new global retransmission parameter (from a schedule)."""
-        if n_tx < 0:
-            raise ValueError("n_tx must be non-negative")
-        self._store.n_tx[self._index] = n_tx
-
-    def set_role(self, role: NodeRole) -> None:
-        """Update the node's role (forwarder selection decisions)."""
-        if self.is_coordinator and role is not NodeRole.COORDINATOR:
-            raise ValueError("the coordinator cannot be demoted")
-        self._store.role_codes[self._index] = _ROLE_TO_CODE[role]
-
-    def observe_feedback(self, source: int, feedback: DimmerFeedbackHeader) -> None:
-        """Record the feedback header overheard from ``source``."""
-        self.neighbor_feedback[source] = feedback
-
-    def reset_round(self) -> None:
-        """Reset per-round statistics at the start of a new round."""
-        self.statistics.reset_window()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -20,8 +20,8 @@ from repro.net.energy import EnergyModel, RadioOnLedger
 from repro.net.glossy import FLOOD_ENGINES
 from repro.net.interference import InterferenceSource, NoInterference
 from repro.net.link import LinkModel
-from repro.net.lwb import LWBRoundEngine, RoundResult, Schedule
-from repro.net.node import Node, NodeRole, NodeStateArray
+from repro.net.lwb import LWBRoundEngine, RoundResult, Schedule, average_reliability
+from repro.net.node import NodeRole, NodeStateArray
 from repro.net.radio import RadioModel
 from repro.net.topology import Topology
 
@@ -121,23 +121,19 @@ class NetworkSimulator:
         )
         self.energy_model = EnergyModel(self.radio)
 
-        #: All per-node state lives in one struct-of-arrays store; it is
-        #: also a ``Mapping[int, Node]``, so existing code indexing
-        #: ``simulator.nodes`` keeps receiving ``Node`` objects (views).
+        #: All per-node state lives in one struct-of-arrays store.
         self.node_state = NodeStateArray(
             topology.node_ids,
-            positions=topology.positions,
             coordinator=topology.coordinator,
             default_n_tx=self.config.default_n_tx,
         )
-        self.nodes: Mapping[int, Node] = self.node_state
 
         self.current_round: int = 0
         self.time_ms: float = 0.0
         self.round_history: List[RoundResult] = []
         #: Lifetime radio-on accounting, for energy reporting — one
         #: array-backed ledger for the whole network.
-        self.radio_on_totals = RadioOnLedger(topology.node_ids)
+        self.radio_on_totals = RadioOnLedger(topology.num_nodes)
 
     # ------------------------------------------------------------------
     # Environment control
@@ -206,7 +202,7 @@ class NetworkSimulator:
                 n_tx=self.config.default_n_tx if n_tx is None else n_tx
             )
         result = self.engine.run_round(
-            nodes=self.nodes,
+            nodes=self.node_state,
             schedule=schedule,
             start_ms=self.time_ms,
             interference=self.interference,
@@ -228,24 +224,22 @@ class NetworkSimulator:
     # ------------------------------------------------------------------
     def total_energy_j(self) -> float:
         """Total radio energy spent by the whole network so far (joules)."""
-        return self.energy_model.network_energy_j(self.radio_on_totals)
+        return self.energy_model.energy_j(float(self.radio_on_totals.total_ms.sum()))
 
     def average_radio_on_ms(self) -> float:
         """Per-slot radio-on time averaged over all nodes and all slots."""
-        return self.energy_model.network_average_radio_on_ms(self.radio_on_totals)
+        totals = self.radio_on_totals
+        slots = totals.slot_count * totals.total_ms.size
+        if slots == 0:
+            return 0.0
+        return float(totals.total_ms.sum()) / slots
 
     def average_reliability(self, last_n_rounds: Optional[int] = None) -> float:
         """Reliability averaged over the (last ``n``) executed rounds."""
         history = self.round_history
         if last_n_rounds is not None:
             history = history[-last_n_rounds:]
-        if not history:
-            return 1.0
-        expected = sum(int(r.packets_expected_array.sum()) for r in history)
-        received = sum(int(r.packets_received_array.sum()) for r in history)
-        if expected == 0:
-            return 1.0
-        return received / expected
+        return average_reliability(history)
 
     def reset_history(self) -> None:
         """Forget accumulated history and energy (start of an experiment)."""

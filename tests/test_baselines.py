@@ -36,6 +36,38 @@ class TestStaticLWB:
             StaticLWBProtocol(simulator).run(-1)
 
 
+class TestRoundHistoryAverages:
+    def test_averages_pool_the_round_arrays(self, kiel):
+        """The shared helper equals the per-node dict sums it replaced:
+        exact integer packet counts, radio-on summed round by round."""
+        simulator = NetworkSimulator(kiel, SimulatorConfig(seed=3, channel_hopping=False))
+        simulator.set_interference(
+            CompositeInterference([
+                BurstJammer(position=p, interference_ratio=0.35, channels=None, range_m=9.0)
+                for p in kiel.jammers
+            ])
+        )
+        lwb = StaticLWBProtocol(simulator, n_tx=1)
+        summaries = lwb.run(5)
+        for last in (None, 2):
+            window = summaries if last is None else summaries[-last:]
+            expected = sum(sum(s.result.packets_expected_array.tolist()) for s in window)
+            received = sum(sum(s.result.packets_received_array.tolist()) for s in window)
+            assert received < expected
+            assert lwb.average_reliability(last) == received / expected
+            assert simulator.average_reliability(last) == received / expected
+            assert lwb.average_radio_on_ms(last) == (
+                sum(s.average_radio_on_ms for s in window) / len(window)
+            )
+
+    def test_empty_history_defaults(self, kiel):
+        simulator = NetworkSimulator(kiel, SimulatorConfig(seed=3))
+        for protocol in (StaticLWBProtocol(simulator), PIDProtocol(simulator)):
+            assert protocol.average_reliability() == 1.0
+            assert protocol.average_radio_on_ms() == 0.0
+        assert simulator.average_reliability() == 1.0
+
+
 class TestPIController:
     def test_initial_output_is_initial_ntx(self):
         controller = PIController(PIDConfig(initial_n_tx=3))

@@ -13,7 +13,7 @@ from repro.net.topology import kiel_testbed
 @pytest.fixture()
 def round_result(kiel):
     engine = LWBRoundEngine(kiel, hopper=ChannelHopper(enabled=False), rng=np.random.default_rng(0))
-    nodes = NodeStateArray(kiel.node_ids, positions=kiel.positions, coordinator=kiel.coordinator)
+    nodes = NodeStateArray(kiel.node_ids, coordinator=kiel.coordinator)
     schedule = Schedule(round_index=0, n_tx=3, slots=tuple(kiel.node_ids))
     return engine.run_round(nodes, schedule)
 

@@ -5,8 +5,8 @@ import pytest
 
 from repro.net.channels import ChannelHopper
 from repro.net.interference import BurstJammer, CompositeInterference
-from repro.net.lwb import LWBRoundEngine, Schedule, build_observer_view
-from repro.net.node import Node, NodeRole, NodeStateArray
+from repro.net.lwb import LWBRoundEngine, Schedule, observer_view_arrays
+from repro.net.node import NodeRole, NodeStateArray
 from repro.net.topology import kiel_testbed
 
 
@@ -16,7 +16,7 @@ def engine(kiel):
 
 
 def make_store(kiel):
-    return NodeStateArray(kiel.node_ids, positions=kiel.positions, coordinator=kiel.coordinator)
+    return NodeStateArray(kiel.node_ids, coordinator=kiel.coordinator)
 
 
 @pytest.fixture()
@@ -53,13 +53,13 @@ class TestRoundExecution:
 
     def test_nodes_apply_the_schedule_ntx(self, engine, nodes, kiel):
         engine.run_round(nodes, make_schedule(kiel, n_tx=6))
-        synchronized = [n for n in kiel.node_ids if nodes[n].n_tx == 6]
-        assert len(synchronized) >= kiel.num_nodes - 2
+        assert int((nodes.n_tx == 6).sum()) >= kiel.num_nodes - 2
 
     def test_radio_on_accounted_for_every_node(self, engine, nodes, kiel):
         result = engine.run_round(nodes, make_schedule(kiel))
-        assert set(result.radio_on_ms) == set(kiel.node_ids)
-        assert all(value > 0 for value in result.radio_on_ms.values())
+        assert result.node_ids == tuple(kiel.node_ids)
+        assert result.radio_on_array.shape == (kiel.num_nodes,)
+        assert (result.radio_on_array > 0).all()
 
     def test_average_radio_on_within_slot_bounds(self, engine, nodes, kiel):
         result = engine.run_round(nodes, make_schedule(kiel))
@@ -71,30 +71,30 @@ class TestRoundExecution:
 
     def test_feedback_headers_collected(self, engine, nodes, kiel):
         engine.run_round(nodes, make_schedule(kiel), collect_feedback=True)
-        coordinator = nodes[kiel.coordinator]
-        assert len(coordinator.neighbor_feedback) >= kiel.num_nodes - 2
+        coordinator_row = nodes.feedback_valid[nodes.index[kiel.coordinator]]
+        assert int(coordinator_row.sum()) >= kiel.num_nodes - 2
 
     def test_no_feedback_when_disabled(self, engine, nodes, kiel):
         engine.run_round(nodes, make_schedule(kiel), collect_feedback=False)
-        assert not nodes[kiel.coordinator].neighbor_feedback
+        assert not nodes.feedback_valid[nodes.index[kiel.coordinator]].any()
 
     def test_destinations_limit_accounting(self, engine, nodes, kiel):
         sink = kiel.coordinator
         result = engine.run_round(nodes, make_schedule(kiel), destinations=[sink])
         others = [n for n in kiel.node_ids if n != sink]
-        assert all(result.packets_expected[n] == 0 for n in others)
-        assert result.packets_expected[sink] == len(kiel.node_ids) - 1
+        assert all(result.packets_expected_at(n) == 0 for n in others)
+        assert result.packets_expected_at(sink) == len(kiel.node_ids) - 1
 
     def test_passive_nodes_save_energy(self, engine, kiel, nodes):
         baseline = engine.run_round(nodes, make_schedule(kiel))
         passive_nodes = make_store(kiel)
         chosen = [n for n in kiel.node_ids if n != kiel.coordinator][:5]
         for node in chosen:
-            passive_nodes[node].set_role(NodeRole.PASSIVE)
+            passive_nodes.set_role(node, NodeRole.PASSIVE)
         engine2 = LWBRoundEngine(kiel, hopper=ChannelHopper(enabled=False), rng=np.random.default_rng(0))
         result = engine2.run_round(passive_nodes, make_schedule(kiel))
-        avg_passive = np.mean([result.radio_on_ms[n] for n in chosen])
-        avg_baseline = np.mean([baseline.radio_on_ms[n] for n in chosen])
+        avg_passive = np.mean([result.radio_on_at(n) for n in chosen])
+        avg_baseline = np.mean([baseline.radio_on_at(n) for n in chosen])
         assert avg_passive < avg_baseline
 
     def test_jamming_causes_losses_at_low_ntx(self, kiel, nodes):
@@ -115,17 +115,12 @@ class TestRoundExecution:
     @pytest.mark.parametrize("kind", ["dict", "misordered", "subset"])
     def test_rejects_node_state_other_than_the_aligned_store(self, engine, kiel, kind):
         if kind == "dict":
-            nodes = {
-                node_id: Node(node_id=node_id, position=kiel.positions[node_id])
-                for node_id in kiel.node_ids
-            }
+            nodes = dict(kiel.positions)
         else:
             node_ids = (
                 tuple(reversed(kiel.node_ids)) if kind == "misordered" else kiel.node_ids[:-1]
             )
-            nodes = NodeStateArray(
-                node_ids, positions=kiel.positions, coordinator=kiel.coordinator
-            )
+            nodes = NodeStateArray(node_ids, coordinator=kiel.coordinator)
         with pytest.raises(ValueError, match="NodeStateArray"):
             engine.run_round(nodes, make_schedule(kiel))
 
@@ -133,21 +128,23 @@ class TestRoundExecution:
 class TestObserverView:
     def test_clean_round_view_is_complete(self, engine, nodes, kiel):
         result = engine.run_round(nodes, make_schedule(kiel))
-        view = build_observer_view(result, observer=kiel.coordinator)
-        assert set(view["reliability"]) == set(kiel.node_ids)
-        assert not view["missing"]
+        node_ids, _, _, missing = observer_view_arrays(result, observer=kiel.coordinator)
+        assert set(node_ids) == set(kiel.node_ids)
+        assert not missing.any()
 
     def test_missing_feedback_is_pessimistic(self, engine, nodes, kiel):
         result = engine.run_round(nodes, make_schedule(kiel))
         # Forge a result where the coordinator missed one slot.
         source = result.slots[3].source
         result.slots[3].flood.received[kiel.coordinator] = False
-        view = build_observer_view(result, observer=kiel.coordinator)
+        node_ids, reliability, _, missing = observer_view_arrays(
+            result, observer=kiel.coordinator
+        )
         if source != kiel.coordinator:
-            assert view["reliability"][source] == 0.0
-            assert source in view["missing"]
+            assert reliability[node_ids.index(source)] == 0.0
+            assert missing[node_ids.index(source)]
 
     def test_observer_always_included(self, engine, nodes, kiel):
         result = engine.run_round(nodes, make_schedule(kiel))
-        view = build_observer_view(result, observer=5, expected_nodes=[5])
-        assert 5 in view["reliability"]
+        node_ids, _, _, _ = observer_view_arrays(result, observer=5, expected_nodes=[5])
+        assert 5 in node_ids

@@ -2,11 +2,11 @@
 
 Two layers of guarantees:
 
-* **View parity** — ``Node`` / ``NodeStatistics`` views over a shared
-  :class:`NodeStateArray` behave identically to the PR 2 per-node
-  dataclasses (kept here as reference implementations): roles and the
-  coordinator demotion guard, ``n_tx`` handling, feedback overhearing,
-  statistics windows, and the radio-on accumulators.
+* **Reference parity** — a :class:`NodeStateArray` behaves like the
+  PR 2 per-node dataclasses (kept here as list- and dict-based
+  reference implementations): roles and the coordinator demotion guard,
+  ``n_tx`` handling, feedback overhearing, and the radio-on window
+  behind the feedback header, summed bit for bit like a per-node list.
 * **Engine fingerprint** — the array round path reproduces the PR 2
   vectorized engine **bit for bit** under fixed seeds.  The digests
   below were captured from the PR 2 engine (commit 9cb1548) right
@@ -22,10 +22,16 @@ import numpy as np
 import pytest
 
 from repro.experiments.scenarios import jamming_interference
-from repro.net.energy import RadioOnColumns, RadioOnTracker
+from repro.net.energy import RadioOnLedger
 from repro.net.glossy import GlossyFlood
 from repro.net.link import LinkModel
-from repro.net.node import Node, NodeRole, NodeStateArray, NodeStatistics
+from repro.net.node import (
+    ROLE_COORDINATOR,
+    ROLE_FORWARDER,
+    ROLE_PASSIVE,
+    NodeRole,
+    NodeStateArray,
+)
 from repro.net.packet import DimmerFeedbackHeader
 from repro.net.simulator import NetworkSimulator, SimulatorConfig
 from repro.net.topology import kiel_testbed, random_topology
@@ -34,29 +40,40 @@ from repro.net.topology import kiel_testbed, random_topology
 # ----------------------------------------------------------------------
 # Reference implementations: the PR 2 per-node dataclasses.
 # ----------------------------------------------------------------------
-class LegacyNodeStatistics:
+class LegacyRadioWindow:
+    def __init__(self, window=8):
+        self.window = window
+        self.recent_ms = []
+        self.total_ms = 0.0
+        self.slot_count = 0
+
+    def record_slot(self, radio_on_ms):
+        if radio_on_ms < 0:
+            raise ValueError("radio_on_ms must be non-negative")
+        self.recent_ms.append(radio_on_ms)
+        if len(self.recent_ms) > self.window:
+            self.recent_ms.pop(0)
+        self.total_ms += radio_on_ms
+        self.slot_count += 1
+
+    @property
+    def recent_average_ms(self):
+        if not self.recent_ms:
+            return 0.0
+        return sum(self.recent_ms) / len(self.recent_ms)
+
+
+class LegacyStatistics:
     def __init__(self):
         self.packets_expected = 0
         self.packets_received = 0
-        self.radio_on = RadioOnTracker()
+        self.radio_on = LegacyRadioWindow()
 
     @property
     def reliability(self):
         if self.packets_expected == 0:
             return 1.0
         return self.packets_received / self.packets_expected
-
-    def record_slot(self, received, radio_on_ms, expected=True):
-        if expected:
-            self.packets_expected += 1
-            if received:
-                self.packets_received += 1
-        self.radio_on.record_slot(radio_on_ms)
-
-    def reset_window(self):
-        self.packets_expected = 0
-        self.packets_received = 0
-        self.radio_on.reset_recent()
 
     def to_feedback(self):
         return DimmerFeedbackHeader(
@@ -66,20 +83,13 @@ class LegacyNodeStatistics:
 
 
 class LegacyNode:
-    def __init__(self, node_id, position, role=NodeRole.FORWARDER, n_tx=3):
+    def __init__(self, node_id, role=NodeRole.FORWARDER, n_tx=3):
         if n_tx < 0:
             raise ValueError("n_tx must be non-negative")
         self.node_id = node_id
-        self.position = position
         self.role = role
         self.n_tx = n_tx
-        self.synchronized = True
-        self.statistics = LegacyNodeStatistics()
-        self.neighbor_feedback = {}
-
-    @property
-    def is_coordinator(self):
-        return self.role is NodeRole.COORDINATOR
+        self.heard_feedback = {}
 
     @property
     def is_passive(self):
@@ -100,137 +110,143 @@ class LegacyNode:
         self.role = role
 
     def observe_feedback(self, source, feedback):
-        self.neighbor_feedback[source] = feedback
+        self.heard_feedback[source] = feedback
+
+
+_ROLE_CODES = {
+    NodeRole.COORDINATOR: ROLE_COORDINATOR,
+    NodeRole.FORWARDER: ROLE_FORWARDER,
+    NodeRole.PASSIVE: ROLE_PASSIVE,
+}
 
 
 def make_store(num_nodes=5, coordinator=0):
-    node_ids = list(range(num_nodes))
-    positions = {node: (float(node), 0.0) for node in node_ids}
-    return NodeStateArray(node_ids, positions=positions, coordinator=coordinator)
+    return NodeStateArray(list(range(num_nodes)), coordinator=coordinator)
+
+
+def row_mask(store, node_id):
+    mask = np.zeros(len(store.node_ids), dtype=bool)
+    mask[store.index[node_id]] = True
+    return mask
+
+
+def overheard(store, node_id):
+    """The headers ``node_id`` overheard, as ``{source id: header}``."""
+    row = store.index[node_id]
+    return {
+        store.node_ids[column]: DimmerFeedbackHeader(
+            radio_on_ms=float(store.feedback_radio_on[row, column]),
+            reliability=float(store.feedback_reliability[row, column]),
+        )
+        for column in np.flatnonzero(store.feedback_valid[row]).tolist()
+    }
 
 
 # ----------------------------------------------------------------------
-# View parity against the legacy dataclasses
+# Parity against the legacy dataclasses
 # ----------------------------------------------------------------------
-class TestNodeViewParity:
+class TestStoreMatchesLegacyNodes:
     def test_roles_and_demotion_guard(self):
         store = make_store()
-        view = store[0]
-        legacy = LegacyNode(0, (0.0, 0.0), role=NodeRole.COORDINATOR)
-        assert view.role is legacy.role is NodeRole.COORDINATOR
-        assert view.is_coordinator and legacy.is_coordinator
+        legacy = LegacyNode(0, role=NodeRole.COORDINATOR)
+        assert store.role_codes[0] == ROLE_COORDINATOR
         with pytest.raises(ValueError):
-            view.set_role(NodeRole.PASSIVE)
+            store.set_role(0, NodeRole.PASSIVE)
         with pytest.raises(ValueError):
             legacy.set_role(NodeRole.PASSIVE)
+        assert store.role_codes[0] == ROLE_COORDINATOR
 
-        view2, legacy2 = store[2], LegacyNode(2, (2.0, 0.0))
+        legacy2 = LegacyNode(2)
         for role in (NodeRole.PASSIVE, NodeRole.FORWARDER, NodeRole.PASSIVE):
-            view2.set_role(role)
+            store.set_role(2, role)
             legacy2.set_role(role)
-            assert view2.role is legacy2.role
-            assert view2.is_passive == legacy2.is_passive
-            assert view2.effective_n_tx == legacy2.effective_n_tx
+            assert store.role_codes[2] == _ROLE_CODES[legacy2.role]
+            assert (store.role_codes[2] == ROLE_PASSIVE) == legacy2.is_passive
+            assert store.effective_n_tx()[2] == legacy2.effective_n_tx
 
     def test_apply_n_tx_parity(self):
         store = make_store()
-        view, legacy = store[1], LegacyNode(1, (1.0, 0.0))
+        legacy = LegacyNode(1)
         for value in (0, 5, 2):
-            view.apply_n_tx(value)
+            store.apply_n_tx_where(row_mask(store, 1), value)
             legacy.apply_n_tx(value)
-            assert view.n_tx == legacy.n_tx
+            assert store.n_tx[1] == legacy.n_tx
         with pytest.raises(ValueError):
-            view.apply_n_tx(-1)
+            store.apply_n_tx_where(row_mask(store, 1), -1)
         with pytest.raises(ValueError):
             legacy.apply_n_tx(-1)
         with pytest.raises(ValueError):
-            Node(node_id=9, position=(0.0, 0.0), n_tx=-2)
+            NodeStateArray([9], default_n_tx=-2)
         with pytest.raises(ValueError):
-            LegacyNode(9, (0.0, 0.0), n_tx=-2)
+            LegacyNode(9, n_tx=-2)
 
-    def test_statistics_parity(self):
+    def test_feedback_header_matches_legacy_statistics(self):
+        """Per-round counters plus one radio-on slot per round give the
+        header a legacy node computes from its counters and slot list."""
         store = make_store()
-        view = store[3].statistics
-        legacy = LegacyNodeStatistics()
-        slots = [(True, 4.0), (False, 20.0), (True, 1.25), (True, 3.5)]
-        for received, radio in slots:
-            view.record_slot(received, radio)
-            legacy.record_slot(received, radio)
-        assert view.packets_expected == legacy.packets_expected
-        assert view.packets_received == legacy.packets_received
-        assert view.reliability == legacy.reliability
-        assert view.radio_on.total_ms == legacy.radio_on.total_ms
-        assert view.radio_on.slot_count == legacy.radio_on.slot_count
-        assert view.radio_on.recent_average_ms == legacy.radio_on.recent_average_ms
-        assert view.to_feedback() == legacy.to_feedback()
+        legacy = LegacyStatistics()
+        rounds = [(4, 4, 4.0), (4, 3, 20.0), (2, 1, 1.25), (0, 0, 3.5)]
+        for expected, received, radio in rounds:
+            values = np.zeros(5)
+            values[3] = radio
+            store.record_round_statistics(
+                np.full(5, expected), np.full(5, received), values
+            )
+            legacy.packets_expected = expected
+            legacy.packets_received = received
+            legacy.radio_on.record_slot(radio)
+            assert store.reliability()[3] == legacy.reliability
+            assert store.feedback_for(3) == legacy.to_feedback()
+        assert store.radio_on.total_ms[3] == legacy.radio_on.total_ms
+        assert store.radio_on.slot_count == legacy.radio_on.slot_count
 
-        view.reset_window()
-        legacy.reset_window()
-        assert view.packets_expected == legacy.packets_expected == 0
-        assert view.reliability == legacy.reliability == 1.0
-        assert view.radio_on.recent_average_ms == legacy.radio_on.recent_average_ms == 0.0
-        # Lifetime totals survive the window reset.
-        assert view.radio_on.total_ms == legacy.radio_on.total_ms > 0.0
-
-    def test_radio_window_wrap_stays_bit_equal(self):
-        """Past the window size the ring's chronological sum must equal
-        the legacy list-based sum bit for bit (same addition order)."""
-        view = make_store()[0].statistics.radio_on
-        legacy = RadioOnTracker()
-        values = [1.1, 2.7, 0.3, 9.9, 4.2, 5.5, 6.25, 7.125, 8.0, 0.625, 3.3, 2.2]
-        for value in values:
-            view.record_slot(value)
-            legacy.record_slot(value)
-            assert view.recent_average_ms == legacy.recent_average_ms
-            assert view.lifetime_average_ms == legacy.lifetime_average_ms
+    def test_feedback_window_wrap_stays_bit_equal(self):
+        """Past the window size the shared ring's chronological sum must
+        equal the list-based sum bit for bit (same addition order), for
+        every node and through the feedback header."""
+        rng = np.random.default_rng(3)
+        store = make_store(4)
+        legacy = [LegacyStatistics() for _ in range(4)]
+        for _ in range(3 * store.radio_on.window + 3):
+            values = rng.random(4) * 20.0
+            store.record_round_statistics(np.zeros(4), np.zeros(4), values)
+            for row, statistics in enumerate(legacy):
+                statistics.radio_on.record_slot(float(values[row]))
+                assert store.radio_on.recent_average_ms(row) == (
+                    statistics.radio_on.recent_average_ms
+                )
+                assert store.feedback_for(row) == statistics.to_feedback()
+                assert store.feedback_for(row).encode() == statistics.to_feedback().encode()
+        assert store.radio_on.total_ms.tolist() == [s.radio_on.total_ms for s in legacy]
 
     def test_feedback_overhearing_parity(self):
         store = make_store()
-        view, legacy = store[1], LegacyNode(1, (1.0, 0.0))
+        legacy = LegacyNode(1)
         first = DimmerFeedbackHeader(radio_on_ms=3.0, reliability=0.75)
         second = DimmerFeedbackHeader(radio_on_ms=1.0, reliability=1.0)
-        for node in (view, legacy):
-            node.observe_feedback(2, first)
-            node.observe_feedback(4, second)
-            node.observe_feedback(2, second)  # later header wins
-        assert dict(view.neighbor_feedback) == dict(legacy.neighbor_feedback)
-        assert len(view.neighbor_feedback) == len(legacy.neighbor_feedback) == 2
-        assert view.neighbor_feedback[2] == second
-
-    def test_standalone_node_matches_store_view(self):
-        standalone = Node(node_id=7, position=(1.0, 2.0), role=NodeRole.PASSIVE, n_tx=0)
-        assert standalone.is_passive
-        assert standalone.effective_n_tx == 0
-        standalone.observe_feedback(99, DimmerFeedbackHeader(radio_on_ms=2.0, reliability=0.5))
-        assert 99 in standalone.neighbor_feedback
-        standalone.statistics.record_slot(True, 5.0)
-        assert standalone.statistics.reliability == 1.0
-        standalone.reset_round()
-        assert standalone.statistics.packets_expected == 0
-
-    def test_standalone_statistics(self):
-        stats = NodeStatistics()
-        stats.record_slot(True, 2.0)
-        stats.record_slot(False, 4.0)
-        assert stats.packets_expected == 2
-        assert stats.packets_received == 1
-        assert stats.reliability == 0.5
+        for source, header in ((2, first), (4, second), (2, second)):  # later header wins
+            store.observe_feedback_rows(row_mask(store, 1), store.index[source], header)
+            legacy.observe_feedback(source, header)
+        assert overheard(store, 1) == legacy.heard_feedback
+        assert len(overheard(store, 1)) == 2
+        assert overheard(store, 1)[2] == second
+        assert overheard(store, 0) == {}
 
 
 class TestNodeStateArray:
-    def test_mapping_protocol(self):
-        store = make_store(4)
-        assert len(store) == 4
-        assert list(store) == [0, 1, 2, 3]
-        assert store[2] is store[2]  # views are cached
-        assert store.get(99) is None
-        assert set(store.keys()) == {0, 1, 2, 3}
-        with pytest.raises(KeyError):
-            store[99]
+    def test_constructor_validation(self):
+        store = NodeStateArray([4, 7, 2], coordinator=7)
+        assert store.index == {4: 0, 7: 1, 2: 2}
+        assert store.ids_array.tolist() == [4, 7, 2]
+        assert store.role_codes.tolist() == [ROLE_FORWARDER, ROLE_COORDINATOR, ROLE_FORWARDER]
+        with pytest.raises(ValueError):
+            NodeStateArray([1, 1, 2])
+        with pytest.raises(ValueError):
+            NodeStateArray([1, 2], coordinator=3)
 
     def test_effective_n_tx_vector(self):
         store = make_store(4)
-        store[1].set_role(NodeRole.PASSIVE)
+        store.set_role(1, NodeRole.PASSIVE)
         store.n_tx[:] = 5
         assert store.effective_n_tx().tolist() == [5, 0, 5, 5]
 
@@ -243,75 +259,77 @@ class TestNodeStateArray:
             store.apply_n_tx_where(mask, -1)
 
     def test_set_role_codes_protects_coordinator(self):
-        from repro.net.node import ROLE_FORWARDER, ROLE_PASSIVE
-
         store = make_store(3, coordinator=1)
         codes = np.full(3, ROLE_PASSIVE, dtype=np.int8)
         store.set_role_codes(codes)
-        assert store[1].is_coordinator
-        assert store[0].is_passive and store[2].is_passive
+        assert store.role_codes.tolist() == [ROLE_PASSIVE, ROLE_COORDINATOR, ROLE_PASSIVE]
         assert store.forwarder_ids() == [1]
         assert store.passive_ids() == [0, 2]
         codes = np.full(3, ROLE_FORWARDER, dtype=np.int8)
         store.set_role_codes(codes)
         assert store.forwarder_ids() == [0, 1, 2]
+        with pytest.raises(ValueError):
+            store.set_role_codes(np.full(2, ROLE_FORWARDER, dtype=np.int8))
 
-    def test_observe_feedback_rows_visible_through_views(self):
+    def test_observe_feedback_rows_fills_masked_receivers(self):
         store = make_store(4)
         feedback = DimmerFeedbackHeader(radio_on_ms=2.5, reliability=0.25)
         receivers = np.array([True, False, True, False])
         store.observe_feedback_rows(receivers, 3, feedback)
-        assert store[0].neighbor_feedback[3] == feedback
-        assert 3 not in store[1].neighbor_feedback
-        assert store[2].neighbor_feedback[3] == feedback
+        assert overheard(store, 0) == {3: feedback}
+        assert overheard(store, 1) == {}
+        assert overheard(store, 2) == {3: feedback}
+        assert store.feedback_valid[:, 3].tolist() == receivers.tolist()
 
     def test_record_round_statistics_batches_all_nodes(self):
         store = make_store(3)
         store.record_round_statistics(
             np.array([4, 4, 4]), np.array([4, 2, 0]), np.array([1.0, 2.0, 3.0])
         )
-        assert store[0].statistics.reliability == 1.0
-        assert store[1].statistics.reliability == 0.5
-        assert store[2].statistics.reliability == 0.0
-        assert store[1].statistics.radio_on.recent_average_ms == 2.0
-        assert store.feedback_for(1) == store[1].statistics.to_feedback()
+        assert store.reliability().tolist() == [1.0, 0.5, 0.0]
+        assert store.radio_on.recent_average_ms(1) == 2.0
+        assert store.feedback_for(1) == DimmerFeedbackHeader(radio_on_ms=2.0, reliability=0.5)
 
     def test_reliability_vector_idle_is_one(self):
         store = make_store(2)
         assert store.reliability().tolist() == [1.0, 1.0]
 
 
-class TestRadioOnColumns:
-    def test_vectorized_record_matches_scalar(self):
-        columns = RadioOnColumns(3)
-        trackers = [RadioOnTracker() for _ in range(3)]
+class TestRadioOnLedger:
+    def test_vectorized_record_matches_per_node_lists(self):
+        ledger = RadioOnLedger(3)
+        trackers = [LegacyRadioWindow() for _ in range(3)]
         rng = np.random.default_rng(0)
         for _ in range(11):
             values = rng.random(3) * 20.0
-            columns.record_slot_all(values)
+            ledger.record_round(values)
             for i, tracker in enumerate(trackers):
                 tracker.record_slot(float(values[i]))
         for i, tracker in enumerate(trackers):
-            assert columns.view(i).recent_average_ms == tracker.recent_average_ms
-            assert columns.view(i).total_ms == tracker.total_ms
-            assert columns.view(i).slot_count == tracker.slot_count
+            assert ledger.recent_average_ms(i) == tracker.recent_average_ms
+            assert ledger.total_ms[i] == tracker.total_ms
+            assert ledger.slot_count == tracker.slot_count
 
     def test_validation(self):
-        columns = RadioOnColumns(2)
+        ledger = RadioOnLedger(2)
         with pytest.raises(ValueError):
-            columns.record_slot_all(np.array([-1.0, 0.0]))
+            ledger.record_round(np.array([-1.0, 0.0]))
         with pytest.raises(ValueError):
-            columns.record_slot(0, -0.5)
+            ledger.record_round(np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError):
-            RadioOnColumns(2, window=0)
+            ledger.record_round(np.array([1.0, 2.0]), num_slots=0)
+        with pytest.raises(ValueError):
+            RadioOnLedger(2, window=0)
 
-    def test_reset_recent_single_column(self):
-        columns = RadioOnColumns(2)
-        columns.record_slot_all(np.array([5.0, 7.0]))
-        columns.reset_recent(0)
-        assert columns.recent_average_ms(0) == 0.0
-        assert columns.recent_average_ms(1) == 7.0
-        assert columns.view(0).total_ms == 5.0
+    def test_reset_forgets_everything(self):
+        ledger = RadioOnLedger(2)
+        ledger.record_round(np.array([5.0, 7.0]), num_slots=3)
+        assert ledger.total_ms.tolist() == [15.0, 21.0]
+        assert ledger.recent_average_ms(1) == 7.0
+        ledger.reset()
+        assert ledger.recent_average_ms(0) == ledger.recent_average_ms(1) == 0.0
+        assert ledger.total_ms.tolist() == [0.0, 0.0]
+        assert ledger.slot_count == 0
 
 
 # ----------------------------------------------------------------------
@@ -334,17 +352,13 @@ class TestRoundWritesBackToStore:
             rng=np.random.default_rng(42),
             engine="vectorized",
         )
-        store = NodeStateArray(
-            topology.node_ids,
-            positions=topology.positions,
-            coordinator=topology.coordinator,
-        )
+        store = NodeStateArray(topology.node_ids, coordinator=topology.coordinator)
         for i in range(4):
             n_tx = 2 + i % 2
-            n_tx_before = {node_id: store[node_id].n_tx for node_id in topology.node_ids}
+            n_tx_before = store.n_tx.copy()
             headers_before = {
-                node_id: store[node_id].statistics.to_feedback()
-                for node_id in topology.node_ids
+                node_id: store.feedback_for(row)
+                for row, node_id in enumerate(topology.node_ids)
             }
             result = engine.run_round(
                 store,
@@ -355,12 +369,11 @@ class TestRoundWritesBackToStore:
             assert (store.synchronized == result.synchronized_array).all()
             assert (store.packets_expected == result.packets_expected_array).all()
             assert (store.packets_received == result.packets_received_array).all()
-            for row, node_id in enumerate(topology.node_ids):
-                node = store[node_id]
-                assert node.n_tx == (n_tx if node.synchronized else n_tx_before[node_id])
+            assert (store.n_tx == np.where(store.synchronized, n_tx, n_tx_before)).all()
+            for row in range(len(topology.node_ids)):
                 expected = int(result.packets_expected_array[row])
                 received = int(result.packets_received_array[row])
-                assert node.statistics.to_feedback().reliability == (
+                assert store.feedback_for(row).reliability == (
                     1.0 if expected == 0 else received / expected
                 )
             executed = [slot for slot in result.slots if slot.feedback is not None]
@@ -368,7 +381,7 @@ class TestRoundWritesBackToStore:
             for slot in executed:
                 assert slot.feedback == headers_before[slot.source]
                 for receiver in slot.flood.receivers():
-                    assert store[receiver].neighbor_feedback[slot.source] == slot.feedback
+                    assert overheard(store, receiver)[slot.source] == slot.feedback
 
 
 class TestBatchedFloodEquivalence:
@@ -474,19 +487,18 @@ def round_fingerprint(topology, seed, rounds, ratio, passive=()):
             if slot.feedback is not None:
                 digest.update(slot.feedback.encode())
     digest.update(simulator.radio_on_totals.total_ms.tobytes())
-    for node_id in topology.node_ids:
-        node = simulator.nodes[node_id]
-        for source in sorted(node.neighbor_feedback):
-            digest.update(node.neighbor_feedback[source].encode())
-        statistics = node.statistics
+    store = simulator.node_state
+    for row, node_id in enumerate(topology.node_ids):
+        for source, header in sorted(overheard(store, node_id).items()):
+            digest.update(header.encode())
         digest.update(
             json.dumps(
                 [
-                    statistics.packets_expected,
-                    statistics.packets_received,
-                    round(statistics.radio_on.recent_average_ms, 12),
-                    round(statistics.radio_on.total_ms, 12),
-                    statistics.radio_on.slot_count,
+                    int(store.packets_expected[row]),
+                    int(store.packets_received[row]),
+                    round(store.radio_on.recent_average_ms(row), 12),
+                    round(float(store.radio_on.total_ms[row]), 12),
+                    store.radio_on.slot_count,
                 ]
             ).encode()
         )

@@ -121,6 +121,22 @@ class TestControllerModes:
                 break
         assert saw_passive
 
+    def test_store_roles_follow_every_command(self, simulator, untrained_network):
+        """Each round applies its command's role codes to the simulator's
+        store in one bulk write, the coordinator row included."""
+        config = DimmerConfig(
+            channel_hopping=False,
+            disable_adaptivity=True,
+            calm_rounds_before_selection=1,
+            forwarder_learning_rounds=2,
+            seed=3,
+        )
+        protocol = DimmerProtocol(simulator, untrained_network, config)
+        for _ in range(12):
+            command = protocol.controller.next_command()
+            protocol.run_round()
+            assert simulator.node_state.role_codes.tolist() == command.role_codes.tolist()
+
     def test_controller_reset(self, protocol):
         protocol.run(3)
         protocol.controller.reset()

@@ -1,9 +1,12 @@
 """Tests for the radio and energy models."""
 
+import numpy as np
 import pytest
 
-from repro.net.energy import EnergyModel, RadioOnTracker
+from repro.baselines.crystal import CrystalConfig, CrystalProtocol
+from repro.net.energy import EnergyModel, RadioOnLedger
 from repro.net.radio import RadioModel, RadioState
+from repro.net.simulator import NetworkSimulator, SimulatorConfig
 
 
 class TestRadioModel:
@@ -41,56 +44,54 @@ class TestRadioModel:
         assert RadioModel().max_slot_ms == pytest.approx(20.0)
 
 
-class TestRadioOnTracker:
+class TestRadioOnLedger:
     def test_recent_average_over_window(self):
-        tracker = RadioOnTracker(window=3)
+        ledger = RadioOnLedger(1, window=3)
         for value in (2.0, 4.0, 6.0, 8.0):
-            tracker.record_slot(value)
-        assert tracker.recent_average_ms == pytest.approx((4.0 + 6.0 + 8.0) / 3)
+            ledger.record_round(np.array([value]))
+        assert ledger.recent_average_ms(0) == pytest.approx((4.0 + 6.0 + 8.0) / 3)
 
-    def test_lifetime_average_counts_everything(self):
-        tracker = RadioOnTracker(window=2)
+    def test_totals_count_everything(self):
+        ledger = RadioOnLedger(1, window=2)
         for value in (2.0, 4.0, 6.0):
-            tracker.record_slot(value)
-        assert tracker.lifetime_average_ms == pytest.approx(4.0)
-        assert tracker.slot_count == 3
+            ledger.record_round(np.array([value]))
+        assert ledger.total_ms[0] / ledger.slot_count == pytest.approx(4.0)
+        assert ledger.slot_count == 3
 
-    def test_empty_tracker_averages_are_zero(self):
-        tracker = RadioOnTracker()
-        assert tracker.recent_average_ms == 0.0
-        assert tracker.lifetime_average_ms == 0.0
+    def test_empty_ledger_is_zero(self):
+        ledger = RadioOnLedger(2)
+        assert ledger.recent_average_ms(0) == 0.0
+        assert ledger.total_ms.tolist() == [0.0, 0.0]
+        assert ledger.slot_count == 0
 
-    def test_reset_recent_preserves_totals(self):
-        tracker = RadioOnTracker()
-        tracker.record_slot(5.0)
-        tracker.reset_recent()
-        assert tracker.recent_average_ms == 0.0
-        assert tracker.total_ms == pytest.approx(5.0)
+    def test_multi_slot_round_fills_window(self):
+        ledger = RadioOnLedger(2, window=4)
+        ledger.record_round(np.array([1.0, 3.0]), num_slots=6)
+        assert ledger.slot_count == 6
+        assert ledger.total_ms.tolist() == [6.0, 18.0]
+        assert ledger.recent_average_ms(1) == 3.0
 
     def test_negative_value_rejected(self):
         with pytest.raises(ValueError):
-            RadioOnTracker().record_slot(-1.0)
+            RadioOnLedger(1).record_round(np.array([-1.0]))
 
 
 class TestEnergyModel:
-    def test_network_energy_sums_nodes(self):
+    def test_energy_is_linear_in_radio_on_time(self):
         model = EnergyModel()
-        trackers = {i: RadioOnTracker() for i in range(3)}
-        for tracker in trackers.values():
-            tracker.record_slot(10.0)
-        total = model.network_energy_j(trackers)
-        single = model.node_energy_j(trackers[0])
-        assert total == pytest.approx(3 * single)
+        assert model.energy_j(30.0) == pytest.approx(3 * model.energy_j(10.0))
 
-    def test_average_radio_on_over_slots(self):
+    def test_energy_j_matches_slot_energy(self):
         model = EnergyModel()
-        trackers = {0: RadioOnTracker(), 1: RadioOnTracker()}
-        trackers[0].record_slot(10.0)
-        trackers[1].record_slot(20.0)
-        assert model.network_average_radio_on_ms(trackers) == pytest.approx(15.0)
+        assert model.energy_j(8.0) == pytest.approx(model.slot_energy_mj(8.0) / 1000.0)
 
-    def test_empty_network_average_is_zero(self):
-        assert EnergyModel().network_average_radio_on_ms({}) == 0.0
+    def test_fresh_network_reports_zero(self, kiel):
+        simulator = NetworkSimulator(kiel, SimulatorConfig(seed=0))
+        assert simulator.average_radio_on_ms() == 0.0
+        assert simulator.total_energy_j() == 0.0
+        crystal = CrystalProtocol(kiel, CrystalConfig(seed=0))
+        assert crystal.average_radio_on_ms() == 0.0
+        assert crystal.total_energy_j() == 0.0
 
     def test_slot_energy_positive(self):
         assert EnergyModel().slot_energy_mj(8.0) > 0.0
