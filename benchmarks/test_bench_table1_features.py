@@ -5,6 +5,8 @@ from the feature-encoder implementation and checks the 31-element total
 used throughout the evaluation.
 """
 
+import numpy as np
+
 from repro.experiments.reporting import format_table
 from repro.rl.features import FeatureConfig, FeatureEncoder
 
@@ -25,9 +27,7 @@ def test_table1_input_vector(benchmark):
 
     def build():
         encoder = FeatureEncoder(config)
-        return encoder.encode(
-            {i: 1.0 for i in range(18)}, {i: 8.0 for i in range(18)}, n_tx=3
-        )
+        return encoder.encode_arrays(range(18), np.ones(18), np.full(18, 8.0), n_tx=3)
 
     vector = benchmark(build)
     rows = build_table1_rows(config)

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.net.channels import ChannelHopper
 from repro.net.energy import EnergyModel, RadioOnLedger
-from repro.net.glossy import GlossyFlood
+from repro.net.glossy import FloodResult, GlossyFlood
 from repro.net.interference import InterferenceSource, NoInterference
 from repro.net.link import LinkModel
 from repro.net.packet import DEFAULT_PACKET_BYTES
@@ -167,9 +167,10 @@ class CrystalProtocol:
         slot_ms = config.slot_ms + config.slot_gap_ms
         slots_used = 0
         delivered: List[int] = []
-        radio_on_epoch: Dict[int, float] = {node: 0.0 for node in self.topology.node_ids}
+        # Epoch radio-on time per node, in topology (flood result) order.
+        radio_on_epoch = np.zeros(self.topology.num_nodes)
 
-        def run_slot(initiator: int, channel: int) -> Dict[int, bool]:
+        def run_slot(initiator: int, channel: int) -> FloodResult:
             nonlocal slots_used
             start = epoch_start_ms + slots_used * slot_ms
             result = self.flood.run(
@@ -181,10 +182,9 @@ class CrystalProtocol:
                 interference=self.interference,
                 max_slot_ms=config.slot_ms,
             )
-            for node, value in result.radio_on_ms.items():
-                radio_on_epoch[node] += value
+            radio_on_epoch[:] += result.radio_on_array
             slots_used += 1
-            return result.received
+            return result
 
         # --- S slot: sink floods synchronization/schedule. ---------------
         run_slot(self.sink, self.hopper.control_channel())
@@ -201,8 +201,7 @@ class CrystalProtocol:
             if not pending_sources:
                 # Empty T slot: everyone listens briefly; check termination.
                 silent_slots += 1
-                for node in self.topology.node_ids:
-                    radio_on_epoch[node] += config.slot_ms / 2.0
+                radio_on_epoch += config.slot_ms / 2.0
                 slots_used += 1
                 if self._noise_detected(t_start, channel):
                     noise_detected = True
@@ -216,9 +215,7 @@ class CrystalProtocol:
             # Concurrent pending sources transmit together; the capture
             # effect lets the sink decode (at most) one of them.
             initiator = int(self.rng.choice(pending_sources))
-            received = run_slot(initiator, channel)
-            sink_got_it = received.get(self.sink, False)
-            if sink_got_it:
+            if run_slot(initiator, channel).received_at(self.sink):
                 packet_id = self.pending[initiator].pop(0)
                 delivered.append(packet_id)
                 self.delivered_packets += 1
@@ -234,9 +231,7 @@ class CrystalProtocol:
                     extra_budget = min(extra_budget + config.noise_extra_pairs, 3 * config.noise_extra_pairs)
             pairs += 1
 
-        self.radio_on_totals.record_round(
-            np.fromiter(radio_on_epoch.values(), dtype=float, count=len(radio_on_epoch))
-        )
+        self.radio_on_totals.record_round(radio_on_epoch)
         pending_before = len(delivered) + self.pending_count()
         summary = EpochSummary(
             epoch_index=self.epoch_index,
@@ -245,8 +240,9 @@ class CrystalProtocol:
             delivered=delivered,
             ta_pairs_used=pairs,
             noise_detected=noise_detected,
+            # Summed in node order: the pinned fingerprints depend on it.
             average_radio_on_ms=(
-                sum(radio_on_epoch.values()) / (len(radio_on_epoch) * max(1, slots_used))
+                sum(radio_on_epoch.tolist()) / (len(radio_on_epoch) * max(1, slots_used))
             ),
         )
         self.history.append(summary)

@@ -7,39 +7,41 @@ managed to receive.  Reliability is additionally estimated from the
 schedule — a packet announced for a slot but not received is counted as
 lost — and nodes the coordinator heard nothing from are filled in with
 pessimistic values (0 % reliability, 100 % radio-on time).
+
+The resulting :class:`GlobalView` holds its per-node values as NumPy
+arrays aligned with its sorted ``node_ids``; no per-node dicts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.net.lwb import RoundResult, observer_view_arrays
-from repro.net.packet import DimmerFeedbackHeader
 
 
 class GlobalView:
     """The coordinator's snapshot of network performance after a round.
 
-    Since PR 3 the view is array-backed: the per-node reliabilities and
-    radio-on times live in NumPy arrays aligned with :attr:`node_ids`
-    (that is how the statistics collector assembles it, without per-node
-    dict bookkeeping), and the dict attributes of the original API are
-    lazy views materialized on first access.  Views can equivalently be
-    built from per-node dicts.
+    Per-node observables are NumPy arrays aligned with :attr:`node_ids`
+    (the sorted ids of the nodes the observer accounts for); the
+    statistics collector assembles them without per-node dict
+    bookkeeping, and the DQN encodes them as they are.
 
     Attributes
     ----------
-    reliabilities:
+    node_ids:
+        Nodes covered by the view, sorted.
+    reliability_array:
         Per-node packet reception rate as known to the coordinator
         (from feedback headers, the coordinator's own measurements and
         pessimistic fill-ins).
-    radio_on_ms:
+    radio_on_array:
         Per-node per-slot radio-on time, same provenance.
-    missing_feedback:
-        Nodes whose data packet (and therefore feedback) the coordinator
-        did not receive this round.
+    missing_feedback_array:
+        Per-node flag: the coordinator did not receive the node's data
+        packet (and therefore its feedback) this round.
     had_losses:
         Whether the view contains evidence of losses anywhere in the
         network (any reliability below 100 %).
@@ -49,103 +51,28 @@ class GlobalView:
 
     __slots__ = (
         "node_ids",
+        "reliability_array",
+        "radio_on_array",
+        "missing_feedback_array",
         "had_losses",
         "round_index",
-        "_rel_arr",
-        "_radio_arr",
-        "_missing_mask",
-        "_rel_map",
-        "_radio_map",
-        "_missing_list",
     )
 
     def __init__(
         self,
-        reliabilities: Union[Dict[int, float], np.ndarray],
-        radio_on_ms: Union[Dict[int, float], np.ndarray],
-        missing_feedback: Optional[Union[List[int], np.ndarray]] = None,
+        node_ids: Sequence[int],
+        reliability_array: np.ndarray,
+        radio_on_array: np.ndarray,
+        missing_feedback_array: np.ndarray,
         had_losses: bool = False,
         round_index: int = 0,
-        node_ids: Optional[Sequence[int]] = None,
     ) -> None:
-        self.round_index = round_index
-        if isinstance(reliabilities, np.ndarray):
-            if node_ids is None:
-                raise ValueError("node_ids is required for array-backed construction")
-            self.node_ids = tuple(node_ids)
-            self._rel_arr = np.asarray(reliabilities, dtype=float)
-            self._radio_arr = np.asarray(radio_on_ms, dtype=float)
-            if missing_feedback is None:
-                self._missing_mask = np.zeros(len(self.node_ids), dtype=bool)
-                self._missing_list: Optional[List[int]] = []
-            elif isinstance(missing_feedback, np.ndarray):
-                self._missing_mask = np.asarray(missing_feedback, dtype=bool)
-                self._missing_list = None
-            else:
-                self._missing_mask = None
-                self._missing_list = list(missing_feedback)
-            self._rel_map: Optional[Dict[int, float]] = None
-            self._radio_map: Optional[Dict[int, float]] = None
-        else:
-            self.node_ids = tuple(reliabilities)
-            self._rel_map = dict(reliabilities)
-            self._radio_map = dict(radio_on_ms)
-            self._missing_list = list(missing_feedback) if missing_feedback is not None else []
-            self._missing_mask = None
-            self._rel_arr = None
-            self._radio_arr = None
+        self.node_ids = tuple(node_ids)
+        self.reliability_array = reliability_array
+        self.radio_on_array = radio_on_array
+        self.missing_feedback_array = missing_feedback_array
         self.had_losses = had_losses
-
-    # ------------------------------------------------------------------
-    # Array accessors
-    # ------------------------------------------------------------------
-    @property
-    def reliability_array(self) -> np.ndarray:
-        """Per-node reliabilities in :attr:`node_ids` order."""
-        if self._rel_arr is None:
-            self._rel_arr = np.fromiter(
-                (float(self._rel_map[n]) for n in self.node_ids),
-                dtype=float,
-                count=len(self.node_ids),
-            )
-        return self._rel_arr
-
-    @property
-    def radio_on_array(self) -> np.ndarray:
-        """Per-node per-slot radio-on times in :attr:`node_ids` order."""
-        if self._radio_arr is None:
-            self._radio_arr = np.fromiter(
-                (float(self._radio_map[n]) for n in self.node_ids),
-                dtype=float,
-                count=len(self.node_ids),
-            )
-        return self._radio_arr
-
-    # ------------------------------------------------------------------
-    # Dict views (API-compatibility shims)
-    # ------------------------------------------------------------------
-    @property
-    def reliabilities(self) -> Dict[int, float]:
-        """Per-node reliability as known to the observer."""
-        if self._rel_map is None:
-            self._rel_map = dict(zip(self.node_ids, self._rel_arr.tolist()))
-        return self._rel_map
-
-    @property
-    def radio_on_ms(self) -> Dict[int, float]:
-        """Per-node per-slot radio-on time as known to the observer."""
-        if self._radio_map is None:
-            self._radio_map = dict(zip(self.node_ids, self._radio_arr.tolist()))
-        return self._radio_map
-
-    @property
-    def missing_feedback(self) -> List[int]:
-        """Sorted nodes whose feedback the observer did not receive."""
-        if self._missing_list is None:
-            self._missing_list = [
-                node for node, flag in zip(self.node_ids, self._missing_mask.tolist()) if flag
-            ]
-        return self._missing_list
+        self.round_index = round_index
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -216,12 +143,12 @@ class StatisticsCollector:
             pessimistic_radio_on_ms=self.pessimistic_radio_on_ms,
         )
         view = GlobalView(
-            reliabilities=reliabilities,
-            radio_on_ms=radio_on,
-            missing_feedback=missing_mask,
+            node_ids=node_ids,
+            reliability_array=reliabilities,
+            radio_on_array=radio_on,
+            missing_feedback_array=missing_mask,
             had_losses=bool((reliabilities < 1.0).any()),
             round_index=result.round_index,
-            node_ids=node_ids,
         )
         self._views.append(view)
         del self._views[: -self.loss_history_window]

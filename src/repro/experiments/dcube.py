@@ -184,8 +184,7 @@ def _run_bus_protocol(
             source = slot.source
             if not pending[source]:
                 continue
-            received_at_sink = slot.flood.received.get(sink, False)
-            if received_at_sink:
+            if slot.flood.received_at(sink):
                 pending[source].pop(0)
                 delivered += 1
             elif use_acks:

@@ -104,9 +104,9 @@ def aggregate_experiment_metrics(per_run: Sequence[ExperimentMetrics]) -> Experi
 def summarize_round_results(results: Sequence, energy_j: float = 0.0) -> ExperimentMetrics:
     """Aggregate a list of :class:`~repro.net.lwb.RoundResult` directly.
 
-    The per-round reliability and radio-on aggregates are array-backed
-    properties, so a whole experiment history summarizes without
-    materializing any per-node dict views.
+    The per-round reliability and radio-on aggregates are array
+    reductions, so a whole experiment history summarizes without
+    per-node Python loops.
     """
     count = len(results)
     reliabilities = np.fromiter((r.reliability for r in results), dtype=float, count=count)

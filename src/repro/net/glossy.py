@@ -13,14 +13,15 @@ This module simulates a flood at phase granularity: a phase is one
 packet airtime plus the RX/TX turnaround.  The simulation produces, for
 every participating node, whether it received the packet, in which
 phase, how many times it transmitted, and how long its radio stayed on
-— exactly the observables Dimmer's feedback loop is built on.
+— exactly the observables Dimmer's feedback loop is built on.  A
+:class:`FloodResult` carries them as NumPy vectors aligned with its
+``node_ids``; there are no per-node dicts.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping as MappingABC
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,20 +35,12 @@ from repro.net.topology import Topology
 class FloodResult:
     """Outcome of one Glossy flood (one slot).
 
-    Per-node observables are array-backed: they live in NumPy vectors
-    aligned with :attr:`node_ids`, which is what lets a full LWB round
-    aggregate flood outcomes without per-node Python loops.  The dict
-    attributes of the original API — ``received``, ``reception_phase``,
-    ``transmissions``, ``radio_on_ms`` — are kept as *lazy views*
-    materialized on first access (and cached, so in-place edits through
-    a view stay visible to the aggregate properties).
-
-    Results can equivalently be built from per-node dicts; the arrays
-    are then materialized lazily.  The scalar engine and the per-node
-    reference loop build theirs that way, in participant order: the
-    dict-backed aggregates sum sequentially in that order (the array
-    path's ``mean`` sums pairwise), so only a dict-built result
-    reproduces the reference loop bit for bit.
+    Per-node observables are NumPy vectors aligned with :attr:`node_ids`,
+    which is what lets a full LWB round aggregate flood outcomes without
+    per-node Python loops.  Both engines and the per-node reference loop
+    return this one representation; the scalar engine and the reference
+    loop list :attr:`node_ids` in participant (draw) order, the
+    vectorized engine in topology index order.
 
     Attributes
     ----------
@@ -55,12 +48,15 @@ class FloodResult:
         Node that originated the flood.
     node_ids:
         Participating nodes, in array index order.
-    received_array, reception_phase_array, transmissions_array, radio_on_array:
-        Per-node observables in :attr:`node_ids` order.  A reception
-        phase of ``-1`` encodes "never received" (``None`` in the dict
-        view).
-    received, reception_phase, transmissions, radio_on_ms:
-        Dict views of the same observables, keyed by node id.
+    received_array:
+        Per-node flag: did the node decode the packet at least once?
+    reception_phase_array:
+        Phase index of each node's first successful reception (``-1`` =
+        never received).
+    transmissions_array:
+        Number of times each node transmitted the packet.
+    radio_on_array:
+        Radio-on time of each node during the slot.
     slot_duration_ms:
         Slot length the flood was executed in.
     channel:
@@ -70,155 +66,41 @@ class FloodResult:
     __slots__ = (
         "initiator",
         "node_ids",
+        "received_array",
+        "reception_phase_array",
+        "transmissions_array",
+        "radio_on_array",
         "slot_duration_ms",
         "channel",
-        "_received_arr",
-        "_phase_arr",
-        "_tx_arr",
-        "_radio_arr",
-        "_received_map",
-        "_phase_map",
-        "_tx_map",
-        "_radio_map",
     )
 
     def __init__(
         self,
         initiator: int,
-        received: Union[Mapping[int, bool], np.ndarray],
-        reception_phase: Union[Mapping[int, Optional[int]], np.ndarray],
-        transmissions: Union[Mapping[int, int], np.ndarray],
-        radio_on_ms: Union[Mapping[int, float], np.ndarray],
+        node_ids: Sequence[int],
+        received_array: np.ndarray,
+        reception_phase_array: np.ndarray,
+        transmissions_array: np.ndarray,
+        radio_on_array: np.ndarray,
         slot_duration_ms: float,
         channel: int,
-        node_ids: Optional[Sequence[int]] = None,
     ) -> None:
         self.initiator = initiator
+        self.node_ids = tuple(node_ids)
+        self.received_array = received_array
+        self.reception_phase_array = reception_phase_array
+        self.transmissions_array = transmissions_array
+        self.radio_on_array = radio_on_array
         self.slot_duration_ms = slot_duration_ms
         self.channel = channel
-        if isinstance(received, MappingABC):
-            self.node_ids = tuple(received)
-            self._received_map = received if isinstance(received, dict) else dict(received)
-            self._phase_map = (
-                reception_phase if isinstance(reception_phase, dict) else dict(reception_phase)
-            )
-            self._tx_map = transmissions if isinstance(transmissions, dict) else dict(transmissions)
-            self._radio_map = radio_on_ms if isinstance(radio_on_ms, dict) else dict(radio_on_ms)
-            self._received_arr = None
-            self._phase_arr = None
-            self._tx_arr = None
-            self._radio_arr = None
-        else:
-            if node_ids is None:
-                raise ValueError("node_ids is required for array-backed construction")
-            self.node_ids = tuple(node_ids)
-            self._received_arr = np.asarray(received, dtype=bool)
-            self._phase_arr = np.asarray(reception_phase, dtype=np.int64)
-            self._tx_arr = np.asarray(transmissions, dtype=np.int64)
-            self._radio_arr = np.asarray(radio_on_ms, dtype=float)
-            self._received_map = None
-            self._phase_map = None
-            self._tx_map = None
-            self._radio_map = None
-
-    # ------------------------------------------------------------------
-    # Array accessors
-    # ------------------------------------------------------------------
-    @property
-    def received_array(self) -> np.ndarray:
-        """Per-node reception flags in :attr:`node_ids` order."""
-        if self._received_arr is None:
-            self._received_arr = np.fromiter(
-                (bool(self._received_map[n]) for n in self.node_ids),
-                dtype=bool,
-                count=len(self.node_ids),
-            )
-        return self._received_arr
-
-    @property
-    def reception_phase_array(self) -> np.ndarray:
-        """Per-node first-reception phases (``-1`` = never received)."""
-        if self._phase_arr is None:
-            self._phase_arr = np.fromiter(
-                (
-                    -1 if self._phase_map[n] is None else int(self._phase_map[n])
-                    for n in self.node_ids
-                ),
-                dtype=np.int64,
-                count=len(self.node_ids),
-            )
-        return self._phase_arr
-
-    @property
-    def transmissions_array(self) -> np.ndarray:
-        """Per-node transmission counts in :attr:`node_ids` order."""
-        if self._tx_arr is None:
-            self._tx_arr = np.fromiter(
-                (int(self._tx_map[n]) for n in self.node_ids),
-                dtype=np.int64,
-                count=len(self.node_ids),
-            )
-        return self._tx_arr
-
-    @property
-    def radio_on_array(self) -> np.ndarray:
-        """Per-node radio-on times in :attr:`node_ids` order."""
-        if self._radio_arr is None:
-            self._radio_arr = np.fromiter(
-                (float(self._radio_map[n]) for n in self.node_ids),
-                dtype=float,
-                count=len(self.node_ids),
-            )
-        return self._radio_arr
-
-    # ------------------------------------------------------------------
-    # Dict views (API-compatibility shims)
-    # ------------------------------------------------------------------
-    @property
-    def received(self) -> Dict[int, bool]:
-        """Per-node flag: did the node decode the packet at least once?"""
-        if self._received_map is None:
-            self._received_map = dict(zip(self.node_ids, self._received_arr.tolist()))
-        return self._received_map
-
-    @property
-    def reception_phase(self) -> Dict[int, Optional[int]]:
-        """Phase index of the first successful reception (``None`` = never)."""
-        if self._phase_map is None:
-            self._phase_map = {
-                node: (phase if phase >= 0 else None)
-                for node, phase in zip(self.node_ids, self._phase_arr.tolist())
-            }
-        return self._phase_map
-
-    @property
-    def transmissions(self) -> Dict[int, int]:
-        """Number of times each node transmitted the packet."""
-        if self._tx_map is None:
-            self._tx_map = dict(zip(self.node_ids, self._tx_arr.tolist()))
-        return self._tx_map
-
-    @property
-    def radio_on_ms(self) -> Dict[int, float]:
-        """Radio-on time of each node during the slot."""
-        if self._radio_map is None:
-            self._radio_map = dict(zip(self.node_ids, self._radio_arr.tolist()))
-        return self._radio_map
 
     def received_at(self, node: int) -> bool:
-        """Whether ``node`` decoded the packet, without materializing dicts.
-
-        Nodes absent from the flood count as not received.  A
-        materialized ``received`` view wins once it exists (views are
-        the mutable face of the result), so in-place edits stay visible.
-        """
-        if self._received_map is not None:
-            return bool(self._received_map.get(node, False))
+        """Whether ``node`` decoded the packet (absent nodes did not)."""
         try:
             index = self.node_ids.index(node)
         except ValueError:
             return False
-        return bool(self._received_arr[index])
+        return bool(self.received_array[index])
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -226,20 +108,13 @@ class FloodResult:
     @property
     def reliability(self) -> float:
         """Fraction of non-initiator participants that received the packet."""
-        if self._received_map is not None:
-            # Dict views are the mutable face of the result (tests patch
-            # receptions in place), so they win once materialized.
-            destinations = [n for n in self._received_map if n != self.initiator]
-            if not destinations:
-                return 1.0
-            return sum(1 for n in destinations if self._received_map[n]) / len(destinations)
-        arr = self._received_arr
+        arr = self.received_array
         try:
             initiator_pos = self.node_ids.index(self.initiator)
         except ValueError:
             # The initiator is not among the participants (an empty slot
             # whose source missed the schedule): every node counts as a
-            # destination, matching the dict formula above.
+            # destination.
             if arr.shape[0] == 0:
                 return 1.0
             return int(arr.sum()) / arr.shape[0]
@@ -251,25 +126,17 @@ class FloodResult:
     @property
     def average_radio_on_ms(self) -> float:
         """Radio-on time averaged over every participant."""
-        if self._radio_map is not None:
-            if not self._radio_map:
-                return 0.0
-            return sum(self._radio_map.values()) / len(self._radio_map)
-        if self._radio_arr.shape[0] == 0:
+        if self.radio_on_array.shape[0] == 0:
             return 0.0
-        return float(self._radio_arr.mean())
+        return float(self.radio_on_array.mean())
 
     def receivers(self) -> List[int]:
         """Sorted list of nodes that successfully received the packet."""
-        if self._received_map is not None:
-            return sorted(n for n, ok in self._received_map.items() if ok)
-        return sorted(np.asarray(self.node_ids)[self._received_arr].tolist())
+        return sorted(np.asarray(self.node_ids)[self.received_array].tolist())
 
     def non_receivers(self) -> List[int]:
         """Sorted list of nodes that never received the packet."""
-        if self._received_map is not None:
-            return sorted(n for n, ok in self._received_map.items() if not ok)
-        return sorted(np.asarray(self.node_ids)[~self._received_arr].tolist())
+        return sorted(np.asarray(self.node_ids)[~self.received_array].tolist())
 
     @classmethod
     def empty(
@@ -288,13 +155,13 @@ class FloodResult:
         n = len(node_ids)
         return cls(
             initiator=initiator,
-            received=np.zeros(n, dtype=bool),
-            reception_phase=np.full(n, -1, dtype=np.int64),
-            transmissions=np.zeros(n, dtype=np.int64),
-            radio_on_ms=np.full(n, float(radio_on_ms)),
+            node_ids=node_ids,
+            received_array=np.zeros(n, dtype=bool),
+            reception_phase_array=np.full(n, -1, dtype=np.int64),
+            transmissions_array=np.zeros(n, dtype=np.int64),
+            radio_on_array=np.full(n, float(radio_on_ms)),
             slot_duration_ms=slot_duration_ms,
             channel=channel,
-            node_ids=node_ids,
         )
 
 
@@ -509,11 +376,11 @@ class GlossyFlood:
         """
         part_mask, part_list, n_tx_vec, interference, slot_ms, phase_ms, num_phases = (
             self._flood_setup(
-                initiator, n_tx, packet_bytes, interference, participants, max_slot_ms
+                [initiator], n_tx, packet_bytes, interference, participants, max_slot_ms
             )
         )
         if self.engine == "scalar":
-            # Same phase loop, per-node draw order, dict-backed result.
+            # Same phase loop, per-node draw order, participant-ordered result.
             if part_list is None:
                 part_list = self._participant_ids(part_mask)
         else:
@@ -551,7 +418,7 @@ class GlossyFlood:
         """
         part_mask, part_list, n_tx_vec, interference, slot_ms, phase_ms, num_phases = (
             self._flood_setup(
-                initiator, n_tx, packet_bytes, interference, participants, max_slot_ms
+                [initiator], n_tx, packet_bytes, interference, participants, max_slot_ms
             )
         )
         if part_list is None:
@@ -575,7 +442,7 @@ class GlossyFlood:
 
     def _flood_setup(
         self,
-        initiator: int,
+        initiators: Sequence[int],
         n_tx: Union[int, Mapping[int, int], np.ndarray],
         packet_bytes: int,
         interference: Optional[InterferenceSource],
@@ -583,40 +450,35 @@ class GlossyFlood:
         max_slot_ms: Optional[float],
     ) -> Tuple[Optional[np.ndarray], Optional[List[int]], np.ndarray, InterferenceSource,
                float, float, int]:
-        """Validate and normalize :meth:`run`'s arguments.
+        """Validate and normalize the arguments of :meth:`run` and :meth:`run_batch`.
 
         Returns ``(part_mask, part_list, n_tx_vec, interference,
         slot_ms, phase_ms, num_phases)``: the participation mask
         (``None`` = every node), the participant list when one was
         given (its order is the scalar engine's draw order), the
-        per-node N_TX vector in index order with the initiator's entry
-        raised to at least 1, and the slot timing.
+        per-node N_TX vector in index order (the engines raise each
+        flood's initiator entry to at least 1), and the slot timing.
+        Every initiator must be a participant.
         """
         index = self.link_model.node_index
         part_mask: Optional[np.ndarray] = None
         part_list: Optional[List[int]] = None
-        if participants is None:
-            if initiator not in index:
-                raise ValueError(f"initiator {initiator} is not among the participants")
-        elif isinstance(participants, np.ndarray) and participants.dtype == np.bool_:
+        if isinstance(participants, np.ndarray) and participants.dtype == np.bool_:
             part_mask = participants
             if part_mask.shape != (self._n,):
                 raise ValueError("participant mask must have one entry per node")
-            if not part_mask[index[initiator]]:
-                raise ValueError(f"initiator {initiator} is not among the participants")
-            if bool(part_mask.all()):
-                part_mask = None  # full participation: use the fast path
-        else:
+        elif participants is not None:
             part_list = list(participants)
-            if initiator not in part_list:
-                raise ValueError(f"initiator {initiator} is not among the participants")
             part_mask = np.zeros(self._n, dtype=bool)
             for node in part_list:
                 part_mask[index[node]] = True
+        for initiator in initiators:
+            row = index.get(initiator)
+            if row is None or (part_mask is not None and not part_mask[row]):
+                raise ValueError(f"initiator {initiator} is not among the participants")
+        if part_mask is not None and bool(part_mask.all()):
+            part_mask = None  # full participation: use the fast path
         n_tx_vec = self._n_tx_vector(n_tx, part_mask, part_list)
-        # The initiator must transmit at least once for the flood to exist.
-        init_idx = index[initiator]
-        n_tx_vec[init_idx] = max(1, n_tx_vec[init_idx])
         interference = interference if interference is not None else NoInterference()
         slot_ms = max_slot_ms if max_slot_ms is not None else self.radio.max_slot_ms
         phase_ms = self.radio.phase_duration_ms(packet_bytes)
@@ -631,7 +493,7 @@ class GlossyFlood:
         channels: Union[int, Sequence[int]] = 26,
         start_times: Union[float, Sequence[float]] = 0.0,
         interference: Optional[InterferenceSource] = None,
-        participants: Optional[np.ndarray] = None,
+        participants: Optional[Union[Sequence[int], np.ndarray]] = None,
         max_slot_ms: Optional[float] = None,
     ) -> List[FloodResult]:
         """Simulate several independent floods in one batched phase loop.
@@ -664,7 +526,8 @@ class GlossyFlood:
         channels, start_times:
             Per-flood channel / slot start, or one value for all floods.
         participants:
-            Optional boolean participation mask shared by all floods.
+            Participants shared by all floods, in any form :meth:`run`
+            accepts (defaults to every node).
         """
         count = len(initiators)
         channel_list = (
@@ -694,29 +557,15 @@ class GlossyFlood:
                 for k, initiator in enumerate(initiators)
             ]
 
+        part_mask, _, base_n_tx, interference, slot_ms, phase_ms, num_phases = (
+            self._flood_setup(
+                initiators, n_tx, packet_bytes, interference, participants, max_slot_ms
+            )
+        )
         index = self.link_model.node_index
-        part_mask: Optional[np.ndarray] = None
-        if participants is not None:
-            part_mask = np.asarray(participants, dtype=bool)
-            if part_mask.shape != (self._n,):
-                raise ValueError("participant mask must have one entry per node")
-            if bool(part_mask.all()):
-                part_mask = None
-        init_rows = []
-        for initiator in initiators:
-            row = index.get(initiator)
-            if row is None or (part_mask is not None and not part_mask[row]):
-                raise ValueError(f"initiator {initiator} is not among the participants")
-            init_rows.append(row)
-        interference = interference if interference is not None else NoInterference()
-        slot_ms = max_slot_ms if max_slot_ms is not None else self.radio.max_slot_ms
-        phase_ms = self.radio.phase_duration_ms(packet_bytes)
-        num_phases = max(1, int(math.floor(slot_ms / phase_ms)))
-
-        base_n_tx = self._n_tx_vector(n_tx, part_mask, None)
         return self._run_vectorized_batch(
             initiators=list(initiators),
-            init_rows=np.array(init_rows, dtype=np.int64),
+            init_rows=np.array([index[initiator] for initiator in initiators], dtype=np.int64),
             part_mask=part_mask,
             base_n_tx=base_n_tx,
             channels=channel_list,
@@ -742,7 +591,9 @@ class GlossyFlood:
         """Reference implementation: per-node dict bookkeeping.
 
         The readable oracle of the scalar engine; production code runs
-        :meth:`_run_vectorized` instead (see :meth:`_run_oracle`).
+        :meth:`_run_vectorized` instead (see :meth:`_run_oracle`).  The
+        dicts become the result's arrays, in participant order, at the
+        end.
         """
         received: Dict[int, bool] = {node: False for node in participants}
         reception_phase: Dict[int, Optional[int]] = {node: None for node in participants}
@@ -752,6 +603,8 @@ class GlossyFlood:
         #: Phase after which the node switched its radio off (exclusive).
         off_after_phase: Dict[int, Optional[int]] = {node: None for node in participants}
 
+        # The initiator must transmit at least once for the flood to exist.
+        per_node_n_tx[initiator] = max(1, per_node_n_tx[initiator])
         received[initiator] = True
         reception_phase[initiator] = 0
         next_tx_phase[initiator] = 0
@@ -816,18 +669,25 @@ class GlossyFlood:
                 ):
                     off_after_phase[node] = phase + 1
 
-        radio_on_ms: Dict[int, float] = {}
+        radio_on: List[float] = []
         for node in participants:
             off = off_after_phase[node]
             on_phases = num_phases if off is None else min(off, num_phases)
-            radio_on_ms[node] = min(slot_ms, on_phases * phase_ms)
+            radio_on.append(min(slot_ms, on_phases * phase_ms))
 
         return FloodResult(
             initiator=initiator,
-            received=received,
-            reception_phase=reception_phase,
-            transmissions=transmissions,
-            radio_on_ms=radio_on_ms,
+            node_ids=participants,
+            received_array=np.array([received[node] for node in participants], dtype=bool),
+            reception_phase_array=np.array(
+                [-1 if reception_phase[node] is None else reception_phase[node]
+                 for node in participants],
+                dtype=np.int64,
+            ),
+            transmissions_array=np.array(
+                [transmissions[node] for node in participants], dtype=np.int64
+            ),
+            radio_on_array=np.array(radio_on, dtype=float),
             slot_duration_ms=slot_ms,
             channel=channel,
         )
@@ -855,11 +715,11 @@ class GlossyFlood:
         :meth:`_run_scalar` exactly; how the randomness is consumed
         depends on ``participants``:
 
-        * ``None`` (the vectorized engines): one ``(num_phases, N)``
+        * ``None`` (the vectorized engine): one ``(num_phases, N)``
           block of draws up front, row ``p`` serving phase ``p``.
           Results are statistically (not bit-for-bit) identical to
-          :meth:`_run_scalar` under a fixed seed, and the result is
-          array-backed in index order.
+          :meth:`_run_scalar` under a fixed seed, and the result lists
+          the participants in index order.
         * the participant ids (the scalar engine): the per-node loop's
           draw order — one draw per listener with a non-zero reception
           probability, in participant order, taken as one
@@ -867,9 +727,9 @@ class GlossyFlood:
           ``rng.random()`` calls); multi-transmitter failure products
           multiply in participant order, and single-transmitter
           probabilities are ``1 - (1 - prr)``, the per-node loop's
-          one-factor product.  The result is dict-backed in participant order,
-          so it equals :meth:`_run_scalar` bit for bit, down to the
-          generator state afterwards.
+          one-factor product.  The result lists the participants in
+          participant order, so it equals :meth:`_run_scalar` bit for
+          bit, down to the generator state afterwards.
         """
         index = self.link_model.node_index
         n_all = self._n
@@ -880,7 +740,9 @@ class GlossyFlood:
         next_tx = np.full(n_all, -1, dtype=np.int64)  # -1 = not scheduled
         off_after = np.full(n_all, -1, dtype=np.int64)  # -1 = radio still on
 
+        # The initiator must transmit at least once for the flood to exist.
         init_idx = index[initiator]
+        n_tx_vec[init_idx] = max(1, n_tx_vec[init_idx])
         received[init_idx] = True
         reception_phase[init_idx] = 0
         next_tx[init_idx] = 0
@@ -996,41 +858,31 @@ class GlossyFlood:
         radio_on = np.minimum(slot_ms, on_phases * phase_ms)
 
         if draw_order is not None:
-            # Dict-backed like the per-node loop's result: its aggregates
-            # sum in participant order.
+            # Participant order, like the per-node loop's result.
+            rows, node_ids = draw_order, participants
+        elif part_mask is None:
             return FloodResult(
                 initiator=initiator,
-                received=dict(zip(participants, received[draw_order].tolist())),
-                reception_phase={
-                    node: (value if value >= 0 else None)
-                    for node, value in zip(participants, reception_phase[draw_order].tolist())
-                },
-                transmissions=dict(zip(participants, transmissions[draw_order].tolist())),
-                radio_on_ms=dict(zip(participants, radio_on[draw_order].tolist())),
-                slot_duration_ms=slot_ms,
-                channel=channel,
-            )
-        if part_mask is None:
-            return FloodResult(
-                initiator=initiator,
-                received=received,
-                reception_phase=reception_phase,
-                transmissions=transmissions,
-                radio_on_ms=radio_on,
-                slot_duration_ms=slot_ms,
-                channel=channel,
                 node_ids=self.node_ids,
+                received_array=received,
+                reception_phase_array=reception_phase,
+                transmissions_array=transmissions,
+                radio_on_array=radio_on,
+                slot_duration_ms=slot_ms,
+                channel=channel,
             )
-        rows = np.flatnonzero(part_mask)
+        else:
+            rows = np.flatnonzero(part_mask)
+            node_ids = self._ids_arr[rows].tolist()
         return FloodResult(
             initiator=initiator,
-            received=received[rows],
-            reception_phase=reception_phase[rows],
-            transmissions=transmissions[rows],
-            radio_on_ms=radio_on[rows],
+            node_ids=node_ids,
+            received_array=received[rows],
+            reception_phase_array=reception_phase[rows],
+            transmissions_array=transmissions[rows],
+            radio_on_array=radio_on[rows],
             slot_duration_ms=slot_ms,
             channel=channel,
-            node_ids=self._ids_arr[rows].tolist(),
         )
 
     def _run_vectorized_batch(
@@ -1197,13 +1049,13 @@ class GlossyFlood:
                 results.append(
                     FloodResult(
                         initiator=initiator,
-                        received=received[k],
-                        reception_phase=reception_phase[k],
-                        transmissions=transmissions[k],
-                        radio_on_ms=radio_on[k],
+                        node_ids=self.node_ids,
+                        received_array=received[k],
+                        reception_phase_array=reception_phase[k],
+                        transmissions_array=transmissions[k],
+                        radio_on_array=radio_on[k],
                         slot_duration_ms=slot_ms,
                         channel=channels[k],
-                        node_ids=self.node_ids,
                     )
                 )
             return results
@@ -1213,13 +1065,13 @@ class GlossyFlood:
             results.append(
                 FloodResult(
                     initiator=initiator,
-                    received=received[k, rows],
-                    reception_phase=reception_phase[k, rows],
-                    transmissions=transmissions[k, rows],
-                    radio_on_ms=radio_on[k, rows],
+                    node_ids=row_ids,
+                    received_array=received[k, rows],
+                    reception_phase_array=reception_phase[k, rows],
+                    transmissions_array=transmissions[k, rows],
+                    radio_on_array=radio_on[k, rows],
                     slot_duration_ms=slot_ms,
                     channel=channels[k],
-                    node_ids=row_ids,
                 )
             )
         return results

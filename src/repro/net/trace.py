@@ -10,8 +10,12 @@ controlled jamming.
 Since the physical testbed is replaced by :class:`NetworkSimulator`,
 traces are recorded from scripted simulation episodes
 (:class:`repro.rl.trace_env.TraceRecorder`) and stored/replayed through
-the structures in this module.  Traces serialize to plain JSON so they
-can be shipped with the repository or regenerated at will.
+the structures in this module.  A :class:`TraceRecord` holds its
+per-node values as NumPy arrays aligned with its ``node_ids`` (no
+per-node dicts); traces serialize to plain JSON as parallel lists, so
+they can be shipped with the repository or regenerated at will.  Trace
+files of the older ``{str(id): value}`` format still load: they are
+converted to arrays when read.
 """
 
 from __future__ import annotations
@@ -19,10 +23,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Sequence
 
 import numpy as np
 
@@ -51,10 +54,7 @@ def atomic_write_json(path: Path, payload: Dict) -> None:
 class TraceRecord:
     """One decision point recorded from a (simulated) deployment.
 
-    Per-node observables are array-backed (aligned with
-    :attr:`node_ids`); ``reliabilities`` and ``radio_on_ms`` are lazy
-    dict views kept for API compatibility.  Records can equivalently be
-    built from per-node dicts (the arrays then materialize lazily).
+    Per-node observables are NumPy arrays aligned with :attr:`node_ids`.
 
     Attributes
     ----------
@@ -62,9 +62,11 @@ class TraceRecord:
         Round counter at which the record was taken.
     n_tx:
         Retransmission parameter in force during the round.
-    reliabilities:
-        Per-node reliability observed during the round (node id -> PRR).
-    radio_on_ms:
+    node_ids:
+        Nodes the record covers, as a tuple.
+    reliability_array:
+        Per-node reliability observed during the round.
+    radio_on_array:
         Per-node per-slot radio-on time observed during the round.
     interference_ratio:
         Ground-truth interference duty cycle active during the round
@@ -77,80 +79,29 @@ class TraceRecord:
         "round_index",
         "n_tx",
         "node_ids",
+        "reliability_array",
+        "radio_on_array",
         "interference_ratio",
         "had_losses",
-        "_rel_arr",
-        "_radio_arr",
-        "_rel_map",
-        "_radio_map",
     )
 
     def __init__(
         self,
         round_index: int,
         n_tx: int,
-        reliabilities: Union[Mapping[int, float], np.ndarray, Sequence[float]],
-        radio_on_ms: Union[Mapping[int, float], np.ndarray, Sequence[float]],
+        node_ids: Sequence[int],
+        reliability_array: np.ndarray,
+        radio_on_array: np.ndarray,
         interference_ratio: float = 0.0,
         had_losses: bool = False,
-        node_ids: Optional[Sequence[int]] = None,
     ) -> None:
         self.round_index = round_index
         self.n_tx = n_tx
+        self.node_ids = tuple(node_ids)
+        self.reliability_array = reliability_array
+        self.radio_on_array = radio_on_array
         self.interference_ratio = interference_ratio
         self.had_losses = had_losses
-        if isinstance(reliabilities, MappingABC):
-            self.node_ids = tuple(reliabilities)
-            self._rel_map = (
-                reliabilities if isinstance(reliabilities, dict) else dict(reliabilities)
-            )
-            self._radio_map = radio_on_ms if isinstance(radio_on_ms, dict) else dict(radio_on_ms)
-            self._rel_arr = None
-            self._radio_arr = None
-        else:
-            if node_ids is None:
-                raise ValueError("node_ids is required for array-backed construction")
-            self.node_ids = tuple(node_ids)
-            self._rel_arr = np.asarray(reliabilities, dtype=float)
-            self._radio_arr = np.asarray(radio_on_ms, dtype=float)
-            self._rel_map = None
-            self._radio_map = None
-
-    @property
-    def reliability_array(self) -> np.ndarray:
-        """Per-node reliabilities in :attr:`node_ids` order."""
-        if self._rel_arr is None:
-            self._rel_arr = np.fromiter(
-                (float(self._rel_map[n]) for n in self.node_ids),
-                dtype=float,
-                count=len(self.node_ids),
-            )
-        return self._rel_arr
-
-    @property
-    def radio_on_array(self) -> np.ndarray:
-        """Per-node radio-on times in :attr:`node_ids` order."""
-        if self._radio_arr is None:
-            self._radio_arr = np.fromiter(
-                (float(self._radio_map[n]) for n in self.node_ids),
-                dtype=float,
-                count=len(self.node_ids),
-            )
-        return self._radio_arr
-
-    @property
-    def reliabilities(self) -> Dict[int, float]:
-        """Dict view of the per-node reliabilities (node id -> PRR)."""
-        if self._rel_map is None:
-            self._rel_map = dict(zip(self.node_ids, self._rel_arr.tolist()))
-        return self._rel_map
-
-    @property
-    def radio_on_ms(self) -> Dict[int, float]:
-        """Dict view of the per-node per-slot radio-on times."""
-        if self._radio_map is None:
-            self._radio_map = dict(zip(self.node_ids, self._radio_arr.tolist()))
-        return self._radio_map
 
     def worst_nodes(self, k: int) -> List[int]:
         """Return the ``k`` node ids with lowest reliability (ties by id).
@@ -240,25 +191,24 @@ class TraceSet:
     @staticmethod
     def _record_from_entry(entry: Dict) -> TraceRecord:
         """Rebuild one record; accepts the array format and the legacy
-        ``{str(id): value}`` dict format of earlier trace files."""
+        ``{str(id): value}`` dict format of earlier trace files (whose
+        key order becomes the record's node order)."""
         reliabilities = entry["reliabilities"]
+        radio_on = entry["radio_on_ms"]
         if isinstance(reliabilities, dict):
-            return TraceRecord(
-                round_index=entry["round_index"],
-                n_tx=entry["n_tx"],
-                reliabilities={int(k): float(v) for k, v in reliabilities.items()},
-                radio_on_ms={int(k): float(v) for k, v in entry["radio_on_ms"].items()},
-                interference_ratio=float(entry.get("interference_ratio", 0.0)),
-                had_losses=bool(entry.get("had_losses", False)),
-            )
+            node_ids = [int(key) for key in reliabilities]
+            radio_on = [radio_on[key] for key in reliabilities]
+            reliabilities = list(reliabilities.values())
+        else:
+            node_ids = [int(node) for node in entry["node_ids"]]
         return TraceRecord(
             round_index=entry["round_index"],
             n_tx=entry["n_tx"],
-            reliabilities=np.asarray(reliabilities, dtype=float),
-            radio_on_ms=np.asarray(entry["radio_on_ms"], dtype=float),
+            node_ids=node_ids,
+            reliability_array=np.asarray(reliabilities, dtype=float),
+            radio_on_array=np.asarray(radio_on, dtype=float),
             interference_ratio=float(entry.get("interference_ratio", 0.0)),
             had_losses=bool(entry.get("had_losses", False)),
-            node_ids=[int(node) for node in entry["node_ids"]],
         )
 
     @classmethod

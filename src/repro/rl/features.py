@@ -21,8 +21,8 @@ Nodes from which no feedback was received are filled in pessimistically
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 
@@ -130,76 +130,6 @@ class FeatureEncoder:
     # ------------------------------------------------------------------
     # Encoding
     # ------------------------------------------------------------------
-    def select_worst_nodes(
-        self,
-        reliabilities: Mapping[int, float],
-        expected_nodes: Optional[Sequence[int]] = None,
-    ) -> List[int]:
-        """Return the K node ids with the lowest reliability.
-
-        Nodes listed in ``expected_nodes`` but absent from the feedback
-        are treated pessimistically (0 % reliability) and therefore sort
-        first.  Ties are broken by node id for determinism.
-        """
-        merged: Dict[int, float] = dict(reliabilities)
-        if expected_nodes is not None:
-            for node in expected_nodes:
-                merged.setdefault(node, 0.0)
-        ranked = sorted(merged.items(), key=lambda item: (item[1], item[0]))
-        return [node for node, _ in ranked[: self.config.num_input_nodes]]
-
-    def encode(
-        self,
-        reliabilities: Mapping[int, float],
-        radio_on_ms: Mapping[int, float],
-        n_tx: int,
-        expected_nodes: Optional[Sequence[int]] = None,
-    ) -> np.ndarray:
-        """Build the Table-I input vector.
-
-        Parameters
-        ----------
-        reliabilities:
-            Per-node packet reception rate observed during the last round.
-        radio_on_ms:
-            Per-node per-slot radio-on time observed during the last round.
-        n_tx:
-            Retransmission parameter currently in force (one-hot encoded).
-        expected_nodes:
-            Every node the coordinator expected feedback from; silent
-            nodes are filled in with 0 % reliability / 100 % radio-on.
-        """
-        config = self.config
-        if not 0 <= n_tx <= config.n_max:
-            raise ValueError(f"n_tx must be within [0, {config.n_max}]")
-
-        worst = self.select_worst_nodes(reliabilities, expected_nodes)
-        radio_rows: List[float] = []
-        reliability_rows: List[float] = []
-        for node in worst:
-            if node in reliabilities:
-                reliability = reliabilities[node]
-                radio = radio_on_ms.get(node, config.max_radio_on_ms)
-            else:
-                reliability = 0.0
-                radio = config.max_radio_on_ms
-            reliability_rows.append(self.normalize_reliability(reliability))
-            radio_rows.append(self.normalize_radio_on(radio))
-        # Deployments smaller than K pad with perfectly healthy entries.
-        while len(radio_rows) < config.num_input_nodes:
-            radio_rows.append(-1.0)
-            reliability_rows.append(1.0)
-
-        one_hot = [0.0] * (config.n_max + 1)
-        one_hot[n_tx] = 1.0
-
-        vector = np.array(
-            radio_rows + reliability_rows + one_hot + self._history, dtype=float
-        )
-        if vector.shape[0] != config.input_size:
-            raise AssertionError("encoded vector has an unexpected size")
-        return vector
-
     def encode_arrays(
         self,
         node_ids: Sequence[int],
@@ -207,14 +137,25 @@ class FeatureEncoder:
         radio_on_ms: np.ndarray,
         n_tx: int,
     ) -> np.ndarray:
-        """Array-backed :meth:`encode` (no per-node dict bookkeeping).
+        """Build the Table-I input vector.
 
-        ``reliabilities`` / ``radio_on_ms`` are aligned with
-        ``node_ids`` and must cover every expected node (which is what
-        an array-backed :class:`~repro.core.statistics.GlobalView`
-        guarantees: silent nodes are already filled in pessimistically).
+        Parameters
+        ----------
+        node_ids:
+            Nodes the feedback covers.
+        reliabilities, radio_on_ms:
+            Per-node packet reception rate and per-slot radio-on time
+            observed during the last round, aligned with ``node_ids``.
+            They must cover every expected node, which is what a
+            :class:`~repro.core.statistics.GlobalView` or a
+            :class:`~repro.net.trace.TraceRecord` guarantees: silent
+            nodes are already filled in pessimistically.
+        n_tx:
+            Retransmission parameter currently in force (one-hot encoded).
+
         The worst-``K`` selection ranks by ``(reliability, node id)``
-        via one ``lexsort``, reproducing :meth:`encode` exactly.
+        via one ``lexsort``; deployments smaller than ``K`` pad with
+        perfectly healthy entries.
         """
         config = self.config
         if not 0 <= n_tx <= config.n_max:
@@ -237,25 +178,6 @@ class FeatureEncoder:
             raise AssertionError("encoded vector has an unexpected size")
         return vector
 
-    def encode_round(
-        self,
-        per_node_reliability: Mapping[int, float],
-        per_node_radio_on_ms: Mapping[int, float],
-        n_tx: int,
-        had_losses: bool,
-        expected_nodes: Optional[Sequence[int]] = None,
-    ) -> np.ndarray:
-        """Encode a round outcome and update the history buffer.
-
-        This is the coordinator's per-round entry point: it first builds
-        the state using the history *before* this round (so the history
-        rows describe past rounds, as in the paper), then records this
-        round's outcome for subsequent encodings.
-        """
-        vector = self.encode(per_node_reliability, per_node_radio_on_ms, n_tx, expected_nodes)
-        self.record_history(had_losses)
-        return vector
-
     def encode_round_arrays(
         self,
         node_ids: Sequence[int],
@@ -264,7 +186,13 @@ class FeatureEncoder:
         n_tx: int,
         had_losses: bool,
     ) -> np.ndarray:
-        """Array-backed :meth:`encode_round` (state first, then history)."""
+        """Encode a round outcome and update the history buffer.
+
+        This is the coordinator's per-round entry point: it first builds
+        the state using the history *before* this round (so the history
+        rows describe past rounds, as in the paper), then records this
+        round's outcome for subsequent encodings.
+        """
         vector = self.encode_arrays(node_ids, reliabilities, radio_on_ms, n_tx)
         self.record_history(had_losses)
         return vector

@@ -626,13 +626,13 @@ class TraceRecorder:
                             TraceRecord(
                                 round_index=round_counter,
                                 n_tx=n_tx,
-                                reliabilities=np.asarray(
+                                node_ids=[int(node) for node in entry["node_ids"]],
+                                reliability_array=np.asarray(
                                     entry["reliabilities"], dtype=float
                                 ),
-                                radio_on_ms=np.asarray(entry["radio_on_ms"], dtype=float),
+                                radio_on_array=np.asarray(entry["radio_on_ms"], dtype=float),
                                 interference_ratio=entry["interference_ratio"],
                                 had_losses=entry["had_losses"],
-                                node_ids=[int(node) for node in entry["node_ids"]],
                             )
                         )
                     round_counter += 1
@@ -715,18 +715,16 @@ class TraceEnvironment(Environment):
     def _encode_point(self, point: DecisionPoint, n_tx: int) -> Tuple[np.ndarray, TraceRecord]:
         """Encode ``point`` under ``n_tx``, then record its outcome in the history.
 
-        Equals ``encoder.encode_round`` on the point's record: the cached
-        history-free prefix followed by the current loss history.
+        Equals ``encoder.encode_round_arrays`` on the point's record:
+        the cached history-free prefix followed by the current loss
+        history.
         """
         record = point.outcome(n_tx)
         key = (id(point), n_tx)
         prefix = self._prefixes.get(key)
         if prefix is None:
-            full = self.encoder.encode(
-                record.reliabilities,
-                record.radio_on_ms,
-                n_tx,
-                expected_nodes=list(record.reliabilities),
+            full = self.encoder.encode_arrays(
+                record.node_ids, record.reliability_array, record.radio_on_array, n_tx
             )
             prefix = full[: full.shape[0] - self.feature_config.history_size].copy()
             self._prefixes[key] = prefix

@@ -13,8 +13,10 @@ from repro.rl.quantized import QuantizedNetwork
 
 def make_view(reliability=1.0, radio_on=8.0, num_nodes=18, had_losses=False):
     return GlobalView(
-        reliabilities={i: reliability for i in range(num_nodes)},
-        radio_on_ms={i: radio_on for i in range(num_nodes)},
+        node_ids=range(num_nodes),
+        reliability_array=np.full(num_nodes, float(reliability)),
+        radio_on_array=np.full(num_nodes, float(radio_on)),
+        missing_feedback_array=np.zeros(num_nodes, dtype=bool),
         had_losses=had_losses,
     )
 

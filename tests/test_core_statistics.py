@@ -20,12 +20,22 @@ def round_result(kiel):
 
 class TestGlobalView:
     def test_worst_and_average(self):
-        view = GlobalView(reliabilities={0: 1.0, 1: 0.5}, radio_on_ms={0: 5.0, 1: 10.0})
+        view = GlobalView(
+            node_ids=[0, 1],
+            reliability_array=np.array([1.0, 0.5]),
+            radio_on_array=np.array([5.0, 10.0]),
+            missing_feedback_array=np.zeros(2, dtype=bool),
+        )
         assert view.worst_reliability() == pytest.approx(0.5)
         assert view.average_reliability() == pytest.approx(0.75)
 
     def test_empty_view_defaults(self):
-        view = GlobalView(reliabilities={}, radio_on_ms={})
+        view = GlobalView(
+            node_ids=[],
+            reliability_array=np.zeros(0),
+            radio_on_array=np.zeros(0),
+            missing_feedback_array=np.zeros(0, dtype=bool),
+        )
         assert view.worst_reliability() == 1.0
         assert view.average_reliability() == 1.0
 
@@ -35,19 +45,22 @@ class TestStatisticsCollector:
         collector = StatisticsCollector(observer=kiel.coordinator, expected_nodes=kiel.node_ids)
         view = collector.build_view(round_result)
         assert not view.had_losses
-        assert set(view.reliabilities) == set(kiel.node_ids)
-        assert view.missing_feedback == []
+        assert view.node_ids == tuple(sorted(kiel.node_ids))
+        assert view.reliability_array.shape == view.radio_on_array.shape == (len(kiel.node_ids),)
+        assert not view.missing_feedback_array.any()
 
     def test_missing_feedback_flags_losses(self, kiel, round_result):
         collector = StatisticsCollector(observer=kiel.coordinator, expected_nodes=kiel.node_ids)
         # Forge one slot the coordinator did not receive.
         victim_slot = next(s for s in round_result.slots if s.source != kiel.coordinator)
-        victim_slot.flood.received[kiel.coordinator] = False
+        flood = victim_slot.flood
+        flood.received_array[flood.node_ids.index(kiel.coordinator)] = False
         view = collector.build_view(round_result)
         assert view.had_losses
-        assert victim_slot.source in view.missing_feedback
-        assert view.reliabilities[victim_slot.source] == 0.0
-        assert view.radio_on_ms[victim_slot.source] == pytest.approx(20.0)
+        row = view.node_ids.index(victim_slot.source)
+        assert np.flatnonzero(view.missing_feedback_array).tolist() == [row]
+        assert view.reliability_array[row] == 0.0
+        assert view.radio_on_array[row] == pytest.approx(20.0)
 
     def test_calm_round_counting(self, kiel, round_result):
         collector = StatisticsCollector(observer=kiel.coordinator, expected_nodes=kiel.node_ids)

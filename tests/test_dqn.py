@@ -186,10 +186,10 @@ def synthetic_trace(seed: int, episodes: int = 2, rounds: int = 12, n_max: int =
                 trace.append(TraceRecord(
                     round_index=round_index,
                     n_tx=n_tx,
-                    reliabilities=reliabilities,
-                    radio_on_ms=rng.uniform(2.0, 20.0, size=6),
-                    had_losses=bool(reliabilities.min() < 1.0),
                     node_ids=list(range(6)),
+                    reliability_array=reliabilities,
+                    radio_on_array=rng.uniform(2.0, 20.0, size=6),
+                    had_losses=bool(reliabilities.min() < 1.0),
                 ))
             round_index += 1
     return trace

@@ -26,6 +26,13 @@ def tiny_trace(tiny_topology):
     return recorder.record(episodes=[((2, 0.0), (2, 0.3))], repetitions=1)
 
 
+def assert_same_observables(a, b):
+    """Two trace records carry the same nodes and bit-identical values."""
+    assert a.node_ids == b.node_ids
+    assert a.reliability_array.tolist() == b.reliability_array.tolist()
+    assert a.radio_on_array.tolist() == b.radio_on_array.tolist()
+
+
 class TestActions:
     def test_action_deltas(self):
         assert Action.DECREASE.delta() == -1
@@ -94,8 +101,7 @@ class TestTraceRecorderParallel:
         assert serial.episode_starts == parallel.episode_starts
         for a, b in zip(serial, parallel):
             assert (a.round_index, a.n_tx) == (b.round_index, b.n_tx)
-            assert a.reliabilities == b.reliabilities
-            assert a.radio_on_ms == b.radio_on_ms
+            assert_same_observables(a, b)
             assert a.had_losses == b.had_losses
             assert a.interference_ratio == b.interference_ratio
 
@@ -108,7 +114,7 @@ class TestTraceRecorderParallel:
             episodes=self.EPISODES, runner=ParallelRunner(max_workers=0)
         )
         for a, b in zip(serial, inline):
-            assert a.reliabilities == b.reliabilities
+            assert_same_observables(a, b)
 
     def test_custom_topology_without_spec_rejected(self, tiny_topology):
         from repro.experiments.runner import ParallelRunner
@@ -129,7 +135,7 @@ class TestTraceRecorderParallel:
             episodes=(((2, 0.2),),), runner=ParallelRunner(max_workers=2)
         )
         for a, b in zip(serial, parallel):
-            assert a.reliabilities == b.reliabilities
+            assert_same_observables(a, b)
 
 
 class TestTraceEnvironment:
@@ -161,7 +167,7 @@ class TestTraceEnvironment:
         assert result.info["n_tx"] == 2
 
     def test_states_equal_per_round_encoding(self, tiny_trace):
-        # Reference: FeatureEncoder.encode_round on every visited record.
+        # Reference: a fresh encode_round_arrays on every visited record.
         # The second episode visits other N_TX values at the same points;
         # the third repeats the first, so its states come from cached
         # encodings.
@@ -178,9 +184,12 @@ class TestTraceEnvironment:
                 n_tx.append(result.info["n_tx"])
             for state, point, value in zip(states, points, n_tx):
                 record = point.outcome(value)
-                expected = encoder.encode_round(
-                    record.reliabilities, record.radio_on_ms, value, record.had_losses,
-                    expected_nodes=list(record.reliabilities),
+                expected = encoder.encode_round_arrays(
+                    record.node_ids,
+                    record.reliability_array,
+                    record.radio_on_array,
+                    value,
+                    record.had_losses,
                 )
                 np.testing.assert_array_equal(state, expected)
 

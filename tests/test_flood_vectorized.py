@@ -33,7 +33,7 @@ def flood_statistics(topology, engine, seed, interference=None, floods=250, n_tx
         )
         reliability.append(result.reliability)
         radio_on.append(result.average_radio_on_ms)
-        transmissions.append(sum(result.transmissions.values()))
+        transmissions.append(int(result.transmissions_array.sum()))
     return (
         float(np.mean(reliability)),
         float(np.mean(radio_on)),
@@ -96,30 +96,29 @@ class TestVectorizedSemantics:
 
     def test_initiator_counts_as_received_in_phase_zero(self, flood):
         result = flood.run(initiator=4, n_tx=2)
-        assert result.received[4]
-        assert result.reception_phase[4] == 0
+        assert result.received_at(4)
+        assert result.reception_phase_array[result.node_ids.index(4)] == 0
 
     def test_transmissions_respect_budget(self, flood):
         result = flood.run(initiator=0, n_tx=2)
-        assert all(count <= 2 for count in result.transmissions.values())
-        assert result.transmissions[0] >= 1
+        assert (result.transmissions_array <= 2).all()
+        assert result.transmissions_array[result.node_ids.index(0)] >= 1
 
     def test_passive_receivers_never_transmit(self, flood):
         n_tx = {node: 0 for node in flood.topology.node_ids}
         n_tx[0] = 3
         result = flood.run(initiator=0, n_tx=n_tx)
-        assert all(
-            result.transmissions[node] == 0 for node in flood.topology.node_ids if node != 0
-        )
+        others = np.array(result.node_ids) != 0
+        assert (result.transmissions_array[others] == 0).all()
 
     def test_non_participants_are_excluded(self, flood):
         participants = [0, 1, 2]
         result = flood.run(initiator=0, n_tx=2, participants=participants)
-        assert sorted(result.received) == participants
+        assert sorted(result.node_ids) == participants
 
     def test_radio_on_bounded_by_slot(self, flood):
         result = flood.run(initiator=0, n_tx=3, max_slot_ms=10.0)
-        assert all(0.0 <= value <= 10.0 for value in result.radio_on_ms.values())
+        assert ((result.radio_on_array >= 0.0) & (result.radio_on_array <= 10.0)).all()
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
@@ -191,7 +190,7 @@ class TestAcceptanceConfigurations:
 
 
 class TestArrayBackedFloodResult:
-    """The array backing and the dict-view compatibility shims."""
+    """The per-node arrays and the aggregates computed from them."""
 
     @pytest.fixture()
     def result(self):
@@ -200,43 +199,49 @@ class TestArrayBackedFloodResult:
         return flood.run(initiator=0, n_tx=2)
 
     def test_arrays_align_with_node_ids(self, result):
-        assert len(result.node_ids) == len(result.received_array)
+        count = len(result.node_ids)
+        assert result.received_array.shape == (count,)
+        assert result.reception_phase_array.shape == (count,)
+        assert result.transmissions_array.shape == (count,)
+        assert result.radio_on_array.shape == (count,)
         for i, node in enumerate(result.node_ids):
-            assert result.received[node] == bool(result.received_array[i])
-            assert result.transmissions[node] == int(result.transmissions_array[i])
-            assert result.radio_on_ms[node] == pytest.approx(result.radio_on_array[i])
+            assert result.received_at(node) == bool(result.received_array[i])
+        assert not result.received_at(99)  # absent nodes did not receive
 
     def test_reception_phase_none_encoding(self, result):
-        for i, node in enumerate(result.node_ids):
-            phase = result.reception_phase[node]
-            if phase is None:
-                assert result.reception_phase_array[i] == -1
-            else:
-                assert result.reception_phase_array[i] == phase
+        # -1 encodes "never received"; every receiver has a phase.
+        received = result.received_array
+        assert ((result.reception_phase_array >= 0) == received).all()
+        assert (result.reception_phase_array[~received] == -1).all()
 
-    def test_dict_views_are_cached_and_mutable(self, result):
-        view = result.received
-        assert view is result.received  # same object on every access
-        victim = result.node_ids[-1]
+    def test_patched_receptions_change_aggregates(self, result):
+        # Tests forge losses by patching the arrays in place.
         original = result.reliability
-        view[victim] = not view[victim]
+        victim = len(result.node_ids) - 1
+        result.received_array[victim] = not result.received_array[victim]
         assert result.reliability != pytest.approx(original)
+        assert result.received_at(result.node_ids[victim]) == bool(
+            result.received_array[victim]
+        )
 
     def test_aggregates_match_dict_formulas(self, result):
-        destinations = [n for n in result.received if n != result.initiator]
-        expected = sum(1 for n in destinations if result.received[n]) / len(destinations)
+        received = dict(zip(result.node_ids, result.received_array.tolist()))
+        radio_on = dict(zip(result.node_ids, result.radio_on_array.tolist()))
+        destinations = [n for n in received if n != result.initiator]
+        expected = sum(1 for n in destinations if received[n]) / len(destinations)
         assert result.reliability == pytest.approx(expected)
         assert result.average_radio_on_ms == pytest.approx(
-            sum(result.radio_on_ms.values()) / len(result.radio_on_ms)
+            sum(radio_on.values()) / len(radio_on)
         )
-        assert result.receivers() == sorted(n for n, ok in result.received.items() if ok)
+        assert result.receivers() == sorted(n for n, ok in received.items() if ok)
+        assert result.non_receivers() == sorted(n for n, ok in received.items() if not ok)
 
     def test_scalar_and_vectorized_results_expose_same_api(self):
         topology = grid_topology(rows=2, cols=2, spacing_m=4.0, comm_range_m=8.0)
         for engine in FLOOD_ENGINES:
             flood = GlossyFlood(topology, rng=np.random.default_rng(1), engine=engine)
             result = flood.run(initiator=0, n_tx=2)
-            assert set(result.received) == set(topology.node_ids)
+            assert set(result.node_ids) == set(topology.node_ids)
             assert result.received_array.dtype == bool
             assert result.transmissions_array.dtype == np.int64
             assert 0.0 <= result.reliability <= 1.0
@@ -247,7 +252,7 @@ class TestArrayBackedFloodResult:
         mask = np.zeros(topology.num_nodes, dtype=bool)
         mask[[0, 1, 2]] = True
         result = flood.run(initiator=0, n_tx=2, participants=mask)
-        assert sorted(result.received) == [0, 1, 2]
+        assert sorted(result.node_ids) == [0, 1, 2]
 
     def test_per_node_n_tx_vector(self):
         topology = grid_topology(rows=2, cols=3, spacing_m=4.0, comm_range_m=12.0)
@@ -255,26 +260,47 @@ class TestArrayBackedFloodResult:
         n_tx = np.zeros(topology.num_nodes, dtype=np.int64)
         n_tx[0] = 3
         result = flood.run(initiator=0, n_tx=n_tx)
-        assert all(
-            result.transmissions[node] == 0 for node in topology.node_ids if node != 0
-        )
+        others = np.array(result.node_ids) != 0
+        assert (result.transmissions_array[others] == 0).all()
 
     def test_empty_result_with_absent_initiator(self):
         # An empty slot whose source missed the schedule: the source is
-        # not among the listed nodes, and both backings agree on 0.0.
+        # not among the listed nodes, so all three count as destinations.
         from repro.net.glossy import FloodResult
 
         empty = FloodResult.empty(
-            initiator=99, node_ids=[1, 2, 3], slot_duration_ms=10.0, channel=26
+            initiator=99, node_ids=[1, 2, 3], slot_duration_ms=10.0, channel=26,
+            radio_on_ms=10.0,
         )
         assert empty.reliability == 0.0
-        from_dicts = FloodResult(
-            initiator=99,
-            received={1: False, 2: False, 3: False},
-            reception_phase={1: None, 2: None, 3: None},
-            transmissions={1: 0, 2: 0, 3: 0},
-            radio_on_ms={1: 10.0, 2: 10.0, 3: 10.0},
-            slot_duration_ms=10.0,
-            channel=26,
-        )
-        assert empty.reliability == from_dicts.reliability
+        assert empty.non_receivers() == [1, 2, 3]
+        assert empty.reception_phase_array.tolist() == [-1, -1, -1]
+        assert empty.average_radio_on_ms == 10.0
+
+
+class TestRunBatchParticipants:
+    """``run_batch`` takes every participant form ``run`` takes."""
+
+    @pytest.mark.parametrize("form", ["none", "mask", "ids", "subset_mask", "subset_ids"])
+    def test_engines_agree_on_node_ids(self, kiel, form):
+        ids = list(kiel.node_ids)
+        subset = [node for node in ids if node != 5]
+        full_mask = np.ones(len(ids), dtype=bool)
+        subset_mask = np.array([node != 5 for node in ids])
+        participants, expected = {
+            "none": (None, ids),
+            "mask": (full_mask, ids),
+            "ids": (ids, ids),
+            "subset_mask": (subset_mask, subset),
+            "subset_ids": (subset, subset),
+        }[form]
+        for engine in FLOOD_ENGINES:
+            flood = GlossyFlood(kiel, rng=np.random.default_rng(0), engine=engine)
+            results = flood.run_batch([1, 2], 3, participants=participants)
+            assert [result.node_ids for result in results] == [tuple(expected)] * 2, engine
+
+    def test_initiator_outside_id_list_rejected(self, kiel):
+        for engine in FLOOD_ENGINES:
+            flood = GlossyFlood(kiel, rng=np.random.default_rng(0), engine=engine)
+            with pytest.raises(ValueError, match="not among the participants"):
+                flood.run_batch([1, 5], 3, participants=[0, 1, 2, 3])

@@ -22,8 +22,8 @@ class TestCleanFloods:
 
     def test_initiator_counts_as_received(self, flood, kiel):
         result = flood.run(initiator=kiel.coordinator, n_tx=3)
-        assert result.received[kiel.coordinator]
-        assert result.reception_phase[kiel.coordinator] == 0
+        assert result.received_at(kiel.coordinator)
+        assert result.reception_phase_array[result.node_ids.index(kiel.coordinator)] == 0
 
     def test_higher_ntx_means_more_radio_on(self, kiel):
         link = LinkModel(kiel, seed=0)
@@ -33,15 +33,15 @@ class TestCleanFloods:
 
     def test_radio_on_bounded_by_slot(self, flood, kiel):
         result = flood.run(initiator=0, n_tx=8, max_slot_ms=20.0)
-        assert all(value <= 20.0 + 1e-9 for value in result.radio_on_ms.values())
+        assert (result.radio_on_array <= 20.0 + 1e-9).all()
 
     def test_transmissions_bounded_by_ntx(self, flood):
         result = flood.run(initiator=0, n_tx=3)
-        assert all(count <= 3 for count in result.transmissions.values())
+        assert (result.transmissions_array <= 3).all()
 
     def test_initiator_transmits_at_least_once_even_with_ntx_zero(self, flood):
         result = flood.run(initiator=0, n_tx=0)
-        assert result.transmissions[0] >= 1
+        assert result.transmissions_array[result.node_ids.index(0)] >= 1
 
     def test_passive_nodes_never_transmit(self, flood, kiel):
         n_tx = {node: 3 for node in kiel.node_ids}
@@ -49,7 +49,8 @@ class TestCleanFloods:
         for node in passive:
             n_tx[node] = 0
         result = flood.run(initiator=0, n_tx=n_tx)
-        assert all(result.transmissions[node] == 0 for node in passive)
+        rows = [result.node_ids.index(node) for node in passive]
+        assert (result.transmissions_array[rows] == 0).all()
 
     def test_passive_nodes_turn_off_early(self, flood, kiel):
         all_active = flood.run(initiator=0, n_tx=3)
@@ -59,16 +60,19 @@ class TestCleanFloods:
         with_passive = GlossyFlood(kiel, LinkModel(kiel, seed=0), rng=np.random.default_rng(0)).run(
             initiator=0, n_tx=n_tx
         )
-        assert with_passive.radio_on_ms[passive] < all_active.radio_on_ms[passive]
+        row = all_active.node_ids.index(passive)
+        assert with_passive.node_ids == all_active.node_ids
+        assert with_passive.radio_on_array[row] < all_active.radio_on_array[row]
 
     def test_hop_ordering_of_reception_phases(self, flood, kiel):
         result = flood.run(initiator=kiel.coordinator, n_tx=3)
         hops = kiel.hop_distances()
         one_hop = [n for n, h in hops.items() if h == 1]
         three_hop = [n for n, h in hops.items() if h == 3]
+        phase = dict(zip(result.node_ids, result.reception_phase_array.tolist()))
         if one_hop and three_hop:
-            earliest_far = min(result.reception_phase[n] for n in three_hop if result.received[n])
-            earliest_near = min(result.reception_phase[n] for n in one_hop if result.received[n])
+            earliest_far = min(phase[n] for n in three_hop if result.received_at(n))
+            earliest_near = min(phase[n] for n in one_hop if result.received_at(n))
             assert earliest_near <= earliest_far
 
 
@@ -108,7 +112,7 @@ class TestFloodsUnderInterference:
     def test_non_participants_do_not_receive(self, flood, kiel):
         participants = kiel.node_ids[:6]
         result = flood.run(initiator=0, n_tx=3, participants=participants)
-        assert set(result.received) == set(participants)
+        assert set(result.node_ids) == set(participants)
 
 
 class TestValidation:

@@ -136,7 +136,8 @@ class TestObserverView:
         result = engine.run_round(nodes, make_schedule(kiel))
         # Forge a result where the coordinator missed one slot.
         source = result.slots[3].source
-        result.slots[3].flood.received[kiel.coordinator] = False
+        flood = result.slots[3].flood
+        flood.received_array[flood.node_ids.index(kiel.coordinator)] = False
         node_ids, reliability, _, missing = observer_view_arrays(
             result, observer=kiel.coordinator
         )

@@ -43,8 +43,12 @@ def test_feature_encoding_always_bounded_and_sized(reliabilities, radio, n_tx, k
     """The Table-I encoding always produces a vector of the right size in [-1, 1]."""
     config = FeatureConfig(num_input_nodes=k, history_size=m)
     encoder = FeatureEncoder(config)
-    radio_map = {node: radio for node in reliabilities}
-    vector = encoder.encode(reliabilities, radio_map, n_tx=n_tx)
+    vector = encoder.encode_arrays(
+        list(reliabilities),
+        np.array(list(reliabilities.values())),
+        np.full(len(reliabilities), radio),
+        n_tx=n_tx,
+    )
     assert vector.shape == (config.input_size,)
     assert np.all(vector >= -1.0 - 1e-9)
     assert np.all(vector <= 1.0 + 1e-9)

@@ -248,9 +248,10 @@ class TestRunBatchEdgeCases:
             # Non-initiators listen through every phase of the slot
             # (nothing to decode, so they never switch off early); the
             # initiator spends its budget and switches off.
-            others = [result.radio_on_ms[n] for n in result.node_ids if n != initiator]
+            radio_on = dict(zip(result.node_ids, result.radio_on_array.tolist()))
+            others = [radio_on[n] for n in result.node_ids if n != initiator]
             assert len(set(others)) == 1
-            assert others[0] > result.radio_on_ms[initiator]
+            assert others[0] > radio_on[initiator]
 
     @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
     def test_initiator_churned_out_mid_round(self, engine):

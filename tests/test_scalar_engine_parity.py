@@ -69,12 +69,16 @@ def _flood_pair(topology, gray, seed=99, gray_share=0.3):
 
 def assert_identical(result, reference):
     """Every observable of ``result`` equals the per-node reference's."""
-    assert list(result.node_ids) == list(reference.node_ids)
-    assert list(result.received) == list(reference.received)
-    assert result.received == reference.received
-    assert result.reception_phase == reference.reception_phase
-    assert result.transmissions == reference.transmissions
-    assert result.radio_on_ms == reference.radio_on_ms
+    assert result.node_ids == reference.node_ids
+    for name in (
+        "received_array",
+        "reception_phase_array",
+        "transmissions_array",
+        "radio_on_array",
+    ):
+        values, expected = getattr(result, name), getattr(reference, name)
+        assert values.dtype == expected.dtype, name
+        assert values.tolist() == expected.tolist(), name
     assert result.reliability == reference.reliability
     assert result.average_radio_on_ms == reference.average_radio_on_ms
     assert result.slot_duration_ms == reference.slot_duration_ms

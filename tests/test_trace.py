@@ -1,16 +1,22 @@
 """Tests for trace records and trace sets."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.net.trace import TraceRecord, TraceSet
+
+NAN = float("nan")
 
 
 def make_record(round_index=0, n_tx=3, lossy=False):
     return TraceRecord(
         round_index=round_index,
         n_tx=n_tx,
-        reliabilities={0: 1.0, 1: 0.8 if lossy else 1.0, 2: 0.5 if lossy else 1.0},
-        radio_on_ms={0: 8.0, 1: 10.0, 2: 12.0},
+        node_ids=[0, 1, 2],
+        reliability_array=np.array([1.0, 0.8 if lossy else 1.0, 0.5 if lossy else 1.0]),
+        radio_on_array=np.array([8.0, 10.0, 12.0]),
         interference_ratio=0.3 if lossy else 0.0,
         had_losses=lossy,
     )
@@ -65,7 +71,9 @@ class TestTraceSet:
         assert len(rebuilt) == 2
         assert rebuilt.metadata["topology"] == "test"
         assert rebuilt[0].had_losses
-        assert rebuilt[0].reliabilities == trace[0].reliabilities
+        assert rebuilt[0].node_ids == trace[0].node_ids == (0, 1, 2)
+        assert np.array_equal(rebuilt[0].reliability_array, trace[0].reliability_array)
+        assert np.array_equal(rebuilt[0].radio_on_array, trace[0].radio_on_array)
 
     def test_file_roundtrip(self, tmp_path):
         trace = TraceSet()
@@ -86,7 +94,13 @@ class TestTraceRecordDegenerateInputs:
         assert record.worst_nodes(50) == [2, 1, 0]
 
     def test_empty_reliabilities(self):
-        record = TraceRecord(round_index=0, n_tx=3, reliabilities={}, radio_on_ms={})
+        record = TraceRecord(
+            round_index=0,
+            n_tx=3,
+            node_ids=[],
+            reliability_array=np.zeros(0),
+            radio_on_array=np.zeros(0),
+        )
         assert record.worst_nodes(5) == []
 
     def test_nan_reliabilities_rank_worst_first(self):
@@ -95,41 +109,26 @@ class TestTraceRecordDegenerateInputs:
         record = TraceRecord(
             round_index=0,
             n_tx=3,
-            reliabilities={0: 0.9, 1: float("nan"), 2: 0.1, 3: float("nan")},
-            radio_on_ms={0: 8.0, 1: 8.0, 2: 8.0, 3: 8.0},
+            node_ids=[0, 1, 2, 3],
+            reliability_array=np.array([0.9, NAN, 0.1, NAN]),
+            radio_on_array=np.full(4, 8.0),
         )
         assert record.worst_nodes(3) == [1, 3, 2]
         assert record.worst_nodes(10) == [1, 3, 2, 0]
 
-    def test_array_backed_construction_matches_dict(self):
-        import numpy as np
-
-        from_dicts = make_record(lossy=True)
-        from_arrays = TraceRecord(
-            round_index=0,
-            n_tx=3,
-            reliabilities=np.array([1.0, 0.8, 0.5]),
-            radio_on_ms=np.array([8.0, 10.0, 12.0]),
-            node_ids=[0, 1, 2],
-        )
-        assert from_arrays.reliabilities == from_dicts.reliabilities
-        assert from_arrays.radio_on_ms == from_dicts.radio_on_ms
-        assert from_arrays.worst_nodes(2) == from_dicts.worst_nodes(2)
-
     def test_nan_survives_json_roundtrip(self):
-        import math
-
         trace = TraceSet()
         trace.append(
             TraceRecord(
                 round_index=0,
                 n_tx=2,
-                reliabilities={0: 1.0, 1: float("nan")},
-                radio_on_ms={0: 8.0, 1: 8.0},
+                node_ids=[0, 1],
+                reliability_array=np.array([1.0, NAN]),
+                radio_on_array=np.array([8.0, 8.0]),
             )
         )
         rebuilt = TraceSet.from_dict(trace.to_dict())
-        assert math.isnan(rebuilt[0].reliabilities[1])
+        assert math.isnan(rebuilt[0].reliability_array[1])
         assert rebuilt[0].worst_nodes(1) == [1]
 
     def test_legacy_dict_format_still_loads(self):
@@ -141,15 +140,23 @@ class TestTraceRecordDegenerateInputs:
                     "round_index": 0,
                     "n_tx": 4,
                     "reliabilities": {"0": 1.0, "1": 0.5},
-                    "radio_on_ms": {"0": 8.0, "1": 9.0},
+                    # Radio-on keys in another order: values follow ids.
+                    "radio_on_ms": {"1": 9.0, "0": 8.0},
                     "interference_ratio": 0.1,
                     "had_losses": True,
                 }
             ],
         }
         trace = TraceSet.from_dict(legacy)
-        assert trace[0].reliabilities == {0: 1.0, 1: 0.5}
-        assert trace[0].worst_nodes(1) == [1]
+        record = trace[0]
+        assert record.node_ids == (0, 1)
+        assert record.reliability_array.dtype == record.radio_on_array.dtype == np.float64
+        assert record.reliability_array.tolist() == [1.0, 0.5]
+        assert record.radio_on_array.tolist() == [8.0, 9.0]
+        assert record.interference_ratio == 0.1 and record.had_losses
+        assert record.worst_nodes(1) == [1]
+        # Saved again, the record takes the array format.
+        assert TraceSet.from_dict(trace.to_dict())[0].radio_on_array.tolist() == [8.0, 9.0]
 
 
 class TestRewardPathDegenerateInputs:
@@ -180,8 +187,9 @@ class TestRewardPathDegenerateInputs:
         record = TraceRecord(
             round_index=0,
             n_tx=5,
-            reliabilities={1: float("nan"), 2: float("nan")},
-            radio_on_ms={1: 20.0, 2: 20.0},
+            node_ids=[1, 2],
+            reliability_array=np.array([NAN, NAN]),
+            radio_on_array=np.array([20.0, 20.0]),
             had_losses=True,
         )
         assert record.worst_nodes(2) == [1, 2]
