@@ -5,8 +5,7 @@ evaluation (§V) and prints the corresponding rows/series.  The runs are
 scaled down (fewer rounds / repetitions than the multi-hour testbed
 experiments) so the whole harness finishes in minutes; the *shape* of
 the results — who wins, by roughly what factor, where crossovers fall —
-is what they reproduce.  EXPERIMENTS.md records paper-vs-measured for
-each of them.
+is what they reproduce.
 """
 
 from __future__ import annotations

@@ -111,9 +111,6 @@ class Session:
     shard_timeout_s:
         Per-shard wall-clock timeout enforced by the runner's watchdog;
         ignored when ``runner`` is given.
-    checkpoint:
-        Path of the append-only checkpoint manifest journaling completed
-        shard keys (grid resume); ignored when ``runner`` is given.
     """
 
     def __init__(
@@ -125,7 +122,6 @@ class Session:
         network: Any = None,
         retry_policy: Any = None,
         shard_timeout_s: Optional[float] = None,
-        checkpoint: Optional[Union[str, Path]] = None,
     ) -> None:
         self.runner = (
             runner
@@ -135,7 +131,6 @@ class Session:
                 cache_dir=cache_dir,
                 retry_policy=retry_policy,
                 shard_timeout_s=shard_timeout_s,
-                checkpoint=checkpoint,
             )
         )
         self.engine = engine
@@ -531,8 +526,8 @@ class Session:
         document = dict(payload)
         document["command"] = command
         # Full accounting, fault counters included: retries, timeouts,
-        # quarantined cache entries, corrupt results, pool restarts and
-        # checkpoint-resumed shards all land in the artifact.
+        # quarantined cache entries, corrupt results and pool restarts
+        # all land in the artifact.
         document["runner_stats"] = self.stats.as_dict()
         document["failed_shards"] = [dict(entry) for entry in failed_shards]
         atomic_write_json(path, document)

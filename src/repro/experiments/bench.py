@@ -38,28 +38,6 @@ from repro.experiments.runner import FAILURE_KEY, RunnerError
 from repro.experiments.spec import load_specs
 from repro.net import FLOOD_ENGINES
 
-#: Manifest file name used by ``--resume`` without an explicit path.
-DEFAULT_CHECKPOINT_NAME = "grid_checkpoint.jsonl"
-
-
-class _UsageError(Exception):
-    """A CLI flag combination that cannot work; printed, exit code 2."""
-
-
-def _checkpoint_path(args: argparse.Namespace, cache_dir: Optional[Path]) -> Optional[Path]:
-    """Resolve ``--resume`` into a manifest path (or ``None``)."""
-    resume = getattr(args, "resume", None)
-    if resume is None:
-        return None
-    if resume != "auto":
-        return Path(resume)
-    if cache_dir is None:
-        raise _UsageError(
-            "--resume without a manifest path needs the result cache "
-            "(drop --no-cache or pass --resume MANIFEST)"
-        )
-    return cache_dir / DEFAULT_CHECKPOINT_NAME
-
 
 def _session(args: argparse.Namespace, network: Any = None) -> Session:
     cache_dir = None if args.no_cache else Path(args.cache_dir)
@@ -71,7 +49,6 @@ def _session(args: argparse.Namespace, network: Any = None) -> Session:
         network=network,
         retry_policy=RetryPolicy(max_attempts=retries + 1) if retries is not None else None,
         shard_timeout_s=getattr(args, "shard_timeout", None),
-        checkpoint=_checkpoint_path(args, cache_dir),
     )
 
 
@@ -95,7 +72,6 @@ def _print_stats(session: Session) -> None:
         "quarantined": stats.quarantined,
         "corrupt_results": stats.corrupt_results,
         "pool_restarts": stats.pool_restarts,
-        "resumed": stats.resumed,
     }
     extras = " ".join(f"{name}={count}" for name, count in faults.items() if count)
     print(f"{line} {extras}" if extras else line)
@@ -370,13 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-shard wall-clock timeout; an overrunning shard is "
              "cancelled (its worker pool rebuilt) and retried",
     )
-    common.add_argument(
-        "--resume", nargs="?", const="auto", default=None, metavar="MANIFEST",
-        help="journal completed shards to an append-only checkpoint "
-             "manifest and resume from it: an interrupted grid restarts "
-             "where it stopped (default manifest: "
-             f"<cache-dir>/{DEFAULT_CHECKPOINT_NAME})",
-    )
 
     parser = argparse.ArgumentParser(
         prog="repro-bench",
@@ -450,13 +419,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as error:
-        print(f"[error] {error}", file=sys.stderr)
-        return 2
     except GridInterrupted as stop:
-        # Completed shards were flushed to cache (and the checkpoint
-        # manifest under --resume) before the drain finished; rerunning
-        # the same command picks up exactly where this stopped.
+        # Completed shards were flushed to the cache before the drain
+        # finished; rerunning the same command serves them from it and
+        # computes only the rest (a --no-cache run starts over).
         print(
             f"[interrupted] {stop.completed}/{stop.total} shards completed and "
             f"flushed; rerun to resume",

@@ -14,8 +14,8 @@ a crash-safe grid run:
 * **Result integrity envelopes** — :func:`seal_result` wraps every
   worker result (and every on-disk cache entry) in a SHA-256 checksum;
   :func:`open_result` verifies it and raises :class:`CorruptResult` on
-  mismatch, which the runner turns into a quarantine (cache) or a retry
-  (in-flight result).
+  a mismatch or a missing seal, which the runner turns into a
+  quarantine (cache) or a retry (in-flight result).
 * :class:`FaultPlan` — a seeded, fully deterministic schedule of
   ``kill`` / ``hang`` / ``raise`` / ``corrupt`` faults, threaded into
   workers through the :data:`FAULT_PLAN_ENV` environment knob and the
@@ -24,8 +24,10 @@ a crash-safe grid run:
   run, despite 20% injected faults".
 * :class:`GridInterrupted` — the graceful-interruption signal: SIGINT /
   SIGTERM during a grid run drains the in-flight shards, flushes them
-  to cache and checkpoint, and raises this (a ``KeyboardInterrupt``
-  subclass) carrying the partial-completion accounting.
+  to the cache, and raises this (a ``KeyboardInterrupt`` subclass)
+  carrying the partial-completion accounting.  Rerunning the grid
+  serves the flushed shards from the cache; without a cache there is
+  nothing to resume from.
 
 Run ``python -m repro.experiments.resilience`` for a self-contained
 chaos smoke: it executes the same grid with and without an injected
@@ -93,10 +95,10 @@ class BrokenWorker(TransientError):
 class GridInterrupted(KeyboardInterrupt):
     """A grid run was interrupted (SIGINT/SIGTERM) and drained gracefully.
 
-    Completed shards were flushed to the cache and the checkpoint
-    manifest before this was raised, so a rerun resumes where the run
-    stopped.  Subclasses ``KeyboardInterrupt`` so callers that only
-    handle ^C keep their semantics.
+    Completed shards were flushed to the cache before this was raised,
+    so a rerun with the same cache directory serves them as cache hits
+    and computes only the rest.  Subclasses ``KeyboardInterrupt`` so
+    callers that only handle ^C keep their semantics.
     """
 
     def __init__(self, completed: int = 0, total: int = 0) -> None:
@@ -198,15 +200,16 @@ def seal_result(payload: Any, tamper: bool = False) -> Dict[str, Any]:
 def open_result(envelope: Any, context: str = "") -> Any:
     """Verify and unwrap a sealed envelope.
 
-    Unsealed values (legacy cache entries written before checksums
-    existed) pass through unverified, so warmed caches keep working.
-    Raises :class:`CorruptResult` on checksum mismatch.
+    Raises :class:`CorruptResult` on a checksum mismatch and on anything
+    without the seal: workers and the cache always seal, so an unsealed
+    value is a foreign or hand-edited file, never a result.
     """
+    where = f" ({context})" if context else ""
     if not (isinstance(envelope, dict) and envelope.get(SEAL_KEY)):
-        return envelope
+        raise CorruptResult(f"result is not sealed{where}")
     payload = envelope.get("payload")
     if envelope.get("sha256") != result_checksum(payload):
-        raise CorruptResult(f"result checksum mismatch{f' ({context})' if context else ''}")
+        raise CorruptResult(f"result checksum mismatch{where}")
     return payload
 
 
@@ -400,7 +403,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     cache_dir=chaos_dir,
                     retry_policy=RetryPolicy(max_attempts=args.retries + 1),
                     shard_timeout_s=args.shard_timeout,
-                    checkpoint=Path(tmp) / "grid_checkpoint.jsonl",
                 )
                 results = runner.run(tasks, collect_errors=True)
             finally:

@@ -15,7 +15,12 @@ processes (``concurrent.futures``), with
   ones;
 * **an on-disk result cache** keyed by a content hash of the task, so
   re-running a sweep after editing one grid point only recomputes the
-  changed tasks; and
+  changed tasks, and an interrupted grid resumes from it: a rerun
+  serves every flushed shard from the cache;
+* **retries and recovery** — transient failures (timeouts, dead
+  workers, corrupt results) are retried under a
+  :class:`~repro.experiments.resilience.RetryPolicy`, and SIGINT/SIGTERM
+  drain the in-flight shards before stopping; and
 * **failure propagation** — a crashing worker surfaces as a
   :class:`RunnerError` naming the offending task instead of a silent
   hole in the grid.
@@ -23,9 +28,9 @@ processes (``concurrent.futures``), with
 Experiments are registered by name (the registry maps the name to a
 plain function executed inside the worker); tasks reference them by
 name, keeping tasks picklable and cache keys stable.  The built-in
-experiments cover the paper's harnesses (interference sweep points,
-dynamic-interference runs, D-Cube grid points) plus the mobile-jammer
-and node-churn scenario families.
+experiments live next to their spec families in
+:mod:`repro.experiments.spec`, which the package imports, so they are
+registered in every process that imports this module.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -227,8 +232,6 @@ class RunnerStats:
     corrupt_results: int = 0
     #: Worker-pool rebuilds (dead worker or timeout recovery).
     pool_restarts: int = 0
-    #: Cache hits for shards recorded in the checkpoint manifest.
-    resumed: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         """JSON-able snapshot (the artifact envelope's ``runner_stats``)."""
@@ -241,7 +244,6 @@ class RunnerStats:
             "quarantined": self.quarantined,
             "corrupt_results": self.corrupt_results,
             "pool_restarts": self.pool_restarts,
-            "resumed": self.resumed,
         }
 
 
@@ -332,9 +334,9 @@ class ParallelRunner:
         Directory for the on-disk result cache; ``None`` disables
         caching.  Entries are JSON files named by the task content hash,
         so any parameter change invalidates exactly the affected tasks.
-        Entries are checksummed on write and verified on load; a torn or
-        corrupt entry is quarantined (renamed to ``*.corrupt``) and the
-        task recomputed.
+        Entries are checksummed on write and verified on load; a torn,
+        corrupt or unsealed entry is quarantined (renamed to
+        ``*.corrupt``) and the task recomputed.
     retry_policy:
         The :class:`~repro.experiments.resilience.RetryPolicy` applied
         per shard (``None`` = the default policy: 3 attempts with
@@ -348,11 +350,6 @@ class ParallelRunner:
         pool is torn down and rebuilt, the shard counts a timeout and is
         retried under the policy; innocent in-flight shards are
         resubmitted without being charged an attempt.
-    checkpoint:
-        Path of an append-only JSONL manifest journaling completed shard
-        keys.  An interrupted grid rerun with the same manifest resumes
-        from it (completed shards are cache hits counted as ``resumed``
-        in :class:`RunnerStats`) instead of recomputing.
     """
 
     def __init__(
@@ -361,7 +358,6 @@ class ParallelRunner:
         cache_dir: Optional[Path] = None,
         retry_policy: Optional[Any] = None,
         shard_timeout_s: Optional[float] = None,
-        checkpoint: Optional[Path] = None,
     ) -> None:
         from repro.experiments.resilience import RetryPolicy
 
@@ -373,7 +369,6 @@ class ParallelRunner:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.shard_timeout_s = shard_timeout_s
-        self.checkpoint = Path(checkpoint) if checkpoint is not None else None
         self.stats = RunnerStats()
 
     # ------------------------------------------------------------------
@@ -413,7 +408,8 @@ class ParallelRunner:
         try:
             with path.open("r", encoding="utf-8") as handle:
                 raw = json.load(handle)
-        except (OSError, json.JSONDecodeError) as error:
+        except (OSError, ValueError) as error:
+            # ValueError covers both torn JSON and invalid UTF-8.
             self._quarantine(path, repr(error))
             return None
         try:
@@ -443,44 +439,6 @@ class ParallelRunner:
         atomic_write_json(path, seal_result(result))
 
     # ------------------------------------------------------------------
-    # Checkpoint manifest
-    # ------------------------------------------------------------------
-    def _checkpoint_keys(self) -> Set[str]:
-        """Completed-shard keys recorded in the checkpoint manifest."""
-        if self.checkpoint is None or not self.checkpoint.exists():
-            return set()
-        keys: Set[str] = set()
-        try:
-            lines = self.checkpoint.read_text(encoding="utf-8").splitlines()
-        except OSError:
-            return set()
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                keys.add(json.loads(line)["key"])
-            except (json.JSONDecodeError, KeyError, TypeError):
-                # A torn tail line (crash mid-append) only loses that
-                # one entry; the shard recomputes from cache or scratch.
-                continue
-        return keys
-
-    def _journal(self, task: ScenarioTask, manifest: Set[str]) -> None:
-        """Append a completed shard to the manifest (idempotent, fsynced)."""
-        if self.checkpoint is None:
-            return
-        key = task.key()
-        if key in manifest:
-            return
-        manifest.add(key)
-        self.checkpoint.parent.mkdir(parents=True, exist_ok=True)
-        with self.checkpoint.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps({"key": key, "label": task.describe()}) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-
-    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(
@@ -501,24 +459,19 @@ class ParallelRunner:
         shard can never be silently served from disk.
 
         SIGINT/SIGTERM interrupt gracefully: no new shards are
-        submitted, in-flight shards drain and flush to cache and
-        checkpoint, then
+        submitted, in-flight shards drain and flush to the cache, then
         :class:`~repro.experiments.resilience.GridInterrupted` is
-        raised with the partial-completion accounting.
+        raised with the partial-completion accounting.  Rerunning the
+        same grid serves the flushed shards from the cache.
         """
         tasks = list(tasks)
         results: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
-        manifest = self._checkpoint_keys()
         pending: List[int] = []
         for index, task in enumerate(tasks):
             cached = self._cache_load(task)
             if cached is not None:
                 results[index] = cached
                 self.stats.cache_hits += 1
-                if task.key() in manifest:
-                    self.stats.resumed += 1
-                else:
-                    self._journal(task, manifest)
             else:
                 pending.append(index)
                 self.stats.cache_misses += 1
@@ -526,11 +479,9 @@ class ParallelRunner:
         if pending:
             with _graceful_interrupts() as interrupt:
                 if self.max_workers is not None and self.max_workers <= 1:
-                    self._run_inline(tasks, pending, results, collect_errors,
-                                     manifest, interrupt)
+                    self._run_inline(tasks, pending, results, collect_errors, interrupt)
                 else:
-                    self._run_pool(tasks, pending, results, collect_errors,
-                                   manifest, interrupt)
+                    self._run_pool(tasks, pending, results, collect_errors, interrupt)
         # Every slot must be filled: a hole here would silently shift the
         # positional regrouping done by the grid-level callers.
         missing = [tasks[i].describe() for i, r in enumerate(results) if r is None]
@@ -538,13 +489,8 @@ class ParallelRunner:
             raise RuntimeError(f"tasks produced no result: {missing}")
         return list(results)  # type: ignore[arg-type]
 
-    def _finish(
-        self,
-        task: ScenarioTask,
-        envelope: Any,
-        manifest: Set[str],
-    ) -> Dict[str, Any]:
-        """Verify, cache and journal one completed shard's result.
+    def _finish(self, task: ScenarioTask, envelope: Any) -> Dict[str, Any]:
+        """Verify and cache one completed shard's result.
 
         Raises :class:`~repro.experiments.resilience.CorruptResult` if
         the envelope fails checksum verification (a ``corrupt`` fault or
@@ -554,7 +500,6 @@ class ParallelRunner:
 
         result = open_result(envelope, context=task.describe())
         self._cache_store(task, result)
-        self._journal(task, manifest)
         self.stats.executed += 1
         return result
 
@@ -564,7 +509,6 @@ class ParallelRunner:
         pending: Sequence[int],
         results: List[Optional[Dict[str, Any]]],
         collect_errors: bool,
-        manifest: Set[str],
         interrupt: _InterruptState,
     ) -> None:
         """Inline execution path (``max_workers <= 1``) with retries.
@@ -584,7 +528,7 @@ class ParallelRunner:
             while True:
                 try:
                     envelope = _execute_task(tasks[index], attempt)
-                    results[index] = self._finish(tasks[index], envelope, manifest)
+                    results[index] = self._finish(tasks[index], envelope)
                     break
                 except KeyboardInterrupt:
                     raise GridInterrupted(
@@ -612,7 +556,6 @@ class ParallelRunner:
         pending: Sequence[int],
         results: List[Optional[Dict[str, Any]]],
         collect_errors: bool,
-        manifest: Set[str],
         interrupt: _InterruptState,
     ) -> None:
         """Worker-pool scheduler with watchdog, retries and pool recovery.
@@ -761,9 +704,7 @@ class ParallelRunner:
                     error = future.exception()
                     if error is None:
                         try:
-                            results[index] = self._finish(
-                                tasks[index], future.result(), manifest
-                            )
+                            results[index] = self._finish(tasks[index], future.result())
                         except CorruptResult as corrupt:
                             self.stats.corrupt_results += 1
                             retry_or_fail(index, corrupt)
@@ -812,42 +753,6 @@ class ParallelRunner:
                 )
         finally:
             _terminate_pool(pool)
-
-    def run_grid(
-        self,
-        experiment: str,
-        grid: Sequence[Mapping[str, Any]],
-        seeds: Sequence[int] = (0,),
-        base_params: Optional[Mapping[str, Any]] = None,
-        base_seed: int = 0,
-    ) -> List[List[Dict[str, Any]]]:
-        """Run ``experiment`` over a scenario x seed grid.
-
-        Each entry of ``grid`` is merged over ``base_params``; every
-        resulting scenario runs once per entry of ``seeds`` with a
-        deterministic per-task seed mixed from ``base_seed``, the
-        scenario parameters and the seed index.  Returns one list of
-        per-seed results per scenario, in grid order.
-        """
-        tasks: List[ScenarioTask] = []
-        for scenario in grid:
-            params = dict(base_params or {})
-            params.update(scenario)
-            for seed in seeds:
-                tasks.append(
-                    ScenarioTask(
-                        experiment=experiment,
-                        params=params,
-                        seed=stable_seed(base_seed, experiment, params, seed),
-                    )
-                )
-        flat = self.run(tasks)
-        per_scenario: List[List[Dict[str, Any]]] = []
-        cursor = 0
-        for _ in grid:
-            per_scenario.append(flat[cursor: cursor + len(seeds)])
-            cursor += len(seeds)
-        return per_scenario
 
 
 # ----------------------------------------------------------------------
@@ -925,278 +830,3 @@ def network_from_payload(payload: Mapping[str, Any]):
     if payload.get("kind") == "quantized":
         return QuantizedNetwork(network, scale=int(payload["scale"]))
     return network
-
-
-# ----------------------------------------------------------------------
-# Built-in experiments
-# ----------------------------------------------------------------------
-@register_experiment("sweep_point")
-def run_sweep_point(
-    seed: int = 0,
-    protocol: str = "lwb",
-    ratio: float = 0.0,
-    topology: Optional[Mapping[str, Any]] = None,
-    rounds: int = 75,
-    round_period_s: float = 4.0,
-    engine: str = "vectorized",
-    network: Optional[Mapping[str, Any]] = None,
-) -> Dict[str, Any]:
-    """One (protocol, interference-ratio) run of the Fig. 5 sweep."""
-    from repro.experiments.interference_sweep import run_single_sweep_point
-
-    topo = build_topology(topology or {"kind": "kiel"})
-    net = network_from_payload(network) if network is not None else None
-    metrics = run_single_sweep_point(
-        protocol,
-        ratio,
-        net,
-        topo,
-        rounds,
-        round_period_s,
-        seed,
-        engine=engine,
-    )
-    return metrics.as_dict()
-
-
-@register_experiment("dynamic_run")
-def run_dynamic_task(
-    seed: int = 0,
-    protocol: str = "dimmer",
-    topology: Optional[Mapping[str, Any]] = None,
-    time_scale: float = 1.0,
-    round_period_s: float = 4.0,
-    network: Optional[Mapping[str, Any]] = None,
-) -> Dict[str, Any]:
-    """One protocol run of the §V-C dynamic-interference timeline."""
-    from repro.experiments.dynamic import run_dynamic_experiment
-
-    topo = build_topology(topology or {"kind": "kiel"})
-    net = network_from_payload(network) if network is not None else None
-    result = run_dynamic_experiment(
-        protocol,
-        network=net,
-        topology=topo,
-        time_scale=time_scale,
-        round_period_s=round_period_s,
-        seed=seed,
-    )
-    return {
-        "protocol": result.protocol,
-        "metrics": result.metrics.as_dict(),
-        "times_s": list(result.reliability.times_s),
-        "reliability": list(result.reliability.values),
-        "n_tx": list(result.n_tx.values),
-        "radio_on_ms": list(result.radio_on_ms.values),
-        "interference_ratio": list(result.interference_ratio.values),
-    }
-
-
-@register_experiment("dcube_point")
-def run_dcube_point(
-    seed: int = 0,
-    protocol: str = "lwb",
-    level: int = 0,
-    topology: Optional[Mapping[str, Any]] = None,
-    num_rounds: int = 200,
-    num_sources: int = 5,
-    max_retries: int = 5,
-    network: Optional[Mapping[str, Any]] = None,
-) -> Dict[str, Any]:
-    """One (protocol, WiFi-level) grid point of the Fig. 7 comparison."""
-    from repro.experiments.dcube import run_single_dcube_point
-
-    topo = build_topology(topology or {"kind": "dcube"})
-    net = network_from_payload(network) if network is not None else None
-    result = run_single_dcube_point(
-        protocol, level, net, topo, num_rounds, num_sources, max_retries, seed
-    )
-    return {
-        "protocol": result.protocol,
-        "level": result.level,
-        "reliability": result.reliability,
-        "energy_j": result.energy_j,
-        "average_radio_on_ms": result.average_radio_on_ms,
-        "packets_generated": result.packets_generated,
-        "packets_delivered": result.packets_delivered,
-    }
-
-
-@register_experiment("trace_episode")
-def run_trace_episode(
-    seed: int = 0,
-    topology: Optional[Mapping[str, Any]] = None,
-    n_tx: int = 3,
-    episode: Sequence[Sequence[float]] = (),
-    ambient_rate: float = 0.02,
-    round_period_s: float = 4.0,
-    interference_seed: int = 0,
-    churn: Sequence[Mapping[str, Any]] = (),
-) -> Dict[str, Any]:
-    """One (episode, N_TX) slice of the trace collection.
-
-    ``TraceRecorder`` fans its ``N_max + 1`` lock-stepped simulators out
-    as one of these tasks per retransmission parameter; ``seed`` is the
-    episode seed shared by all simulators of the decision point.
-    """
-    from repro.rl.trace_env import record_episode_for_n_tx
-
-    topo = build_topology(topology or {"kind": "kiel"})
-    records = record_episode_for_n_tx(
-        topo,
-        int(n_tx),
-        [(int(rounds), float(ratio)) for rounds, ratio in episode],
-        ambient_rate,
-        round_period_s,
-        episode_seed=seed,
-        interference_seed=int(interference_seed),
-        churn=churn,
-    )
-    return {"records": records}
-
-
-@register_experiment("feature_sweep_point")
-def run_feature_sweep_point(
-    seed: int = 0,
-    dimension: str = "input_nodes",
-    value: int = 10,
-    topology: Optional[Mapping[str, Any]] = None,
-    profile: Optional[Mapping[str, Any]] = None,
-    training_episodes: Sequence[Sequence[Sequence[float]]] = (),
-    evaluation_episodes: Sequence[Sequence[Sequence[float]]] = (),
-    evaluation_repeats: int = 1,
-    data_dir: Optional[str] = None,
-    eval_seed: int = 0,
-) -> Dict[str, Any]:
-    """One (value, model) point of the Fig. 4b feature sweeps.
-
-    ``seed`` is the training-pipeline seed; trained weights and traces
-    are cached under ``data_dir`` (atomic writes keep concurrent
-    workers safe), so re-running a sweep is nearly free.
-    """
-    from pathlib import Path
-
-    from repro.experiments.feature_selection import train_and_evaluate_point
-    from repro.experiments.training import TrainingProfile
-
-    topo = build_topology(topology or {"kind": "kiel"})
-    training_profile = TrainingProfile(**profile) if profile else TrainingProfile.fast()
-    episodes = [
-        tuple((int(rounds), float(ratio)) for rounds, ratio in episode)
-        for episode in training_episodes
-    ]
-    eval_episodes = [
-        tuple((int(rounds), float(ratio)) for rounds, ratio in episode)
-        for episode in evaluation_episodes
-    ]
-    reliability, radio_on_ms, dqn_size_kb = train_and_evaluate_point(
-        dimension,
-        int(value),
-        topo,
-        training_profile,
-        episodes,
-        eval_episodes,
-        int(evaluation_repeats),
-        Path(data_dir) if data_dir else None,
-        train_seed=seed,
-        eval_seed=int(eval_seed),
-    )
-    return {
-        "value": int(value),
-        "reliability": float(reliability),
-        "radio_on_ms": float(radio_on_ms),
-        "dqn_size_kb": float(dqn_size_kb),
-    }
-
-
-@register_experiment("mobile_jammer_run")
-def run_mobile_jammer_task(
-    seed: int = 0,
-    topology: Optional[Mapping[str, Any]] = None,
-    protocol: str = "lwb",
-    n_tx: int = 3,
-    rounds: int = 40,
-    round_period_s: float = 1.0,
-    interference_ratio: float = 0.3,
-    speed_mps: float = 1.0,
-    engine: str = "vectorized",
-    network: Optional[Mapping[str, Any]] = None,
-) -> Dict[str, Any]:
-    """A protocol under a jammer patrolling across the deployment.
-
-    ``protocol`` selects static LWB (default), Dimmer (needs a
-    ``network`` payload) or the PID baseline.
-    """
-    from repro.experiments.dynamic import build_protocol
-    from repro.experiments.metrics import summarize_round_results
-    from repro.experiments.scenarios import MobileJammerScenario
-    from repro.net.simulator import NetworkSimulator, SimulatorConfig
-
-    topo = build_topology(topology or {"kind": "kiel"})
-    net = network_from_payload(network) if network is not None else None
-    scenario = MobileJammerScenario.across(
-        topo, interference_ratio=interference_ratio, speed_mps=speed_mps
-    )
-    simulator = NetworkSimulator(
-        topo,
-        SimulatorConfig(
-            round_period_s=round_period_s, channel_hopping=False, engine=engine, seed=seed
-        ),
-    )
-    runner = build_protocol(protocol, simulator, net, n_tx=n_tx)
-    for _ in range(rounds):
-        simulator.set_interference(scenario.interference_at(simulator.time_ms / 1000.0))
-        runner.run_round()
-    summary = summarize_round_results(simulator.round_history).as_dict()
-    summary["protocol"] = protocol
-    summary["energy_j"] = simulator.total_energy_j()
-    return summary
-
-
-@register_experiment("node_churn_run")
-def run_node_churn_task(
-    seed: int = 0,
-    topology: Optional[Mapping[str, Any]] = None,
-    protocol: str = "lwb",
-    n_tx: int = 3,
-    rounds: int = 40,
-    round_period_s: float = 1.0,
-    churn_rate: float = 0.2,
-    min_outage_rounds: int = 3,
-    max_outage_rounds: int = 8,
-    engine: str = "vectorized",
-    network: Optional[Mapping[str, Any]] = None,
-) -> Dict[str, Any]:
-    """A protocol while sources churn (nodes leave and rejoin the bus)."""
-    from repro.experiments.dynamic import build_protocol
-    from repro.experiments.metrics import summarize_round_results
-    from repro.experiments.scenarios import NodeChurnScenario
-    from repro.net.simulator import NetworkSimulator, SimulatorConfig
-
-    topo = build_topology(topology or {"kind": "kiel"})
-    net = network_from_payload(network) if network is not None else None
-    scenario = NodeChurnScenario(
-        topology=topo,
-        churn_rate=churn_rate,
-        min_outage_rounds=min_outage_rounds,
-        max_outage_rounds=max_outage_rounds,
-        seed=seed,
-    )
-    simulator = NetworkSimulator(
-        topo,
-        SimulatorConfig(
-            round_period_s=round_period_s, channel_hopping=False, engine=engine, seed=seed
-        ),
-    )
-    runner = build_protocol(protocol, simulator, net, n_tx=n_tx)
-    active_counts: List[int] = []
-    for round_index in range(rounds):
-        sources = scenario.active_sources(round_index)
-        active_counts.append(len(sources))
-        simulator.set_sources(sources)
-        runner.run_round(sources=sources)
-    summary = summarize_round_results(simulator.round_history).as_dict()
-    summary["average_active_sources"] = float(np.mean(active_counts))
-    summary["protocol"] = protocol
-    summary["energy_j"] = simulator.total_energy_j()
-    return summary

@@ -45,6 +45,13 @@ Specs are declarative and JSON round-trippable:
   (``spec.grid(ratios=[0.0, 0.1], seeds=range(5))``) into a list of
   specs, in deterministic order.
 
+Each family's worker function follows its spec class, registered in
+:data:`~repro.experiments.runner.EXPERIMENTS` under the class's
+``experiment`` name, so the name is written once per family.  The
+package ``repro.experiments`` imports this module, so importing the
+runner (as a spawned worker does) registers every built-in worker; the
+worker bodies import the simulation modules lazily.
+
 The :class:`~repro.api.Session` facade runs specs through the parallel
 runner.
 """
@@ -54,9 +61,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Callable, ClassVar, Dict, List, Mapping, Optional, Type
+from typing import Any, Callable, ClassVar, Dict, List, Mapping, Optional, Sequence, Type
 
-from repro.experiments.runner import ScenarioTask, _canonical
+import numpy as np
+
+from repro.experiments.runner import (
+    ScenarioTask,
+    _canonical,
+    build_topology,
+    network_from_payload,
+    network_payload,
+    register_experiment,
+)
 
 
 class _Unset:
@@ -119,8 +135,6 @@ def _cast_network(value: Any) -> Dict[str, Any]:
             f"got {value!r} (leave the field unset to use the worker default)"
         )
     # Accept live QNetwork / QuantizedNetwork objects for convenience.
-    from repro.experiments.runner import network_payload
-
     return network_payload(value)
 
 
@@ -335,7 +349,7 @@ class ExperimentSpec:
 
 
 # ----------------------------------------------------------------------
-# The seven families
+# The seven families, each followed by the worker function it names
 # ----------------------------------------------------------------------
 @register_spec
 @dataclass(frozen=True)
@@ -368,6 +382,35 @@ class SweepSpec(ExperimentSpec):
         return ExperimentMetrics.from_dict(entry)
 
 
+@register_experiment(SweepSpec.experiment)
+def run_sweep_point(
+    seed: int = 0,
+    protocol: str = "lwb",
+    ratio: float = 0.0,
+    topology: Optional[Mapping[str, Any]] = None,
+    rounds: int = 75,
+    round_period_s: float = 4.0,
+    engine: str = "vectorized",
+    network: Optional[Mapping[str, Any]] = None,
+) -> Dict[str, Any]:
+    """One (protocol, interference-ratio) run of the Fig. 5 sweep."""
+    from repro.experiments.interference_sweep import run_single_sweep_point
+
+    topo = build_topology(topology or {"kind": "kiel"})
+    net = network_from_payload(network) if network is not None else None
+    metrics = run_single_sweep_point(
+        protocol,
+        ratio,
+        net,
+        topo,
+        rounds,
+        round_period_s,
+        seed,
+        engine=engine,
+    )
+    return metrics.as_dict()
+
+
 @register_spec
 @dataclass(frozen=True)
 class DynamicSpec(ExperimentSpec):
@@ -393,6 +436,39 @@ class DynamicSpec(ExperimentSpec):
         from repro.experiments.dynamic import _dynamic_result_from_task
 
         return _dynamic_result_from_task(entry)
+
+
+@register_experiment(DynamicSpec.experiment)
+def run_dynamic_task(
+    seed: int = 0,
+    protocol: str = "dimmer",
+    topology: Optional[Mapping[str, Any]] = None,
+    time_scale: float = 1.0,
+    round_period_s: float = 4.0,
+    network: Optional[Mapping[str, Any]] = None,
+) -> Dict[str, Any]:
+    """One protocol run of the §V-C dynamic-interference timeline."""
+    from repro.experiments.dynamic import run_dynamic_experiment
+
+    topo = build_topology(topology or {"kind": "kiel"})
+    net = network_from_payload(network) if network is not None else None
+    result = run_dynamic_experiment(
+        protocol,
+        network=net,
+        topology=topo,
+        time_scale=time_scale,
+        round_period_s=round_period_s,
+        seed=seed,
+    )
+    return {
+        "protocol": result.protocol,
+        "metrics": result.metrics.as_dict(),
+        "times_s": list(result.reliability.times_s),
+        "reliability": list(result.reliability.values),
+        "n_tx": list(result.n_tx.values),
+        "radio_on_ms": list(result.radio_on_ms.values),
+        "interference_ratio": list(result.interference_ratio.values),
+    }
 
 
 @register_spec
@@ -434,6 +510,36 @@ class DCubeSpec(ExperimentSpec):
         )
 
 
+@register_experiment(DCubeSpec.experiment)
+def run_dcube_point(
+    seed: int = 0,
+    protocol: str = "lwb",
+    level: int = 0,
+    topology: Optional[Mapping[str, Any]] = None,
+    num_rounds: int = 200,
+    num_sources: int = 5,
+    max_retries: int = 5,
+    network: Optional[Mapping[str, Any]] = None,
+) -> Dict[str, Any]:
+    """One (protocol, WiFi-level) grid point of the Fig. 7 comparison."""
+    from repro.experiments.dcube import run_single_dcube_point
+
+    topo = build_topology(topology or {"kind": "dcube"})
+    net = network_from_payload(network) if network is not None else None
+    result = run_single_dcube_point(
+        protocol, level, net, topo, num_rounds, num_sources, max_retries, seed
+    )
+    return {
+        "protocol": result.protocol,
+        "level": result.level,
+        "reliability": result.reliability,
+        "energy_j": result.energy_j,
+        "average_radio_on_ms": result.average_radio_on_ms,
+        "packets_generated": result.packets_generated,
+        "packets_delivered": result.packets_delivered,
+    }
+
+
 @register_spec
 @dataclass(frozen=True)
 class FeatureSweepSpec(ExperimentSpec):
@@ -464,6 +570,58 @@ class FeatureSweepSpec(ExperimentSpec):
     eval_seed: Any = UNSET
 
 
+@register_experiment(FeatureSweepSpec.experiment)
+def run_feature_sweep_point(
+    seed: int = 0,
+    dimension: str = "input_nodes",
+    value: int = 10,
+    topology: Optional[Mapping[str, Any]] = None,
+    profile: Optional[Mapping[str, Any]] = None,
+    training_episodes: Sequence[Sequence[Sequence[float]]] = (),
+    evaluation_episodes: Sequence[Sequence[Sequence[float]]] = (),
+    evaluation_repeats: int = 1,
+    data_dir: Optional[str] = None,
+    eval_seed: int = 0,
+) -> Dict[str, Any]:
+    """One (value, model) point of the Fig. 4b feature sweeps.
+
+    ``seed`` is the training-pipeline seed; trained weights and traces
+    are cached under ``data_dir`` (atomic writes keep concurrent
+    workers safe), so re-running a sweep is nearly free.
+    """
+    from repro.experiments.feature_selection import train_and_evaluate_point
+    from repro.experiments.training import TrainingProfile
+
+    topo = build_topology(topology or {"kind": "kiel"})
+    training_profile = TrainingProfile(**profile) if profile else TrainingProfile.fast()
+    episodes = [
+        tuple((int(rounds), float(ratio)) for rounds, ratio in episode)
+        for episode in training_episodes
+    ]
+    eval_episodes = [
+        tuple((int(rounds), float(ratio)) for rounds, ratio in episode)
+        for episode in evaluation_episodes
+    ]
+    reliability, radio_on_ms, dqn_size_kb = train_and_evaluate_point(
+        dimension,
+        int(value),
+        topo,
+        training_profile,
+        episodes,
+        eval_episodes,
+        int(evaluation_repeats),
+        Path(data_dir) if data_dir else None,
+        train_seed=seed,
+        eval_seed=int(eval_seed),
+    )
+    return {
+        "value": int(value),
+        "reliability": float(reliability),
+        "radio_on_ms": float(radio_on_ms),
+        "dqn_size_kb": float(dqn_size_kb),
+    }
+
+
 @register_spec
 @dataclass(frozen=True)
 class TraceEpisodeSpec(ExperimentSpec):
@@ -491,6 +649,39 @@ class TraceEpisodeSpec(ExperimentSpec):
 
     def parse(self, entry: Dict[str, Any]) -> Any:
         return entry["records"]
+
+
+@register_experiment(TraceEpisodeSpec.experiment)
+def run_trace_episode(
+    seed: int = 0,
+    topology: Optional[Mapping[str, Any]] = None,
+    n_tx: int = 3,
+    episode: Sequence[Sequence[float]] = (),
+    ambient_rate: float = 0.02,
+    round_period_s: float = 4.0,
+    interference_seed: int = 0,
+    churn: Sequence[Mapping[str, Any]] = (),
+) -> Dict[str, Any]:
+    """One (episode, N_TX) slice of the trace collection.
+
+    ``TraceRecorder`` fans its ``N_max + 1`` lock-stepped simulators out
+    as one of these tasks per retransmission parameter; ``seed`` is the
+    episode seed shared by all simulators of the decision point.
+    """
+    from repro.rl.trace_env import record_episode_for_n_tx
+
+    topo = build_topology(topology or {"kind": "kiel"})
+    records = record_episode_for_n_tx(
+        topo,
+        int(n_tx),
+        [(int(rounds), float(ratio)) for rounds, ratio in episode],
+        ambient_rate,
+        round_period_s,
+        episode_seed=seed,
+        interference_seed=int(interference_seed),
+        churn=churn,
+    )
+    return {"records": records}
 
 
 @register_spec
@@ -523,6 +714,50 @@ class MobileJammerSpec(ExperimentSpec):
     network: Any = UNSET
 
 
+@register_experiment(MobileJammerSpec.experiment)
+def run_mobile_jammer_task(
+    seed: int = 0,
+    topology: Optional[Mapping[str, Any]] = None,
+    protocol: str = "lwb",
+    n_tx: int = 3,
+    rounds: int = 40,
+    round_period_s: float = 1.0,
+    interference_ratio: float = 0.3,
+    speed_mps: float = 1.0,
+    engine: str = "vectorized",
+    network: Optional[Mapping[str, Any]] = None,
+) -> Dict[str, Any]:
+    """A protocol under a jammer patrolling across the deployment.
+
+    ``protocol`` selects static LWB (default), Dimmer (needs a
+    ``network`` payload) or the PID baseline.
+    """
+    from repro.experiments.dynamic import build_protocol
+    from repro.experiments.metrics import summarize_round_results
+    from repro.experiments.scenarios import MobileJammerScenario
+    from repro.net.simulator import NetworkSimulator, SimulatorConfig
+
+    topo = build_topology(topology or {"kind": "kiel"})
+    net = network_from_payload(network) if network is not None else None
+    scenario = MobileJammerScenario.across(
+        topo, interference_ratio=interference_ratio, speed_mps=speed_mps
+    )
+    simulator = NetworkSimulator(
+        topo,
+        SimulatorConfig(
+            round_period_s=round_period_s, channel_hopping=False, engine=engine, seed=seed
+        ),
+    )
+    runner = build_protocol(protocol, simulator, net, n_tx=n_tx)
+    for _ in range(rounds):
+        simulator.set_interference(scenario.interference_at(simulator.time_ms / 1000.0))
+        runner.run_round()
+    summary = summarize_round_results(simulator.round_history).as_dict()
+    summary["protocol"] = protocol
+    summary["energy_j"] = simulator.total_energy_j()
+    return summary
+
+
 @register_spec
 @dataclass(frozen=True)
 class NodeChurnSpec(ExperimentSpec):
@@ -553,6 +788,55 @@ class NodeChurnSpec(ExperimentSpec):
     max_outage_rounds: Any = UNSET
     engine: Any = UNSET
     network: Any = UNSET
+
+
+@register_experiment(NodeChurnSpec.experiment)
+def run_node_churn_task(
+    seed: int = 0,
+    topology: Optional[Mapping[str, Any]] = None,
+    protocol: str = "lwb",
+    n_tx: int = 3,
+    rounds: int = 40,
+    round_period_s: float = 1.0,
+    churn_rate: float = 0.2,
+    min_outage_rounds: int = 3,
+    max_outage_rounds: int = 8,
+    engine: str = "vectorized",
+    network: Optional[Mapping[str, Any]] = None,
+) -> Dict[str, Any]:
+    """A protocol while sources churn (nodes leave and rejoin the bus)."""
+    from repro.experiments.dynamic import build_protocol
+    from repro.experiments.metrics import summarize_round_results
+    from repro.experiments.scenarios import NodeChurnScenario
+    from repro.net.simulator import NetworkSimulator, SimulatorConfig
+
+    topo = build_topology(topology or {"kind": "kiel"})
+    net = network_from_payload(network) if network is not None else None
+    scenario = NodeChurnScenario(
+        topology=topo,
+        churn_rate=churn_rate,
+        min_outage_rounds=min_outage_rounds,
+        max_outage_rounds=max_outage_rounds,
+        seed=seed,
+    )
+    simulator = NetworkSimulator(
+        topo,
+        SimulatorConfig(
+            round_period_s=round_period_s, channel_hopping=False, engine=engine, seed=seed
+        ),
+    )
+    runner = build_protocol(protocol, simulator, net, n_tx=n_tx)
+    active_counts: List[int] = []
+    for round_index in range(rounds):
+        sources = scenario.active_sources(round_index)
+        active_counts.append(len(sources))
+        simulator.set_sources(sources)
+        runner.run_round(sources=sources)
+    summary = summarize_round_results(simulator.round_history).as_dict()
+    summary["average_active_sources"] = float(np.mean(active_counts))
+    summary["protocol"] = protocol
+    summary["energy_j"] = simulator.total_energy_j()
+    return summary
 
 
 # ----------------------------------------------------------------------

@@ -241,7 +241,8 @@ class TestFailureCacheInteraction:
 
 
 class TestResilienceFlags:
-    """`--retries`, `--shard-timeout` and `--resume` on every subcommand."""
+    """`--retries` and `--shard-timeout` on every subcommand, and resume
+    from the result cache."""
 
     def test_flags_reach_the_session(self, tmp_path, monkeypatch):
         captured = {}
@@ -258,7 +259,6 @@ class TestResilienceFlags:
         assert code == 0
         assert captured["retry_policy"].max_attempts == 2
         assert captured["shard_timeout_s"] == 5.0
-        assert captured["checkpoint"] is None
 
     def test_retries_flag_recovers_transient_shard(self, tmp_path, monkeypatch):
         from repro.experiments.resilience import TransientError
@@ -292,7 +292,7 @@ class TestResilienceFlags:
         assert payload["runner_stats"]["retries"] == 0
         assert len(payload["failed_shards"]) == 1
 
-    def test_resume_journals_then_resumes_for_free(self, tmp_path):
+    def test_rerun_resumes_from_the_cache(self, tmp_path):
         cache_dir = tmp_path / "cache"
 
         def run():
@@ -302,7 +302,7 @@ class TestResilienceFlags:
                     "scenarios", "--family", "mobile_jammer",
                     "--protocols", "lwb", "--runs", "1", "--rounds", "2",
                     "--workers", "1", "--cache-dir", str(cache_dir),
-                    "--resume", "--output", str(output),
+                    "--output", str(output),
                 ]
             )
             return code, json.loads(output.read_text())
@@ -310,17 +310,9 @@ class TestResilienceFlags:
         code, payload = run()
         assert code == 0
         assert payload["runner_stats"]["executed"] == 1
-        manifest = cache_dir / bench.DEFAULT_CHECKPOINT_NAME
-        assert len(manifest.read_text().splitlines()) == 1
 
         code, payload = run()
         assert code == 0
-        # 100% checkpoint/cache hits: zero recomputation.
+        # 100% cache hits: zero recomputation.
         assert payload["runner_stats"]["executed"] == 0
         assert payload["runner_stats"]["cache_hits"] == 1
-        assert payload["runner_stats"]["resumed"] == 1
-
-    def test_resume_without_cache_is_a_usage_error(self, tmp_path, capsys):
-        code, _ = run_scenarios(tmp_path, extra=["--resume"])
-        assert code == 2
-        assert "--resume" in capsys.readouterr().err

@@ -4,8 +4,8 @@ The acceptance bar (ISSUE 8): a 64-shard grid with a seeded 20%
 kill/hang/raise/corrupt fault plan completes with results — and on-disk
 cache entries — byte-identical to a fault-free run, retries/timeouts/
 quarantines surface in ``RunnerStats`` and the artifact envelope, and an
-interrupted run resumes from its checkpoint with zero recomputation of
-finished shards.
+interrupted run resumes from the result cache with zero recomputation
+of finished shards.
 """
 
 import json
@@ -119,8 +119,10 @@ class TestResultEnvelope:
         with pytest.raises(CorruptResult):
             open_result(envelope)
 
-    def test_legacy_unsealed_values_pass_through(self):
-        assert open_result({"value": 3.0}) == {"value": 3.0}
+    @pytest.mark.parametrize("value", [{"value": 3.0}, [1, 2], None, {"__sealed__": 0}])
+    def test_unsealed_values_rejected(self, value):
+        with pytest.raises(CorruptResult, match="not sealed"):
+            open_result(value)
 
     def test_checksum_is_content_stable(self):
         assert result_checksum({"a": 1, "b": 2}) == result_checksum({"b": 2, "a": 1})
@@ -265,11 +267,18 @@ class TestCacheIntegrity:
     """Satellite: corrupt cache entries are counted, quarantined to
     ``*.corrupt``, recomputed and re-cached — never silently swallowed."""
 
-    def test_truncated_entry_quarantined_and_recached(self, tmp_path, caplog):
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda raw: raw[: len(raw) // 2], id="truncated"),
+            pytest.param(lambda raw: raw[:10] + b"\xff\xfe" + raw[12:], id="invalid-utf8"),
+        ],
+    )
+    def test_damaged_entry_quarantined_and_recached(self, tmp_path, caplog, damage):
         tasks = echo_tasks(3)
         ParallelRunner(max_workers=1, cache_dir=tmp_path).run(tasks)
         victim = tmp_path / f"{tasks[1].key()}.json"
-        victim.write_text(victim.read_text()[: victim.stat().st_size // 2])
+        victim.write_bytes(damage(victim.read_bytes()))
 
         runner = ParallelRunner(max_workers=1, cache_dir=tmp_path)
         with caplog.at_level("WARNING", logger="repro.experiments.runner"):
@@ -279,7 +288,7 @@ class TestCacheIntegrity:
         assert runner.stats.cache_hits == 2
         assert runner.stats.cache_misses == 1
         assert runner.stats.executed == 1
-        # The torn entry was moved aside, not deleted, and logged.
+        # The damaged entry was moved aside, not deleted, and logged.
         assert (tmp_path / f"{tasks[1].key()}.json.corrupt").exists()
         assert any("quarantined" in record.message for record in caplog.records)
         # The shard was re-cached: the next run is a full hit.
@@ -300,61 +309,43 @@ class TestCacheIntegrity:
         assert result["value"] == 0.0  # recomputed, not served
         assert runner.stats.quarantined == 1
 
-    def test_legacy_unsealed_entries_still_served(self, tmp_path):
+    def test_hand_written_unsealed_entry_is_not_served(self, tmp_path):
+        """Only sealed entries are results; an unsealed one is quarantined."""
         task = echo_tasks(1)[0]
         (tmp_path / f"{task.key()}.json").write_text(
-            json.dumps({"value": 0.0, "seed": task.seed})
+            json.dumps({"value": 999.0, "seed": task.seed})
         )
         runner = ParallelRunner(max_workers=1, cache_dir=tmp_path)
         (result,) = runner.run([task])
-        assert result["value"] == 0.0
-        assert runner.stats.cache_hits == 1
+        assert result["value"] == 0.0  # recomputed, not the forged value
+        assert runner.stats.quarantined == 1
+        assert runner.stats.cache_hits == 0
+        assert runner.stats.executed == 1
 
 
-class TestCheckpointResume:
-    def test_completed_grid_is_fully_journaled(self, tmp_path):
-        manifest = tmp_path / "manifest.jsonl"
+class TestResumeFromCache:
+    """An interrupted or repeated grid resumes from the result cache."""
+
+    def test_rerun_is_served_from_the_cache(self, tmp_path):
         tasks = echo_tasks(5)
-        runner = ParallelRunner(
-            max_workers=2, cache_dir=tmp_path / "cache", checkpoint=manifest
-        )
-        runner.run(tasks)
-        keys = {json.loads(line)["key"] for line in manifest.read_text().splitlines()}
-        assert keys == {task.key() for task in tasks}
-
-    def test_resume_counts_journaled_hits(self, tmp_path):
-        manifest = tmp_path / "manifest.jsonl"
-        tasks = echo_tasks(5)
-        ParallelRunner(
-            max_workers=1, cache_dir=tmp_path / "cache", checkpoint=manifest
-        ).run(tasks)
-        again = ParallelRunner(
-            max_workers=1, cache_dir=tmp_path / "cache", checkpoint=manifest
-        )
-        again.run(tasks)
-        assert again.stats.resumed == 5
+        first = ParallelRunner(max_workers=2, cache_dir=tmp_path / "cache")
+        results = first.run(tasks)
+        again = ParallelRunner(max_workers=1, cache_dir=tmp_path / "cache")
+        assert again.run(tasks) == results
         assert again.stats.cache_hits == 5
         assert again.stats.executed == 0
 
-    def test_torn_manifest_tail_is_tolerated(self, tmp_path):
-        manifest = tmp_path / "manifest.jsonl"
-        tasks = echo_tasks(2)
-        ParallelRunner(
-            max_workers=1, cache_dir=tmp_path / "cache", checkpoint=manifest
-        ).run(tasks)
-        with manifest.open("a") as handle:
-            handle.write('{"key": "tor')  # crash mid-append
-        again = ParallelRunner(
-            max_workers=1, cache_dir=tmp_path / "cache", checkpoint=manifest
-        )
+    def test_without_a_cache_a_rerun_recomputes(self):
+        tasks = echo_tasks(3)
+        ParallelRunner(max_workers=1).run(tasks)
+        again = ParallelRunner(max_workers=1)
         again.run(tasks)
-        assert again.stats.resumed == 2
+        assert again.stats.cache_hits == 0
+        assert again.stats.executed == 3
 
     def test_inline_interrupt_flushes_and_resumes(self, tmp_path):
         """Satellite: an interrupt mid-grid flushes completed shards to
-        cache + manifest; the rerun is a pure cache/checkpoint hit for
-        them."""
-        manifest = tmp_path / "manifest.jsonl"
+        the cache; the rerun is a pure cache hit for them."""
         trip = tmp_path / "trip.marker"
         tasks = [
             ScenarioTask(
@@ -364,22 +355,17 @@ class TestCheckpointResume:
             )
             for i in range(5)
         ]
-        runner = ParallelRunner(
-            max_workers=1, cache_dir=tmp_path / "cache", checkpoint=manifest
-        )
+        runner = ParallelRunner(max_workers=1, cache_dir=tmp_path / "cache")
         with pytest.raises(GridInterrupted) as stop:
             runner.run(tasks)
         assert stop.value.completed == 2
         assert stop.value.total == 5
-        assert len(manifest.read_text().splitlines()) == 2
+        assert len(list((tmp_path / "cache").glob("*.json"))) == 2
 
         trip.touch()  # the "interrupt" condition clears
-        again = ParallelRunner(
-            max_workers=1, cache_dir=tmp_path / "cache", checkpoint=manifest
-        )
+        again = ParallelRunner(max_workers=1, cache_dir=tmp_path / "cache")
         results = again.run(tasks)
         assert [r["value"] for r in results] == [0, 1, 2, 3, 4]
-        assert again.stats.resumed == 2
         assert again.stats.cache_hits == 2
         assert again.stats.executed == 3
 
@@ -398,7 +384,7 @@ INTERRUPT_SCRIPT = textwrap.dedent(
 
     tasks = [ScenarioTask("ckpt_nap", {{"value": i}}, seed=stable_seed("nap", i))
              for i in range(12)]
-    runner = ParallelRunner(max_workers=2, cache_dir={cache!r}, checkpoint={manifest!r})
+    runner = ParallelRunner(max_workers=2, cache_dir={cache!r})
     try:
         runner.run(tasks)
     except KeyboardInterrupt as stop:
@@ -407,38 +393,33 @@ INTERRUPT_SCRIPT = textwrap.dedent(
         sys.exit(130)
     print(json.dumps({{"interrupted": False,
                        "executed": runner.stats.executed,
-                       "cache_hits": runner.stats.cache_hits,
-                       "resumed": runner.stats.resumed}}))
+                       "cache_hits": runner.stats.cache_hits}}))
     """
 )
 
 
 class TestSigintGracefulShutdown:
     """Satellite: SIGINT during ``run`` drains in-flight shards, flushes
-    cache + checkpoint manifest, and the rerun resumes for free."""
+    them to the cache, and the rerun resumes for free."""
 
     def test_sigint_flushes_then_rerun_resumes(self, tmp_path):
         cache = tmp_path / "cache"
-        manifest = tmp_path / "manifest.jsonl"
         script = tmp_path / "grid.py"
-        script.write_text(
-            INTERRUPT_SCRIPT.format(
-                src=SRC_DIR, cache=str(cache), manifest=str(manifest)
-            )
-        )
+        script.write_text(INTERRUPT_SCRIPT.format(src=SRC_DIR, cache=str(cache)))
 
         first = subprocess.Popen(
             [sys.executable, str(script)], stdout=subprocess.PIPE, text=True
         )
         deadline = time.monotonic() + 20.0
         try:
-            # Wait until a couple of shards are journaled, then ^C.
+            # Wait until a couple of shards are cached, then ^C.  An
+            # in-flight write ends in ``.tmp``, so the glob skips it.
             while time.monotonic() < deadline:
-                if manifest.exists() and len(manifest.read_text().splitlines()) >= 2:
+                if len(list(cache.glob("*.json"))) >= 2:
                     break
                 time.sleep(0.02)
             else:
-                pytest.fail("grid subprocess never journaled any shard")
+                pytest.fail("grid subprocess never cached any shard")
             first.send_signal(signal.SIGINT)
             out, _ = first.communicate(timeout=20.0)
         finally:
@@ -448,12 +429,11 @@ class TestSigintGracefulShutdown:
         report = json.loads(out.strip().splitlines()[-1])
         assert report["interrupted"] is True
 
-        journaled = len(manifest.read_text().splitlines())
-        assert 0 < journaled < 12
-        assert report["completed"] == journaled
-        # Every journaled shard has a valid cache entry (the drain
-        # flushed before exiting).
-        assert len(list(cache.glob("*.json"))) == journaled
+        # Every completed shard has a cache entry (the drain flushed
+        # before exiting).
+        completed = report["completed"]
+        assert 0 < completed < 12
+        assert len(list(cache.glob("*.json"))) == completed
 
         second = subprocess.run(
             [sys.executable, str(script)],
@@ -464,11 +444,10 @@ class TestSigintGracefulShutdown:
         )
         report = json.loads(second.stdout.strip().splitlines()[-1])
         assert report["interrupted"] is False
-        # Zero recomputation of finished shards: 100% cache/checkpoint
-        # hits for them, only the unfinished remainder executes.
-        assert report["resumed"] == journaled
-        assert report["cache_hits"] == journaled
-        assert report["executed"] == 12 - journaled
+        # Zero recomputation of finished shards: 100% cache hits for
+        # them, only the unfinished remainder executes.
+        assert report["cache_hits"] == completed
+        assert report["executed"] == 12 - completed
 
 
 class TestChaosAcceptance:
@@ -483,13 +462,11 @@ class TestChaosAcceptance:
         plan = FaultPlan(seed=11, rate=0.2, hang_s=2.5, repeats=1)
         monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
         chaos_dir = tmp_path / "chaos"
-        manifest = tmp_path / "manifest.jsonl"
         runner = ParallelRunner(
             max_workers=4,
             cache_dir=chaos_dir,
             retry_policy=fast_policy(max_attempts=4),
             shard_timeout_s=0.8,
-            checkpoint=manifest,
         )
         results = runner.run(tasks, collect_errors=True)
 
@@ -516,12 +493,9 @@ class TestChaosAcceptance:
             name = f"{task.key()}.json"
             assert (chaos_dir / name).read_bytes() == (reference_dir / name).read_bytes()
 
-        # The checkpoint manifest journals the whole grid; a rerun under
-        # the same faults is pure resume — zero recomputation.
-        assert len(manifest.read_text().splitlines()) == 64
-        again = ParallelRunner(
-            max_workers=4, cache_dir=chaos_dir, checkpoint=manifest
-        )
+        # The cache holds the whole grid; a rerun is pure resume — zero
+        # recomputation.
+        again = ParallelRunner(max_workers=4, cache_dir=chaos_dir)
         assert again.run(tasks) == reference
         assert again.stats.executed == 0
-        assert again.stats.resumed == 64
+        assert again.stats.cache_hits == 64

@@ -1,5 +1,10 @@
 """Tests for the parallel experiment runner."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +24,8 @@ from repro.experiments.scenarios import MobileJammerScenario, NodeChurnScenario
 from repro.experiments.spec import SPEC_FAMILIES
 from repro.net.topology import kiel_testbed
 from repro.rl.qnetwork import QNetwork
+
+SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @register_experiment("test_echo")
@@ -139,18 +146,6 @@ class TestParallelRunner:
         with pytest.raises(ValueError):
             ParallelRunner(max_workers=-1)
 
-    def test_run_grid_groups_per_scenario(self):
-        runner = ParallelRunner(max_workers=2)
-        grid = [{"value": 1.0}, {"value": 2.0}]
-        per_scenario = runner.run_grid("test_echo", grid, seeds=(0, 1))
-        assert len(per_scenario) == 2
-        assert all(len(entry) == 2 for entry in per_scenario)
-        assert {e["value"] for e in per_scenario[0]} == {1.0}
-        # Per-task seeds differ across seed indices but are deterministic.
-        assert per_scenario[0][0]["seed"] != per_scenario[0][1]["seed"]
-        again = ParallelRunner(max_workers=1).run_grid("test_echo", grid, seeds=(0, 1))
-        assert again == per_scenario
-
 
 class TestWorkerHelpers:
     def test_build_topology_specs(self):
@@ -187,6 +182,21 @@ class TestBuiltInExperiments:
             assert name in EXPERIMENTS
         for spec_class in SPEC_FAMILIES.values():
             assert spec_class.experiment in EXPERIMENTS
+        # A spawned worker imports only the runner module; the built-in
+        # workers (defined next to their specs) must be registered then.
+        # The registry is snapshotted before the spec import, which
+        # would otherwise register the workers itself.
+        check = (
+            "import sys\n"
+            "from repro.experiments.runner import EXPERIMENTS\n"
+            "registered = set(EXPERIMENTS)\n"
+            "from repro.experiments.spec import SPEC_FAMILIES\n"
+            "missing = [c.experiment for c in SPEC_FAMILIES.values()\n"
+            "           if c.experiment not in registered]\n"
+            "sys.exit(f'unregistered: {missing}' if missing else 0)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        subprocess.run([sys.executable, "-c", check], env=env, check=True, timeout=60)
 
     def test_parallel_sweep_matches_serial(self, untrained_network):
         grid = dict(
