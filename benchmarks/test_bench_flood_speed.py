@@ -5,8 +5,8 @@ environment of the interference sweep:
 
 * **flood path** — floods/sec of the per-node reference loop vs the
   vectorized engine (clean and interfered), plus LWB rounds/sec on an
-  8-source workload.  The "scalar" column times
-  ``GlossyFlood._run_oracle`` — the per-node loop the ``"scalar"``
+  8-source workload.  The "scalar" column times ``run_reference`` of
+  ``tests/reference_flood.py`` — the per-node loop the ``"scalar"``
   engine is pinned to bit for bit — not the ``"scalar"`` engine
   itself, which runs the vectorized phase loop with the per-node draw
   order and would measure that loop against itself;
@@ -30,8 +30,11 @@ workloads.  The round-path rate is printed, not gated.
 — CI's smoke step runs ``REPRO_BENCH_SIZES=50``.
 """
 
+import functools
 import os
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -44,6 +47,11 @@ from repro.net.lwb import LWBRoundEngine, Schedule
 from repro.net.node import NodeStateArray
 from repro.net.simulator import NetworkSimulator, SimulatorConfig
 from repro.net.topology import random_topology
+
+# The per-node reference lives with the tests; pytest only puts
+# ``tests/`` on the import path when it collects that directory.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from reference_flood import run_reference  # noqa: E402
 
 #: Engines of the flood-path comparison tables.
 ENGINE_COMPARISON = ("scalar", "vectorized")
@@ -84,7 +92,7 @@ def _flood_timer(topology, engine, interference, floods):
         topology, LinkModel(topology, seed=1), rng=np.random.default_rng(0), engine=engine
     )
     # The "scalar" column times the per-node oracle (see the docstring).
-    run = flood._run_oracle if engine == "scalar" else flood.run
+    run = functools.partial(run_reference, flood) if engine == "scalar" else flood.run
     run(initiator=0, n_tx=3, interference=interference)  # warm caches
 
     def timer():
@@ -119,7 +127,7 @@ def _round_timer(topology, engine, interference, rounds):
             # loops it under the scalar engine), so shadowing it on the
             # instance puts the whole round on the per-node oracle.
             flood = simulator.engine.flood
-            flood.run = flood._run_oracle
+            flood.run = functools.partial(run_reference, flood)
         simulator.run_round(n_tx=3)  # warm caches
         start = time.perf_counter()
         for _ in range(rounds):

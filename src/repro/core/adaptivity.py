@@ -113,12 +113,6 @@ class AdaptivityControl:
             state=state,
         )
 
-    def force_n_tx(self, n_tx: int) -> None:
-        """Override the global parameter (used when entering/leaving scenarios)."""
-        if not self.config.n_min <= n_tx <= self.config.n_max:
-            raise ValueError("n_tx outside the configured [n_min, n_max] range")
-        self.n_tx = n_tx
-
     def reset(self) -> None:
         """Reset the controller to its initial parameter and clear history."""
         self.n_tx = self.config.initial_n_tx

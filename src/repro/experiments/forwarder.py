@@ -43,11 +43,6 @@ class ForwarderSelectionResult:
         tail = max(1, len(self.forwarders.values) // 4)
         return float(sum(self.forwarders.values[-tail:]) / tail)
 
-    @property
-    def radio_on_saving_ms(self) -> float:
-        """Radio-on time saved compared to the no-selection baseline."""
-        return self.baseline_metrics.radio_on_ms - self.metrics.radio_on_ms
-
 
 def run_forwarder_selection_experiment(
     network: Union[QNetwork, QuantizedNetwork],

@@ -7,7 +7,7 @@ all benchmarks and examples.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 
 def format_table(
@@ -55,16 +55,3 @@ def format_series(
     for x, y in zip(xs, ys):
         lines.append(f"  {x:>10.3f}  {y:>10.3f}")
     return "\n".join(lines)
-
-
-def format_metrics_table(
-    metrics_by_label: Mapping[str, Mapping[str, float]],
-    columns: Sequence[str],
-    title: Optional[str] = None,
-) -> str:
-    """Format a {label: {metric: value}} mapping as a table."""
-    headers = ["protocol", *columns]
-    rows = []
-    for label, metrics in metrics_by_label.items():
-        rows.append([label, *[metrics.get(column, float("nan")) for column in columns]])
-    return format_table(headers, rows, title=title)

@@ -28,7 +28,7 @@ from repro.net.interference import (
     NoInterference,
     WifiInterference,
 )
-from repro.net.link import LinkModel, LinkQuality
+from repro.net.link import LinkModel
 from repro.net.lwb import LWBRoundEngine, RoundResult, Schedule, SlotResult
 from repro.net.node import NodeRole, NodeStateArray
 from repro.net.packet import (
@@ -59,7 +59,6 @@ __all__ = [
     "NoInterference",
     "WifiInterference",
     "LinkModel",
-    "LinkQuality",
     "LWBRoundEngine",
     "RoundResult",
     "Schedule",

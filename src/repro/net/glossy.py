@@ -37,10 +37,9 @@ class FloodResult:
 
     Per-node observables are NumPy vectors aligned with :attr:`node_ids`,
     which is what lets a full LWB round aggregate flood outcomes without
-    per-node Python loops.  Both engines and the per-node reference loop
-    return this one representation; the scalar engine and the reference
-    loop list :attr:`node_ids` in participant (draw) order, the
-    vectorized engine in topology index order.
+    per-node Python loops.  Both engines return this one representation;
+    the scalar engine lists :attr:`node_ids` in participant (draw) order,
+    the vectorized engine in topology index order.
 
     Attributes
     ----------
@@ -245,12 +244,13 @@ class GlossyFlood:
         generator for reproducible floods.
     engine:
         ``"scalar"`` advances each phase with NumPy state vectors but
-        draws like the per-node reference loop (:meth:`_run_scalar`) —
-        one draw per listener with a non-zero reception probability,
-        in participant order — so its results equal that loop's bit
-        for bit; ``"vectorized"`` draws one block per flood up front
-        (statistically equivalent to the scalar engine, and
-        :meth:`run_batch` advances whole rounds of floods together).
+        draws like the per-node reference loop of
+        ``tests/reference_flood.py`` — one draw per listener with a
+        non-zero reception probability, in participant order — so its
+        results equal that loop's bit for bit; ``"vectorized"`` draws
+        one block per flood up front (statistically equivalent to the
+        scalar engine, and :meth:`run_batch` advances whole rounds of
+        floods together).
     """
 
     def __init__(
@@ -398,44 +398,6 @@ class GlossyFlood:
             participants=part_list,
         )
 
-    def _run_oracle(
-        self,
-        initiator: int,
-        n_tx: Union[int, Mapping[int, int], np.ndarray] = 3,
-        packet_bytes: int = DEFAULT_PACKET_BYTES,
-        channel: int = 26,
-        start_ms: float = 0.0,
-        interference: Optional[InterferenceSource] = None,
-        participants: Optional[Union[Sequence[int], np.ndarray]] = None,
-        max_slot_ms: Optional[float] = None,
-    ) -> FloodResult:
-        """:meth:`run` on the per-node reference loop (:meth:`_run_scalar`).
-
-        Takes :meth:`run`'s arguments through the same normalization.
-        The ``"scalar"`` engine must equal this bit for bit — same
-        results, same generator state afterwards; the parity tests and
-        the flood-speed benchmark's ``"scalar"`` column call it.
-        """
-        part_mask, part_list, n_tx_vec, interference, slot_ms, phase_ms, num_phases = (
-            self._flood_setup(
-                [initiator], n_tx, packet_bytes, interference, participants, max_slot_ms
-            )
-        )
-        if part_list is None:
-            part_list = self._participant_ids(part_mask)
-        index = self.link_model.node_index
-        return self._run_scalar(
-            initiator=initiator,
-            participants=part_list,
-            per_node_n_tx={node: int(n_tx_vec[index[node]]) for node in part_list},
-            channel=channel,
-            start_ms=start_ms,
-            interference=interference,
-            slot_ms=slot_ms,
-            phase_ms=phase_ms,
-            num_phases=num_phases,
-        )
-
     def _participant_ids(self, part_mask: Optional[np.ndarray]) -> List[int]:
         """Participant ids in index order (every node when ``part_mask`` is None)."""
         return list(self.node_ids) if part_mask is None else self._ids_arr[part_mask].tolist()
@@ -537,7 +499,7 @@ class GlossyFlood:
         )
         start_list = (
             [float(start_times)] * count
-            if isinstance(start_times, (int, float, np.floating))
+            if isinstance(start_times, (int, float, np.integer, np.floating))
             else [float(t) for t in start_times]
         )
         if len(channel_list) != count or len(start_list) != count:
@@ -576,122 +538,6 @@ class GlossyFlood:
             num_phases=num_phases,
         )
 
-    def _run_scalar(
-        self,
-        initiator: int,
-        participants: List[int],
-        per_node_n_tx: Dict[int, int],
-        channel: int,
-        start_ms: float,
-        interference: InterferenceSource,
-        slot_ms: float,
-        phase_ms: float,
-        num_phases: int,
-    ) -> FloodResult:
-        """Reference implementation: per-node dict bookkeeping.
-
-        The readable oracle of the scalar engine; production code runs
-        :meth:`_run_vectorized` instead (see :meth:`_run_oracle`).  The
-        dicts become the result's arrays, in participant order, at the
-        end.
-        """
-        received: Dict[int, bool] = {node: False for node in participants}
-        reception_phase: Dict[int, Optional[int]] = {node: None for node in participants}
-        transmissions: Dict[int, int] = {node: 0 for node in participants}
-        #: Phase in which a node transmits next (None = not scheduled yet).
-        next_tx_phase: Dict[int, Optional[int]] = {node: None for node in participants}
-        #: Phase after which the node switched its radio off (exclusive).
-        off_after_phase: Dict[int, Optional[int]] = {node: None for node in participants}
-
-        # The initiator must transmit at least once for the flood to exist.
-        per_node_n_tx[initiator] = max(1, per_node_n_tx[initiator])
-        received[initiator] = True
-        reception_phase[initiator] = 0
-        next_tx_phase[initiator] = 0
-
-        for phase in range(num_phases):
-            transmitters = [
-                node
-                for node in participants
-                if next_tx_phase[node] == phase
-                and transmissions[node] < per_node_n_tx[node]
-                and off_after_phase[node] is None
-            ]
-            # Listeners: radio on, not transmitting in this phase.
-            listeners = [
-                node
-                for node in participants
-                if node not in transmitters and off_after_phase[node] is None
-            ]
-            phase_start = start_ms + phase * phase_ms
-            if transmitters:
-                for node in listeners:
-                    penalty = interference.penalty(
-                        self.topology.positions[node], phase_start, phase_ms, channel
-                    )
-                    probability = self.link_model.reception_probability(
-                        transmitters, node, interference_penalty=penalty
-                    )
-                    if probability > 0.0 and self.rng.random() < probability:
-                        if not received[node]:
-                            received[node] = True
-                            reception_phase[node] = phase
-                        # Glossy re-synchronizes on every reception: schedule
-                        # (or re-arm) the next transmission for the following
-                        # phase if the node still has transmissions left.
-                        if (
-                            transmissions[node] < per_node_n_tx[node]
-                            and next_tx_phase[node] is None
-                        ):
-                            next_tx_phase[node] = phase + 1
-
-            for node in transmitters:
-                transmissions[node] += 1
-                if transmissions[node] < per_node_n_tx[node]:
-                    # Alternate: listen next phase, transmit the one after.
-                    next_tx_phase[node] = phase + 2
-                else:
-                    next_tx_phase[node] = None
-                    off_after_phase[node] = phase + 1
-
-            # Nodes that have received and have nothing left to transmit can
-            # switch off: passive receivers (N_TX = 0) right after their first
-            # reception, forwarders once their transmission budget is spent.
-            for node in participants:
-                if off_after_phase[node] is not None:
-                    continue
-                if received[node] and per_node_n_tx[node] == 0:
-                    off_after_phase[node] = phase + 1
-                elif (
-                    received[node]
-                    and transmissions[node] >= per_node_n_tx[node]
-                    and next_tx_phase[node] is None
-                ):
-                    off_after_phase[node] = phase + 1
-
-        radio_on: List[float] = []
-        for node in participants:
-            off = off_after_phase[node]
-            on_phases = num_phases if off is None else min(off, num_phases)
-            radio_on.append(min(slot_ms, on_phases * phase_ms))
-
-        return FloodResult(
-            initiator=initiator,
-            node_ids=participants,
-            received_array=np.array([received[node] for node in participants], dtype=bool),
-            reception_phase_array=np.array(
-                [-1 if reception_phase[node] is None else reception_phase[node]
-                 for node in participants],
-                dtype=np.int64,
-            ),
-            transmissions_array=np.array(
-                [transmissions[node] for node in participants], dtype=np.int64
-            ),
-            radio_on_array=np.array(radio_on, dtype=float),
-            slot_duration_ms=slot_ms,
-            channel=channel,
-        )
-
     def _run_vectorized(
         self,
         initiator: int,
@@ -711,14 +557,14 @@ class GlossyFlood:
         :meth:`~repro.net.link.LinkModel.prr_matrix` index order, and
         the interference penalties of the whole slot are precomputed by
         one :meth:`~repro.net.interference.InterferenceSource.penalty_windows`
-        call before the phase loop.  The per-phase logic mirrors
-        :meth:`_run_scalar` exactly; how the randomness is consumed
-        depends on ``participants``:
+        call before the phase loop.  The per-phase logic mirrors the
+        per-node reference loop of ``tests/reference_flood.py`` exactly;
+        how the randomness is consumed depends on ``participants``:
 
         * ``None`` (the vectorized engine): one ``(num_phases, N)``
           block of draws up front, row ``p`` serving phase ``p``.
           Results are statistically (not bit-for-bit) identical to
-          :meth:`_run_scalar` under a fixed seed, and the result lists
+          the per-node loop under a fixed seed, and the result lists
           the participants in index order.
         * the participant ids (the scalar engine): the per-node loop's
           draw order — one draw per listener with a non-zero reception
@@ -728,7 +574,7 @@ class GlossyFlood:
           multiply in participant order, and single-transmitter
           probabilities are ``1 - (1 - prr)``, the per-node loop's
           one-factor product.  The result lists the participants in
-          participant order, so it equals :meth:`_run_scalar` bit for
+          participant order, so it equals the per-node loop bit for
           bit, down to the generator state afterwards.
         """
         index = self.link_model.node_index
@@ -788,17 +634,15 @@ class GlossyFlood:
                 # the pending-transmission check below already ran after
                 # the last state change, so skip straight ahead.
                 continue
-            # Inlined LinkModel.reception_probabilities (the method
-            # itself stays the reference for property tests): the
-            # reception fails only if every non-self link fails, with
-            # the capture boost rewarding >1 synchronized senders.
+            # The reception fails only if every non-self link fails,
+            # with the capture boost rewarding >1 synchronized senders.
             if num_tx == 1:
                 probabilities = solo_success[tx_indices[0]]
             else:
-                # Values at transmitter indices diverge from the
-                # reference method (no per-transmitter boost
-                # exception) but are never consumed: transmitters
-                # are masked out of ``success`` below.
+                # Values at transmitter indices get the boost even
+                # where only one *other* node transmits, but are never
+                # consumed: transmitters are masked out of ``success``
+                # below.
                 if tx_order is not None:
                     tx_indices = tx_order[transmit[tx_order]]
                 probabilities = 1.0 - link_failure[tx_indices].prod(axis=0)

@@ -194,15 +194,6 @@ class RoundResult:
         """True when at least one scheduled packet was missed by a destination."""
         return self.reliability < 1.0
 
-    def per_node_reliability(self) -> Dict[int, float]:
-        """Reliability of each node over this round's data slots."""
-        expected = self.packets_expected_array
-        received = self.packets_received_array
-        values = np.divide(
-            received, expected, out=np.ones(len(self.node_ids)), where=expected > 0
-        )
-        return dict(zip(self.node_ids, values.tolist()))
-
     @property
     def average_radio_on_ms(self) -> float:
         """Radio-on time per slot, averaged over all nodes and slots of the round."""
@@ -210,11 +201,6 @@ class RoundResult:
         if len(self.node_ids) == 0 or num_slots == 0:
             return 0.0
         return float(self.radio_on_array.mean()) / num_slots
-
-    def per_node_radio_on_ms(self) -> Dict[int, float]:
-        """Per-slot radio-on time of each node, averaged over this round."""
-        num_slots = len(self.slots) + 1
-        return dict(zip(self.node_ids, (self.radio_on_array / num_slots).tolist()))
 
 
 def average_reliability(results: Sequence[RoundResult]) -> float:

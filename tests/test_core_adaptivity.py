@@ -84,15 +84,15 @@ class TestAdaptivityControl:
         control.decide(make_view())
         assert control.decisions == 2
 
-    def test_force_and_reset(self):
+    def test_reset_after_decisions(self):
         config = DimmerConfig()
         control = AdaptivityControl(config, QNetwork((31, 30, 3), seed=0))
-        control.force_n_tx(7)
-        assert control.n_tx == 7
+        for _ in range(3):
+            control.decide(make_view(reliability=0.5, had_losses=True))
+        assert control.n_tx != config.initial_n_tx
         control.reset()
         assert control.n_tx == config.initial_n_tx
-        with pytest.raises(ValueError):
-            control.force_n_tx(0)
+        assert control.decisions == 0
 
     def test_invalid_initial_ntx_rejected(self):
         with pytest.raises(ValueError):

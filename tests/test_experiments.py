@@ -7,7 +7,7 @@ from repro.experiments.dcube import AperiodicTraffic
 from repro.experiments.dynamic import run_dynamic_experiment
 from repro.experiments.forwarder import run_forwarder_selection_experiment
 from repro.experiments.metrics import ExperimentMetrics, TimeSeries, summarize_rounds
-from repro.experiments.reporting import format_metrics_table, format_series, format_table
+from repro.experiments.reporting import format_series, format_table
 from repro.experiments.runner import build_topology
 from repro.experiments.scenarios import (
     DynamicInterferenceScenario,
@@ -74,10 +74,6 @@ class TestReporting:
         with pytest.raises(ValueError):
             format_series("s", [1.0], [1.0, 2.0])
         assert "s" in format_series("s", [1.0], [2.0])
-
-    def test_format_metrics_table(self):
-        text = format_metrics_table({"lwb": {"reliability": 0.9}}, ["reliability"])
-        assert "lwb" in text
 
 
 class TestScenarios:

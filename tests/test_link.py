@@ -6,88 +6,94 @@ import pytest
 from repro.net.link import LinkModel
 from repro.net.topology import dcube_testbed, grid_topology, kiel_testbed, random_topology
 
+from reference_flood import PerPairPRR
+
 
 @pytest.fixture()
 def link_model(kiel):
     return LinkModel(kiel, seed=0)
 
 
+def prr(model, sender, receiver):
+    """The :meth:`LinkModel.prr_matrix` entry of the link sender -> receiver."""
+    index = model.node_index
+    return model.prr_matrix()[index[sender], index[receiver]]
+
+
 class TestLinkQuality:
     def test_short_links_are_strong(self, link_model, kiel):
         neighbor = kiel.neighbors(0)[0]
-        assert link_model.prr(0, neighbor) > 0.9
+        assert prr(link_model, 0, neighbor) > 0.9
 
     def test_out_of_range_links_are_dead(self, link_model, kiel):
         # Find a pair beyond communication range.
         for a in kiel.node_ids:
             for b in kiel.node_ids:
                 if a != b and kiel.distance(a, b) > kiel.comm_range_m:
-                    assert link_model.prr(a, b) == 0.0
+                    assert prr(link_model, a, b) == 0.0
                     return
         pytest.skip("topology has no out-of-range pair")
 
-    def test_prr_bounded(self, link_model, kiel):
-        for a in kiel.node_ids[:5]:
-            for b in kiel.node_ids[:5]:
-                if a != b:
-                    assert 0.0 <= link_model.prr(a, b) <= 1.0
-
-    def test_link_quality_cached(self, link_model):
-        first = link_model.link(0, 1)
-        second = link_model.link(0, 1)
-        assert first is second
+    def test_prr_bounded(self, link_model):
+        matrix = link_model.prr_matrix()
+        assert ((matrix >= 0.0) & (matrix <= 1.0)).all()
 
     def test_shadowing_symmetric(self, kiel):
-        model = LinkModel(kiel, seed=3)
-        assert model.rssi_dbm(1, 2) == pytest.approx(model.rssi_dbm(2, 1))
+        matrix = LinkModel(kiel, seed=3).prr_matrix()
+        assert np.array_equal(matrix, matrix.T)
 
     def test_shadowing_reproducible(self, kiel):
         a = LinkModel(kiel, seed=5)
         b = LinkModel(kiel, seed=5)
-        assert a.prr(0, 1) == pytest.approx(b.prr(0, 1))
+        assert np.array_equal(a.prr_matrix(), b.prr_matrix())
 
     def test_prr_decreases_with_distance(self):
         topo = grid_topology(1, 5, spacing_m=2.5, comm_range_m=10.0)
         model = LinkModel(topo, shadowing_std_db=0.0)
-        assert model.prr(0, 1) >= model.prr(0, 3)
+        assert prr(model, 0, 1) >= prr(model, 0, 3)
 
 
-class TestReceptionProbability:
-    def test_no_transmitters_means_no_reception(self, link_model):
-        assert link_model.reception_probability([], 0) == 0.0
+class TestReferenceReceptionProbability:
+    """The per-node reference's combination of synchronized transmitters."""
 
-    def test_more_transmitters_never_hurt(self, link_model, kiel):
+    @pytest.fixture()
+    def reference(self, link_model):
+        return PerPairPRR(link_model)
+
+    def test_no_transmitters_means_no_reception(self, reference):
+        assert reference.reception_probability([], 0) == 0.0
+
+    def test_more_transmitters_never_hurt(self, reference, kiel):
         neighbors = kiel.neighbors(0)[:3]
-        single = link_model.reception_probability(neighbors[:1], 0)
-        multiple = link_model.reception_probability(neighbors, 0)
+        single = reference.reception_probability(neighbors[:1], 0)
+        multiple = reference.reception_probability(neighbors, 0)
         assert multiple >= single
 
-    def test_interference_penalty_reduces_probability(self, link_model, kiel):
+    def test_interference_penalty_reduces_probability(self, reference, kiel):
         neighbors = kiel.neighbors(0)[:2]
-        clean = link_model.reception_probability(neighbors, 0, interference_penalty=0.0)
-        jammed = link_model.reception_probability(neighbors, 0, interference_penalty=0.9)
+        clean = reference.reception_probability(neighbors, 0, interference_penalty=0.0)
+        jammed = reference.reception_probability(neighbors, 0, interference_penalty=0.9)
         assert jammed < clean
 
-    def test_full_penalty_blocks_reception(self, link_model, kiel):
+    def test_full_penalty_blocks_reception(self, reference, kiel):
         neighbors = kiel.neighbors(0)[:2]
-        assert link_model.reception_probability(neighbors, 0, interference_penalty=1.0) == 0.0
+        assert reference.reception_probability(neighbors, 0, interference_penalty=1.0) == 0.0
 
-    def test_invalid_penalty_rejected(self, link_model):
+    def test_invalid_penalty_rejected(self, reference):
         with pytest.raises(ValueError):
-            link_model.reception_probability([1], 0, interference_penalty=1.5)
+            reference.reception_probability([1], 0, interference_penalty=1.5)
 
-    def test_probability_bounded(self, link_model, kiel):
-        probability = link_model.reception_probability(kiel.neighbors(0), 0)
+    def test_probability_bounded(self, reference, kiel):
+        probability = reference.reception_probability(kiel.neighbors(0), 0)
         assert 0.0 <= probability <= 1.0
 
-    def test_usable_links_only_above_threshold(self, link_model):
-        links = link_model.usable_links(min_prr=0.5)
-        assert links
-        assert all(quality.prr >= 0.5 for quality in links.values())
+    def test_shadowing_symmetric(self, kiel):
+        reference = PerPairPRR(LinkModel(kiel, seed=3))
+        assert reference.rssi_dbm(1, 2) == reference.rssi_dbm(2, 1)
 
 
 class TestPrrMatrix:
-    """Property tests: the matrix APIs match the per-pair scalar path."""
+    """Property tests of the PRR matrix, against the per-pair reference."""
 
     @pytest.mark.parametrize(
         "topology",
@@ -102,9 +108,11 @@ class TestPrrMatrix:
     def test_matrix_matches_per_pair_prr(self, topology):
         """Exact equality, before and after ``set_link_quality`` overrides:
         the scalar flood engine reads the matrix where the per-node
-        reference loop calls :meth:`LinkModel.prr`, and the two must
-        agree bit for bit."""
+        reference loop reads :meth:`PerPairPRR.prr`, and the two must
+        agree bit for bit.  One reference serves both passes, so its
+        memo must follow the overrides."""
         model = LinkModel(topology, seed=2)
+        reference = PerPairPRR(model)
         ids = topology.node_ids
         rng = np.random.default_rng(5)
         for overridden in (False, True):
@@ -112,6 +120,7 @@ class TestPrrMatrix:
                 for a, b in rng.choice(ids, size=(len(ids), 2)):
                     if a != b:
                         model.set_link_quality(int(a), int(b), float(rng.uniform(0.05, 0.95)))
+            reference.sync()
             matrix = model.prr_matrix()
             assert matrix.shape == (len(ids), len(ids))
             for i, a in enumerate(ids):
@@ -119,7 +128,7 @@ class TestPrrMatrix:
                     if a == b:
                         assert matrix[i, j] == 0.0
                     else:
-                        assert matrix[i, j] == model.prr(a, b), (overridden, a, b)
+                        assert matrix[i, j] == reference.prr(a, b), (overridden, a, b)
 
     def test_matrix_is_cached_and_read_only(self, kiel):
         model = LinkModel(kiel, seed=0)
@@ -132,50 +141,6 @@ class TestPrrMatrix:
         model = LinkModel(kiel, seed=0)
         assert [node for node, _ in sorted(model.node_index.items(), key=lambda kv: kv[1])] == kiel.node_ids
 
-    @pytest.mark.parametrize("tx_count", [1, 2, 3, 6])
-    def test_reception_probabilities_match_scalar(self, kiel, tx_count):
-        model = LinkModel(kiel, seed=4)
-        ids = kiel.node_ids
-        mask = np.zeros(len(ids), dtype=bool)
-        transmitters = ids[:tx_count]
-        mask[[model.node_index[t] for t in transmitters]] = True
-        vector = model.reception_probabilities(mask)
-        for i, receiver in enumerate(ids):
-            assert vector[i] == pytest.approx(
-                model.reception_probability(transmitters, receiver), abs=1e-12
-            )
-
-    def test_reception_probabilities_with_interference_penalties(self, kiel):
-        model = LinkModel(kiel, seed=4)
-        ids = kiel.node_ids
-        mask = np.zeros(len(ids), dtype=bool)
-        transmitters = [ids[0], ids[5]]
-        mask[[model.node_index[t] for t in transmitters]] = True
-        penalties = np.linspace(0.0, 1.0, len(ids))
-        vector = model.reception_probabilities(mask, penalties)
-        for i, receiver in enumerate(ids):
-            expected = model.reception_probability(
-                transmitters, receiver, interference_penalty=float(penalties[i])
-            )
-            assert vector[i] == pytest.approx(expected, abs=1e-12)
-
-    def test_no_transmitters_yield_zero_probabilities(self, kiel):
-        model = LinkModel(kiel, seed=4)
-        vector = model.reception_probabilities(np.zeros(kiel.num_nodes, dtype=bool))
-        assert (vector == 0.0).all()
-
-    def test_invalid_penalties_rejected(self, kiel):
-        model = LinkModel(kiel, seed=4)
-        mask = np.zeros(kiel.num_nodes, dtype=bool)
-        mask[0] = True
-        with pytest.raises(ValueError):
-            model.reception_probabilities(mask, np.full(kiel.num_nodes, 1.5))
-
-    def test_wrong_mask_shape_rejected(self, kiel):
-        model = LinkModel(kiel, seed=4)
-        with pytest.raises(ValueError):
-            model.reception_probabilities(np.zeros(3, dtype=bool))
-
 
 class TestLinkQualityMutation:
     """Mutating link qualities must invalidate the cached PRR matrix."""
@@ -183,32 +148,68 @@ class TestLinkQualityMutation:
     def test_override_changes_link_and_matrix(self, kiel):
         model = LinkModel(kiel, seed=0)
         a, b = kiel.node_ids[0], kiel.node_ids[1]
-        before = model.prr_matrix()[model.node_index[a], model.node_index[b]]
-        assert before > 0.0
+        assert prr(model, a, b) > 0.0
         model.set_link_quality(a, b, 0.25)
-        assert model.prr(a, b) == pytest.approx(0.25)
-        assert model.prr(b, a) == pytest.approx(0.25)  # symmetric by default
-        matrix = model.prr_matrix()
-        assert matrix[model.node_index[a], model.node_index[b]] == pytest.approx(0.25)
-        assert matrix[model.node_index[b], model.node_index[a]] == pytest.approx(0.25)
+        assert prr(model, a, b) == pytest.approx(0.25)
+        assert prr(model, b, a) == pytest.approx(0.25)  # symmetric by default
 
     def test_asymmetric_override(self, kiel):
         model = LinkModel(kiel, seed=0)
         a, b = kiel.node_ids[0], kiel.node_ids[1]
-        reverse_before = model.prr(b, a)
+        reverse_before = prr(model, b, a)
         model.set_link_quality(a, b, 0.1, symmetric=False)
-        assert model.prr(a, b) == pytest.approx(0.1)
-        assert model.prr(b, a) == pytest.approx(reverse_before)
+        assert prr(model, a, b) == pytest.approx(0.1)
+        assert prr(model, b, a) == reverse_before
 
-    def test_clear_overrides_restores_original(self, kiel):
+    @pytest.mark.parametrize("clear", ["one", "all"])
+    def test_clear_overrides_restores_original(self, kiel, clear):
+        """Clearing restores the base qualities bit for bit; clearing
+        one link's override keeps every other override in place."""
+        model = LinkModel(kiel, seed=0)
+        a, b, c = kiel.node_ids[:3]
+        original = model.prr_matrix().copy()
+        model.set_link_quality(a, b, 0.0)
+        model.set_link_quality(a, c, 0.5)
+        if clear == "one":
+            model.clear_link_quality_override(a, b)
+            expected = original.copy()
+            expected[model.node_index[a], model.node_index[c]] = 0.5
+            expected[model.node_index[c], model.node_index[a]] = 0.5
+            assert np.array_equal(model.prr_matrix(), expected)
+            model.clear_link_quality_override(a, c)
+        else:
+            model.clear_link_quality_overrides()
+        assert np.array_equal(model.prr_matrix(), original)
+
+    def test_clear_one_direction_only(self, kiel):
         model = LinkModel(kiel, seed=0)
         a, b = kiel.node_ids[0], kiel.node_ids[1]
-        original = model.prr(a, b)
-        original_matrix = model.prr_matrix().copy()
-        model.set_link_quality(a, b, 0.0)
-        model.clear_link_quality_overrides()
-        assert model.prr(a, b) == pytest.approx(original)
-        assert np.array_equal(model.prr_matrix(), original_matrix)
+        original = prr(model, a, b)
+        model.set_link_quality(a, b, 0.3)
+        model.clear_link_quality_override(a, b, symmetric=False)
+        assert prr(model, a, b) == original
+        assert prr(model, b, a) == 0.3
+
+    @pytest.mark.parametrize("clear", ["one", "all"])
+    def test_clearing_nothing_keeps_the_cached_matrix(self, kiel, clear):
+        """Missing overrides are ignored without dropping the cache."""
+        model = LinkModel(kiel, seed=0)
+        a, b = kiel.node_ids[0], kiel.node_ids[1]
+        matrix = model.prr_matrix()
+        if clear == "one":
+            model.clear_link_quality_override(a, b)
+        else:
+            model.clear_link_quality_overrides()
+        assert model.prr_matrix() is matrix
+
+    def test_invalidate_caches_rebuilds_equal_matrices(self, kiel):
+        model = LinkModel(kiel, seed=0)
+        matrix = model.prr_matrix()
+        model.invalidate_caches()
+        rebuilt = model.prr_matrix()
+        assert rebuilt is not matrix
+        assert np.array_equal(rebuilt, matrix)
+        assert np.array_equal(model._failure_matrix, 1.0 - rebuilt)
 
     def test_invalid_overrides_rejected(self, kiel):
         model = LinkModel(kiel, seed=0)

@@ -76,6 +76,8 @@ def run_sequential_under(flood, initiators, **kwargs):
     per flood, in order, under the same generator."""
     n_tx = kwargs.pop("n_tx", 2)
     starts = kwargs.pop("start_times", [22.0 * k for k in range(len(initiators))])
+    if np.ndim(starts) == 0:
+        starts = [starts] * len(initiators)
     kwargs.setdefault("max_slot_ms", 20.0)
     return [
         flood.run(initiator=initiator, n_tx=n_tx, start_ms=start, **kwargs)
@@ -103,15 +105,34 @@ class TestKernelParity:
             topology, list(topology.node_ids[:12]), interference=interference
         )
 
-    def test_batched_equals_sequential_runs(self):
+    @pytest.mark.parametrize(
+        "start_times",
+        [[100.0 + 22.0 * k for k in range(5)], np.int64(5), np.float64(5.5), 5],
+        ids=["list", "numpy-int", "numpy-float", "int"],
+    )
+    def test_batched_equals_sequential_runs(self, start_times):
         topology = random_topology(30, seed=7)
         initiators = [0, 4, 9, 15, 21]
         assert_batch_equals_sequential(
             topology,
             initiators,
-            start_times=[100.0 + 22.0 * k for k in range(len(initiators))],
+            start_times=start_times,
             interference=jamming_interference(topology, 0.2),
         )
+
+    def test_numpy_scalar_channel_applies_to_every_flood(self):
+        topology = random_topology(30, seed=7)
+        initiators = [0, 4, 9]
+        batched = run_batch_under(make_flood(topology), initiators, channels=np.int64(15))
+        sequential = run_sequential_under(make_flood(topology), initiators, channel=15)
+        assert [result.channel for result in batched] == [15, 15, 15]
+        assert_results_identical(batched, sequential)
+
+    @pytest.mark.parametrize("argument", ["channels", "start_times"])
+    def test_per_flood_list_of_wrong_length_rejected(self, argument):
+        topology = random_topology(10, seed=7)
+        with pytest.raises(ValueError, match="must match initiators"):
+            make_flood(topology).run_batch([0, 1, 2], 2, **{argument: [26, 15]})
 
     def test_per_node_budgets_and_participants(self):
         topology = random_topology(25, seed=3)

@@ -2,14 +2,16 @@
 
 The scalar engine runs the NumPy phase loop of the vectorized engine,
 but consumes randomness exactly like the per-node reference loop
-(``GlossyFlood._run_scalar``, reached through ``_run_oracle``): one draw
+(``run_reference`` of ``tests/reference_flood.py``): one draw
 per listener with a non-zero reception probability, in participant
 order, and failure products multiplied in participant order.  These
-tests pin every observable of the two — per-node dicts and their order,
+tests pin every observable of the two — per-node arrays and their order,
 the aggregates, and the generator state afterwards — across
 topologies, gray links, interference sources, participant forms, N_TX
 forms and truncated slots.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from repro.net.interference import BurstJammer
 from repro.net.link import LinkModel
 from repro.net.simulator import NetworkSimulator, SimulatorConfig
 from repro.net.topology import dcube_testbed, kiel_testbed, random_topology
+
+from reference_flood import run_reference
 
 TOPOLOGIES = {
     "kiel": kiel_testbed(),
@@ -162,7 +166,7 @@ class TestScalarEngineParity:
         flood, oracle = _flood_pair(topology, gray)
         for kwargs in _case_floods(topology, participants_kind, seed=len(topology.node_ids)):
             result = flood.run(interference=interference, **kwargs)
-            reference = oracle._run_oracle(interference=interference, **kwargs)
+            reference = run_reference(oracle, interference=interference, **kwargs)
             assert_identical(result, reference)
         # Both consumed the generator stream identically.
         assert flood.rng.random() == oracle.rng.random()
@@ -187,7 +191,7 @@ class TestScalarEngineParity:
         for kwargs in _case_floods(topology, participants_kind, seed=1, floods=16):
             assert_identical(
                 flood.run(interference=interference, **kwargs),
-                oracle._run_oracle(interference=interference, **kwargs),
+                run_reference(oracle, interference=interference, **kwargs),
             )
         assert len(oracle.rng.thresholds) > 0
         assert flood.rng.thresholds == oracle.rng.thresholds
@@ -213,7 +217,8 @@ class TestScalarEngineParity:
         )
         assert len(batch) == len(initiators)
         for k, initiator in enumerate(initiators):
-            reference = oracle._run_oracle(
+            reference = run_reference(
+                oracle,
                 initiator,
                 n_tx,
                 channel=channels[k],
@@ -235,7 +240,7 @@ class TestScalarEngineParity:
             simulator.set_interference(jamming_interference(topology, 0.3))
             simulators.append(simulator)
         oracle_flood = simulators[1].engine.flood
-        oracle_flood.run = oracle_flood._run_oracle
+        oracle_flood.run = functools.partial(run_reference, oracle_flood)
         for n_tx in (1, 3, 5, 2, 1, 3, 5, 2):
             results = [simulator.run_round(n_tx=n_tx) for simulator in simulators]
             assert results[0].reliability == results[1].reliability
@@ -256,7 +261,7 @@ class TestScalarEngineParity:
             for _ in range(2)
         ]
         assert protocols[0].flood.engine == "scalar"
-        protocols[1].flood.run = protocols[1].flood._run_oracle
+        protocols[1].flood.run = functools.partial(run_reference, protocols[1].flood)
         sources = [node for node in topology.node_ids if node != protocols[0].sink][:5]
         for epoch in range(6):
             summaries = []
