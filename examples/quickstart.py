@@ -71,18 +71,21 @@ def protocol_loop(network) -> None:
         DimmerConfig(channel_hopping=False, enable_forwarder_selection=False, seed=1),
     )
 
+    # Every round returns the simulator's RoundResult: the schedule it
+    # ran (N_TX, forwarder-selection flag) and its measured outcome.
     print("round  time[s]  N_TX  reliability  radio-on[ms]  mode")
     for _ in range(20):
-        summary = protocol.run_round()
+        result = protocol.run_round()
+        mode = "forwarder_selection" if result.schedule.forwarder_selection else "adaptivity"
         print(
-            f"{summary.round_index:5d}  {summary.time_s:7.1f}  {summary.n_tx:4d}"
-            f"  {summary.reliability:11.3f}  {summary.average_radio_on_ms:12.2f}"
-            f"  {summary.mode.value}"
+            f"{result.round_index:5d}  {result.start_ms / 1000.0:7.1f}"
+            f"  {result.schedule.n_tx:4d}  {result.reliability:11.3f}"
+            f"  {result.average_radio_on_ms:12.2f}  {mode}"
         )
 
     print()
-    print(f"overall reliability : {protocol.average_reliability():.3f}")
-    print(f"average radio-on    : {protocol.average_radio_on_ms():.2f} ms per slot")
+    print(f"overall reliability : {simulator.average_reliability():.3f}")
+    print(f"average radio-on    : {simulator.average_radio_on_ms():.2f} ms per slot")
     print(f"final N_TX          : {protocol.n_tx}")
 
 

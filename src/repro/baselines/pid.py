@@ -16,11 +16,11 @@ integral term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.core.statistics import GlobalView, StatisticsCollector
-from repro.net.lwb import RoundHistoryAverages, RoundResult
+from repro.net.lwb import RoundResult
 from repro.net.simulator import NetworkSimulator
 
 
@@ -108,20 +108,7 @@ class PIController:
         self.n_tx = self.config.initial_n_tx
 
 
-@dataclass(frozen=True)
-class PIDRoundSummary:
-    """Per-round digest of the PID baseline protocol."""
-
-    round_index: int
-    time_s: float
-    n_tx: int
-    reliability: float
-    average_radio_on_ms: float
-    had_losses: bool
-    result: RoundResult
-
-
-class PIDProtocol(RoundHistoryAverages):
+class PIDProtocol:
     """Adaptive LWB driven by the PI(D) controller.
 
     Structurally identical to :class:`~repro.core.protocol.DimmerProtocol`
@@ -141,7 +128,6 @@ class PIDProtocol(RoundHistoryAverages):
             observer=simulator.topology.coordinator,
             expected_nodes=simulator.topology.node_ids,
         )
-        self.history: List[PIDRoundSummary] = []
 
     @property
     def n_tx(self) -> int:
@@ -152,11 +138,9 @@ class PIDProtocol(RoundHistoryAverages):
         self,
         sources: Optional[Sequence[int]] = None,
         destinations: Optional[Sequence[int]] = None,
-    ) -> PIDRoundSummary:
+    ) -> RoundResult:
         """Execute one round with the controller's current parameter."""
-        n_tx = self.controller.n_tx
-        schedule = self.simulator.build_schedule(n_tx=n_tx, sources=sources)
-        time_s = self.simulator.time_ms / 1000.0
+        schedule = self.simulator.build_schedule(n_tx=self.controller.n_tx, sources=sources)
         result = self.simulator.run_round(
             schedule=schedule,
             collect_feedback=True,
@@ -167,24 +151,14 @@ class PIDProtocol(RoundHistoryAverages):
         # what makes it overshoot to the maximum retransmission count as
         # soon as losses are detected (Fig. 4d / Fig. 5b).
         self.controller.update(view.worst_reliability())
-        summary = PIDRoundSummary(
-            round_index=result.round_index,
-            time_s=time_s,
-            n_tx=n_tx,
-            reliability=result.reliability,
-            average_radio_on_ms=result.average_radio_on_ms,
-            had_losses=result.had_losses,
-            result=result,
-        )
-        self.history.append(summary)
-        return summary
+        return result
 
     def run(
         self,
         num_rounds: int,
         sources: Optional[Sequence[int]] = None,
         destinations: Optional[Sequence[int]] = None,
-    ) -> List[PIDRoundSummary]:
+    ) -> List[RoundResult]:
         """Execute ``num_rounds`` consecutive rounds."""
         if num_rounds < 0:
             raise ValueError("num_rounds must be non-negative")

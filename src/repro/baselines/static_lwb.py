@@ -9,27 +9,13 @@ longer and nodes lose synchronization — it never reacts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.net.lwb import RoundHistoryAverages, RoundResult
+from repro.net.lwb import RoundResult
 from repro.net.simulator import NetworkSimulator
 
 
-@dataclass(frozen=True)
-class StaticRoundSummary:
-    """Per-round digest of the static LWB baseline."""
-
-    round_index: int
-    time_s: float
-    n_tx: int
-    reliability: float
-    average_radio_on_ms: float
-    had_losses: bool
-    result: RoundResult
-
-
-class StaticLWBProtocol(RoundHistoryAverages):
+class StaticLWBProtocol:
     """LWB with a fixed retransmission parameter.
 
     Parameters
@@ -48,39 +34,26 @@ class StaticLWBProtocol(RoundHistoryAverages):
             raise ValueError("n_tx must be at least 1")
         self.simulator = simulator
         self.n_tx = n_tx
-        self.history: List[StaticRoundSummary] = []
 
     def run_round(
         self,
         sources: Optional[Sequence[int]] = None,
         destinations: Optional[Sequence[int]] = None,
-    ) -> StaticRoundSummary:
+    ) -> RoundResult:
         """Execute one LWB round with the fixed parameter."""
         schedule = self.simulator.build_schedule(n_tx=self.n_tx, sources=sources)
-        time_s = self.simulator.time_ms / 1000.0
-        result = self.simulator.run_round(
+        return self.simulator.run_round(
             schedule=schedule,
             collect_feedback=False,
             destinations=destinations,
         )
-        summary = StaticRoundSummary(
-            round_index=result.round_index,
-            time_s=time_s,
-            n_tx=self.n_tx,
-            reliability=result.reliability,
-            average_radio_on_ms=result.average_radio_on_ms,
-            had_losses=result.had_losses,
-            result=result,
-        )
-        self.history.append(summary)
-        return summary
 
     def run(
         self,
         num_rounds: int,
         sources: Optional[Sequence[int]] = None,
         destinations: Optional[Sequence[int]] = None,
-    ) -> List[StaticRoundSummary]:
+    ) -> List[RoundResult]:
         """Execute ``num_rounds`` consecutive rounds."""
         if num_rounds < 0:
             raise ValueError("num_rounds must be non-negative")

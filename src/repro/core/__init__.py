@@ -14,14 +14,16 @@ The core package wires the RL substrate to the network substrate:
 * :mod:`repro.core.controller` — the Dimmer controller arbitrating
   between the two mechanisms.
 * :mod:`repro.core.protocol` — :class:`DimmerProtocol`, running full
-  Dimmer rounds on a :class:`~repro.net.simulator.NetworkSimulator`.
+  Dimmer rounds on a :class:`~repro.net.simulator.NetworkSimulator`;
+  each round returns the simulator's
+  :class:`~repro.net.lwb.RoundResult`, the one record of the round.
 """
 
 from repro.core.adaptivity import AdaptivityControl, AdaptivityDecision
 from repro.core.config import DimmerConfig
 from repro.core.controller import ControllerMode, DimmerController, RoundCommand
 from repro.core.forwarder_selection import ForwarderSelection, ForwarderSelectionConfig
-from repro.core.protocol import DimmerProtocol, ProtocolRoundSummary
+from repro.core.protocol import DimmerProtocol
 from repro.core.statistics import GlobalView, StatisticsCollector
 
 __all__ = [
@@ -34,7 +36,6 @@ __all__ = [
     "ForwarderSelection",
     "ForwarderSelectionConfig",
     "DimmerProtocol",
-    "ProtocolRoundSummary",
     "GlobalView",
     "StatisticsCollector",
 ]

@@ -61,8 +61,6 @@ class DimmerConfig:
     quantized_inference:
         Run the DQN through the fixed-point integer path, as the
         embedded implementation does.
-    use_ambient_interference_history:
-        Kept for ablations; unused by the protocol logic itself.
     seed:
         Seed for all protocol-internal randomness (forwarder-selection
         order and Exp3 draws).
@@ -86,7 +84,6 @@ class DimmerConfig:
     calm_rounds_before_selection: int = 3
     exp3_gamma: float = 0.3
     enable_acks: bool = False
-    max_ack_retries: int = 5
     quantized_inference: bool = True
     seed: Optional[int] = None
 
@@ -101,8 +98,6 @@ class DimmerConfig:
             raise ValueError("forwarder_learning_rounds must be positive")
         if self.calm_rounds_before_selection < 0:
             raise ValueError("calm_rounds_before_selection must be non-negative")
-        if self.max_ack_retries < 0:
-            raise ValueError("max_ack_retries must be non-negative")
 
     def feature_config(self) -> FeatureConfig:
         """Derive the DQN input-vector configuration."""

@@ -10,8 +10,8 @@ command the coordinator disseminates with the schedule.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from repro.core.config import DimmerConfig
 from repro.core.forwarder_selection import ForwarderSelection, ForwarderSelectionConfig, LearningStep
 from repro.core.statistics import GlobalView, StatisticsCollector
 from repro.net.lwb import RoundResult
-from repro.net.node import NodeRole
 
 
 class ControllerMode(enum.Enum):
@@ -34,15 +33,14 @@ class ControllerMode(enum.Enum):
 class RoundCommand:
     """Command the coordinator disseminates at the start of a round.
 
-    ``role_codes`` mirrors ``roles`` in the forwarder selection's
-    ``node_ids``-aligned integer form, so the protocol applies all roles
-    with one bulk :meth:`~repro.net.node.NodeStateArray.set_role_codes`
-    call.
+    ``role_codes`` holds every node's role for the round as integer
+    codes in the forwarder selection's ``node_ids`` order, so the
+    protocol applies all roles with one bulk
+    :meth:`~repro.net.node.NodeStateArray.set_role_codes` call.
     """
 
     n_tx: int
     mode: ControllerMode
-    roles: Dict[int, NodeRole]
     role_codes: np.ndarray
     learning_node: Optional[int] = None
 
@@ -107,11 +105,9 @@ class DimmerController:
         """
         if self._pending_command is not None:
             return self._pending_command
-        roles = self.forwarder_selection.suspend()
         command = RoundCommand(
             n_tx=self.adaptivity.n_tx,
             mode=ControllerMode.ADAPTIVITY,
-            roles=roles,
             learning_node=None,
             role_codes=self.forwarder_selection.suspend_codes(),
         )
@@ -150,7 +146,6 @@ class DimmerController:
             command = RoundCommand(
                 n_tx=self.adaptivity.n_tx,
                 mode=self.mode,
-                roles=step.roles,
                 learning_node=step.learning_node,
                 role_codes=step.role_codes,
             )
@@ -165,7 +160,6 @@ class DimmerController:
             command = RoundCommand(
                 n_tx=n_tx,
                 mode=self.mode,
-                roles=self.forwarder_selection.suspend(),
                 learning_node=None,
                 role_codes=self.forwarder_selection.suspend_codes(),
             )

@@ -19,12 +19,12 @@ receiver), and three stabilisation rules (§IV-C):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.net.node import NodeRole, _ROLE_TO_CODE
+from repro.net.node import ROLE_COORDINATOR, ROLE_FORWARDER, ROLE_PASSIVE
 from repro.rl.exp3 import Exp3
 
 #: Arm indices of the per-node bandit.
@@ -60,14 +60,14 @@ class ForwarderSelectionConfig:
 class LearningStep:
     """What the forwarder selection decided for one round.
 
-    ``role_codes`` carries the same decision as ``roles`` in
-    ``node_ids``-aligned integer form, ready for a bulk
+    ``role_codes`` holds every node's role for the round as
+    ``node_ids``-aligned integer codes (see :mod:`repro.net.node`),
+    ready for a bulk
     :meth:`~repro.net.node.NodeStateArray.set_role_codes` apply.
     """
 
     learning_node: Optional[int]
     chosen_arm: Optional[int]
-    roles: Dict[int, NodeRole]
     role_codes: np.ndarray
 
 
@@ -115,17 +115,10 @@ class ForwarderSelection:
             )
             for node in self.learning_order
         }
-        #: Standing role of every node (what it does when it is not learning).
-        self.roles: Dict[int, NodeRole] = {
-            node: (NodeRole.COORDINATOR if node == coordinator else NodeRole.FORWARDER)
-            for node in self.node_ids
-        }
-        #: ``node_ids``-aligned integer mirror of :attr:`roles`, kept in
-        #: sync incrementally (roles change at most one node per round).
         self._node_row: Dict[int, int] = {node: i for i, node in enumerate(self.node_ids)}
-        self._role_codes = np.array(
-            [_ROLE_TO_CODE[self.roles[node]] for node in self.node_ids], dtype=np.int8
-        )
+        #: Standing role code of every node, ``node_ids``-aligned (what
+        #: each node does when it is not learning).
+        self._role_codes = self.suspend_codes()
         self._order_cursor = 0
         self._rounds_into_window = 0
         self._current_arm: Optional[int] = None
@@ -144,23 +137,20 @@ class ForwarderSelection:
 
     def active_forwarders(self) -> List[int]:
         """Nodes whose standing role is forwarder (coordinator included)."""
-        return sorted(
-            node
-            for node, role in self.roles.items()
-            if role in (NodeRole.FORWARDER, NodeRole.COORDINATOR)
-        )
+        codes = self._role_codes.tolist()
+        return sorted(node for node, code in zip(self.node_ids, codes) if code != ROLE_PASSIVE)
 
     def passive_nodes(self) -> List[int]:
         """Nodes whose standing role is passive receiver."""
-        return sorted(node for node, role in self.roles.items() if role is NodeRole.PASSIVE)
+        codes = self._role_codes.tolist()
+        return sorted(node for node, code in zip(self.node_ids, codes) if code == ROLE_PASSIVE)
 
     # ------------------------------------------------------------------
     # Per-round protocol
     # ------------------------------------------------------------------
-    def _set_standing_role(self, node: int, role: NodeRole) -> None:
-        """Update one node's standing role (dict and code mirror)."""
-        self.roles[node] = role
-        self._role_codes[self._node_row[node]] = _ROLE_TO_CODE[role]
+    def _set_standing_role(self, node: int, passive: bool) -> None:
+        """Make one node's standing role passive receiver or forwarder."""
+        self._role_codes[self._node_row[node]] = ROLE_PASSIVE if passive else ROLE_FORWARDER
 
     def begin_round(self) -> LearningStep:
         """Draw the learning node's arm for the upcoming round.
@@ -170,18 +160,13 @@ class ForwarderSelection:
         freshly drawn arm.
         """
         node = self.current_learning_node
-        roles = dict(self.roles)
         codes = self._role_codes.copy()
         if node is None:
-            return LearningStep(
-                learning_node=None, chosen_arm=None, roles=roles, role_codes=codes
-            )
+            return LearningStep(learning_node=None, chosen_arm=None, role_codes=codes)
         arm = self.bandits[node].select_arm()
         self._current_arm = arm
-        role = NodeRole.PASSIVE if arm == ARM_PASSIVE else NodeRole.FORWARDER
-        roles[node] = role
-        codes[self._node_row[node]] = _ROLE_TO_CODE[role]
-        return LearningStep(learning_node=node, chosen_arm=arm, roles=roles, role_codes=codes)
+        codes[self._node_row[node]] = ROLE_PASSIVE if arm == ARM_PASSIVE else ROLE_FORWARDER
+        return LearningStep(learning_node=node, chosen_arm=arm, role_codes=codes)
 
     def observe_round(self, had_losses: bool) -> None:
         """Feed the network-wide outcome of the round back into the bandit.
@@ -202,7 +187,7 @@ class ForwarderSelection:
 
         if had_losses and self._current_arm == ARM_PASSIVE:
             bandit.reset_arm(ARM_PASSIVE)
-            self._set_standing_role(node, NodeRole.FORWARDER)
+            self._set_standing_role(node, passive=False)
             self.breaking_configurations += 1
 
         self._rounds_into_window += 1
@@ -210,9 +195,7 @@ class ForwarderSelection:
             # End of the window: the node adopts its best arm as its
             # standing role and the token moves to the next node.
             best = bandit.best_arm()
-            self._set_standing_role(
-                node, NodeRole.PASSIVE if best == ARM_PASSIVE else NodeRole.FORWARDER
-            )
+            self._set_standing_role(node, passive=best == ARM_PASSIVE)
             self._rounds_into_window = 0
             self._order_cursor = (self._order_cursor + 1) % max(1, len(self.learning_order))
         self._current_arm = None
@@ -220,31 +203,22 @@ class ForwarderSelection:
     # ------------------------------------------------------------------
     # Interference handling
     # ------------------------------------------------------------------
-    def suspend(self) -> Dict[int, NodeRole]:
-        """Return all-active roles (used while interference is being fought).
+    def suspend_codes(self) -> np.ndarray:
+        """All-active role codes (used while interference is being fought).
 
         Under interference every node must forward; the standing roles
         and bandit weights are preserved so learning resumes where it
         stopped once the medium is calm again.
         """
-        return {
-            node: (NodeRole.COORDINATOR if node == self.coordinator else NodeRole.FORWARDER)
-            for node in self.node_ids
-        }
-
-    def suspend_codes(self) -> np.ndarray:
-        """``node_ids``-aligned integer form of :meth:`suspend`."""
-        codes = np.full(len(self.node_ids), _ROLE_TO_CODE[NodeRole.FORWARDER], dtype=np.int8)
-        codes[self._node_row[self.coordinator]] = _ROLE_TO_CODE[NodeRole.COORDINATOR]
+        codes = np.full(len(self.node_ids), ROLE_FORWARDER, dtype=np.int8)
+        codes[self._node_row[self.coordinator]] = ROLE_COORDINATOR
         return codes
 
     def reset(self) -> None:
         """Forget everything learned so far."""
         for bandit in self.bandits.values():
             bandit.reset()
-        for node in self.node_ids:
-            if node != self.coordinator:
-                self._set_standing_role(node, NodeRole.FORWARDER)
+        self._role_codes = self.suspend_codes()
         self._order_cursor = 0
         self._rounds_into_window = 0
         self._current_arm = None

@@ -9,36 +9,18 @@ controller — closing the loop of Fig. 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 from repro.core.adaptivity import AdaptivityControl
 from repro.core.config import DimmerConfig
-from repro.core.controller import ControllerMode, DimmerController
-from repro.net.lwb import RoundHistoryAverages, RoundResult
-from repro.net.node import NodeRole
+from repro.core.controller import DimmerController
+from repro.net.lwb import RoundResult
 from repro.net.simulator import NetworkSimulator
 from repro.rl.qnetwork import QNetwork
 from repro.rl.quantized import QuantizedNetwork
 
 
-@dataclass(frozen=True)
-class ProtocolRoundSummary:
-    """Per-round digest returned by :meth:`DimmerProtocol.run_round`."""
-
-    round_index: int
-    time_s: float
-    n_tx: int
-    mode: ControllerMode
-    reliability: float
-    average_radio_on_ms: float
-    had_losses: bool
-    num_forwarders: int
-    learning_node: Optional[int]
-    result: RoundResult
-
-
-class DimmerProtocol(RoundHistoryAverages):
+class DimmerProtocol:
     """Runs Dimmer rounds on a network simulator.
 
     Parameters
@@ -73,7 +55,6 @@ class DimmerProtocol(RoundHistoryAverages):
             node_ids=simulator.topology.node_ids,
             coordinator=simulator.topology.coordinator,
         )
-        self.history: List[ProtocolRoundSummary] = []
 
     # ------------------------------------------------------------------
     # Execution
@@ -82,8 +63,12 @@ class DimmerProtocol(RoundHistoryAverages):
         self,
         sources: Optional[Sequence[int]] = None,
         destinations: Optional[Sequence[int]] = None,
-    ) -> ProtocolRoundSummary:
-        """Execute one Dimmer round.
+    ) -> RoundResult:
+        """Execute one Dimmer round and return its :class:`RoundResult`.
+
+        The result is also appended to ``simulator.round_history``; the
+        command's ``N_TX``, mode and learning node travel in its
+        ``schedule``.
 
         Parameters
         ----------
@@ -104,38 +89,21 @@ class DimmerProtocol(RoundHistoryAverages):
             learning_node=command.learning_node,
             sources=sources,
         )
-        time_s = self.simulator.time_ms / 1000.0
         result = self.simulator.run_round(
             schedule=schedule,
             collect_feedback=True,
             destinations=destinations,
         )
         self.controller.observe_round(result)
-
-        summary = ProtocolRoundSummary(
-            round_index=result.round_index,
-            time_s=time_s,
-            n_tx=command.n_tx,
-            mode=command.mode,
-            reliability=result.reliability,
-            average_radio_on_ms=result.average_radio_on_ms,
-            had_losses=result.had_losses,
-            num_forwarders=len(
-                [r for r in command.roles.values() if r is not NodeRole.PASSIVE]
-            ),
-            learning_node=command.learning_node,
-            result=result,
-        )
-        self.history.append(summary)
-        return summary
+        return result
 
     def run(
         self,
         num_rounds: int,
         sources: Optional[Sequence[int]] = None,
         destinations: Optional[Sequence[int]] = None,
-    ) -> List[ProtocolRoundSummary]:
-        """Execute ``num_rounds`` consecutive rounds and return their summaries."""
+    ) -> List[RoundResult]:
+        """Execute ``num_rounds`` consecutive rounds and return their results."""
         if num_rounds < 0:
             raise ValueError("num_rounds must be non-negative")
         return [self.run_round(sources=sources, destinations=destinations) for _ in range(num_rounds)]

@@ -178,8 +178,7 @@ def _run_bus_protocol(
             runner.run_round(sources=[], destinations=[sink])
             continue
 
-        summary = runner.run_round(sources=round_sources, destinations=[sink])
-        result = summary.result
+        result = runner.run_round(sources=round_sources, destinations=[sink])
         for slot in result.slots:
             source = slot.source
             if not pending[source]:

@@ -124,10 +124,10 @@ def run_dynamic_experiment(
     for _ in range(num_rounds):
         time_s = simulator.time_ms / 1000.0
         simulator.set_interference(scenario.interference_at(time_s))
-        summary = runner.run_round()
-        reliability.append(time_s, summary.reliability)
-        n_tx_series.append(time_s, summary.n_tx)
-        radio_on.append(time_s, summary.average_radio_on_ms)
+        result = runner.run_round()
+        reliability.append(time_s, result.reliability)
+        n_tx_series.append(time_s, result.schedule.n_tx)
+        radio_on.append(time_s, result.average_radio_on_ms)
         ratio_series.append(time_s, scenario.ratio_at(time_s))
 
     metrics = summarize_rounds(reliability.values, radio_on.values)

@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 from repro.core.config import DimmerConfig
 from repro.core.protocol import DimmerProtocol
-from repro.experiments.metrics import ExperimentMetrics, TimeSeries, summarize_protocol_history
+from repro.experiments.metrics import ExperimentMetrics, TimeSeries, summarize_round_results
 from repro.experiments.scenarios import ambient_interference
 from repro.net.simulator import NetworkSimulator, SimulatorConfig
 from repro.net.topology import Topology, kiel_testbed
@@ -86,11 +86,12 @@ def run_forwarder_selection_experiment(
     reliability = TimeSeries(label="reliability")
     radio_on = TimeSeries(label="radio-on")
     for _ in range(num_rounds):
-        summary = protocol.run_round()
-        forwarders.append(summary.time_s, summary.num_forwarders)
-        reliability.append(summary.time_s, summary.reliability)
-        radio_on.append(summary.time_s, summary.average_radio_on_ms)
-    metrics = summarize_protocol_history(protocol.history)
+        result = protocol.run_round()
+        time_s = result.start_ms / 1000.0
+        forwarders.append(time_s, len(simulator.active_forwarders()))
+        reliability.append(time_s, result.reliability)
+        radio_on.append(time_s, result.average_radio_on_ms)
+    metrics = summarize_round_results(simulator.round_history)
 
     # --- Baseline: same network, no forwarder selection. ------------------
     baseline_sim = NetworkSimulator(
@@ -105,8 +106,7 @@ def run_forwarder_selection_experiment(
         seed=seed,
     )
     baseline = DimmerProtocol(baseline_sim, network, baseline_config)
-    baseline.run(num_rounds)
-    baseline_metrics = summarize_protocol_history(baseline.history)
+    baseline_metrics = summarize_round_results(baseline.run(num_rounds))
 
     return ForwarderSelectionResult(
         forwarders=forwarders,

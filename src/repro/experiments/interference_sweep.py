@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
 from repro.experiments.dynamic import build_protocol
-from repro.experiments.metrics import ExperimentMetrics, summarize_protocol_history
+from repro.experiments.metrics import ExperimentMetrics, summarize_round_results
 from repro.experiments.scenarios import jamming_interference
 from repro.net.simulator import NetworkSimulator, SimulatorConfig
 from repro.net.topology import Topology
@@ -85,6 +85,5 @@ def run_single_sweep_point(
         ),
     )
     simulator.set_interference(jamming_interference(topology, ratio))
-    runner = build_protocol(protocol, simulator, network)
-    runner.run(rounds)
-    return summarize_protocol_history(runner.history, energy_j=simulator.total_energy_j())
+    results = build_protocol(protocol, simulator, network).run(rounds)
+    return summarize_round_results(results, energy_j=simulator.total_energy_j())

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -111,22 +111,6 @@ def summarize_round_results(results: Sequence, energy_j: float = 0.0) -> Experim
     count = len(results)
     reliabilities = np.fromiter((r.reliability for r in results), dtype=float, count=count)
     radio_on = np.fromiter((r.average_radio_on_ms for r in results), dtype=float, count=count)
-    return summarize_rounds(reliabilities, radio_on, energy_j=energy_j)
-
-
-def summarize_protocol_history(history: Iterable, energy_j: float = 0.0) -> ExperimentMetrics:
-    """Aggregate the ``history`` of any protocol runner in this repository.
-
-    Every protocol (Dimmer, static LWB, PID) exposes a history of
-    per-round summaries with ``reliability`` and ``average_radio_on_ms``
-    attributes; this helper turns such a history into
-    :class:`ExperimentMetrics`.
-    """
-    reliabilities: List[float] = []
-    radio_on: List[float] = []
-    for entry in history:
-        reliabilities.append(float(entry.reliability))
-        radio_on.append(float(entry.average_radio_on_ms))
     return summarize_rounds(reliabilities, radio_on, energy_j=energy_j)
 
 

@@ -170,7 +170,9 @@ def _cast_profile(value: Any) -> Dict[str, Any]:
 
 
 def _cast_churn(value: Any) -> List[Dict[str, Any]]:
-    return [dict(event) for event in value]
+    from repro.rl.trace_env import interval_churn_events
+
+    return interval_churn_events(value)
 
 
 def _cast_opt_str(value: Any) -> Optional[str]:

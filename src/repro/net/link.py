@@ -132,12 +132,6 @@ class LinkModel:
         if removed:
             self.invalidate_caches()
 
-    def clear_link_quality_overrides(self) -> None:
-        """Remove every :meth:`set_link_quality` override."""
-        if self._overrides:
-            self._overrides.clear()
-            self.invalidate_caches()
-
     def prr_matrix(self) -> np.ndarray:
         """Interference-free PRR of every directed link as an ``(N, N)`` matrix.
 

@@ -213,32 +213,6 @@ def average_reliability(results: Sequence[RoundResult]) -> float:
     return 1.0 if expected == 0 else received / expected
 
 
-class RoundHistoryAverages:
-    """Round-history averages of a protocol.
-
-    Mixed into the protocols whose ``history`` lists per-round
-    summaries, each carrying its round's :class:`RoundResult` as
-    ``result``.
-    """
-
-    history: list
-
-    def _results(self, last_n_rounds: Optional[int]) -> List[RoundResult]:
-        history = self.history if last_n_rounds is None else self.history[-last_n_rounds:]
-        return [summary.result for summary in history]
-
-    def average_reliability(self, last_n_rounds: Optional[int] = None) -> float:
-        """Reliability averaged over the (last ``n``) executed rounds."""
-        return average_reliability(self._results(last_n_rounds))
-
-    def average_radio_on_ms(self, last_n_rounds: Optional[int] = None) -> float:
-        """Radio-on time per slot averaged over the (last ``n``) executed rounds."""
-        results = self._results(last_n_rounds)
-        if not results:
-            return 0.0
-        return sum(result.average_radio_on_ms for result in results) / len(results)
-
-
 def observer_view_arrays(
     result: RoundResult,
     observer: int,

@@ -51,22 +51,15 @@ from repro.rl.reward import RewardConfig, compute_reward
 EpisodeSpec = Sequence[Tuple[int, float]]
 
 #: A churn schedule: link-quality mutations applied at the start of
-#: given rounds of an episode.  Two JSON-able event forms:
-#:
-#: * **Interval events** — ``{"from": d, "until": u, "set": [[sender,
-#:   receiver, prr], ...]}``: the overrides apply from round ``d``
-#:   (inclusive) to ``u`` (exclusive).  When an interval expires, each
-#:   of its links is restored to the base quality *unless another
-#:   interval still covers it* (that interval's value is re-asserted),
-#:   so concatenated outage schedules with overlapping spans and
-#:   shared links compose correctly.  :func:`node_outage_schedule`
-#:   emits this form.
-#: * **Point events** — ``{"round": r, ...}`` with any of a ``"set"``
-#:   list of ``[sender, receiver, prr]`` overrides, a ``"restore"``
-#:   list of ``[sender, receiver]`` pairs dropping exactly those
-#:   overrides, or ``"clear": True`` (drops *every* override — use
-#:   only for whole-episode resets).  Raw tools without the interval
-#:   form's coverage bookkeeping.
+#: given rounds of an episode, as JSON-able interval events
+#: ``{"from": d, "until": u, "set": [[sender, receiver, prr], ...]}``:
+#: the overrides apply from round ``d`` (inclusive) to ``u``
+#: (exclusive).  When an interval expires, each of its links is
+#: restored to the base quality *unless another interval still covers
+#: it* (that interval's value is re-asserted), so concatenated outage
+#: schedules with overlapping spans and shared links compose
+#: correctly.  :func:`node_outage_schedule` emits this form and
+#: :func:`interval_churn_events` checks it.
 #:
 #: Mutations go through
 #: :meth:`~repro.net.link.LinkModel.set_link_quality` (symmetric), and
@@ -104,12 +97,25 @@ def node_outage_schedule(
     ]
 
 
+def interval_churn_events(churn: ChurnSchedule) -> List[Dict]:
+    """Copy a churn schedule, rejecting anything but interval events.
+
+    Every event needs a ``"from"`` round and may only carry the
+    ``"until"`` and ``"set"`` keys besides it.
+    """
+    events = [dict(event) for event in churn]
+    for event in events:
+        if "from" not in event or not set(event) <= {"from", "until", "set"}:
+            raise ValueError(
+                f"churn event {event!r} is not an interval event "
+                '{"from": d, "until": u, "set": [[sender, receiver, prr], ...]}'
+            )
+    return events
+
+
 def _interval_covers(event: Mapping, round_index: int) -> bool:
     """Whether an interval event's override span includes ``round_index``."""
-    return (
-        "from" in event
-        and int(event["from"]) <= round_index < int(event.get("until", round_index + 1))
-    )
+    return int(event["from"]) <= round_index < int(event.get("until", round_index + 1))
 
 
 def apply_churn_events(link_model, churn: ChurnSchedule, round_in_episode: int) -> None:
@@ -151,17 +157,9 @@ def apply_churn_events(link_model, churn: ChurnSchedule, round_in_episode: int) 
                 for a, b, prr in overrides_for(covering, sender, receiver):
                     link_model.set_link_quality(a, b, prr)
     for event in churn:
-        if "from" in event and int(event["from"]) == round_in_episode:
+        if int(event["from"]) == round_in_episode:
             for sender, receiver, prr in event.get("set", ()):
                 link_model.set_link_quality(int(sender), int(receiver), float(prr))
-        if int(event.get("round", -1)) != round_in_episode:
-            continue
-        if event.get("clear"):
-            link_model.clear_link_quality_overrides()
-        for sender, receiver in event.get("restore", ()):
-            link_model.clear_link_quality_override(int(sender), int(receiver))
-        for sender, receiver, prr in event.get("set", ()):
-            link_model.set_link_quality(int(sender), int(receiver), float(prr))
 
 #: Default library of training episodes: calm periods, light, mild and
 #: heavy jamming, and transitions between them.  Mirrors the "different
@@ -529,7 +527,7 @@ class TraceRecorder:
         #: :data:`ChurnSchedule`); every lock-stepped simulator of a
         #: decision point replays the same link mutations, so the
         #: recorded alternatives stay comparable.
-        self.churn: List[Dict] = [dict(event) for event in churn]
+        self.churn: List[Dict] = interval_churn_events(churn)
 
     def _episode_payloads(
         self,

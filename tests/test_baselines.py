@@ -6,6 +6,7 @@ import pytest
 from repro.baselines.crystal import CrystalConfig, CrystalProtocol
 from repro.baselines.pid import PIController, PIDConfig, PIDProtocol
 from repro.baselines.static_lwb import StaticLWBProtocol
+from repro.experiments.metrics import summarize_round_results
 from repro.net.interference import BurstJammer, CompositeInterference, WifiInterference
 from repro.net.simulator import NetworkSimulator, SimulatorConfig
 from repro.net.topology import kiel_testbed
@@ -15,15 +16,15 @@ class TestStaticLWB:
     def test_fixed_ntx_never_changes(self, kiel):
         simulator = NetworkSimulator(kiel, SimulatorConfig(seed=1, channel_hopping=False))
         lwb = StaticLWBProtocol(simulator, n_tx=3)
-        summaries = lwb.run(4)
-        assert all(s.n_tx == 3 for s in summaries)
+        results = lwb.run(4)
+        assert all(r.schedule.n_tx == 3 for r in results)
 
     def test_clean_network_is_reliable(self, kiel):
         simulator = NetworkSimulator(kiel, SimulatorConfig(seed=1, channel_hopping=False))
         lwb = StaticLWBProtocol(simulator)
         lwb.run(4)
-        assert lwb.average_reliability() > 0.98
-        assert lwb.average_radio_on_ms() > 0.0
+        assert simulator.average_reliability() > 0.98
+        assert simulator.average_radio_on_ms() > 0.0
 
     def test_invalid_ntx_rejected(self, kiel):
         simulator = NetworkSimulator(kiel, SimulatorConfig(seed=1))
@@ -36,10 +37,11 @@ class TestStaticLWB:
             StaticLWBProtocol(simulator).run(-1)
 
 
-class TestRoundHistoryAverages:
+class TestRoundAverages:
     def test_averages_pool_the_round_arrays(self, kiel):
-        """The shared helper equals the per-node dict sums it replaced:
-        exact integer packet counts, radio-on summed round by round."""
+        """The simulator's reliability is the exact integer packet-count
+        ratio over the protocol's rounds, and the summarized radio-on
+        time is the mean of the per-round values."""
         simulator = NetworkSimulator(kiel, SimulatorConfig(seed=3, channel_hopping=False))
         simulator.set_interference(
             CompositeInterference([
@@ -48,24 +50,24 @@ class TestRoundHistoryAverages:
             ])
         )
         lwb = StaticLWBProtocol(simulator, n_tx=1)
-        summaries = lwb.run(5)
+        results = lwb.run(5)
         for last in (None, 2):
-            window = summaries if last is None else summaries[-last:]
-            expected = sum(sum(s.result.packets_expected_array.tolist()) for s in window)
-            received = sum(sum(s.result.packets_received_array.tolist()) for s in window)
+            window = results if last is None else results[-last:]
+            expected = sum(sum(r.packets_expected_array.tolist()) for r in window)
+            received = sum(sum(r.packets_received_array.tolist()) for r in window)
             assert received < expected
-            assert lwb.average_reliability(last) == received / expected
             assert simulator.average_reliability(last) == received / expected
-            assert lwb.average_radio_on_ms(last) == (
-                sum(s.average_radio_on_ms for s in window) / len(window)
+            assert summarize_round_results(window).radio_on_ms == pytest.approx(
+                sum(r.average_radio_on_ms for r in window) / len(window)
             )
 
     def test_empty_history_defaults(self, kiel):
         simulator = NetworkSimulator(kiel, SimulatorConfig(seed=3))
         for protocol in (StaticLWBProtocol(simulator), PIDProtocol(simulator)):
-            assert protocol.average_reliability() == 1.0
-            assert protocol.average_radio_on_ms() == 0.0
+            assert protocol.run(0) == []
         assert simulator.average_reliability() == 1.0
+        assert simulator.average_radio_on_ms() == 0.0
+        assert summarize_round_results(simulator.round_history).rounds == 0
 
 
 class TestPIController:
@@ -126,16 +128,16 @@ class TestPIDProtocol:
     def test_stays_low_when_calm(self, kiel):
         simulator = NetworkSimulator(kiel, SimulatorConfig(seed=2, channel_hopping=False))
         pid = PIDProtocol(simulator)
-        summaries = pid.run(6)
-        assert all(s.n_tx <= 4 for s in summaries)
-        assert pid.average_reliability() > 0.95
+        results = pid.run(6)
+        assert all(r.schedule.n_tx <= 4 for r in results)
+        assert simulator.average_reliability() > 0.95
 
     def test_history_metrics(self, kiel):
         simulator = NetworkSimulator(kiel, SimulatorConfig(seed=2, channel_hopping=False))
         pid = PIDProtocol(simulator)
-        pid.run(3)
-        assert len(pid.history) == 3
-        assert pid.average_radio_on_ms(last_n_rounds=2) > 0.0
+        results = pid.run(3)
+        assert results == simulator.round_history
+        assert summarize_round_results(results[-2:]).radio_on_ms > 0.0
 
 
 class TestCrystal:

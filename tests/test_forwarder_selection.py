@@ -8,7 +8,7 @@ from repro.core.forwarder_selection import (
     ForwarderSelection,
     ForwarderSelectionConfig,
 )
-from repro.net.node import NodeRole
+from repro.net.node import ROLE_COORDINATOR, ROLE_FORWARDER, ROLE_PASSIVE
 
 
 @pytest.fixture()
@@ -46,8 +46,8 @@ class TestForwarderSelection:
         step = selection.begin_round()
         assert step.learning_node == selection.current_learning_node
         assert step.chosen_arm in (ARM_FORWARDER, ARM_PASSIVE)
-        expected_role = NodeRole.PASSIVE if step.chosen_arm == ARM_PASSIVE else NodeRole.FORWARDER
-        assert step.roles[step.learning_node] == expected_role
+        expected = ROLE_PASSIVE if step.chosen_arm == ARM_PASSIVE else ROLE_FORWARDER
+        assert step.role_codes[selection.node_ids.index(step.learning_node)] == expected
 
     def test_window_advances_after_configured_rounds(self, selection):
         first = selection.current_learning_node
@@ -66,7 +66,7 @@ class TestForwarderSelection:
         selection._current_arm = ARM_PASSIVE
         selection.observe_round(had_losses=True)
         assert selection.bandits[node].weights[ARM_PASSIVE] < inflated
-        assert selection.roles[node] is NodeRole.FORWARDER
+        assert node in selection.active_forwarders()
         assert selection.breaking_configurations == 1
 
     def test_successful_passivity_eventually_deactivates_nodes(self):
@@ -94,10 +94,8 @@ class TestForwarderSelection:
         assert selection.passive_nodes() == []
 
     def test_suspend_returns_all_active(self, selection):
-        roles = selection.suspend()
-        assert all(
-            role in (NodeRole.FORWARDER, NodeRole.COORDINATOR) for role in roles.values()
-        )
+        codes = selection.suspend_codes()
+        assert codes.tolist() == [ROLE_COORDINATOR] + [ROLE_FORWARDER] * 7
 
     def test_reset_restores_initial_state(self, selection):
         for _ in range(10):

@@ -36,10 +36,10 @@ class TestTrainedDimmerBehaviour:
             pretrained,
             DimmerConfig(channel_hopping=False, enable_forwarder_selection=False),
         )
-        summaries = protocol.run(20)
-        late_n_tx = [s.n_tx for s in summaries[10:]]
+        results = protocol.run(20)
+        late_n_tx = [r.schedule.n_tx for r in results[10:]]
         assert 1 <= sum(late_n_tx) / len(late_n_tx) <= 4.5
-        assert protocol.average_reliability() > 0.97
+        assert protocol.simulator.average_reliability() > 0.97
 
     def test_interference_raises_ntx(self, pretrained, testbed):
         protocol = DimmerProtocol(
@@ -47,8 +47,8 @@ class TestTrainedDimmerBehaviour:
             pretrained,
             DimmerConfig(channel_hopping=False, enable_forwarder_selection=False),
         )
-        summaries = protocol.run(25)
-        late_n_tx = [s.n_tx for s in summaries[10:]]
+        results = protocol.run(25)
+        late_n_tx = [r.schedule.n_tx for r in results[10:]]
         assert max(late_n_tx) >= 4
 
     def test_dimmer_beats_static_lwb_under_interference(self, pretrained, testbed):
@@ -60,7 +60,9 @@ class TestTrainedDimmerBehaviour:
         lwb = StaticLWBProtocol(make_simulator(testbed, seed=5, interference_ratio=0.30), n_tx=3)
         dimmer.run(25)
         lwb.run(25)
-        assert dimmer.average_reliability(last_n_rounds=15) >= lwb.average_reliability(last_n_rounds=15)
+        assert dimmer.simulator.average_reliability(
+            last_n_rounds=15
+        ) >= lwb.simulator.average_reliability(last_n_rounds=15)
 
     def test_dimmer_no_more_radio_on_than_pid_across_dynamic_scenario(self, pretrained, testbed):
         """The Fig. 4c/4d claim: similar reliability, Dimmer spends less radio-on
@@ -89,6 +91,6 @@ class TestTrainedDimmerBehaviour:
             DimmerConfig(round_period_s=1.0, enable_forwarder_selection=False),
         )
         sources = [n for n in topology.node_ids if n != topology.coordinator][:5]
-        summaries = protocol.run(5, sources=sources, destinations=[topology.coordinator])
-        assert len(summaries) == 5
-        assert all(1 <= s.n_tx <= 8 for s in summaries)
+        results = protocol.run(5, sources=sources, destinations=[topology.coordinator])
+        assert len(results) == 5
+        assert all(1 <= r.schedule.n_tx <= 8 for r in results)

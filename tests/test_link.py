@@ -161,8 +161,7 @@ class TestLinkQualityMutation:
         assert prr(model, a, b) == pytest.approx(0.1)
         assert prr(model, b, a) == reverse_before
 
-    @pytest.mark.parametrize("clear", ["one", "all"])
-    def test_clear_overrides_restores_original(self, kiel, clear):
+    def test_clear_overrides_restores_original(self, kiel):
         """Clearing restores the base qualities bit for bit; clearing
         one link's override keeps every other override in place."""
         model = LinkModel(kiel, seed=0)
@@ -170,15 +169,12 @@ class TestLinkQualityMutation:
         original = model.prr_matrix().copy()
         model.set_link_quality(a, b, 0.0)
         model.set_link_quality(a, c, 0.5)
-        if clear == "one":
-            model.clear_link_quality_override(a, b)
-            expected = original.copy()
-            expected[model.node_index[a], model.node_index[c]] = 0.5
-            expected[model.node_index[c], model.node_index[a]] = 0.5
-            assert np.array_equal(model.prr_matrix(), expected)
-            model.clear_link_quality_override(a, c)
-        else:
-            model.clear_link_quality_overrides()
+        model.clear_link_quality_override(a, b)
+        expected = original.copy()
+        expected[model.node_index[a], model.node_index[c]] = 0.5
+        expected[model.node_index[c], model.node_index[a]] = 0.5
+        assert np.array_equal(model.prr_matrix(), expected)
+        model.clear_link_quality_override(a, c)
         assert np.array_equal(model.prr_matrix(), original)
 
     def test_clear_one_direction_only(self, kiel):
@@ -190,16 +186,12 @@ class TestLinkQualityMutation:
         assert prr(model, a, b) == original
         assert prr(model, b, a) == 0.3
 
-    @pytest.mark.parametrize("clear", ["one", "all"])
-    def test_clearing_nothing_keeps_the_cached_matrix(self, kiel, clear):
+    def test_clearing_nothing_keeps_the_cached_matrix(self, kiel):
         """Missing overrides are ignored without dropping the cache."""
         model = LinkModel(kiel, seed=0)
         a, b = kiel.node_ids[0], kiel.node_ids[1]
         matrix = model.prr_matrix()
-        if clear == "one":
-            model.clear_link_quality_override(a, b)
-        else:
-            model.clear_link_quality_overrides()
+        model.clear_link_quality_override(a, b)
         assert model.prr_matrix() is matrix
 
     def test_invalidate_caches_rebuilds_equal_matrices(self, kiel):

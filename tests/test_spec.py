@@ -411,6 +411,24 @@ class TestCacheKeys:
         )
         assert spec.key() == legacy.key()
 
+    @pytest.mark.parametrize(
+        "event",
+        [
+            {"round": 1, "clear": True},
+            {"round": 1, "restore": [[1, 2]]},
+            {"round": 1, "set": [[1, 2, 0.0]]},
+            {"from": 1, "until": 3, "restore": [[1, 2]]},
+        ],
+    )
+    def test_churn_accepts_interval_events_only(self, event):
+        """Non-interval churn events fail at construction, before they
+        could reach a cache key or a worker."""
+        interval = {"from": 1, "until": 3, "set": [[1, 2, 0.0]]}
+        spec = TraceEpisodeSpec(n_tx=2, episode=((2, 0.0),), churn=[interval])
+        assert spec.churn == [interval]
+        with pytest.raises(ValueError, match="interval event"):
+            TraceEpisodeSpec(n_tx=2, episode=((2, 0.0),), churn=[interval, event])
+
     def test_cache_warmed_by_legacy_tasks_hits_for_specs(self, tmp_path):
         """A cache dir warmed pre-spec must be a full hit for specs."""
         seeds = [stable_seed(3, "lwb", 15, i) for i in range(2)]

@@ -146,6 +146,24 @@ class TestChurnTrainingEpisodes:
         assert len(agent.buffer) > 0
         assert agent.total_steps > 0
 
+    @pytest.mark.parametrize(
+        "event",
+        [
+            {"round": 1, "clear": True},
+            {"round": 1, "restore": [[1, 2]]},
+            {"round": 1, "set": [[1, 2, 0.0]]},
+            {"until": 3, "set": [[1, 2, 0.0]]},
+        ],
+    )
+    def test_recorder_rejects_non_interval_events(self, churn_setup, event):
+        from repro.rl.trace_env import TraceRecorder
+
+        _, churn, _ = churn_setup
+        topology = grid_topology(rows=2, cols=3, spacing_m=6.0, comm_range_m=9.0)
+        assert TraceRecorder(topology=topology, churn=churn).churn == churn
+        with pytest.raises(ValueError, match="interval event"):
+            TraceRecorder(topology=topology, churn=churn + [event])
+
     def test_composed_outage_schedules_do_not_clobber_each_other(self):
         """Concatenated outage schedules compose: B's outage survives
         A's restoration, including on the link *between* A and B."""
