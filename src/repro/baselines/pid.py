@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.core.statistics import GlobalView, StatisticsCollector
+from repro.net.glossy import RoundSteps, run_steps
 from repro.net.lwb import RoundResult
 from repro.net.simulator import NetworkSimulator
 
@@ -140,8 +141,16 @@ class PIDProtocol:
         destinations: Optional[Sequence[int]] = None,
     ) -> RoundResult:
         """Execute one round with the controller's current parameter."""
+        return run_steps(self.round_steps(sources, destinations))
+
+    def round_steps(
+        self,
+        sources: Optional[Sequence[int]] = None,
+        destinations: Optional[Sequence[int]] = None,
+    ) -> RoundSteps:
+        """:meth:`run_round` as steps a lock-step driver can interleave."""
         schedule = self.simulator.build_schedule(n_tx=self.controller.n_tx, sources=sources)
-        result = self.simulator.run_round(
+        result = yield from self.simulator.round_steps(
             schedule=schedule,
             collect_feedback=True,
             destinations=destinations,

@@ -14,6 +14,7 @@ from typing import List, Optional, Sequence, Union
 from repro.core.adaptivity import AdaptivityControl
 from repro.core.config import DimmerConfig
 from repro.core.controller import DimmerController
+from repro.net.glossy import RoundSteps, run_steps
 from repro.net.lwb import RoundResult
 from repro.net.simulator import NetworkSimulator
 from repro.rl.qnetwork import QNetwork
@@ -79,6 +80,19 @@ class DimmerProtocol:
             When given, reliability is only accounted at these nodes
             (data-collection scenarios with a single sink).
         """
+        return run_steps(self.round_steps(sources, destinations))
+
+    def round_steps(
+        self,
+        sources: Optional[Sequence[int]] = None,
+        destinations: Optional[Sequence[int]] = None,
+    ) -> RoundSteps:
+        """:meth:`run_round` as steps a lock-step driver can interleave.
+
+        Yields the round's flood requests (see
+        :meth:`~repro.net.lwb.LWBRoundEngine.round_steps`) and returns
+        the :class:`RoundResult` once the controller has observed it.
+        """
         command = self.controller.next_command()
         # The forwarder selection's node order is the topology order,
         # which is the store's; coordinator rows are protected in place.
@@ -89,7 +103,7 @@ class DimmerProtocol:
             learning_node=command.learning_node,
             sources=sources,
         )
-        result = self.simulator.run_round(
+        result = yield from self.simulator.round_steps(
             schedule=schedule,
             collect_feedback=True,
             destinations=destinations,

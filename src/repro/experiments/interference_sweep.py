@@ -9,15 +9,9 @@ several independent runs, with standard deviations as error bars.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List
 
-from repro.experiments.dynamic import build_protocol
-from repro.experiments.metrics import ExperimentMetrics, summarize_round_results
-from repro.experiments.scenarios import jamming_interference
-from repro.net.simulator import NetworkSimulator, SimulatorConfig
-from repro.net.topology import Topology
-from repro.rl.qnetwork import QNetwork
-from repro.rl.quantized import QuantizedNetwork
+from repro.experiments.metrics import ExperimentMetrics
 
 #: Interference ratios of Fig. 5 (0 % to 35 %).
 PAPER_INTERFERENCE_RATIOS = (0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35)
@@ -65,25 +59,3 @@ class SweepResult:
             if entry.protocol == protocol and entry.interference_ratio == ratio:
                 return entry
         raise KeyError(f"no sweep point for {protocol!r} at ratio {ratio}")
-
-
-def run_single_sweep_point(
-    protocol: str,
-    ratio: float,
-    network: Optional[Union[QNetwork, QuantizedNetwork]],
-    topology: Topology,
-    rounds: int,
-    round_period_s: float,
-    seed: int,
-    engine: str = "vectorized",
-) -> ExperimentMetrics:
-    """Run one protocol at one interference ratio (one Fig. 5 grid point)."""
-    simulator = NetworkSimulator(
-        topology,
-        SimulatorConfig(
-            round_period_s=round_period_s, channel_hopping=False, seed=seed, engine=engine
-        ),
-    )
-    simulator.set_interference(jamming_interference(topology, ratio))
-    results = build_protocol(protocol, simulator, network).run(rounds)
-    return summarize_round_results(results, energy_j=simulator.total_energy_j())

@@ -49,7 +49,7 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -68,6 +68,27 @@ def register_experiment(name: str) -> Callable[[Callable], Callable]:
 
     def decorator(fn: Callable[..., Dict[str, Any]]) -> Callable[..., Dict[str, Any]]:
         EXPERIMENTS[name] = fn
+        return fn
+
+    return decorator
+
+
+#: Lock-step groups: experiment name -> ``(group_key, run_group)``.
+#: ``group_key(params)`` returns a hashable key, or ``None`` for a task
+#: that must run alone; pending tasks with equal keys may run as chunks
+#: of one ``run_group(params_list)`` call, which returns one result dict
+#: per member (params carry the task's ``seed``), each equal to the
+#: member's solo result.
+EXPERIMENT_GROUPS: Dict[str, Tuple[Callable[[Mapping[str, Any]], Any], Callable[..., Any]]] = {}
+
+
+def register_group(
+    name: str, group_key: Callable[[Mapping[str, Any]], Any]
+) -> Callable[[Callable], Callable]:
+    """Decorator registering the lock-step group runner of experiment ``name``."""
+
+    def decorator(fn: Callable[..., List[Dict[str, Any]]]) -> Callable[..., List[Dict[str, Any]]]:
+        EXPERIMENT_GROUPS[name] = (group_key, fn)
         return fn
 
     return decorator
@@ -197,6 +218,32 @@ def _execute_task(task: ScenarioTask, attempt: int = 0) -> Dict[str, Any]:
     envelope = seal_result(result, tamper=_TAMPER_NEXT)
     _TAMPER_NEXT = False
     return envelope
+
+
+def _execute_chunk(tasks: Sequence[ScenarioTask]) -> List[Dict[str, Any]]:
+    """Worker entry point of a lock-step chunk: one sealed envelope per member.
+
+    The members share one ``run_group`` call of their experiment (see
+    :data:`EXPERIMENT_GROUPS`); any failure fails the whole chunk, and
+    the runner then reruns its members one by one.
+    """
+    from repro.experiments.resilience import seal_result
+
+    _, run_group = EXPERIMENT_GROUPS[tasks[0].experiment]
+    results = run_group([dict(task.params, seed=task.seed) for task in tasks])
+    if len(results) != len(tasks) or not all(isinstance(r, dict) for r in results):
+        raise TypeError(
+            f"group runner of {tasks[0].experiment!r} must return one dict per task"
+        )
+    return [seal_result(result) for result in results]
+
+
+#: A unit of scheduled work: one task index, or a lock-step chunk of them.
+_Unit = Union[int, Tuple[int, ...]]
+
+
+def _members(unit: _Unit) -> Tuple[int, ...]:
+    return unit if isinstance(unit, tuple) else (unit,)
 
 
 def _worker_context():
@@ -463,6 +510,15 @@ class ParallelRunner:
         :class:`~repro.experiments.resilience.GridInterrupted` is
         raised with the partial-completion accounting.  Rerunning the
         same grid serves the flushed shards from the cache.
+
+        Pending tasks of an experiment with a registered lock-step group
+        (see :func:`register_group`) and equal group keys run as chunks:
+        dealt round-robin, in grid order, into ``min(workers, n)``
+        chunks, each one worker call (see :meth:`_units`).  Every member
+        is verified and cached under its own key; a user-set
+        ``shard_timeout_s`` scales with the chunk's member count, and a
+        chunk that fails in any way falls back to running its members
+        one by one, so retries and failure entries stay per shard.
         """
         tasks = list(tasks)
         results: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
@@ -477,17 +533,51 @@ class ParallelRunner:
                 self.stats.cache_misses += 1
 
         if pending:
+            inline = self.max_workers is not None and self.max_workers <= 1
+            units = self._units(tasks, pending, 1 if inline else self._worker_count())
             with _graceful_interrupts() as interrupt:
-                if self.max_workers is not None and self.max_workers <= 1:
-                    self._run_inline(tasks, pending, results, collect_errors, interrupt)
+                if inline:
+                    self._run_inline(tasks, units, results, collect_errors, interrupt)
                 else:
-                    self._run_pool(tasks, pending, results, collect_errors, interrupt)
+                    self._run_pool(tasks, units, results, collect_errors, interrupt)
         # Every slot must be filled: a hole here would silently shift the
         # positional regrouping done by the grid-level callers.
         missing = [tasks[i].describe() for i, r in enumerate(results) if r is None]
         if missing:
             raise RuntimeError(f"tasks produced no result: {missing}")
         return list(results)  # type: ignore[arg-type]
+
+    def _worker_count(self) -> int:
+        return self.max_workers or os.cpu_count() or 1
+
+    @staticmethod
+    def _units(
+        tasks: Sequence[ScenarioTask], pending: Sequence[int], workers: int
+    ) -> List[_Unit]:
+        """Pending task indices, with lock-step groups dealt into chunks.
+
+        Tasks whose experiment registered a group runner and whose group
+        keys are equal are dealt round-robin, in grid order, into
+        ``min(workers, n)`` chunks (a chunk of one is a plain task).
+        Units are ordered by their first member.
+        """
+        units: List[_Unit] = []
+        groups: Dict[Tuple[str, Any], List[int]] = {}
+        for index in pending:
+            task = tasks[index]
+            group = EXPERIMENT_GROUPS.get(task.experiment)
+            key = group[0](dict(task.params)) if group is not None else None
+            if key is None:
+                units.append(index)
+            else:
+                groups.setdefault((task.experiment, key), []).append(index)
+        for members in groups.values():
+            count = min(workers, len(members))
+            for offset in range(count):
+                chunk = tuple(members[offset::count])
+                units.append(chunk if len(chunk) > 1 else chunk[0])
+        units.sort(key=lambda unit: _members(unit)[0])
+        return units
 
     def _finish(self, task: ScenarioTask, envelope: Any) -> Dict[str, Any]:
         """Verify and cache one completed shard's result.
@@ -506,7 +596,7 @@ class ParallelRunner:
     def _run_inline(
         self,
         tasks: Sequence[ScenarioTask],
-        pending: Sequence[int],
+        units: Sequence[_Unit],
         results: List[Optional[Dict[str, Any]]],
         collect_errors: bool,
         interrupt: _InterruptState,
@@ -519,11 +609,37 @@ class ParallelRunner:
         from repro.experiments.resilience import CorruptResult, GridInterrupted
 
         policy = self.retry_policy
-        for index in pending:
+        queue: deque = deque(units)
+        while queue:
+            unit = queue.popleft()
             if interrupt.flag:
                 raise GridInterrupted(
                     completed=sum(1 for r in results if r is not None), total=len(tasks)
                 )
+            if isinstance(unit, tuple):
+                try:
+                    envelopes = _execute_chunk([tasks[index] for index in unit])
+                except KeyboardInterrupt:
+                    raise GridInterrupted(
+                        completed=sum(1 for r in results if r is not None),
+                        total=len(tasks),
+                    ) from None
+                except BaseException as exc:
+                    logger.warning(
+                        "chunk of %d shards failed (%r); running them one by one",
+                        len(unit),
+                        exc,
+                    )
+                    queue.extendleft(reversed(unit))
+                    continue
+                for index, envelope in zip(unit, envelopes):
+                    try:
+                        results[index] = self._finish(tasks[index], envelope)
+                    except CorruptResult:
+                        self.stats.corrupt_results += 1
+                        queue.appendleft(index)
+                continue
+            index = unit
             attempt = 0
             while True:
                 try:
@@ -553,7 +669,7 @@ class ParallelRunner:
     def _run_pool(
         self,
         tasks: Sequence[ScenarioTask],
-        pending: Sequence[int],
+        units: Sequence[_Unit],
         results: List[Optional[Dict[str, Any]]],
         collect_errors: bool,
         interrupt: _InterruptState,
@@ -574,7 +690,11 @@ class ParallelRunner:
         * a shard overrunning ``shard_timeout_s`` costs the pool (a
           running future cannot be cancelled), which is torn down and
           rebuilt; the straggler is charged a timeout + attempt, the
-          bystanders are requeued free of charge.
+          bystanders are requeued free of charge;
+        * a lock-step chunk that raises, overruns its (member-scaled)
+          timeout or dies with a worker falls back to its members: they
+          are requeued one by one free of charge (after a worker death,
+          as suspects), so every charge above stays per shard.
         """
         from repro.experiments.resilience import (
             BrokenWorker,
@@ -584,13 +704,14 @@ class ParallelRunner:
         )
 
         policy = self.retry_policy
-        worker_count = self.max_workers or os.cpu_count() or 1
-        restart_budget = policy.restart_budget(len(pending))
-        attempts: Dict[int, int] = {index: 0 for index in pending}
-        ready: deque = deque(pending)
+        worker_count = self._worker_count()
+        shards = [index for unit in units for index in _members(unit)]
+        restart_budget = policy.restart_budget(len(shards))
+        attempts: Dict[int, int] = {index: 0 for index in shards}
+        ready: deque = deque(units)
         suspects: deque = deque()
         delayed: List[List[Any]] = []  # [due_monotonic, index, solo]
-        inflight: Dict[Any, int] = {}
+        inflight: Dict[Any, _Unit] = {}
         deadlines: Dict[Any, float] = {}
         restarts = 0
         pool: Optional[ProcessPoolExecutor] = None
@@ -624,19 +745,34 @@ class ParallelRunner:
             else:
                 fail(index, error)
 
-        def submit(index: int) -> bool:
+        def fall_back(chunk: Tuple[int, ...], error: BaseException) -> None:
+            logger.warning(
+                "chunk of %d shards failed (%r); running them one by one", len(chunk), error
+            )
+            ready.extend(chunk)
+
+        def submit(unit: _Unit) -> bool:
             try:
-                future = pool.submit(_execute_task, tasks[index], attempts[index])
+                if isinstance(unit, tuple):
+                    future = pool.submit(_execute_chunk, [tasks[index] for index in unit])
+                else:
+                    future = pool.submit(_execute_task, tasks[unit], attempts[unit])
             except (BrokenProcessPool, RuntimeError):
                 return False
-            inflight[future] = index
+            inflight[future] = unit
             if self.shard_timeout_s is not None:
-                deadlines[future] = time.monotonic() + self.shard_timeout_s
+                deadlines[future] = (
+                    time.monotonic() + self.shard_timeout_s * len(_members(unit))
+                )
             return True
 
-        def handle_broken(victims: List[int]) -> None:
+        def handle_broken(victim_units: List[_Unit]) -> None:
             """Recover from a dead worker: rebuild, attribute, requeue."""
-            victims = victims + list(inflight.values())
+            victims = [
+                index
+                for unit in victim_units + list(inflight.values())
+                for index in _members(unit)
+            ]
             rebuild_pool()
             if restarts > restart_budget:
                 error = BrokenWorker(
@@ -684,9 +820,9 @@ class ParallelRunner:
                         continue
                 else:
                     while ready and len(inflight) < worker_count:
-                        index = ready.popleft()
-                        if not submit(index):
-                            ready.appendleft(index)
+                        unit = ready.popleft()
+                        if not submit(unit):
+                            ready.appendleft(unit)
                             handle_broken([])
                             break
 
@@ -697,21 +833,27 @@ class ParallelRunner:
                     continue
 
                 done, _ = wait(list(inflight), timeout=0.1, return_when=FIRST_COMPLETED)
-                broken_victims: List[int] = []
+                broken_victims: List[_Unit] = []
                 for future in done:
-                    index = inflight.pop(future)
+                    unit = inflight.pop(future)
                     deadlines.pop(future, None)
                     error = future.exception()
-                    if error is None:
-                        try:
-                            results[index] = self._finish(tasks[index], future.result())
-                        except CorruptResult as corrupt:
-                            self.stats.corrupt_results += 1
-                            retry_or_fail(index, corrupt)
-                    elif isinstance(error, BrokenProcessPool):
-                        broken_victims.append(index)
+                    if isinstance(error, BrokenProcessPool):
+                        broken_victims.append(unit)
+                    elif isinstance(unit, tuple) and error is not None:
+                        fall_back(unit, error)
+                    elif error is not None:
+                        retry_or_fail(unit, error)
                     else:
-                        retry_or_fail(index, error)
+                        envelopes = future.result()
+                        if not isinstance(unit, tuple):
+                            envelopes = [envelopes]
+                        for index, envelope in zip(_members(unit), envelopes):
+                            try:
+                                results[index] = self._finish(tasks[index], envelope)
+                            except CorruptResult as corrupt:
+                                self.stats.corrupt_results += 1
+                                retry_or_fail(index, corrupt)
                 if broken_victims:
                     handle_broken(broken_victims)
                     continue
@@ -730,16 +872,18 @@ class ParallelRunner:
                             error = ShardTimeout(
                                 f"pool restart budget exhausted ({restart_budget})"
                             )
-                            for index in timed_out + bystanders:
-                                fail(index, error)
+                            for unit in timed_out + bystanders:
+                                for index in _members(unit):
+                                    fail(index, error)
                             continue
-                        for index in timed_out:
-                            retry_or_fail(
-                                index,
-                                ShardTimeout(
-                                    f"shard exceeded {self.shard_timeout_s:.3g}s wall clock"
-                                ),
+                        for unit in timed_out:
+                            error = ShardTimeout(
+                                f"shard exceeded {self.shard_timeout_s:.3g}s wall clock"
                             )
+                            if isinstance(unit, tuple):
+                                fall_back(unit, error)
+                            else:
+                                retry_or_fail(unit, error)
                         # The watchdog killed the pool under them;
                         # resubmit without charging an attempt.
                         ready.extend(bystanders)

@@ -58,7 +58,9 @@ runner.
 
 from __future__ import annotations
 
+import inspect
 import itertools
+import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, ClassVar, Dict, List, Mapping, Optional, Sequence, Type
@@ -72,6 +74,7 @@ from repro.experiments.runner import (
     network_from_payload,
     network_payload,
     register_experiment,
+    register_group,
 )
 
 
@@ -395,22 +398,123 @@ def run_sweep_point(
     engine: str = "vectorized",
     network: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """One (protocol, interference-ratio) run of the Fig. 5 sweep."""
-    from repro.experiments.interference_sweep import run_single_sweep_point
+    """One (protocol, interference-ratio) run of the Fig. 5 sweep.
 
-    topo = build_topology(topology or {"kind": "kiel"})
-    net = network_from_payload(network) if network is not None else None
-    metrics = run_single_sweep_point(
-        protocol,
-        ratio,
-        net,
-        topo,
-        rounds,
-        round_period_s,
-        seed,
-        engine=engine,
+    The one-spec case of :func:`run_sweep_points`.
+    """
+    (metrics,) = run_sweep_points(
+        [
+            {
+                "seed": seed,
+                "protocol": protocol,
+                "ratio": ratio,
+                "topology": topology,
+                "rounds": rounds,
+                "round_period_s": round_period_s,
+                "engine": engine,
+                "network": network,
+            }
+        ]
     )
-    return metrics.as_dict()
+    return metrics
+
+
+def _sweep_arguments(params: Mapping[str, Any]) -> Dict[str, Any]:
+    """``params`` bound to :func:`run_sweep_point`'s signature, defaults filled."""
+    bound = inspect.signature(run_sweep_point).bind(**params)
+    bound.apply_defaults()
+    return dict(bound.arguments)
+
+
+def _sweep_group_key(params: Mapping[str, Any]) -> Optional[str]:
+    """Lock-step group of a ``sweep_point`` task (``None`` = run alone).
+
+    Shards over one topology, round count and round period advance
+    round by round together.  Only the vectorized engine batches: the
+    scalar engine draws per node, so its floods gain nothing from
+    sharing a call.
+    """
+    try:
+        arguments = _sweep_arguments(params)
+    except TypeError:
+        return None  # invalid params fail in their own shard
+    if arguments["engine"] != "vectorized":
+        return None
+    return json.dumps(
+        [
+            arguments["topology"] or {"kind": "kiel"},
+            arguments["rounds"],
+            arguments["round_period_s"],
+        ],
+        sort_keys=True,
+    )
+
+
+@register_group(SweepSpec.experiment, _sweep_group_key)
+def run_sweep_points(params_list: Sequence[Mapping[str, Any]]) -> List[Dict[str, Any]]:
+    """Fig. 5 grid points run in lock-step, one result dict per point.
+
+    Each entry of ``params_list`` holds :func:`run_sweep_point`'s
+    keyword arguments.  One simulator and protocol per point advance
+    round by round together: each round's control floods, then its data
+    floods, of every point run as one batched kernel call
+    (:func:`~repro.net.glossy.run_lockstep`).  Every point keeps its own
+    generator, links, interference and controller, so its result equals
+    its solo run bit for bit.  Each round is reduced to the two floats
+    the metrics read as soon as it ends, and its
+    :class:`~repro.net.lwb.RoundResult` is dropped, so memory does not
+    grow with the round count.
+    """
+    from repro.experiments.dynamic import build_protocol
+    from repro.experiments.metrics import summarize_rounds
+    from repro.experiments.scenarios import jamming_interference
+    from repro.net.glossy import run_lockstep
+    from repro.net.simulator import NetworkSimulator, SimulatorConfig
+
+    points = [_sweep_arguments(params) for params in params_list]
+    topologies: Dict[str, Any] = {}
+    simulators, protocols = [], []
+    for point in points:
+        spec = point["topology"] or {"kind": "kiel"}
+        topology_key = json.dumps(spec, sort_keys=True)
+        if topology_key not in topologies:
+            topologies[topology_key] = build_topology(spec)
+        topology = topologies[topology_key]
+        simulator = NetworkSimulator(
+            topology,
+            SimulatorConfig(
+                round_period_s=point["round_period_s"],
+                channel_hopping=False,
+                seed=point["seed"],
+                engine=point["engine"],
+            ),
+        )
+        simulator.set_interference(jamming_interference(topology, point["ratio"]))
+        network = point["network"]
+        simulators.append(simulator)
+        protocols.append(
+            build_protocol(
+                point["protocol"],
+                simulator,
+                network_from_payload(network) if network is not None else None,
+            )
+        )
+
+    reliabilities: List[List[float]] = [[] for _ in points]
+    radio_on: List[List[float]] = [[] for _ in points]
+    for round_index in range(max((point["rounds"] for point in points), default=0)):
+        running = [e for e, point in enumerate(points) if round_index < point["rounds"]]
+        results = run_lockstep([protocols[e].round_steps() for e in running])
+        for e, result in zip(running, results):
+            reliabilities[e].append(result.reliability)
+            radio_on[e].append(result.average_radio_on_ms)
+            simulators[e].round_history.clear()
+    return [
+        summarize_rounds(
+            reliabilities[e], radio_on[e], energy_j=simulators[e].total_energy_j()
+        ).as_dict()
+        for e in range(len(points))
+    ]
 
 
 @register_spec
@@ -889,8 +993,6 @@ def load_specs(path: Path) -> List[ExperimentSpec]:
     ``{"specs": [...]}``; every object may carry a ``"grid"`` entry for
     cross-product expansion.
     """
-    import json
-
     with Path(path).open("r", encoding="utf-8") as handle:
         document = json.load(handle)
     if isinstance(document, Mapping) and "specs" in document:

@@ -21,7 +21,8 @@ phase, how many times it transmitted, and how long its radio stayed on
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, Generator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -269,6 +270,9 @@ class GlossyFlood:
         #: Failure matrix with an all-ones padding row, cached for the
         #: batched kernel (see :meth:`_failure_padded`).
         self._failure_padded_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        #: Stacked link matrices of the last multi-episode batch (see
+        #: :meth:`_link_blocks`).
+        self._link_blocks_cache: Optional[Tuple[List[np.ndarray], np.ndarray, np.ndarray]] = None
         #: Reusable kernel workspaces (fresh per-phase temporaries cost
         #: more in page faults than the arithmetic they carry).
         self._workspaces: Dict[str, np.ndarray] = {}
@@ -412,7 +416,7 @@ class GlossyFlood:
         max_slot_ms: Optional[float],
     ) -> Tuple[Optional[np.ndarray], Optional[List[int]], np.ndarray, InterferenceSource,
                float, float, int]:
-        """Validate and normalize the arguments of :meth:`run` and :meth:`run_batch`.
+        """Validate and normalize the arguments of :meth:`run`.
 
         Returns ``(part_mask, part_list, n_tx_vec, interference,
         slot_ms, phase_ms, num_phases)``: the participation mask
@@ -423,6 +427,24 @@ class GlossyFlood:
         Every initiator must be a participant.
         """
         index = self.link_model.node_index
+        part_mask, part_list = self._participant_mask(participants)
+        for initiator in initiators:
+            row = index.get(initiator)
+            if row is None or (part_mask is not None and not part_mask[row]):
+                raise ValueError(f"initiator {initiator} is not among the participants")
+        n_tx_vec = self._n_tx_vector(n_tx, part_mask, part_list)
+        interference = interference if interference is not None else NoInterference()
+        return (part_mask, part_list, n_tx_vec, interference,
+                *self._slot_timing(packet_bytes, max_slot_ms))
+
+    def _participant_mask(
+        self, participants: Optional[Union[Sequence[int], np.ndarray]]
+    ) -> Tuple[Optional[np.ndarray], Optional[List[int]]]:
+        """``(part_mask, part_list)`` of a participant argument.
+
+        The mask is ``None`` under full participation (the fast path);
+        the list is set only when ids were given.
+        """
         part_mask: Optional[np.ndarray] = None
         part_list: Optional[List[int]] = None
         if isinstance(participants, np.ndarray) and participants.dtype == np.bool_:
@@ -430,22 +452,22 @@ class GlossyFlood:
             if part_mask.shape != (self._n,):
                 raise ValueError("participant mask must have one entry per node")
         elif participants is not None:
+            index = self.link_model.node_index
             part_list = list(participants)
             part_mask = np.zeros(self._n, dtype=bool)
             for node in part_list:
                 part_mask[index[node]] = True
-        for initiator in initiators:
-            row = index.get(initiator)
-            if row is None or (part_mask is not None and not part_mask[row]):
-                raise ValueError(f"initiator {initiator} is not among the participants")
         if part_mask is not None and bool(part_mask.all()):
             part_mask = None  # full participation: use the fast path
-        n_tx_vec = self._n_tx_vector(n_tx, part_mask, part_list)
-        interference = interference if interference is not None else NoInterference()
+        return part_mask, part_list
+
+    def _slot_timing(
+        self, packet_bytes: int, max_slot_ms: Optional[float]
+    ) -> Tuple[float, float, int]:
+        """``(slot_ms, phase_ms, num_phases)`` of a slot."""
         slot_ms = max_slot_ms if max_slot_ms is not None else self.radio.max_slot_ms
         phase_ms = self.radio.phase_duration_ms(packet_bytes)
-        num_phases = max(1, int(math.floor(slot_ms / phase_ms)))
-        return part_mask, part_list, n_tx_vec, interference, slot_ms, phase_ms, num_phases
+        return slot_ms, phase_ms, max(1, int(math.floor(slot_ms / phase_ms)))
 
     def run_batch(
         self,
@@ -454,42 +476,56 @@ class GlossyFlood:
         packet_bytes: int = DEFAULT_PACKET_BYTES,
         channels: Union[int, Sequence[int]] = 26,
         start_times: Union[float, Sequence[float]] = 0.0,
-        interference: Optional[InterferenceSource] = None,
+        interference: Optional[Union[InterferenceSource, Sequence[InterferenceSource]]] = None,
         participants: Optional[Union[Sequence[int], np.ndarray]] = None,
         max_slot_ms: Optional[float] = None,
+        floods: Optional[Sequence["GlossyFlood"]] = None,
     ) -> List[FloodResult]:
         """Simulate several independent floods in one batched phase loop.
 
-        The floods of one LWB round's data slots never interact — they
-        share the participant set and the per-node ``n_tx`` budget but
-        differ only in initiator, channel and start time — so the whole
+        Floods never interact — the data slots of one LWB round differ
+        only in initiator, channel and start time, and the floods of
+        lock-stepped simulators (``floods``) also in their generator,
+        links, interference, participants and budgets — so the whole
         group can advance through the phase loop together with ``(K, N)``
         state arrays, amortizing the per-phase NumPy dispatch overhead
         across the batch.
 
         Under the ``"vectorized"`` engine the result list is
         **bit-for-bit identical** to calling :meth:`run` once per flood
-        in order under the same generator: the random draws are
-        generated flood by flood (preserving the stream), and every
-        per-phase update applies the same arithmetic to the same values
-        — including the batched reception kernel, whose masked products
-        interleave only exact ``* 1.0`` factors with the per-flood
-        products, and the flood-level early exit, which replays the
-        deterministic tail of fully-decoded floods in closed form.  The
-        scalar engine simply loops :meth:`run`.
+        in order, each on its own :class:`GlossyFlood`: the random draws
+        are generated flood by flood from each flood's own generator
+        (preserving every stream), and every per-phase update applies
+        the same arithmetic to the same values — including the batched
+        reception kernel, whose masked products interleave only exact
+        ``* 1.0`` factors with the per-flood products, and the
+        flood-level early exit, which replays the deterministic tail of
+        fully-decoded floods in closed form.  The scalar engine simply
+        loops :meth:`run`.
 
         Parameters
         ----------
         initiators:
             Initiating node of each flood, in execution order.
         n_tx:
-            Shared retransmission budget (any form :meth:`run` accepts);
-            each flood's initiator transmits at least once.
+            Retransmission budget shared by all floods (any form
+            :meth:`run` accepts), or one row per flood as a ``(K, N)``
+            int array in topology index order; each flood's initiator
+            transmits at least once.
         channels, start_times:
             Per-flood channel / slot start, or one value for all floods.
+        interference:
+            One source for all floods, or a list with one per flood.
         participants:
             Participants shared by all floods, in any form :meth:`run`
-            accepts (defaults to every node).
+            accepts (defaults to every node), or one row per flood as a
+            ``(K, N)`` boolean array.
+        floods:
+            The :class:`GlossyFlood` each flood belongs to (default:
+            this one for all) — the flood engines of lock-stepped
+            simulators over one topology and radio.  Each flood draws
+            from its owner's generator and propagates over its owner's
+            links.
         """
         count = len(initiators)
         channel_list = (
@@ -502,37 +538,96 @@ class GlossyFlood:
             if isinstance(start_times, (int, float, np.integer, np.floating))
             else [float(t) for t in start_times]
         )
+        owners = [self] * count if floods is None else list(floods)
+        sources = (
+            list(interference)
+            if isinstance(interference, (list, tuple))
+            else [interference] * count
+        )
         if len(channel_list) != count or len(start_list) != count:
             raise ValueError("channels and start_times must match initiators")
+        if len(owners) != count or len(sources) != count:
+            raise ValueError("floods and interference lists must match initiators")
+        per_flood_n_tx = isinstance(n_tx, np.ndarray) and n_tx.ndim == 2
+        per_flood_part = isinstance(participants, np.ndarray) and participants.ndim == 2
         if self.engine == "scalar" or count <= 1:
             return [
-                self.run(
+                owners[k].run(
                     initiator=initiator,
-                    n_tx=n_tx,
+                    n_tx=n_tx[k] if per_flood_n_tx else n_tx,
                     packet_bytes=packet_bytes,
                     channel=channel_list[k],
                     start_ms=start_list[k],
-                    interference=interference,
-                    participants=participants,
+                    interference=sources[k],
+                    participants=participants[k] if per_flood_part else participants,
                     max_slot_ms=max_slot_ms,
                 )
                 for k, initiator in enumerate(initiators)
             ]
 
-        part_mask, _, base_n_tx, interference, slot_ms, phase_ms, num_phases = (
-            self._flood_setup(
-                initiators, n_tx, packet_bytes, interference, participants, max_slot_ms
-            )
-        )
+        # Episodes: the distinct owners, in order of first appearance.
+        episodes: List[GlossyFlood] = []
+        episode_of = np.zeros(count, dtype=np.int64)
+        seen: Dict[int, int] = {}
+        for k, owner in enumerate(owners):
+            episode = seen.get(id(owner))
+            if episode is None:
+                if owner is not self and (
+                    owner.node_ids != self.node_ids
+                    or owner.engine != self.engine
+                    or owner.radio != self.radio
+                    or owner.link_model.capture_boost != self.link_model.capture_boost
+                ):
+                    raise ValueError(
+                        "batched floods need one topology order, engine, radio "
+                        "and capture boost"
+                    )
+                episode = seen[id(owner)] = len(episodes)
+                episodes.append(owner)
+            episode_of[k] = episode
+
         index = self.link_model.node_index
+        rows = [index.get(initiator) for initiator in initiators]
+        if None in rows:
+            raise ValueError(
+                f"initiator {initiators[rows.index(None)]} is not among the participants"
+            )
+        init_rows = np.array(rows, dtype=np.int64)
+        n_all = self._n
+        if per_flood_part:
+            if participants.shape != (count, n_all):
+                raise ValueError("participant rows must be a (floods, nodes) array")
+            part_rows: Optional[np.ndarray] = participants.astype(bool, copy=False)
+            part_mask, part_list = None, None
+        else:
+            part_mask, part_list = self._participant_mask(participants)
+            part_rows = (
+                None if part_mask is None else np.broadcast_to(part_mask, (count, n_all))
+            )
+        if part_rows is not None and not part_rows[np.arange(count), init_rows].all():
+            missing = initiators[int(np.argmin(part_rows[np.arange(count), init_rows]))]
+            raise ValueError(f"initiator {missing} is not among the participants")
+        if per_flood_n_tx:
+            if n_tx.shape != (count, n_all):
+                raise ValueError("n_tx rows must be a (floods, nodes) array")
+            if (n_tx < 0).any():
+                raise ValueError("n_tx must be non-negative")
+            n_tx_rows = np.asarray(n_tx, dtype=np.int64)
+        else:
+            n_tx_rows = np.broadcast_to(
+                self._n_tx_vector(n_tx, part_mask, part_list), (count, n_all)
+            )
+        slot_ms, phase_ms, num_phases = self._slot_timing(packet_bytes, max_slot_ms)
         return self._run_vectorized_batch(
             initiators=list(initiators),
-            init_rows=np.array([index[initiator] for initiator in initiators], dtype=np.int64),
-            part_mask=part_mask,
-            base_n_tx=base_n_tx,
+            init_rows=init_rows,
+            episodes=episodes,
+            episode_of=episode_of,
+            part_rows=part_rows,
+            n_tx_rows=n_tx_rows,
             channels=channel_list,
             start_times=start_list,
-            interference=interference,
+            sources=[s if s is not None else NoInterference() for s in sources],
             slot_ms=slot_ms,
             phase_ms=phase_ms,
             num_phases=num_phases,
@@ -697,6 +792,17 @@ class GlossyFlood:
                 # end of the slot, which the radio-on accounting below
                 # covers), so the phase loop can stop early.
                 break
+            if draw_order is None and not (on_air & ~received).any():
+                # Every on-air node has decoded: the rest of the flood is
+                # the deterministic transmission tail (see
+                # :func:`_finish_pending_transmissions`).  The draws were
+                # taken up front, so the stream is unchanged; the scalar
+                # engine's per-phase draws would still be consumed, so
+                # it keeps iterating.
+                _finish_pending_transmissions(
+                    next_tx, transmissions, n_tx_vec, off_after, on_air, num_phases
+                )
+                break
 
         on_phases = np.where(off_after < 0, num_phases, np.minimum(off_after, num_phases))
         radio_on = np.minimum(slot_ms, on_phases * phase_ms)
@@ -733,11 +839,13 @@ class GlossyFlood:
         self,
         initiators: List[int],
         init_rows: np.ndarray,
-        part_mask: Optional[np.ndarray],
-        base_n_tx: np.ndarray,
+        episodes: List["GlossyFlood"],
+        episode_of: np.ndarray,
+        part_rows: Optional[np.ndarray],
+        n_tx_rows: np.ndarray,
         channels: List[int],
         start_times: List[float],
-        interference: InterferenceSource,
+        sources: List[InterferenceSource],
         slot_ms: float,
         phase_ms: float,
         num_phases: int,
@@ -758,6 +866,13 @@ class GlossyFlood:
         by exactly ``1.0``), and once every flood is either inert or
         fully decoded the remaining transmission schedule is applied in
         closed form instead of iterating the leftover phases.
+
+        ``episodes`` lists the distinct :class:`GlossyFlood` owners of
+        the floods and ``episode_of`` maps each flood to its owner: each
+        flood draws from its owner's generator, is penalized by its own
+        interference source evaluated at its owner's coordinates, and
+        gathers its owner's PRR and failure rows from the stacked
+        per-episode matrices of :meth:`_link_blocks`.
         """
         n_all = self._n
         count = len(initiators)
@@ -769,39 +884,53 @@ class GlossyFlood:
         next_tx = np.full((count, n_all), -1, dtype=np.int64)
         off_after = np.full((count, n_all), -1, dtype=np.int64)
 
-        n_tx_vec = np.broadcast_to(base_n_tx, (count, n_all)).copy()
+        n_tx_vec = np.array(n_tx_rows, dtype=np.int64)  # a fresh (K, N) copy
         n_tx_vec[arange_k, init_rows] = np.maximum(1, n_tx_vec[arange_k, init_rows])
 
         received[arange_k, init_rows] = True
         reception_phase[arange_k, init_rows] = 0
         next_tx[arange_k, init_rows] = 0
 
-        # One batched draw per flood, in flood order: the generator
-        # stream is consumed exactly as by sequential :meth:`run` calls.
+        # One batched draw per flood, in flood order, from the flood's
+        # own generator: every episode's stream is consumed exactly as
+        # by its sequential :meth:`run` calls.
+        owners = [episodes[e] for e in episode_of.tolist()]
         draws = np.stack(
-            [self.rng.random((num_phases, n_all)) for _ in range(count)], axis=1
+            [owner.rng.random((num_phases, n_all)) for owner in owners], axis=1
         )  # (num_phases, K, N)
-        prr = self.link_model.prr_matrix()
-        link_failure = self.link_model._failure_matrix
+        prr, link_failure = self._link_blocks(episodes)
         boost_factor = 1.0 + self.link_model.capture_boost
-        no_interference = isinstance(interference, NoInterference)
+        # One penalty evaluation per (episode, source) covers every
+        # (flood, phase) window of that episode's floods; each row equals
+        # the corresponding row of the single-flood call in
+        # :meth:`_run_vectorized`.
+        jammed: Dict[Tuple[int, int], List[int]] = {}
+        for k, source in enumerate(sources):
+            if not isinstance(source, NoInterference):
+                jammed.setdefault((int(episode_of[k]), id(source)), []).append(k)
+        no_interference = not jammed
         if not no_interference:
-            # One evaluation covers every (flood, phase) window of the
-            # batch; each row equals the corresponding row of the
-            # single-flood call in :meth:`_run_vectorized`.
+            timelines = np.zeros((num_phases, count, n_all))
             phase_offsets = phase_ms * np.arange(num_phases)
-            window_starts = (np.asarray(start_times)[:, None] + phase_offsets).ravel()
-            window_channels = np.repeat(np.asarray(channels, dtype=np.int64), num_phases)
-            windows = interference.penalty_windows(
-                self._coords, window_starts, phase_ms, window_channels
-            )
-            timelines = windows.reshape(count, num_phases, n_all).transpose(1, 0, 2)
+            for (episode, _), members in jammed.items():
+                window_starts = (
+                    np.asarray([start_times[k] for k in members])[:, None] + phase_offsets
+                ).ravel()
+                window_channels = np.repeat(
+                    np.asarray([channels[k] for k in members], dtype=np.int64), num_phases
+                )
+                windows = sources[members[0]].penalty_windows(
+                    episodes[episode]._coords, window_starts, phase_ms, window_channels
+                )
+                timelines[:, members, :] = windows.reshape(
+                    len(members), num_phases, n_all
+                ).transpose(1, 0, 2)
             penalized_phases = timelines.any(axis=2)  # (num_phases, K)
 
-        if part_mask is None:
+        if part_rows is None:
             on_air = np.ones((count, n_all), dtype=bool)
         else:
-            on_air = np.broadcast_to(part_mask, (count, n_all)).copy()
+            on_air = np.array(part_rows, dtype=bool)
         probabilities = np.zeros((count, n_all))
         for phase in range(num_phases):
             transmit = next_tx == phase
@@ -833,6 +962,7 @@ class GlossyFlood:
                     link_failure,
                     boost_factor,
                     probabilities,
+                    episode_of if len(episodes) > 1 else None,
                 )
                 if not no_interference and penalized_phases[phase].any():
                     # Batched penalty: rows without a burst multiply by
@@ -887,25 +1017,29 @@ class GlossyFlood:
         on_phases = np.where(off_after < 0, num_phases, np.minimum(off_after, num_phases))
         radio_on = np.minimum(slot_ms, on_phases * phase_ms)
 
-        results: List[FloodResult] = []
-        if part_mask is None:
-            for k, initiator in enumerate(initiators):
-                results.append(
-                    FloodResult(
-                        initiator=initiator,
-                        node_ids=self.node_ids,
-                        received_array=received[k],
-                        reception_phase_array=reception_phase[k],
-                        transmissions_array=transmissions[k],
-                        radio_on_array=radio_on[k],
-                        slot_duration_ms=slot_ms,
-                        channel=channels[k],
-                    )
+        if part_rows is None:
+            return [
+                FloodResult(
+                    initiator=initiator,
+                    node_ids=self.node_ids,
+                    received_array=received[k],
+                    reception_phase_array=reception_phase[k],
+                    transmissions_array=transmissions[k],
+                    radio_on_array=radio_on[k],
+                    slot_duration_ms=slot_ms,
+                    channel=channels[k],
                 )
-            return results
-        rows = np.flatnonzero(part_mask)
-        row_ids = self._ids_arr[rows].tolist()
+                for k, initiator in enumerate(initiators)
+            ]
+        # Consecutive floods usually share their participant row (one
+        # round's slots, or one episode's request): list its rows once.
+        changed = np.ones(count, dtype=bool)
+        changed[1:] = (part_rows[1:] != part_rows[:-1]).any(axis=1)
+        results: List[FloodResult] = []
         for k, initiator in enumerate(initiators):
+            if changed[k]:
+                rows = np.flatnonzero(part_rows[k])
+                row_ids = self._ids_arr[rows].tolist()
             results.append(
                 FloodResult(
                     initiator=initiator,
@@ -920,10 +1054,33 @@ class GlossyFlood:
             )
         return results
 
+    def _link_blocks(self, episodes: List["GlossyFlood"]) -> Tuple[np.ndarray, np.ndarray]:
+        """PRR and failure matrices of ``episodes``, stacked episode-major.
+
+        Row ``e * N + i`` is node ``i``'s row in episode ``e``'s link
+        model, so the kernel gathers a flood's transmitter rows by
+        offsetting them with its episode.  A single episode uses its
+        link model's own matrices; a stack is cached until any member's
+        failure matrix object changes (link-quality mutations swap it).
+        """
+        prrs = [episode.link_model.prr_matrix() for episode in episodes]
+        if len(episodes) == 1:
+            return prrs[0], episodes[0].link_model._failure_matrix
+        failures = [episode.link_model._failure_matrix for episode in episodes]
+        cached = self._link_blocks_cache
+        if (
+            cached is None
+            or len(cached[0]) != len(failures)
+            or any(old is not new for old, new in zip(cached[0], failures))
+        ):
+            cached = (failures, np.concatenate(prrs), np.concatenate(failures))
+            self._link_blocks_cache = cached
+        return cached[1], cached[2]
+
     def _failure_padded(self, link_failure: np.ndarray) -> np.ndarray:
         """``link_failure`` with an all-ones padding row appended.
 
-        Row ``N`` multiplies by exactly ``1.0``, which is what lets the
+        The last row multiplies by exactly ``1.0``, which is what lets the
         batched kernel pad every flood's transmitter list to a shared
         length without changing any product.  Cached per failure matrix
         (link-quality mutations swap the matrix object, refreshing the
@@ -962,6 +1119,7 @@ class GlossyFlood:
         link_failure: np.ndarray,
         boost_factor: float,
         out: np.ndarray,
+        episode_of: Optional[np.ndarray] = None,
     ) -> None:
         """Fill ``out[np.ix_(active, columns)]`` with reception probabilities.
 
@@ -992,7 +1150,14 @@ class GlossyFlood:
         The capture boost applies only to floods with >= 2 transmitters;
         single-transmitter floods are served straight from the PRR
         matrix.
+
+        ``prr`` and ``link_failure`` may stack several episodes' ``(N,
+        N)`` matrices episode-major (see :meth:`_link_blocks`);
+        ``episode_of`` then maps each flood to its episode, whose rows
+        start at ``episode * N``.  Offsetting the transmitter rows keeps
+        each flood's factors, and their order, those of its own matrix.
         """
+        n = self._n
         counts = tx_counts[active]
         multi = counts >= 2
         single = ~multi  # every active flood has >= 1 transmitter
@@ -1002,32 +1167,40 @@ class GlossyFlood:
             # Exactly one transmitter per solo flood: its PRR row is
             # the success probability (no capture boost).
             solo_tx = transmit[solo_rows].argmax(axis=1)
+            if episode_of is not None:
+                solo_tx += episode_of[solo_rows] * n
             out[np.ix_(solo_rows, columns)] = prr[np.ix_(solo_tx, columns)]
         if not multi.any():
             return
         rows = active[multi]
-        n = self._n
+        stacked = link_failure.shape[0]  # E * N rows; row E * N pads
         padded = self._failure_padded(link_failure)
         if num_cols < n:
-            sliced = self._workspace("columns", (n + 1) * num_cols)
-            sliced = sliced.reshape(n + 1, num_cols)
+            sliced = self._workspace("columns", (stacked + 1) * num_cols)
+            sliced = sliced.reshape(stacked + 1, num_cols)
             np.take(padded, columns, axis=1, out=sliced)
             padded = sliced
         # Transmitters whose failure row is 1.0 at every undecided
         # column contribute exact no-op factors; drop their rows.  The
         # remaining factors keep their ascending order, so the running
         # products match the dense formulation value for value.
-        relevant = (padded[:n] != 1.0).any(axis=1)
-        tx_used = transmit[rows] & relevant
+        relevant = (padded[:stacked] != 1.0).any(axis=1)
+        if episode_of is None:
+            tx_used = transmit[rows] & relevant
+        else:
+            tx_used = transmit[rows] & relevant.reshape(-1, n)[episode_of[rows]]
         counts_used = tx_used.sum(axis=1)
         t_max = max(1, int(counts_used.max()))
         num_multi = len(rows)
-        # Padded transmitter-row indices, transmitter-major: row N is
-        # the all-ones row, and a flood with no relevant transmitter
+        # Padded transmitter-row indices, transmitter-major: the last row
+        # is the all-ones row, and a flood with no relevant transmitter
         # keeps an all-padding column (product 1.0 -> probability 0).
-        idx = np.full((t_max, num_multi), n, dtype=np.int64)
+        idx = np.full((t_max, num_multi), stacked, dtype=np.int64)
         valid = np.arange(t_max)[None, :] < counts_used[:, None]
-        idx.T[valid] = np.nonzero(tx_used)[1]
+        flood_positions, tx_rows = np.nonzero(tx_used)
+        if episode_of is not None:
+            tx_rows += episode_of[rows][flood_positions] * n
+        idx.T[valid] = tx_rows
         if num_multi * num_cols >= KERNEL_STREAM_MIN_ROW:
             # Stream the factors through a cache-resident (A, U)
             # accumulator, one transmitter row set at a time — the same
@@ -1062,3 +1235,161 @@ class GlossyFlood:
             block *= boost_factor
             np.minimum(block, 1.0, out=block)
             out[np.ix_(rows[start:stop], columns)] = block
+
+
+@dataclass
+class FloodRequest:
+    """The floods one round step asks its :class:`GlossyFlood` to run.
+
+    Holds :meth:`GlossyFlood.run_batch`'s arguments for one episode's
+    floods of one step (a round's control slot, or its data slots).  A
+    round step yields the request instead of running it, so a driver can
+    run it alone (:meth:`run`, see :func:`run_steps`) or together with
+    the same step of other lock-stepped episodes
+    (:func:`run_flood_requests`, see :func:`run_lockstep`); both give
+    the same results bit for bit.
+    """
+
+    flood: GlossyFlood
+    initiators: List[int]
+    n_tx: Union[int, Mapping[int, int], np.ndarray]
+    packet_bytes: int
+    channels: List[int]
+    start_times: List[float]
+    interference: Optional[InterferenceSource] = None
+    participants: Optional[Union[Sequence[int], np.ndarray]] = None
+    max_slot_ms: Optional[float] = None
+
+    def run(self) -> List[FloodResult]:
+        """Execute the request on its own flood engine."""
+        if len(self.initiators) == 1:
+            # A lone flood (a control slot) takes the single-flood path.
+            return [
+                self.flood.run(
+                    initiator=self.initiators[0],
+                    n_tx=self.n_tx,
+                    packet_bytes=self.packet_bytes,
+                    channel=self.channels[0],
+                    start_ms=self.start_times[0],
+                    interference=self.interference,
+                    participants=self.participants,
+                    max_slot_ms=self.max_slot_ms,
+                )
+            ]
+        return self.flood.run_batch(
+            initiators=self.initiators,
+            n_tx=self.n_tx,
+            packet_bytes=self.packet_bytes,
+            channels=self.channels,
+            start_times=self.start_times,
+            interference=self.interference,
+            participants=self.participants,
+            max_slot_ms=self.max_slot_ms,
+        )
+
+
+def run_flood_requests(requests: Sequence[FloodRequest]) -> List[List[FloodResult]]:
+    """Execute the requests of lock-stepped episodes, batching what fits.
+
+    Vectorized requests that share a slot timing (packet size and slot
+    length), a topology order and a radio run as one
+    :meth:`GlossyFlood.run_batch` call on the first one's engine, each
+    flood with its own episode's generator, links, interference,
+    participants and N_TX row; the others run on their own.  Each
+    request's results equal its own :meth:`FloodRequest.run` bit for
+    bit, and every episode's generator advances exactly as it would
+    alone.
+    """
+    results: List[Optional[List[FloodResult]]] = [None] * len(requests)
+    groups: Dict[tuple, List[int]] = {}
+    for position, request in enumerate(requests):
+        flood = request.flood
+        if flood.engine == "vectorized" and request.initiators:
+            key = (request.packet_bytes, request.max_slot_ms, flood.node_ids, flood.radio)
+            groups.setdefault(key, []).append(position)
+        else:
+            results[position] = request.run()
+    for members in groups.values():
+        if len(members) == 1:
+            results[members[0]] = requests[members[0]].run()
+            continue
+        batch = [requests[position] for position in members]
+        counts = [len(request.initiators) for request in batch]
+        masks, n_tx_rows = [], []
+        for request in batch:
+            part_mask, _, n_tx_vec, *_ = request.flood._flood_setup(
+                request.initiators,
+                request.n_tx,
+                request.packet_bytes,
+                None,
+                request.participants,
+                request.max_slot_ms,
+            )
+            masks.append(part_mask)
+            n_tx_rows.append(n_tx_vec)
+        participants = None
+        if any(mask is not None for mask in masks):
+            full = np.ones(batch[0].flood._n, dtype=bool)
+            participants = np.repeat(
+                np.stack([full if mask is None else mask for mask in masks]), counts, axis=0
+            )
+        floods = batch[0].flood.run_batch(
+            initiators=[node for request in batch for node in request.initiators],
+            n_tx=np.repeat(np.stack(n_tx_rows), counts, axis=0),
+            packet_bytes=batch[0].packet_bytes,
+            channels=[channel for request in batch for channel in request.channels],
+            start_times=[start for request in batch for start in request.start_times],
+            interference=[request.interference for request in batch for _ in request.initiators],
+            participants=participants,
+            max_slot_ms=batch[0].max_slot_ms,
+            floods=[request.flood for request in batch for _ in request.initiators],
+        )
+        offset = 0
+        for position, count in zip(members, counts):
+            results[position] = floods[offset:offset + count]
+            offset += count
+    return results  # type: ignore[return-value]
+
+
+#: A round step generator: yields :class:`FloodRequest` objects, is sent
+#: each request's results, and returns its round's outcome.
+RoundSteps = Generator[FloodRequest, List[FloodResult], Any]
+
+
+def run_steps(steps: RoundSteps) -> Any:
+    """Drive one episode's round steps, running each request at once."""
+    try:
+        request = next(steps)
+        while True:
+            request = steps.send(request.run())
+    except StopIteration as stop:
+        return stop.value
+
+
+def run_lockstep(steps: Sequence[RoundSteps]) -> List[Any]:
+    """Drive several episodes' round steps in lock-step.
+
+    Every pass collects the pending request of each unfinished episode
+    and executes them together with :func:`run_flood_requests` — one
+    kernel call per step for episodes over one topology — then sends
+    each episode its own results.  Returns each episode's outcome, equal
+    to what :func:`run_steps` returns for it alone.
+    """
+    outcomes: List[Any] = [None] * len(steps)
+    pending: Dict[int, FloodRequest] = {}
+
+    def advance(position: int, value: Optional[List[FloodResult]]) -> None:
+        try:
+            step = steps[position]
+            pending[position] = next(step) if value is None else step.send(value)
+        except StopIteration as stop:
+            outcomes[position] = stop.value
+
+    for position in range(len(steps)):
+        advance(position, None)
+    while pending:
+        positions = list(pending)
+        results = run_flood_requests([pending.pop(position) for position in positions])
+        for position, result in zip(positions, results):
+            advance(position, result)
+    return outcomes

@@ -368,6 +368,13 @@ class WifiInterference(InterferenceSource):
         #: Memoized per-period burst offsets; the draw is a pure function
         #: of (seed, period index), so caching cannot change results.
         self._burst_offsets: dict = {}
+        #: Memoized static factors (pure functions of the access points
+        #: and their argument): spectral factor per channel, scalar
+        #: spatial factor per position, batched spatial factors per
+        #: positions array keyed by its contents.
+        self._spectral_factors: dict = {}
+        self._spatial_factors: dict = {}
+        self._spatial_batches: dict = {}
 
     def is_active(self, time_ms: float) -> bool:
         if self.start_ms is not None and time_ms < self.start_ms:
@@ -377,6 +384,13 @@ class WifiInterference(InterferenceSource):
         return True
 
     def _spatial_factor(self, position: Position) -> float:
+        key = (float(position[0]), float(position[1]))
+        factor = self._spatial_factors.get(key)
+        if factor is None:
+            factor = self._spatial_factors[key] = self._compute_spatial_factor(position)
+        return factor
+
+    def _compute_spatial_factor(self, position: Position) -> float:
         if self.positions is None:
             return 1.0
         best = 0.0
@@ -418,8 +432,7 @@ class WifiInterference(InterferenceSource):
     def penalty(self, position: Position, start_ms: float, duration_ms: float, channel: int) -> float:
         if not self.is_active(start_ms):
             return 0.0
-        spectral = max(wifi_overlap(channel, wifi) for wifi in self.wifi_channels)
-        spectral = max(spectral, self.spectral_floor)
+        spectral = self._spectral_factor(channel)
         if spectral <= 0.0:
             return 0.0
         spatial = self._spatial_factor(position)
@@ -432,6 +445,15 @@ class WifiInterference(InterferenceSource):
 
     def _spatial_factor_batch(self, positions: np.ndarray) -> np.ndarray:
         positions = np.asarray(positions, dtype=float)
+        key = (positions.shape, positions.tobytes())
+        factors = self._spatial_batches.get(key)
+        if factors is None:
+            factors = self._compute_spatial_factor_batch(positions)
+            factors.flags.writeable = False
+            self._spatial_batches[key] = factors
+        return factors
+
+    def _compute_spatial_factor_batch(self, positions: np.ndarray) -> np.ndarray:
         if self.positions is None:
             return np.ones(len(positions))
         best = np.zeros(len(positions))
@@ -445,9 +467,12 @@ class WifiInterference(InterferenceSource):
         return best
 
     def _spectral_factor(self, channel: int) -> float:
-        """Worst-case WiFi overlap of one 802.15.4 channel, floored."""
-        spectral = max(wifi_overlap(channel, wifi) for wifi in self.wifi_channels)
-        return max(spectral, self.spectral_floor)
+        """Worst-case WiFi overlap of one 802.15.4 channel, floored (memoized)."""
+        factor = self._spectral_factors.get(channel)
+        if factor is None:
+            spectral = max(wifi_overlap(channel, wifi) for wifi in self.wifi_channels)
+            factor = self._spectral_factors[channel] = max(spectral, self.spectral_floor)
+        return factor
 
     def penalty_windows(
         self,

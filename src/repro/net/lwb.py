@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.net.channels import ChannelHopper
-from repro.net.glossy import FloodResult, GlossyFlood
+from repro.net.glossy import FloodRequest, FloodResult, GlossyFlood, RoundSteps, run_steps
 from repro.net.interference import InterferenceSource, NoInterference
 from repro.net.link import LinkModel
 from repro.net.node import NodeStateArray
@@ -362,7 +362,31 @@ class LWBRoundEngine:
         collect_feedback: bool = True,
         destinations: Optional[Sequence[int]] = None,
     ) -> RoundResult:
-        """Execute one LWB round.
+        """Execute one LWB round: :meth:`round_steps`, each flood request run at once."""
+        return run_steps(
+            self.round_steps(
+                nodes, schedule, start_ms, interference, collect_feedback, destinations
+            )
+        )
+
+    def round_steps(
+        self,
+        nodes: NodeStateArray,
+        schedule: Schedule,
+        start_ms: float = 0.0,
+        interference: Optional[InterferenceSource] = None,
+        collect_feedback: bool = True,
+        destinations: Optional[Sequence[int]] = None,
+    ) -> RoundSteps:
+        """One LWB round as steps a driver can interleave.
+
+        The generator yields two :class:`~repro.net.glossy.FloodRequest`
+        objects — the control slot's flood, then the batch of data-slot
+        floods (possibly empty) — is sent each one's results, and
+        returns the :class:`RoundResult`.  :meth:`run_round` runs each
+        request at once (:func:`~repro.net.glossy.run_steps`); a
+        lock-step driver (:func:`~repro.net.glossy.run_lockstep`) runs
+        the same step of many simulators as one batched kernel call.
 
         No per-node Python calls run anywhere: the schedule's ``n_tx``
         broadcasts through the synchronized mask, ``effective_n_tx`` is
@@ -412,12 +436,13 @@ class LWBRoundEngine:
         # --- Control slot: flood the schedule from the coordinator. -----
         control_channel = self.hopper.control_channel()
         control_packet = schedule.to_packet(coordinator)
-        control_flood = self._flood.run(
-            initiator=coordinator,
+        (control_flood,) = yield FloodRequest(
+            flood=self._flood,
+            initiators=[coordinator],
             n_tx=max(schedule.n_tx, 1),
             packet_bytes=control_packet.total_bytes,
-            channel=control_channel,
-            start_ms=self._slot_start_ms(start_ms, 0),
+            channels=[control_channel],
+            start_times=[self._slot_start_ms(start_ms, 0)],
             interference=interference,
             participants=None,
             max_slot_ms=self.slot_ms,
@@ -453,7 +478,8 @@ class LWBRoundEngine:
             for slot_index, source in enumerate(schedule.slots)
             if synchronized[index[source]]
         ]
-        floods = self._flood.run_batch(
+        floods = yield FloodRequest(
+            flood=self._flood,
             initiators=[source for _, source in executed],
             n_tx=effective_n_tx,
             packet_bytes=DataPacket(source=coordinator).total_bytes,

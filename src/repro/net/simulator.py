@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.net.channels import ChannelHopper
 from repro.net.energy import EnergyModel, RadioOnLedger
-from repro.net.glossy import FLOOD_ENGINES
+from repro.net.glossy import FLOOD_ENGINES, RoundSteps, run_steps
 from repro.net.interference import InterferenceSource, NoInterference
 from repro.net.link import LinkModel
 from repro.net.lwb import LWBRoundEngine, RoundResult, Schedule, average_reliability
@@ -197,11 +197,25 @@ class NetworkSimulator:
         Either pass a fully-built ``schedule`` or just the global
         ``n_tx`` to apply (a default schedule over all sources is built).
         """
+        return run_steps(self.round_steps(schedule, n_tx, collect_feedback, destinations))
+
+    def round_steps(
+        self,
+        schedule: Optional[Schedule] = None,
+        n_tx: Optional[int] = None,
+        collect_feedback: bool = True,
+        destinations: Optional[Sequence[int]] = None,
+    ) -> RoundSteps:
+        """:meth:`run_round` as steps (see :meth:`LWBRoundEngine.round_steps`).
+
+        Yields the round's flood requests and returns its
+        :class:`RoundResult` after the clock and the ledgers advanced.
+        """
         if schedule is None:
             schedule = self.build_schedule(
                 n_tx=self.config.default_n_tx if n_tx is None else n_tx
             )
-        result = self.engine.run_round(
+        result = yield from self.engine.round_steps(
             nodes=self.node_state,
             schedule=schedule,
             start_ms=self.time_ms,

@@ -304,3 +304,68 @@ class TestRunBatchParticipants:
             flood = GlossyFlood(kiel, rng=np.random.default_rng(0), engine=engine)
             with pytest.raises(ValueError, match="not among the participants"):
                 flood.run_batch([1, 5], 3, participants=[0, 1, 2, 3])
+
+
+def dcube_flood_digest():
+    """SHA-256 over 200 vectorized single floods on the D-Cube deployment.
+
+    Four blocks of 50 floods: clean and WiFi level 2, each under full
+    participation and under a seeded partial participant mask.  The
+    digest covers every result array and the generator state after each
+    flood, so any change to the draws a flood consumes or to its
+    outcome changes it.
+    """
+    import hashlib
+    import json
+
+    from repro.experiments.scenarios import dcube_wifi_interference
+    from repro.net.topology import dcube_testbed
+
+    topology = dcube_testbed()
+    ids = list(topology.node_ids)
+    flood = GlossyFlood(
+        topology, LinkModel(topology, seed=3), rng=np.random.default_rng(11),
+        engine="vectorized",
+    )
+    picker = np.random.default_rng(5)
+    digest = hashlib.sha256()
+    for level in (0, 2):
+        interference = dcube_wifi_interference(topology, level, seed=4)
+        for partial in (False, True):
+            for index in range(50):
+                initiator = ids[int(picker.integers(len(ids)))]
+                participants = None
+                if partial:
+                    participants = picker.random(len(ids)) < 0.7
+                    participants[ids.index(initiator)] = True
+                result = flood.run(
+                    initiator=initiator,
+                    n_tx=int(picker.integers(1, 5)),
+                    channel=int(picker.integers(11, 27)),
+                    start_ms=index * 22.0,
+                    interference=interference,
+                    participants=participants,
+                    max_slot_ms=20.0,
+                )
+                digest.update(json.dumps(list(result.node_ids)).encode())
+                for array in (
+                    result.received_array,
+                    result.reception_phase_array,
+                    result.transmissions_array,
+                    result.radio_on_array,
+                ):
+                    digest.update(np.ascontiguousarray(array).tobytes())
+                digest.update(
+                    json.dumps(flood.rng.bit_generator.state, sort_keys=True).encode()
+                )
+    return digest.hexdigest()
+
+
+#: Recorded before the single-flood early exit was added; the early exit
+#: replays a fully decoded flood's tail in closed form and must leave
+#: both the outcomes and the generator stream unchanged.
+DCUBE_FLOOD_DIGEST = "8f7f923daad700fb29f7e592c3156a74092dbb93f954663d0d26518d55a830fe"
+
+
+def test_dcube_single_flood_fingerprint():
+    assert dcube_flood_digest() == DCUBE_FLOOD_DIGEST

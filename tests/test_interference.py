@@ -129,6 +129,28 @@ class TestWifiInterference:
         wifi = WifiInterference(level=1, seed=4)
         assert wifi.penalty((0.0, 0.0), 37.0, 1.6, 12) == wifi.penalty((0.0, 0.0), 37.0, 1.6, 12)
 
+    def test_each_position_array_gets_its_own_spatial_factors(self):
+        # Two deployments of the same size near and far from the access
+        # point: a spatial-factor cache keyed by anything coarser than
+        # the coordinates themselves would serve one's factors to the other.
+        wifi = WifiInterference(level=2, positions=[(0.0, 0.0)], range_m=10.0, seed=1)
+        near = np.array([[0.0, 1.0], [5.0, 0.0], [12.0, 0.0]])
+        far = np.array([[40.0, 0.0], [0.0, 45.0], [15.0, 0.0]])
+        starts = np.arange(0.0, 400.0, 1.6)
+        first_near = wifi.penalty_windows(near, starts, 1.6, 12)
+        first_far = wifi.penalty_windows(far, starts, 1.6, 12)
+        assert first_near.any()
+        assert (first_far[:, :2] == 0.0).all()
+        assert first_far[:, 2].any()
+        # Repeated calls in either order keep returning each array's own values.
+        assert (wifi.penalty_windows(near, starts, 1.6, 12) == first_near).all()
+        assert (wifi.penalty_windows(far, starts, 1.6, 12) == first_far).all()
+        fresh = WifiInterference(level=2, positions=[(0.0, 0.0)], range_m=10.0, seed=1)
+        assert (fresh.penalty_windows(far, starts, 1.6, 12) == first_far).all()
+        for column, position in enumerate(map(tuple, far)):
+            scalar = [wifi.penalty(position, start, 1.6, 12) for start in starts]
+            assert scalar == first_far[:, column].tolist()
+
 
 class TestAmbientInterference:
     def test_penalty_is_binary(self):
