@@ -900,31 +900,11 @@ class GlossyFlood:
         )  # (num_phases, K, N)
         prr, link_failure = self._link_blocks(episodes)
         boost_factor = 1.0 + self.link_model.capture_boost
-        # One penalty evaluation per (episode, source) covers every
-        # (flood, phase) window of that episode's floods; each row equals
-        # the corresponding row of the single-flood call in
-        # :meth:`_run_vectorized`.
-        jammed: Dict[Tuple[int, int], List[int]] = {}
-        for k, source in enumerate(sources):
-            if not isinstance(source, NoInterference):
-                jammed.setdefault((int(episode_of[k]), id(source)), []).append(k)
-        no_interference = not jammed
+        timelines = self._penalty_timelines(
+            episodes, episode_of, sources, start_times, channels, phase_ms, num_phases
+        )
+        no_interference = timelines is None
         if not no_interference:
-            timelines = np.zeros((num_phases, count, n_all))
-            phase_offsets = phase_ms * np.arange(num_phases)
-            for (episode, _), members in jammed.items():
-                window_starts = (
-                    np.asarray([start_times[k] for k in members])[:, None] + phase_offsets
-                ).ravel()
-                window_channels = np.repeat(
-                    np.asarray([channels[k] for k in members], dtype=np.int64), num_phases
-                )
-                windows = sources[members[0]].penalty_windows(
-                    episodes[episode]._coords, window_starts, phase_ms, window_channels
-                )
-                timelines[:, members, :] = windows.reshape(
-                    len(members), num_phases, n_all
-                ).transpose(1, 0, 2)
             penalized_phases = timelines.any(axis=2)  # (num_phases, K)
 
         if part_rows is None:
@@ -1053,6 +1033,74 @@ class GlossyFlood:
                 )
             )
         return results
+
+    @staticmethod
+    def _penalty_timelines(
+        episodes: List["GlossyFlood"],
+        episode_of: np.ndarray,
+        sources: List[InterferenceSource],
+        start_times: List[float],
+        channels: List[int],
+        phase_ms: float,
+        num_phases: int,
+    ) -> Optional[np.ndarray]:
+        """Per-phase interference penalties of every flood, ``(num_phases, K, N)``.
+
+        ``None`` when no flood has interference.  Row ``[p, k]`` equals
+        row ``p`` of flood ``k``'s single-flood
+        :meth:`~repro.net.interference.InterferenceSource.penalty_windows`
+        call in :meth:`_run_vectorized`: every source's windows are
+        row-local (a row depends only on its own start, channel and the
+        coordinates), so one call per distinct source covers the
+        distinct (start, channel) windows of all floods it serves.
+        Lock-stepped episodes over one topology often carry equal
+        sources (the same jammer setting in different protocols' runs)
+        and share slot start times, so equal sources are evaluated once.
+        """
+        groups: List[Tuple[InterferenceSource, "GlossyFlood", List[int]]] = []
+        group_of: Dict[Tuple[int, int], int] = {}
+        for k, source in enumerate(sources):
+            if isinstance(source, NoInterference):
+                continue
+            episode = int(episode_of[k])
+            key = (id(source), episode)
+            group = group_of.get(key)
+            if group is None:
+                owner = episodes[episode]
+                group = next(
+                    (
+                        g
+                        for g, (other, other_owner, _) in enumerate(groups)
+                        if other_owner.topology is owner.topology and other == source
+                    ),
+                    len(groups),
+                )
+                if group == len(groups):
+                    groups.append((source, owner, []))
+                group_of[key] = group
+            groups[group][2].append(k)
+        if not groups:
+            return None
+        n_all = episodes[0]._n
+        timelines = np.zeros((num_phases, len(sources), n_all))
+        phase_offsets = phase_ms * np.arange(num_phases)
+        for source, owner, members in groups:
+            window_of: Dict[Tuple[float, int], int] = {}
+            slots = [
+                window_of.setdefault((start_times[k], channels[k]), len(window_of))
+                for k in members
+            ]
+            window_starts = (
+                np.array([start for start, _ in window_of])[:, None] + phase_offsets
+            ).ravel()
+            window_channels = np.repeat(
+                np.array([channel for _, channel in window_of], dtype=np.int64), num_phases
+            )
+            windows = source.penalty_windows(
+                owner._coords, window_starts, phase_ms, window_channels
+            ).reshape(len(window_of), num_phases, n_all)
+            timelines[:, members, :] = windows[slots].transpose(1, 0, 2)
+        return timelines
 
     def _link_blocks(self, episodes: List["GlossyFlood"]) -> Tuple[np.ndarray, np.ndarray]:
         """PRR and failure matrices of ``episodes``, stacked episode-major.
