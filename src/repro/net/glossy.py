@@ -270,9 +270,6 @@ class GlossyFlood:
         #: Failure matrix with an all-ones padding row, cached for the
         #: batched kernel (see :meth:`_failure_padded`).
         self._failure_padded_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        #: Stacked link matrices of the last multi-episode batch (see
-        #: :meth:`_link_blocks`).
-        self._link_blocks_cache: Optional[Tuple[List[np.ndarray], np.ndarray, np.ndarray]] = None
         #: Reusable kernel workspaces (fresh per-phase temporaries cost
         #: more in page faults than the arithmetic they carry).
         self._workspaces: Dict[str, np.ndarray] = {}
@@ -1102,28 +1099,20 @@ class GlossyFlood:
             timelines[:, members, :] = windows[slots].transpose(1, 0, 2)
         return timelines
 
-    def _link_blocks(self, episodes: List["GlossyFlood"]) -> Tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def _link_blocks(episodes: List["GlossyFlood"]) -> Tuple[np.ndarray, np.ndarray]:
         """PRR and failure matrices of ``episodes``, stacked episode-major.
 
         Row ``e * N + i`` is node ``i``'s row in episode ``e``'s link
         model, so the kernel gathers a flood's transmitter rows by
         offsetting them with its episode.  A single episode uses its
-        link model's own matrices; a stack is cached until any member's
-        failure matrix object changes (link-quality mutations swap it).
+        link model's own (cached) matrices.
         """
         prrs = [episode.link_model.prr_matrix() for episode in episodes]
-        if len(episodes) == 1:
-            return prrs[0], episodes[0].link_model._failure_matrix
         failures = [episode.link_model._failure_matrix for episode in episodes]
-        cached = self._link_blocks_cache
-        if (
-            cached is None
-            or len(cached[0]) != len(failures)
-            or any(old is not new for old, new in zip(cached[0], failures))
-        ):
-            cached = (failures, np.concatenate(prrs), np.concatenate(failures))
-            self._link_blocks_cache = cached
-        return cached[1], cached[2]
+        if len(episodes) == 1:
+            return prrs[0], failures[0]
+        return np.concatenate(prrs), np.concatenate(failures)
 
     def _failure_padded(self, link_failure: np.ndarray) -> np.ndarray:
         """``link_failure`` with an all-ones padding row appended.
@@ -1285,7 +1274,7 @@ class GlossyFlood:
             out[np.ix_(rows[start:stop], columns)] = block
 
 
-@dataclass
+@dataclass(eq=False)
 class FloodRequest:
     """The floods one round step asks its :class:`GlossyFlood` to run.
 
@@ -1405,13 +1394,8 @@ RoundSteps = Generator[FloodRequest, List[FloodResult], Any]
 
 
 def run_steps(steps: RoundSteps) -> Any:
-    """Drive one episode's round steps, running each request at once."""
-    try:
-        request = next(steps)
-        while True:
-            request = steps.send(request.run())
-    except StopIteration as stop:
-        return stop.value
+    """Drive one episode's round steps: :func:`run_lockstep` of one."""
+    return run_lockstep([steps])[0]
 
 
 def run_lockstep(steps: Sequence[RoundSteps]) -> List[Any]:
@@ -1421,7 +1405,7 @@ def run_lockstep(steps: Sequence[RoundSteps]) -> List[Any]:
     and executes them together with :func:`run_flood_requests` — one
     kernel call per step for episodes over one topology — then sends
     each episode its own results.  Returns each episode's outcome, equal
-    to what :func:`run_steps` returns for it alone.
+    to its outcome when driven alone (:func:`run_steps`).
     """
     outcomes: List[Any] = [None] * len(steps)
     pending: Dict[int, FloodRequest] = {}
