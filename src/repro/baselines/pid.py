@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.core.statistics import GlobalView, StatisticsCollector
-from repro.net.glossy import RoundSteps, run_steps
+from repro.net.glossy import RoundSteps
 from repro.net.lwb import RoundResult
 from repro.net.simulator import NetworkSimulator
 
@@ -141,7 +141,12 @@ class PIDProtocol:
         destinations: Optional[Sequence[int]] = None,
     ) -> RoundResult:
         """Execute one round with the controller's current parameter."""
-        return run_steps(self.round_steps(sources, destinations))
+        schedule = self.simulator.build_schedule(n_tx=self.controller.n_tx, sources=sources)
+        return self._observe(
+            self.simulator.run_round(
+                schedule=schedule, collect_feedback=True, destinations=destinations
+            )
+        )
 
     def round_steps(
         self,
@@ -150,11 +155,16 @@ class PIDProtocol:
     ) -> RoundSteps:
         """:meth:`run_round` as steps a lock-step driver can interleave."""
         schedule = self.simulator.build_schedule(n_tx=self.controller.n_tx, sources=sources)
-        result = yield from self.simulator.round_steps(
-            schedule=schedule,
-            collect_feedback=True,
-            destinations=destinations,
+        return self._observe(
+            (
+                yield from self.simulator.round_steps(
+                    schedule=schedule, collect_feedback=True, destinations=destinations
+                )
+            )
         )
+
+    def _observe(self, result: RoundResult) -> RoundResult:
+        """Feed a finished round to the controller."""
         view: GlobalView = self.statistics.build_view(result)
         # The PI baseline reacts to the worst node it knows about — that is
         # what makes it overshoot to the maximum retransmission count as

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.net.glossy import RoundSteps, run_steps
+from repro.net.glossy import RoundSteps
 from repro.net.lwb import RoundResult
 from repro.net.simulator import NetworkSimulator
 
@@ -42,7 +42,12 @@ class StaticLWBProtocol:
         destinations: Optional[Sequence[int]] = None,
     ) -> RoundResult:
         """Execute one LWB round with the fixed parameter."""
-        return run_steps(self.round_steps(sources, destinations))
+        schedule = self.simulator.build_schedule(n_tx=self.n_tx, sources=sources)
+        return self.simulator.run_round(
+            schedule=schedule,
+            collect_feedback=False,
+            destinations=destinations,
+        )
 
     def round_steps(
         self,

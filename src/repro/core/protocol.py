@@ -14,8 +14,8 @@ from typing import List, Optional, Sequence, Union
 from repro.core.adaptivity import AdaptivityControl
 from repro.core.config import DimmerConfig
 from repro.core.controller import DimmerController
-from repro.net.glossy import RoundSteps, run_steps
-from repro.net.lwb import RoundResult
+from repro.net.glossy import RoundSteps
+from repro.net.lwb import RoundResult, Schedule
 from repro.net.simulator import NetworkSimulator
 from repro.rl.qnetwork import QNetwork
 from repro.rl.quantized import QuantizedNetwork
@@ -80,7 +80,13 @@ class DimmerProtocol:
             When given, reliability is only accounted at these nodes
             (data-collection scenarios with a single sink).
         """
-        return run_steps(self.round_steps(sources, destinations))
+        result = self.simulator.run_round(
+            schedule=self._begin_round(sources),
+            collect_feedback=True,
+            destinations=destinations,
+        )
+        self.controller.observe_round(result)
+        return result
 
     def round_steps(
         self,
@@ -93,23 +99,26 @@ class DimmerProtocol:
         :meth:`~repro.net.lwb.LWBRoundEngine.round_steps`) and returns
         the :class:`RoundResult` once the controller has observed it.
         """
-        command = self.controller.next_command()
-        # The forwarder selection's node order is the topology order,
-        # which is the store's; coordinator rows are protected in place.
-        self.simulator.node_state.set_role_codes(command.role_codes)
-        schedule = self.simulator.build_schedule(
-            n_tx=command.n_tx,
-            forwarder_selection=command.forwarder_selection,
-            learning_node=command.learning_node,
-            sources=sources,
-        )
         result = yield from self.simulator.round_steps(
-            schedule=schedule,
+            schedule=self._begin_round(sources),
             collect_feedback=True,
             destinations=destinations,
         )
         self.controller.observe_round(result)
         return result
+
+    def _begin_round(self, sources: Optional[Sequence[int]]) -> Schedule:
+        """Apply the controller's command and build the round's schedule."""
+        command = self.controller.next_command()
+        # The forwarder selection's node order is the topology order,
+        # which is the store's; coordinator rows are protected in place.
+        self.simulator.node_state.set_role_codes(command.role_codes)
+        return self.simulator.build_schedule(
+            n_tx=command.n_tx,
+            forwarder_selection=command.forwarder_selection,
+            learning_node=command.learning_node,
+            sources=sources,
+        )
 
     def run(
         self,

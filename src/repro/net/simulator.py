@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.net.channels import ChannelHopper
 from repro.net.energy import EnergyModel, RadioOnLedger
-from repro.net.glossy import FLOOD_ENGINES, RoundSteps, run_steps
+from repro.net.glossy import FLOOD_ENGINES, RoundSteps
 from repro.net.interference import InterferenceSource, NoInterference
 from repro.net.link import LinkModel
 from repro.net.lwb import LWBRoundEngine, RoundResult, Schedule, average_reliability
@@ -196,8 +196,11 @@ class NetworkSimulator:
 
         Either pass a fully-built ``schedule`` or just the global
         ``n_tx`` to apply (a default schedule over all sources is built).
+        The engine runs the round's steps at once
+        (:meth:`LWBRoundEngine.run_round`).
         """
-        return run_steps(self.round_steps(schedule, n_tx, collect_feedback, destinations))
+        arguments = self._round_arguments(schedule, n_tx, collect_feedback, destinations)
+        return self._finish_round(self.engine.run_round(**arguments))
 
     def round_steps(
         self,
@@ -211,19 +214,33 @@ class NetworkSimulator:
         Yields the round's flood requests and returns its
         :class:`RoundResult` after the clock and the ledgers advanced.
         """
+        arguments = self._round_arguments(schedule, n_tx, collect_feedback, destinations)
+        return self._finish_round((yield from self.engine.round_steps(**arguments)))
+
+    def _round_arguments(
+        self,
+        schedule: Optional[Schedule],
+        n_tx: Optional[int],
+        collect_feedback: bool,
+        destinations: Optional[Sequence[int]],
+    ) -> Dict[str, Any]:
+        """The engine's arguments for the next round."""
         if schedule is None:
             schedule = self.build_schedule(
                 n_tx=self.config.default_n_tx if n_tx is None else n_tx
             )
-        result = yield from self.engine.round_steps(
-            nodes=self.node_state,
-            schedule=schedule,
-            start_ms=self.time_ms,
-            interference=self.interference,
-            collect_feedback=collect_feedback,
-            destinations=destinations,
-        )
-        num_slots = len(schedule.slots) + 1
+        return {
+            "nodes": self.node_state,
+            "schedule": schedule,
+            "start_ms": self.time_ms,
+            "interference": self.interference,
+            "collect_feedback": collect_feedback,
+            "destinations": destinations,
+        }
+
+    def _finish_round(self, result: RoundResult) -> RoundResult:
+        """Account a finished round and advance the round counter and clock."""
+        num_slots = len(result.schedule.slots) + 1
         # Account each slot of the round in the lifetime ledger so that
         # "radio-on time per slot" statistics include every slot.
         self.radio_on_totals.record_round(result.radio_on_array / num_slots, num_slots)
