@@ -413,7 +413,7 @@ class GlossyFlood:
         max_slot_ms: Optional[float],
     ) -> Tuple[Optional[np.ndarray], Optional[List[int]], np.ndarray, InterferenceSource,
                float, float, int]:
-        """Validate and normalize the arguments of :meth:`run`.
+        """Validate and normalize the arguments of :meth:`run` or of a :class:`FloodRequest`.
 
         Returns ``(part_mask, part_list, n_tx_vec, interference,
         slot_ms, phase_ms, num_phases)``: the participation mask
