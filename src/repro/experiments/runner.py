@@ -94,8 +94,15 @@ def register_group(
     return decorator
 
 
+#: Exact types :func:`_canonical` returns unchanged (NumPy scalars are
+#: subclasses of some of them, hence no ``isinstance``).
+_JSON_SCALARS = frozenset({float, int, str, bool, type(None)})
+
+
 def _canonical(value: Any) -> Any:
     """Normalize a parameter value into a JSON-stable representation."""
+    if type(value) in _JSON_SCALARS:
+        return value  # the bulk of a result payload: skip the ABC checks
     if isinstance(value, Mapping):
         return {str(k): _canonical(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
     if isinstance(value, (list, tuple)):

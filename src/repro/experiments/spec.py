@@ -770,24 +770,85 @@ def run_trace_episode(
 ) -> Dict[str, Any]:
     """One (episode, N_TX) slice of the trace collection.
 
-    ``TraceRecorder`` fans its ``N_max + 1`` lock-stepped simulators out
-    as one of these tasks per retransmission parameter; ``seed`` is the
-    episode seed shared by all simulators of the decision point.
+    ``seed`` is the episode seed shared by all slices of a decision
+    point.  The one-spec case of :func:`run_trace_episodes`.
     """
-    from repro.rl.trace_env import record_episode_for_n_tx
-
-    topo = build_topology(topology or {"kind": "kiel"})
-    records = record_episode_for_n_tx(
-        topo,
-        int(n_tx),
-        [(int(rounds), float(ratio)) for rounds, ratio in episode],
-        ambient_rate,
-        round_period_s,
-        episode_seed=seed,
-        interference_seed=int(interference_seed),
-        churn=churn,
+    (records,) = run_trace_episodes(
+        [
+            {
+                "seed": seed,
+                "topology": topology,
+                "n_tx": n_tx,
+                "episode": episode,
+                "ambient_rate": ambient_rate,
+                "round_period_s": round_period_s,
+                "interference_seed": interference_seed,
+                "churn": churn,
+            }
+        ]
     )
-    return {"records": records}
+    return records
+
+
+def _trace_arguments(params: Mapping[str, Any]) -> Dict[str, Any]:
+    """``params`` bound to :func:`run_trace_episode`'s signature, defaults filled."""
+    bound = inspect.signature(run_trace_episode).bind(**params)
+    bound.apply_defaults()
+    return dict(bound.arguments)
+
+
+def _trace_topology_key(arguments: Mapping[str, Any]) -> str:
+    """The topology spec of bound ``trace_episode`` arguments, as a key."""
+    return json.dumps(arguments["topology"] or {"kind": "kiel"}, sort_keys=True)
+
+
+def _trace_group_key(params: Mapping[str, Any]) -> Optional[str]:
+    """Lock-step group of a ``trace_episode`` task (``None`` = run alone).
+
+    Slices over one topology advance round by round together; episodes
+    of unequal length drop out as they finish.
+    """
+    try:
+        arguments = _trace_arguments(params)
+    except TypeError:
+        return None  # invalid params fail in their own shard
+    return _trace_topology_key(arguments)
+
+
+@register_group(TraceEpisodeSpec.experiment, _trace_group_key)
+def run_trace_episodes(params_list: Sequence[Mapping[str, Any]]) -> List[Dict[str, Any]]:
+    """Trace slices run in lock-step, one result dict per slice.
+
+    Each entry of ``params_list`` holds :func:`run_trace_episode`'s
+    keyword arguments.  The slices over each topology run through one
+    :func:`~repro.rl.trace_env.record_episodes` call: one batched
+    kernel call per round step for all of them, each slice's records
+    equal to its solo run bit for bit.
+    """
+    from repro.rl.trace_env import TraceSlice, record_episodes
+
+    arguments = [_trace_arguments(params) for params in params_list]
+    groups: Dict[str, List[int]] = {}
+    for position, bound in enumerate(arguments):
+        groups.setdefault(_trace_topology_key(bound), []).append(position)
+    results: List[Dict[str, Any]] = [{} for _ in arguments]
+    for positions in groups.values():
+        slices = [
+            TraceSlice(
+                n_tx=int(bound["n_tx"]),
+                episode=[(int(rounds), float(ratio)) for rounds, ratio in bound["episode"]],
+                ambient_rate=bound["ambient_rate"],
+                round_period_s=bound["round_period_s"],
+                episode_seed=bound["seed"],
+                interference_seed=int(bound["interference_seed"]),
+                churn=bound["churn"],
+            )
+            for bound in (arguments[p] for p in positions)
+        ]
+        topology = build_topology(arguments[positions[0]]["topology"] or {"kind": "kiel"})
+        for position, records in zip(positions, record_episodes(topology, slices)):
+            results[position] = {"records": records}
+    return results
 
 
 @register_spec

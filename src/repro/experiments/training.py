@@ -170,9 +170,9 @@ class TrainingPipeline:
         """Collect (or load cached) training traces.
 
         With ``runner`` set (a
-        :class:`~repro.experiments.runner.ParallelRunner`) the
-        ``N_max + 1`` lock-stepped simulators of every episode fan out
-        as ``trace_episode`` worker tasks — the pipeline then needs a
+        :class:`~repro.experiments.runner.ParallelRunner`) every
+        (episode, N_TX) slice is one ``trace_episode`` task, run in
+        lock-step chunks by the workers — the pipeline then needs a
         ``topology_spec`` so workers can rebuild the deployment; the
         merged trace is identical to the serial result.
         """

@@ -30,9 +30,9 @@ class RadioOnLedger:
     per node — exactly how the round engine accounts radio-on time.
 
     The per-node recent average (what the Dimmer feedback header
-    reports) sums the window oldest first in Python, which keeps the
-    headers bit-identical to a per-node list of the last ``window``
-    values.
+    reports) sums the window oldest first with sequential adds, which
+    keeps the headers bit-identical to a per-node list of the last
+    ``window`` values.
     """
 
     def __init__(self, num_nodes: int, window: int = 8) -> None:
@@ -63,17 +63,26 @@ class RadioOnLedger:
         self._cursor = (self._cursor + fill) % self.window
         self._recent_len = min(self.window, self._recent_len + num_slots)
 
-    def recent_average_ms(self, index: int) -> float:
-        """Radio-on time of node ``index`` averaged over the recent window."""
+    def recent_averages_ms(self, rows: np.ndarray) -> np.ndarray:
+        """Radio-on time of nodes ``rows`` averaged over the recent window.
+
+        Sums the window oldest first with sequential float64 adds, one
+        window slot at a time across all ``rows``, which is bit-identical
+        to Python's ``sum`` over a per-node list of the last ``window``
+        values.
+        """
         length = self._recent_len
+        totals = np.zeros(len(rows))
         if length == 0:
-            return 0.0
+            return totals
         if length < self.window:
-            rows = range(length)
+            order = range(length)
         else:
-            rows = [(self._cursor + offset) % self.window for offset in range(self.window)]
-        column = self._recent[:, index]
-        return sum([float(column[row]) for row in rows]) / length
+            order = [(self._cursor + offset) % self.window for offset in range(self.window)]
+        window = self._recent[:, rows]
+        for row in order:
+            totals += window[row]
+        return totals / length
 
     def reset(self) -> None:
         """Forget all accumulated accounting."""

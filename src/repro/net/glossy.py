@@ -890,11 +890,11 @@ class GlossyFlood:
 
         # One batched draw per flood, in flood order, from the flood's
         # own generator: every episode's stream is consumed exactly as
-        # by its sequential :meth:`run` calls.
-        owners = [episodes[e] for e in episode_of.tolist()]
-        draws = np.stack(
-            [owner.rng.random((num_phases, n_all)) for owner in owners], axis=1
-        )  # (num_phases, K, N)
+        # by its sequential :meth:`run` calls.  Each flood fills its own
+        # row in place, so no per-flood copies exist next to the table.
+        draws = np.empty((count, num_phases, n_all))  # (K, num_phases, N)
+        for k, e in enumerate(episode_of.tolist()):
+            episodes[e].rng.random(out=draws[k])
         prr, link_failure = self._link_blocks(episodes)
         boost_factor = 1.0 + self.link_model.capture_boost
         timelines = self._penalty_timelines(
@@ -946,7 +946,7 @@ class GlossyFlood:
                     # exactly 1.0 and zero rows stay zero, so one (K, N)
                     # multiply equals the per-flood application.
                     probabilities *= 1.0 - timelines[phase]
-            success = (draws[phase] < probabilities) & (on_air ^ transmit)
+            success = (draws[:, phase] < probabilities) & (on_air ^ transmit)
             newly = success & ~received
             received |= newly
             reception_phase[newly] = phase
@@ -991,6 +991,9 @@ class GlossyFlood:
                 if not (next_tx >= 0).any():
                     break
 
+        # The (num_phases, K, N) tables are done with: free them before
+        # the K results exist, which bounds the peak of a large batch.
+        del draws, timelines
         on_phases = np.where(off_after < 0, num_phases, np.minimum(off_after, num_phases))
         radio_on = np.minimum(slot_ms, on_phases * phase_ms)
 

@@ -57,7 +57,9 @@ class LinkModel:
     noise_floor_dbm: float = -94.0
     capture_boost: float = 0.15
     seed: Optional[int] = None
-    _shadowing: Dict[Tuple[int, int], float] = field(default_factory=dict, repr=False)
+    #: Per-link shadowing (dB) as an ``(N, N)`` symmetric matrix in
+    #: :attr:`node_index` order, zero on the diagonal.
+    _shadowing: np.ndarray = field(init=False, repr=False, compare=False)
     _overrides: Dict[Tuple[int, int], float] = field(default_factory=dict, repr=False)
     _prr_matrix: Optional[np.ndarray] = field(default=None, repr=False)
     _failure_matrix: Optional[np.ndarray] = field(default=None, repr=False)
@@ -67,13 +69,14 @@ class LinkModel:
         rng = np.random.default_rng(self.seed)
         ids = self.topology.node_ids
         self._node_index = {node: index for index, node in enumerate(ids)}
-        for i, a in enumerate(ids):
-            for b in ids[i + 1:]:
-                shadow = float(rng.normal(0.0, self.shadowing_std_db))
-                # Shadowing is symmetric: the same obstacles sit on both
-                # directions of a link.
-                self._shadowing[(a, b)] = shadow
-                self._shadowing[(b, a)] = shadow
+        # One draw per unordered pair, row by row over the upper
+        # triangle.  Shadowing is symmetric: the same obstacles sit on
+        # both directions of a link.
+        n = len(ids)
+        upper = np.triu_indices(n, k=1)
+        self._shadowing = np.zeros((n, n))
+        self._shadowing[upper] = rng.normal(0.0, self.shadowing_std_db, size=len(upper[0]))
+        self._shadowing.T[upper] = self._shadowing[upper]
 
     @property
     def node_index(self) -> Dict[int, int]:
@@ -147,17 +150,13 @@ class LinkModel:
         """
         if self._prr_matrix is None:
             ids = self.topology.node_ids
-            n = len(ids)
             coords = np.array([self.topology.positions[node] for node in ids], dtype=float)
             delta = coords[:, None, :] - coords[None, :, :]
             distance = np.hypot(delta[..., 0], delta[..., 1])
-            shadow = np.zeros((n, n), dtype=float)
-            for (a, b), value in self._shadowing.items():
-                shadow[self._node_index[a], self._node_index[b]] = value
             path_loss = self.reference_loss_db + 10.0 * self.path_loss_exponent * np.log10(
                 np.maximum(distance, 0.5)
             )
-            rssi = self.tx_power_dbm - path_loss + shadow
+            rssi = self.tx_power_dbm - path_loss + self._shadowing
             snr = rssi - self.noise_floor_dbm
             prr = 1.0 / (
                 1.0 + np.exp(-(snr - PRR_SNR_MIDPOINT_DB) * PRR_SNR_SLOPE_PER_DB)

@@ -532,9 +532,39 @@ class LWBRoundEngine:
                 1,
             )
 
+        # Every executed slot's feedback header, from the statistics the
+        # previous round left (they change only at the end of a round),
+        # built from one array read per field.
+        feedback_headers: List[Optional[DimmerFeedbackHeader]] = [None] * len(executed)
+        if collect_feedback and executed:
+            radio_values, reliability_values = nodes.feedback_arrays(executed_rows)
+            feedback_headers = [
+                DimmerFeedbackHeader(radio_on_ms=radio_on_ms, reliability=reliability)
+                for radio_on_ms, reliability in zip(
+                    radio_values.tolist(), reliability_values.tolist()
+                )
+            ]
+            # Scatter the headers into the overheard-feedback tables at
+            # once.  When the executed sources are all distinct (the
+            # normal schedule shape) the (receiver, source) targets never
+            # collide, so one fancy scatter per table is exact; duplicate
+            # sources fall back to the per-slot order-preserving writes.
+            if len(set(executed_rows.tolist())) == len(executed):
+                slot_rows, receiver_rows = np.nonzero(received_table)
+                target_cols = executed_rows[slot_rows]
+                nodes.feedback_radio_on[receiver_rows, target_cols] = radio_values[slot_rows]
+                nodes.feedback_reliability[receiver_rows, target_cols] = (
+                    reliability_values[slot_rows]
+                )
+                nodes.feedback_valid[receiver_rows, target_cols] = True
+            else:
+                for position, (_, source) in enumerate(executed):
+                    nodes.observe_feedback_rows(
+                        received_table[position], index[source], feedback_headers[position]
+                    )
+
         slot_results: List[SlotResult] = []
         executed_index = 0
-        feedback_headers: List[Optional[DimmerFeedbackHeader]] = []
         for slot_index, source in enumerate(schedule.slots):
             channel = slot_channels[slot_index]
             flood = flood_by_slot.get(slot_index)
@@ -555,8 +585,7 @@ class LWBRoundEngine:
                 )
                 continue
 
-            feedback = nodes.feedback_for(index[source]) if collect_feedback else None
-            feedback_headers.append(feedback)
+            feedback = feedback_headers[executed_index]
             radio_on += radio_table[executed_index]
             executed_index += 1
 
@@ -569,34 +598,6 @@ class LWBRoundEngine:
                     feedback=feedback,
                 )
             )
-
-        if collect_feedback and executed:
-            # Scatter every executed slot's feedback header into the
-            # overheard-feedback tables at once.  When the executed
-            # sources are all distinct (the normal schedule shape) the
-            # (receiver, source) targets never collide, so one fancy
-            # scatter per table is exact; duplicate sources fall back to
-            # the per-slot order-preserving writes.
-            executed_cols = np.fromiter(
-                (index[source] for _, source in executed),
-                dtype=np.int64,
-                count=len(executed),
-            )
-            if len(set(executed_cols.tolist())) == len(executed):
-                slot_rows, receiver_rows = np.nonzero(received_table)
-                target_cols = executed_cols[slot_rows]
-                radio_values = np.array([h.radio_on_ms for h in feedback_headers])
-                reliability_values = np.array([h.reliability for h in feedback_headers])
-                nodes.feedback_radio_on[receiver_rows, target_cols] = radio_values[slot_rows]
-                nodes.feedback_reliability[receiver_rows, target_cols] = (
-                    reliability_values[slot_rows]
-                )
-                nodes.feedback_valid[receiver_rows, target_cols] = True
-            else:
-                for position, (_, source) in enumerate(executed):
-                    nodes.observe_feedback_rows(
-                        received_table[position], index[source], feedback_headers[position]
-                    )
 
         # Update the per-node statistics used for the feedback headers of
         # the *next* round in one batched counter update.

@@ -122,19 +122,16 @@ class NodeStateArray:
             where=expected > 0,
         )
 
-    def feedback_for(self, index: int) -> DimmerFeedbackHeader:
-        """The Dimmer feedback header node ``index`` would send now.
+    def feedback_arrays(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The Dimmer feedback headers nodes ``rows`` would send now.
 
-        The reliability ratio is an integer division of the counters
-        and the radio-on average sums the recent window in chronological
-        order, as a node holding plain per-slot lists would compute it.
+        Returns ``(radio_on_ms, reliability)`` aligned with ``rows``.
+        The reliability ratio is one float64 division of the counters
+        (exact integers, so it equals Python's ``int / int``) and the
+        radio-on average sums the recent window in chronological order,
+        as a node holding plain per-slot lists would compute it.
         """
-        expected = int(self.packets_expected[index])
-        reliability = 1.0 if expected == 0 else int(self.packets_received[index]) / expected
-        return DimmerFeedbackHeader(
-            radio_on_ms=self.radio_on.recent_average_ms(index),
-            reliability=reliability,
-        )
+        return self.radio_on.recent_averages_ms(rows), self.reliability()[rows]
 
     def observe_feedback_rows(
         self, receiver_mask: np.ndarray, source_index: int, feedback: DimmerFeedbackHeader

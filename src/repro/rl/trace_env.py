@@ -26,10 +26,11 @@ Two environments are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.net.glossy import run_lockstep
 from repro.net.interference import (
     AmbientInterference,
     BurstJammer,
@@ -411,6 +412,102 @@ class SimulationEnvironment(Environment):
         return StepResult(state=state, reward=reward, done=done, info=info)
 
 
+class TraceSlice(NamedTuple):
+    """One (episode, N_TX) slice of the trace collection.
+
+    :func:`record_episode_for_n_tx`'s arguments after the topology.
+    """
+
+    n_tx: int
+    episode: EpisodeSpec
+    ambient_rate: float
+    round_period_s: float
+    episode_seed: int
+    interference_seed: int
+    churn: ChurnSchedule = ()
+
+
+def record_episodes(topology: Topology, slices: Sequence[TraceSlice]) -> List[List[Dict]]:
+    """Run trace slices over one topology in lock-step; per-round payloads each.
+
+    One simulator per slice; all advance round by round together, each
+    round's control floods, then its data floods, of every slice run as
+    one batched kernel call (:func:`~repro.net.glossy.run_lockstep`).
+    Before each round every slice applies its own segment interference
+    and churn events, and slices of shorter episodes drop out as they
+    finish.  Every slice keeps its own generator, links and
+    interference, so its payloads equal its solo run
+    (:func:`record_episode_for_n_tx`) bit for bit.  Each round is
+    reduced to its payload as soon as it ends and its
+    :class:`~repro.net.lwb.RoundResult` is dropped, so memory does not
+    grow with the round count.
+    """
+    simulators = [
+        NetworkSimulator(
+            topology,
+            SimulatorConfig(
+                round_period_s=piece.round_period_s,
+                channel_hopping=False,
+                default_n_tx=piece.n_tx,
+                seed=piece.episode_seed,
+            ),
+        )
+        for piece in slices
+    ]
+    # Per slice, the jamming ratio of every round and whether the round
+    # opens a segment (where the segment's interference is built).
+    plans = [
+        [
+            (float(ratio), offset == 0)
+            for segment_rounds, ratio in piece.episode
+            for offset in range(int(segment_rounds))
+        ]
+        for piece in slices
+    ]
+    records: List[List[Dict]] = [[] for _ in slices]
+    for round_in_episode in range(max((len(plan) for plan in plans), default=0)):
+        running = [e for e, plan in enumerate(plans) if round_in_episode < len(plan)]
+        for e in running:
+            piece, simulator = slices[e], simulators[e]
+            ratio, segment_start = plans[e][round_in_episode]
+            if segment_start:
+                simulator.set_interference(
+                    build_interference(
+                        topology,
+                        ratio,
+                        ambient_rate=piece.ambient_rate,
+                        seed=piece.interference_seed,
+                    )
+                )
+            # Churn events mutate link qualities mid-episode; every
+            # slice of a decision point applies the same schedule, so
+            # the N_TX alternatives stay comparable.
+            apply_churn_events(simulator.link_model, piece.churn, round_in_episode)
+        results = run_lockstep(
+            [simulators[e].round_steps(n_tx=slices[e].n_tx) for e in running]
+        )
+        for e, result in zip(running, results):
+            # Record what the coordinator would have seen (feedback
+            # headers plus pessimistic fill-ins), so offline training
+            # uses the same input distribution as the deployed protocol;
+            # the loss flag stays ground truth since it only feeds the
+            # training reward.
+            node_ids, reliabilities, radio_on, _ = observer_view_arrays(
+                result, observer=topology.coordinator
+            )
+            records[e].append(
+                {
+                    "node_ids": list(node_ids),
+                    "reliabilities": reliabilities.tolist(),
+                    "radio_on_ms": radio_on.tolist(),
+                    "interference_ratio": plans[e][round_in_episode][0],
+                    "had_losses": bool(result.had_losses),
+                }
+            )
+            simulators[e].round_history.clear()
+    return records
+
+
 def record_episode_for_n_tx(
     topology: Topology,
     n_tx: int,
@@ -423,56 +520,20 @@ def record_episode_for_n_tx(
 ) -> List[Dict]:
     """Run one episode with a fixed ``N_TX`` and return per-round payloads.
 
-    This is the per-simulator slice of the trace collection: the
-    ``N_max + 1`` lock-stepped simulators of a decision point never
-    interact, so each (episode, N_TX) pair is an independent unit of
-    work — exactly the granularity :class:`TraceRecorder` fans out
-    through the :class:`~repro.experiments.runner.ParallelRunner`.  The
-    payloads are plain JSON-able dicts (parallel ``node_ids`` / value
-    arrays) so worker results can cross process boundaries and the
-    runner's on-disk cache untouched.
+    The one-slice case of :func:`record_episodes`.  The payloads are
+    plain JSON-able dicts (parallel ``node_ids`` / value arrays) so
+    worker results can cross process boundaries and the runner's
+    on-disk cache untouched.
     """
-    simulator = NetworkSimulator(
+    (records,) = record_episodes(
         topology,
-        SimulatorConfig(
-            round_period_s=round_period_s,
-            channel_hopping=False,
-            default_n_tx=n_tx,
-            seed=episode_seed,
-        ),
+        [
+            TraceSlice(
+                n_tx, episode, ambient_rate, round_period_s,
+                episode_seed, interference_seed, churn,
+            )
+        ],
     )
-    records: List[Dict] = []
-    round_in_episode = 0
-    for segment_rounds, ratio in episode:
-        simulator.set_interference(
-            build_interference(
-                topology, ratio, ambient_rate=ambient_rate, seed=interference_seed
-            )
-        )
-        for _ in range(int(segment_rounds)):
-            # Churn events mutate link qualities mid-episode; every
-            # lock-stepped simulator of the decision point applies the
-            # same schedule, so the N_TX alternatives stay comparable.
-            apply_churn_events(simulator.link_model, churn, round_in_episode)
-            round_in_episode += 1
-            result = simulator.run_round(n_tx=n_tx)
-            # Record what the coordinator would have seen (feedback
-            # headers plus pessimistic fill-ins), so offline training
-            # uses the same input distribution as the deployed protocol;
-            # the loss flag stays ground truth since it only feeds the
-            # training reward.
-            node_ids, reliabilities, radio_on, _ = observer_view_arrays(
-                result, observer=topology.coordinator
-            )
-            records.append(
-                {
-                    "node_ids": list(node_ids),
-                    "reliabilities": reliabilities.tolist(),
-                    "radio_on_ms": radio_on.tolist(),
-                    "interference_ratio": float(ratio),
-                    "had_losses": bool(result.had_losses),
-                }
-            )
     return records
 
 
@@ -485,11 +546,13 @@ class TraceRecorder:
     resulting :class:`~repro.net.trace.TraceSet` contains one
     :class:`~repro.net.trace.TraceRecord` per (round, N_TX) pair.
 
-    The simulators never interact, so collection parallelizes over
-    (episode, N_TX) pairs: pass a
-    :class:`~repro.experiments.runner.ParallelRunner` to :meth:`record`
-    to fan the ``N_max + 1`` lock-stepped simulations out across worker
-    processes (results are identical to the serial path).
+    Every (episode, N_TX) pair is one :class:`TraceSlice`, and the
+    slices run in lock-step (:func:`record_episodes`): serially, all
+    slices of the recording advance round by round together in the
+    client; with a :class:`~repro.experiments.runner.ParallelRunner`
+    passed to :meth:`record`, each slice is one ``trace_episode`` task
+    and the runner deals them into one lock-step chunk per worker
+    (results are identical to the serial path).
 
     Parameters
     ----------
@@ -535,7 +598,7 @@ class TraceRecorder:
         repetitions: int,
         runner,
     ) -> Dict:
-        """Per-(repetition, episode, n_tx) round payloads, serial or fanned out."""
+        """Per-(repetition, episode, n_tx) round payloads, in the client or on a runner."""
         jobs = [
             (repetition, episode_index, spec, n_tx)
             for repetition in range(repetitions)
@@ -543,18 +606,24 @@ class TraceRecorder:
             for n_tx in range(self.n_max + 1)
         ]
         if runner is None:
+            payloads = record_episodes(
+                self.topology,
+                [
+                    TraceSlice(
+                        n_tx,
+                        spec,
+                        self.ambient_rate,
+                        self.round_period_s,
+                        episode_seed=self.seed + 101 * repetition + episode_index,
+                        interference_seed=self.seed + episode_index,
+                        churn=self.churn,
+                    )
+                    for repetition, episode_index, spec, n_tx in jobs
+                ],
+            )
             return {
-                (repetition, episode_index, n_tx): record_episode_for_n_tx(
-                    self.topology,
-                    n_tx,
-                    spec,
-                    self.ambient_rate,
-                    self.round_period_s,
-                    episode_seed=self.seed + 101 * repetition + episode_index,
-                    interference_seed=self.seed + episode_index,
-                    churn=self.churn,
-                )
-                for repetition, episode_index, spec, n_tx in jobs
+                (repetition, episode_index, n_tx): records
+                for (repetition, episode_index, _, n_tx), records in zip(jobs, payloads)
             }
         if self.topology_spec is None:
             raise ValueError(
@@ -596,11 +665,12 @@ class TraceRecorder:
     ) -> TraceSet:
         """Run every episode ``repetitions`` times and collect the traces.
 
-        With ``runner`` set (a
-        :class:`~repro.experiments.runner.ParallelRunner`), the
-        ``N_max + 1`` lock-stepped simulations of every episode run as
-        independent worker tasks; the merged trace is identical to the
-        serial result.
+        Without ``runner``, every (repetition, episode, N_TX) slice runs
+        in one :func:`record_episodes` call.  With ``runner`` set (a
+        :class:`~repro.experiments.runner.ParallelRunner`), each slice
+        is one ``trace_episode`` task, and the runner lock-steps the
+        slices of each worker's chunk; the merged trace is identical to
+        the serial result.
         """
         trace = TraceSet(metadata={
             "topology": self.topology.name,

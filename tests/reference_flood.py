@@ -71,7 +71,8 @@ class PerPairPRR:
         path_loss = model.reference_loss_db + 10.0 * model.path_loss_exponent * math.log10(
             distance
         )
-        shadow = model._shadowing.get((sender, receiver), 0.0)
+        index = model.node_index
+        shadow = float(model._shadowing[index[sender], index[receiver]])
         return model.tx_power_dbm - path_loss + shadow
 
     @staticmethod

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.net.lwb import observer_view_arrays
+from repro.net.simulator import NetworkSimulator, SimulatorConfig
 from repro.net.topology import grid_topology
 from repro.rl.environment import Action, apply_action
 from repro.rl.features import FeatureConfig, FeatureEncoder
@@ -10,8 +12,10 @@ from repro.rl.trace_env import (
     SimulationEnvironment,
     TraceEnvironment,
     TraceRecorder,
+    apply_churn_events,
     build_interference,
     group_decision_points,
+    node_outage_schedule,
 )
 
 
@@ -31,6 +35,41 @@ def assert_same_observables(a, b):
     assert a.node_ids == b.node_ids
     assert a.reliability_array.tolist() == b.reliability_array.tolist()
     assert a.radio_on_array.tolist() == b.radio_on_array.tolist()
+
+
+def solo_slice_observables(recorder, episode, n_tx, episode_seed, interference_seed):
+    """Reference for one (episode, N_TX) slice: its own simulator driven
+    round by round through ``run_round``, no lock-step driver involved.
+    Returns ``(node_ids, reliabilities, radio_on, ratio, had_losses)`` per
+    round."""
+    topology = recorder.topology
+    simulator = NetworkSimulator(
+        topology,
+        SimulatorConfig(
+            round_period_s=recorder.round_period_s,
+            channel_hopping=False,
+            default_n_tx=n_tx,
+            seed=episode_seed,
+        ),
+    )
+    rounds = []
+    for segment_rounds, ratio in episode:
+        simulator.set_interference(
+            build_interference(
+                topology, ratio, ambient_rate=recorder.ambient_rate, seed=interference_seed
+            )
+        )
+        for _ in range(segment_rounds):
+            apply_churn_events(simulator.link_model, recorder.churn, len(rounds))
+            result = simulator.run_round(n_tx=n_tx)
+            node_ids, reliabilities, radio_on, _ = observer_view_arrays(
+                result, observer=topology.coordinator
+            )
+            rounds.append(
+                (list(node_ids), reliabilities.tolist(), radio_on.tolist(), ratio,
+                 result.had_losses)
+            )
+    return rounds
 
 
 class TestActions:
@@ -104,6 +143,27 @@ class TestTraceRecorderParallel:
             assert_same_observables(a, b)
             assert a.had_losses == b.had_losses
             assert a.interference_ratio == b.interference_ratio
+
+    def test_serial_record_matches_solo_slices(self, kiel):
+        # The serial path lock-steps every slice too, so it is held to an
+        # independent per-slice oracle, churn schedule included.
+        churn = node_outage_schedule(kiel, 5, 1, 3) + node_outage_schedule(kiel, 9, 2, 4)
+        recorder = TraceRecorder(n_max=2, seed=7, round_period_s=1.0, churn=churn)
+        trace = recorder.record(episodes=self.EPISODES)
+        for episode_index, (episode, records) in enumerate(
+            zip(self.EPISODES, trace.episodes())
+        ):
+            for n_tx in range(recorder.n_max + 1):
+                observed = [
+                    (list(r.node_ids), r.reliability_array.tolist(), r.radio_on_array.tolist(),
+                     r.interference_ratio, r.had_losses)
+                    for r in records if r.n_tx == n_tx
+                ]
+                assert observed == solo_slice_observables(
+                    recorder, episode, n_tx,
+                    episode_seed=recorder.seed + episode_index,
+                    interference_seed=recorder.seed + episode_index,
+                )
 
     def test_inline_runner_matches_serial(self):
         from repro.experiments.runner import ParallelRunner

@@ -9,6 +9,10 @@ Three layers, each pinned to the solo path it replaces:
 * **Sweep worker** — ``run_sweep_points`` over a mixed Fig. 5 grid, run
   by the runner as one chunk or as two, equals every spec's solo
   ``run_sweep_point``; a scalar-engine spec is never grouped.
+* **Trace worker** — ``run_trace_episodes`` over a ``trace_episode``
+  grid (N_TX 0, multi-segment episodes of unequal length, a churned
+  grid topology), run by the runner inline or on two workers, equals
+  every spec's solo ``run_trace_episode``.
 * **Runner** — a chunk with a failing member falls back to per-shard
   runs: the good members are cached under their own keys, the bad one
   comes back as a failure entry.
@@ -23,16 +27,23 @@ from repro.experiments.runner import (
     FAILURE_KEY,
     ParallelRunner,
     ScenarioTask,
+    build_topology,
     network_payload,
     register_experiment,
     register_group,
 )
 from repro.experiments.scenarios import jamming_interference
-from repro.experiments.spec import SweepSpec, run_sweep_point
+from repro.experiments.spec import (
+    SweepSpec,
+    TraceEpisodeSpec,
+    run_sweep_point,
+    run_trace_episode,
+)
 from repro.net.glossy import FloodRequest, GlossyFlood, run_flood_requests
 from repro.net.interference import CompositeInterference, NoInterference
 from repro.net.link import LinkModel
 from repro.net.topology import kiel_testbed, random_topology
+from repro.rl.trace_env import node_outage_schedule
 
 
 def gray_links(link_model, seed=4):
@@ -200,6 +211,54 @@ class TestGroupedSweep:
         spec = SweepSpec(protocol="lwb", ratio=0.2, rounds=3, seed=4)
         tasks = [spec.task()]
         assert ParallelRunner._units(tasks, [0], 4) == [0]
+
+
+TINY_GRID = {"kind": "grid", "rows": 2, "cols": 3, "spacing_m": 6.0, "comm_range_m": 9.0}
+
+
+def trace_grid():
+    """Kiel slices of a two-segment and a shorter one-segment episode
+    (N_TX 0-3, two seeds), then churned slices on the tiny grid."""
+    specs = []
+    for episode in (((2, 0.0), (2, 0.3)), ((3, 0.15),)):
+        specs += TraceEpisodeSpec(
+            topology={"kind": "kiel"}, episode=episode, interference_seed=3,
+            round_period_s=1.0,
+        ).grid(n_tx=[0, 1, 2, 3], seeds=[5, 6])
+    churn = node_outage_schedule(build_topology(TINY_GRID), 4, 1, 3)
+    specs += TraceEpisodeSpec(
+        topology=TINY_GRID, episode=((2, 0.0), (3, 0.3)), churn=churn,
+    ).grid(n_tx=[0, 2, 4], seeds=[1])
+    return specs
+
+
+class TestGroupedTraces:
+    @pytest.mark.parametrize("max_workers", [0, 2])
+    def test_grouped_grid_equals_solo_runs(self, max_workers):
+        specs = trace_grid()
+        tasks = [spec.task() for spec in specs]
+        workers = max(max_workers, 1)
+        units = ParallelRunner._units(tasks, range(len(tasks)), workers)
+        # One group per topology, each dealt round-robin into chunks (a
+        # chunk of one is a plain task).
+        dealt = [
+            members[offset::workers]
+            for members in (tuple(range(16)), tuple(range(16, 19)))
+            for offset in range(workers)
+        ]
+        assert units == [chunk if len(chunk) > 1 else chunk[0] for chunk in sorted(dealt)]
+
+        results = ParallelRunner(max_workers=max_workers).run(tasks)
+        for spec, result in zip(specs, results):
+            solo = run_trace_episode(seed=spec.seed, **spec.params())
+            assert json.dumps(result, sort_keys=True) == json.dumps(solo, sort_keys=True)
+
+    def test_group_of_one_is_the_solo_worker(self):
+        spec = TraceEpisodeSpec(n_tx=2, episode=((2, 0.1),), seed=4)
+        tasks = [spec.task()]
+        assert ParallelRunner._units(tasks, [0], 4) == [0]
+        (result,) = ParallelRunner(max_workers=0).run(tasks)
+        assert result == run_trace_episode(seed=4, **spec.params())
 
 
 @register_experiment("test_grouped_echo")

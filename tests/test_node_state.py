@@ -130,6 +130,17 @@ def row_mask(store, node_id):
     return mask
 
 
+def header_of(store, row):
+    """The Dimmer feedback header row ``row`` would send now."""
+    (radio_on_ms,), (reliability,) = store.feedback_arrays(np.array([row]))
+    return DimmerFeedbackHeader(radio_on_ms=float(radio_on_ms), reliability=float(reliability))
+
+
+def recent_average(ledger, row):
+    """One row's recent radio-on average."""
+    return float(ledger.recent_averages_ms(np.array([row]))[0])
+
+
 def overheard(store, node_id):
     """The headers ``node_id`` overheard, as ``{source id: header}``."""
     row = store.index[node_id]
@@ -196,7 +207,7 @@ class TestStoreMatchesLegacyNodes:
             legacy.packets_received = received
             legacy.radio_on.record_slot(radio)
             assert store.reliability()[3] == legacy.reliability
-            assert store.feedback_for(3) == legacy.to_feedback()
+            assert header_of(store, 3) == legacy.to_feedback()
         assert store.radio_on.total_ms[3] == legacy.radio_on.total_ms
         assert store.radio_on.slot_count == legacy.radio_on.slot_count
 
@@ -212,11 +223,15 @@ class TestStoreMatchesLegacyNodes:
             store.record_round_statistics(np.zeros(4), np.zeros(4), values)
             for row, statistics in enumerate(legacy):
                 statistics.radio_on.record_slot(float(values[row]))
-                assert store.radio_on.recent_average_ms(row) == (
+                assert recent_average(store.radio_on, row) == (
                     statistics.radio_on.recent_average_ms
                 )
-                assert store.feedback_for(row) == statistics.to_feedback()
-                assert store.feedback_for(row).encode() == statistics.to_feedback().encode()
+                assert header_of(store, row) == statistics.to_feedback()
+                assert header_of(store, row).encode() == statistics.to_feedback().encode()
+            # One call over all rows sums each column exactly as alone.
+            assert store.radio_on.recent_averages_ms(np.arange(4)).tolist() == [
+                s.radio_on.recent_average_ms for s in legacy
+            ]
         assert store.radio_on.total_ms.tolist() == [s.radio_on.total_ms for s in legacy]
 
     def test_feedback_overhearing_parity(self):
@@ -287,8 +302,8 @@ class TestNodeStateArray:
             np.array([4, 4, 4]), np.array([4, 2, 0]), np.array([1.0, 2.0, 3.0])
         )
         assert store.reliability().tolist() == [1.0, 0.5, 0.0]
-        assert store.radio_on.recent_average_ms(1) == 2.0
-        assert store.feedback_for(1) == DimmerFeedbackHeader(radio_on_ms=2.0, reliability=0.5)
+        assert recent_average(store.radio_on, 1) == 2.0
+        assert header_of(store, 1) == DimmerFeedbackHeader(radio_on_ms=2.0, reliability=0.5)
 
     def test_reliability_vector_idle_is_one(self):
         store = make_store(2)
@@ -306,7 +321,7 @@ class TestRadioOnLedger:
             for i, tracker in enumerate(trackers):
                 tracker.record_slot(float(values[i]))
         for i, tracker in enumerate(trackers):
-            assert ledger.recent_average_ms(i) == tracker.recent_average_ms
+            assert recent_average(ledger, i) == tracker.recent_average_ms
             assert ledger.total_ms[i] == tracker.total_ms
             assert ledger.slot_count == tracker.slot_count
 
@@ -325,9 +340,9 @@ class TestRadioOnLedger:
         ledger = RadioOnLedger(2)
         ledger.record_round(np.array([5.0, 7.0]), num_slots=3)
         assert ledger.total_ms.tolist() == [15.0, 21.0]
-        assert ledger.recent_average_ms(1) == 7.0
+        assert recent_average(ledger, 1) == 7.0
         ledger.reset()
-        assert ledger.recent_average_ms(0) == ledger.recent_average_ms(1) == 0.0
+        assert recent_average(ledger, 0) == recent_average(ledger, 1) == 0.0
         assert ledger.total_ms.tolist() == [0.0, 0.0]
         assert ledger.slot_count == 0
 
@@ -357,7 +372,7 @@ class TestRoundWritesBackToStore:
             n_tx = 2 + i % 2
             n_tx_before = store.n_tx.copy()
             headers_before = {
-                node_id: store.feedback_for(row)
+                node_id: header_of(store, row)
                 for row, node_id in enumerate(topology.node_ids)
             }
             result = engine.run_round(
@@ -373,7 +388,7 @@ class TestRoundWritesBackToStore:
             for row in range(len(topology.node_ids)):
                 expected = int(result.packets_expected_array[row])
                 received = int(result.packets_received_array[row])
-                assert store.feedback_for(row).reliability == (
+                assert header_of(store, row).reliability == (
                     1.0 if expected == 0 else received / expected
                 )
             executed = [slot for slot in result.slots if slot.feedback is not None]
@@ -496,7 +511,7 @@ def round_fingerprint(topology, seed, rounds, ratio, passive=()):
                 [
                     int(store.packets_expected[row]),
                     int(store.packets_received[row]),
-                    round(store.radio_on.recent_average_ms(row), 12),
+                    round(recent_average(store.radio_on, row), 12),
                     round(float(store.radio_on.total_ms[row]), 12),
                     store.radio_on.slot_count,
                 ]

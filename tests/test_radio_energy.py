@@ -49,7 +49,7 @@ class TestRadioOnLedger:
         ledger = RadioOnLedger(1, window=3)
         for value in (2.0, 4.0, 6.0, 8.0):
             ledger.record_round(np.array([value]))
-        assert ledger.recent_average_ms(0) == pytest.approx((4.0 + 6.0 + 8.0) / 3)
+        assert ledger.recent_averages_ms(np.array([0]))[0] == pytest.approx((4.0 + 6.0 + 8.0) / 3)
 
     def test_totals_count_everything(self):
         ledger = RadioOnLedger(1, window=2)
@@ -60,7 +60,7 @@ class TestRadioOnLedger:
 
     def test_empty_ledger_is_zero(self):
         ledger = RadioOnLedger(2)
-        assert ledger.recent_average_ms(0) == 0.0
+        assert ledger.recent_averages_ms(np.array([0, 1])).tolist() == [0.0, 0.0]
         assert ledger.total_ms.tolist() == [0.0, 0.0]
         assert ledger.slot_count == 0
 
@@ -69,7 +69,7 @@ class TestRadioOnLedger:
         ledger.record_round(np.array([1.0, 3.0]), num_slots=6)
         assert ledger.slot_count == 6
         assert ledger.total_ms.tolist() == [6.0, 18.0]
-        assert ledger.recent_average_ms(1) == 3.0
+        assert ledger.recent_averages_ms(np.array([1, 0])).tolist() == [3.0, 1.0]
 
     def test_negative_value_rejected(self):
         with pytest.raises(ValueError):

@@ -338,3 +338,57 @@ class TestFailedShards:
         runner = ParallelRunner(max_workers=1)
         with pytest.raises(RunnerError):
             runner.run([ScenarioTask("test_boom")])
+
+
+class TestTraceChunks:
+    """``trace_episode`` shards over one topology run as lock-step chunks."""
+
+    GRID = {"kind": "grid", "rows": 2, "cols": 3, "spacing_m": 6.0, "comm_range_m": 9.0}
+
+    def trace_task(self, n_tx, topology=None, seed=0, **extra):
+        params = {"n_tx": n_tx, "episode": [[2, 0.1]], **extra}
+        if topology is not None:
+            params["topology"] = topology
+        return ScenarioTask("trace_episode", params, seed=seed)
+
+    @pytest.mark.parametrize("workers", [1, 3, 8])
+    def test_units_deal_one_topology_into_worker_chunks(self, workers):
+        tasks = [self.trace_task(n_tx) for n_tx in range(5)]
+        tasks.insert(2, self.trace_task(1, topology=self.GRID))
+        tasks.append(self.trace_task(1, bogus=True))  # does not bind: alone
+        units = ParallelRunner._units(tasks, range(len(tasks)), workers)
+        # The Kiel slices are dealt round-robin into min(workers, 5)
+        # chunks (a chunk of one is a plain task); the grid slice and the
+        # unbindable one run alone.  Units are ordered by first member.
+        kiel = (0, 1, 3, 4, 5)
+        count = min(workers, len(kiel))
+        chunks = [kiel[offset::count] for offset in range(count)]
+        expected = [chunk if len(chunk) > 1 else chunk[0] for chunk in chunks] + [2, 6]
+        first = lambda unit: unit[0] if isinstance(unit, tuple) else unit  # noqa: E731
+        assert units == sorted(expected, key=first)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_member_falls_back_to_per_shard_runs(self, tmp_path, workers):
+        from repro.experiments.resilience import RetryPolicy
+        from repro.experiments.runner import FAILURE_KEY
+        from repro.experiments.spec import run_trace_episode
+
+        # N_TX -1 binds (so it joins the chunk) but fails in the simulator.
+        tasks = [
+            self.trace_task(n_tx, topology=self.GRID, seed=index)
+            for index, n_tx in enumerate([1, 2, -1, 3])
+        ]
+        runner = ParallelRunner(
+            max_workers=workers, cache_dir=tmp_path, retry_policy=RetryPolicy.none()
+        )
+        assert any(isinstance(unit, tuple) and 2 in unit
+                   for unit in runner._units(tasks, range(4), workers))
+        results = runner.run(tasks, collect_errors=True)
+        assert results[2][FAILURE_KEY] is True
+        assert "n_tx must be non-negative" in results[2]["error"]
+        for index in (0, 1, 3):
+            task = tasks[index]
+            assert results[index] == run_trace_episode(seed=task.seed, **task.params)
+            assert (tmp_path / f"{task.key()}.json").exists()
+        assert not (tmp_path / f"{tasks[2].key()}.json").exists()
+        assert runner.stats.executed == 3
