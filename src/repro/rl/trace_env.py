@@ -599,32 +599,24 @@ class TraceRecorder:
         runner,
     ) -> Dict:
         """Per-(repetition, episode, n_tx) round payloads, in the client or on a runner."""
-        jobs = [
-            (repetition, episode_index, spec, n_tx)
-            for repetition in range(repetitions)
-            for episode_index, spec in enumerate(episodes)
-            for n_tx in range(self.n_max + 1)
-        ]
-        if runner is None:
-            payloads = record_episodes(
-                self.topology,
-                [
-                    TraceSlice(
-                        n_tx,
-                        spec,
-                        self.ambient_rate,
-                        self.round_period_s,
-                        episode_seed=self.seed + 101 * repetition + episode_index,
-                        interference_seed=self.seed + episode_index,
-                        churn=self.churn,
+        keys, slices = [], []
+        for repetition in range(repetitions):
+            for episode_index, spec in enumerate(episodes):
+                for n_tx in range(self.n_max + 1):
+                    keys.append((repetition, episode_index, n_tx))
+                    slices.append(
+                        TraceSlice(
+                            n_tx,
+                            spec,
+                            self.ambient_rate,
+                            self.round_period_s,
+                            episode_seed=self.seed + 101 * repetition + episode_index,
+                            interference_seed=self.seed + episode_index,
+                            churn=self.churn,
+                        )
                     )
-                    for repetition, episode_index, spec, n_tx in jobs
-                ],
-            )
-            return {
-                (repetition, episode_index, n_tx): records
-                for (repetition, episode_index, _, n_tx), records in zip(jobs, payloads)
-            }
+        if runner is None:
+            return dict(zip(keys, record_episodes(self.topology, slices)))
         if self.topology_spec is None:
             raise ValueError(
                 "parallel trace recording needs a topology_spec so workers "
@@ -636,26 +628,23 @@ class TraceRecorder:
         specs = [
             TraceEpisodeSpec(
                 topology=self.topology_spec,
-                n_tx=n_tx,
-                episode=spec,
-                ambient_rate=self.ambient_rate,
-                round_period_s=self.round_period_s,
-                interference_seed=self.seed + episode_index,
+                n_tx=piece.n_tx,
+                episode=piece.episode,
+                ambient_rate=piece.ambient_rate,
+                round_period_s=piece.round_period_s,
+                interference_seed=piece.interference_seed,
                 # Only churn-enabled recordings extend the task params,
                 # so every pre-existing cached trace shard keeps its
                 # content-hash key (mirrors the trace-file key guard in
                 # TrainingPipeline).
                 churn=self.churn if self.churn else UNSET,
-                seed=self.seed + 101 * repetition + episode_index,
+                seed=piece.episode_seed,
                 label=f"trace[rep{repetition}/ep{episode_index}/ntx{n_tx}]",
             )
-            for repetition, episode_index, spec, n_tx in jobs
+            for (repetition, episode_index, n_tx), piece in zip(keys, slices)
         ]
         results = Session(runner=runner).run_entries(specs)
-        return {
-            (repetition, episode_index, n_tx): result["records"]
-            for (repetition, episode_index, _, n_tx), result in zip(jobs, results)
-        }
+        return {key: result["records"] for key, result in zip(keys, results)}
 
     def record(
         self,
