@@ -38,3 +38,16 @@ def kiel():
 def dcube():
     """The 48-node D-Cube-like deployment of §V-E."""
     return dcube_testbed()
+
+
+@pytest.fixture(scope="session")
+def fig4b_data_dir(tmp_path_factory):
+    """Trace and model caches of the two Fig. 4b sweeps, built per session.
+
+    The caches are build outputs keyed by configuration only, not by
+    code, so every session rebuilds them in a temporary directory
+    instead of reusing whatever an earlier run left in the package's
+    data directory.  The two sweeps share the trace set and the
+    K=10, M=2 model.
+    """
+    return tmp_path_factory.mktemp("fig4b-data")

@@ -9,7 +9,7 @@ interference; beyond a couple of entries the benefit saturates.
 from figure_helpers import benchmark_session
 
 from repro.experiments.reporting import format_table
-from repro.experiments.training import TrainingProfile, default_data_dir
+from repro.experiments.training import TrainingProfile
 
 #: Reduced sweep (paper: none to 5).
 M_VALUES = (0, 2, 4)
@@ -19,7 +19,7 @@ BENCH_PROFILE = TrainingProfile(
 )
 
 
-def test_fig4b_history_size(benchmark):
+def test_fig4b_history_size(benchmark, fig4b_data_dir):
     # One FeatureSweepSpec worker task per M value (see the K sweep).
     result = benchmark.pedantic(
         benchmark_session().feature_sweep,
@@ -29,7 +29,7 @@ def test_fig4b_history_size(benchmark):
             "models_per_value": 1,
             "profile": BENCH_PROFILE,
             "evaluation_repeats": 1,
-            "data_dir": default_data_dir(),
+            "data_dir": fig4b_data_dir,
             "seed": 0,
         },
         rounds=1,

@@ -14,7 +14,7 @@ radio-on time at a small network size).
 from figure_helpers import benchmark_session
 
 from repro.experiments.reporting import format_table
-from repro.experiments.training import TrainingProfile, default_data_dir
+from repro.experiments.training import TrainingProfile
 
 #: Reduced sweep (paper: 1, 5, 10, 15, all 18).
 K_VALUES = (1, 5, 10, 18)
@@ -24,7 +24,7 @@ BENCH_PROFILE = TrainingProfile(
 )
 
 
-def test_fig4b_input_nodes(benchmark):
+def test_fig4b_input_nodes(benchmark, fig4b_data_dir):
     # One FeatureSweepSpec training+evaluation worker task per K value,
     # fanned out by the session (per-model seeds depend only on the
     # sweep seed, never on the worker count).
@@ -36,7 +36,7 @@ def test_fig4b_input_nodes(benchmark):
             "models_per_value": 1,
             "profile": BENCH_PROFILE,
             "evaluation_repeats": 1,
-            "data_dir": default_data_dir(),
+            "data_dir": fig4b_data_dir,
             "seed": 0,
         },
         rounds=1,

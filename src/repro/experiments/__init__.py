@@ -21,9 +21,10 @@ One module per element of the paper's evaluation (§V):
   fanning scenario x seed grids across worker processes, with
   deterministic seeding and an on-disk result cache.
 * :mod:`repro.experiments.resilience` — the fault-tolerance layer of
-  the runner: retry policy with deterministic backoff, checksummed
-  result envelopes, graceful interruption, and the seeded
-  fault-injection harness (``chaos`` experiment + ``REPRO_FAULT_PLAN``).
+  the runner: retry policy with deterministic backoff, the
+  transient-failure taxonomy, checksummed result envelopes and
+  graceful interruption.  The fault-injection rig that exercises it
+  lives in the test suite.
 * :mod:`repro.experiments.spec` — declarative, JSON round-trippable
   experiment specs (one frozen dataclass per family) executed through
   the :class:`repro.api.Session` facade.
@@ -36,11 +37,7 @@ from repro.experiments.metrics import (
     aggregate_experiment_metrics,
     summarize_rounds,
 )
-from repro.experiments.resilience import (
-    FaultPlan,
-    GridInterrupted,
-    RetryPolicy,
-)
+from repro.experiments.resilience import GridInterrupted, RetryPolicy
 from repro.experiments.runner import (
     ParallelRunner,
     RunnerError,
@@ -79,7 +76,6 @@ __all__ = [
     "ParallelRunner",
     "RunnerError",
     "ScenarioTask",
-    "FaultPlan",
     "GridInterrupted",
     "RetryPolicy",
     "register_experiment",

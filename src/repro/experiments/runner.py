@@ -176,26 +176,6 @@ def failure_entry(task: ScenarioTask, cause: BaseException) -> Dict[str, Any]:
     return {FAILURE_KEY: True, "task": task.describe(), "error": repr(cause)}
 
 
-#: Worker-side side channels.  ``_CURRENT_ATTEMPT`` lets the chaos
-#: wrapper index the fault plan by attempt number without the attempt
-#: ever touching task params (cache keys must not depend on retries);
-#: ``_TAMPER_NEXT`` is how a ``corrupt`` fault asks the envelope sealing
-#: below to break the checksum of the result it returns.
-_CURRENT_ATTEMPT = 0
-_TAMPER_NEXT = False
-
-
-def current_attempt() -> int:
-    """The attempt number of the task currently executing in this process."""
-    return _CURRENT_ATTEMPT
-
-
-def tamper_next_result() -> None:
-    """Make :func:`_execute_task` seal its result with a broken checksum."""
-    global _TAMPER_NEXT
-    _TAMPER_NEXT = True
-
-
 def _execute_task(task: ScenarioTask, attempt: int = 0) -> Dict[str, Any]:
     """Worker entry point: resolve the experiment, run it, seal the result.
 
@@ -203,12 +183,15 @@ def _execute_task(task: ScenarioTask, attempt: int = 0) -> Dict[str, Any]:
     (:func:`repro.experiments.resilience.seal_result`); the parent
     verifies it on receipt, so a corrupted result is detected and
     retried instead of silently cached.
+
+    ``attempt`` (0 on the first try) is not used here: it is the seam
+    for a wrapper that replaces this module-level function, such as the
+    fault-injection rig of the test suite, which keys its faults on it.
+    Both execution paths look the function up at call time, and forked
+    workers inherit the replacement.
     """
-    global _CURRENT_ATTEMPT, _TAMPER_NEXT
     from repro.experiments.resilience import seal_result
 
-    _CURRENT_ATTEMPT = attempt
-    _TAMPER_NEXT = False
     try:
         fn = EXPERIMENTS[task.experiment]
     except KeyError:
@@ -222,9 +205,7 @@ def _execute_task(task: ScenarioTask, attempt: int = 0) -> Dict[str, Any]:
             f"experiment {task.experiment!r} must return a dict, "
             f"got {type(result).__name__}"
         )
-    envelope = seal_result(result, tamper=_TAMPER_NEXT)
-    _TAMPER_NEXT = False
-    return envelope
+    return seal_result(result)
 
 
 def _execute_chunk(tasks: Sequence[ScenarioTask]) -> List[Dict[str, Any]]:
@@ -611,7 +592,7 @@ class ParallelRunner:
         """Inline execution path (``max_workers <= 1``) with retries.
 
         Shard timeouts are not enforceable inline (there is no worker to
-        kill); kill faults degrade to raises for the same reason.
+        kill).
         """
         from repro.experiments.resilience import CorruptResult, GridInterrupted
 

@@ -19,15 +19,12 @@ from pathlib import Path
 
 import pytest
 
+from chaos import FAULT_PLAN_ENV, ChaosFault, FaultPlan, chaos_tasks, main as chaos_main
 from repro.experiments.resilience import (
-    FAULT_PLAN_ENV,
-    ChaosFault,
     CorruptResult,
-    FaultPlan,
     GridInterrupted,
     RetryPolicy,
     ShardTimeout,
-    chaos_tasks,
     open_result,
     result_checksum,
     seal_result,
@@ -110,8 +107,9 @@ class TestResultEnvelope:
         assert open_result(seal_result(payload)) == payload
 
     def test_tampered_envelope_detected(self):
+        envelope = dict(seal_result({"value": 1.0}), sha256="deadbeef" * 8)
         with pytest.raises(CorruptResult):
-            open_result(seal_result({"value": 1.0}, tamper=True))
+            open_result(envelope)
 
     def test_modified_payload_detected(self):
         envelope = seal_result({"value": 1.0})
@@ -499,3 +497,32 @@ class TestChaosAcceptance:
         assert again.run(tasks) == reference
         assert again.stats.executed == 0
         assert again.stats.cache_hits == 64
+
+
+class TestChaosSmoke:
+    """The smoke driver stays able to fail, and the package ships no rig."""
+
+    def test_smoke_fails_when_faults_never_recover(self, monkeypatch, capsys):
+        # Every attempt of every shard raises, past the retry budget.
+        plan = FaultPlan(seed=1, rate=1.0, kinds=("raise",), repeats=9)
+        monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
+        assert chaos_main(["--shards", "4", "--workers", "2", "--retries", "2"]) == 1
+        assert "[chaos] FAILED" in capsys.readouterr().out
+
+    def test_package_registers_no_chaos_experiment(self):
+        script = (
+            "import json, repro, repro.api, repro.experiments\n"
+            "from repro.experiments.runner import EXPERIMENTS\n"
+            "print(json.dumps(sorted(EXPERIMENTS)))\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": SRC_DIR},
+            stdout=subprocess.PIPE,
+            text=True,
+            timeout=60.0,
+            check=True,
+        )
+        registered = json.loads(completed.stdout.strip().splitlines()[-1])
+        assert "sweep_point" in registered
+        assert not [name for name in registered if name.startswith("chaos")]
