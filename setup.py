@@ -18,7 +18,7 @@ setup(
     packages=find_packages("src"),
     package_data={"repro": ["data/pretrained_dqn_k10_m2.json"]},
     python_requires=">=3.9",
-    install_requires=["numpy", "networkx"],
+    install_requires=["numpy"],
     entry_points={
         "console_scripts": [
             "repro-bench=repro.experiments.bench:main",

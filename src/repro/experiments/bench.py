@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -175,7 +176,7 @@ def cmd_dcube(args: argparse.Namespace) -> int:
 
 def cmd_features(args: argparse.Namespace) -> int:
     """Fig. 4b: DQN feature sweeps (trains one model per value)."""
-    from repro.experiments.training import TrainingProfile, default_data_dir
+    from repro.experiments.training import TrainingProfile
 
     session = _session(args)
     profile = TrainingProfile(
@@ -185,15 +186,17 @@ def cmd_features(args: argparse.Namespace) -> int:
         anneal_steps=max(1, args.iterations // 2),
     )
     try:
-        result = session.feature_sweep(
-            args.dimension,
-            values=tuple(args.values),
-            models_per_value=args.models,
-            profile=profile,
-            evaluation_repeats=1,
-            data_dir=default_data_dir(),
-            seed=args.seed,
-        )
+        # The caches are keyed by configuration only: build them per run, outside the package.
+        with tempfile.TemporaryDirectory(prefix="repro-fig4b-") as data_dir:
+            result = session.feature_sweep(
+                args.dimension,
+                values=tuple(args.values),
+                models_per_value=args.models,
+                profile=profile,
+                evaluation_repeats=1,
+                data_dir=Path(data_dir),
+                seed=args.seed,
+            )
     except RunnerError as error:
         return _emit_output(args, "features", {}, session, _runner_failure(error))
     rows = [

@@ -16,10 +16,10 @@ other deployments.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 Position = Tuple[float, float]
@@ -81,17 +81,6 @@ class Topology:
         px, py = point
         return math.hypot(nx_ - px, ny_ - py)
 
-    def connectivity_graph(self) -> nx.Graph:
-        """Connectivity graph: an edge between every pair within range."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self.node_ids)
-        ids = self.node_ids
-        for i, a in enumerate(ids):
-            for b in ids[i + 1:]:
-                if self.distance(a, b) <= self.comm_range_m:
-                    graph.add_edge(a, b, distance=self.distance(a, b))
-        return graph
-
     def neighbors(self, node: int) -> List[int]:
         """Nodes within communication range of ``node``."""
         return sorted(
@@ -106,8 +95,14 @@ class Topology:
         Unreachable nodes are assigned a hop distance of ``-1``.
         """
         origin = self.coordinator if source is None else source
-        graph = self.connectivity_graph()
-        lengths = nx.single_source_shortest_path_length(graph, origin)
+        lengths = {origin: 0}
+        frontier = deque([origin])
+        while frontier:
+            node = frontier.popleft()
+            for neighbor in self.neighbors(node):
+                if neighbor not in lengths:
+                    lengths[neighbor] = lengths[node] + 1
+                    frontier.append(neighbor)
         return {node: lengths.get(node, -1) for node in self.node_ids}
 
     def network_diameter_hops(self) -> int:

@@ -32,7 +32,8 @@ class ReplayBuffer:
     Every array starts small and grows in place by 25 % up to its cap
     (``ndarray.resize`` reallocates without a second copy alive, which
     keeps the peak resident memory near what the entries need); the
-    buffer never hands out views of its arrays, so the resize is safe.
+    buffer never hands out views of its arrays, so the resize may skip
+    NumPy's reference check, which fails under a profiler hook.
 
     Parameters
     ----------
@@ -80,14 +81,14 @@ class ReplayBuffer:
         if self._rows is None:
             self._rows = np.empty((_grown(0, ring), *np.shape(values)))
         elif row == len(self._rows):
-            self._rows.resize((_grown(row, ring), *self._rows.shape[1:]))
+            self._rows.resize((_grown(row, ring), *self._rows.shape[1:]), refcheck=False)
         self._rows[row] = values
         return row
 
     def _grow_slots(self) -> None:
         size = _grown(self._size, self.capacity)
         for name in ("_state_rows", "_next_rows", "_actions", "_rewards", "_dones"):
-            getattr(self, name).resize(size)
+            getattr(self, name).resize(size, refcheck=False)
 
     def push(
         self,

@@ -2,12 +2,33 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.net.simulator import NetworkSimulator, SimulatorConfig
 from repro.net.topology import grid_topology, kiel_testbed
 from repro.rl.qnetwork import QNetwork
+
+#: Environment variable that enables the ``slow`` tests (CI sets it in
+#: its own step; tier-1 skips them).
+RUN_SLOW_ENV = "REPRO_RUN_SLOW"
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", f"slow: rebuild checks of tens of seconds, run only with {RUN_SLOW_ENV}=1"
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    if os.environ.get(RUN_SLOW_ENV) == "1":
+        return
+    skip = pytest.mark.skip(reason=f"slow test: set {RUN_SLOW_ENV}=1 to run it")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
 
 
 @pytest.fixture(scope="session")

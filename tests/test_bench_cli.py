@@ -8,12 +8,15 @@ result cache (the cache never stores failures; see
 guarantee).
 """
 
+import hashlib
 import json
 
 import pytest
 
 from repro.experiments import bench
 from repro.experiments.runner import EXPERIMENTS
+from repro.experiments import training
+from repro.experiments.training import default_data_dir
 
 
 @pytest.fixture()
@@ -91,6 +94,39 @@ class TestBenchOutputContract:
         payload = json.loads(output.read_text())
         assert payload["engine"] == "scalar"
         assert payload["protocols"]["lwb"]["reliability"] >= 0.0
+
+class TestFeaturesSubcommand:
+    def test_leaves_the_package_data_directory_unchanged(self, tmp_path, monkeypatch):
+        """The Fig. 4b trace and model caches are keyed by configuration
+        only, so the CLI builds them in a temporary directory; the
+        package's data directory must hold exactly what it held before.
+        An empty stand-in for it also stays empty, so caches left there
+        by an earlier run cannot hide a write."""
+        data_dir = default_data_dir()
+        stand_in = tmp_path / "package-data"
+        stand_in.mkdir()
+        monkeypatch.setattr(training, "default_data_dir", lambda: stand_in)
+
+        def snapshot():
+            return {
+                path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(data_dir.iterdir())
+            }
+
+        before = snapshot()
+        output = tmp_path / "out.json"
+        code = bench.main(
+            [
+                "features", "--dimension", "history", "--values", "1",
+                "--models", "1", "--iterations", "20", "--trace-repetitions", "1",
+                "--workers", "1", "--no-cache", "--output", str(output),
+            ]
+        )
+        assert code == 0
+        assert [point["value"] for point in json.loads(output.read_text())["points"]] == [1]
+        assert snapshot() == before
+        assert list(stand_in.iterdir()) == []
+
 
 class TestRunSpecSubcommand:
     """`repro-bench run --spec` executes any registered family from JSON

@@ -1,5 +1,6 @@
 """Tests for the DQN agent and its training loop."""
 
+import cProfile
 import hashlib
 
 import numpy as np
@@ -210,7 +211,8 @@ class TestTrainingFingerprint:
     WEIGHTS_SHA256 = "41c4e761fda26ad438597e14e809391805cb9f154a2eee5360eba5694f7dac59"
     LOSSES_SHA256 = "a77691338a13e66c266d0da47b0722fb8f43b24318bb575ced3a34c7bdd66043"
 
-    def test_wrapped_buffer_training_is_pinned(self):
+    def train_digests(self, call=lambda train: train()):
+        """Train the pinned run through ``call``; return the two digests."""
         features = FeatureConfig(num_input_nodes=4, history_size=2, n_max=3)
         environment = TraceEnvironment(
             synthetic_trace(seed=0), feature_config=features, episode_length=10, seed=3
@@ -223,11 +225,20 @@ class TestTrainingFingerprint:
             epsilon=EpsilonSchedule(anneal_steps=1000),
             seed=5,
         ))
-        result = agent.train(environment, iterations=2000)
+        result = call(lambda: agent.train(environment, iterations=2000))
         assert agent.buffer.is_full
         assert (result.episodes, len(result.losses)) == (200, 1937)
         parameters = agent.online.weights + agent.online.biases
         weights_digest = hashlib.sha256(b"".join(p.tobytes() for p in parameters)).hexdigest()
         losses_digest = hashlib.sha256(np.asarray(result.losses, dtype=float).tobytes()).hexdigest()
-        assert weights_digest == self.WEIGHTS_SHA256
-        assert losses_digest == self.LOSSES_SHA256
+        return weights_digest, losses_digest
+
+    def test_wrapped_buffer_training_is_pinned(self):
+        assert self.train_digests() == (self.WEIGHTS_SHA256, self.LOSSES_SHA256)
+
+    def test_training_runs_under_a_profiler(self):
+        # A profiler hook holds extra references to the buffer's arrays
+        # while they grow; the run must complete and train the same net.
+        profiler = cProfile.Profile()
+        digests = self.train_digests(profiler.runcall)
+        assert digests == (self.WEIGHTS_SHA256, self.LOSSES_SHA256)

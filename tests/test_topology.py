@@ -1,7 +1,13 @@
 """Tests for deployment topologies."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.net.topology import (
     Topology,
     dcube_testbed,
@@ -94,3 +100,68 @@ class TestTopologyQueries:
 
     def test_distance_to_point(self, kiel):
         assert kiel.distance_to_point(0, kiel.positions[0]) == pytest.approx(0.0)
+
+
+class TestHopTables:
+    """Literal hop tables from the coordinator, in node-id order."""
+
+    def test_kiel_testbed(self, kiel):
+        hops = kiel.hop_distances()
+        assert list(hops.values()) == [0, 1, 2, 2, 3, 3, 2, 1, 1, 1, 1, 1, 2, 3, 3, 2, 2, 2]
+        assert kiel.network_diameter_hops() == 3
+
+    def test_dcube_testbed(self):
+        topo = dcube_testbed()
+        # The seed-202 draw needs one range nudge to be connected.
+        assert topo.comm_range_m == 14.0
+        assert list(topo.hop_distances().values()) == [
+            0, 1, 2, 5, 3, 4, 1, 2, 3, 5, 4, 6, 1, 1, 3, 6, 3, 4, 2, 2, 3, 6, 4, 4,
+            1, 2, 2, 5, 4, 5, 2, 1, 3, 6, 5, 5, 1, 1, 2, 5, 5, 4, 1, 1, 3, 6, 5, 4,
+        ]
+        assert topo.network_diameter_hops() == 6
+
+    def test_grid(self):
+        # 6 m spacing under a 10 m range: diagonal neighbours are one hop.
+        topo = grid_topology(4, 5)
+        assert list(topo.hop_distances().values()) == [
+            0, 1, 2, 3, 4,
+            1, 1, 2, 3, 4,
+            2, 2, 2, 3, 4,
+            3, 3, 3, 3, 4,
+        ]
+        assert topo.network_diameter_hops() == 4
+
+    def test_other_source(self):
+        topo = grid_topology(4, 5)
+        assert list(topo.hop_distances(19).values()) == [
+            4, 3, 3, 3, 3,
+            4, 3, 2, 2, 2,
+            4, 3, 2, 1, 1,
+            4, 3, 2, 1, 0,
+        ]
+
+    def test_out_of_range_node_reads_minus_one(self):
+        topo = Topology(
+            positions={0: (0.0, 0.0), 1: (8.0, 0.0), 2: (16.0, 0.0), 3: (100.0, 100.0)},
+            coordinator=0,
+        )
+        assert topo.hop_distances() == {0: 0, 1: 1, 2: 2, 3: -1}
+        assert topo.network_diameter_hops() == 2
+        assert not topo.is_connected()
+
+
+def test_package_imports_load_no_networkx():
+    """Importing the package and building both testbeds loads no networkx."""
+    code = (
+        "import sys\n"
+        "import repro, repro.api, repro.experiments\n"
+        "from repro.net.topology import dcube_testbed, kiel_testbed\n"
+        "kiel_testbed(); dcube_testbed()\n"
+        "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    completed = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert completed.returncode == 0, completed.stderr

@@ -1,5 +1,7 @@
 """Tests for the offline training pipeline and pretrained-artifact loading."""
 
+import hashlib
+
 import pytest
 
 from repro.experiments.training import (
@@ -7,6 +9,7 @@ from repro.experiments.training import (
     TrainingPipeline,
     TrainingProfile,
     default_data_dir,
+    export_pretrained,
     load_pretrained_agent,
 )
 from repro.net.topology import grid_topology
@@ -84,6 +87,17 @@ class TestPretrainedArtifact:
                 data_dir=tmp_path,
                 allow_training=False,
             )
+
+    @pytest.mark.slow
+    def test_shipped_policy_rebuilds_byte_identical(self, tmp_path):
+        """The shipped policy is a build output of the training pipeline:
+        rebuilding it from scratch must give the committed bytes."""
+
+        def digest(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        rebuilt = export_pretrained(data_dir=tmp_path)
+        assert digest(rebuilt) == digest(default_data_dir() / PRETRAINED_FILENAME)
 
 
 class TestChurnTrainingEpisodes:
