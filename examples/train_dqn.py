@@ -16,7 +16,9 @@ full 200 000-iteration budget of the paper.
 """
 
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 from repro.api import Session
 from repro.experiments.training import TrainingPipeline, TrainingProfile
@@ -33,9 +35,19 @@ def main(profile_name: str = "fast") -> None:
         raise SystemExit(f"unknown profile {profile_name!r}; choose from {sorted(profiles)}")
     profile = profiles[profile_name]
 
+    # The trace and model caches go to a temporary directory: their keys
+    # cover only the configuration, so caches kept in the package would
+    # be reused after a code change instead of being rebuilt.
+    with tempfile.TemporaryDirectory() as data_dir:
+        run(profile, Path(data_dir))
+
+
+def run(profile: TrainingProfile, data_dir: Path) -> None:
     # topology_spec lets the trace collection fan its lock-stepped
     # simulators out across the session's worker processes.
-    pipeline = TrainingPipeline(profile=profile, seed=0, topology_spec={"kind": "kiel"})
+    pipeline = TrainingPipeline(
+        profile=profile, seed=0, topology_spec={"kind": "kiel"}, data_dir=data_dir
+    )
     session = Session()
     print(f"profile            : {profile.name}")
     print(f"trace repetitions  : {profile.trace_repetitions}")

@@ -174,6 +174,10 @@ FLOOD_ENGINES = ("scalar", "vectorized")
 #: results (chunking splits the flood axis, never a flood's factors).
 KERNEL_CHUNK_ELEMENTS = 262_144
 
+#: ``episode_of`` of a lone flood run on its own engine (read-only).
+_ONE_EPISODE = np.zeros(1, dtype=np.int64)
+_ONE_EPISODE.setflags(write=False)
+
 #: Minimum (floods x undecided listeners) row size, in float64
 #: elements, for the streaming-accumulator variant of the exact kernel;
 #: smaller rows are dispatch-bound and take the chunked gather+reduce.
@@ -277,6 +281,7 @@ class GlossyFlood:
         self.node_ids: Tuple[int, ...] = tuple(topology.node_ids)
         self._ids_arr = np.array(self.node_ids, dtype=np.int64)
         self._n = len(self.node_ids)
+        self._node_rows = np.arange(self._n)
         #: Node coordinates in matrix index order, used for batched
         #: interference-penalty evaluation.
         self._coords = np.array(
@@ -348,6 +353,9 @@ class GlossyFlood:
     ) -> FloodResult:
         """Simulate one Glossy flood and return its outcome.
 
+        Under the ``"vectorized"`` engine the flood is the one-flood
+        case of the batched phase loop (:meth:`_run_vectorized_batch`).
+
         Parameters
         ----------
         initiator:
@@ -375,88 +383,87 @@ class GlossyFlood:
         max_slot_ms:
             Slot length; the flood is truncated when it runs out of slot.
         """
-        part_mask, part_list, n_tx_vec, interference, slot_ms, phase_ms, num_phases = (
-            self._flood_setup(
-                [initiator], n_tx, packet_bytes, interference, participants, max_slot_ms
-            )
+        init_rows, part_rows, part_list, n_tx_rows = self._normalize(
+            [initiator], n_tx, participants
         )
+        timing = self._slot_timing(packet_bytes, max_slot_ms)
+        interference = interference if interference is not None else NoInterference()
         if self.engine == "scalar":
-            # Same phase loop, per-node draw order, participant-ordered result.
             if part_list is None:
-                part_list = self._participant_ids(part_mask)
-        else:
-            part_list = None
-        return self._run_vectorized(
-            initiator=initiator,
-            part_mask=part_mask,
-            n_tx_vec=n_tx_vec,
-            channel=channel,
-            start_ms=start_ms,
-            interference=interference,
-            slot_ms=slot_ms,
-            phase_ms=phase_ms,
-            num_phases=num_phases,
-            participants=part_list,
-        )
+                part_list = self._participant_ids(part_rows)
+            return self._run_scalar(
+                initiator, part_rows, part_list, n_tx_rows, channel, start_ms, interference,
+                *timing,
+            )
+        return self._run_vectorized_batch(
+            [initiator], init_rows, [self], _ONE_EPISODE, part_rows, n_tx_rows,
+            [channel], [start_ms], [interference], *timing,
+        )[0]
 
     def _participant_ids(self, part_mask: Optional[np.ndarray]) -> List[int]:
         """Participant ids in index order (every node when ``part_mask`` is None)."""
         return list(self.node_ids) if part_mask is None else self._ids_arr[part_mask].tolist()
 
-    def _flood_setup(
+    def _normalize(
         self,
         initiators: Sequence[int],
         n_tx: Union[int, Mapping[int, int], np.ndarray],
-        packet_bytes: int,
-        interference: Optional[InterferenceSource],
         participants: Optional[Union[Sequence[int], np.ndarray]],
-        max_slot_ms: Optional[float],
-    ) -> Tuple[Optional[np.ndarray], Optional[List[int]], np.ndarray, InterferenceSource,
-               float, float, int]:
-        """Validate and normalize the arguments of :meth:`run` or of a :class:`FloodRequest`.
+    ) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[List[int]], np.ndarray]:
+        """Validate and normalize the flood arguments of every entry point.
 
-        Returns ``(part_mask, part_list, n_tx_vec, interference,
-        slot_ms, phase_ms, num_phases)``: the participation mask
-        (``None`` = every node), the participant list when one was
-        given (its order is the scalar engine's draw order), the
-        per-node N_TX vector in index order (the engines raise each
-        flood's initiator entry to at least 1), and the slot timing.
-        Every initiator must be a participant.
+        :meth:`run`, :meth:`run_batch` and :func:`run_flood_requests`
+        all pass through here.  ``participants`` and ``n_tx`` take any
+        form :meth:`run` accepts, shared by the ``K`` floods, or one row
+        per flood as a ``(K, N)`` array in topology index order.
+        Returns ``(init_rows, part_rows, part_list, n_tx_rows)``: the
+        initiators' matrix rows; the participation mask, ``None`` when
+        every node takes part (the fast path); the participant ids when
+        ids were given (their order is the scalar engine's draw order);
+        and the N_TX budgets (the engines raise each initiator's entry
+        to at least 1).  A shared mask or budget is one ``(N,)`` row.
+        Every initiator must be a participant of its flood.
         """
+        count, n_all = len(initiators), self._n
         index = self.link_model.node_index
-        part_mask, part_list = self._participant_mask(participants)
-        for initiator in initiators:
-            row = index.get(initiator)
-            if row is None or (part_mask is not None and not part_mask[row]):
-                raise ValueError(f"initiator {initiator} is not among the participants")
-        n_tx_vec = self._n_tx_vector(n_tx, part_mask, part_list)
-        interference = interference if interference is not None else NoInterference()
-        return (part_mask, part_list, n_tx_vec, interference,
-                *self._slot_timing(packet_bytes, max_slot_ms))
-
-    def _participant_mask(
-        self, participants: Optional[Union[Sequence[int], np.ndarray]]
-    ) -> Tuple[Optional[np.ndarray], Optional[List[int]]]:
-        """``(part_mask, part_list)`` of a participant argument.
-
-        The mask is ``None`` under full participation (the fast path);
-        the list is set only when ids were given.
-        """
-        part_mask: Optional[np.ndarray] = None
+        part_mask: Optional[np.ndarray] = None  # shared by every flood
         part_list: Optional[List[int]] = None
-        if isinstance(participants, np.ndarray) and participants.dtype == np.bool_:
-            part_mask = participants
-            if part_mask.shape != (self._n,):
-                raise ValueError("participant mask must have one entry per node")
-        elif participants is not None:
-            index = self.link_model.node_index
-            part_list = list(participants)
-            part_mask = np.zeros(self._n, dtype=bool)
-            for node in part_list:
-                part_mask[index[node]] = True
-        if part_mask is not None and bool(part_mask.all()):
-            part_mask = None  # full participation: use the fast path
-        return part_mask, part_list
+        if isinstance(participants, np.ndarray) and participants.ndim == 2:
+            if participants.shape != (count, n_all):
+                raise ValueError("participant rows must be a (floods, nodes) array")
+            part_rows: Optional[np.ndarray] = participants.astype(bool, copy=False)
+        else:
+            if isinstance(participants, np.ndarray) and participants.dtype == np.bool_:
+                if participants.shape != (n_all,):
+                    raise ValueError("participant mask must have one entry per node")
+                part_mask = participants
+            elif participants is not None:
+                part_list = list(participants)
+                part_mask = np.zeros(n_all, dtype=bool)
+                part_mask[[index[node] for node in part_list]] = True
+            if part_mask is not None and bool(part_mask.all()):
+                part_mask = None  # full participation: use the fast path
+            part_rows = part_mask
+        rows = [index.get(initiator, -1) for initiator in initiators]
+        init_rows = np.array(rows, dtype=np.int64)
+        if part_rows is not None and count:
+            inside = (
+                part_rows[init_rows]
+                if part_mask is not None
+                else part_rows[np.arange(count), init_rows]
+            )
+            rows = np.where(inside, init_rows, -1).tolist()
+        if -1 in rows:
+            raise ValueError(
+                f"initiator {initiators[rows.index(-1)]} is not among the participants"
+            )
+        if isinstance(n_tx, np.ndarray) and n_tx.ndim == 2:
+            if n_tx.shape != (count, n_all):
+                raise ValueError("n_tx rows must be a (floods, nodes) array")
+            if (n_tx < 0).any():
+                raise ValueError("n_tx must be non-negative")
+            return init_rows, part_rows, part_list, np.asarray(n_tx, dtype=np.int64)
+        return init_rows, part_rows, part_list, self._n_tx_vector(n_tx, part_mask, part_list)
 
     def _slot_timing(
         self, packet_bytes: int, max_slot_ms: Optional[float]
@@ -488,17 +495,19 @@ class GlossyFlood:
         state arrays, amortizing the per-phase NumPy dispatch overhead
         across the batch.
 
-        Under the ``"vectorized"`` engine the result list is
-        **bit-for-bit identical** to calling :meth:`run` once per flood
-        in order, each on its own :class:`GlossyFlood`: the random draws
-        are generated flood by flood from each flood's own generator
+        Under the ``"vectorized"`` engine every flood count, one
+        included, runs through the same phase loop
+        (:meth:`_run_vectorized_batch`), and the result list is
+        **bit-for-bit identical** to ``K`` one-flood calls in order,
+        each on its own :class:`GlossyFlood`: the random draws are
+        generated flood by flood from each flood's own generator
         (preserving every stream), and every per-phase update applies
         the same arithmetic to the same values — including the batched
         reception kernel, whose masked products interleave only exact
-        ``* 1.0`` factors with the per-flood products, and the
+        ``* 1.0`` factors with a lone flood's dense product, and the
         flood-level early exit, which replays the deterministic tail of
-        fully-decoded floods in closed form.  The scalar engine simply
-        loops :meth:`run`.
+        fully-decoded floods in closed form.  The scalar engine loops
+        each owner's :meth:`run` attribute.
 
         Parameters
         ----------
@@ -545,9 +554,12 @@ class GlossyFlood:
             raise ValueError("channels and start_times must match initiators")
         if len(owners) != count or len(sources) != count:
             raise ValueError("floods and interference lists must match initiators")
-        per_flood_n_tx = isinstance(n_tx, np.ndarray) and n_tx.ndim == 2
-        per_flood_part = isinstance(participants, np.ndarray) and participants.ndim == 2
-        if self.engine == "scalar" or count <= 1:
+        if self.engine == "scalar":
+            # Each owner's ``run`` attribute, looked up per flood: a
+            # caller that shadows it on an instance (the flood-speed
+            # benchmark's per-node oracle) sees every flood.
+            per_flood_n_tx = isinstance(n_tx, np.ndarray) and n_tx.ndim == 2
+            per_flood_part = isinstance(participants, np.ndarray) and participants.ndim == 2
             return [
                 owners[k].run(
                     initiator=initiator,
@@ -561,6 +573,8 @@ class GlossyFlood:
                 )
                 for k, initiator in enumerate(initiators)
             ]
+        if not count:
+            return []
 
         # Episodes: the distinct owners, in order of first appearance.
         episodes: List[GlossyFlood] = []
@@ -583,57 +597,18 @@ class GlossyFlood:
                 episodes.append(owner)
             episode_of[k] = episode
 
-        index = self.link_model.node_index
-        rows = [index.get(initiator) for initiator in initiators]
-        if None in rows:
-            raise ValueError(
-                f"initiator {initiators[rows.index(None)]} is not among the participants"
-            )
-        init_rows = np.array(rows, dtype=np.int64)
-        n_all = self._n
-        if per_flood_part:
-            if participants.shape != (count, n_all):
-                raise ValueError("participant rows must be a (floods, nodes) array")
-            part_rows: Optional[np.ndarray] = participants.astype(bool, copy=False)
-            part_mask, part_list = None, None
-        else:
-            part_mask, part_list = self._participant_mask(participants)
-            part_rows = (
-                None if part_mask is None else np.broadcast_to(part_mask, (count, n_all))
-            )
-        if part_rows is not None and not part_rows[np.arange(count), init_rows].all():
-            missing = initiators[int(np.argmin(part_rows[np.arange(count), init_rows]))]
-            raise ValueError(f"initiator {missing} is not among the participants")
-        if per_flood_n_tx:
-            if n_tx.shape != (count, n_all):
-                raise ValueError("n_tx rows must be a (floods, nodes) array")
-            if (n_tx < 0).any():
-                raise ValueError("n_tx must be non-negative")
-            n_tx_rows = np.asarray(n_tx, dtype=np.int64)
-        else:
-            n_tx_rows = np.broadcast_to(
-                self._n_tx_vector(n_tx, part_mask, part_list), (count, n_all)
-            )
-        slot_ms, phase_ms, num_phases = self._slot_timing(packet_bytes, max_slot_ms)
+        init_rows, part_rows, _, n_tx_rows = self._normalize(initiators, n_tx, participants)
         return self._run_vectorized_batch(
-            initiators=list(initiators),
-            init_rows=init_rows,
-            episodes=episodes,
-            episode_of=episode_of,
-            part_rows=part_rows,
-            n_tx_rows=n_tx_rows,
-            channels=channel_list,
-            start_times=start_list,
-            sources=[s if s is not None else NoInterference() for s in sources],
-            slot_ms=slot_ms,
-            phase_ms=phase_ms,
-            num_phases=num_phases,
+            list(initiators), init_rows, episodes, episode_of, part_rows, n_tx_rows,
+            channel_list, start_list, [s if s is not None else NoInterference() for s in sources],
+            *self._slot_timing(packet_bytes, max_slot_ms),
         )
 
-    def _run_vectorized(
+    def _run_scalar(
         self,
         initiator: int,
         part_mask: Optional[np.ndarray],
+        participants: List[int],
         n_tx_vec: np.ndarray,
         channel: int,
         start_ms: float,
@@ -641,33 +616,20 @@ class GlossyFlood:
         slot_ms: float,
         phase_ms: float,
         num_phases: int,
-        participants: Optional[List[int]] = None,
     ) -> FloodResult:
-        """NumPy formulation: one phase is a handful of matrix operations.
+        """The scalar engine: the NumPy phase loop with the per-node draw order.
 
-        State lives in per-node vectors aligned with the
-        :meth:`~repro.net.link.LinkModel.prr_matrix` index order, and
-        the interference penalties of the whole slot are precomputed by
-        one :meth:`~repro.net.interference.InterferenceSource.penalty_windows`
-        call before the phase loop.  The per-phase logic mirrors the
-        per-node reference loop of ``tests/reference_flood.py`` exactly;
-        how the randomness is consumed depends on ``participants``:
-
-        * ``None`` (the vectorized engine): one ``(num_phases, N)``
-          block of draws up front, row ``p`` serving phase ``p``.
-          Results are statistically (not bit-for-bit) identical to
-          the per-node loop under a fixed seed, and the result lists
-          the participants in index order.
-        * the participant ids (the scalar engine): the per-node loop's
-          draw order — one draw per listener with a non-zero reception
-          probability, in participant order, taken as one
-          ``rng.random(k)`` call per phase (equal to ``k`` sequential
-          ``rng.random()`` calls); multi-transmitter failure products
-          multiply in participant order, and single-transmitter
-          probabilities are ``1 - (1 - prr)``, the per-node loop's
-          one-factor product.  The result lists the participants in
-          participant order, so it equals the per-node loop bit for
-          bit, down to the generator state afterwards.
+        The phase logic is that of :meth:`_run_vectorized_batch` on
+        per-node vectors; the draw order is the per-node reference
+        loop's (``tests/reference_flood.py``): one draw per listener with a
+        non-zero reception probability, in ``participants`` order,
+        taken as one ``rng.random(k)`` call per phase (equal to ``k``
+        sequential ``rng.random()`` calls); multi-transmitter failure
+        products multiply in participant order, and single-transmitter
+        probabilities are ``1 - (1 - prr)``, the per-node loop's
+        one-factor product.  The result lists the participants in
+        participant order, so it equals the per-node loop bit for bit,
+        down to the generator state afterwards.
         """
         index = self.link_model.node_index
         n_all = self._n
@@ -685,56 +647,37 @@ class GlossyFlood:
         reception_phase[init_idx] = 0
         next_tx[init_idx] = 0
 
-        prr = self.link_model.prr_matrix()
+        self.link_model.prr_matrix()  # refreshes the cached failure matrix
         link_failure = self.link_model._failure_matrix
-        if participants is None:
-            draw_order = tx_order = None
-            solo_success = prr
-            # One batched draw for the whole slot: row ``p`` serves phase ``p``.
-            draws = self.rng.random((num_phases, n_all))
-        else:
-            draw_order = np.array([index[node] for node in participants], dtype=np.int64)
-            # Index-ordered participants already list transmitters in
-            # participant order; only a shuffled list needs reordering.
-            tx_order = draw_order if (np.diff(draw_order) < 0).any() else None
-            # The per-node loop computes 1 - (1 - prr), which need not
-            # round back to prr.
-            solo_success = 1.0 - link_failure
+        draw_order = np.array([index[node] for node in participants], dtype=np.int64)
+        # Index-ordered participants already list transmitters in
+        # participant order; only a shuffled list needs reordering.
+        tx_order = draw_order if (np.diff(draw_order) < 0).any() else None
+        # The per-node loop computes 1 - (1 - prr), which need not
+        # round back to prr.
+        solo_success = 1.0 - link_failure
         boost_factor = 1.0 + self.link_model.capture_boost
         no_interference = isinstance(interference, NoInterference)
         if not no_interference:
-            # The whole slot's burst-overlap timeline in one evaluation:
-            # row ``p`` holds the penalties of phase ``p``.
+            # Row ``p`` holds the penalties of phase ``p``.
             penalties = interference.penalty_windows(
                 self._coords, start_ms + phase_ms * np.arange(num_phases), phase_ms, channel
             )
-            # A row of zeros multiplies the probabilities by exactly 1.0,
-            # so skipping it is bit-identical and spares two vector
-            # operations for every clean phase of the slot.
             penalized_phases = penalties.any(axis=1)
         # Participants whose radio is still on.
         on_air = np.ones(n_all, dtype=bool) if part_mask is None else part_mask.copy()
         for phase in range(num_phases):
-            # An armed node is always still on air (arming requires the
-            # radio on, and armed nodes neither spend out nor finish
-            # before their transmission), so the schedule alone decides.
             transmit = next_tx == phase
             tx_indices = transmit.nonzero()[0]
             num_tx = len(tx_indices)
             if not num_tx:
-                # Nobody transmits: no state can change this phase, and
-                # the pending-transmission check below already ran after
-                # the last state change, so skip straight ahead.
                 continue
-            # The reception fails only if every non-self link fails,
-            # with the capture boost rewarding >1 synchronized senders.
             if num_tx == 1:
                 probabilities = solo_success[tx_indices[0]]
             else:
                 # Values at transmitter indices get the boost even
                 # where only one *other* node transmits, but are never
-                # consumed: transmitters are masked out of ``success``
-                # below.
+                # consumed: transmitters draw nothing below.
                 if tx_order is not None:
                     tx_indices = tx_order[transmit[tx_order]]
                 probabilities = 1.0 - link_failure[tx_indices].prod(axis=0)
@@ -742,92 +685,51 @@ class GlossyFlood:
                 np.minimum(probabilities, 1.0, out=probabilities)
             if not no_interference and penalized_phases[phase]:
                 probabilities = probabilities * (1.0 - penalties[phase])
-            # Transmitters cannot listen (transmit is a subset of
-            # on_air, so the XOR is exactly "on air and not sending");
-            # a draw >= probability fails.
+            # The per-node loop's draws: one per listener with a non-zero
+            # probability, in participant order.
             listening = on_air ^ transmit
-            if draw_order is None:
-                success = (draws[phase] < probabilities) & listening
-            else:
-                # The per-node loop's draws: one per listener with a
-                # non-zero probability, in participant order.
-                listeners = draw_order[listening[draw_order]]
-                listeners = listeners[probabilities[listeners] > 0.0]
-                success = np.zeros(n_all, dtype=bool)
-                if len(listeners):
-                    uniforms = self.rng.random(len(listeners))
-                    success[listeners] = uniforms < probabilities[listeners]
+            listeners = draw_order[listening[draw_order]]
+            listeners = listeners[probabilities[listeners] > 0.0]
+            success = np.zeros(n_all, dtype=bool)
+            if len(listeners):
+                uniforms = self.rng.random(len(listeners))
+                success[listeners] = uniforms < probabilities[listeners]
             newly = success & ~received
             received |= newly
             reception_phase[newly] = phase
-            # Glossy re-synchronizes on every reception: (re-)arm the
-            # next transmission if the node has transmissions left.
             rearm = success & (transmissions < n_tx_vec) & (next_tx < 0)
             next_tx[rearm] = phase + 1
 
             transmissions[tx_indices] += 1
             budget_spent = transmissions >= n_tx_vec
             spent = transmit & budget_spent
-            again = transmit ^ spent  # spent is a subset of transmit
-            next_tx[again] = phase + 2  # listen next phase, send after
+            again = transmit ^ spent
+            next_tx[again] = phase + 2
             next_tx[spent] = -1
             off_after[spent] = phase + 1
-            on_air ^= spent  # spent is a subset of on_air
+            on_air ^= spent
 
-            # Receivers with nothing left to send switch off: passive
-            # receivers (N_TX = 0 means their budget is spent from the
-            # start) right after their first reception, forwarders once
-            # their budget is spent and no transmission is armed.
             done = on_air & received & budget_spent & (next_tx < 0)
             if done.any():
                 off_after[done] = phase + 1
-                on_air ^= done  # done is a subset of on_air
+                on_air ^= done
 
             if not (next_tx >= 0).any():
-                # No transmission is pending anywhere: no state can change
-                # in later phases (nodes still listening stay on until the
-                # end of the slot, which the radio-on accounting below
-                # covers), so the phase loop can stop early.
-                break
-            if draw_order is None and not (on_air & ~received).any():
-                # Every on-air node has decoded: the rest of the flood is
-                # the deterministic transmission tail (see
-                # :func:`_finish_pending_transmissions`).  The draws were
-                # taken up front, so the stream is unchanged; the scalar
-                # engine's per-phase draws would still be consumed, so
-                # it keeps iterating.
-                _finish_pending_transmissions(
-                    next_tx, transmissions, n_tx_vec, off_after, on_air, num_phases
-                )
+                # A decoded flood's transmission tail still draws for its
+                # listeners, so unlike the vectorized engine this loop
+                # runs it out instead of replaying it in closed form.
                 break
 
         on_phases = np.where(off_after < 0, num_phases, np.minimum(off_after, num_phases))
         radio_on = np.minimum(slot_ms, on_phases * phase_ms)
-
-        if draw_order is not None:
-            # Participant order, like the per-node loop's result.
-            rows, node_ids = draw_order, participants
-        elif part_mask is None:
-            return FloodResult(
-                initiator=initiator,
-                node_ids=self.node_ids,
-                received_array=received,
-                reception_phase_array=reception_phase,
-                transmissions_array=transmissions,
-                radio_on_array=radio_on,
-                slot_duration_ms=slot_ms,
-                channel=channel,
-            )
-        else:
-            rows = np.flatnonzero(part_mask)
-            node_ids = self._ids_arr[rows].tolist()
+        # Participant order, like the per-node loop's result.
         return FloodResult(
             initiator=initiator,
-            node_ids=node_ids,
-            received_array=received[rows],
-            reception_phase_array=reception_phase[rows],
-            transmissions_array=transmissions[rows],
-            radio_on_array=radio_on[rows],
+            node_ids=participants,
+            received_array=received[draw_order],
+            reception_phase_array=reception_phase[draw_order],
+            transmissions_array=transmissions[draw_order],
+            radio_on_array=radio_on[draw_order],
             slot_duration_ms=slot_ms,
             channel=channel,
         )
@@ -847,153 +749,188 @@ class GlossyFlood:
         phase_ms: float,
         num_phases: int,
     ) -> List[FloodResult]:
-        """Advance ``K`` independent floods through one shared phase loop.
+        """The vectorized engine: ``K >= 1`` independent floods, one phase loop.
 
-        State lives in ``(K, N)`` arrays (one row per flood); every
-        per-phase operation of :meth:`_run_vectorized` maps onto the
-        batch unchanged — including the reception-probability assembly,
-        which the batched kernel evaluates for the whole phase's
-        (flood, receiver) grid in constant Python overhead (see
-        :meth:`_phase_success_batched`).  Floods without a transmitter
-        in a given phase get an all-zero probability row, which makes
-        every update a no-op for them — exactly the phases
-        :meth:`_run_vectorized` skips — so batch results equal
-        sequential results bit for bit.  Interference penalties apply as
-        one ``(K, N)`` multiply per phase (rows without a burst multiply
-        by exactly ``1.0``), and once every flood is either inert or
-        fully decoded the remaining transmission schedule is applied in
-        closed form instead of iterating the leftover phases.
-
-        ``episodes`` lists the distinct :class:`GlossyFlood` owners of
-        the floods and ``episode_of`` maps each flood to its owner: each
-        flood draws from its owner's generator, is penalized by its own
-        interference source evaluated at its owner's coordinates, and
-        gathers its owner's PRR and failure rows from the stacked
-        per-episode matrices of :meth:`_link_blocks`.
+        State lives in ``(K, N)`` arrays, one row per flood, in
+        :meth:`~repro.net.link.LinkModel.prr_matrix` index order; the
+        phase logic is the per-node reference loop's
+        (``tests/reference_flood.py``), but each flood draws one
+        ``(num_phases, N)`` block up front, so results equal the scalar
+        engine's statistically, not bit for bit, and list the
+        participants in index order.  Floods without a transmitter get
+        an all-zero probability row, which makes every update a no-op
+        for them, so a batch equals its floods run one by one bit for
+        bit.  ``episode_of`` maps each flood to its owner in
+        ``episodes``: the flood draws from its owner's generator and
+        propagates over its owner's links and coordinates.
         """
         n_all = self._n
         count = len(initiators)
-        arange_k = np.arange(count)
 
-        received = np.zeros((count, n_all), dtype=bool)
+        # Each initiator has received its packet and transmits in phase
+        # 0, at least once.
+        received = self._node_rows == init_rows[:, None]
+        n_tx_vec = np.maximum(n_tx_rows, received)  # a fresh (K, N) int64 array
         reception_phase = np.full((count, n_all), -1, dtype=np.int64)
+        reception_phase[received] = 0
+        next_tx = reception_phase.copy()  # -1 = not scheduled
         transmissions = np.zeros((count, n_all), dtype=np.int64)
-        next_tx = np.full((count, n_all), -1, dtype=np.int64)
-        off_after = np.full((count, n_all), -1, dtype=np.int64)
-
-        n_tx_vec = np.array(n_tx_rows, dtype=np.int64)  # a fresh (K, N) copy
-        n_tx_vec[arange_k, init_rows] = np.maximum(1, n_tx_vec[arange_k, init_rows])
-
-        received[arange_k, init_rows] = True
-        reception_phase[arange_k, init_rows] = 0
-        next_tx[arange_k, init_rows] = 0
+        off_after = np.full((count, n_all), -1, dtype=np.int64)  # -1 = radio still on
 
         # One batched draw per flood, in flood order, from the flood's
         # own generator: every episode's stream is consumed exactly as
-        # by its sequential :meth:`run` calls.  Each flood fills its own
-        # row in place, so no per-flood copies exist next to the table.
+        # by its floods run one by one.  Each flood fills its own row in
+        # place, so no per-flood copies exist next to the table.
         draws = np.empty((count, num_phases, n_all))  # (K, num_phases, N)
-        for k, e in enumerate(episode_of.tolist()):
+        episode_list = episode_of.tolist()
+        for k, e in enumerate(episode_list):
             episodes[e].rng.random(out=draws[k])
-        prr, link_failure = self._link_blocks(episodes)
+        prrs = [episode.link_model.prr_matrix() for episode in episodes]
+        failures = [episode.link_model._failure_matrix for episode in episodes]
+        # The kernel offsets each flood's rows by its episode (row e * N + i).
+        stacked = (
+            (prrs[0], failures[0])
+            if len(episodes) == 1
+            else (np.concatenate(prrs), np.concatenate(failures))
+        )
         boost_factor = 1.0 + self.link_model.capture_boost
         timelines = self._penalty_timelines(
             episodes, episode_of, sources, start_times, channels, phase_ms, num_phases
         )
-        no_interference = timelines is None
-        if not no_interference:
-            penalized_phases = timelines.any(axis=2)  # (num_phases, K)
-
-        if part_rows is None:
-            on_air = np.ones((count, n_all), dtype=bool)
+        if timelines is None:
+            penalized = [False] * num_phases
+            survival = None
         else:
-            on_air = np.array(part_rows, dtype=bool)
-        probabilities = np.zeros((count, n_all))
+            # Phases without a burst on any flood would multiply by
+            # exactly 1.0: find them once and skip them.
+            penalized = timelines.any(axis=(1, 2)).tolist()
+            # (num_phases, K, N), in place unless the table is a lone
+            # flood's view of its source's own array.
+            survival = np.subtract(1.0, timelines, out=timelines if count > 1 else None)
+        del timelines
+
+        on_air = np.ones((count, n_all), dtype=bool)
+        if part_rows is not None:
+            on_air &= part_rows
+        grid = np.zeros((count, n_all)) if count > 1 else None
+        live_floods = count
         for phase in range(num_phases):
+            # An armed node is always still on air (arming requires the
+            # radio on, and armed nodes neither spend out nor finish
+            # before their transmission), so the schedule alone decides.
             transmit = next_tx == phase
-            tx_counts = transmit.sum(axis=1)
-            active = np.flatnonzero(tx_counts)
-            if len(active) == 0:
+            tx_flat = transmit.ravel().nonzero()[0]  # flood-major
+            if not len(tx_flat):
                 # No flood transmits: no state can change this phase.
                 continue
-            # One kernel call covers the whole phase's (flood, receiver)
-            # grid, restricted to the undecided listeners — the only
-            # receivers whose draws can still change state (a received
-            # on-air node is either armed, so it cannot re-arm, or about
-            # to switch off), so the restriction is bit-identical.
-            # Inactive rows and decided columns stay zero.
-            probabilities.fill(0.0)
-            undecided = on_air & ~received
-            # Floods whose own listeners have all decoded draw no
-            # consequences from this phase's successes; only the others
-            # need probability rows.
-            active = active[undecided[active].any(axis=1)]
-            columns = np.flatnonzero(undecided[active].any(axis=0))
-            if len(active) and len(columns):
-                self._phase_success_batched(
-                    transmit,
-                    tx_counts,
-                    active,
-                    columns,
-                    prr,
-                    link_failure,
-                    boost_factor,
-                    probabilities,
-                    episode_of if len(episodes) > 1 else None,
-                )
-                if not no_interference and penalized_phases[phase].any():
-                    # Batched penalty: rows without a burst multiply by
-                    # exactly 1.0 and zero rows stay zero, so one (K, N)
-                    # multiply equals the per-flood application.
-                    probabilities *= 1.0 - timelines[phase]
+            k = int(tx_flat[0]) // n_all
+            if count == 1 or tx_flat[-1] < (k + 1) * n_all:
+                # One flood transmits: its row, dense over every receiver
+                # (a success at a decided node changes no state, since a
+                # received on-air node is armed).  The reception fails
+                # only if every non-self link fails, with the capture
+                # boost rewarding >1 synchronized senders.
+                e = episode_list[k]
+                if len(tx_flat) == 1:
+                    row = prrs[e][tx_flat[0] - k * n_all]
+                else:
+                    tx_nodes = tx_flat - k * n_all if k else tx_flat
+                    row = 1.0 - failures[e][tx_nodes].prod(axis=0)
+                    row *= boost_factor
+                    np.minimum(row, 1.0, out=row)
+                if count == 1:
+                    # (1, N), like every operand below: a broadcast
+                    # comparison costs more than the view.
+                    probabilities = row[None]
+                else:
+                    grid.fill(0.0)
+                    grid[k] = row
+                    probabilities = grid
+            else:
+                # One kernel call covers the whole phase's (flood,
+                # receiver) grid, restricted to the undecided listeners
+                # of the floods that still have some — the only
+                # receivers whose draws can still change state.
+                # Inactive rows and decided columns stay zero.
+                tx_counts = np.bincount(tx_flat // n_all, minlength=count)
+                active = np.flatnonzero(tx_counts)
+                undecided = on_air > received
+                active = active[undecided[active].any(axis=1)]
+                columns = np.flatnonzero(undecided[active].any(axis=0))
+                grid.fill(0.0)
+                if len(active) and len(columns):
+                    self._phase_success_batched(
+                        transmit, tx_counts, active, columns, *stacked, boost_factor, grid,
+                        episode_of if len(episodes) > 1 else None,
+                    )
+                probabilities = grid
+            if penalized[phase]:
+                # Rows without a burst multiply by exactly 1.0 and zero
+                # rows stay zero, so one multiply equals the per-flood
+                # application.
+                probabilities = probabilities * survival[phase]
+            # Transmitters cannot listen (transmit is a subset of
+            # on_air, so the XOR is exactly "on air and not sending");
+            # a draw >= probability fails.
             success = (draws[:, phase] < probabilities) & (on_air ^ transmit)
-            newly = success & ~received
+            newly = success > received  # received now, not before
             received |= newly
             reception_phase[newly] = phase
+            # Glossy re-synchronizes on every reception: (re-)arm the
+            # next transmission if the node has transmissions left.
             rearm = success & (transmissions < n_tx_vec) & (next_tx < 0)
             next_tx[rearm] = phase + 1
 
             transmissions += transmit
             budget_spent = transmissions >= n_tx_vec
             spent = transmit & budget_spent
-            again = transmit ^ spent
-            next_tx[again] = phase + 2
+            again = transmit ^ spent  # spent is a subset of transmit
+            next_tx[again] = phase + 2  # listen next phase, send after
             next_tx[spent] = -1
             off_after[spent] = phase + 1
-            on_air ^= spent
+            on_air ^= spent  # spent is a subset of on_air
 
+            # Receivers with nothing left to send switch off: passive
+            # receivers (N_TX = 0 means their budget is spent from the
+            # start) right after their first reception, forwarders once
+            # their budget is spent and no transmission is armed.
             done = on_air & received & budget_spent & (next_tx < 0)
-            if done.any():
+            if np.count_nonzero(done):
                 off_after[done] = phase + 1
-                on_air ^= done
+                on_air ^= done  # done is a subset of on_air
 
-            pending_any = (next_tx >= 0).any(axis=1)
-            if not pending_any.any():
+            if not np.count_nonzero(next_tx >= 0):
+                # No transmission is pending anywhere: no state can change
+                # in later phases (nodes still listening stay on until the
+                # end of the slot, which the radio-on accounting below
+                # covers), so the phase loop can stop early.
                 break
-            # Flood-level early exit: a flood whose on-air nodes have all
-            # decoded evolves deterministically (armed transmitters just
-            # spend their budget every second phase, and no draw can
-            # change any state), so its leftover phases are replayed in
-            # closed form and the flood retires from the batch.  The
-            # draws were generated up front, so still-undecided floods
-            # keep bit-identical streams.
-            decided = pending_any & ~(on_air & ~received).any(axis=1)
-            if decided.any():
+            # A flood whose on-air nodes have all decoded evolves
+            # deterministically (armed transmitters just spend their
+            # budget every second phase, and no draw can change any
+            # state), so its leftover phases are replayed in closed form
+            # and it retires.  Undecided nodes only ever decode or
+            # switch off, so a drop in the count of floods that still
+            # have some is exactly the floods that just decided (a lone
+            # flood counts its undecided nodes instead: zero exactly
+            # when it decided).  The draws were taken up front, so every
+            # stream is unchanged.
+            undecided = on_air > received
+            now_live = np.count_nonzero(
+                undecided if count == 1 else np.logical_or.reduce(undecided, axis=1)
+            )
+            if now_live < live_floods:
+                live_floods = now_live
                 _finish_pending_transmissions(
-                    next_tx,
-                    transmissions,
-                    n_tx_vec,
-                    off_after,
-                    on_air,
-                    num_phases,
-                    flood_mask=decided,
+                    next_tx, transmissions, n_tx_vec, off_after, on_air, num_phases,
+                    flood_mask=~np.logical_or.reduce(undecided, axis=1),
                 )
-                if not (next_tx >= 0).any():
+                if not now_live or not np.count_nonzero(next_tx >= 0):
                     break
 
-        # The (num_phases, K, N) tables are done with: free them before
+        # The (K, num_phases, N) tables are done with: free them before
         # the K results exist, which bounds the peak of a large batch.
-        del draws, timelines
+        del draws, survival
         on_phases = np.where(off_after < 0, num_phases, np.minimum(off_after, num_phases))
         radio_on = np.minimum(slot_ms, on_phases * phase_ms)
 
@@ -1013,12 +950,15 @@ class GlossyFlood:
             ]
         # Consecutive floods usually share their participant row (one
         # round's slots, or one episode's request): list its rows once.
-        changed = np.ones(count, dtype=bool)
-        changed[1:] = (part_rows[1:] != part_rows[:-1]).any(axis=1)
+        shared = part_rows.ndim == 1
+        changed = np.zeros(count, dtype=bool)
+        changed[0] = True
+        if not shared:
+            changed[1:] = (part_rows[1:] != part_rows[:-1]).any(axis=1)
         results: List[FloodResult] = []
         for k, initiator in enumerate(initiators):
             if changed[k]:
-                rows = np.flatnonzero(part_rows[k])
+                rows = np.flatnonzero(part_rows if shared else part_rows[k])
                 row_ids = self._ids_arr[rows].tolist()
             results.append(
                 FloodResult(
@@ -1046,17 +986,28 @@ class GlossyFlood:
     ) -> Optional[np.ndarray]:
         """Per-phase interference penalties of every flood, ``(num_phases, K, N)``.
 
-        ``None`` when no flood has interference.  Row ``[p, k]`` equals
-        row ``p`` of flood ``k``'s single-flood
+        ``None`` when no flood has interference.  Row ``[p, k]`` is the
+        penalty of flood ``k``'s phase ``p`` from
         :meth:`~repro.net.interference.InterferenceSource.penalty_windows`
-        call in :meth:`_run_vectorized`: every source's windows are
-        row-local (a row depends only on its own start, channel and the
-        coordinates), so one call per distinct source covers the
-        distinct (start, channel) windows of all floods it serves.
-        Lock-stepped episodes over one topology often carry equal
-        sources (the same jammer setting in different protocols' runs)
-        and share slot start times, so equal sources are evaluated once.
+        at its owner's coordinates.  A lone flood makes one call and
+        views it as ``(num_phases, 1, N)``.  Otherwise every source's
+        windows are row-local (a row depends only on its own start,
+        channel and the coordinates), so one call per distinct source
+        covers the distinct (start, channel) windows of all floods it
+        serves.  Lock-stepped episodes over one topology often carry
+        equal sources (the same jammer setting in different protocols'
+        runs) and share slot start times, so equal sources are evaluated
+        once.
         """
+        if len(sources) == 1:
+            if isinstance(sources[0], NoInterference):
+                return None
+            return sources[0].penalty_windows(
+                episodes[0]._coords,
+                start_times[0] + phase_ms * np.arange(num_phases),
+                phase_ms,
+                channels[0],
+            )[:, None, :]
         groups: List[Tuple[InterferenceSource, "GlossyFlood", List[int]]] = []
         group_of: Dict[Tuple[int, int], int] = {}
         for k, source in enumerate(sources):
@@ -1101,21 +1052,6 @@ class GlossyFlood:
             ).reshape(len(window_of), num_phases, n_all)
             timelines[:, members, :] = windows[slots].transpose(1, 0, 2)
         return timelines
-
-    @staticmethod
-    def _link_blocks(episodes: List["GlossyFlood"]) -> Tuple[np.ndarray, np.ndarray]:
-        """PRR and failure matrices of ``episodes``, stacked episode-major.
-
-        Row ``e * N + i`` is node ``i``'s row in episode ``e``'s link
-        model, so the kernel gathers a flood's transmitter rows by
-        offsetting them with its episode.  A single episode uses its
-        link model's own (cached) matrices.
-        """
-        prrs = [episode.link_model.prr_matrix() for episode in episodes]
-        failures = [episode.link_model._failure_matrix for episode in episodes]
-        if len(episodes) == 1:
-            return prrs[0], failures[0]
-        return np.concatenate(prrs), np.concatenate(failures)
 
     def _failure_padded(self, link_failure: np.ndarray) -> np.ndarray:
         """``link_failure`` with an all-ones padding row appended.
@@ -1180,10 +1116,9 @@ class GlossyFlood:
         one ``multiply.reduce`` per chunk.  Transmitter rows that are
         ``1.0`` at every undecided column are dropped up front (exact
         no-op factors), and the remaining factors multiply in the same
-        order as the single-flood ``failure[tx].prod(axis=0)`` of
-        :meth:`_run_vectorized` with
-        only exact ``* 1.0`` padding appended at segment tails, so
-        results are bit-for-bit identical.  Chunking along the flood
+        order as a lone flood's dense ``failure[tx].prod(axis=0)`` in
+        :meth:`_run_vectorized_batch`, with only exact ``* 1.0`` padding
+        appended at segment tails, so results are bit-for-bit identical.  Chunking along the flood
         axis keeps each gather + product inside
         :data:`KERNEL_CHUNK_ELEMENTS` doubles (cache-resident).
 
@@ -1192,9 +1127,9 @@ class GlossyFlood:
         matrix.
 
         ``prr`` and ``link_failure`` may stack several episodes' ``(N,
-        N)`` matrices episode-major (see :meth:`_link_blocks`);
-        ``episode_of`` then maps each flood to its episode, whose rows
-        start at ``episode * N``.  Offsetting the transmitter rows keeps
+        N)`` matrices episode-major (row ``e * N + i`` is node ``i``'s
+        row in episode ``e``'s link model); ``episode_of`` then maps
+        each flood to its episode.  Offsetting the transmitter rows keeps
         each flood's factors, and their order, those of its own matrix.
         """
         n = self._n
@@ -1302,20 +1237,6 @@ class FloodRequest:
 
     def run(self) -> List[FloodResult]:
         """Execute the request on its own flood engine."""
-        if len(self.initiators) == 1:
-            # A lone flood (a control slot) takes the single-flood path.
-            return [
-                self.flood.run(
-                    initiator=self.initiators[0],
-                    n_tx=self.n_tx,
-                    packet_bytes=self.packet_bytes,
-                    channel=self.channels[0],
-                    start_ms=self.start_times[0],
-                    interference=self.interference,
-                    participants=self.participants,
-                    max_slot_ms=self.max_slot_ms,
-                )
-            ]
         return self.flood.run_batch(
             initiators=self.initiators,
             n_tx=self.n_tx,
@@ -1355,27 +1276,28 @@ def run_flood_requests(requests: Sequence[FloodRequest]) -> List[List[FloodResul
             continue
         batch = [requests[position] for position in members]
         counts = [len(request.initiators) for request in batch]
-        masks, n_tx_rows = [], []
-        for request in batch:
-            part_mask, _, n_tx_vec, *_ = request.flood._flood_setup(
-                request.initiators,
-                request.n_tx,
-                request.packet_bytes,
-                None,
-                request.participants,
-                request.max_slot_ms,
+        n_all = batch[0].flood._n
+
+        def per_flood(row: np.ndarray, count: int) -> np.ndarray:
+            """``(count, N)`` rows of a shared ``(N,)`` row or of per-flood rows."""
+            return row.reshape(-1, n_all).repeat(count if row.ndim == 1 else 1, axis=0)
+
+        part_rows, n_tx_rows = [], []
+        for request, count in zip(batch, counts):
+            _, rows, _, budgets = request.flood._normalize(
+                request.initiators, request.n_tx, request.participants
             )
-            masks.append(part_mask)
-            n_tx_rows.append(n_tx_vec)
+            part_rows.append(rows if rows is None else per_flood(rows, count))
+            n_tx_rows.append(per_flood(budgets, count))
         participants = None
-        if any(mask is not None for mask in masks):
-            full = np.ones(batch[0].flood._n, dtype=bool)
-            participants = np.repeat(
-                np.stack([full if mask is None else mask for mask in masks]), counts, axis=0
-            )
+        if any(rows is not None for rows in part_rows):
+            participants = np.concatenate([
+                np.ones((count, n_all), dtype=bool) if rows is None else rows
+                for rows, count in zip(part_rows, counts)
+            ])
         floods = batch[0].flood.run_batch(
             initiators=[node for request in batch for node in request.initiators],
-            n_tx=np.repeat(np.stack(n_tx_rows), counts, axis=0),
+            n_tx=np.concatenate(n_tx_rows),
             packet_bytes=batch[0].packet_bytes,
             channels=[channel for request in batch for channel in request.channels],
             start_times=[start for request in batch for start in request.start_times],

@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from repro.net.glossy import FloodResult, GlossyFlood
-from repro.net.interference import InterferenceSource
+from repro.net.interference import InterferenceSource, NoInterference
 from repro.net.link import PRR_SNR_MIDPOINT_DB, PRR_SNR_SLOPE_PER_DB, LinkModel
 from repro.net.packet import DEFAULT_PACKET_BYTES
 
@@ -162,16 +162,14 @@ def run_reference(
     """``flood.run(...)`` on the per-node reference loop.
 
     Takes :meth:`GlossyFlood.run`'s arguments through the same
-    normalization (``flood._flood_setup``) and draws from
+    normalization (``flood._normalize``) and draws from
     ``flood.rng``.  The ``"scalar"`` engine must equal this bit for bit
     — same results, same generator state afterwards.  The dicts become
     the result's arrays, in participant order, at the end.
     """
-    part_mask, part_list, n_tx_vec, interference, slot_ms, phase_ms, num_phases = (
-        flood._flood_setup(
-            [initiator], n_tx, packet_bytes, interference, participants, max_slot_ms
-        )
-    )
+    _, part_mask, part_list, n_tx_vec = flood._normalize([initiator], n_tx, participants)
+    slot_ms, phase_ms, num_phases = flood._slot_timing(packet_bytes, max_slot_ms)
+    interference = interference if interference is not None else NoInterference()
     participants = part_list if part_list is not None else flood._participant_ids(part_mask)
     index = flood.link_model.node_index
     per_node_n_tx = {node: int(n_tx_vec[index[node]]) for node in participants}

@@ -369,3 +369,74 @@ DCUBE_FLOOD_DIGEST = "8f7f923daad700fb29f7e592c3156a74092dbb93f954663d0d26518d55
 
 def test_dcube_single_flood_fingerprint():
     assert dcube_flood_digest() == DCUBE_FLOOD_DIGEST
+
+
+def lone_flood_digest():
+    """SHA-256 over vectorized lone floods the D-Cube digest does not reach.
+
+    Kiel under ``jamming_interference(..., 0.2)`` (ambient interference
+    plus two burst jammers, a composite source) in five blocks of 40
+    floods: full participation; an initiator-only participant mask; a
+    slot shorter than one phase; a per-node N_TX vector with passive (0)
+    entries; and the mapping form of N_TX over a shuffled participant
+    id list.  Like :func:`dcube_flood_digest` it covers every result
+    array, the listed node ids and the generator state after each flood.
+    """
+    import hashlib
+    import json
+
+    topology = kiel_testbed()
+    ids = list(topology.node_ids)
+    interference = jamming_interference(topology, 0.2)
+    flood = GlossyFlood(
+        topology, LinkModel(topology, seed=2), rng=np.random.default_rng(13),
+        engine="vectorized",
+    )
+    picker = np.random.default_rng(17)
+    digest = hashlib.sha256()
+    for block in ("full", "initiator_only", "short_slot", "n_tx_vector", "n_tx_mapping"):
+        for index in range(40):
+            initiator = ids[int(picker.integers(len(ids)))]
+            n_tx = int(picker.integers(1, 5))
+            participants = None
+            max_slot_ms = 20.0
+            if block == "initiator_only":
+                participants = np.zeros(len(ids), dtype=bool)
+                participants[ids.index(initiator)] = True
+            elif block == "short_slot":
+                max_slot_ms = 0.5
+            elif block == "n_tx_vector":
+                n_tx = picker.integers(0, 4, size=len(ids))
+                n_tx[picker.random(len(ids)) < 0.4] = 0
+            elif block == "n_tx_mapping":
+                participants = [node for node in ids if picker.random() < 0.8 or node == initiator]
+                picker.shuffle(participants)
+                n_tx = {node: int(picker.integers(0, 4)) for node in participants}
+            result = flood.run(
+                initiator=initiator,
+                n_tx=n_tx,
+                channel=int(picker.integers(11, 27)),
+                start_ms=index * 22.0,
+                interference=interference,
+                participants=participants,
+                max_slot_ms=max_slot_ms,
+            )
+            digest.update(json.dumps(list(result.node_ids)).encode())
+            for array in (
+                result.received_array,
+                result.reception_phase_array,
+                result.transmissions_array,
+                result.radio_on_array,
+            ):
+                digest.update(np.ascontiguousarray(array).tobytes())
+            digest.update(json.dumps(flood.rng.bit_generator.state, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+#: Recorded while lone vectorized floods still had their own phase loop;
+#: they now run as one-flood batches and must reproduce it bit for bit.
+LONE_FLOOD_DIGEST = "e77da3c6454258af981e35c6416f5637cdd249e5a43bacdb9b86349b8c43f2fb"
+
+
+def test_lone_flood_fingerprint():
+    assert lone_flood_digest() == LONE_FLOOD_DIGEST

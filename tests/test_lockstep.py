@@ -1,6 +1,9 @@
 """Tests for lock-stepped episodes: one batched kernel call per round step.
 
-Three layers, each pinned to the solo path it replaces:
+Three layers, each pinned to the solo path it replaces.  A solo
+request runs through the same vectorized phase loop (a lone flood is a
+one-flood batch), so these tests pin the grouping; the loop itself is
+pinned by the scalar engine and the SHA-256 fingerprints.
 
 * **Kernel** — one ``run_batch`` call over the floods of several
   episodes (each with its own generator, links, interference,
@@ -145,6 +148,8 @@ class TestMultiEpisodeKernel:
         assert received.any() and not received.all()
 
     def test_control_floods_of_episodes_equal_single_runs(self):
+        """Grouped lone control floods equal each request run on its own
+        (one one-flood batch per episode)."""
         topology = kiel_testbed()
         requests = [
             FloodRequest(

@@ -2,13 +2,17 @@
 
 Four layers of guarantees:
 
-* **Kernel parity** — the batched masked-product kernel of
-  :meth:`~repro.net.glossy.GlossyFlood.run_batch` is bit-for-bit
-  identical to the per-flood reference: sequential
-  :meth:`~repro.net.glossy.GlossyFlood.run` calls, each computing its
-  own ``failure[tx].prod(axis=0)``.  This includes the flood-level early
-  exit's closed-form tail and topologies with gray-zone links, where the
-  products carry factors far from 0 and 1.
+* **Kernel parity** — a ``K``-flood
+  :meth:`~repro.net.glossy.GlossyFlood.run_batch` call, whose phases
+  with several transmitting floods go through the batched
+  masked-product kernel, is bit-for-bit identical to ``K`` one-flood
+  :meth:`~repro.net.glossy.GlossyFlood.run` calls, whose rows are the
+  dense ``failure[tx].prod(axis=0)``.  Both run the same phase loop, so
+  this pins batching, not the loop: the independent pins are the
+  scalar engine (``tests/test_scalar_engine_parity.py``) and the SHA-256
+  fingerprints.  This includes the flood-level early exit's closed-form
+  tail and topologies with gray-zone links, where the products carry
+  factors far from 0 and 1.
 * **Edge cases** — K=0 slots, a single-node network, an all-links-zero
   PRR matrix, and a flood whose initiator was churned out mid-round all
   behave exactly like the sequential path, under both engines.
@@ -24,7 +28,7 @@ from repro.experiments import bench
 from repro.experiments.scenarios import jamming_interference
 from repro.net.glossy import FLOOD_ENGINES, GlossyFlood
 from repro.net.link import LinkModel
-from repro.net.simulator import SimulatorConfig
+from repro.net.simulator import NetworkSimulator, SimulatorConfig
 from repro.net.topology import grid_topology, random_topology
 
 
@@ -72,7 +76,7 @@ def run_batch_under(flood, initiators, **kwargs):
 
 
 def run_sequential_under(flood, initiators, **kwargs):
-    """The per-flood reference of :func:`run_batch_under`: one ``run``
+    """The one-flood counterpart of :func:`run_batch_under`: one ``run``
     per flood, in order, under the same generator."""
     n_tx = kwargs.pop("n_tx", 2)
     starts = kwargs.pop("start_times", [22.0 * k for k in range(len(initiators))])
@@ -166,9 +170,9 @@ class TestKernelProbabilities:
     """Flood outcomes only change when a draw lands between two
     probabilities, so outcome parity cannot see last-bit differences.
     These tests compare the kernel's probabilities themselves with the
-    per-flood product ``1 - failure[tx].prod(axis=0)`` of
-    :meth:`~repro.net.glossy.GlossyFlood.run`, bit for bit, on gray-zone
-    links where the factor order changes the rounding."""
+    dense product ``1 - failure[tx].prod(axis=0)`` that a lone flood's
+    :meth:`~repro.net.glossy.GlossyFlood.run` uses, bit for bit, on
+    gray-zone links where the factor order changes the rounding."""
 
     @staticmethod
     def per_flood_probabilities(link_model, transmit):
@@ -302,6 +306,46 @@ class TestRunBatchEdgeCases:
         assert batched[0].reliability > 0.5
 
 
+class TestScalarRunBatchDelegation:
+    """Under the scalar engine ``run_batch`` calls each owner's ``run``
+    attribute.  The flood-speed benchmark shadows ``flood.run`` on the
+    instance with the per-node oracle; a direct call to the phase loop
+    would silently time the scalar engine against itself."""
+
+    @staticmethod
+    def spy_on_run(monkeypatch, flood, calls):
+        original = flood.run
+
+        def spy(*args, **kwargs):
+            calls.append((flood, kwargs["initiator"]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(flood, "run", spy)
+
+    def test_run_batch_calls_each_owners_run(self, monkeypatch):
+        topology = random_topology(10, seed=2)
+        first, second = (make_flood(topology, engine="scalar", seed=s) for s in (1, 2))
+        calls = []
+        self.spy_on_run(monkeypatch, first, calls)
+        self.spy_on_run(monkeypatch, second, calls)
+        results = first.run_batch([0, 1, 2], n_tx=2, floods=[first, second, first])
+        assert calls == [(first, 0), (second, 1), (first, 2)]
+        assert [result.initiator for result in results] == [0, 1, 2]
+
+    def test_round_floods_reach_a_shadowed_run(self, monkeypatch):
+        topology = random_topology(20, seed=3)
+        simulator = NetworkSimulator(
+            topology,
+            SimulatorConfig(round_period_s=1.0, channel_hopping=False, engine="scalar", seed=7),
+            sources=topology.node_ids[:4],
+        )
+        calls = []
+        self.spy_on_run(monkeypatch, simulator.engine.flood, calls)
+        result = simulator.run_round(n_tx=3)
+        # The control flood and every data slot.
+        assert len(calls) == 1 + len(result.slots) == 5
+
+
 class TestFailureMatrixCache:
     def test_failure_matrix_invalidated_by_churn(self):
         """The cached ``1 - PRR`` matrix the batched kernel multiplies is
@@ -338,10 +382,9 @@ class TestEngineNames:
 
 
 class TestKernelBranchCoverage:
-    """Both exact-kernel variants must be bit-identical to the
-    per-flood reference (sequential ``run`` calls) — including the
-    streaming-accumulator branch, which only engages naturally at
-    production sizes."""
+    """Both exact-kernel variants must be bit-identical to one-flood
+    ``run`` calls in sequence — including the streaming-accumulator
+    branch, which only engages naturally at production sizes."""
 
     def test_streaming_branch_forced_parity(self, monkeypatch):
         """Force the streaming accumulator (and tiny chunks for the
