@@ -17,12 +17,12 @@ integral term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.statistics import GlobalView, StatisticsCollector
-from repro.net.glossy import RoundSteps
+from repro.net.glossy import RoundSteps, run_steps
 from repro.net.lwb import RoundResult
-from repro.net.simulator import NetworkSimulator
+from repro.net.simulator import NetworkSimulator, RoundProtocol
 
 
 @dataclass
@@ -109,7 +109,7 @@ class PIController:
         self.n_tx = self.config.initial_n_tx
 
 
-class PIDProtocol:
+class PIDProtocol(RoundProtocol):
     """Adaptive LWB driven by the PI(D) controller.
 
     Structurally identical to :class:`~repro.core.protocol.DimmerProtocol`
@@ -141,12 +141,7 @@ class PIDProtocol:
         destinations: Optional[Sequence[int]] = None,
     ) -> RoundResult:
         """Execute one round with the controller's current parameter."""
-        schedule = self.simulator.build_schedule(n_tx=self.controller.n_tx, sources=sources)
-        return self._observe(
-            self.simulator.run_round(
-                schedule=schedule, collect_feedback=True, destinations=destinations
-            )
-        )
+        return run_steps(self.round_steps(sources, destinations))
 
     def round_steps(
         self,
@@ -155,30 +150,12 @@ class PIDProtocol:
     ) -> RoundSteps:
         """:meth:`run_round` as steps a lock-step driver can interleave."""
         schedule = self.simulator.build_schedule(n_tx=self.controller.n_tx, sources=sources)
-        return self._observe(
-            (
-                yield from self.simulator.round_steps(
-                    schedule=schedule, collect_feedback=True, destinations=destinations
-                )
-            )
+        result = yield from self.simulator.round_steps(
+            schedule=schedule, collect_feedback=True, destinations=destinations
         )
-
-    def _observe(self, result: RoundResult) -> RoundResult:
-        """Feed a finished round to the controller."""
         view: GlobalView = self.statistics.build_view(result)
         # The PI baseline reacts to the worst node it knows about — that is
         # what makes it overshoot to the maximum retransmission count as
         # soon as losses are detected (Fig. 4d / Fig. 5b).
         self.controller.update(view.worst_reliability())
         return result
-
-    def run(
-        self,
-        num_rounds: int,
-        sources: Optional[Sequence[int]] = None,
-        destinations: Optional[Sequence[int]] = None,
-    ) -> List[RoundResult]:
-        """Execute ``num_rounds`` consecutive rounds."""
-        if num_rounds < 0:
-            raise ValueError("num_rounds must be non-negative")
-        return [self.run_round(sources=sources, destinations=destinations) for _ in range(num_rounds)]

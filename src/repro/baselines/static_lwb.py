@@ -9,14 +9,14 @@ longer and nodes lose synchronization — it never reacts.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.net.glossy import RoundSteps
+from repro.net.glossy import RoundSteps, run_steps
 from repro.net.lwb import RoundResult
-from repro.net.simulator import NetworkSimulator
+from repro.net.simulator import NetworkSimulator, RoundProtocol
 
 
-class StaticLWBProtocol:
+class StaticLWBProtocol(RoundProtocol):
     """LWB with a fixed retransmission parameter.
 
     Parameters
@@ -42,12 +42,7 @@ class StaticLWBProtocol:
         destinations: Optional[Sequence[int]] = None,
     ) -> RoundResult:
         """Execute one LWB round with the fixed parameter."""
-        schedule = self.simulator.build_schedule(n_tx=self.n_tx, sources=sources)
-        return self.simulator.run_round(
-            schedule=schedule,
-            collect_feedback=False,
-            destinations=destinations,
-        )
+        return run_steps(self.round_steps(sources, destinations))
 
     def round_steps(
         self,
@@ -58,19 +53,6 @@ class StaticLWBProtocol:
         schedule = self.simulator.build_schedule(n_tx=self.n_tx, sources=sources)
         return (
             yield from self.simulator.round_steps(
-                schedule=schedule,
-                collect_feedback=False,
-                destinations=destinations,
+                schedule=schedule, collect_feedback=False, destinations=destinations
             )
         )
-
-    def run(
-        self,
-        num_rounds: int,
-        sources: Optional[Sequence[int]] = None,
-        destinations: Optional[Sequence[int]] = None,
-    ) -> List[RoundResult]:
-        """Execute ``num_rounds`` consecutive rounds."""
-        if num_rounds < 0:
-            raise ValueError("num_rounds must be non-negative")
-        return [self.run_round(sources=sources, destinations=destinations) for _ in range(num_rounds)]

@@ -9,19 +9,19 @@ controller — closing the loop of Fig. 1.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.core.adaptivity import AdaptivityControl
 from repro.core.config import DimmerConfig
 from repro.core.controller import DimmerController
-from repro.net.glossy import RoundSteps
-from repro.net.lwb import RoundResult, Schedule
-from repro.net.simulator import NetworkSimulator
+from repro.net.glossy import RoundSteps, run_steps
+from repro.net.lwb import RoundResult
+from repro.net.simulator import NetworkSimulator, RoundProtocol
 from repro.rl.qnetwork import QNetwork
 from repro.rl.quantized import QuantizedNetwork
 
 
-class DimmerProtocol:
+class DimmerProtocol(RoundProtocol):
     """Runs Dimmer rounds on a network simulator.
 
     Parameters
@@ -80,13 +80,7 @@ class DimmerProtocol:
             When given, reliability is only accounted at these nodes
             (data-collection scenarios with a single sink).
         """
-        result = self.simulator.run_round(
-            schedule=self._begin_round(sources),
-            collect_feedback=True,
-            destinations=destinations,
-        )
-        self.controller.observe_round(result)
-        return result
+        return run_steps(self.round_steps(sources, destinations))
 
     def round_steps(
         self,
@@ -95,41 +89,26 @@ class DimmerProtocol:
     ) -> RoundSteps:
         """:meth:`run_round` as steps a lock-step driver can interleave.
 
-        Yields the round's flood requests (see
-        :meth:`~repro.net.lwb.LWBRoundEngine.round_steps`) and returns
-        the :class:`RoundResult` once the controller has observed it.
+        Applies the controller's command, yields the round's flood
+        requests (see :meth:`~repro.net.lwb.LWBRoundEngine.round_steps`)
+        and returns the :class:`RoundResult` once the controller has
+        observed it.
         """
-        result = yield from self.simulator.round_steps(
-            schedule=self._begin_round(sources),
-            collect_feedback=True,
-            destinations=destinations,
-        )
-        self.controller.observe_round(result)
-        return result
-
-    def _begin_round(self, sources: Optional[Sequence[int]]) -> Schedule:
-        """Apply the controller's command and build the round's schedule."""
         command = self.controller.next_command()
         # The forwarder selection's node order is the topology order,
         # which is the store's; coordinator rows are protected in place.
         self.simulator.node_state.set_role_codes(command.role_codes)
-        return self.simulator.build_schedule(
+        schedule = self.simulator.build_schedule(
             n_tx=command.n_tx,
             forwarder_selection=command.forwarder_selection,
             learning_node=command.learning_node,
             sources=sources,
         )
-
-    def run(
-        self,
-        num_rounds: int,
-        sources: Optional[Sequence[int]] = None,
-        destinations: Optional[Sequence[int]] = None,
-    ) -> List[RoundResult]:
-        """Execute ``num_rounds`` consecutive rounds and return their results."""
-        if num_rounds < 0:
-            raise ValueError("num_rounds must be non-negative")
-        return [self.run_round(sources=sources, destinations=destinations) for _ in range(num_rounds)]
+        result = yield from self.simulator.round_steps(
+            schedule=schedule, collect_feedback=True, destinations=destinations
+        )
+        self.controller.observe_round(result)
+        return result
 
     # ------------------------------------------------------------------
     # Reporting

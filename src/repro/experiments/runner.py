@@ -335,11 +335,16 @@ def _terminate_pool(pool: Optional[ProcessPoolExecutor]) -> None:
     """
     if pool is None:
         return
+    # Read before ``shutdown``, which drops the pool's references to both.
+    # The manager thread is joined once the workers are dead: left running,
+    # it races ``concurrent.futures``' exit hook on the closed wakeup pipe,
+    # which prints ``OSError: [Errno 9]`` at interpreter exit.
+    processes = list((getattr(pool, "_processes", None) or {}).values())
+    manager = getattr(pool, "_executor_manager_thread", None)
     try:
         pool.shutdown(wait=False, cancel_futures=True)
     except Exception:  # pragma: no cover - defensive
         pass
-    processes = list((getattr(pool, "_processes", None) or {}).values())
     for process in processes:
         try:
             if process.is_alive():
@@ -354,6 +359,8 @@ def _terminate_pool(pool: Optional[ProcessPoolExecutor]) -> None:
                 process.join(timeout=1.0)
         except Exception:  # pragma: no cover - defensive
             continue
+    if manager is not None:
+        manager.join(timeout=5.0)
 
 
 class ParallelRunner:

@@ -531,7 +531,9 @@ class GlossyFlood:
             this one for all) — the flood engines of lock-stepped
             simulators over one topology and radio.  Each flood draws
             from its owner's generator and propagates over its owner's
-            links.
+            links.  Under both engines an owner with another node
+            order, engine, radio or capture boost raises
+            :class:`ValueError`.
         """
         count = len(initiators)
         channel_list = (
@@ -554,27 +556,6 @@ class GlossyFlood:
             raise ValueError("channels and start_times must match initiators")
         if len(owners) != count or len(sources) != count:
             raise ValueError("floods and interference lists must match initiators")
-        if self.engine == "scalar":
-            # Each owner's ``run`` attribute, looked up per flood: a
-            # caller that shadows it on an instance (the flood-speed
-            # benchmark's per-node oracle) sees every flood.
-            per_flood_n_tx = isinstance(n_tx, np.ndarray) and n_tx.ndim == 2
-            per_flood_part = isinstance(participants, np.ndarray) and participants.ndim == 2
-            return [
-                owners[k].run(
-                    initiator=initiator,
-                    n_tx=n_tx[k] if per_flood_n_tx else n_tx,
-                    packet_bytes=packet_bytes,
-                    channel=channel_list[k],
-                    start_ms=start_list[k],
-                    interference=sources[k],
-                    participants=participants[k] if per_flood_part else participants,
-                    max_slot_ms=max_slot_ms,
-                )
-                for k, initiator in enumerate(initiators)
-            ]
-        if not count:
-            return []
 
         # Episodes: the distinct owners, in order of first appearance.
         episodes: List[GlossyFlood] = []
@@ -596,6 +577,28 @@ class GlossyFlood:
                 episode = seen[id(owner)] = len(episodes)
                 episodes.append(owner)
             episode_of[k] = episode
+
+        if self.engine == "scalar":
+            # Each owner's ``run`` attribute, looked up per flood: a
+            # caller that shadows it on an instance (the flood-speed
+            # benchmark's per-node oracle) sees every flood.
+            per_flood_n_tx = isinstance(n_tx, np.ndarray) and n_tx.ndim == 2
+            per_flood_part = isinstance(participants, np.ndarray) and participants.ndim == 2
+            return [
+                owners[k].run(
+                    initiator=initiator,
+                    n_tx=n_tx[k] if per_flood_n_tx else n_tx,
+                    packet_bytes=packet_bytes,
+                    channel=channel_list[k],
+                    start_ms=start_list[k],
+                    interference=sources[k],
+                    participants=participants[k] if per_flood_part else participants,
+                    max_slot_ms=max_slot_ms,
+                )
+                for k, initiator in enumerate(initiators)
+            ]
+        if not count:
+            return []
 
         init_rows, part_rows, _, n_tx_rows = self._normalize(initiators, n_tx, participants)
         return self._run_vectorized_batch(

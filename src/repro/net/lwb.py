@@ -86,12 +86,6 @@ class SlotResult:
     channel: int
     flood: FloodResult
     feedback: Optional[DimmerFeedbackHeader] = None
-    acknowledged: bool = True
-
-    @property
-    def reliability(self) -> float:
-        """Fraction of destinations that received the slot's packet."""
-        return self.flood.reliability
 
 
 class RoundResult:

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.net.channels import ChannelHopper
 from repro.net.energy import EnergyModel, RadioOnLedger
-from repro.net.glossy import FLOOD_ENGINES, RoundSteps
+from repro.net.glossy import FLOOD_ENGINES, RoundSteps, run_steps
 from repro.net.interference import InterferenceSource, NoInterference
 from repro.net.link import LinkModel
 from repro.net.lwb import LWBRoundEngine, RoundResult, Schedule, average_reliability
@@ -196,11 +196,10 @@ class NetworkSimulator:
 
         Either pass a fully-built ``schedule`` or just the global
         ``n_tx`` to apply (a default schedule over all sources is built).
-        The engine runs the round's steps at once
-        (:meth:`LWBRoundEngine.run_round`).
+        Runs :meth:`round_steps`, each flood request at once
+        (:func:`~repro.net.glossy.run_steps`).
         """
-        arguments = self._round_arguments(schedule, n_tx, collect_feedback, destinations)
-        return self._finish_round(self.engine.run_round(**arguments))
+        return run_steps(self.round_steps(schedule, n_tx, collect_feedback, destinations))
 
     def round_steps(
         self,
@@ -214,32 +213,14 @@ class NetworkSimulator:
         Yields the round's flood requests and returns its
         :class:`RoundResult` after the clock and the ledgers advanced.
         """
-        arguments = self._round_arguments(schedule, n_tx, collect_feedback, destinations)
-        return self._finish_round((yield from self.engine.round_steps(**arguments)))
-
-    def _round_arguments(
-        self,
-        schedule: Optional[Schedule],
-        n_tx: Optional[int],
-        collect_feedback: bool,
-        destinations: Optional[Sequence[int]],
-    ) -> Dict[str, Any]:
-        """The engine's arguments for the next round."""
         if schedule is None:
             schedule = self.build_schedule(
                 n_tx=self.config.default_n_tx if n_tx is None else n_tx
             )
-        return {
-            "nodes": self.node_state,
-            "schedule": schedule,
-            "start_ms": self.time_ms,
-            "interference": self.interference,
-            "collect_feedback": collect_feedback,
-            "destinations": destinations,
-        }
-
-    def _finish_round(self, result: RoundResult) -> RoundResult:
-        """Account a finished round and advance the round counter and clock."""
+        result = yield from self.engine.round_steps(
+            self.node_state, schedule, self.time_ms, self.interference, collect_feedback,
+            destinations,
+        )
         num_slots = len(result.schedule.slots) + 1
         # Account each slot of the round in the lifetime ledger so that
         # "radio-on time per slot" statistics include every slot.
@@ -276,3 +257,26 @@ class NetworkSimulator:
         """Forget accumulated history and energy (start of an experiment)."""
         self.round_history.clear()
         self.radio_on_totals.reset()
+
+
+class RoundProtocol:
+    """Base of the protocols that run LWB rounds on a :class:`NetworkSimulator`.
+
+    A subclass sets ``simulator`` and defines ``round_steps(sources,
+    destinations)`` and a ``run_round`` that drives it
+    (``run_steps(self.round_steps(...))``) in its own class body, where
+    perfbench's layer tracer finds it; :meth:`run` is shared.
+    """
+
+    simulator: NetworkSimulator
+
+    def run(
+        self,
+        num_rounds: int,
+        sources: Optional[Sequence[int]] = None,
+        destinations: Optional[Sequence[int]] = None,
+    ) -> List[RoundResult]:
+        """Execute ``num_rounds`` consecutive rounds and return their results."""
+        if num_rounds < 0:
+            raise ValueError("num_rounds must be non-negative")
+        return [self.run_round(sources=sources, destinations=destinations) for _ in range(num_rounds)]

@@ -39,9 +39,11 @@ def assert_same_observables(a, b):
 
 def solo_slice_observables(recorder, episode, n_tx, episode_seed, interference_seed):
     """Reference for one (episode, N_TX) slice: its own simulator driven
-    round by round through ``run_round``, no lock-step driver involved.
-    Returns ``(node_ids, reliabilities, radio_on, ratio, had_losses)`` per
-    round."""
+    round by round through ``run_round``, which runs the same round steps
+    with one slice per kernel call (``run_steps``), not batched with the
+    other slices; the independent pins are the fingerprints and the
+    perfbench digests.  Returns ``(node_ids, reliabilities, radio_on,
+    ratio, had_losses)`` per round."""
     topology = recorder.topology
     simulator = NetworkSimulator(
         topology,
@@ -145,8 +147,8 @@ class TestTraceRecorderParallel:
             assert a.interference_ratio == b.interference_ratio
 
     def test_serial_record_matches_solo_slices(self, kiel):
-        # The serial path lock-steps every slice too, so it is held to an
-        # independent per-slice oracle, churn schedule included.
+        # The serial path lock-steps every slice too, so it is held to
+        # each slice run on its own, churn schedule included.
         churn = node_outage_schedule(kiel, 5, 1, 3) + node_outage_schedule(kiel, 9, 2, 4)
         recorder = TraceRecorder(n_max=2, seed=7, round_period_s=1.0, churn=churn)
         trace = recorder.record(episodes=self.EPISODES)

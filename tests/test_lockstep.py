@@ -45,6 +45,7 @@ from repro.experiments.spec import (
 from repro.net.glossy import FloodRequest, GlossyFlood, run_flood_requests
 from repro.net.interference import CompositeInterference, NoInterference
 from repro.net.link import LinkModel
+from repro.net.radio import RadioModel
 from repro.net.topology import kiel_testbed, random_topology
 from repro.rl.trace_env import node_outage_schedule
 
@@ -180,6 +181,38 @@ class TestMultiEpisodeKernel:
         floods = [GlossyFlood(kiel, engine="vectorized"), GlossyFlood(other, engine="vectorized")]
         with pytest.raises(ValueError, match="topology"):
             floods[0].run_batch([0, 0], 2, floods=floods)
+
+
+OTHER_ENGINE = {"vectorized": "scalar", "scalar": "vectorized"}
+
+#: Owners a batch cannot share with a Kiel flood of ``engine``.
+MISMATCHED_OWNERS = {
+    "node order": lambda kiel, engine: GlossyFlood(random_topology(20, seed=1), engine=engine),
+    "engine": lambda kiel, engine: GlossyFlood(kiel, engine=OTHER_ENGINE[engine]),
+    "radio": lambda kiel, engine: GlossyFlood(
+        kiel, radio=RadioModel(max_slot_ms=10.0), engine=engine),
+    "capture boost": lambda kiel, engine: GlossyFlood(
+        kiel, LinkModel(kiel, capture_boost=0.3), engine=engine),
+}
+
+
+@pytest.mark.parametrize("engine", ["vectorized", "scalar"])
+class TestBatchOwnerCheck:
+    """Both engines make the same owner check before they run a flood."""
+
+    @pytest.mark.parametrize("mismatch", sorted(MISMATCHED_OWNERS))
+    def test_mismatched_owner_is_refused(self, kiel, engine, mismatch):
+        flood = GlossyFlood(kiel, engine=engine)
+        other = MISMATCHED_OWNERS[mismatch](kiel, engine)
+        with pytest.raises(
+            ValueError, match="one topology order, engine, radio and capture boost"
+        ):
+            flood.run_batch([0, 0], 2, floods=[flood, other])
+
+    def test_matching_owner_runs(self, kiel, engine):
+        flood = GlossyFlood(kiel, engine=engine)
+        results = flood.run_batch([0, 0], 2, floods=[flood, GlossyFlood(kiel, engine=engine)])
+        assert [result.initiator for result in results] == [0, 0]
 
 
 def sweep_grid(network):

@@ -9,12 +9,15 @@ of finished shards.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
+from concurrent.futures.process import _ExecutorManagerThread
 from pathlib import Path
 
 import pytest
@@ -194,6 +197,46 @@ class TestRetries:
         fresh = ParallelRunner(max_workers=1, cache_dir=tmp_path)
         assert fresh.run(chaos_tasks(4)) == results
         assert fresh.stats.cache_hits == 4
+
+
+def pool_leftovers():
+    """Live pool manager threads and worker processes of this process."""
+    threads = {
+        thread for thread in threading.enumerate()
+        if isinstance(thread, _ExecutorManagerThread) and thread.is_alive()
+    }
+    return threads, {child.pid for child in multiprocessing.active_children()}
+
+
+class TestPoolTeardown:
+    """``run`` leaves no pool behind: a manager thread left running races
+    ``concurrent.futures``' exit hook on the closed wakeup pipe and prints
+    ``OSError: [Errno 9]`` at interpreter exit."""
+
+    def assert_no_new_leftovers(self, before):
+        threads, workers = pool_leftovers()
+        assert threads - before[0] == set()
+        assert workers - before[1] == set()
+
+    def test_normal_run_leaves_no_pool(self, monkeypatch):
+        monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
+        before = pool_leftovers()
+        results = ParallelRunner(max_workers=2).run(echo_tasks(4))
+        assert [r["value"] for r in results] == [0.0, 1.0, 2.0, 3.0]
+        self.assert_no_new_leftovers(before)
+
+    def test_timeout_rebuild_leaves_no_pool(self, monkeypatch, tmp_path):
+        plan = FaultPlan(seed=2, rate=1.0, kinds=("hang",), hang_s=15.0, repeats=1)
+        monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
+        before = pool_leftovers()
+        runner = ParallelRunner(
+            max_workers=2, cache_dir=tmp_path, retry_policy=fast_policy(), shard_timeout_s=0.5
+        )
+        results = runner.run(chaos_tasks(2))
+        assert [r["value"] for r in results] == [0.0, 1.0]
+        assert runner.stats.pool_restarts >= 1
+        # The hung worker is killed, not left to finish its 15 s hang.
+        self.assert_no_new_leftovers(before)
 
 
 class TestTimeouts:
