@@ -20,14 +20,14 @@ hand-tuned static parameters rather than learning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Generator, List, Optional
 
 import numpy as np
 
 from repro.net.channels import ChannelHopper
 from repro.net.energy import EnergyModel, RadioOnLedger
-from repro.net.glossy import FloodResult, GlossyFlood
+from repro.net.glossy import FloodRequest, FloodResult, GlossyFlood, run_steps
 from repro.net.interference import InterferenceSource, NoInterference
 from repro.net.link import LinkModel
 from repro.net.packet import DEFAULT_PACKET_BYTES
@@ -91,7 +91,7 @@ class CrystalProtocol:
     config:
         Static protocol parameters.
     interference:
-        Interference environment (can be replaced between epochs).
+        Interference environment.
     """
 
     def __init__(
@@ -99,7 +99,6 @@ class CrystalProtocol:
         topology: Topology,
         config: Optional[CrystalConfig] = None,
         interference: Optional[InterferenceSource] = None,
-        link_model: Optional[LinkModel] = None,
     ) -> None:
         self.topology = topology
         self.config = config if config is not None else CrystalConfig()
@@ -107,11 +106,11 @@ class CrystalProtocol:
         self.sink = topology.coordinator
         self.rng = np.random.default_rng(self.config.seed)
         self.radio = RadioModel()
-        self.link_model = link_model if link_model is not None else LinkModel(
-            topology, seed=self.config.seed
-        )
+        self.link_model = LinkModel(topology, seed=self.config.seed)
         self.flood = GlossyFlood(topology, self.link_model, self.radio, self.rng)
         self.hopper = ChannelHopper(enabled=self.config.channel_hopping)
+        #: The sink's position, the one row noise detection samples.
+        self._sink_position = np.array([topology.positions[self.sink]], dtype=float)
         self.energy_model = EnergyModel(self.radio)
 
         self.time_ms = 0.0
@@ -146,22 +145,23 @@ class CrystalProtocol:
         """Number of packets currently awaiting delivery."""
         return sum(len(queue) for queue in self.pending.values())
 
-    def set_interference(self, interference: InterferenceSource) -> None:
-        """Replace the interference environment."""
-        self.interference = interference
-
     # ------------------------------------------------------------------
     # Epoch execution
     # ------------------------------------------------------------------
     def _noise_detected(self, slot_start_ms: float, channel: int) -> bool:
         """Noise detection: sample the medium at the sink before sleeping."""
-        penalty = self.interference.penalty(
-            self.topology.positions[self.sink], slot_start_ms, self.config.slot_ms, channel
+        penalty = self.interference.penalty_windows(
+            self._sink_position, np.array([slot_start_ms]), self.config.slot_ms, channel
         )
-        return penalty > 0.05
+        return penalty[0, 0] > 0.05
 
-    def run_epoch(self) -> EpochSummary:
-        """Execute one Crystal epoch (S slot plus a train of TA pairs)."""
+    def epoch_steps(self) -> Generator[FloodRequest, List[FloodResult], EpochSummary]:
+        """One Crystal epoch (S slot plus a train of TA pairs) as round steps.
+
+        Yields one :class:`~repro.net.glossy.FloodRequest` per S, T or A
+        slot flood, is sent its results, and returns the epoch's
+        :class:`EpochSummary`.
+        """
         config = self.config
         epoch_start_ms = self.time_ms
         slot_ms = config.slot_ms + config.slot_gap_ms
@@ -170,15 +170,17 @@ class CrystalProtocol:
         # Epoch radio-on time per node, in topology (flood result) order.
         radio_on_epoch = np.zeros(self.topology.num_nodes)
 
-        def run_slot(initiator: int, channel: int) -> FloodResult:
+        def run_slot(
+            initiator: int, channel: int
+        ) -> Generator[FloodRequest, List[FloodResult], FloodResult]:
             nonlocal slots_used
-            start = epoch_start_ms + slots_used * slot_ms
-            result = self.flood.run(
-                initiator=initiator,
+            (result,) = yield FloodRequest(
+                flood=self.flood,
+                initiators=[initiator],
                 n_tx=config.n_tx,
                 packet_bytes=config.packet_bytes,
-                channel=channel,
-                start_ms=start,
+                channels=[channel],
+                start_times=[epoch_start_ms + slots_used * slot_ms],
                 interference=self.interference,
                 max_slot_ms=config.slot_ms,
             )
@@ -187,7 +189,7 @@ class CrystalProtocol:
             return result
 
         # --- S slot: sink floods synchronization/schedule. ---------------
-        run_slot(self.sink, self.hopper.control_channel())
+        yield from run_slot(self.sink, self.hopper.control_channel())
 
         # --- TA pairs. ----------------------------------------------------
         silent_slots = 0
@@ -215,13 +217,13 @@ class CrystalProtocol:
             # Concurrent pending sources transmit together; the capture
             # effect lets the sink decode (at most) one of them.
             initiator = int(self.rng.choice(pending_sources))
-            if run_slot(initiator, channel).received_at(self.sink):
+            if (yield from run_slot(initiator, channel)).received_at(self.sink):
                 packet_id = self.pending[initiator].pop(0)
                 delivered.append(packet_id)
                 self.delivered_packets += 1
                 silent_slots = 0
                 # A slot: the sink floods the acknowledgement.
-                run_slot(self.sink, channel)
+                yield from run_slot(self.sink, channel)
             else:
                 # Missed T slot: Crystal schedules more TA pairs and checks
                 # for noise.
@@ -250,6 +252,10 @@ class CrystalProtocol:
         self.hopper.advance_round(pairs)
         self.time_ms += config.epoch_period_s * 1000.0
         return summary
+
+    def run_epoch(self) -> EpochSummary:
+        """Execute one Crystal epoch: ``run_steps(self.epoch_steps())``."""
+        return run_steps(self.epoch_steps())
 
     def run(self, num_epochs: int) -> List[EpochSummary]:
         """Execute ``num_epochs`` consecutive epochs."""

@@ -177,10 +177,6 @@ class StatisticsCollector:
             calm += 1
         return calm
 
-    def losses_in_last(self, count: int) -> bool:
-        """Whether any of the last ``count`` views showed losses."""
-        return any(view.had_losses for view in self.recent_views(count))
-
     def reset(self) -> None:
         """Forget all collected history."""
         self._views.clear()

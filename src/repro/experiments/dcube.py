@@ -69,10 +69,6 @@ class DCubeComparison:
         """Protocols present in the comparison."""
         return sorted({result.protocol for result in self.results})
 
-    def reliability_series(self, protocol: str) -> List[float]:
-        """Reliability per level for one protocol (a Fig. 7a bar group)."""
-        return [self.get(protocol, level).reliability for level in self.levels()]
-
 
 @dataclass
 class AperiodicTraffic:

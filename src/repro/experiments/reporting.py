@@ -39,19 +39,3 @@ def _format_cell(cell: object) -> str:
     if isinstance(cell, float):
         return f"{cell:.3f}"
     return str(cell)
-
-
-def format_series(
-    label: str,
-    xs: Sequence[float],
-    ys: Sequence[float],
-    x_name: str = "x",
-    y_name: str = "y",
-) -> str:
-    """Format one figure series as aligned (x, y) pairs."""
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must have the same length")
-    lines = [f"series: {label} ({x_name} -> {y_name})"]
-    for x, y in zip(xs, ys):
-        lines.append(f"  {x:>10.3f}  {y:>10.3f}")
-    return "\n".join(lines)

@@ -9,7 +9,7 @@ with WiFi channels 1/6/11 in most regulatory domains).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import Sequence
 
 #: The sixteen 2.4 GHz IEEE 802.15.4 channels.
 IEEE_802_15_4_CHANNELS: Sequence[int] = tuple(range(11, 27))
@@ -107,7 +107,3 @@ class ChannelHopper:
     def reset(self) -> None:
         """Reset the hopping index (e.g. when a node re-synchronizes)."""
         self._index = 0
-
-    def channels_for_round(self, num_slots: int) -> List[int]:
-        """Return the list of data-slot channels for the upcoming round."""
-        return [self.data_channel(i) for i in range(num_slots)]

@@ -109,10 +109,6 @@ class EnergyModel:
     radio: RadioModel = field(default_factory=RadioModel)
     tx_fraction: float = 0.3
 
-    def slot_energy_mj(self, radio_on_ms: float) -> float:
-        """Energy of a single slot given its radio-on time."""
-        return self.radio.radio_on_energy_mj(radio_on_ms, self.tx_fraction)
-
     def energy_j(self, radio_on_ms: float) -> float:
         """Energy in joules of ``radio_on_ms`` of accumulated radio-on time."""
         return self.radio.radio_on_energy_mj(radio_on_ms, self.tx_fraction) / 1000.0

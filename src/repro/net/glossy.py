@@ -134,10 +134,6 @@ class FloodResult:
         """Sorted list of nodes that successfully received the packet."""
         return sorted(np.asarray(self.node_ids)[self.received_array].tolist())
 
-    def non_receivers(self) -> List[int]:
-        """Sorted list of nodes that never received the packet."""
-        return sorted(np.asarray(self.node_ids)[~self.received_array].tolist())
-
     @classmethod
     def empty(
         cls,

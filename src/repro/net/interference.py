@@ -11,11 +11,14 @@ The paper exercises Dimmer against three classes of interference:
 * **Ambient office interference** from uncontrolled WiFi access points
   and Bluetooth PANs during work hours.
 
-Every source answers one question: given a reception attempt at a
-position, a time window and a channel, how strongly is the reception
-degraded?  The answer is a *penalty* in [0, 1]; 0 means unaffected,
-1 means fully jammed.  Penalties from multiple sources combine as
-independent corruption events.
+Every source answers one question: given reception attempts at some
+positions, in some time windows and on some channels, how strongly is
+each reception degraded?  The answer is a *penalty* in [0, 1]; 0 means
+unaffected, 1 means fully jammed.  Sources answer it for many windows
+and positions at once (:meth:`InterferenceSource.penalty_windows`), and
+penalties from multiple sources combine as independent corruption
+events.  The one-window, one-position formulation every source is
+checked against lives with the tests (``tests/reference_interference.py``).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,9 +40,9 @@ DEFAULT_BURST_MS = 13.0
 #: Largest fraction of a frame a 0 dBm burst may clip while the frame
 #: stays decodable: overlaps at or below this fraction only shave the
 #: frame tail and cost nothing, anything above corrupts the frame.
-#: Shared by the scalar ``penalty`` paths and the vectorized
-#: ``penalty_windows`` implementations so the two formulations can
-#: never drift apart.
+#: Every source's ``penalty_windows`` gates on this one constant, and
+#: the scalar reference formulation of the tests imports it, so the
+#: cutoff cannot drift apart between sources or from the oracle.
 BURST_OVERLAP_DECODE_THRESHOLD = 0.1
 
 
@@ -58,44 +61,10 @@ def burst_period_ms(interference_ratio: float, burst_ms: float = DEFAULT_BURST_M
     return burst_ms / interference_ratio
 
 
-def _interval_overlap(a_start: float, a_end: float, b_start: float, b_end: float) -> float:
-    """Length of the overlap between intervals [a_start, a_end) and [b_start, b_end)."""
-    return max(0.0, min(a_end, b_end) - max(a_start, b_start))
-
-
 class InterferenceSource(abc.ABC):
     """Base class for all interference sources."""
 
     @abc.abstractmethod
-    def penalty(
-        self,
-        position: Position,
-        start_ms: float,
-        duration_ms: float,
-        channel: int,
-    ) -> float:
-        """Degradation of a reception attempt at ``position``.
-
-        Parameters
-        ----------
-        position:
-            Receiver position in metres.
-        start_ms, duration_ms:
-            Time window of the reception attempt on the global clock.
-        channel:
-            IEEE 802.15.4 channel of the attempt.
-
-        Returns
-        -------
-        float
-            Penalty in [0, 1]: the probability that the attempt is
-            corrupted by this source.
-        """
-
-    def is_active(self, time_ms: float) -> bool:
-        """Whether the source can emit at all at ``time_ms`` (default: yes)."""
-        return True
-
     def penalty_windows(
         self,
         positions: np.ndarray,
@@ -103,44 +72,34 @@ class InterferenceSource(abc.ABC):
         duration_ms: float,
         channels: Union[int, np.ndarray],
     ) -> np.ndarray:
-        """Penalties of many reception windows at every position at once.
+        """Penalties of many reception windows at many positions at once.
 
-        Returns an ``(M, N)`` array whose entry ``[m, i]`` equals
-        ``penalty(positions[i], starts_ms[m], duration_ms, channels[m])``
-        (``channels`` is one channel for every window or one per
-        window).  The vectorized flood engines evaluate a whole slot —
-        or all data slots of a round — in one call.  The default
-        implementation loops over :meth:`penalty`, so any subclass is
-        automatically correct; the built-in sources override it with
-        closed-form NumPy versions that match :meth:`penalty` exactly.
+        Parameters
+        ----------
+        positions:
+            ``(N, 2)`` receiver positions in metres.
+        starts_ms:
+            ``(M,)`` window starts on the global clock.
+        duration_ms:
+            Length of every window.
+        channels:
+            IEEE 802.15.4 channel of every window, or one per window.
+
+        Returns
+        -------
+        numpy.ndarray
+            ``(M, N)`` penalties in [0, 1]: entry ``[m, i]`` is the
+            probability that this source corrupts a reception attempt
+            at ``positions[i]`` in window ``m``.  Every row depends only
+            on its own start and channel and on the positions.  The flood
+            engines evaluate a whole slot, or all data slots of a round,
+            in one call.
         """
-        positions = np.asarray(positions, dtype=float)
-        starts_ms = np.asarray(starts_ms, dtype=float)
-        if isinstance(channels, (int, np.integer)):
-            channel_list = [int(channels)] * len(starts_ms)
-        else:
-            channel_list = [int(c) for c in channels]
-            if len(channel_list) != len(starts_ms):
-                raise ValueError("channels must be scalar or match the window count")
-        points = [(float(x), float(y)) for x, y in positions]
-        return np.array(
-            [
-                [self.penalty(point, float(start), duration_ms, channel) for point in points]
-                for start, channel in zip(starts_ms, channel_list)
-            ],
-            dtype=float,
-        ).reshape(len(starts_ms), len(positions))
 
 
 @dataclass
 class NoInterference(InterferenceSource):
     """The interference-free case (night-time runs on channel 26)."""
-
-    def penalty(self, position: Position, start_ms: float, duration_ms: float, channel: int) -> float:
-        return 0.0
-
-    def is_active(self, time_ms: float) -> bool:
-        return False
 
     def penalty_windows(
         self,
@@ -205,60 +164,6 @@ class BurstJammer(InterferenceSource):
             return float("inf")
         return self.burst_ms / self.interference_ratio
 
-    def is_active(self, time_ms: float) -> bool:
-        if self.interference_ratio <= 0.0:
-            return False
-        if self.start_ms is not None and time_ms < self.start_ms:
-            return False
-        if self.end_ms is not None and time_ms >= self.end_ms:
-            return False
-        return True
-
-    def _spatial_factor(self, position: Position) -> float:
-        """Attenuation of the jamming effect with distance from the jammer."""
-        dx = position[0] - self.position[0]
-        dy = position[1] - self.position[1]
-        distance = math.hypot(dx, dy)
-        if distance <= self.range_m:
-            return 1.0
-        if distance >= 2.0 * self.range_m:
-            return 0.0
-        return 1.0 - (distance - self.range_m) / self.range_m
-
-    def burst_overlap_fraction(self, start_ms: float, duration_ms: float) -> float:
-        """Fraction of the window [start, start+duration) covered by bursts."""
-        if duration_ms <= 0:
-            return 0.0
-        period = self.period_ms
-        if math.isinf(period):
-            return 0.0
-        origin = (self.start_ms or 0.0) + self.phase_ms
-        end_ms = start_ms + duration_ms
-        first_burst = math.floor((start_ms - origin) / period) - 1
-        last_burst = math.ceil((end_ms - origin) / period) + 1
-        covered = 0.0
-        for k in range(int(first_burst), int(last_burst) + 1):
-            burst_start = origin + k * period
-            covered += _interval_overlap(start_ms, end_ms, burst_start, burst_start + self.burst_ms)
-        return min(1.0, covered / duration_ms)
-
-    def penalty(self, position: Position, start_ms: float, duration_ms: float, channel: int) -> float:
-        if not self.is_active(start_ms):
-            return 0.0
-        if self.channels is not None and channel not in self.channels:
-            return 0.0
-        spatial = self._spatial_factor(position)
-        if spatial <= 0.0:
-            return 0.0
-        overlap = self.burst_overlap_fraction(start_ms, duration_ms)
-        # A 0 dBm burst overlapping more than a sliver of the frame
-        # corrupts it essentially deterministically at receivers within
-        # range (the jammer is as strong as the transmitters); a clip of
-        # only a few percent of the frame tail may still be decodable.
-        if overlap <= BURST_OVERLAP_DECODE_THRESHOLD:
-            return 0.0
-        return spatial
-
     def _spatial_factor_batch(self, positions: np.ndarray) -> np.ndarray:
         delta = np.asarray(positions, dtype=float) - np.asarray(self.position, dtype=float)
         distance = np.hypot(delta[:, 0], delta[:, 1])
@@ -293,7 +198,8 @@ class BurstJammer(InterferenceSource):
         # Burst-overlap fractions of every window in one shot: the
         # candidate burst range covers all windows, and bursts outside
         # a given window contribute an exact 0 to its covered sum, so
-        # each row reproduces ``burst_overlap_fraction`` bit for bit.
+        # each row equals that window's own burst-by-burst sum bit for
+        # bit.
         period = self.period_ms
         origin = (self.start_ms or 0.0) + self.phase_ms
         ends = starts + duration_ms
@@ -369,38 +275,10 @@ class WifiInterference(InterferenceSource):
         #: of (seed, period index), so caching cannot change results.
         self._burst_offsets: dict = {}
         #: Memoized static factors (pure functions of the access points
-        #: and their argument): spectral factor per channel, scalar
-        #: spatial factor per position, batched spatial factors per
-        #: positions array keyed by its contents.
+        #: and their argument): spectral factor per channel, spatial
+        #: factors per positions array keyed by its contents.
         self._spectral_factors: dict = {}
-        self._spatial_factors: dict = {}
         self._spatial_batches: dict = {}
-
-    def is_active(self, time_ms: float) -> bool:
-        if self.start_ms is not None and time_ms < self.start_ms:
-            return False
-        if self.end_ms is not None and time_ms >= self.end_ms:
-            return False
-        return True
-
-    def _spatial_factor(self, position: Position) -> float:
-        key = (float(position[0]), float(position[1]))
-        factor = self._spatial_factors.get(key)
-        if factor is None:
-            factor = self._spatial_factors[key] = self._compute_spatial_factor(position)
-        return factor
-
-    def _compute_spatial_factor(self, position: Position) -> float:
-        if self.positions is None:
-            return 1.0
-        best = 0.0
-        for ap in self.positions:
-            distance = math.hypot(position[0] - ap[0], position[1] - ap[1])
-            if distance <= self.range_m:
-                best = max(best, 1.0)
-            elif distance < 2.0 * self.range_m:
-                best = max(best, 1.0 - (distance - self.range_m) / self.range_m)
-        return best
 
     def _burst_offset(self, period_index: int) -> float:
         """Jittered burst offset within a period (memoized, deterministic)."""
@@ -412,36 +290,6 @@ class WifiInterference(InterferenceSource):
                 self._burst_offsets.clear()
             self._burst_offsets[period_index] = offset
         return offset
-
-    def _burst_active(self, start_ms: float, duration_ms: float) -> float:
-        """Pseudo-random burst occupancy of the window, seeded per period."""
-        if duration_ms <= 0:
-            return 0.0
-        period_index = int(start_ms // self.period_ms)
-        overlap = 0.0
-        # Consider the burst of this period and the previous one spilling in.
-        for index in (period_index, period_index - 1):
-            if index < 0:
-                continue
-            burst_start = index * self.period_ms + self._burst_offset(index)
-            overlap += _interval_overlap(
-                start_ms, start_ms + duration_ms, burst_start, burst_start + self.burst_ms
-            )
-        return min(1.0, overlap / duration_ms)
-
-    def penalty(self, position: Position, start_ms: float, duration_ms: float, channel: int) -> float:
-        if not self.is_active(start_ms):
-            return 0.0
-        spectral = self._spectral_factor(channel)
-        if spectral <= 0.0:
-            return 0.0
-        spatial = self._spatial_factor(position)
-        if spatial <= 0.0:
-            return 0.0
-        overlap = self._burst_active(start_ms, duration_ms)
-        if overlap <= BURST_OVERLAP_DECODE_THRESHOLD:
-            return 0.0
-        return min(1.0, spectral * spatial)
 
     def _spatial_factor_batch(self, positions: np.ndarray) -> np.ndarray:
         positions = np.asarray(positions, dtype=float)
@@ -461,8 +309,8 @@ class WifiInterference(InterferenceSource):
             delta = positions - np.asarray(ap, dtype=float)
             distance = np.hypot(delta[:, 0], delta[:, 1])
             factor = np.clip(1.0 - (distance - self.range_m) / self.range_m, 0.0, 1.0)
-            # The scalar path only counts access points strictly closer
-            # than twice the range; the clip reproduces that cutoff.
+            # Only access points strictly closer than twice the range
+            # count; the clip reproduces that cutoff.
             best = np.maximum(best, factor)
         return best
 
@@ -487,47 +335,39 @@ class WifiInterference(InterferenceSource):
         timeline = np.zeros((count, len(positions)))
         if count == 0 or duration_ms <= 0:
             return timeline
-        if isinstance(channels, (int, np.integer)):
-            spectral = np.full(count, self._spectral_factor(int(channels)))
-        else:
-            channel_arr = np.asarray(channels)
-            factor_by_channel = {
-                int(c): self._spectral_factor(int(c)) for c in np.unique(channel_arr)
-            }
-            spectral = np.array([factor_by_channel[int(c)] for c in channel_arr])
-        active = spectral > 0.0
+        # Burst occupancy: each window overlaps at most the burst of its
+        # own period (row 0) and the previous period's spill-over (row
+        # 1); the memoized per-period offsets keep the draw
+        # deterministic, and a period before the first (index -1) has no
+        # burst (start -inf).  Only the comparison with the decode
+        # threshold reads the occupancy.
+        own = np.floor_divide(starts, self.period_ms).astype(np.int64).tolist()
+        burst_starts = np.array([
+            [
+                index * self.period_ms + self._burst_offset(index) if index >= 0 else -np.inf
+                for index in row
+            ]
+            for row in (own, [index - 1 for index in own])
+        ])
+        overlap = np.minimum(starts + duration_ms, burst_starts + self.burst_ms)
+        overlap -= np.maximum(starts, burst_starts)
+        np.maximum(overlap, 0.0, out=overlap)
+        occupancy = (overlap[0] + overlap[1]) / duration_ms
+        jams = occupancy > BURST_OVERLAP_DECODE_THRESHOLD
         if self.start_ms is not None:
-            active &= starts >= self.start_ms
+            jams &= starts >= self.start_ms
         if self.end_ms is not None:
-            active &= starts < self.end_ms
-        if not active.any():
-            return timeline
-        # Vectorized ``_burst_active``: each window overlaps at most the
-        # burst of its own period and the previous period's spill-over;
-        # the memoized per-period offsets keep the draw deterministic.
-        ends = starts + duration_ms
-        period_index = np.floor_divide(starts, self.period_ms).astype(np.int64)
-        offsets = {
-            int(i): self._burst_offset(int(i))
-            for i in np.unique(np.concatenate([period_index, period_index - 1]))
-            if i >= 0
-        }
-        overlap = np.zeros(count)
-        for shift in (0, -1):
-            indices = period_index + shift
-            burst_starts = indices * self.period_ms + np.array(
-                [offsets.get(int(i), 0.0) for i in indices]
-            )
-            burst_overlap = np.minimum(ends, burst_starts + self.burst_ms)
-            burst_overlap -= np.maximum(starts, burst_starts)
-            np.clip(burst_overlap, 0.0, None, out=burst_overlap)
-            burst_overlap[indices < 0] = 0.0
-            overlap += burst_overlap
-        occupancy = np.minimum(1.0, overlap / duration_ms)
-        jams = active & (occupancy > BURST_OVERLAP_DECODE_THRESHOLD)
+            jams &= starts < self.end_ms
         if jams.any():
+            if isinstance(channels, (int, np.integer)):
+                spectral = self._spectral_factor(int(channels))
+            else:
+                jammed_channels = np.asarray(channels)[jams].tolist()
+                spectral = np.array(
+                    [self._spectral_factor(channel) for channel in jammed_channels]
+                )[:, None]
             spatial = self._spatial_factor_batch(positions)
-            timeline[jams] = np.minimum(1.0, spectral[jams, None] * spatial[None, :])
+            timeline[jams] = np.minimum(1.0, spectral * spatial)
         return timeline
 
 
@@ -562,13 +402,6 @@ class AmbientInterference(InterferenceSource):
         #: (seed, window index), so caching cannot change results.
         self._window_cache: dict = {}
 
-    def is_active(self, time_ms: float) -> bool:
-        if self.start_ms is not None and time_ms < self.start_ms:
-            return False
-        if self.end_ms is not None and time_ms >= self.end_ms:
-            return False
-        return True
-
     def _window_burst(self, window_index: int) -> Optional[Tuple[float, float]]:
         """Burst interval of a window, or ``None`` when the window is clean."""
         if window_index < 0:
@@ -587,21 +420,6 @@ class AmbientInterference(InterferenceSource):
         self._window_cache[window_index] = burst
         return burst
 
-    def penalty(self, position: Position, start_ms: float, duration_ms: float, channel: int) -> float:
-        if not self.is_active(start_ms):
-            return 0.0
-        end_ms = start_ms + duration_ms
-        first_window = int(start_ms // self.window_ms) - 1
-        last_window = int(end_ms // self.window_ms)
-        for window_index in range(first_window, last_window + 1):
-            burst = self._window_burst(window_index)
-            if burst is None:
-                continue
-            overlap = _interval_overlap(start_ms, end_ms, burst[0], burst[1])
-            if duration_ms > 0 and overlap / duration_ms > BURST_OVERLAP_DECODE_THRESHOLD:
-                return 1.0
-        return 0.0
-
     def penalty_windows(
         self,
         positions: np.ndarray,
@@ -614,7 +432,7 @@ class AmbientInterference(InterferenceSource):
         # across receivers.  Each window is checked against the bursts
         # of every memoized window-index it could overlap; windows
         # outside a burst's own range contribute an exact zero overlap,
-        # reproducing the scalar ``penalty`` predicate bit for bit.
+        # so a window sees exactly the bursts of its own range.
         positions = np.asarray(positions, dtype=float)
         starts = np.asarray(starts_ms, dtype=float)
         count = len(starts)
@@ -657,12 +475,6 @@ class CompositeInterference(InterferenceSource):
         """Register an additional interference source."""
         self.sources.append(source)
 
-    def penalty(self, position: Position, start_ms: float, duration_ms: float, channel: int) -> float:
-        survival = 1.0
-        for source in self.sources:
-            survival *= 1.0 - source.penalty(position, start_ms, duration_ms, channel)
-        return 1.0 - survival
-
     def penalty_windows(
         self,
         positions: np.ndarray,
@@ -693,6 +505,3 @@ class CompositeInterference(InterferenceSource):
         if survival is not None:
             penalty[touched] = 1.0 - survival[touched]
         return penalty
-
-    def is_active(self, time_ms: float) -> bool:
-        return any(source.is_active(time_ms) for source in self.sources)

@@ -338,11 +338,6 @@ class LWBRoundEngine:
         """Name of the flood engine implementation in use."""
         return self._flood.engine
 
-    def round_airtime_ms(self, num_data_slots: int) -> float:
-        """Total on-air duration of a round with ``num_data_slots`` data slots."""
-        slots = num_data_slots + 1
-        return slots * self.slot_ms + max(0, slots - 1) * self.slot_gap_ms
-
     def _slot_start_ms(self, round_start_ms: float, slot_index: int) -> float:
         """Global start time of slot ``slot_index`` (0 = control slot)."""
         return round_start_ms + slot_index * (self.slot_ms + self.slot_gap_ms)

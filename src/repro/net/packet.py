@@ -77,11 +77,6 @@ class DimmerFeedbackHeader:
         reliability = data[1] / 255
         return cls(radio_on_ms=radio_on, reliability=reliability)
 
-    @property
-    def size_bytes(self) -> int:
-        """Wire size of the header."""
-        return DIMMER_HEADER_BYTES
-
 
 @dataclass(frozen=True)
 class Packet:

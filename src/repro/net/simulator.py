@@ -157,10 +157,6 @@ class NetworkSimulator:
         """Nodes currently acting as forwarders (coordinator included)."""
         return self.node_state.forwarder_ids()
 
-    def passive_receivers(self) -> List[int]:
-        """Nodes currently acting as passive receivers."""
-        return self.node_state.passive_ids()
-
     # ------------------------------------------------------------------
     # Round execution
     # ------------------------------------------------------------------

@@ -75,12 +75,6 @@ class Topology:
         bx, by = self.positions[b]
         return math.hypot(ax - bx, ay - by)
 
-    def distance_to_point(self, node: int, point: Position) -> float:
-        """Euclidean distance from ``node`` to an arbitrary ``point``."""
-        nx_, ny_ = self.positions[node]
-        px, py = point
-        return math.hypot(nx_ - px, ny_ - py)
-
     def neighbors(self, node: int) -> List[int]:
         """Nodes within communication range of ``node``."""
         return sorted(

@@ -98,14 +98,6 @@ class TrainingResult:
     losses: List[float]
     final_epsilon: float
 
-    @property
-    def average_reward_last_episodes(self) -> float:
-        """Mean episodic reward over the last 10 % of episodes."""
-        if not self.episode_rewards:
-            return 0.0
-        tail = max(1, len(self.episode_rewards) // 10)
-        return float(np.mean(self.episode_rewards[-tail:]))
-
 
 class DQNAgent:
     """DQN agent with replay buffer and target network.

@@ -85,11 +85,6 @@ class QNetwork:
         return self.layer_sizes[0]
 
     @property
-    def output_size(self) -> int:
-        """Number of Q-values the network produces."""
-        return self.layer_sizes[-1]
-
-    @property
     def num_parameters(self) -> int:
         """Total number of trainable parameters (weights plus biases)."""
         return self._parameters.size

@@ -54,11 +54,6 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
-    @property
-    def is_full(self) -> bool:
-        """True once the buffer has reached its capacity."""
-        return self._size >= self.capacity
-
     def clear(self) -> None:
         """Drop every stored transition."""
         self._size = 0

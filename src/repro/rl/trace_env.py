@@ -31,13 +31,6 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.net.glossy import run_lockstep
-from repro.net.interference import (
-    AmbientInterference,
-    BurstJammer,
-    CompositeInterference,
-    InterferenceSource,
-    NoInterference,
-)
 from repro.net.lwb import RoundResult, observer_view_arrays
 from repro.net.simulator import NetworkSimulator, SimulatorConfig
 from repro.net.topology import Topology, kiel_testbed
@@ -177,41 +170,6 @@ DEFAULT_TRAINING_EPISODES: Tuple[EpisodeSpec, ...] = (
 )
 
 
-def build_interference(
-    topology: Topology,
-    ratio: float,
-    ambient_rate: float = 0.02,
-    seed: int = 11,
-) -> InterferenceSource:
-    """Build the interference environment for a given jamming ratio.
-
-    ``ratio`` is the duty cycle of the controlled 802.15.4 jammers
-    placed at the topology's jammer positions; a small ambient component
-    models the uncontrolled office WiFi/Bluetooth background so that
-    very low ``N_TX`` values are not free of risk even when the jammers
-    are off (as on the real testbed during the day).
-    """
-    sources: List[InterferenceSource] = []
-    if ambient_rate > 0.0:
-        sources.append(AmbientInterference(rate=ambient_rate, seed=seed))
-    if ratio > 0.0:
-        jammer_positions = topology.jammers if topology.jammers else [
-            topology.positions[topology.coordinator]
-        ]
-        for index, position in enumerate(jammer_positions):
-            sources.append(
-                BurstJammer(
-                    position=position,
-                    interference_ratio=ratio,
-                    channels=None,
-                    phase_ms=7.0 * index,
-                )
-            )
-    if not sources:
-        return NoInterference()
-    return CompositeInterference(sources)
-
-
 @dataclass(frozen=True)
 class DecisionPoint:
     """All recorded outcomes for one round, keyed by retransmission parameter."""
@@ -315,9 +273,11 @@ class SimulationEnvironment(Environment):
 
     def _apply_interference(self) -> None:
         assert self.simulator is not None
+        from repro.experiments.scenarios import jamming_interference
+
         ratio = self._current_ratio()
         self.simulator.set_interference(
-            build_interference(
+            jamming_interference(
                 self.topology,
                 ratio,
                 ambient_rate=self.ambient_rate,
@@ -442,6 +402,8 @@ def record_episodes(topology: Topology, slices: Sequence[TraceSlice]) -> List[Li
     :class:`~repro.net.lwb.RoundResult` is dropped, so memory does not
     grow with the round count.
     """
+    from repro.experiments.scenarios import jamming_interference
+
     simulators = [
         NetworkSimulator(
             topology,
@@ -472,7 +434,7 @@ def record_episodes(topology: Topology, slices: Sequence[TraceSlice]) -> List[Li
             ratio, segment_start = plans[e][round_in_episode]
             if segment_start:
                 simulator.set_interference(
-                    build_interference(
+                    jamming_interference(
                         topology,
                         ratio,
                         ambient_rate=piece.ambient_rate,

@@ -13,7 +13,8 @@ per-node formulation those are checked against:
 * :func:`run_reference` — one flood with per-node dict bookkeeping,
   drawing from ``flood.rng`` exactly as the ``"scalar"`` engine must:
   one draw per listener with a non-zero reception probability, in
-  participant order.
+  participant order; each listener's interference penalty is the
+  scalar :func:`reference_interference.penalty`.
 
 ``tests/test_scalar_engine_parity.py`` pins the scalar engine to
 :func:`run_reference` bit for bit, and the flood-speed benchmark times
@@ -33,6 +34,8 @@ from repro.net.glossy import FloodResult, GlossyFlood
 from repro.net.interference import InterferenceSource, NoInterference
 from repro.net.link import PRR_SNR_MIDPOINT_DB, PRR_SNR_SLOPE_PER_DB, LinkModel
 from repro.net.packet import DEFAULT_PACKET_BYTES
+
+from reference_interference import penalty as reference_penalty
 
 
 @dataclass(frozen=True)
@@ -206,8 +209,8 @@ def run_reference(
         phase_start = start_ms + phase * phase_ms
         if transmitters:
             for node in listeners:
-                penalty = interference.penalty(
-                    flood.topology.positions[node], phase_start, phase_ms, channel
+                penalty = reference_penalty(
+                    interference, flood.topology.positions[node], phase_start, phase_ms, channel
                 )
                 probability = links.reception_probability(
                     transmitters, node, interference_penalty=penalty

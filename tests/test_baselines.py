@@ -7,9 +7,13 @@ from repro.baselines.crystal import CrystalConfig, CrystalProtocol
 from repro.baselines.pid import PIController, PIDConfig, PIDProtocol
 from repro.baselines.static_lwb import StaticLWBProtocol
 from repro.experiments.metrics import summarize_round_results
+from repro.experiments.scenarios import dcube_wifi_interference, jamming_interference
+from repro.net.glossy import run_lockstep
 from repro.net.interference import BurstJammer, CompositeInterference, WifiInterference
 from repro.net.simulator import NetworkSimulator, SimulatorConfig
-from repro.net.topology import kiel_testbed
+from repro.net.topology import dcube_testbed, kiel_testbed
+
+import reference_interference as reference
 
 
 class TestStaticLWB:
@@ -206,3 +210,61 @@ class TestCrystal:
         busy.enqueue(5, count=3)
         busy.run_epoch()
         assert crystal.total_energy_j() < busy.total_energy_j()
+
+    @pytest.mark.parametrize("case", ["dcube-wifi1", "dcube-wifi2", "kiel-jamming"])
+    def test_noise_row_equals_reference_penalty(self, case):
+        """The sink's one-window ``penalty_windows`` row that noise
+        detection samples equals the scalar reference penalty exactly,
+        not only in its ``> 0.05`` decision."""
+        if case == "kiel-jamming":
+            topology = kiel_testbed()
+            interference = jamming_interference(topology, 0.3)
+        else:
+            topology = dcube_testbed()
+            interference = dcube_wifi_interference(topology, int(case[-1]))
+        crystal = CrystalProtocol(topology, CrystalConfig(seed=0), interference=interference)
+        sink = topology.positions[crystal.sink]
+        slot_ms = crystal.config.slot_ms
+        penalties = []
+        for start in np.arange(0.0, 3000.0, 4.7).tolist():
+            for channel in (11, 15, 20, 26):
+                row = interference.penalty_windows(
+                    crystal._sink_position, np.array([start]), slot_ms, channel
+                )
+                expected = reference.penalty(interference, sink, start, slot_ms, channel)
+                assert row.shape == (1, 1)
+                assert row[0, 0] == expected, (start, channel)
+                assert crystal._noise_detected(start, channel) == (expected > 0.05)
+                penalties.append(expected)
+        # The grid reaches both decisions.
+        assert min(penalties) == 0.0 and max(penalties) > 0.05
+
+    def test_lockstep_epochs_equal_solo_epochs(self):
+        """Two Crystal protocols driven by ``run_lockstep`` over their
+        ``epoch_steps`` give the summaries of their solo ``run_epoch``
+        and leave every generator in the same state."""
+        topology = dcube_testbed()
+
+        def build():
+            return [
+                CrystalProtocol(
+                    topology,
+                    CrystalConfig(seed=seed),
+                    interference=dcube_wifi_interference(topology, level),
+                )
+                for seed, level in ((3, 1), (4, 2))
+            ]
+
+        lockstep, solo = build(), build()
+        sources = [node for node in topology.node_ids if node != topology.coordinator][:4]
+        for epoch in range(5):
+            for protocol in lockstep + solo:
+                for source in sources[: 1 + epoch % len(sources)]:
+                    protocol.enqueue(source)
+            stepped = run_lockstep([protocol.epoch_steps() for protocol in lockstep])
+            alone = [protocol.run_epoch() for protocol in solo]
+            assert stepped == alone
+        for a, b in zip(lockstep, solo):
+            assert a.history == b.history
+            assert a.radio_on_totals.total_ms.tolist() == b.radio_on_totals.total_ms.tolist()
+            assert a.rng.bit_generator.state == b.rng.bit_generator.state

@@ -69,9 +69,6 @@ class TestChannelHopper:
         hopper.reset()
         assert hopper.data_channel(0) == first
 
-    def test_channels_for_round_length(self):
-        assert len(ChannelHopper().channels_for_round(5)) == 5
-
     def test_invalid_sequence_rejected(self):
         with pytest.raises(ValueError):
             ChannelHopper(sequence=())

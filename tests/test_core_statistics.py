@@ -67,7 +67,7 @@ class TestStatisticsCollector:
         collector.build_view(round_result)
         collector.build_view(round_result)
         assert collector.calm_rounds() == 2
-        assert not collector.losses_in_last(2)
+        assert not any(view.had_losses for view in collector.recent_views(2))
 
     def test_history_window_bounded(self, kiel, round_result):
         collector = StatisticsCollector(

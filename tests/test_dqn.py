@@ -127,7 +127,8 @@ class TestDQNAgent:
         assert result.episodes > 100
         # The optimal return is 4 (reaching the goal at step 4 of 8);
         # a trained agent should get most of it.
-        assert result.average_reward_last_episodes >= 3.0
+        tail = max(1, len(result.episode_rewards) // 10)
+        assert np.mean(result.episode_rewards[-tail:]) >= 3.0
         # And the greedy policy should move right from the start state.
         start = np.zeros(5)
         start[0] = 1.0
@@ -226,7 +227,7 @@ class TestTrainingFingerprint:
             seed=5,
         ))
         result = call(lambda: agent.train(environment, iterations=2000))
-        assert agent.buffer.is_full
+        assert len(agent.buffer) == agent.buffer.capacity
         assert (result.episodes, len(result.losses)) == (200, 1937)
         parameters = agent.online.weights + agent.online.biases
         weights_digest = hashlib.sha256(b"".join(p.tobytes() for p in parameters)).hexdigest()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.experiments.scenarios import jamming_interference
 from repro.net.lwb import observer_view_arrays
 from repro.net.simulator import NetworkSimulator, SimulatorConfig
 from repro.net.topology import grid_topology
@@ -13,10 +14,11 @@ from repro.rl.trace_env import (
     TraceEnvironment,
     TraceRecorder,
     apply_churn_events,
-    build_interference,
     group_decision_points,
     node_outage_schedule,
 )
+
+from reference_interference import is_active
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +59,7 @@ def solo_slice_observables(recorder, episode, n_tx, episode_seed, interference_s
     rounds = []
     for segment_rounds, ratio in episode:
         simulator.set_interference(
-            build_interference(
+            jamming_interference(
                 topology, ratio, ambient_rate=recorder.ambient_rate, seed=interference_seed
             )
         )
@@ -91,14 +93,18 @@ class TestActions:
             apply_action(3, Action.MAINTAIN, n_max=1, n_min=2)
 
 
-class TestBuildInterference:
+class TestJammingInterference:
+    """The trace environments build their interference with
+    ``jamming_interference`` (jammers at the coordinator when the
+    topology places none)."""
+
     def test_zero_ratio_without_ambient_is_clean(self, tiny_topology):
-        source = build_interference(tiny_topology, 0.0, ambient_rate=0.0)
-        assert not source.is_active(0.0)
+        source = jamming_interference(tiny_topology, 0.0, ambient_rate=0.0)
+        assert not is_active(source, 0.0)
 
     def test_positive_ratio_builds_jammers(self, tiny_topology):
-        source = build_interference(tiny_topology, 0.3, ambient_rate=0.0)
-        assert source.is_active(0.0)
+        source = jamming_interference(tiny_topology, 0.3, ambient_rate=0.0)
+        assert is_active(source, 0.0)
 
 
 class TestTraceRecorder:

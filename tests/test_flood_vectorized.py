@@ -234,7 +234,6 @@ class TestArrayBackedFloodResult:
             sum(radio_on.values()) / len(radio_on)
         )
         assert result.receivers() == sorted(n for n, ok in received.items() if ok)
-        assert result.non_receivers() == sorted(n for n, ok in received.items() if not ok)
 
     def test_scalar_and_vectorized_results_expose_same_api(self):
         topology = grid_topology(rows=2, cols=2, spacing_m=4.0, comm_range_m=8.0)
@@ -273,7 +272,7 @@ class TestArrayBackedFloodResult:
             radio_on_ms=10.0,
         )
         assert empty.reliability == 0.0
-        assert empty.non_receivers() == [1, 2, 3]
+        assert not empty.received_array.any()
         assert empty.reception_phase_array.tolist() == [-1, -1, -1]
         assert empty.average_radio_on_ms == 10.0
 

@@ -1,4 +1,9 @@
-"""Tests for the interference sources."""
+"""Tests for the interference sources.
+
+The sources' behaviour is checked through ``penalty_windows`` (the one
+formulation of ``src/``), and every built-in source's windows are pinned
+to the scalar reference formulation of ``reference_interference``.
+"""
 
 import numpy as np
 import pytest
@@ -13,6 +18,16 @@ from repro.net.interference import (
     WifiInterference,
     burst_period_ms,
 )
+
+import reference_interference as reference
+
+
+def window_penalty(source, position, start_ms, duration_ms, channel):
+    """The penalty of one reception window at one position, from ``penalty_windows``."""
+    windows = source.penalty_windows(
+        np.array([position], dtype=float), np.array([start_ms]), duration_ms, channel
+    )
+    return windows[0, 0]
 
 
 class TestBurstPeriod:
@@ -35,15 +50,14 @@ class TestBurstPeriod:
     def test_zero_ratio_jammer_period_is_infinite(self):
         jammer = BurstJammer(position=(0.0, 0.0), interference_ratio=0.0)
         assert jammer.period_ms == float("inf")
-        assert jammer.penalty((0.0, 0.0), 1.0, 2.0, 26) == 0.0
         assert not jammer.penalty_windows(np.zeros((4, 2)), np.array([1.0]), 2.0, 26).any()
 
 
 class TestNoInterference:
     def test_penalty_always_zero(self):
         source = NoInterference()
-        assert source.penalty((0.0, 0.0), 123.0, 2.0, 26) == 0.0
-        assert not source.is_active(0.0)
+        assert window_penalty(source, (0.0, 0.0), 123.0, 2.0, 26) == 0.0
+        assert not reference.is_active(source, 0.0)
 
 
 class TestBurstJammer:
@@ -54,48 +68,53 @@ class TestBurstJammer:
     def test_reception_during_burst_is_jammed_nearby(self):
         jammer = BurstJammer(position=(0.0, 0.0), interference_ratio=0.30, channels=None)
         # The first burst starts at t=0 and lasts 13 ms.
-        assert jammer.penalty((1.0, 1.0), 1.0, 2.0, 26) == pytest.approx(1.0)
+        assert window_penalty(jammer, (1.0, 1.0), 1.0, 2.0, 26) == pytest.approx(1.0)
 
     def test_reception_between_bursts_is_clean(self):
         jammer = BurstJammer(position=(0.0, 0.0), interference_ratio=0.10, channels=None)
         # Burst covers [0, 13); [60, 62) sits in the gap before 130.
-        assert jammer.penalty((1.0, 1.0), 60.0, 2.0, 26) == 0.0
+        assert window_penalty(jammer, (1.0, 1.0), 60.0, 2.0, 26) == 0.0
 
     def test_far_receivers_unaffected(self):
         jammer = BurstJammer(position=(0.0, 0.0), interference_ratio=0.30, channels=None, range_m=5.0)
-        assert jammer.penalty((100.0, 100.0), 1.0, 2.0, 26) == 0.0
+        assert window_penalty(jammer, (100.0, 100.0), 1.0, 2.0, 26) == 0.0
 
     def test_spatial_falloff_between_range_and_twice_range(self):
         jammer = BurstJammer(position=(0.0, 0.0), interference_ratio=0.30, channels=None, range_m=5.0)
-        inside = jammer.penalty((2.0, 0.0), 1.0, 2.0, 26)
-        annulus = jammer.penalty((7.5, 0.0), 1.0, 2.0, 26)
+        inside = window_penalty(jammer, (2.0, 0.0), 1.0, 2.0, 26)
+        annulus = window_penalty(jammer, (7.5, 0.0), 1.0, 2.0, 26)
         assert inside == pytest.approx(1.0)
         assert 0.0 < annulus < 1.0
 
     def test_channel_filter(self):
         jammer = BurstJammer(position=(0.0, 0.0), interference_ratio=0.30, channels=(26,))
-        assert jammer.penalty((1.0, 1.0), 1.0, 2.0, 15) == 0.0
-        assert jammer.penalty((1.0, 1.0), 1.0, 2.0, 26) > 0.0
+        assert window_penalty(jammer, (1.0, 1.0), 1.0, 2.0, 15) == 0.0
+        assert window_penalty(jammer, (1.0, 1.0), 1.0, 2.0, 26) > 0.0
 
     def test_activation_window(self):
         jammer = BurstJammer(
             position=(0.0, 0.0), interference_ratio=0.30, channels=None,
             start_ms=1000.0, end_ms=2000.0,
         )
-        assert not jammer.is_active(500.0)
-        assert jammer.is_active(1500.0)
-        assert not jammer.is_active(2500.0)
-        assert jammer.penalty((1.0, 1.0), 500.0, 2.0, 26) == 0.0
+        assert not reference.is_active(jammer, 500.0)
+        assert reference.is_active(jammer, 1500.0)
+        assert not reference.is_active(jammer, 2500.0)
+        assert window_penalty(jammer, (1.0, 1.0), 500.0, 2.0, 26) == 0.0
+        # The first burst of the window starts at its activation: [1000, 1013).
+        assert window_penalty(jammer, (1.0, 1.0), 1001.0, 2.0, 26) == 1.0
+        assert window_penalty(jammer, (1.0, 1.0), 2001.0, 2.0, 26) == 0.0
 
     def test_zero_ratio_never_active(self):
         jammer = BurstJammer(position=(0.0, 0.0), interference_ratio=0.0)
-        assert not jammer.is_active(0.0)
-        assert jammer.burst_overlap_fraction(0.0, 20.0) == 0.0
+        assert not reference.is_active(jammer, 0.0)
+        assert reference.burst_overlap_fraction(jammer, 0.0, 20.0) == 0.0
 
     def test_overlap_fraction_matches_duty_cycle(self):
         jammer = BurstJammer(position=(0.0, 0.0), interference_ratio=0.25, channels=None)
         # Over a long window the covered fraction approaches the duty cycle.
-        assert jammer.burst_overlap_fraction(0.0, 5200.0) == pytest.approx(0.25, abs=0.02)
+        assert reference.burst_overlap_fraction(jammer, 0.0, 5200.0) == pytest.approx(
+            0.25, abs=0.02
+        )
 
     def test_invalid_ratio_rejected(self):
         with pytest.raises(ValueError):
@@ -114,20 +133,23 @@ class TestWifiInterference:
 
     def test_penalty_bounded(self):
         wifi = WifiInterference(level=2, seed=1)
-        for start in range(0, 200, 7):
-            penalty = wifi.penalty((0.0, 0.0), float(start), 1.6, 15)
-            assert 0.0 <= penalty <= 1.0
+        penalties = wifi.penalty_windows(
+            np.zeros((1, 2)), np.arange(0.0, 200.0, 7.0), 1.6, 15
+        )
+        assert ((0.0 <= penalties) & (penalties <= 1.0)).all()
 
     def test_some_windows_are_jammed_at_level_2(self):
         wifi = WifiInterference(level=2, seed=1)
         # Channel 12 sits in the middle of WiFi channel 1's bandwidth.
-        penalties = [wifi.penalty((0.0, 0.0), float(t), 1.6, 12) for t in range(0, 2000, 5)]
-        assert any(p > 0.0 for p in penalties)
-        assert any(p == 0.0 for p in penalties)
+        penalties = wifi.penalty_windows(np.zeros((1, 2)), np.arange(0.0, 2000.0, 5.0), 1.6, 12)
+        assert (penalties > 0.0).any()
+        assert (penalties == 0.0).any()
 
     def test_deterministic_per_time(self):
         wifi = WifiInterference(level=1, seed=4)
-        assert wifi.penalty((0.0, 0.0), 37.0, 1.6, 12) == wifi.penalty((0.0, 0.0), 37.0, 1.6, 12)
+        assert window_penalty(wifi, (0.0, 0.0), 37.0, 1.6, 12) == window_penalty(
+            wifi, (0.0, 0.0), 37.0, 1.6, 12
+        )
 
     def test_each_position_array_gets_its_own_spatial_factors(self):
         # Two deployments of the same size near and far from the access
@@ -148,28 +170,30 @@ class TestWifiInterference:
         fresh = WifiInterference(level=2, positions=[(0.0, 0.0)], range_m=10.0, seed=1)
         assert (fresh.penalty_windows(far, starts, 1.6, 12) == first_far).all()
         for column, position in enumerate(map(tuple, far)):
-            scalar = [wifi.penalty(position, start, 1.6, 12) for start in starts]
+            scalar = [reference.penalty(wifi, position, start, 1.6, 12) for start in starts]
             assert scalar == first_far[:, column].tolist()
 
 
 class TestAmbientInterference:
     def test_penalty_is_binary(self):
         ambient = AmbientInterference(rate=0.5, seed=2)
-        penalties = {ambient.penalty((0.0, 0.0), float(t), 1.6, 26) for t in range(0, 3000, 3)}
-        assert penalties <= {0.0, 1.0}
+        penalties = ambient.penalty_windows(
+            np.zeros((1, 2)), np.arange(0.0, 3000.0, 3.0), 1.6, 26
+        )
+        assert set(penalties.ravel().tolist()) <= {0.0, 1.0}
 
     def test_zero_rate_never_jams(self):
         ambient = AmbientInterference(rate=0.0, seed=2)
-        assert all(
-            ambient.penalty((0.0, 0.0), float(t), 1.6, 26) == 0.0 for t in range(0, 1000, 10)
-        )
+        assert not ambient.penalty_windows(
+            np.zeros((1, 2)), np.arange(0.0, 1000.0, 10.0), 1.6, 26
+        ).any()
 
     def test_rate_roughly_controls_occupancy(self):
         low = AmbientInterference(rate=0.05, seed=3)
         high = AmbientInterference(rate=0.5, seed=3)
-        times = range(0, 20000, 7)
-        low_hits = sum(low.penalty((0.0, 0.0), float(t), 1.6, 26) for t in times)
-        high_hits = sum(high.penalty((0.0, 0.0), float(t), 1.6, 26) for t in times)
+        times = np.arange(0.0, 20000.0, 7.0)
+        low_hits = low.penalty_windows(np.zeros((1, 2)), times, 1.6, 26).sum()
+        high_hits = high.penalty_windows(np.zeros((1, 2)), times, 1.6, 26).sum()
         assert high_hits > low_hits
 
     def test_invalid_rate_rejected(self):
@@ -188,22 +212,22 @@ def window_channels(pattern, count):
 
 
 def assert_windows_match_scalar_penalty(source, positions, starts, duration, channels):
-    """Row ``m`` of ``penalty_windows`` is exactly the scalar ``penalty``
-    of every position in window ``m``."""
+    """Row ``m`` of ``penalty_windows`` is exactly the reference scalar
+    ``penalty`` of every position in window ``m``."""
     windows = source.penalty_windows(positions, starts, duration, channels)
     assert windows.shape == (len(starts), len(positions))
     per_window = np.broadcast_to(channels, (len(starts),))
     for row, (start, channel) in enumerate(zip(starts, per_window)):
         expected = [
-            source.penalty((float(x), float(y)), float(start), duration, int(channel))
+            reference.penalty(source, (float(x), float(y)), float(start), duration, int(channel))
             for x, y in positions
         ]
         assert windows[row].tolist() == expected, (type(source).__name__, row)
 
 
 class TestScalarBatchEquivalence:
-    """The vectorized ``penalty_windows`` must equal the scalar
-    ``penalty`` oracle exactly, for every built-in source."""
+    """The vectorized ``penalty_windows`` must equal the reference scalar
+    ``penalty`` exactly, for every built-in source."""
 
     POSITIONS = np.array(
         [[0.0, 0.0], [1.0, 1.0], [4.0, 0.0], [7.5, 0.0], [9.9, 0.1], [40.0, 40.0]]
@@ -221,6 +245,10 @@ class TestScalarBatchEquivalence:
                 phase_ms=5.0,
             ),
             WifiInterference(level=2, positions=[(0.0, 0.0), (6.0, 6.0)], seed=3),
+            # Both activation bounds fall on a jammed window start.
+            WifiInterference(
+                level=2, positions=[(3.0, 0.0)], start_ms=22.0, end_ms=333.3, seed=4
+            ),
             AmbientInterference(rate=0.5, seed=2),
             CompositeInterference(
                 [
@@ -252,11 +280,12 @@ class TestScalarBatchEquivalence:
             )
 
     def test_overlap_cutoff_is_shared(self):
-        """The decode threshold gates penalty and penalty_windows identically.
+        """The decode threshold gates the reference penalty and
+        penalty_windows identically.
 
         A burst overlap just below the shared cutoff must be free in both
         formulations, just above must jam in both — so the cutoff cannot
-        silently drift apart between the scalar and vectorized engines.
+        silently drift apart between the oracle and ``src/``.
         """
         jammer = BurstJammer(position=(0.0, 0.0), interference_ratio=0.10, channels=None)
         position = (1.0, 1.0)
@@ -269,51 +298,38 @@ class TestScalarBatchEquivalence:
             (BURST_OVERLAP_DECODE_THRESHOLD + 0.02, True),
         ]:
             start = 13.0 - fraction * duration
-            scalar = jammer.penalty(position, start, duration, 26)
+            scalar = reference.penalty(jammer, position, start, duration, 26)
             windows = jammer.penalty_windows(positions, np.array([start]), duration, 26)
             expected = 1.0 if jammed else 0.0
             assert scalar == pytest.approx(expected)
             assert windows[0, 0] == pytest.approx(expected)
 
-    def test_default_windows_stack_scalar_penalty(self):
-        """Custom sources inherit penalty_windows from their penalty."""
+    def test_custom_sources_must_implement_windows(self):
+        """``penalty_windows`` is the one method a source implements."""
 
-        class HalfJam(InterferenceSource):
-            def penalty(self, position, start_ms, duration_ms, channel):
-                return 0.5 if start_ms < 5.0 and channel == 26 else 0.0
+        class Silent(InterferenceSource):
+            pass
 
-        source = HalfJam()
-        starts = 2.0 * np.arange(4)
-        windows = source.penalty_windows(self.POSITIONS, starts, 2.0, 26)
-        assert windows.shape == (4, len(self.POSITIONS))
-        assert windows[0].tolist() == [0.5] * len(self.POSITIONS)
-        assert windows[3].tolist() == [0.0] * len(self.POSITIONS)
-        assert_windows_match_scalar_penalty(
-            source, self.POSITIONS, starts, 2.0, np.array([26, 15, 26, 26])
-        )
-        assert source.penalty_windows(self.POSITIONS, np.array([]), 2.0, 26).shape == (
-            0,
-            len(self.POSITIONS),
-        )
-        with pytest.raises(ValueError):
-            source.penalty_windows(self.POSITIONS, starts, 2.0, np.array([26, 15]))
+        with pytest.raises(TypeError):
+            Silent()
 
 
 class TestCompositeInterference:
     def test_combines_independent_sources(self):
         jammer = BurstJammer(position=(0.0, 0.0), interference_ratio=0.30, channels=None)
         composite = CompositeInterference([NoInterference(), jammer])
-        assert composite.penalty((1.0, 1.0), 1.0, 2.0, 26) == pytest.approx(
-            jammer.penalty((1.0, 1.0), 1.0, 2.0, 26)
+        assert window_penalty(composite, (1.0, 1.0), 1.0, 2.0, 26) == pytest.approx(
+            window_penalty(jammer, (1.0, 1.0), 1.0, 2.0, 26)
         )
 
     def test_empty_composite_is_clean(self):
-        assert CompositeInterference().penalty((0.0, 0.0), 0.0, 2.0, 26) == 0.0
+        assert window_penalty(CompositeInterference(), (0.0, 0.0), 0.0, 2.0, 26) == 0.0
 
     def test_add_source(self):
         composite = CompositeInterference()
         composite.add(BurstJammer(position=(0.0, 0.0), interference_ratio=0.3, channels=None))
-        assert composite.is_active(0.0)
+        assert reference.is_active(composite, 0.0)
+        assert window_penalty(composite, (1.0, 1.0), 1.0, 2.0, 26) == 1.0
 
     def test_penalty_never_exceeds_one(self):
         sources = [
@@ -321,13 +337,13 @@ class TestCompositeInterference:
             BurstJammer(position=(0.5, 0.5), interference_ratio=0.5, channels=None),
         ]
         composite = CompositeInterference(sources)
-        assert composite.penalty((0.0, 0.0), 1.0, 2.0, 26) <= 1.0
+        assert window_penalty(composite, (0.0, 0.0), 1.0, 2.0, 26) <= 1.0
 
 
 class TestPenaltyWindows:
     """``penalty_windows`` evaluates the timelines of all slots of a
-    round in one call; its rows must match the scalar ``penalty`` of
-    each window for every built-in source."""
+    round in one call; its rows must match the reference scalar
+    ``penalty`` of each window for every built-in source."""
 
     POSITIONS = np.array([[0.0, 0.0], [3.0, 1.0], [40.0, 40.0]])
 

@@ -109,9 +109,6 @@ class TestRoundExecution:
         ]
         assert any(r.had_losses for r in results)
 
-    def test_round_airtime_scales_with_slots(self, engine):
-        assert engine.round_airtime_ms(10) > engine.round_airtime_ms(2)
-
     @pytest.mark.parametrize("kind", ["dict", "misordered", "subset"])
     def test_rejects_node_state_other_than_the_aligned_store(self, engine, kiel, kind):
         if kind == "dict":

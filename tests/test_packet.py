@@ -36,7 +36,6 @@ class TestDimmerFeedbackHeader:
     def test_header_is_two_bytes(self):
         header = DimmerFeedbackHeader(radio_on_ms=5.0, reliability=1.0)
         assert len(header.encode()) == DIMMER_HEADER_BYTES == 2
-        assert header.size_bytes == 2
 
     def test_radio_on_saturates_at_slot_length(self):
         header = DimmerFeedbackHeader(radio_on_ms=100.0, reliability=0.5)

@@ -127,7 +127,7 @@ def test_quantized_network_tracks_float_network(data):
 def test_jammer_penalty_always_valid(ratio, start, duration):
     """Burst-jammer penalties are always probabilities."""
     jammer = BurstJammer(position=(0.0, 0.0), interference_ratio=ratio, channels=None)
-    penalty = jammer.penalty((1.0, 1.0), start, duration, 26)
-    assert 0.0 <= penalty <= 1.0
     composite = CompositeInterference([jammer, jammer])
-    assert 0.0 <= composite.penalty((1.0, 1.0), start, duration, 26) <= 1.0
+    for source in (jammer, composite):
+        penalty = source.penalty_windows(np.array([[1.0, 1.0]]), np.array([start]), duration, 26)
+        assert 0.0 <= penalty[0, 0] <= 1.0

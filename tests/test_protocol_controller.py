@@ -133,7 +133,7 @@ class TestControllerModes:
         saw_passive = False
         for _ in range(30):
             protocol.run_round()
-            if simulator.passive_receivers():
+            if (simulator.node_state.role_codes == ROLE_PASSIVE).any():
                 saw_passive = True
                 break
         assert saw_passive

@@ -15,7 +15,7 @@ class TestConstruction:
     def test_input_output_sizes(self):
         network = QNetwork((31, 30, 3))
         assert network.input_size == 31
-        assert network.output_size == 3
+        assert network(np.zeros(31)).shape == (3,)
 
     def test_invalid_layouts_rejected(self):
         with pytest.raises(ValueError):

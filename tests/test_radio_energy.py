@@ -83,7 +83,9 @@ class TestEnergyModel:
 
     def test_energy_j_matches_slot_energy(self):
         model = EnergyModel()
-        assert model.energy_j(8.0) == pytest.approx(model.slot_energy_mj(8.0) / 1000.0)
+        assert model.energy_j(8.0) == pytest.approx(
+            model.radio.radio_on_energy_mj(8.0, model.tx_fraction) / 1000.0
+        )
 
     def test_fresh_network_reports_zero(self, kiel):
         simulator = NetworkSimulator(kiel, SimulatorConfig(seed=0))
@@ -92,6 +94,3 @@ class TestEnergyModel:
         crystal = CrystalProtocol(kiel, CrystalConfig(seed=0))
         assert crystal.average_radio_on_ms() == 0.0
         assert crystal.total_energy_j() == 0.0
-
-    def test_slot_energy_positive(self):
-        assert EnergyModel().slot_energy_mj(8.0) > 0.0

@@ -18,7 +18,7 @@ class TestReplayBuffer:
         for i in range(5):
             buffer.push(np.full(2, i), 0, float(i), np.full(2, i + 1), False)
         assert len(buffer) == 3
-        assert buffer.is_full
+        assert len(buffer) == buffer.capacity
 
     def test_sample_shapes(self):
         buffer = ReplayBuffer(capacity=100, seed=0)

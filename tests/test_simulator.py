@@ -61,7 +61,7 @@ class TestSimulator:
     def test_roles_update_forwarder_lists(self, small_simulator):
         node = [n for n in small_simulator.topology.node_ids if n != small_simulator.topology.coordinator][0]
         small_simulator.set_role(node, NodeRole.PASSIVE)
-        assert node in small_simulator.passive_receivers()
+        assert node in small_simulator.node_state.passive_ids()
         assert node not in small_simulator.active_forwarders()
 
     def test_same_seed_gives_same_outcome(self):

@@ -98,9 +98,6 @@ class TestTopologyQueries:
         with pytest.raises(ValueError):
             Topology(positions={0: (0.0, 0.0)}, coordinator=0, comm_range_m=0.0)
 
-    def test_distance_to_point(self, kiel):
-        assert kiel.distance_to_point(0, kiel.positions[0]) == pytest.approx(0.0)
-
 
 class TestHopTables:
     """Literal hop tables from the coordinator, in node-id order."""
