@@ -8,7 +8,7 @@ from repro.baselines.pid import PIController, PIDConfig, PIDProtocol
 from repro.baselines.static_lwb import StaticLWBProtocol
 from repro.experiments.metrics import summarize_round_results
 from repro.experiments.scenarios import dcube_wifi_interference, jamming_interference
-from repro.net.glossy import run_lockstep
+from repro.net.glossy import GlossyFlood, run_lockstep
 from repro.net.interference import BurstJammer, CompositeInterference, WifiInterference
 from repro.net.simulator import NetworkSimulator, SimulatorConfig
 from repro.net.topology import dcube_testbed, kiel_testbed
@@ -268,3 +268,87 @@ class TestCrystal:
             assert a.history == b.history
             assert a.radio_on_totals.total_ms.tolist() == b.radio_on_totals.total_ms.tolist()
             assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+    def test_epoch_floods_run_through_run_batch_only(self, kiel, monkeypatch):
+        """Every Crystal flood is a request that ``run_batch`` runs;
+        Crystal never calls the one-flood ``GlossyFlood.run`` itself
+        (the scalar engine's ``run_batch`` runs its floods through it)."""
+        calls = []
+        inside_batch = []
+        run, run_batch = GlossyFlood.run, GlossyFlood.run_batch
+
+        def guarded_run(flood, *args, **kwargs):
+            assert inside_batch, "Crystal called GlossyFlood.run"
+            return run(flood, *args, **kwargs)
+
+        def counting_run_batch(flood, *args, **kwargs):
+            calls.append(flood)
+            inside_batch.append(flood)
+            try:
+                return run_batch(flood, *args, **kwargs)
+            finally:
+                inside_batch.pop()
+
+        monkeypatch.setattr(GlossyFlood, "run", guarded_run)
+        monkeypatch.setattr(GlossyFlood, "run_batch", counting_run_batch)
+        crystal = CrystalProtocol(
+            kiel, CrystalConfig(seed=5), interference=WifiInterference(level=2, seed=3)
+        )
+        sources = [node for node in kiel.node_ids if node != kiel.coordinator][:3]
+        for _ in range(4):
+            for source in sources:
+                crystal.enqueue(source)
+            crystal.run_epoch()
+        assert crystal.delivered_packets > 0
+        # At least the S slot of every epoch and one T and A slot per delivery.
+        assert len(calls) >= 4 + 2 * crystal.delivered_packets
+        assert all(flood is crystal.flood for flood in calls)
+
+    def test_epoch_steps_request_one_slot_flood_each(self, kiel):
+        """``epoch_steps`` asks for one flood per slot: the sink's S slot
+        first, slots on the epoch's slot grid in increasing order, and an
+        A slot from the sink on the T slot's channel after every T slot
+        the sink received."""
+        crystal = CrystalProtocol(kiel, CrystalConfig(seed=6))
+        config = crystal.config
+        period_ms = config.slot_ms + config.slot_gap_ms
+        sources = [node for node in kiel.node_ids if node != kiel.coordinator][:3]
+        for source in sources:
+            crystal.enqueue(source, count=2)
+        epoch_start_ms = crystal.time_ms
+        steps = crystal.epoch_steps()
+        requests, results = [], []
+        try:
+            request = next(steps)
+            while True:
+                requests.append(request)
+                results.append(request.run())
+                request = steps.send(results[-1])
+        except StopIteration as stop:
+            summary = stop.value
+        assert requests[0].initiators == [crystal.sink]
+        assert requests[0].channels == [crystal.hopper.control_channel()]
+        slot_indices = []
+        for request in requests:
+            assert request.flood is crystal.flood
+            assert len(request.initiators) == 1
+            assert request.n_tx == config.n_tx
+            assert request.max_slot_ms == config.slot_ms
+            assert request.interference is crystal.interference
+            (start,) = request.start_times
+            slot_index = (start - epoch_start_ms) / period_ms
+            assert slot_index == int(slot_index)
+            slot_indices.append(int(slot_index))
+        assert slot_indices == sorted(set(slot_indices))
+        acknowledged = 0
+        for position, (request, (result,)) in enumerate(zip(requests, results)):
+            if position == 0 or request.initiators[0] == crystal.sink:
+                continue
+            if result.received_at(crystal.sink):
+                ack = requests[position + 1]
+                assert ack.initiators == [crystal.sink]
+                assert ack.channels == request.channels
+                assert slot_indices[position + 1] == slot_indices[position] + 1
+                acknowledged += 1
+        assert acknowledged == len(summary.delivered) > 0
+        assert summary is crystal.history[-1]
