@@ -272,7 +272,8 @@ class TestArrayBackedFloodResult:
             radio_on_ms=10.0,
         )
         assert empty.reliability == 0.0
-        assert not empty.received_array.any()
+        missed = np.asarray(empty.node_ids)[~empty.received_array]
+        assert sorted(missed.tolist()) == [1, 2, 3]
         assert empty.reception_phase_array.tolist() == [-1, -1, -1]
         assert empty.average_radio_on_ms == 10.0
 
