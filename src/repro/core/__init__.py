@@ -4,7 +4,9 @@ The core package wires the RL substrate to the network substrate:
 
 * :mod:`repro.core.config` — all protocol parameters in one place.
 * :mod:`repro.core.statistics` — the statistics collector building the
-  coordinator's global view from the feedback headers it overheard.
+  coordinator's global view from the feedback headers of the packets it
+  received this round (the header arrays a
+  :class:`~repro.net.lwb.RoundResult` reports).
 * :mod:`repro.core.adaptivity` — the centralized adaptivity control: the
   (quantized) DQN deciding whether to decrease, maintain or increase the
   global retransmission parameter.

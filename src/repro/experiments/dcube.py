@@ -175,11 +175,11 @@ def _run_bus_protocol(
             continue
 
         result = runner.run_round(sources=round_sources, destinations=[sink])
-        for slot in result.slots:
-            source = slot.source
+        for flood in result.slot_floods:
+            source = flood.initiator
             if not pending[source]:
                 continue
-            if slot.flood.received_at(sink):
+            if flood.received_at(sink):
                 pending[source].pop(0)
                 delivered += 1
             elif use_acks:

@@ -29,7 +29,7 @@ from repro.net.interference import (
     WifiInterference,
 )
 from repro.net.link import LinkModel
-from repro.net.lwb import LWBRoundEngine, RoundResult, Schedule, SlotResult
+from repro.net.lwb import LWBRoundEngine, RoundResult, Schedule
 from repro.net.node import NodeRole, NodeStateArray
 from repro.net.packet import (
     DimmerFeedbackHeader,
@@ -62,7 +62,6 @@ __all__ = [
     "LWBRoundEngine",
     "RoundResult",
     "Schedule",
-    "SlotResult",
     "NodeRole",
     "NodeStateArray",
     "DimmerFeedbackHeader",

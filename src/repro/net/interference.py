@@ -129,11 +129,8 @@ class BurstJammer(InterferenceSource):
     range_m:
         Radius of full jamming; the penalty decays linearly to zero
         between ``range_m`` and ``2 * range_m``.
-    start_ms, end_ms:
-        Activation window on the global clock (``None`` = unbounded);
-        used to script the dynamic-interference timeline of §V-C.
     phase_ms:
-        Offset of the first burst relative to the activation start.
+        Offset of the first burst from time 0 on the global clock.
     """
 
     position: Position
@@ -141,8 +138,6 @@ class BurstJammer(InterferenceSource):
     burst_ms: float = DEFAULT_BURST_MS
     channels: Optional[Sequence[int]] = (26,)
     range_m: float = 5.0
-    start_ms: Optional[float] = None
-    end_ms: Optional[float] = None
     phase_ms: float = 0.0
 
     def __post_init__(self) -> None:
@@ -189,19 +184,15 @@ class BurstJammer(InterferenceSource):
                 return timeline
         elif self.channels is not None:
             active &= np.isin(np.asarray(channels), np.asarray(self.channels))
-        if self.start_ms is not None:
-            active &= starts >= self.start_ms
-        if self.end_ms is not None:
-            active &= starts < self.end_ms
-        if not active.any():
-            return timeline
+            if not active.any():
+                return timeline
         # Burst-overlap fractions of every window in one shot: the
         # candidate burst range covers all windows, and bursts outside
         # a given window contribute an exact 0 to its covered sum, so
         # each row equals that window's own burst-by-burst sum bit for
         # bit.
         period = self.period_ms
-        origin = (self.start_ms or 0.0) + self.phase_ms
+        origin = self.phase_ms
         ends = starts + duration_ms
         first_burst = math.floor((starts.min() - origin) / period) - 1
         last_burst = math.ceil((ends.max() - origin) / period) + 1
@@ -259,8 +250,6 @@ class WifiInterference(InterferenceSource):
     positions: Optional[Sequence[Position]] = None
     wifi_channels: Sequence[int] = (1, 6, 11, 13)
     range_m: float = 25.0
-    start_ms: Optional[float] = None
-    end_ms: Optional[float] = None
     seed: int = 7
 
     def __post_init__(self) -> None:
@@ -354,10 +343,6 @@ class WifiInterference(InterferenceSource):
         np.maximum(overlap, 0.0, out=overlap)
         occupancy = (overlap[0] + overlap[1]) / duration_ms
         jams = occupancy > BURST_OVERLAP_DECODE_THRESHOLD
-        if self.start_ms is not None:
-            jams &= starts >= self.start_ms
-        if self.end_ms is not None:
-            jams &= starts < self.end_ms
         if jams.any():
             if isinstance(channels, (int, np.integer)):
                 spectral = self._spectral_factor(int(channels))
@@ -388,8 +373,6 @@ class AmbientInterference(InterferenceSource):
     burst_ms: float = 4.0
     seed: int = 11
     window_ms: float = 60.0
-    start_ms: Optional[float] = None
-    end_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.rate <= 1.0:
@@ -450,12 +433,6 @@ class AmbientInterference(InterferenceSource):
                 overlap = np.minimum(ends, burst[1]) - np.maximum(starts, burst[0])
                 np.clip(overlap, 0.0, None, out=overlap)
                 jammed |= overlap / duration_ms > BURST_OVERLAP_DECODE_THRESHOLD
-            active = np.ones(count, dtype=bool)
-            if self.start_ms is not None:
-                active &= starts >= self.start_ms
-            if self.end_ms is not None:
-                active &= starts < self.end_ms
-            jammed &= active
         timeline = np.zeros((count, len(positions)))
         timeline[jammed] = 1.0
         return timeline

@@ -16,7 +16,7 @@ plain LWB's energy consumption rises under interference (§V-E).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,12 +25,7 @@ from repro.net.glossy import FloodRequest, FloodResult, GlossyFlood, RoundSteps,
 from repro.net.interference import InterferenceSource, NoInterference
 from repro.net.link import LinkModel
 from repro.net.node import NodeStateArray
-from repro.net.packet import (
-    DEFAULT_PACKET_BYTES,
-    DataPacket,
-    DimmerFeedbackHeader,
-    SchedulePacket,
-)
+from repro.net.packet import DEFAULT_PACKET_BYTES, DataPacket, SchedulePacket
 from repro.net.radio import RadioModel
 from repro.net.topology import Topology
 
@@ -77,25 +72,23 @@ class Schedule:
         )
 
 
-@dataclass(frozen=True)
-class SlotResult:
-    """Outcome of one data slot."""
-
-    slot_index: int
-    source: int
-    channel: int
-    flood: FloodResult
-    feedback: Optional[DimmerFeedbackHeader] = None
-
-
 class RoundResult:
     """Outcome of a full LWB/Dimmer round.
 
     Per-node aggregates are NumPy arrays aligned with :attr:`node_ids`
-    (the topology order).
+    (the topology order); per-slot ones are aligned with the schedule's
+    data slots.
 
     Attributes
     ----------
+    slot_floods:
+        One :class:`~repro.net.glossy.FloodResult` per data slot, in
+        slot order; a slot whose source missed the schedule holds the
+        empty flood.
+    header_radio_on_array, header_reliability_array:
+        The Dimmer feedback header each data slot's packet carried (the
+        source's radio-on time and reliability); NaN where the slot
+        carried none (an empty slot, or a round without feedback).
     synchronized_array:
         Per-node flag: did the node decode this round's schedule?
     radio_on_array:
@@ -110,7 +103,9 @@ class RoundResult:
         "schedule",
         "start_ms",
         "control_flood",
-        "slots",
+        "slot_floods",
+        "header_radio_on_array",
+        "header_reliability_array",
         "node_ids",
         "synchronized_array",
         "radio_on_array",
@@ -124,7 +119,9 @@ class RoundResult:
         schedule: Schedule,
         start_ms: float,
         control_flood: FloodResult,
-        slots: List[SlotResult],
+        slot_floods: List[FloodResult],
+        header_radio_on_array: np.ndarray,
+        header_reliability_array: np.ndarray,
         node_ids: Sequence[int],
         synchronized_array: np.ndarray,
         radio_on_array: np.ndarray,
@@ -135,7 +132,9 @@ class RoundResult:
         self.schedule = schedule
         self.start_ms = start_ms
         self.control_flood = control_flood
-        self.slots = slots
+        self.slot_floods = slot_floods
+        self.header_radio_on_array = header_radio_on_array
+        self.header_reliability_array = header_reliability_array
         self.node_ids = tuple(node_ids)
         self.synchronized_array = synchronized_array
         self.radio_on_array = radio_on_array
@@ -191,7 +190,7 @@ class RoundResult:
     @property
     def average_radio_on_ms(self) -> float:
         """Radio-on time per slot, averaged over all nodes and slots of the round."""
-        num_slots = len(self.slots) + 1  # control slot included
+        num_slots = len(self.slot_floods) + 1  # control slot included
         if len(self.node_ids) == 0 or num_slots == 0:
             return 0.0
         return float(self.radio_on_array.mean()) / num_slots
@@ -228,45 +227,40 @@ def observer_view_arrays(
     Returns ``(node_ids, reliabilities, radio_on_ms, missing_mask)``
     with the arrays aligned to the sorted ``node_ids`` list.
     """
-    received_feedback: Dict[int, DimmerFeedbackHeader] = {}
-    for slot in result.slots:
-        if slot.feedback is None:
-            continue
-        if slot.source == observer or slot.flood.received_at(observer):
-            received_feedback[slot.source] = slot.feedback
-
     scheduled = set(result.schedule.slots)
     if expected_nodes is not None:
         scheduled &= set(expected_nodes)
     scheduled.add(observer)
     node_ids = sorted(scheduled)
     count = len(node_ids)
+    nodes_arr = np.array(node_ids, dtype=np.int64)
+
+    # The headers the observer holds: those of the slots that carried
+    # one and whose packet it decoded (its own slots always), from
+    # sources in ``node_ids``.  Two slots of one source carry equal
+    # headers (both from the statistics the previous round left), so
+    # their write order does not matter.
+    sources = np.array(result.schedule.slots, dtype=np.int64)
+    source_rows = np.minimum(np.searchsorted(nodes_arr, sources), count - 1)
+    heard = np.fromiter(
+        (flood.received_at(observer) for flood in result.slot_floods),
+        dtype=bool,
+        count=len(result.slot_floods),
+    )
+    heard |= sources == observer
+    heard &= (nodes_arr[source_rows] == sources) & ~np.isnan(result.header_reliability_array)
+    rows = source_rows[heard]
 
     # Pessimistic defaults, then overlay the received headers, then the
     # observer's own exact statistics.
     rel_arr = np.zeros(count)
     radio_arr = np.full(count, pessimistic_radio_on_ms)
     missing_mask = np.ones(count, dtype=bool)
-    nodes_arr = np.array(node_ids, dtype=np.int64)
-    if received_feedback:
-        fb_ids = np.fromiter(received_feedback, dtype=np.int64, count=len(received_feedback))
-        positions = np.searchsorted(nodes_arr, fb_ids)
-        valid = (positions < count) & (nodes_arr[np.minimum(positions, count - 1)] == fb_ids)
-        rows = positions[valid]
-        headers = list(received_feedback.values())
-        rel_arr[rows] = np.fromiter(
-            (h.reliability for h, ok in zip(headers, valid.tolist()) if ok),
-            dtype=float,
-            count=int(valid.sum()),
-        )
-        radio_arr[rows] = np.fromiter(
-            (h.radio_on_ms for h, ok in zip(headers, valid.tolist()) if ok),
-            dtype=float,
-            count=int(valid.sum()),
-        )
-        missing_mask[rows] = False
+    rel_arr[rows] = result.header_reliability_array[heard]
+    radio_arr[rows] = result.header_radio_on_array[heard]
+    missing_mask[rows] = False
 
-    num_slots = len(result.slots) + 1
+    num_slots = len(result.slot_floods) + 1
     observer_row = int(np.searchsorted(nodes_arr, observer))
     expected = result.packets_expected_at(observer)
     received = result.packets_received_at(observer)
@@ -380,9 +374,9 @@ class LWBRoundEngine:
         No per-node Python calls run anywhere: the schedule's ``n_tx``
         broadcasts through the synchronized mask, ``effective_n_tx`` is
         a ``where`` over the role codes, the data slots run as one
-        batched phase loop, each slot's feedback header scatters into
-        the ``(N, N)`` tables with one fancy index, and the end-of-round
-        statistics of all nodes are a single vectorized counter update.
+        batched phase loop, the slots' feedback headers are one array
+        read per field, and the end-of-round statistics of all nodes are
+        a single vectorized counter update.
 
         Parameters
         ----------
@@ -390,8 +384,8 @@ class LWBRoundEngine:
             Node state store whose ``node_ids`` equal the topology order
             (what every simulator owns); roles and ``n_tx`` values are
             read (passive receivers flood with ``N_TX = 0``), and
-            statistics and overheard feedback are updated in place.  Any
-            other input raises :class:`ValueError`.
+            statistics are updated in place.  Any other input raises
+            :class:`ValueError`.
         schedule:
             The schedule computed by the coordinator for this round.
         start_ms:
@@ -400,8 +394,8 @@ class LWBRoundEngine:
             Interference source active during the round.
         collect_feedback:
             When True, data packets carry the source's Dimmer feedback
-            header and receivers record it (Dimmer); when False, packets
-            are plain LWB packets.
+            header and the result reports it (Dimmer); when False,
+            packets are plain LWB packets.
         destinations:
             When given, reliability is only accounted at these nodes
             (the D-Cube data-collection scenario has a single sink);
@@ -486,7 +480,7 @@ class LWBRoundEngine:
         # vector operations (integer adds commute, so batching across
         # slots is exact):  every slot expects one packet at every
         # destination except its own source; receptions count wherever a
-        # destination's row in the batched reception table is set.
+        # synchronized destination decoded a slot's packet.
         num_data_slots = len(schedule.slots)
         source_rows_all = np.fromiter(
             (index[source] for source in schedule.slots), dtype=np.int64, count=num_data_slots
@@ -499,17 +493,14 @@ class LWBRoundEngine:
         )
         sync_rows = np.flatnonzero(synchronized)
         if executed:
-            received_table = np.zeros((len(executed), n), dtype=bool)
-            received_table[:, sync_rows] = np.stack(
-                [flood.received_array for flood in floods]
-            )
+            received = np.stack([flood.received_array for flood in floods])
             # Per-slot radio-on, scattered into full-network rows in one
             # batched assignment (unsynchronized nodes listen the whole
             # slot); the += below still walks the rows in slot order so
             # the float accumulation stays bit-identical.
             radio_table = np.full((len(executed), n), self.slot_ms)
             radio_table[:, sync_rows] = np.stack([flood.radio_on_array for flood in floods])
-            packets_received += (received_table & destination_mask).sum(axis=0)
+            packets_received[sync_rows] += (received & destination_mask[sync_rows]).sum(axis=0)
             executed_rows = np.fromiter(
                 (index[source] for _, source in executed), dtype=np.int64, count=len(executed)
             )
@@ -523,70 +514,35 @@ class LWBRoundEngine:
 
         # Every executed slot's feedback header, from the statistics the
         # previous round left (they change only at the end of a round),
-        # built from one array read per field.
-        feedback_headers: List[Optional[DimmerFeedbackHeader]] = [None] * len(executed)
+        # one array read per field; slots without a header stay NaN.
+        header_radio_on = np.full(num_data_slots, np.nan)
+        header_reliability = np.full(num_data_slots, np.nan)
         if collect_feedback and executed:
+            executed_slots = [slot_index for slot_index, _ in executed]
             radio_values, reliability_values = nodes.feedback_arrays(executed_rows)
-            feedback_headers = [
-                DimmerFeedbackHeader(radio_on_ms=radio_on_ms, reliability=reliability)
-                for radio_on_ms, reliability in zip(
-                    radio_values.tolist(), reliability_values.tolist()
-                )
-            ]
-            # Scatter the headers into the overheard-feedback tables at
-            # once.  When the executed sources are all distinct (the
-            # normal schedule shape) the (receiver, source) targets never
-            # collide, so one fancy scatter per table is exact; duplicate
-            # sources fall back to the per-slot order-preserving writes.
-            if len(set(executed_rows.tolist())) == len(executed):
-                slot_rows, receiver_rows = np.nonzero(received_table)
-                target_cols = executed_rows[slot_rows]
-                nodes.feedback_radio_on[receiver_rows, target_cols] = radio_values[slot_rows]
-                nodes.feedback_reliability[receiver_rows, target_cols] = (
-                    reliability_values[slot_rows]
-                )
-                nodes.feedback_valid[receiver_rows, target_cols] = True
-            else:
-                for position, (_, source) in enumerate(executed):
-                    nodes.observe_feedback_rows(
-                        received_table[position], index[source], feedback_headers[position]
-                    )
+            header_radio_on[executed_slots] = radio_values
+            header_reliability[executed_slots] = reliability_values
 
-        slot_results: List[SlotResult] = []
+        slot_floods: List[FloodResult] = []
         executed_index = 0
         for slot_index, source in enumerate(schedule.slots):
-            channel = slot_channels[slot_index]
             flood = flood_by_slot.get(slot_index)
             if flood is None:
                 # The source missed the schedule: the slot stays empty.
                 # Synchronized nodes still listen for the announced packet
                 # and unsynchronized ones listen trying to re-sync.
                 radio_on += self.slot_ms
-                empty = FloodResult.empty(
+                flood = FloodResult.empty(
                     initiator=source,
                     node_ids=node_ids,
                     slot_duration_ms=self.slot_ms,
-                    channel=channel,
+                    channel=slot_channels[slot_index],
                     radio_on_ms=self.slot_ms,
                 )
-                slot_results.append(
-                    SlotResult(slot_index=slot_index, source=source, channel=channel, flood=empty)
-                )
-                continue
-
-            feedback = feedback_headers[executed_index]
-            radio_on += radio_table[executed_index]
-            executed_index += 1
-
-            slot_results.append(
-                SlotResult(
-                    slot_index=slot_index,
-                    source=source,
-                    channel=channel,
-                    flood=flood,
-                    feedback=feedback,
-                )
-            )
+            else:
+                radio_on += radio_table[executed_index]
+                executed_index += 1
+            slot_floods.append(flood)
 
         # Update the per-node statistics used for the feedback headers of
         # the *next* round in one batched counter update.
@@ -602,7 +558,9 @@ class LWBRoundEngine:
             schedule=schedule,
             start_ms=start_ms,
             control_flood=control_flood,
-            slots=slot_results,
+            slot_floods=slot_floods,
+            header_radio_on_array=header_radio_on,
+            header_reliability_array=header_reliability,
             node_ids=node_ids,
             synchronized_array=synchronized,
             radio_on_array=radio_on,

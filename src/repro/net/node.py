@@ -1,16 +1,18 @@
 """Node state of a whole deployment, as struct-of-arrays storage.
 
-Each node keeps its role, current retransmission parameter, its local
-statistics (reliability and radio-on time, fed back to the coordinator
-through the two-byte Dimmer header), and its view of the rest of the
-network as assembled from the feedback headers it overheard.
+Each node keeps its role, current retransmission parameter and its
+local statistics (reliability and radio-on time, fed back to the
+coordinator through the two-byte Dimmer header).
 
 :class:`NodeStateArray` holds that state for every node at once —
 ``node_ids``-aligned NumPy arrays for roles, ``n_tx``, sync flags and
-the reliability counters, one :class:`~repro.net.energy.RadioOnLedger`
-for the radio-on window, and two ``(N, N)`` tables for the overheard
-feedback headers — so the LWB round engine updates the whole network
-with masked vector operations and zero per-node Python calls.
+the reliability counters, and one :class:`~repro.net.energy.RadioOnLedger`
+for the radio-on window — so the LWB round engine updates the whole
+network with masked vector operations and zero per-node Python calls.
+The headers a round's packets carry are read with
+:meth:`NodeStateArray.feedback_arrays` and reported on the round's
+:class:`~repro.net.lwb.RoundResult`; no node keeps a table of the
+headers it overheard.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.net.energy import RadioOnLedger
-from repro.net.packet import DimmerFeedbackHeader
 
 
 class NodeRole(enum.Enum):
@@ -64,10 +65,6 @@ class NodeStateArray:
         :class:`~repro.net.energy.RadioOnLedger` — per-node radio-on
         accumulators (recent window + lifetime totals), one slot per
         round.
-    feedback_radio_on, feedback_reliability, feedback_valid:
-        ``(N, N)`` overheard-feedback tables: row ``i`` column ``j``
-        holds the most recent header node ``i`` overheard from node
-        ``j`` (``feedback_valid`` marks the populated entries).
     """
 
     def __init__(
@@ -95,9 +92,6 @@ class NodeStateArray:
         self.packets_expected = np.zeros(n, dtype=np.int64)
         self.packets_received = np.zeros(n, dtype=np.int64)
         self.radio_on = RadioOnLedger(n, window=window)
-        self.feedback_radio_on = np.zeros((n, n))
-        self.feedback_reliability = np.zeros((n, n))
-        self.feedback_valid = np.zeros((n, n), dtype=bool)
 
     # ------------------------------------------------------------------
     # Vectorized round-path operations
@@ -132,18 +126,6 @@ class NodeStateArray:
         as a node holding plain per-slot lists would compute it.
         """
         return self.radio_on.recent_averages_ms(rows), self.reliability()[rows]
-
-    def observe_feedback_rows(
-        self, receiver_mask: np.ndarray, source_index: int, feedback: DimmerFeedbackHeader
-    ) -> None:
-        """Record ``feedback`` from one source at every masked receiver.
-
-        One fancy index per table; a later header from the same source
-        overwrites the earlier one.
-        """
-        self.feedback_radio_on[receiver_mask, source_index] = feedback.radio_on_ms
-        self.feedback_reliability[receiver_mask, source_index] = feedback.reliability
-        self.feedback_valid[receiver_mask, source_index] = True
 
     def record_round_statistics(
         self,

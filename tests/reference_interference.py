@@ -10,7 +10,7 @@ formulation those are checked against:
   one position, time window and channel, for every built-in source
   (:class:`CompositeInterference` combines its sources as independent
   corruption events, ``1 - prod(1 - p_i)``);
-* :func:`is_active` — whether a source can emit at all at a time;
+* :func:`is_active` — whether a source can emit at all;
 * the burst-overlap helpers the scalar penalties use.
 
 ``tests/test_interference.py`` pins every built-in ``penalty_windows``
@@ -56,23 +56,7 @@ def _(source: NoInterference, time_ms: float) -> bool:
 
 @is_active.register
 def _(source: BurstJammer, time_ms: float) -> bool:
-    if source.interference_ratio <= 0.0:
-        return False
-    if source.start_ms is not None and time_ms < source.start_ms:
-        return False
-    if source.end_ms is not None and time_ms >= source.end_ms:
-        return False
-    return True
-
-
-@is_active.register(WifiInterference)
-@is_active.register(AmbientInterference)
-def _(source, time_ms: float) -> bool:
-    if source.start_ms is not None and time_ms < source.start_ms:
-        return False
-    if source.end_ms is not None and time_ms >= source.end_ms:
-        return False
-    return True
+    return source.interference_ratio > 0.0
 
 
 @is_active.register
@@ -90,7 +74,7 @@ def burst_overlap_fraction(jammer: BurstJammer, start_ms: float, duration_ms: fl
     period = jammer.period_ms
     if math.isinf(period):
         return 0.0
-    origin = (jammer.start_ms or 0.0) + jammer.phase_ms
+    origin = jammer.phase_ms
     end_ms = start_ms + duration_ms
     first_burst = math.floor((start_ms - origin) / period) - 1
     last_burst = math.ceil((end_ms - origin) / period) + 1
@@ -174,7 +158,7 @@ def _(source: NoInterference, position, start_ms, duration_ms, channel) -> float
 
 @penalty.register
 def _(source: BurstJammer, position, start_ms, duration_ms, channel) -> float:
-    if not is_active(source, start_ms):
+    if source.interference_ratio <= 0.0:
         return 0.0
     if source.channels is not None and channel not in source.channels:
         return 0.0
@@ -193,8 +177,6 @@ def _(source: BurstJammer, position, start_ms, duration_ms, channel) -> float:
 
 @penalty.register
 def _(source: WifiInterference, position, start_ms, duration_ms, channel) -> float:
-    if not is_active(source, start_ms):
-        return 0.0
     spectral = source._spectral_factor(channel)
     if spectral <= 0.0:
         return 0.0
@@ -209,8 +191,6 @@ def _(source: WifiInterference, position, start_ms, duration_ms, channel) -> flo
 
 @penalty.register
 def _(source: AmbientInterference, position, start_ms, duration_ms, channel) -> float:
-    if not is_active(source, start_ms):
-        return 0.0
     end_ms = start_ms + duration_ms
     first_window = int(start_ms // source.window_ms) - 1
     last_window = int(end_ms // source.window_ms)

@@ -52,12 +52,11 @@ class TestStatisticsCollector:
     def test_missing_feedback_flags_losses(self, kiel, round_result):
         collector = StatisticsCollector(observer=kiel.coordinator, expected_nodes=kiel.node_ids)
         # Forge one slot the coordinator did not receive.
-        victim_slot = next(s for s in round_result.slots if s.source != kiel.coordinator)
-        flood = victim_slot.flood
+        flood = next(f for f in round_result.slot_floods if f.initiator != kiel.coordinator)
         flood.received_array[flood.node_ids.index(kiel.coordinator)] = False
         view = collector.build_view(round_result)
         assert view.had_losses
-        row = view.node_ids.index(victim_slot.source)
+        row = view.node_ids.index(flood.initiator)
         assert np.flatnonzero(view.missing_feedback_array).tolist() == [row]
         assert view.reliability_array[row] == 0.0
         assert view.radio_on_array[row] == pytest.approx(20.0)

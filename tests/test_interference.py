@@ -91,18 +91,21 @@ class TestBurstJammer:
         assert window_penalty(jammer, (1.0, 1.0), 1.0, 2.0, 15) == 0.0
         assert window_penalty(jammer, (1.0, 1.0), 1.0, 2.0, 26) > 0.0
 
-    def test_activation_window(self):
+    def test_bursts_start_at_the_phase_offset(self):
         jammer = BurstJammer(
-            position=(0.0, 0.0), interference_ratio=0.30, channels=None,
-            start_ms=1000.0, end_ms=2000.0,
+            position=(0.0, 0.0), interference_ratio=0.30, channels=None, phase_ms=1000.0
         )
-        assert not reference.is_active(jammer, 500.0)
-        assert reference.is_active(jammer, 1500.0)
-        assert not reference.is_active(jammer, 2500.0)
-        assert window_penalty(jammer, (1.0, 1.0), 500.0, 2.0, 26) == 0.0
-        # The first burst of the window starts at its activation: [1000, 1013).
-        assert window_penalty(jammer, (1.0, 1.0), 1001.0, 2.0, 26) == 1.0
-        assert window_penalty(jammer, (1.0, 1.0), 2001.0, 2.0, 26) == 0.0
+        period = jammer.period_ms
+        # Bursts cover [1000 + k * period, 1013 + k * period) for every k.
+        for start, expected in [
+            (1001.0, 1.0),
+            (1020.0, 0.0),
+            (995.0, 0.0),
+            (1001.0 + period, 1.0),
+            (1001.0 - period, 1.0),
+        ]:
+            assert window_penalty(jammer, (1.0, 1.0), start, 2.0, 26) == expected
+            assert reference.penalty(jammer, (1.0, 1.0), start, 2.0, 26) == expected
 
     def test_zero_ratio_never_active(self):
         jammer = BurstJammer(position=(0.0, 0.0), interference_ratio=0.0)
@@ -240,15 +243,10 @@ class TestScalarBatchEquivalence:
                 position=(2.0, 2.0),
                 interference_ratio=0.10,
                 channels=(26,),
-                start_ms=40.0,
-                end_ms=700.0,
                 phase_ms=5.0,
             ),
             WifiInterference(level=2, positions=[(0.0, 0.0), (6.0, 6.0)], seed=3),
-            # Both activation bounds fall on a jammed window start.
-            WifiInterference(
-                level=2, positions=[(3.0, 0.0)], start_ms=22.0, end_ms=333.3, seed=4
-            ),
+            WifiInterference(level=2, positions=[(3.0, 0.0)], seed=4),
             AmbientInterference(rate=0.5, seed=2),
             CompositeInterference(
                 [

@@ -49,7 +49,7 @@ class TestRoundExecution:
         result = engine.run_round(nodes, make_schedule(kiel))
         assert result.reliability == pytest.approx(1.0)
         assert not result.had_losses
-        assert len(result.slots) == kiel.num_nodes
+        assert len(result.slot_floods) == kiel.num_nodes
 
     def test_nodes_apply_the_schedule_ntx(self, engine, nodes, kiel):
         engine.run_round(nodes, make_schedule(kiel, n_tx=6))
@@ -70,13 +70,30 @@ class TestRoundExecution:
         assert (result.packets_received_array == result.packets_expected_array).all()
 
     def test_feedback_headers_collected(self, engine, nodes, kiel):
-        engine.run_round(nodes, make_schedule(kiel), collect_feedback=True)
-        coordinator_row = nodes.feedback_valid[nodes.index[kiel.coordinator]]
-        assert int(coordinator_row.sum()) >= kiel.num_nodes - 2
+        engine.run_round(nodes, make_schedule(kiel))
+        schedule = make_schedule(kiel, round_index=1)
+        rows = np.array([nodes.index[source] for source in schedule.slots])
+        radio_before, reliability_before = nodes.feedback_arrays(rows)
+        result = engine.run_round(nodes, schedule, collect_feedback=True)
+        carried = ~np.isnan(result.header_reliability_array)
+        assert (carried == ~np.isnan(result.header_radio_on_array)).all()
+        # Each carried header is its source's statistics from before the round.
+        assert (result.header_radio_on_array[carried] == radio_before[carried]).all()
+        assert (result.header_reliability_array[carried] == reliability_before[carried]).all()
+        heard = [
+            flood.received_at(kiel.coordinator)
+            for flood, ok in zip(result.slot_floods, carried.tolist())
+            if ok
+        ]
+        assert sum(heard) >= kiel.num_nodes - 2
 
     def test_no_feedback_when_disabled(self, engine, nodes, kiel):
-        engine.run_round(nodes, make_schedule(kiel), collect_feedback=False)
-        assert not nodes.feedback_valid[nodes.index[kiel.coordinator]].any()
+        result = engine.run_round(nodes, make_schedule(kiel), collect_feedback=False)
+        assert result.header_radio_on_array.shape == (kiel.num_nodes,)
+        assert np.isnan(result.header_radio_on_array).all()
+        assert np.isnan(result.header_reliability_array).all()
+        node_ids, _, _, missing = observer_view_arrays(result, observer=kiel.coordinator)
+        assert np.flatnonzero(~missing).tolist() == [node_ids.index(kiel.coordinator)]
 
     def test_destinations_limit_accounting(self, engine, nodes, kiel):
         sink = kiel.coordinator
@@ -132,8 +149,8 @@ class TestObserverView:
     def test_missing_feedback_is_pessimistic(self, engine, nodes, kiel):
         result = engine.run_round(nodes, make_schedule(kiel))
         # Forge a result where the coordinator missed one slot.
-        source = result.slots[3].source
-        flood = result.slots[3].flood
+        flood = result.slot_floods[3]
+        source = flood.initiator
         flood.received_array[flood.node_ids.index(kiel.coordinator)] = False
         node_ids, reliability, _, missing = observer_view_arrays(
             result, observer=kiel.coordinator
@@ -142,7 +159,84 @@ class TestObserverView:
             assert reliability[node_ids.index(source)] == 0.0
             assert missing[node_ids.index(source)]
 
+    def test_empty_schedule_view_is_the_observer_alone(self, engine, nodes, kiel):
+        result = engine.run_round(nodes, Schedule(round_index=0, n_tx=3, slots=()))
+        assert result.slot_floods == []
+        assert result.header_radio_on_array.shape == result.header_reliability_array.shape == (0,)
+        node_ids, reliability, radio_on, missing = observer_view_arrays(
+            result, observer=kiel.coordinator
+        )
+        assert node_ids == [kiel.coordinator]
+        assert reliability.tolist() == [1.0]
+        assert radio_on.tolist() == [result.radio_on_at(kiel.coordinator)]
+        assert not missing.any()
+
     def test_observer_always_included(self, engine, nodes, kiel):
         result = engine.run_round(nodes, make_schedule(kiel))
         node_ids, _, _, _ = observer_view_arrays(result, observer=5, expected_nodes=[5])
         assert 5 in node_ids
+
+
+class TestRepeatedSources:
+    def test_headers_and_view_match_per_slot_reconstruction(self, kiel, nodes):
+        """A schedule that repeats sources: every carried header is its
+        source's statistics from before the round, and the observer's
+        view equals a slot-by-slot dict replay in which the later header
+        from a source wins."""
+        engine = LWBRoundEngine(
+            kiel, hopper=ChannelHopper(enabled=False), rng=np.random.default_rng(0)
+        )
+        jam = CompositeInterference([
+            BurstJammer(position=p, interference_ratio=0.35, channels=None) for p in kiel.jammers
+        ])
+        a, b, c, d, e = [n for n in kiel.node_ids if n != kiel.coordinator][:5]
+        slots = (a, b, a, c, d, b, a)
+        observer = b
+        expected_nodes = [a, b, d, e]
+        missed_headers = empty_slots = 0
+        for round_index in range(6):
+            radio_before, reliability_before = nodes.feedback_arrays(np.arange(kiel.num_nodes))
+            result = engine.run_round(
+                nodes,
+                Schedule(round_index=round_index, n_tx=1, slots=slots),
+                start_ms=round_index * 4000.0,
+                interference=jam,
+            )
+            heard = {}
+            for slot_index, source in enumerate(slots):
+                flood = result.slot_floods[slot_index]
+                assert flood.initiator == source
+                header = (
+                    result.header_radio_on_array[slot_index],
+                    result.header_reliability_array[slot_index],
+                )
+                if not result.synchronized_array[nodes.index[source]]:
+                    # An empty slot carries no header.
+                    empty_slots += 1
+                    assert np.isnan(header).all()
+                    continue
+                row = nodes.index[source]
+                assert header == (radio_before[row], reliability_before[row])
+                if source == observer or flood.received_at(observer):
+                    heard[source] = header
+            node_ids, reliability, radio_on, missing = observer_view_arrays(
+                result, observer=observer, expected_nodes=expected_nodes
+            )
+            assert node_ids == sorted((set(slots) & set(expected_nodes)) | {observer})
+            for position, node in enumerate(node_ids):
+                if node == observer:
+                    expected = result.packets_expected_at(observer)
+                    received = result.packets_received_at(observer)
+                    assert reliability[position] == (
+                        1.0 if expected == 0 else received / expected
+                    )
+                    assert radio_on[position] == result.radio_on_at(observer) / (len(slots) + 1)
+                    assert not missing[position]
+                elif node in heard:
+                    assert (radio_on[position], reliability[position]) == heard[node]
+                    assert not missing[position]
+                else:
+                    missed_headers += 1
+                    assert (radio_on[position], reliability[position]) == (20.0, 0.0)
+                    assert missing[position]
+        assert missed_headers > 0 and empty_slots > 0

@@ -5,8 +5,8 @@ Two layers of guarantees:
 * **Reference parity** — a :class:`NodeStateArray` behaves like the
   PR 2 per-node dataclasses (kept here as list- and dict-based
   reference implementations): roles and the coordinator demotion guard,
-  ``n_tx`` handling, feedback overhearing, and the radio-on window
-  behind the feedback header, summed bit for bit like a per-node list.
+  ``n_tx`` handling, and the radio-on window behind the feedback
+  header, summed bit for bit like a per-node list.
 * **Engine fingerprint** — the array round path reproduces the PR 2
   vectorized engine **bit for bit** under fixed seeds.  The digests
   below were captured from the PR 2 engine (commit 9cb1548) right
@@ -89,7 +89,6 @@ class LegacyNode:
         self.node_id = node_id
         self.role = role
         self.n_tx = n_tx
-        self.heard_feedback = {}
 
     @property
     def is_passive(self):
@@ -108,9 +107,6 @@ class LegacyNode:
         if self.role is NodeRole.COORDINATOR and role is not NodeRole.COORDINATOR:
             raise ValueError("the coordinator cannot be demoted")
         self.role = role
-
-    def observe_feedback(self, source, feedback):
-        self.heard_feedback[source] = feedback
 
 
 _ROLE_CODES = {
@@ -141,16 +137,16 @@ def recent_average(ledger, row):
     return float(ledger.recent_averages_ms(np.array([row]))[0])
 
 
-def overheard(store, node_id):
-    """The headers ``node_id`` overheard, as ``{source id: header}``."""
-    row = store.index[node_id]
-    return {
-        store.node_ids[column]: DimmerFeedbackHeader(
-            radio_on_ms=float(store.feedback_radio_on[row, column]),
-            reliability=float(store.feedback_reliability[row, column]),
+def slot_headers(result):
+    """The header each data slot of ``result`` carried (``None`` if none)."""
+    return [
+        None
+        if np.isnan(reliability)
+        else DimmerFeedbackHeader(radio_on_ms=radio_on_ms, reliability=reliability)
+        for radio_on_ms, reliability in zip(
+            result.header_radio_on_array.tolist(), result.header_reliability_array.tolist()
         )
-        for column in np.flatnonzero(store.feedback_valid[row]).tolist()
-    }
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -234,19 +230,6 @@ class TestStoreMatchesLegacyNodes:
             ]
         assert store.radio_on.total_ms.tolist() == [s.radio_on.total_ms for s in legacy]
 
-    def test_feedback_overhearing_parity(self):
-        store = make_store()
-        legacy = LegacyNode(1)
-        first = DimmerFeedbackHeader(radio_on_ms=3.0, reliability=0.75)
-        second = DimmerFeedbackHeader(radio_on_ms=1.0, reliability=1.0)
-        for source, header in ((2, first), (4, second), (2, second)):  # later header wins
-            store.observe_feedback_rows(row_mask(store, 1), store.index[source], header)
-            legacy.observe_feedback(source, header)
-        assert overheard(store, 1) == legacy.heard_feedback
-        assert len(overheard(store, 1)) == 2
-        assert overheard(store, 1)[2] == second
-        assert overheard(store, 0) == {}
-
 
 class TestNodeStateArray:
     def test_constructor_validation(self):
@@ -285,16 +268,6 @@ class TestNodeStateArray:
         assert store.forwarder_ids() == [0, 1, 2]
         with pytest.raises(ValueError):
             store.set_role_codes(np.full(2, ROLE_FORWARDER, dtype=np.int8))
-
-    def test_observe_feedback_rows_fills_masked_receivers(self):
-        store = make_store(4)
-        feedback = DimmerFeedbackHeader(radio_on_ms=2.5, reliability=0.25)
-        receivers = np.array([True, False, True, False])
-        store.observe_feedback_rows(receivers, 3, feedback)
-        assert overheard(store, 0) == {3: feedback}
-        assert overheard(store, 1) == {}
-        assert overheard(store, 2) == {3: feedback}
-        assert store.feedback_valid[:, 3].tolist() == receivers.tolist()
 
     def test_record_round_statistics_batches_all_nodes(self):
         store = make_store(3)
@@ -353,9 +326,9 @@ class TestRadioOnLedger:
 class TestRoundWritesBackToStore:
     @pytest.mark.parametrize("ratio", [0.0, 0.25])
     def test_round_results_land_in_the_store(self, ratio):
-        """Every round writes its synchronization, ``n_tx``, statistics
-        and overheard feedback headers back into the store, and each data
-        slot carries its source's header from the end of the last round."""
+        """Every round writes its synchronization, ``n_tx`` and
+        statistics back into the store, and each executed data slot
+        carries its source's header from the end of the last round."""
         from repro.net.channels import ChannelHopper
         from repro.net.lwb import LWBRoundEngine, Schedule
 
@@ -391,12 +364,14 @@ class TestRoundWritesBackToStore:
                 assert header_of(store, row).reliability == (
                     1.0 if expected == 0 else received / expected
                 )
-            executed = [slot for slot in result.slots if slot.feedback is not None]
-            assert executed
-            for slot in executed:
-                assert slot.feedback == headers_before[slot.source]
-                for receiver in slot.flood.receivers():
-                    assert overheard(store, receiver)[slot.source] == slot.feedback
+            executed = [
+                (flood, header)
+                for flood, header in zip(result.slot_floods, slot_headers(result))
+                if header is not None
+            ]
+            assert len(executed) == int(result.synchronized_array.sum())
+            for flood, header in executed:
+                assert header == headers_before[flood.initiator]
 
 
 class TestBatchedFloodEquivalence:
@@ -488,23 +463,28 @@ def round_fingerprint(topology, seed, rounds, ratio, passive=()):
     for node in passive:
         simulator.set_role(node, NodeRole.PASSIVE)
     digest = hashlib.sha256()
+    # The last header each receiver decoded from each source, replayed
+    # slot by slot from what the rounds report.
+    overheard = {node_id: {} for node_id in topology.node_ids}
     for _ in range(rounds):
         result = simulator.run_round(n_tx=2)
         digest.update(result.synchronized_array.tobytes())
         digest.update(result.radio_on_array.tobytes())
         digest.update(result.packets_expected_array.tobytes())
         digest.update(result.packets_received_array.tobytes())
-        for slot in result.slots:
-            digest.update(slot.flood.received_array.tobytes())
-            digest.update(slot.flood.reception_phase_array.tobytes())
-            digest.update(slot.flood.transmissions_array.tobytes())
-            digest.update(slot.flood.radio_on_array.tobytes())
-            if slot.feedback is not None:
-                digest.update(slot.feedback.encode())
+        for flood, header in zip(result.slot_floods, slot_headers(result)):
+            digest.update(flood.received_array.tobytes())
+            digest.update(flood.reception_phase_array.tobytes())
+            digest.update(flood.transmissions_array.tobytes())
+            digest.update(flood.radio_on_array.tobytes())
+            if header is not None:
+                digest.update(header.encode())
+                for receiver in flood.receivers():
+                    overheard[receiver][flood.initiator] = header
     digest.update(simulator.radio_on_totals.total_ms.tobytes())
     store = simulator.node_state
     for row, node_id in enumerate(topology.node_ids):
-        for source, header in sorted(overheard(store, node_id).items()):
+        for source, header in sorted(overheard[node_id].items()):
             digest.update(header.encode())
         digest.update(
             json.dumps(

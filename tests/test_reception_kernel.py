@@ -343,7 +343,7 @@ class TestScalarRunBatchDelegation:
         self.spy_on_run(monkeypatch, simulator.engine.flood, calls)
         result = simulator.run_round(n_tx=3)
         # The control flood and every data slot.
-        assert len(calls) == 1 + len(result.slots) == 5
+        assert len(calls) == 1 + len(result.slot_floods) == 5
 
 
 class TestFailureMatrixCache:

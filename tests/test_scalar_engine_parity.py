@@ -246,8 +246,8 @@ class TestScalarEngineParity:
             assert results[0].reliability == results[1].reliability
             assert results[0].average_radio_on_ms == results[1].average_radio_on_ms
             assert_identical(results[0].control_flood, results[1].control_flood)
-            for slot, reference in zip(results[0].slots, results[1].slots):
-                assert_identical(slot.flood, reference.flood)
+            for flood, reference in zip(results[0].slot_floods, results[1].slot_floods):
+                assert_identical(flood, reference)
 
     def test_crystal_epochs_equal_per_node_loop(self):
         """Crystal floods on the default (scalar) engine."""
