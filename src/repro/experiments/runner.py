@@ -44,10 +44,10 @@ import signal
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -187,8 +187,8 @@ def _execute_task(task: ScenarioTask, attempt: int = 0) -> Dict[str, Any]:
     ``attempt`` (0 on the first try) is not used here: it is the seam
     for a wrapper that replaces this module-level function, such as the
     fault-injection rig of the test suite, which keys its faults on it.
-    Both execution paths look the function up at call time, and forked
-    workers inherit the replacement.
+    The scheduler looks the function up at call time, inline runs call
+    it in process, and forked workers inherit the replacement.
     """
     from repro.experiments.resilience import seal_result
 
@@ -270,16 +270,7 @@ class RunnerStats:
 
     def as_dict(self) -> Dict[str, int]:
         """JSON-able snapshot (the artifact envelope's ``runner_stats``)."""
-        return {
-            "executed": self.executed,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "quarantined": self.quarantined,
-            "corrupt_results": self.corrupt_results,
-            "pool_restarts": self.pool_restarts,
-        }
+        return asdict(self)
 
 
 class _InterruptState:
@@ -298,8 +289,10 @@ def _graceful_interrupts():
     shards, drains the in-flight ones and raises
     :class:`~repro.experiments.resilience.GridInterrupted` after
     flushing them.  A second signal escalates to an immediate
-    ``KeyboardInterrupt``.  Outside the main thread (or where signals
-    are unavailable) this is a no-op and ^C keeps its default behavior.
+    ``KeyboardInterrupt``, which the scheduler reports as
+    ``GridInterrupted`` without waiting for the in-flight shards.
+    Outside the main thread (or where signals are unavailable) this is
+    a no-op and ^C keeps its default behavior.
     """
     state = _InterruptState()
     if threading.current_thread() is not threading.main_thread():
@@ -325,7 +318,29 @@ def _graceful_interrupts():
             signal.signal(signum, old)
 
 
-def _terminate_pool(pool: Optional[ProcessPoolExecutor]) -> None:
+class _InlineExecutor(Executor):
+    """The worker pool of an inline run (``max_workers <= 1``).
+
+    ``submit`` runs the call at once in the calling process and returns
+    a completed future, so inline runs share the scheduler loop with
+    pool runs.  A ``KeyboardInterrupt`` is not stored in the future: it
+    propagates, and the scheduler reports it as ``GridInterrupted``.
+    """
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            result = fn(*args, **kwargs)
+        except KeyboardInterrupt:
+            raise
+        except BaseException as error:
+            future.set_exception(error)
+        else:
+            future.set_result(result)
+        return future
+
+
+def _terminate_pool(pool: Optional[Executor]) -> None:
     """Tear a pool down hard: cancel queued work and kill the workers.
 
     Used when a worker died (the pool is broken anyway), when a shard
@@ -388,7 +403,7 @@ class ParallelRunner:
         fail fast.
     shard_timeout_s:
         Per-shard wall-clock timeout enforced by a watchdog over the
-        worker futures (pool mode only).  An overrunning shard's worker
+        worker futures (not enforceable inline).  An overrunning shard's worker
         pool is torn down and rebuilt, the shard counts a timeout and is
         retried under the policy; innocent in-flight shards are
         resubmitted without being charged an attempt.
@@ -489,22 +504,25 @@ class ParallelRunner:
         """Execute every task and return their results in task order.
 
         Cached results are returned without re-execution; the remaining
-        tasks run on the worker pool under the runner's
+        tasks run through one scheduler loop (:meth:`_schedule`), on the
+        worker pool or, at ``max_workers <= 1``, one at a time in this
+        process, under the runner's
         :class:`~repro.experiments.resilience.RetryPolicy` and shard
-        timeout.  By default the first *permanent* shard failure (or a
-        transient one that exhausted its retries) aborts the run by
-        raising :class:`RunnerError`; with ``collect_errors`` the grid
-        completes and each failed shard yields a :func:`failure_entry`
-        dict (flagged with :data:`FAILURE_KEY`) in its result slot
-        instead — failures are never written to the cache, and cached
+        timeout (not enforceable inline).  By default the first
+        *permanent* shard failure (or a transient one that exhausted its
+        retries) aborts the run by raising :class:`RunnerError`; with
+        ``collect_errors`` the grid completes and each failed shard
+        yields a :func:`failure_entry` dict (flagged with
+        :data:`FAILURE_KEY`) in its result slot instead — failures are never written to the cache, and cached
         entries carrying the marker are treated as misses, so a failed
         shard can never be silently served from disk.
 
         SIGINT/SIGTERM interrupt gracefully: no new shards are
         submitted, in-flight shards drain and flush to the cache, then
         :class:`~repro.experiments.resilience.GridInterrupted` is
-        raised with the partial-completion accounting.  Rerunning the
-        same grid serves the flushed shards from the cache.
+        raised with the partial-completion accounting; a second signal
+        (or ^C inside an inline shard) stops at once and raises it too.
+        Rerunning the same grid serves the flushed shards from the cache.
 
         Pending tasks of an experiment with a registered lock-step group
         (see :func:`register_group`) and equal group keys run as chunks:
@@ -528,22 +546,14 @@ class ParallelRunner:
                 self.stats.cache_misses += 1
 
         if pending:
-            inline = self.max_workers is not None and self.max_workers <= 1
-            units = self._units(tasks, pending, 1 if inline else self._worker_count())
             with _graceful_interrupts() as interrupt:
-                if inline:
-                    self._run_inline(tasks, units, results, collect_errors, interrupt)
-                else:
-                    self._run_pool(tasks, units, results, collect_errors, interrupt)
+                self._schedule(tasks, pending, results, collect_errors, interrupt)
         # Every slot must be filled: a hole here would silently shift the
         # positional regrouping done by the grid-level callers.
         missing = [tasks[i].describe() for i, r in enumerate(results) if r is None]
         if missing:
             raise RuntimeError(f"tasks produced no result: {missing}")
         return list(results)  # type: ignore[arg-type]
-
-    def _worker_count(self) -> int:
-        return self.max_workers or os.cpu_count() or 1
 
     @staticmethod
     def _units(
@@ -588,88 +598,20 @@ class ParallelRunner:
         self.stats.executed += 1
         return result
 
-    def _run_inline(
+    def _schedule(
         self,
         tasks: Sequence[ScenarioTask],
-        units: Sequence[_Unit],
+        pending: Sequence[int],
         results: List[Optional[Dict[str, Any]]],
         collect_errors: bool,
         interrupt: _InterruptState,
     ) -> None:
-        """Inline execution path (``max_workers <= 1``) with retries.
+        """The scheduler: watchdog, retries and pool recovery.
 
-        Shard timeouts are not enforceable inline (there is no worker to
-        kill).
-        """
-        from repro.experiments.resilience import CorruptResult, GridInterrupted
-
-        policy = self.retry_policy
-        queue: deque = deque(units)
-        while queue:
-            unit = queue.popleft()
-            if interrupt.flag:
-                raise GridInterrupted(
-                    completed=sum(1 for r in results if r is not None), total=len(tasks)
-                )
-            if isinstance(unit, tuple):
-                try:
-                    envelopes = _execute_chunk([tasks[index] for index in unit])
-                except KeyboardInterrupt:
-                    raise GridInterrupted(
-                        completed=sum(1 for r in results if r is not None),
-                        total=len(tasks),
-                    ) from None
-                except BaseException as exc:
-                    logger.warning(
-                        "chunk of %d shards failed (%r); running them one by one",
-                        len(unit),
-                        exc,
-                    )
-                    queue.extendleft(reversed(unit))
-                    continue
-                for index, envelope in zip(unit, envelopes):
-                    try:
-                        results[index] = self._finish(tasks[index], envelope)
-                    except CorruptResult:
-                        self.stats.corrupt_results += 1
-                        queue.appendleft(index)
-                continue
-            index = unit
-            attempt = 0
-            while True:
-                try:
-                    envelope = _execute_task(tasks[index], attempt)
-                    results[index] = self._finish(tasks[index], envelope)
-                    break
-                except KeyboardInterrupt:
-                    raise GridInterrupted(
-                        completed=sum(1 for r in results if r is not None),
-                        total=len(tasks),
-                    ) from None
-                except BaseException as exc:
-                    if isinstance(exc, CorruptResult):
-                        self.stats.corrupt_results += 1
-                    attempt += 1
-                    if policy.is_transient(exc) and attempt < policy.max_attempts:
-                        self.stats.retries += 1
-                        delay = policy.delay_s(tasks[index].key(), attempt)
-                        if delay > 0:
-                            time.sleep(delay)
-                        continue
-                    if collect_errors:
-                        results[index] = failure_entry(tasks[index], exc)
-                        break
-                    raise RunnerError(tasks[index], exc) from exc
-
-    def _run_pool(
-        self,
-        tasks: Sequence[ScenarioTask],
-        units: Sequence[_Unit],
-        results: List[Optional[Dict[str, Any]]],
-        collect_errors: bool,
-        interrupt: _InterruptState,
-    ) -> None:
-        """Worker-pool scheduler with watchdog, retries and pool recovery.
+        ``max_workers <= 1`` runs the same loop over an
+        :class:`_InlineExecutor` (one shard at a time, in this process;
+        nothing can break it, and there is no worker to kill, so shard
+        timeouts are not enforced); otherwise over a worker pool.
 
         Invariants:
 
@@ -689,7 +631,10 @@ class ParallelRunner:
         * a lock-step chunk that raises, overruns its (member-scaled)
           timeout or dies with a worker falls back to its members: they
           are requeued one by one free of charge (after a worker death,
-          as suspects), so every charge above stays per shard.
+          as suspects), so every charge above stays per shard;
+        * a ``KeyboardInterrupt`` that escapes the loop (a second signal,
+          or ^C inside an inline shard) stops at once, and like a
+          drained first signal ends in ``GridInterrupted``.
         """
         from repro.experiments.resilience import (
             BrokenWorker,
@@ -699,19 +644,22 @@ class ParallelRunner:
         )
 
         policy = self.retry_policy
-        worker_count = self._worker_count()
-        shards = [index for unit in units for index in _members(unit)]
-        restart_budget = policy.restart_budget(len(shards))
-        attempts: Dict[int, int] = {index: 0 for index in shards}
+        inline = self.max_workers is not None and self.max_workers <= 1
+        worker_count = 1 if inline else self.max_workers or os.cpu_count() or 1
+        units = self._units(tasks, pending, worker_count)
+        restart_budget = policy.restart_budget(len(pending))
+        attempts: Dict[int, int] = {index: 0 for index in pending}
         ready: deque = deque(units)
         suspects: deque = deque()
         delayed: List[List[Any]] = []  # [due_monotonic, index, solo]
         inflight: Dict[Any, _Unit] = {}
         deadlines: Dict[Any, float] = {}
         restarts = 0
-        pool: Optional[ProcessPoolExecutor] = None
+        pool: Optional[Executor] = None
 
-        def new_pool() -> ProcessPoolExecutor:
+        def new_pool() -> Executor:
+            if inline:
+                return _InlineExecutor()
             return ProcessPoolExecutor(
                 max_workers=self.max_workers, mp_context=_worker_context()
             )
@@ -797,16 +745,11 @@ class ParallelRunner:
                     (suspects if entry[2] else ready).append(entry[1])
 
                 if interrupt.flag:
-                    # Drain: submit nothing new, let in-flight shards
-                    # finish and flush, then report the partial grid.
+                    # Drain: submit nothing new; the loop ends once the
+                    # in-flight shards have finished and flushed.
                     ready.clear()
                     suspects.clear()
                     delayed.clear()
-                    if not inflight:
-                        raise GridInterrupted(
-                            completed=sum(1 for r in results if r is not None),
-                            total=len(tasks),
-                        )
                 elif suspects:
                     # Solo-verification mode: wait out the parallel
                     # in-flight shards, then one suspect at a time.
@@ -882,16 +825,15 @@ class ParallelRunner:
                         # The watchdog killed the pool under them;
                         # resubmit without charging an attempt.
                         ready.extend(bystanders)
-            if interrupt.flag:
-                # The drain finished on the same pass that emptied the
-                # in-flight map; the loop exited before the top-of-loop
-                # check could fire.
-                raise GridInterrupted(
-                    completed=sum(1 for r in results if r is not None),
-                    total=len(tasks),
-                )
+        except KeyboardInterrupt:
+            interrupt.flag = True
         finally:
             _terminate_pool(pool)
+        if interrupt.flag:
+            # Report the partial grid; every finished shard is flushed.
+            raise GridInterrupted(
+                completed=sum(1 for r in results if r is not None), total=len(tasks)
+            )
 
 
 # ----------------------------------------------------------------------

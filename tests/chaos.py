@@ -13,11 +13,11 @@ Importing this module
   (by default ``chaos_echo``, a cheap deterministic echo), and
   ``chaos_echo`` itself; and
 * replaces the runner's module-level worker entry point
-  ``_execute_task`` with :func:`_execute_with_faults`.  Both execution
-  paths look that function up at call time, and the pool forks its
-  workers, so the wrapper runs for every task of every later grid.  It
-  injects faults only into ``chaos`` tasks, and only while
-  :data:`FAULT_PLAN_ENV` holds a plan.
+  ``_execute_task`` with :func:`_execute_with_faults`.  The runner's
+  scheduler looks that function up at call time, inline runs call it
+  in process and the pool forks its workers, so the wrapper runs for
+  every task of every later grid.  It injects faults only into
+  ``chaos`` tasks, and only while :data:`FAULT_PLAN_ENV` holds a plan.
 
 The plan travels in the environment, never in task params, so a chaos
 task's cache key is identical with and without faults.  Faults are keyed

@@ -18,14 +18,17 @@ pinned by the scalar engine and the SHA-256 fingerprints.
   every spec's solo ``run_trace_episode``.
 * **Runner** — a chunk with a failing member falls back to per-shard
   runs: the good members are cached under their own keys, the bad one
-  comes back as a failure entry.
+  comes back as a failure entry; a corrupt member is charged an attempt
+  and a retry at every worker count.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+from repro.experiments import runner as runner_module
 from repro.experiments.runner import (
     FAILURE_KEY,
     ParallelRunner,
@@ -311,6 +314,26 @@ def _grouped_echo_chunk(params_list):
     return [_grouped_echo(**params) for params in params_list]
 
 
+#: Environment variable naming the marker file of :func:`_corrupt_first_chunk`.
+CORRUPT_ONCE_ENV = "REPRO_TEST_CORRUPT_ONCE"
+_execute_chunk = runner_module._execute_chunk
+
+
+def _corrupt_first_chunk(tasks):
+    """The runner's ``_execute_chunk``, but the first call of the run
+    (whichever process creates the marker file) damages its first
+    member's payload under the original digest, as the chaos rig's
+    ``corrupt`` fault does."""
+    envelopes = _execute_chunk(tasks)
+    try:
+        os.close(os.open(os.environ[CORRUPT_ONCE_ENV], os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return envelopes
+    first = envelopes[0]
+    envelopes[0] = dict(first, payload=dict(first["payload"], corrupted=True))
+    return envelopes
+
+
 class TestChunkFallback:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_member_falls_back_to_per_shard_runs(self, tmp_path, workers):
@@ -339,3 +362,32 @@ class TestChunkFallback:
         assert again.stats.cache_hits == 4
         assert rerun[2][FAILURE_KEY] is True
         assert [rerun[i] for i in (0, 1, 3, 4)] == [results[i] for i in (0, 1, 3, 4)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_corrupt_member_is_charged_at_every_worker_count(
+        self, tmp_path, monkeypatch, workers
+    ):
+        from repro.experiments.resilience import RetryPolicy
+
+        tasks = [
+            ScenarioTask("test_grouped_echo", {"value": float(index + 1)}, seed=index)
+            for index in range(5)
+        ]
+        policy = RetryPolicy(max_attempts=3, base_delay_s=0.01, max_delay_s=0.05)
+        clean = ParallelRunner(max_workers=workers, cache_dir=tmp_path / "clean")
+        expected = clean.run(tasks)
+
+        monkeypatch.setenv(CORRUPT_ONCE_ENV, str(tmp_path / "corrupted.marker"))
+        monkeypatch.setattr(runner_module, "_execute_chunk", _corrupt_first_chunk)
+        runner = ParallelRunner(
+            max_workers=workers, cache_dir=tmp_path / "faulted", retry_policy=policy
+        )
+        assert runner.run(tasks) == expected
+        assert (tmp_path / "corrupted.marker").exists()
+        assert runner.stats.corrupt_results == 1
+        assert runner.stats.retries == 1
+        assert runner.stats.executed == 5
+        for task in tasks:
+            name = f"{task.key()}.json"
+            faulted = (tmp_path / "faulted" / name).read_bytes()
+            assert faulted == (tmp_path / "clean" / name).read_bytes()

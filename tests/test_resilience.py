@@ -238,6 +238,26 @@ class TestPoolTeardown:
         # The hung worker is killed, not left to finish its 15 s hang.
         self.assert_no_new_leftovers(before)
 
+    def test_second_interrupt_is_grid_interrupted(self, monkeypatch):
+        """A second signal raises ``KeyboardInterrupt`` wherever the loop
+        is, here in its first ``wait``: the run still ends in
+        ``GridInterrupted`` with its accounting, and the pool is gone."""
+        from repro.experiments import runner as runner_module
+
+        def interrupted_wait(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
+        monkeypatch.setattr(runner_module, "wait", interrupted_wait)
+        before = pool_leftovers()
+        # The base class, so that a bare KeyboardInterrupt fails this
+        # test instead of ending the session.
+        with pytest.raises(KeyboardInterrupt) as stop:
+            ParallelRunner(max_workers=2).run(echo_tasks(4))
+        assert isinstance(stop.value, GridInterrupted)
+        assert (stop.value.completed, stop.value.total) == (0, 4)
+        self.assert_no_new_leftovers(before)
+
 
 class TestTimeouts:
     def test_straggler_is_cancelled_and_retried(self, monkeypatch, tmp_path):
