@@ -250,6 +250,20 @@ def _worker_context():
         return None
 
 
+def _worker_signals() -> None:
+    """Initializer of every pool worker: ignore SIGINT, die on SIGTERM.
+
+    Forked workers would otherwise inherit the parent's
+    :func:`_graceful_interrupts` handler, under which a SIGTERM from
+    :func:`_terminate_pool` only sets a flag in a busy worker, which then
+    runs on until the kill after the join timeout.  ^C reaches the
+    whole process group; ignoring it in the workers leaves the drain to
+    the parent, and the in-flight shards run to their end.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 @dataclass
 class RunnerStats:
     """Cache, execution and fault accounting of :meth:`ParallelRunner.run` calls."""
@@ -661,7 +675,9 @@ class ParallelRunner:
             if inline:
                 return _InlineExecutor()
             return ProcessPoolExecutor(
-                max_workers=self.max_workers, mp_context=_worker_context()
+                max_workers=self.max_workers,
+                mp_context=_worker_context(),
+                initializer=_worker_signals,
             )
 
         def rebuild_pool() -> None:

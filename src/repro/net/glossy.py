@@ -22,11 +22,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import is_not, or_
 from typing import Any, Dict, Generator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.net.interference import InterferenceSource, NoInterference
+from repro.net.interference import (
+    CompositeInterference,
+    InterferenceSource,
+    NoInterference,
+    combine_penalties,
+    penalty_windows_of,
+)
 from repro.net.link import LinkModel
 from repro.net.packet import DEFAULT_PACKET_BYTES
 from repro.net.radio import RadioModel
@@ -169,10 +177,6 @@ FLOOD_ENGINES = ("scalar", "vectorized")
 #: inside the cache and the reusable workspace small, without changing
 #: results (chunking splits the flood axis, never a flood's factors).
 KERNEL_CHUNK_ELEMENTS = 262_144
-
-#: ``episode_of`` of a lone flood run on its own engine (read-only).
-_ONE_EPISODE = np.zeros(1, dtype=np.int64)
-_ONE_EPISODE.setflags(write=False)
 
 #: Minimum (floods x undecided listeners) row size, in float64
 #: elements, for the streaming-accumulator variant of the exact kernel;
@@ -392,8 +396,8 @@ class GlossyFlood:
                 *timing,
             )
         return self._run_vectorized_batch(
-            [initiator], init_rows, [self], _ONE_EPISODE, part_rows, n_tx_rows,
-            [channel], [start_ms], [interference], *timing,
+            [initiator], init_rows, [self], [(0, 1, 0, interference)], part_rows, n_tx_rows,
+            [channel], [start_ms], *timing,
         )[0]
 
     def _participant_ids(self, part_mask: Optional[np.ndarray]) -> List[int]:
@@ -495,9 +499,10 @@ class GlossyFlood:
         included, runs through the same phase loop
         (:meth:`_run_vectorized_batch`), and the result list is
         **bit-for-bit identical** to ``K`` one-flood calls in order,
-        each on its own :class:`GlossyFlood`: the random draws are
-        generated flood by flood from each flood's own generator
-        (preserving every stream), and every per-phase update applies
+        each on its own :class:`GlossyFlood`: the random draws come from
+        each flood's own generator, one call per run of consecutive
+        floods with one owner, which consumes every stream exactly as
+        one call per flood does, and every per-phase update applies
         the same arithmetic to the same values — including the batched
         reception kernel, whose masked products interleave only exact
         ``* 1.0`` factors with a lone flood's dense product, and the
@@ -552,12 +557,20 @@ class GlossyFlood:
             raise ValueError("channels and start_times must match initiators")
         if len(owners) != count or len(sources) != count:
             raise ValueError("floods and interference lists must match initiators")
+        if not count:
+            return []
 
-        # Episodes: the distinct owners, in order of first appearance.
+        # Runs: maximal stretches of consecutive floods with one owner and
+        # one source (a request's floods), found without a Python step
+        # per flood.  Episodes: the distinct owners, in order of first
+        # appearance.
+        changes = map(or_, map(is_not, owners[1:], owners), map(is_not, sources[1:], sources))
+        bounds = [0, *compress(range(1, count), changes), count]
         episodes: List[GlossyFlood] = []
-        episode_of = np.zeros(count, dtype=np.int64)
+        runs: List[Tuple[int, int, int, InterferenceSource]] = []
         seen: Dict[int, int] = {}
-        for k, owner in enumerate(owners):
+        for start, stop in zip(bounds, bounds[1:]):
+            owner, source = owners[start], sources[start]
             episode = seen.get(id(owner))
             if episode is None:
                 if owner is not self and (
@@ -572,7 +585,9 @@ class GlossyFlood:
                     )
                 episode = seen[id(owner)] = len(episodes)
                 episodes.append(owner)
-            episode_of[k] = episode
+            runs.append(
+                (start, stop, episode, source if source is not None else NoInterference())
+            )
 
         if self.engine == "scalar":
             # Each owner's ``run`` attribute, looked up per flood: a
@@ -593,14 +608,10 @@ class GlossyFlood:
                 )
                 for k, initiator in enumerate(initiators)
             ]
-        if not count:
-            return []
-
         init_rows, part_rows, _, n_tx_rows = self._normalize(initiators, n_tx, participants)
         return self._run_vectorized_batch(
-            list(initiators), init_rows, episodes, episode_of, part_rows, n_tx_rows,
-            channel_list, start_list, [s if s is not None else NoInterference() for s in sources],
-            *self._slot_timing(packet_bytes, max_slot_ms),
+            list(initiators), init_rows, episodes, runs, part_rows, n_tx_rows,
+            channel_list, start_list, *self._slot_timing(packet_bytes, max_slot_ms),
         )
 
     def _run_scalar(
@@ -738,12 +749,11 @@ class GlossyFlood:
         initiators: List[int],
         init_rows: np.ndarray,
         episodes: List["GlossyFlood"],
-        episode_of: np.ndarray,
+        runs: List[Tuple[int, int, int, InterferenceSource]],
         part_rows: Optional[np.ndarray],
         n_tx_rows: np.ndarray,
         channels: List[int],
         start_times: List[float],
-        sources: List[InterferenceSource],
         slot_ms: float,
         phase_ms: float,
         num_phases: int,
@@ -759,12 +769,22 @@ class GlossyFlood:
         participants in index order.  Floods without a transmitter get
         an all-zero probability row, which makes every update a no-op
         for them, so a batch equals its floods run one by one bit for
-        bit.  ``episode_of`` maps each flood to its owner in
-        ``episodes``: the flood draws from its owner's generator and
-        propagates over its owner's links and coordinates.
+        bit.  ``runs`` splits the floods into ``(start, stop, episode,
+        source)`` stretches with one owner in ``episodes`` and one
+        interference source: each flood draws from its owner's
+        generator and propagates over its owner's links and
+        coordinates.  A run's floods take their draws in one call,
+        which consumes the generator stream exactly as one call per
+        flood does.
         """
         n_all = self._n
         count = len(initiators)
+        # Each flood's episode, needed only when the batch has several.
+        episode_of = (
+            np.repeat([e for _, _, e, _ in runs], [stop - start for start, stop, _, _ in runs])
+            if len(episodes) > 1
+            else None
+        )
 
         # Each initiator has received its packet and transmits in phase
         # 0, at least once.
@@ -776,14 +796,15 @@ class GlossyFlood:
         transmissions = np.zeros((count, n_all), dtype=np.int64)
         off_after = np.full((count, n_all), -1, dtype=np.int64)  # -1 = radio still on
 
-        # One batched draw per flood, in flood order, from the flood's
-        # own generator: every episode's stream is consumed exactly as
-        # by its floods run one by one.  Each flood fills its own row in
-        # place, so no per-flood copies exist next to the table.
+        # One batched draw per run, in flood order, from the owner's own
+        # generator: a run's rows are contiguous, so filling them in one
+        # call consumes every episode's stream exactly as its floods run
+        # one by one.  The rows are filled in place, so no per-flood
+        # copies exist next to the table.
         draws = np.empty((count, num_phases, n_all))  # (K, num_phases, N)
-        episode_list = episode_of.tolist()
-        for k, e in enumerate(episode_list):
-            episodes[e].rng.random(out=draws[k])
+        for start, stop, e, _ in runs:
+            episodes[e].rng.random(out=draws[start:stop])
+        episode_list = episode_of.tolist() if episode_of is not None else None
         prrs = [episode.link_model.prr_matrix() for episode in episodes]
         failures = [episode.link_model._failure_matrix for episode in episodes]
         # The kernel offsets each flood's rows by its episode (row e * N + i).
@@ -794,7 +815,7 @@ class GlossyFlood:
         )
         boost_factor = 1.0 + self.link_model.capture_boost
         timelines = self._penalty_timelines(
-            episodes, episode_of, sources, start_times, channels, phase_ms, num_phases
+            episodes, runs, start_times, channels, phase_ms, num_phases
         )
         if timelines is None:
             penalized = [False] * num_phases
@@ -813,6 +834,9 @@ class GlossyFlood:
             on_air &= part_rows
         grid = np.zeros((count, n_all)) if count > 1 else None
         live_floods = count
+        # On air and not yet decoded: recomputed at the end of every phase
+        # that can change it, and read by the next transmitting phase.
+        undecided = on_air > received
         for phase in range(num_phases):
             # An armed node is always still on air (arming requires the
             # radio on, and armed nodes neither spend out nor finish
@@ -829,7 +853,7 @@ class GlossyFlood:
                 # received on-air node is armed).  The reception fails
                 # only if every non-self link fails, with the capture
                 # boost rewarding >1 synchronized senders.
-                e = episode_list[k]
+                e = episode_list[k] if episode_list is not None else 0
                 if len(tx_flat) == 1:
                     row = prrs[e][tx_flat[0] - k * n_all]
                 else:
@@ -853,14 +877,13 @@ class GlossyFlood:
                 # Inactive rows and decided columns stay zero.
                 tx_counts = np.bincount(tx_flat // n_all, minlength=count)
                 active = np.flatnonzero(tx_counts)
-                undecided = on_air > received
                 active = active[undecided[active].any(axis=1)]
                 columns = np.flatnonzero(undecided[active].any(axis=0))
                 grid.fill(0.0)
                 if len(active) and len(columns):
                     self._phase_success_batched(
                         transmit, tx_counts, active, columns, *stacked, boost_factor, grid,
-                        episode_of if len(episodes) > 1 else None,
+                        episode_of,
                     )
                 probabilities = grid
             if penalized[phase]:
@@ -920,6 +943,8 @@ class GlossyFlood:
             )
             if now_live < live_floods:
                 live_floods = now_live
+                # Replaying a decided flood only switches off decoded
+                # nodes, so ``undecided`` stays current.
                 _finish_pending_transmissions(
                     next_tx, transmissions, n_tx_vec, off_after, on_air, num_phases,
                     flood_mask=~np.logical_or.reduce(undecided, axis=1),
@@ -933,42 +958,31 @@ class GlossyFlood:
         on_phases = np.where(off_after < 0, num_phases, np.minimum(off_after, num_phases))
         radio_on = np.minimum(slot_ms, on_phases * phase_ms)
 
-        if part_rows is None:
-            return [
-                FloodResult(
-                    initiator=initiator,
-                    node_ids=self.node_ids,
-                    received_array=received[k],
-                    reception_phase_array=reception_phase[k],
-                    transmissions_array=transmissions[k],
-                    radio_on_array=radio_on[k],
-                    slot_duration_ms=slot_ms,
-                    channel=channels[k],
-                )
-                for k, initiator in enumerate(initiators)
-            ]
         # Consecutive floods usually share their participant row (one
-        # round's slots, or one episode's request): list its rows once.
-        shared = part_rows.ndim == 1
-        changed = np.zeros(count, dtype=bool)
-        changed[0] = True
-        if not shared:
-            changed[1:] = (part_rows[1:] != part_rows[:-1]).any(axis=1)
+        # round's slots, or one episode's request): each stretch of equal
+        # rows lists its participants once, gathers them in one call per
+        # observable, and hands out row views.  A stretch in which every
+        # node takes part views the state arrays themselves.
+        if part_rows is None or part_rows.ndim == 1:
+            stretches = [(0, count, part_rows)]
+        else:
+            changes = (part_rows[1:] != part_rows[:-1]).any(axis=1)
+            bounds = [0, *(np.flatnonzero(changes) + 1).tolist(), count]
+            stretches = [(start, stop, part_rows[start]) for start, stop in zip(bounds, bounds[1:])]
         results: List[FloodResult] = []
-        for k, initiator in enumerate(initiators):
-            if changed[k]:
-                rows = np.flatnonzero(part_rows if shared else part_rows[k])
-                row_ids = self._ids_arr[rows].tolist()
-            results.append(
-                FloodResult(
-                    initiator=initiator,
-                    node_ids=row_ids,
-                    received_array=received[k, rows],
-                    reception_phase_array=reception_phase[k, rows],
-                    transmissions_array=transmissions[k, rows],
-                    radio_on_array=radio_on[k, rows],
-                    slot_duration_ms=slot_ms,
-                    channel=channels[k],
+        state = (received, reception_phase, transmissions, radio_on)
+        for start, stop, row in stretches:
+            if row is None or row.all():
+                node_ids = self.node_ids
+                tables = [table[start:stop] for table in state]
+            else:
+                columns = np.flatnonzero(row)
+                node_ids = tuple(self._ids_arr[columns].tolist())
+                tables = [table[start:stop, columns] for table in state]
+            results.extend(
+                FloodResult(initiator, node_ids, *arrays, slot_ms, channel)
+                for initiator, channel, *arrays in zip(
+                    initiators[start:stop], channels[start:stop], *tables
                 )
             )
         return results
@@ -976,8 +990,7 @@ class GlossyFlood:
     @staticmethod
     def _penalty_timelines(
         episodes: List["GlossyFlood"],
-        episode_of: np.ndarray,
-        sources: List[InterferenceSource],
+        runs: List[Tuple[int, int, int, InterferenceSource]],
         start_times: List[float],
         channels: List[int],
         phase_ms: float,
@@ -989,68 +1002,120 @@ class GlossyFlood:
         penalty of flood ``k``'s phase ``p`` from
         :meth:`~repro.net.interference.InterferenceSource.penalty_windows`
         at its owner's coordinates.  A lone flood makes one call and
-        views it as ``(num_phases, 1, N)``.  Otherwise every source's
-        windows are row-local (a row depends only on its own start,
-        channel and the coordinates), so one call per distinct source
-        covers the distinct (start, channel) windows of all floods it
-        serves.  Lock-stepped episodes over one topology often carry
-        equal sources (the same jammer setting in different protocols'
-        runs) and share slot start times, so equal sources are evaluated
-        once.
+        views it as ``(num_phases, 1, N)``.
+
+        Otherwise every source's windows are row-local (a row depends
+        only on its own start, channel and the coordinates), so each
+        distinct leaf source (any source but a
+        :class:`~repro.net.interference.CompositeInterference`) is
+        evaluated once, over the batch's distinct (start, channel)
+        windows.  Equal leaves on one topology share that evaluation,
+        also inside different composites: lock-stepped episodes carry
+        equal sources (the ambient source of every jamming ratio, the
+        same jammer setting in different protocols' runs) and share slot
+        start times.  Each distinct composite structure is then combined
+        once with :func:`~repro.net.interference.combine_penalties`, in
+        source order, as its own ``penalty_windows`` combines it, so
+        every row equals the flood's own call bit for bit.  The grouping
+        walks the runs, not the floods, and one gather lays the
+        combined tables out flood by flood.
         """
-        if len(sources) == 1:
-            if isinstance(sources[0], NoInterference):
+        if runs[-1][1] == 1:
+            source = runs[0][3]
+            if isinstance(source, NoInterference):
                 return None
-            return sources[0].penalty_windows(
+            return source.penalty_windows(
                 episodes[0]._coords,
                 start_times[0] + phase_ms * np.arange(num_phases),
                 phase_ms,
                 channels[0],
             )[:, None, :]
-        groups: List[Tuple[InterferenceSource, "GlossyFlood", List[int]]] = []
-        group_of: Dict[Tuple[int, int], int] = {}
-        for k, source in enumerate(sources):
-            if isinstance(source, NoInterference):
-                continue
-            episode = int(episode_of[k])
-            key = (id(source), episode)
-            group = group_of.get(key)
-            if group is None:
-                owner = episodes[episode]
-                group = next(
-                    (
-                        g
-                        for g, (other, other_owner, _) in enumerate(groups)
-                        if other_owner.topology is owner.topology and other == source
-                    ),
-                    len(groups),
-                )
-                if group == len(groups):
-                    groups.append((source, owner, []))
-                group_of[key] = group
-            groups[group][2].append(k)
-        if not groups:
+        leaves: List[InterferenceSource] = []
+        # Leaf indices by (leaf id, topology id), by (type, topology id)
+        # and by topology id, with an owner of each topology.
+        leaf_of: Dict[Tuple[int, int], int] = {}
+        kinds: Dict[Tuple[type, int], List[int]] = {}
+        on_topology: Dict[int, Tuple["GlossyFlood", List[int]]] = {}
+
+        def structure(source: InterferenceSource, owner: "GlossyFlood") -> Any:
+            """A leaf's index in ``leaves``, a composite's tuple of its
+            parts' structures, or ``None`` for a source without penalties
+            (which would multiply every survival by exactly 1.0)."""
+            kind = type(source)
+            if kind is NoInterference:
+                return None
+            if kind is CompositeInterference:
+                parts = []
+                for inner in source.sources:
+                    part = structure(inner, owner)
+                    if part is not None:
+                        parts.append(part)
+                return tuple(parts) if parts else None
+            key = (id(source), id(owner.topology))
+            leaf = leaf_of.get(key)
+            if leaf is None:
+                same = kinds.setdefault((kind, key[1]), [])
+                for leaf in same:
+                    if leaves[leaf] == source:
+                        break
+                else:
+                    leaf = len(leaves)
+                    leaves.append(source)
+                    same.append(leaf)
+                    on_topology.setdefault(key[1], (owner, []))[1].append(leaf)
+                leaf_of[key] = leaf
+            return leaf
+
+        # Each run's structure (``None``: no interference), and the
+        # distinct structures in order of first appearance.
+        structure_of: Dict[Tuple[int, int], Any] = {}
+        run_parts = []
+        for _, _, e, source in runs:
+            key = (id(source), e)
+            if key not in structure_of:
+                structure_of[key] = structure(source, episodes[e])
+            run_parts.append(structure_of[key])
+        parts = list(dict.fromkeys(part for part in run_parts if part is not None))
+        if not parts:
             return None
+        # The distinct windows, phase-major: row ``p * W + w`` is phase
+        # ``p`` of window ``w``.
+        window_of: Dict[Tuple[float, int], int] = {}
+        flood_window = [
+            window_of.setdefault(window, len(window_of)) for window in zip(start_times, channels)
+        ]
+        windows = np.array(list(window_of))
+        count = len(window_of)
         n_all = episodes[0]._n
-        timelines = np.zeros((num_phases, len(sources), n_all))
-        phase_offsets = phase_ms * np.arange(num_phases)
-        for source, owner, members in groups:
-            window_of: Dict[Tuple[float, int], int] = {}
-            slots = [
-                window_of.setdefault((start_times[k], channels[k]), len(window_of))
-                for k in members
-            ]
-            window_starts = (
-                np.array([start for start, _ in window_of])[:, None] + phase_offsets
-            ).ravel()
-            window_channels = np.repeat(
-                np.array([channel for _, channel in window_of], dtype=np.int64), num_phases
+        starts = (phase_ms * np.arange(num_phases)[:, None] + windows[:, 0]).ravel()
+        window_channels = np.tile(windows[:, 1].astype(np.int64), num_phases)
+        values: Dict[int, np.ndarray] = {}
+        for owner, members in on_topology.values():
+            evaluated = penalty_windows_of(
+                [leaves[leaf] for leaf in members], owner._coords, starts, phase_ms, window_channels
             )
-            windows = source.penalty_windows(
-                owner._coords, window_starts, phase_ms, window_channels
-            ).reshape(len(window_of), num_phases, n_all)
-            timelines[:, members, :] = windows[slots].transpose(1, 0, 2)
-        return timelines
+            values.update(zip(members, evaluated))
+        shape = (len(starts), n_all)
+
+        def penalties(part: Any) -> np.ndarray:
+            if isinstance(part, int):
+                return values[part]
+            return combine_penalties([penalties(inner) for inner in part], shape)
+
+        # One (num_phases, W, N) table per structure, side by side, then a
+        # zero table for the floods without interference; flood ``k``
+        # reads column ``table * W + window``.
+        tables = [penalties(part).reshape(num_phases, count, n_all) for part in parts]
+        if None in run_parts:
+            tables.append(np.zeros((num_phases, count, n_all)))
+        table_of = {part: index for index, part in enumerate(parts)}
+        columns = np.repeat(
+            [table_of.get(part, len(parts)) * count for part in run_parts],
+            [stop - start for start, stop, _, _ in runs],
+        )
+        columns += flood_window
+        stacked = tables[0] if len(tables) == 1 else np.concatenate(tables, axis=1)
+        return np.take(stacked, columns, axis=1)  # C-contiguous, unlike stacked[:, columns]
 
     def _failure_padded(self, link_failure: np.ndarray) -> np.ndarray:
         """``link_failure`` with an all-ones padding row appended.
@@ -1136,15 +1201,15 @@ class GlossyFlood:
         multi = counts >= 2
         single = ~multi  # every active flood has >= 1 transmitter
         num_cols = len(columns)
-        if single.any():
+        if np.count_nonzero(single):
             solo_rows = active[single]
             # Exactly one transmitter per solo flood: its PRR row is
             # the success probability (no capture boost).
             solo_tx = transmit[solo_rows].argmax(axis=1)
             if episode_of is not None:
                 solo_tx += episode_of[solo_rows] * n
-            out[np.ix_(solo_rows, columns)] = prr[np.ix_(solo_tx, columns)]
-        if not multi.any():
+            out[solo_rows[:, None], columns] = prr[solo_tx[:, None], columns]
+        if not np.count_nonzero(multi):
             return
         rows = active[multi]
         stacked = link_failure.shape[0]  # E * N rows; row E * N pads
@@ -1193,7 +1258,7 @@ class GlossyFlood:
             np.subtract(1.0, block, out=block)
             block *= boost_factor
             np.minimum(block, 1.0, out=block)
-            out[np.ix_(rows, columns)] = block
+            out[rows[:, None], columns] = block
             return
         flood_budget = max(1, KERNEL_CHUNK_ELEMENTS // max(1, t_max * num_cols))
         for start in range(0, num_multi, flood_budget):
@@ -1208,7 +1273,7 @@ class GlossyFlood:
             np.subtract(1.0, block, out=block)
             block *= boost_factor
             np.minimum(block, 1.0, out=block)
-            out[np.ix_(rows[start:stop], columns)] = block
+            out[rows[start:stop, None], columns] = block
 
 
 @dataclass(eq=False)

@@ -61,6 +61,53 @@ def burst_period_ms(interference_ratio: float, burst_ms: float = DEFAULT_BURST_M
     return burst_ms / interference_ratio
 
 
+def combine_penalties(penalties: Sequence[np.ndarray], shape: Tuple[int, ...]) -> np.ndarray:
+    """Combine independent sources' penalties as ``1 - prod(1 - p_i)``.
+
+    ``penalties`` holds one array of ``shape`` per source, multiplied in
+    order.  Dense over every entry: a source that leaves an entry at 0
+    multiplies its survival by exactly ``1.0``, so each entry equals the
+    product over only the sources that touch it, bit for bit, and an
+    entry no source touches comes out exactly 0.
+    :meth:`CompositeInterference.penalty_windows` and the flood engines'
+    batched timelines both combine through here.
+    """
+    if not penalties:
+        return np.zeros(shape)
+    # ``1.0 * (1 - p_0)`` is ``1 - p_0`` exactly: start from the first.
+    survival = np.subtract(1.0, penalties[0])
+    for penalty in penalties[1:]:
+        survival *= np.subtract(1.0, penalty)
+    return np.subtract(1.0, survival, out=survival)
+
+
+def penalty_windows_of(
+    sources: Sequence["InterferenceSource"],
+    positions: np.ndarray,
+    starts_ms: np.ndarray,
+    duration_ms: float,
+    channels: Union[int, np.ndarray],
+) -> List[np.ndarray]:
+    """Every source's ``penalty_windows`` over the same windows, in order.
+
+    The :class:`BurstJammer` among them share one broadcast over their
+    bursts; every other source makes its own call.  Each entry equals
+    the source's own call bit for bit.
+    """
+    jammers = [source for source in sources if type(source) is BurstJammer]
+    timelines = iter(
+        BurstJammer._timelines(jammers, positions, starts_ms, duration_ms, channels)
+        if jammers
+        else ()
+    )
+    return [
+        next(timelines)
+        if type(source) is BurstJammer
+        else source.penalty_windows(positions, starts_ms, duration_ms, channels)
+        for source in sources
+    ]
+
+
 class InterferenceSource(abc.ABC):
     """Base class for all interference sources."""
 
@@ -151,6 +198,9 @@ class BurstJammer(InterferenceSource):
             for channel in self.channels:
                 if channel not in IEEE_802_15_4_CHANNELS:
                     raise ValueError(f"invalid channel: {channel}")
+        #: Memoized spatial factors per positions array, keyed by its
+        #: contents (a pure function of the jammer and the positions).
+        self._spatial_batches: dict = {}
 
     @property
     def period_ms(self) -> float:
@@ -160,10 +210,15 @@ class BurstJammer(InterferenceSource):
         return self.burst_ms / self.interference_ratio
 
     def _spatial_factor_batch(self, positions: np.ndarray) -> np.ndarray:
-        delta = np.asarray(positions, dtype=float) - np.asarray(self.position, dtype=float)
-        distance = np.hypot(delta[:, 0], delta[:, 1])
-        factor = 1.0 - (distance - self.range_m) / self.range_m
-        return np.clip(factor, 0.0, 1.0)
+        key = (positions.shape, positions.tobytes())
+        factors = self._spatial_batches.get(key)
+        if factors is None:
+            delta = positions - np.asarray(self.position, dtype=float)
+            distance = np.hypot(delta[:, 0], delta[:, 1])
+            factors = np.clip(1.0 - (distance - self.range_m) / self.range_m, 0.0, 1.0)
+            factors.flags.writeable = False
+            self._spatial_batches[key] = factors
+        return factors
 
     def penalty_windows(
         self,
@@ -172,39 +227,73 @@ class BurstJammer(InterferenceSource):
         duration_ms: float,
         channels: Union[int, np.ndarray],
     ) -> np.ndarray:
+        return BurstJammer._timelines([self], positions, starts_ms, duration_ms, channels)[0]
+
+    @staticmethod
+    def _timelines(
+        jammers: Sequence["BurstJammer"],
+        positions: np.ndarray,
+        starts_ms: np.ndarray,
+        duration_ms: float,
+        channels: Union[int, np.ndarray],
+    ) -> List[np.ndarray]:
+        """``penalty_windows`` of several jammers, their bursts in one broadcast.
+
+        Each entry equals that jammer's own call bit for bit: every
+        element sees the same arithmetic whatever the other jammers are.
+        """
         positions = np.asarray(positions, dtype=float)
         starts = np.asarray(starts_ms, dtype=float)
-        count = len(starts)
-        timeline = np.zeros((count, len(positions)))
-        if count == 0 or duration_ms <= 0 or self.interference_ratio <= 0.0:
-            return timeline
-        active = np.ones(count, dtype=bool)
-        if isinstance(channels, (int, np.integer)):
-            if self.channels is not None and int(channels) not in self.channels:
-                return timeline
-        elif self.channels is not None:
-            active &= np.isin(np.asarray(channels), np.asarray(self.channels))
-            if not active.any():
-                return timeline
-        # Burst-overlap fractions of every window in one shot: the
-        # candidate burst range covers all windows, and bursts outside
-        # a given window contribute an exact 0 to its covered sum, so
-        # each row equals that window's own burst-by-burst sum bit for
-        # bit.
-        period = self.period_ms
-        origin = self.phase_ms
-        ends = starts + duration_ms
-        first_burst = math.floor((starts.min() - origin) / period) - 1
-        last_burst = math.ceil((ends.max() - origin) / period) + 1
-        burst_starts = origin + period * np.arange(int(first_burst), int(last_burst) + 1)
-        overlap = np.minimum(ends[:, None], burst_starts[None, :] + self.burst_ms)
-        overlap -= np.maximum(starts[:, None], burst_starts[None, :])
-        covered = np.clip(overlap, 0.0, None).sum(axis=1)
-        fraction = np.minimum(1.0, covered / duration_ms)
-        jams = active & (fraction > BURST_OVERLAP_DECODE_THRESHOLD)
-        if jams.any():
-            timeline[jams] = self._spatial_factor_batch(positions)[None, :]
-        return timeline
+        shape = (len(jammers), len(starts), len(positions))
+        one_channel = isinstance(channels, (int, np.integer))
+        bursting = [
+            jammer.interference_ratio > 0.0
+            and (jammer.channels is None or not one_channel or int(channels) in jammer.channels)
+            for jammer in jammers
+        ]
+        if not len(starts) or duration_ms <= 0 or not any(bursting):
+            return list(np.zeros(shape))
+        live = [jammer for jammer, flag in zip(jammers, bursting) if flag]
+        # Burst-overlap fraction of every window: a window overlaps only
+        # the bursts from the one starting at or before it (rounded
+        # down once more against floating-point error) to the last one
+        # starting before its end, so each row sums its own few
+        # candidates.  Bursts outside the window add an exact 0, and a
+        # window no longer than the period overlaps at most two bursts,
+        # so the sum equals the burst-by-burst one bit for bit.
+        # Axes: (jammer, candidate, window); candidate ``c`` of a window
+        # is the burst ``first + c - 1``.
+        periods = np.array([jammer.period_ms for jammer in live])[:, None, None]
+        origins = np.array([jammer.phase_ms for jammer in live])[:, None, None]
+        lengths = np.array([jammer.burst_ms for jammer in live])[:, None, None]
+        first = np.subtract(starts, origins)
+        first /= periods
+        np.floor(first, out=first)
+        candidates = math.ceil(duration_ms / periods.min()) + 3
+        burst_starts = first + np.arange(-1.0, candidates - 1.0)[:, None]
+        burst_starts *= periods
+        burst_starts += origins
+        overlap = burst_starts + lengths
+        np.minimum(overlap, starts + duration_ms, out=overlap)
+        np.maximum(burst_starts, starts, out=burst_starts)
+        overlap -= burst_starts
+        np.maximum(overlap, 0.0, out=overlap)
+        covered = np.add.reduce(overlap, axis=1)
+        covered /= duration_ms
+        jams = covered > BURST_OVERLAP_DECODE_THRESHOLD
+        if not one_channel:
+            for row, jammer in zip(jams, live):
+                if jammer.channels is not None:
+                    row &= np.isin(np.asarray(channels), np.asarray(jammer.channels))
+        # A jammed window reads the spatial factor (``1.0 * f``), any
+        # other ``0.0 * f = 0.0``: the factors are finite and >= 0.
+        spatial = np.array([jammer._spatial_factor_batch(positions) for jammer in live])
+        penalties = jams[:, :, None] * spatial[:, None, :]
+        if len(live) < len(jammers):
+            everyone = np.zeros(shape)
+            everyone[bursting] = penalties
+            penalties = everyone
+        return list(penalties)
 
 
 #: D-Cube WiFi interference level presets: burst duty cycle, burst length,
@@ -412,10 +501,11 @@ class AmbientInterference(InterferenceSource):
     ) -> np.ndarray:
         # Position- and channel-independent: bursts corrupt the whole
         # deployment equally, so the per-window predicate broadcasts
-        # across receivers.  Each window is checked against the bursts
-        # of every memoized window-index it could overlap; windows
-        # outside a burst's own range contribute an exact zero overlap,
-        # so a window sees exactly the bursts of its own range.
+        # across receivers.  Every window is tested against the bursts
+        # of every memoized window-index the windows could overlap, in
+        # one broadcast; windows outside a burst's own range get an
+        # overlap of at most 0, so a window sees exactly the bursts of
+        # its own range.
         positions = np.asarray(positions, dtype=float)
         starts = np.asarray(starts_ms, dtype=float)
         count = len(starts)
@@ -426,13 +516,18 @@ class AmbientInterference(InterferenceSource):
             ends = starts + duration_ms
             first_window = int(starts.min() // self.window_ms) - 1
             last_window = int(ends.max() // self.window_ms)
-            for window_index in range(first_window, last_window + 1):
-                burst = self._window_burst(window_index)
-                if burst is None:
-                    continue
-                overlap = np.minimum(ends, burst[1]) - np.maximum(starts, burst[0])
-                np.clip(overlap, 0.0, None, out=overlap)
-                jammed |= overlap / duration_ms > BURST_OVERLAP_DECODE_THRESHOLD
+            bursts = [
+                burst
+                for burst in map(self._window_burst, range(first_window, last_window + 1))
+                if burst is not None
+            ]
+            if bursts:
+                edges = np.array(bursts)
+                overlap = np.minimum(ends[:, None], edges[:, 1])
+                overlap -= np.maximum(starts[:, None], edges[:, 0])
+                np.maximum(overlap, 0.0, out=overlap)
+                overlap /= duration_ms
+                jammed = (overlap > BURST_OVERLAP_DECODE_THRESHOLD).any(axis=1)
         timeline = np.zeros((count, len(positions)))
         timeline[jammed] = 1.0
         return timeline
@@ -459,26 +554,8 @@ class CompositeInterference(InterferenceSource):
         duration_ms: float,
         channels: Union[int, np.ndarray],
     ) -> np.ndarray:
-        # Burst interference is sparse in time: most windows receive no
-        # penalty from any source.  Rows a source leaves at zero would
-        # multiply the survival by exactly 1.0, so restricting the
-        # combination to the touched rows is bit-identical to the dense
-        # ``1 - prod(1 - p_i)`` while touching a fraction of the array.
         positions = np.asarray(positions, dtype=float)
-        starts_ms = np.asarray(starts_ms, dtype=float)
-        count = len(starts_ms)
-        survival: Optional[np.ndarray] = None
-        touched = np.zeros(count, dtype=bool)
-        for source in self.sources:
-            windows = source.penalty_windows(positions, starts_ms, duration_ms, channels)
-            rows = windows.any(axis=1)
-            if not rows.any():
-                continue
-            if survival is None:
-                survival = np.ones((count, len(positions)))
-            survival[rows] *= 1.0 - windows[rows]
-            touched |= rows
-        penalty = np.zeros((count, len(positions)))
-        if survival is not None:
-            penalty[touched] = 1.0 - survival[touched]
-        return penalty
+        return combine_penalties(
+            penalty_windows_of(self.sources, positions, starts_ms, duration_ms, channels),
+            (len(np.asarray(starts_ms)), len(positions)),
+        )

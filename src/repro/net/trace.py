@@ -36,14 +36,16 @@ def atomic_write_json(path: Path, payload: Dict) -> None:
     Concurrent writers of the same file (e.g. parallel workers sharing
     an artifact cache) never leave a torn file behind; the last
     completed write wins.  Shared by the trace cache and the parallel
-    runner's result cache.
+    runner's result cache.  The text is encoded in one ``json.dumps``
+    call, which runs the C encoder (``json.dump`` runs the pure-Python
+    one); the bytes are the same.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+            handle.write(json.dumps(payload))
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):

@@ -272,7 +272,11 @@ class QNetwork:
     # Persistence
     # ------------------------------------------------------------------
     def save(self, path: Path) -> None:
-        """Serialize the architecture and parameters to a JSON file."""
+        """Serialize the architecture and parameters to a JSON file.
+
+        Encoded in one ``json.dumps`` call (the C encoder), byte for byte
+        what ``json.dump`` writes.
+        """
         payload = {
             "layer_sizes": list(self.layer_sizes),
             "hidden_activation": self.hidden_activation,
@@ -281,8 +285,7 @@ class QNetwork:
         }
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+        path.write_text(json.dumps(payload), encoding="utf-8")
 
     @classmethod
     def load(cls, path: Path) -> "QNetwork":

@@ -17,6 +17,8 @@ from repro.net.interference import (
     NoInterference,
     WifiInterference,
     burst_period_ms,
+    combine_penalties,
+    penalty_windows_of,
 )
 
 import reference_interference as reference
@@ -378,3 +380,49 @@ class TestPenaltyWindows:
         for source in self.sources():
             windows = source.penalty_windows(self.POSITIONS, np.array([]), 1.6, 26)
             assert windows.shape == (0, len(self.POSITIONS))
+
+    @pytest.mark.parametrize("channels", [26, 11, "mixed"])
+    @pytest.mark.parametrize("duration", [1.6, 40.0])
+    def test_sources_evaluated_together_equal_their_own_calls(self, channels, duration):
+        """Jammers of several ratios, phases, burst lengths and channel
+        sets share one broadcast; each result equals its own call."""
+        sources = self.sources() + [
+            BurstJammer(position=(2.0, 0.0), interference_ratio=0.0, channels=None),
+            BurstJammer(position=(0.0, 2.0), interference_ratio=0.35, phase_ms=7.0,
+                        channels=(11, 15)),
+            BurstJammer(position=(3.0, 1.0), interference_ratio=1.0, burst_ms=5.0,
+                        channels=None),
+            # Short bursts: a 40 ms window jams only if all its ~6 bursts count.
+            BurstJammer(position=(1.0, 1.0), interference_ratio=0.15, burst_ms=1.0,
+                        channels=None),
+        ]
+        starts = np.concatenate([50.0 + 1.6 * np.arange(40), [0.0, 130.0, 7.0, 4321.5]])
+        if channels == "mixed":
+            channels = window_channels("per-window", len(starts))
+        together = penalty_windows_of(sources, self.POSITIONS, starts, duration, channels)
+        assert len(together) == len(sources)
+        jammed = 0
+        for source, windows in zip(sources, together):
+            alone = source.penalty_windows(self.POSITIONS, starts, duration, channels)
+            assert windows.tobytes() == alone.tobytes(), source
+            assert_windows_match_scalar_penalty(source, self.POSITIONS, starts, duration, channels)
+            jammed += bool(windows.any())
+        assert jammed >= 3
+
+    def test_combination_is_dense_and_ordered(self):
+        """``combine_penalties`` equals the sparse row-by-row product of
+        the sources that touch each row, and leaves untouched entries 0."""
+        rng = np.random.default_rng(4)
+        penalties = []
+        for rows in ([0, 3], [3], []):
+            penalty = np.zeros((5, 3))
+            penalty[rows] = rng.uniform(0.05, 0.95, (len(rows), 3))
+            penalties.append(penalty)
+        combined = combine_penalties(penalties, (5, 3))
+        survival = np.ones((5, 3))
+        for penalty in penalties:
+            touched = penalty.any(axis=1)
+            survival[touched] *= 1.0 - penalty[touched]
+        assert combined.tobytes() == np.where(survival == 1.0, 0.0, 1.0 - survival).tobytes()
+        assert not combined[[1, 2, 4]].any()
+        assert combine_penalties([], (5, 3)).tobytes() == np.zeros((5, 3)).tobytes()

@@ -46,10 +46,15 @@ from repro.experiments.spec import (
     run_trace_episode,
 )
 from repro.net.glossy import FloodRequest, GlossyFlood, run_flood_requests
-from repro.net.interference import CompositeInterference, NoInterference
+from repro.net.interference import (
+    AmbientInterference,
+    BurstJammer,
+    CompositeInterference,
+    NoInterference,
+)
 from repro.net.link import LinkModel
 from repro.net.radio import RadioModel
-from repro.net.topology import kiel_testbed, random_topology
+from repro.net.topology import Topology, kiel_testbed, random_topology
 from repro.rl.trace_env import node_outage_schedule
 
 
@@ -184,6 +189,168 @@ class TestMultiEpisodeKernel:
         floods = [GlossyFlood(kiel, engine="vectorized"), GlossyFlood(other, engine="vectorized")]
         with pytest.raises(ValueError, match="topology"):
             floods[0].run_batch([0, 0], 2, floods=floods)
+
+
+def shifted(topology, dx=4.0, dy=-2.0):
+    """The same node ids at other positions: another set of coordinates."""
+    return Topology(
+        positions={node: (x + dx, y + dy) for node, (x, y) in topology.positions.items()},
+        coordinator=topology.coordinator,
+        jammers=topology.jammers,
+        comm_range_m=topology.comm_range_m,
+    )
+
+
+class TestBatchedTimelines:
+    """``GlossyFlood._penalty_timelines`` evaluates each distinct leaf
+    source of a batch once and combines composites densely; every flood's
+    row must still equal its own source's ``penalty_windows`` bit for bit."""
+
+    PHASE_MS = 1.5
+    NUM_PHASES = 9
+
+    def mixed_batch(self, kiel):
+        other = shifted(kiel)
+        owners = [GlossyFlood(kiel, engine="vectorized"), GlossyFlood(kiel, engine="vectorized"),
+                  GlossyFlood(other, engine="vectorized")]
+        low, high = jamming_interference(kiel, 0.2), jamming_interference(kiel, 0.35)
+        # Equal leaves, another order: must not share the composite's table.
+        reordered = CompositeInterference(list(reversed(jamming_interference(kiel, 0.2).sources)))
+        nested = CompositeInterference(
+            [jamming_interference(kiel, 0.1), NoInterference(), CompositeInterference()]
+        )
+        nested.add(BurstJammer(position=(3.0, 4.0), interference_ratio=0.5, channels=(26,)))
+        bare = BurstJammer(position=kiel.jammers[0], interference_ratio=0.35, channels=None)
+        # Always-on jammers with fractional spatial factors at shared
+        # receivers: the combination order shows in the last bit there.
+        quartet = [
+            BurstJammer(position=position, interference_ratio=1.0, channels=None, range_m=6.0)
+            for position in ((22.0, 7.0), (13.0, 10.0), (5.0, 5.0), (7.0, 21.0))
+        ]
+        # (source, owner, starts, channels): repeated windows within and
+        # across runs, on both topologies.
+        plan = [
+            (low, 0, [40.0, 62.0, 40.0], [26, 26, 26]),
+            (high, 1, [40.0, 62.0, 84.0], [26, 11, 26]),
+            (NoInterference(), 0, [106.0], [26]),
+            (reordered, 1, [62.0, 128.0], [26, 26]),
+            (nested, 2, [40.0, 84.0], [26, 26]),
+            (bare, 0, [62.0, 7.0], [26, 15]),
+            (low, 2, [40.0, 150.0], [26, 26]),
+            (AmbientInterference(rate=low.sources[0].rate, seed=11), 1, [41.5], [26]),
+            (CompositeInterference(quartet), 0, [62.0], [26]),
+            (CompositeInterference(quartet[::-1]), 1, [62.0], [26]),
+        ]
+        runs, starts, channels = [], [], []
+        for source, owner, run_starts, run_channels in plan:
+            runs.append((len(starts), len(starts) + len(run_starts), owner, source))
+            starts += run_starts
+            channels += run_channels
+        return owners, runs, starts, channels
+
+    def test_rows_equal_each_floods_own_source(self, kiel, monkeypatch):
+        owners, runs, starts, channels = self.mixed_batch(kiel)
+        calls = {}
+        for cls in (AmbientInterference, BurstJammer, CompositeInterference):
+            original = cls.penalty_windows
+
+            def counted(source, *args, _original=original, _cls=cls):
+                calls[_cls.__name__] = calls.get(_cls.__name__, 0) + 1
+                return _original(source, *args)
+
+            monkeypatch.setattr(cls, "penalty_windows", counted)
+        jammer_batches = []
+        timelines_of = BurstJammer._timelines
+
+        def counted_jammers(jammers, *args):
+            jammer_batches.append(len(jammers))
+            return timelines_of(jammers, *args)
+
+        monkeypatch.setattr(BurstJammer, "_timelines", staticmethod(counted_jammers))
+        timelines = GlossyFlood._penalty_timelines(
+            owners, runs, starts, channels, self.PHASE_MS, self.NUM_PHASES
+        )
+        assert timelines.shape == (self.NUM_PHASES, len(starts), kiel.num_nodes)
+        assert timelines.flags.c_contiguous
+        # One evaluation per distinct leaf and topology, and no composite
+        # call: one ambient source per topology; on Kiel the 0.2 jammers
+        # of ``low`` and ``reordered`` and the 0.35 ones of ``high``, the
+        # first also serving ``bare``, and the quartet; on the shifted
+        # topology the three jammers of ``nested`` and the two of
+        # ``low``.  The jammers of one topology share one broadcast.
+        assert calls == {"AmbientInterference": 2}
+        assert jammer_batches == [8, 5]
+        monkeypatch.undo()
+        penalized = 0
+        for start, stop, owner, source in runs:
+            for k in range(start, stop):
+                expected = source.penalty_windows(
+                    owners[owner]._coords,
+                    starts[k] + self.PHASE_MS * np.arange(self.NUM_PHASES),
+                    self.PHASE_MS,
+                    channels[k],
+                )
+                assert timelines[:, k].tobytes() == expected.tobytes(), (k, source)
+                penalized += bool(expected.any())
+        # The batch is not trivially clean: most floods see some penalty.
+        assert penalized >= 10
+
+    def test_no_interference_batch_has_no_timelines(self, kiel):
+        owners = [GlossyFlood(kiel, engine="vectorized")]
+        runs = [(0, 2, 0, NoInterference()), (2, 3, 0, CompositeInterference())]
+        assert GlossyFlood._penalty_timelines(
+            owners, runs, [0.0, 20.0, 40.0], [26, 26, 26], 1.5, 9
+        ) is None
+
+    def test_interleaved_owners_equal_floods_run_one_by_one(self, kiel):
+        def owners():
+            return (
+                GlossyFlood(kiel, LinkModel(kiel, seed=1), rng=np.random.default_rng(5),
+                            engine="vectorized"),
+                GlossyFlood(kiel, LinkModel(kiel, seed=2), rng=np.random.default_rng(6),
+                            engine="vectorized"),
+            )
+
+        sources = [jamming_interference(kiel, 0.3), jamming_interference(kiel, 0.1)]
+        a, b = owners()
+        batched = a.run_batch(
+            [0, 5, 9], 3, channels=[26, 26, 26], start_times=[0.0, 0.0, 20.0],
+            interference=[sources[0], sources[1], sources[0]], floods=[a, b, a],
+            max_slot_ms=20.0,
+        )
+        solo_a, solo_b = owners()
+        alone = [
+            solo_a.run_batch([0], 3, start_times=0.0, interference=sources[0], max_slot_ms=20.0),
+            solo_b.run_batch([5], 3, start_times=0.0, interference=sources[1], max_slot_ms=20.0),
+            solo_a.run_batch([9], 3, start_times=20.0, interference=sources[0], max_slot_ms=20.0),
+        ]
+        assert_same_floods(batched, [flood for floods in alone for flood in floods])
+        assert a.rng.bit_generator.state == solo_a.rng.bit_generator.state
+        assert b.rng.bit_generator.state == solo_b.rng.bit_generator.state
+
+    def test_full_participation_equals_participants_free(self, kiel):
+        n = kiel.num_nodes
+        rows = np.ones((4, n), dtype=bool)
+        rows[2, [3, 5]] = False
+        interference = jamming_interference(kiel, 0.2)
+        initiators = [0, 4, 6, 8]
+
+        def run(participants):
+            flood = GlossyFlood(kiel, rng=np.random.default_rng(3), engine="vectorized")
+            return flood, flood.run_batch(
+                initiators, 3, start_times=[0.0, 20.0, 40.0, 60.0],
+                interference=interference, participants=participants, max_slot_ms=20.0,
+            )
+
+        _, free = run(None)
+        flood, full = run(np.ones((4, n), dtype=bool))
+        assert_same_floods(full, free)
+        assert all(result.node_ids == flood.node_ids for result in full)
+        # A partial row lists only its participants; its neighbours stay
+        # full-network views.
+        _, mixed = run(rows)
+        assert mixed[2].node_ids == tuple(node for node in kiel.node_ids if node not in (3, 5))
+        assert [result.node_ids for result in mixed[:2] + mixed[3:]] == [flood.node_ids] * 3
 
 
 OTHER_ENGINE = {"vectorized": "scalar", "scalar": "vectorized"}

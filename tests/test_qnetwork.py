@@ -1,5 +1,7 @@
 """Tests for the numpy Q-network."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -173,3 +175,15 @@ class TestWeightManagement:
         loaded = QNetwork.load(path)
         x = np.random.default_rng(2).uniform(-1, 1, 31)
         assert np.allclose(network(x), loaded(x))
+
+    def test_save_writes_one_dumps(self, tmp_path):
+        network = QNetwork((4, 8, 2), seed=3)
+        path = tmp_path / "net.json"
+        network.save(path)
+        payload = {
+            "layer_sizes": [4, 8, 2],
+            "hidden_activation": network.hidden_activation,
+            "weights": [w.tolist() for w in network.weights],
+            "biases": [b.tolist() for b in network.biases],
+        }
+        assert path.read_bytes() == json.dumps(payload).encode("utf-8")

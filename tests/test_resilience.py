@@ -238,6 +238,34 @@ class TestPoolTeardown:
         # The hung worker is killed, not left to finish its 15 s hang.
         self.assert_no_new_leftovers(before)
 
+    def test_timeout_teardown_ends_the_hung_workers_at_once(self, monkeypatch):
+        """A timeout rebuild's SIGTERM ends the busy workers at once: they
+        do not inherit the parent's drain handler, under which SIGTERM
+        only sets a flag and the teardown waits out its 2 s join."""
+        from repro.experiments import runner as runner_module
+
+        plan = FaultPlan(seed=2, rate=1.0, kinds=("hang",), hang_s=15.0, repeats=1)
+        monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
+        teardowns = []
+        terminate = runner_module._terminate_pool
+
+        def timed_terminate(pool):
+            start = time.perf_counter()
+            terminate(pool)
+            if pool is not None:
+                teardowns.append(time.perf_counter() - start)
+
+        monkeypatch.setattr(runner_module, "_terminate_pool", timed_terminate)
+        before = pool_leftovers()
+        runner = ParallelRunner(
+            max_workers=2, retry_policy=RetryPolicy.none(), shard_timeout_s=0.5
+        )
+        results = runner.run(chaos_tasks(2), collect_errors=True)
+        assert all(result.get(FAILURE_KEY) for result in results)
+        assert runner.stats.timeouts >= 1
+        assert teardowns and teardowns[0] < 1.0
+        self.assert_no_new_leftovers(before)
+
     def test_second_interrupt_is_grid_interrupted(self, monkeypatch):
         """A second signal raises ``KeyboardInterrupt`` wherever the loop
         is, here in its first ``wait``: the run still ends in

@@ -1,11 +1,12 @@
 """Tests for trace records and trace sets."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from repro.net.trace import TraceRecord, TraceSet
+from repro.net.trace import TraceRecord, TraceSet, atomic_write_json
 
 NAN = float("nan")
 
@@ -86,6 +87,17 @@ class TestTraceSet:
 
     def test_empty_episodes(self):
         assert TraceSet().episodes() == []
+
+    def test_atomic_write_is_one_dumps(self, tmp_path):
+        """The file holds exactly ``json.dumps(payload)``: the bytes the
+        pure-Python ``json.dump`` encoder wrote, floats included."""
+        trace = TraceSet(metadata={"topology": "test", "note": "ü"})
+        trace.append(make_record(0, lossy=True))
+        payload = {**trace.to_dict(), "values": [0.1, 1e-300, -2.5, 3, None, True]}
+        path = tmp_path / "nested" / "payload.json"
+        atomic_write_json(path, payload)
+        assert path.read_bytes() == json.dumps(payload).encode("utf-8")
+        assert list(path.parent.iterdir()) == [path]
 
 
 class TestTraceRecordDegenerateInputs:
