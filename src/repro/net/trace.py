@@ -25,32 +25,42 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, Iterable, Iterator, List, Sequence
 
 import numpy as np
 
 
-def atomic_write_json(path: Path, payload: Dict) -> None:
-    """Write ``payload`` as JSON via write-then-rename.
+def atomic_write_text(path: Path, chunks: Iterable[str]) -> None:
+    """Write the concatenation of ``chunks`` via write-then-rename.
 
     Concurrent writers of the same file (e.g. parallel workers sharing
     an artifact cache) never leave a torn file behind; the last
-    completed write wins.  Shared by the trace cache and the parallel
-    runner's result cache.  The text is encoded in one ``json.dumps``
-    call, which runs the C encoder (``json.dump`` runs the pure-Python
-    one); the bytes are the same.
+    completed write wins.  The chunks are written as they come, so the
+    whole text never has to be held at once.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload))
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)
         raise
+
+
+def atomic_write_json(path: Path, payload: Dict) -> None:
+    """Write ``payload`` as JSON via write-then-rename (see
+    :func:`atomic_write_text`).
+
+    Used by the parallel runner's result cache.  The text is encoded in
+    one ``json.dumps`` call, which runs the C encoder (``json.dump``
+    runs the pure-Python one); the bytes are the same.
+    """
+    atomic_write_text(path, [json.dumps(payload)])
 
 
 class TraceRecord:
@@ -173,22 +183,31 @@ class TraceSet:
         maps: the arrays round-trip without the per-entry key
         stringify/parse the dict format needed.
         """
+        return {**self._header(), "records": [self._record_entry(r) for r in self.records]}
+
+    def _header(self) -> Dict:
+        return {"metadata": dict(self.metadata), "episode_starts": list(self.episode_starts)}
+
+    @staticmethod
+    def _record_entry(record: TraceRecord) -> Dict:
         return {
-            "metadata": dict(self.metadata),
-            "episode_starts": list(self.episode_starts),
-            "records": [
-                {
-                    "round_index": r.round_index,
-                    "n_tx": r.n_tx,
-                    "node_ids": list(r.node_ids),
-                    "reliabilities": r.reliability_array.tolist(),
-                    "radio_on_ms": r.radio_on_array.tolist(),
-                    "interference_ratio": r.interference_ratio,
-                    "had_losses": r.had_losses,
-                }
-                for r in self.records
-            ],
+            "round_index": record.round_index,
+            "n_tx": record.n_tx,
+            "node_ids": list(record.node_ids),
+            "reliabilities": record.reliability_array.tolist(),
+            "radio_on_ms": record.radio_on_array.tolist(),
+            "interference_ratio": record.interference_ratio,
+            "had_losses": record.had_losses,
         }
+
+    def _json_chunks(self) -> Iterator[str]:
+        """``json.dumps(self.to_dict())`` in pieces: the text around the
+        record list, then one C-encoded ``json.dumps`` per record."""
+        head, tail = json.dumps({**self._header(), "records": []}).rsplit("[]", 1)
+        yield head + "["
+        for index, record in enumerate(self.records):
+            yield (", " if index else "") + json.dumps(self._record_entry(record))
+        yield "]" + tail
 
     @staticmethod
     def _record_from_entry(entry: Dict) -> TraceRecord:
@@ -224,8 +243,13 @@ class TraceSet:
         )
 
     def save(self, path: Path) -> None:
-        """Write the trace set to a JSON file (atomically, parallel-safe)."""
-        atomic_write_json(path, self.to_dict())
+        """Write the trace set to a JSON file (atomically, parallel-safe).
+
+        The bytes are ``json.dumps(self.to_dict())``, written record by
+        record, so saving holds one record's text at a time instead of
+        the whole trace's dicts and text.
+        """
+        atomic_write_text(path, self._json_chunks())
 
     @classmethod
     def load(cls, path: Path) -> "TraceSet":

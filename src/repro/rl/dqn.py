@@ -13,14 +13,21 @@ environment; the result is then quantized and shipped to the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.rl.environment import Environment
-from repro.rl.qnetwork import QNetwork
+from repro.rl.qnetwork import QNetwork, huber_terms
 from repro.rl.quantized import QuantizedNetwork
 from repro.rl.replay_buffer import ReplayBuffer
+
+#: Gradient steps of :meth:`DQNAgent.train` whose replay indices are
+#: drawn by one generator call.
+INDEX_BLOCK = 1024
+#: Gradient steps of :meth:`DQNAgent.train` whose losses are reduced
+#: together.
+LOSS_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -117,6 +124,10 @@ class DQNAgent:
         self.buffer = ReplayBuffer(self.config.buffer_capacity, seed=self.config.seed)
         self._rng = np.random.default_rng(self.config.seed)
         self.total_steps = 0
+        # Pending TD errors at the taken actions and those actions, one
+        # row per gradient step; allocated by the first gradient step.
+        self._errors: Optional[np.ndarray] = None
+        self._error_actions: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Acting
@@ -142,6 +153,65 @@ class DQNAgent:
     # ------------------------------------------------------------------
     # Learning
     # ------------------------------------------------------------------
+    def _store(
+        self,
+        state: np.ndarray,
+        action: int,
+        reward: float,
+        next_state: np.ndarray,
+        done: bool,
+    ) -> bool:
+        """Push a transition and count the step; return whether a
+        gradient step is due now."""
+        self.buffer.push(state, action, reward, next_state, done)
+        self.total_steps += 1
+        return (
+            len(self.buffer) >= max(self.config.train_start, self.config.batch_size)
+            and self.total_steps % self.config.train_interval == 0
+        )
+
+    def _sync_target(self) -> None:
+        if self.total_steps % self.config.target_sync_interval == 0:
+            self.target.copy_from(self.online)
+
+    def _learn(self, batch: Tuple[np.ndarray, ...], row: int) -> None:
+        """One gradient step on a replay batch (the training core).
+
+        The taken actions' TD errors go to row ``row`` of the pending
+        error block, from which :meth:`_losses` reduces the losses.
+        """
+        states, actions, rewards, next_states, dones = batch
+        if self._errors is None:
+            shape = (LOSS_BLOCK, self.config.batch_size)
+            self._errors = np.empty(shape)
+            self._error_actions = np.empty(shape, dtype=np.int64)
+        targets = np.maximum.reduce(self.target.forward_batch(next_states), axis=1)
+        targets *= self.config.discount
+        targets *= ~dones
+        targets += rewards
+        self.online.fit_actions(
+            states, actions, targets, self.config.learning_rate, self._errors[row]
+        )
+        self._error_actions[row] = actions
+
+    def _losses(self, count: int) -> List[float]:
+        """Huber losses of the first ``count`` pending gradient steps.
+
+        Each step's loss is the mean over its ``(batch, actions)`` error
+        matrix, which is 0 off the taken actions: the terms are laid out
+        that way and summed by one row-wise reduction, which adds each
+        row in the order ``np.mean`` adds the step's matrix.
+        """
+        if not count:
+            return []
+        batch = self._errors.shape[1]
+        layout = np.zeros((count, batch, self.config.num_actions))
+        layout[np.arange(count)[:, None], np.arange(batch), self._error_actions[:count]] = (
+            huber_terms(self._errors[:count])
+        )
+        layout = layout.reshape(count, -1)
+        return (np.add.reduce(layout, axis=1) / layout.shape[1]).tolist()
+
     def observe(
         self,
         state: np.ndarray,
@@ -155,32 +225,35 @@ class DQNAgent:
         Returns the training loss when a gradient step was taken,
         ``None`` otherwise.
         """
-        self.buffer.push(state, action, reward, next_state, done)
-        self.total_steps += 1
-        loss: Optional[float] = None
-        if (
-            len(self.buffer) >= max(self.config.train_start, self.config.batch_size)
-            and self.total_steps % self.config.train_interval == 0
-        ):
-            loss = self.train_batch()
-        if self.total_steps % self.config.target_sync_interval == 0:
-            self.target.copy_from(self.online)
+        loss = self.train_batch() if self._store(state, action, reward, next_state, done) else None
+        self._sync_target()
         return loss
 
     def train_batch(self) -> float:
-        """Sample a mini-batch from the replay buffer and fit the online net."""
-        states, actions, rewards, next_states, dones = self.buffer.sample(self.config.batch_size)
-        next_q = self.target.forward(next_states)
-        max_next_q = next_q.max(axis=1)
-        targets = rewards + self.config.discount * max_next_q * (~dones)
-        return self.online.train_step(
-            states,
-            targets,
-            actions=actions,
-            learning_rate=self.config.learning_rate,
-            optimizer="adam",
-            loss="huber",
+        """Sample a mini-batch from the replay buffer and fit the online net.
+
+        The one-step case of :meth:`train`'s core: one draw, one
+        gradient step, one loss.
+        """
+        self._learn(self.buffer.sample(self.config.batch_size), 0)
+        return self._losses(1)[0]
+
+    def _index_block(self, remaining: int) -> np.ndarray:
+        """Replay indices of the next gradient steps, drawn in one call.
+
+        Called at a gradient step with ``remaining`` loop iterations
+        left, this one included.  From here on every
+        ``train_interval``-th iteration takes a step (the buffer never
+        shrinks), after a push that grows the buffer by one slot up to
+        its capacity, so the buffer length at each step is known.  The
+        block stops at the run's last gradient step.
+        """
+        interval = self.config.train_interval
+        count = min(INDEX_BLOCK, (remaining - 1) // interval + 1)
+        sizes = np.minimum(
+            len(self.buffer) + interval * np.arange(count), self.buffer.capacity
         )
+        return self.buffer.draw(sizes, self.config.batch_size)
 
     # ------------------------------------------------------------------
     # Full training loop
@@ -196,6 +269,13 @@ class DQNAgent:
         The environment is reset whenever an episode terminates; the
         training step budget (not the episode count) bounds the run, as
         in the paper's 200 000-iteration training.
+
+        Each iteration does what :meth:`observe` does, with the same
+        result bit for bit, but in blocks: the replay indices of up to
+        ``INDEX_BLOCK`` gradient steps come from one generator call, and
+        the losses of up to ``LOSS_BLOCK`` steps from one reduction
+        (also before each ``callback`` and at the end).  A ``callback``
+        must not use the agent's replay buffer.
         """
         if environment.state_size != self.config.state_size:
             raise ValueError(
@@ -207,12 +287,23 @@ class DQNAgent:
         state = environment.reset()
         episode_reward = 0.0
         episodes = 0
+        block = np.empty((0, 0), dtype=np.int64)
+        drawn = 0
+        pending = 0
         for step in range(iterations):
             action = self.act(state)
             result = environment.step(action)
-            loss = self.observe(state, action, result.reward, result.state, result.done)
-            if loss is not None:
-                losses.append(loss)
+            if self._store(state, action, result.reward, result.state, result.done):
+                if drawn == len(block):
+                    block = self._index_block(iterations - step)
+                    drawn = 0
+                self._learn(self.buffer.gather(block[drawn]), pending)
+                drawn += 1
+                pending += 1
+                if pending == LOSS_BLOCK:
+                    losses += self._losses(pending)
+                    pending = 0
+            self._sync_target()
             episode_reward += result.reward
             state = result.state
             if result.done:
@@ -221,11 +312,14 @@ class DQNAgent:
                 episode_reward = 0.0
                 state = environment.reset()
             if callback is not None and (step + 1) % 1000 == 0:
+                losses += self._losses(pending)
+                pending = 0
                 callback(step + 1, {
                     "epsilon": self.epsilon(),
                     "episodes": episodes,
                     "recent_loss": float(np.mean(losses[-200:])) if losses else float("nan"),
                 })
+        losses += self._losses(pending)
         return TrainingResult(
             steps=iterations,
             episodes=episodes,

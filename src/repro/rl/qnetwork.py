@@ -16,6 +16,19 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+#: Error magnitude at which the Huber loss turns from quadratic to linear.
+HUBER_CLIP = 1.0
+#: Adam's decay rates of the first and second moment, and its epsilon.
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
+
+def huber_terms(errors: np.ndarray) -> np.ndarray:
+    """Elementwise Huber loss of ``errors``; a mini-batch's loss is their mean."""
+    quadratic = np.minimum(np.abs(errors), HUBER_CLIP)
+    linear = np.abs(errors) - quadratic
+    return 0.5 * quadratic**2 + HUBER_CLIP * linear
+
 
 class QNetwork:
     """A small multi-layer perceptron used as a Q-function approximator.
@@ -60,9 +73,17 @@ class QNetwork:
             # He initialization suits ReLU hidden layers.
             scale = np.sqrt(2.0 / fan_in)
             weights[...] = rng.normal(0.0, scale, size=(fan_in, fan_out))
-        self._adam_m = np.zeros(size)
-        self._adam_v = np.zeros(size)
+        # Adam's moments m and v, one after the other in one vector.
+        self._adam_moments = np.zeros(2 * size)
+        self._adam_m = self._adam_moments[:size]
+        self._adam_v = self._adam_moments[size:]
         self._adam_t = 0
+        # Training workspace (see _workspace) and Adam's scratch vectors,
+        # allocated by the first training call that needs them.
+        self._offsets: Optional[np.ndarray] = None
+        self._activations: List[np.ndarray] = []
+        self._deltas: List[np.ndarray] = []
+        self._adam_scratch: Optional[Tuple[np.ndarray, ...]] = None
 
     def _layer_views(self, flat: np.ndarray) -> Tuple[List[np.ndarray], List[np.ndarray]]:
         """Per-layer weight and bias views into a flat parameter-sized vector."""
@@ -119,18 +140,53 @@ class QNetwork:
     # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------
-    def _forward_cached(self, x: np.ndarray) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-        """Forward pass keeping pre- and post-activation values per layer."""
-        pre: List[np.ndarray] = []
-        post: List[np.ndarray] = [x]
+    def _workspace(self, batch: int) -> None:
+        """Allocate the training buffers of a ``batch``-row mini-batch.
+
+        Called by every training forward pass; the buffers are made on
+        the first one (and again when the batch size changes), so a
+        network that only runs :meth:`forward` never allocates them.
+        """
+        if self._offsets is not None and len(self._offsets) == batch:
+            return
+        # Flat index of each output row's first element.
+        self._offsets = np.arange(batch) * self.layer_sizes[-1]
+        self._activations = [np.empty((batch, size)) for size in self.layer_sizes[1:]]
+        self._deltas = [np.empty((batch, size)) for size in self.layer_sizes[1:]]
+
+    def forward_batch(self, x: np.ndarray) -> np.ndarray:
+        """Q-values of a float64 batch ``x``, computed in the training
+        workspace.
+
+        The values equal :meth:`forward`'s (``np.dot`` and ``@`` make the
+        same product of one shape), without its input checks and
+        allocations; the next training call overwrites them.  Each
+        layer's activations stay in the workspace for the backward pass
+        (ReLU in place: ``post > 0`` equals ``pre > 0``).
+        """
+        self._workspace(len(x))
         last = len(self.weights) - 1
         activations = x
-        for index, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = activations @ w + b
-            pre.append(z)
-            activations = z if index == last else np.maximum(z, 0.0)
-            post.append(activations)
-        return pre, post
+        for index, (w, b, out) in enumerate(zip(self.weights, self.biases, self._activations)):
+            np.dot(activations, w, out=out)
+            out += b
+            if index != last:
+                np.maximum(out, 0.0, out=out)
+            activations = out
+        return activations
+
+    def _backward(self, x: np.ndarray, delta: np.ndarray) -> None:
+        """Write the gradients of ``delta`` (the output-layer error, already
+        divided by the batch size) into the gradient vector."""
+        for layer in range(len(self.weights) - 1, -1, -1):
+            inputs = self._activations[layer - 1] if layer else x
+            np.dot(inputs.T, delta, out=self._grad_weights[layer])
+            np.add.reduce(delta, axis=0, out=self._grad_biases[layer])
+            if layer:
+                hidden = self._deltas[layer - 1]
+                np.dot(delta, self.weights[layer].T, out=hidden)
+                hidden *= inputs > 0.0
+                delta = hidden
 
     def gradients(
         self,
@@ -152,37 +208,27 @@ class QNetwork:
         if x.ndim == 1:
             x = x[np.newaxis, :]
         batch = x.shape[0]
-        pre, post = self._forward_cached(x)
-        output = post[-1]
+        output = self.forward_batch(x)
 
         if actions is not None:
+            # The error is exactly 0 at the actions not taken.
             actions = np.asarray(actions, dtype=int)
             scalar_targets = np.asarray(targets, dtype=float).reshape(batch)
-            full_targets = output.copy()
-            full_targets[np.arange(batch), actions] = scalar_targets
+            rows = np.arange(batch)
+            error = np.zeros_like(output)
+            error[rows, actions] = output[rows, actions] - scalar_targets
         else:
-            full_targets = np.asarray(targets, dtype=float).reshape(output.shape)
+            error = output - np.asarray(targets, dtype=float).reshape(output.shape)
 
-        error = output - full_targets
         if loss == "mse":
             delta = error
             loss_value = float(np.mean(error**2))
         elif loss == "huber":
-            clip = 1.0
-            delta = np.clip(error, -clip, clip)
-            quadratic = np.minimum(np.abs(error), clip)
-            linear = np.abs(error) - quadratic
-            loss_value = float(np.mean(0.5 * quadratic**2 + clip * linear))
+            delta = np.clip(error, -HUBER_CLIP, HUBER_CLIP)
+            loss_value = float(np.mean(huber_terms(error)))
         else:
             raise ValueError(f"unsupported loss: {loss}")
-
-        upstream = delta / batch
-        for layer in range(len(self.weights) - 1, -1, -1):
-            np.matmul(post[layer].T, upstream, out=self._grad_weights[layer])
-            np.add.reduce(upstream, axis=0, out=self._grad_biases[layer])
-            if layer > 0:
-                upstream = upstream @ self.weights[layer].T
-                upstream = upstream * (pre[layer - 1] > 0.0)
+        self._backward(x, delta / batch)
         return self._grad_weights, self._grad_biases, loss_value
 
     def train_step(
@@ -204,28 +250,73 @@ class QNetwork:
             raise ValueError(f"unsupported optimizer: {optimizer}")
         return loss_value
 
-    def _adam_update(
+    def fit_actions(
         self,
+        states: np.ndarray,
+        actions: np.ndarray,
+        targets: np.ndarray,
         learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
+        errors: np.ndarray,
     ) -> None:
-        """One Adam step over the whole parameter vector."""
+        """One Adam step on the Huber loss of the taken actions' Q-values.
+
+        The DQN step: the same update as ``train_step(states, targets,
+        actions, learning_rate)``, bit for bit, but the loss is left to
+        the caller.  ``errors`` receives ``output[i, actions[i]] -
+        targets[i]``, from which :func:`huber_terms` gives the loss
+        terms (every other output's error is 0).  ``states`` must be a
+        float64 matrix and ``actions`` integers in ``[0, outputs)``.
+        """
+        batch = len(states)
+        output = self.forward_batch(states)
+        taken = self._offsets + actions
+        np.subtract(output.take(taken), targets, out=errors)
+        # np.clip's value, without its Python-level dispatch.
+        clipped = np.maximum(errors, -HUBER_CLIP)
+        np.minimum(clipped, HUBER_CLIP, out=clipped)
+        clipped /= batch
+        delta = self._deltas[-1]
+        delta.fill(0.0)
+        delta.put(taken, clipped)
+        self._backward(states, delta)
+        self._adam_update(learning_rate)
+
+    def _adam_update(self, learning_rate: float) -> None:
+        """One Adam step over the whole parameter vector.
+
+        ``m`` and ``v`` are the two halves of one vector, so one
+        operation updates both; each element sees the same operations
+        in the same order as ``m = beta1 * m + (1 - beta1) * g``, ``v =
+        beta2 * v + (1 - beta2) * g**2`` and ``p -= lr * m_hat /
+        (sqrt(v_hat) + eps)``.
+        """
+        beta1, beta2 = ADAM_BETAS
+        size = self._parameters.size
+        if self._adam_scratch is None:
+            # Each moment-sized row: the betas, the (1 - beta)s, the
+            # moments' update terms (from g, then from g**2), and the
+            # step (m_hat, then v_hat).
+            decay, gain, terms, step = np.empty((4, 2 * size))
+            decay[...] = np.repeat(ADAM_BETAS, size)
+            gain[...] = np.repeat([1 - beta1, 1 - beta2], size)
+            self._adam_scratch = (
+                decay, gain, terms, terms[:size], terms[size:], step[:size], step[size:]
+            )
+        decay, gain, terms, gradient_terms, square_terms, m_hat, v_hat = self._adam_scratch
         self._adam_t += 1
         t = self._adam_t
-        grads = self._gradient
-        m = self._adam_m
-        v = self._adam_v
-        # In place, but each element sees the same operations in the
-        # same order as m = beta1 * m + (1 - beta1) * g (and likewise v).
-        m *= beta1
-        m += (1 - beta1) * grads
-        v *= beta2
-        v += (1 - beta2) * grads**2
-        m_hat = m / (1 - beta1**t)
-        v_hat = v / (1 - beta2**t)
-        self._parameters -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        gradient_terms[...] = self._gradient
+        np.square(self._gradient, out=square_terms)
+        terms *= gain
+        self._adam_moments *= decay
+        self._adam_moments += terms
+        np.divide(self._adam_m, 1 - beta1**t, out=m_hat)
+        np.divide(self._adam_v, 1 - beta2**t, out=v_hat)
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += ADAM_EPS
+        m_hat *= learning_rate
+        m_hat /= v_hat
+        self._parameters -= m_hat
 
     # ------------------------------------------------------------------
     # Weight management

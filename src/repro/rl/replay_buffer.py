@@ -35,6 +35,14 @@ class ReplayBuffer:
     buffer never hands out views of its arrays, so the resize may skip
     NumPy's reference check, which fails under a profiler hook.
 
+    Sampling is split in two: :meth:`draw` draws the slot indices of
+    one or more batches in one generator call, and :meth:`gather` reads
+    one batch's transitions; :meth:`sample` is one of each.  A caller
+    that knows the buffer's length at each of its next samples (a
+    training loop pushing once per step) draws a block of them ahead
+    and gathers each batch when its step comes, with the draws and the
+    generator's state equal to per-step :meth:`sample` calls.
+
     Parameters
     ----------
     capacity:
@@ -120,17 +128,34 @@ class ReplayBuffer:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Sample a batch of transitions uniformly at random.
 
-        Returns arrays ``(states, actions, rewards, next_states, dones)``.
+        Returns arrays ``(states, actions, rewards, next_states, dones)``:
+        the :meth:`gather` of one :meth:`draw` row.
         """
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         if not self._size:
             raise ValueError("cannot sample from an empty buffer")
-        indices = self._rng.integers(0, self._size, size=batch_size)
+        return self.gather(self.draw(np.array([self._size]), batch_size)[0])
+
+    def draw(self, sizes: np.ndarray, batch_size: int) -> np.ndarray:
+        """Slot indices of ``len(sizes)`` batches in one generator call.
+
+        Row k is uniform over the first ``sizes[k]`` slots: it equals the
+        ``integers(0, sizes[k], batch_size)`` draw of a per-batch call,
+        and the generator ends in the same state as after those calls.
+        The bounds may exceed the current length: they are the lengths
+        the buffer will have when each batch is gathered.
+        """
+        return self._rng.integers(0, sizes[:, None], size=(len(sizes), batch_size))
+
+    def gather(
+        self, indices: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The transitions in slots ``indices``, as :meth:`sample` returns them."""
         return (
-            self._rows[self._state_rows[indices]],
+            self._rows.take(self._state_rows[indices], axis=0),
             self._actions[indices],
             self._rewards[indices],
-            self._rows[self._next_rows[indices]],
+            self._rows.take(self._next_rows[indices], axis=0),
             self._dones[indices],
         )

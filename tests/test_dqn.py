@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.net.trace import TraceRecord, TraceSet
-from repro.rl.dqn import DQNAgent, DQNConfig, EpsilonSchedule
+from repro.rl.dqn import INDEX_BLOCK, LOSS_BLOCK, DQNAgent, DQNConfig, EpsilonSchedule
 from repro.rl.environment import Environment, StepResult
 from repro.rl.features import FeatureConfig
 from repro.rl.trace_env import TraceEnvironment
@@ -243,3 +243,94 @@ class TestTrainingFingerprint:
         profiler = cProfile.Profile()
         digests = self.train_digests(profiler.runcall)
         assert digests == (self.WEIGHTS_SHA256, self.LOSSES_SHA256)
+
+
+def observe_loop(agent, environment, iterations, callback=None):
+    """``DQNAgent.train`` as a loop of one ``observe`` per step; returns
+    the losses and the episode rewards."""
+    losses, episode_rewards = [], []
+    state = environment.reset()
+    episode_reward = 0.0
+    for step in range(iterations):
+        action = agent.act(state)
+        result = environment.step(action)
+        loss = agent.observe(state, action, result.reward, result.state, result.done)
+        if loss is not None:
+            losses.append(loss)
+        episode_reward += result.reward
+        state = result.state
+        if result.done:
+            episode_rewards.append(episode_reward)
+            episode_reward = 0.0
+            state = environment.reset()
+        if callback is not None and (step + 1) % 1000 == 0:
+            callback(step + 1, {"recent_loss": float(np.mean(losses[-200:]))})
+    return losses, episode_rewards
+
+
+class TestTrainEqualsObserveLoop:
+    """``train`` draws replay indices and reduces losses in blocks; it must
+    train exactly what one ``observe`` call per step trains."""
+
+    def run_pair(self, runs, **overrides):
+        """Train two equal agents, one through ``train`` and one through
+        ``observe``, over ``runs`` (iteration counts, one call each)."""
+        features = FeatureConfig(num_input_nodes=4, history_size=2, n_max=3)
+        config = dict(
+            state_size=features.input_size,
+            buffer_capacity=1500,
+            train_start=64,
+            target_sync_interval=50,
+            epsilon=EpsilonSchedule(anneal_steps=1000),
+            seed=5,
+        )
+        config.update(overrides)
+        results = []
+        for trainer in ("train", "observe"):
+            agent = DQNAgent(DQNConfig(**config))
+            environment = TraceEnvironment(
+                synthetic_trace(seed=0), feature_config=features, episode_length=10, seed=3
+            )
+            losses, rewards, reported = [], [], []
+
+            def callback(step, info):
+                reported.append(info["recent_loss"])
+
+            for iterations in runs:
+                if trainer == "train":
+                    result = agent.train(environment, iterations=iterations, callback=callback)
+                    losses += result.losses
+                    rewards += result.episode_rewards
+                else:
+                    run_losses, run_rewards = observe_loop(agent, environment, iterations, callback)
+                    losses += run_losses
+                    rewards += run_rewards
+            results.append((agent, losses, rewards, reported))
+        (trained, *train_out), (observed, *observe_out) = results
+        assert train_out == observe_out
+        for network in ("online", "target"):
+            for got, want in zip(
+                getattr(trained, network).weights + getattr(trained, network).biases,
+                getattr(observed, network).weights + getattr(observed, network).biases,
+            ):
+                assert got.tobytes() == want.tobytes()
+        assert trained.buffer._rng.bit_generator.state == observed.buffer._rng.bit_generator.state
+        assert trained._rng.bit_generator.state == observed._rng.bit_generator.state
+        return train_out
+
+    def test_iterations_not_a_multiple_of_the_blocks(self):
+        losses, _, reported = self.run_pair([2300])
+        assert len(losses) == 2300 - 63
+        assert (2300 - 63) % INDEX_BLOCK and (2300 - 63) % LOSS_BLOCK
+        assert len(reported) == 2
+
+    def test_every_second_step(self):
+        losses, _, _ = self.run_pair([2300], train_interval=2)
+        assert len(losses) == len(range(64, 2301, 2))
+
+    def test_second_call_continues_a_filled_buffer(self):
+        # The second call's blocks start at a buffer that holds 1100
+        # transitions and fills to capacity (1500) during the call.
+        losses, _, reported = self.run_pair([1100, 1300])
+        assert len(losses) == 2400 - 63
+        assert len(reported) == 2

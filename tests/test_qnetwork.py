@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.rl.qnetwork import QNetwork
+from repro.rl.qnetwork import QNetwork, huber_terms
 
 
 class TestConstruction:
@@ -121,6 +121,26 @@ class TestTraining:
             network.train_step(x, targets, actions=actions, learning_rate=1e-2, optimizer=optimizer)
             for got, expected in zip(network.weights + network.biases, groups):
                 np.testing.assert_array_equal(got, expected)
+
+    def test_fit_actions_equals_action_masked_train_step(self):
+        # The DQN step works on the taken actions only; weights and the
+        # loss from its errors equal train_step's bit for bit.
+        stepped = QNetwork((6, 5, 4, 3), seed=0)
+        fitted = stepped.clone()
+        rng = np.random.default_rng(2)
+        errors = np.empty(8)
+        for _ in range(30):
+            x = rng.normal(size=(8, 6))
+            targets = rng.normal(size=8) * 3.0
+            actions = rng.integers(0, 3, size=8)
+            loss = stepped.train_step(x, targets, actions=actions, learning_rate=1e-2)
+            fitted.fit_actions(x, actions, targets, 1e-2, errors)
+            terms = np.zeros((8, 3))
+            terms[np.arange(8), actions] = huber_terms(errors)
+            assert float(np.mean(terms)) == loss
+            pairs = zip(fitted.weights + fitted.biases, stepped.weights + stepped.biases)
+            for got, expected in pairs:
+                assert got.tobytes() == expected.tobytes()
 
     def test_unknown_optimizer_rejected(self):
         with pytest.raises(ValueError):

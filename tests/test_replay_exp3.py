@@ -113,6 +113,39 @@ class TestReplayBuffer:
         np.testing.assert_array_equal(states, [[0.0, 0.0]])
         np.testing.assert_array_equal(next_states, [[1.0, 1.0]])
 
+    @pytest.mark.parametrize("batch", [32, 7])
+    def test_block_draw_equals_per_step_samples(self, batch):
+        """One ``draw`` over the buffer lengths of 700 coming steps equals
+        700 ``sample`` calls made after each push, and leaves the
+        generator in the same state.  The lengths cross two growth steps
+        of the arrays (1024 and 1280 slots) and the capacity (1500), after
+        which the ring wraps."""
+        capacity = 1500
+        stepwise = ReplayBuffer(capacity=capacity, seed=9)
+        blockwise = ReplayBuffer(capacity=capacity, seed=9)
+        rng = np.random.default_rng(2)
+
+        def push_both():
+            state, next_state = rng.normal(size=(2, 3))
+            transition = (state, int(rng.integers(3)), float(rng.normal()), next_state,
+                          bool(rng.random() < 0.1))
+            stepwise.push(*transition)
+            blockwise.push(*transition)
+
+        for _ in range(1000):
+            push_both()
+        steps = 700
+        sizes = np.minimum(len(blockwise) + 1 + np.arange(steps), capacity)
+        block = blockwise.draw(sizes, batch)
+        assert block.shape == (steps, batch)
+        for row in block:
+            push_both()
+            expected = stepwise.sample(batch)
+            for got, want in zip(blockwise.gather(row), expected):
+                np.testing.assert_array_equal(got, want)
+        assert len(blockwise) == capacity
+        assert blockwise._rng.bit_generator.state == stepwise._rng.bit_generator.state
+
 
 class TestExp3:
     def test_initial_probabilities_uniform(self):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,46 @@ class TestTraceSet:
 
     def test_empty_episodes(self):
         assert TraceSet().episodes() == []
+
+    @pytest.mark.parametrize("records", [0, 1, 5])
+    def test_save_writes_json_dumps_of_to_dict(self, tmp_path, records):
+        """The streamed file is byte for byte ``json.dumps(to_dict())``,
+        metadata with brackets and non-ASCII text and NaN values included."""
+        trace = TraceSet(metadata={"topology": "test []", "note": "ü"})
+        for index in range(records):
+            if index % 2 == 0:
+                trace.start_episode()
+            record = make_record(index, lossy=index % 2 == 1)
+            record.reliability_array[0] = NAN if index == 3 else 0.1 * index
+            trace.append(record)
+        path = tmp_path / "t.json"
+        trace.save(path)
+        assert path.read_bytes() == json.dumps(trace.to_dict()).encode("utf-8")
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_save_holds_one_record_at_a_time(self, tmp_path):
+        """Saving a trace of about 1 MB of text peaks far below it: the
+        text is written record by record, not built whole."""
+        rng = np.random.default_rng(0)
+        trace = TraceSet()
+        trace.start_episode()
+        for index in range(1500):
+            trace.append(TraceRecord(
+                round_index=index,
+                n_tx=index % 9,
+                node_ids=list(range(18)),
+                reliability_array=rng.uniform(size=18),
+                radio_on_array=rng.uniform(2.0, 20.0, size=18),
+            ))
+        path = tmp_path / "t.json"
+        tracemalloc.start()
+        try:
+            trace.save(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 1_000_000
+        assert peak < 1_000_000
 
     def test_atomic_write_is_one_dumps(self, tmp_path):
         """The file holds exactly ``json.dumps(payload)``: the bytes the
