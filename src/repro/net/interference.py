@@ -501,15 +501,11 @@ class AmbientInterference(InterferenceSource):
     ) -> np.ndarray:
         # Position- and channel-independent: bursts corrupt the whole
         # deployment equally, so the per-window predicate broadcasts
-        # across receivers.  The burst of window index j lies inside
-        # [j * w, (j + 1) * w), so a window can only overlap the bursts
-        # of indices floor(start / w) - 1 to floor(end / w), at most
-        # `reach` of them.  When the indices from the earliest start to
-        # the latest end are fewer than the windows could touch, all of
-        # them are evaluated; windows far apart evaluate only their own
-        # indices, not those between them.  Each window is tested
-        # against all the evaluated bursts in one broadcast: a burst
-        # outside the window's own range overlaps it by at most 0.
+        # across receivers.  Every window is tested against the bursts
+        # of every memoized window-index the windows could overlap, in
+        # one broadcast; windows outside a burst's own range get an
+        # overlap of at most 0, so a window sees exactly the bursts of
+        # its own range.
         positions = np.asarray(positions, dtype=float)
         starts = np.asarray(starts_ms, dtype=float)
         count = len(starts)
@@ -520,15 +516,9 @@ class AmbientInterference(InterferenceSource):
             ends = starts + duration_ms
             first_window = int(starts.min() // self.window_ms) - 1
             last_window = int(ends.max() // self.window_ms)
-            reach = int(duration_ms // self.window_ms) + 3
-            if last_window - first_window < count * reach:
-                indices = range(first_window, last_window + 1)
-            else:
-                touched = (starts // self.window_ms)[:, None] + np.arange(-1, reach - 1)
-                indices = np.unique(touched).astype(int).tolist()
             bursts = [
                 burst
-                for burst in map(self._window_burst, indices)
+                for burst in map(self._window_burst, range(first_window, last_window + 1))
                 if burst is not None
             ]
             if bursts:

@@ -23,11 +23,10 @@ from repro.rl.quantized import QuantizedNetwork
 from repro.rl.replay_buffer import ReplayBuffer
 
 #: Gradient steps of :meth:`DQNAgent.train` whose replay indices are
-#: drawn by one generator call.
-INDEX_BLOCK = 1024
-#: Gradient steps of :meth:`DQNAgent.train` whose losses are reduced
-#: together.
-LOSS_BLOCK = 256
+#: drawn by one generator call and whose losses are reduced together.
+BLOCK = 256
+#: Iterations between two calls of :meth:`DQNAgent.train`'s callback.
+CALLBACK_INTERVAL = 1000
 
 
 @dataclass(frozen=True)
@@ -182,7 +181,7 @@ class DQNAgent:
         """
         states, actions, rewards, next_states, dones = batch
         if self._errors is None:
-            shape = (LOSS_BLOCK, self.config.batch_size)
+            shape = (BLOCK, self.config.batch_size)
             self._errors = np.empty(shape)
             self._error_actions = np.empty(shape, dtype=np.int64)
         targets = np.maximum.reduce(self.target.forward_batch(next_states), axis=1)
@@ -242,14 +241,14 @@ class DQNAgent:
         """Replay indices of the next gradient steps, drawn in one call.
 
         Called at a gradient step with ``remaining`` loop iterations
-        left, this one included.  From here on every
-        ``train_interval``-th iteration takes a step (the buffer never
-        shrinks), after a push that grows the buffer by one slot up to
-        its capacity, so the buffer length at each step is known.  The
-        block stops at the run's last gradient step.
+        left before the block must end, this one included.  From here
+        on every ``train_interval``-th iteration takes a step (the
+        buffer never shrinks), after a push that grows the buffer by one
+        slot up to its capacity, so the buffer length at each step is
+        known.
         """
         interval = self.config.train_interval
-        count = min(INDEX_BLOCK, (remaining - 1) // interval + 1)
+        count = min(BLOCK, (remaining - 1) // interval + 1)
         sizes = np.minimum(
             len(self.buffer) + interval * np.arange(count), self.buffer.capacity
         )
@@ -271,11 +270,13 @@ class DQNAgent:
         in the paper's 200 000-iteration training.
 
         Each iteration does what :meth:`observe` does, with the same
-        result bit for bit, but in blocks: the replay indices of up to
-        ``INDEX_BLOCK`` gradient steps come from one generator call, and
-        the losses of up to ``LOSS_BLOCK`` steps from one reduction
-        (also before each ``callback`` and at the end).  A ``callback``
-        must not use the agent's replay buffer.
+        result bit for bit, but in blocks of up to ``BLOCK`` gradient
+        steps: their replay indices come from one generator call and
+        their losses from one reduction.  A block ends at the run's end
+        and, with a ``callback``, at the callback's iteration, so the
+        callback sees every loss so far and may use the agent freely.
+        When an exception cuts a block short, the replay buffer's
+        generator is left where one draw per step taken would leave it.
         """
         if environment.state_size != self.config.state_size:
             raise ValueError(
@@ -287,39 +288,44 @@ class DQNAgent:
         state = environment.reset()
         episode_reward = 0.0
         episodes = 0
+        # The current block of replay indices; row k is the k-th
+        # gradient step's, and its error is in row k of the loss block.
         block = np.empty((0, 0), dtype=np.int64)
         drawn = 0
-        pending = 0
-        for step in range(iterations):
-            action = self.act(state)
-            result = environment.step(action)
-            if self._store(state, action, result.reward, result.state, result.done):
-                if drawn == len(block):
-                    block = self._index_block(iterations - step)
-                    drawn = 0
-                self._learn(self.buffer.gather(block[drawn]), pending)
-                drawn += 1
-                pending += 1
-                if pending == LOSS_BLOCK:
-                    losses += self._losses(pending)
-                    pending = 0
-            self._sync_target()
-            episode_reward += result.reward
-            state = result.state
-            if result.done:
-                episode_rewards.append(episode_reward)
-                episodes += 1
-                episode_reward = 0.0
-                state = environment.reset()
-            if callback is not None and (step + 1) % 1000 == 0:
-                losses += self._losses(pending)
-                pending = 0
-                callback(step + 1, {
-                    "epsilon": self.epsilon(),
-                    "episodes": episodes,
-                    "recent_loss": float(np.mean(losses[-200:])) if losses else float("nan"),
-                })
-        losses += self._losses(pending)
+        try:
+            for step in range(iterations):
+                action = self.act(state)
+                result = environment.step(action)
+                if self._store(state, action, result.reward, result.state, result.done):
+                    if drawn == len(block):
+                        losses += self._losses(drawn)
+                        end = iterations
+                        if callback is not None:
+                            end = min(end, (step // CALLBACK_INTERVAL + 1) * CALLBACK_INTERVAL)
+                        block = self._index_block(end - step)
+                        drawn = 0
+                    drawn += 1
+                    self._learn(self.buffer.gather(block[drawn - 1]), drawn - 1)
+                self._sync_target()
+                episode_reward += result.reward
+                state = result.state
+                if result.done:
+                    episode_rewards.append(episode_reward)
+                    episodes += 1
+                    episode_reward = 0.0
+                    state = environment.reset()
+                if callback is not None and (step + 1) % CALLBACK_INTERVAL == 0:
+                    losses += self._losses(drawn)
+                    block, drawn = block[:0], 0
+                    callback(step + 1, {
+                        "epsilon": self.epsilon(),
+                        "episodes": episodes,
+                        "recent_loss": float(np.mean(losses[-200:])) if losses else float("nan"),
+                    })
+        finally:
+            if drawn < len(block):
+                self.buffer.undraw(drawn)
+        losses += self._losses(drawn)
         return TrainingResult(
             steps=iterations,
             episodes=episodes,

@@ -35,13 +35,14 @@ class ReplayBuffer:
     buffer never hands out views of its arrays, so the resize may skip
     NumPy's reference check, which fails under a profiler hook.
 
-    Sampling is split in two: :meth:`draw` draws the slot indices of
-    one or more batches in one generator call, and :meth:`gather` reads
-    one batch's transitions; :meth:`sample` is one of each.  A caller
-    that knows the buffer's length at each of its next samples (a
-    training loop pushing once per step) draws a block of them ahead
-    and gathers each batch when its step comes, with the draws and the
-    generator's state equal to per-step :meth:`sample` calls.
+    :meth:`sample` draws one batch's slot indices and gathers its
+    transitions.  A caller that knows the buffer's length at each of its
+    next samples (a training loop pushing once per step) may instead
+    :meth:`draw` the indices of a block of them in one generator call
+    and :meth:`gather` each batch when its step comes: the draws and the
+    generator's state equal those of per-step :meth:`sample` calls, and
+    :meth:`undraw` takes back the rows of a block left unused.  Nothing
+    else may sample the buffer while such a block is in use.
 
     Parameters
     ----------
@@ -57,6 +58,9 @@ class ReplayBuffer:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._rng = np.random.default_rng(seed)
+        # Generator state before the last draw, and that draw's bounds
+        # and batch size (see undraw).
+        self._last_draw: Optional[Tuple[dict, np.ndarray, int]] = None
         self.clear()
 
     def __len__(self) -> int:
@@ -129,13 +133,13 @@ class ReplayBuffer:
         """Sample a batch of transitions uniformly at random.
 
         Returns arrays ``(states, actions, rewards, next_states, dones)``:
-        the :meth:`gather` of one :meth:`draw` row.
+        the :meth:`gather` of one ``integers(0, len, batch_size)`` draw.
         """
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         if not self._size:
             raise ValueError("cannot sample from an empty buffer")
-        return self.gather(self.draw(np.array([self._size]), batch_size)[0])
+        return self.gather(self._rng.integers(0, self._size, size=batch_size))
 
     def draw(self, sizes: np.ndarray, batch_size: int) -> np.ndarray:
         """Slot indices of ``len(sizes)`` batches in one generator call.
@@ -146,7 +150,15 @@ class ReplayBuffer:
         The bounds may exceed the current length: they are the lengths
         the buffer will have when each batch is gathered.
         """
+        self._last_draw = (self._rng.bit_generator.state, sizes, batch_size)
         return self._rng.integers(0, sizes[:, None], size=(len(sizes), batch_size))
+
+    def undraw(self, used: int) -> None:
+        """Leave the generator as if the last :meth:`draw` had drawn only
+        its first ``used`` rows (a caller that stops early)."""
+        state, sizes, batch_size = self._last_draw
+        self._rng.bit_generator.state = state
+        self.draw(sizes[:used], batch_size)
 
     def gather(
         self, indices: np.ndarray

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.net.trace import TraceRecord, TraceSet
-from repro.rl.dqn import INDEX_BLOCK, LOSS_BLOCK, DQNAgent, DQNConfig, EpsilonSchedule
+from repro.rl.dqn import BLOCK, CALLBACK_INTERVAL, DQNAgent, DQNConfig, EpsilonSchedule
 from repro.rl.environment import Environment, StepResult
 from repro.rl.features import FeatureConfig
 from repro.rl.trace_env import TraceEnvironment
@@ -245,6 +245,23 @@ class TestTrainingFingerprint:
         assert digests == (self.WEIGHTS_SHA256, self.LOSSES_SHA256)
 
 
+class StepFailure(Exception):
+    pass
+
+
+def fail_once(function, fail_at):
+    """``function``, raising ``StepFailure`` instead at its ``fail_at``-th call."""
+    calls = []
+
+    def wrapped(*args):
+        calls.append(None)
+        if len(calls) == fail_at:
+            raise StepFailure
+        return function(*args)
+
+    return wrapped
+
+
 def observe_loop(agent, environment, iterations, callback=None):
     """``DQNAgent.train`` as a loop of one ``observe`` per step; returns
     the losses and the episode rewards."""
@@ -263,7 +280,7 @@ def observe_loop(agent, environment, iterations, callback=None):
             episode_rewards.append(episode_reward)
             episode_reward = 0.0
             state = environment.reset()
-        if callback is not None and (step + 1) % 1000 == 0:
+        if callback is not None and (step + 1) % CALLBACK_INTERVAL == 0:
             callback(step + 1, {"recent_loss": float(np.mean(losses[-200:]))})
     return losses, episode_rewards
 
@@ -272,9 +289,13 @@ class TestTrainEqualsObserveLoop:
     """``train`` draws replay indices and reduces losses in blocks; it must
     train exactly what one ``observe`` call per step trains."""
 
-    def run_pair(self, runs, **overrides):
+    def run_pair(
+        self, runs, callback=True, sample_in_callback=False, fail=None, fail_at=None, **overrides
+    ):
         """Train two equal agents, one through ``train`` and one through
-        ``observe``, over ``runs`` (iteration counts, one call each)."""
+        ``observe``, over ``runs`` (iteration counts, one call each).
+        ``fail`` ("step" or "fit") names the call that raises once, at
+        its ``fail_at``-th call; the run it cuts short is skipped."""
         features = FeatureConfig(num_input_nodes=4, history_size=2, n_max=3)
         config = dict(
             state_size=features.input_size,
@@ -291,21 +312,33 @@ class TestTrainEqualsObserveLoop:
             environment = TraceEnvironment(
                 synthetic_trace(seed=0), feature_config=features, episode_length=10, seed=3
             )
-            losses, rewards, reported = [], [], []
+            if fail == "step":
+                environment.step = fail_once(environment.step, fail_at)
+            elif fail == "fit":
+                agent.online.fit_actions = fail_once(agent.online.fit_actions, fail_at)
+            losses, rewards, reported, samples = [], [], [], []
 
-            def callback(step, info):
+            def report(step, info):
                 reported.append(info["recent_loss"])
+                if sample_in_callback:
+                    samples.append(agent.buffer.sample(4)[1].tolist())
 
             for iterations in runs:
-                if trainer == "train":
-                    result = agent.train(environment, iterations=iterations, callback=callback)
-                    losses += result.losses
-                    rewards += result.episode_rewards
-                else:
-                    run_losses, run_rewards = observe_loop(agent, environment, iterations, callback)
-                    losses += run_losses
-                    rewards += run_rewards
-            results.append((agent, losses, rewards, reported))
+                try:
+                    if trainer == "train":
+                        result = agent.train(
+                            environment, iterations=iterations, callback=report if callback else None
+                        )
+                        run_losses, run_rewards = result.losses, result.episode_rewards
+                    else:
+                        run_losses, run_rewards = observe_loop(
+                            agent, environment, iterations, report if callback else None
+                        )
+                except StepFailure:
+                    continue
+                losses += run_losses
+                rewards += run_rewards
+            results.append((agent, losses, rewards, reported, samples))
         (trained, *train_out), (observed, *observe_out) = results
         assert train_out == observe_out
         for network in ("online", "target"):
@@ -318,19 +351,34 @@ class TestTrainEqualsObserveLoop:
         assert trained._rng.bit_generator.state == observed._rng.bit_generator.state
         return train_out
 
-    def test_iterations_not_a_multiple_of_the_blocks(self):
-        losses, _, reported = self.run_pair([2300])
+    def test_iterations_not_a_multiple_of_the_block(self):
+        losses, _, reported, _ = self.run_pair([2300])
         assert len(losses) == 2300 - 63
-        assert (2300 - 63) % INDEX_BLOCK and (2300 - 63) % LOSS_BLOCK
+        assert (2300 - 63) % BLOCK
         assert len(reported) == 2
 
-    def test_every_second_step(self):
-        losses, _, _ = self.run_pair([2300], train_interval=2)
+    def test_every_second_step_without_callback(self):
+        losses, _, _, _ = self.run_pair([2300], callback=False, train_interval=2)
         assert len(losses) == len(range(64, 2301, 2))
 
     def test_second_call_continues_a_filled_buffer(self):
         # The second call's blocks start at a buffer that holds 1100
         # transitions and fills to capacity (1500) during the call.
-        losses, _, reported = self.run_pair([1100, 1300])
+        losses, _, reported, _ = self.run_pair([1100, 1300])
         assert len(losses) == 2400 - 63
         assert len(reported) == 2
+
+    def test_callback_may_sample_the_buffer(self):
+        # No block of indices is pending when the callback runs.
+        _, _, reported, samples = self.run_pair([2300], sample_in_callback=True)
+        assert len(reported) == len(samples) == 2
+
+    @pytest.mark.parametrize("fail, fail_at", [("step", 200), ("fit", 137)])
+    @pytest.mark.parametrize("callback", [True, False])
+    def test_failure_inside_a_block_takes_back_its_unused_draws(self, fail, fail_at, callback):
+        # The failure cuts the first run inside its first block (its
+        # gradient steps 1 to 256, at iterations 64 to 319); training
+        # goes on in a second run.  A failed gradient step has drawn its
+        # batch, as ``sample`` has before the step fails.
+        losses, _, _, _ = self.run_pair([2300, 900], callback=callback, fail=fail, fail_at=fail_at)
+        assert len(losses) == 900

@@ -205,43 +205,6 @@ class TestAmbientInterference:
         with pytest.raises(ValueError):
             AmbientInterference(rate=1.5)
 
-    @pytest.mark.parametrize("duration", [1.6, 30.0])
-    def test_far_apart_windows_evaluate_only_their_own_indices(self, monkeypatch, duration):
-        """Two windows 1e6 ms apart evaluate the bursts of their own
-        window indices only (about 16,700 indices lie between them), and
-        each row equals the window's own call and the scalar reference."""
-        ambient = AmbientInterference(rate=0.6, seed=3)
-        index = next(j for j in range(72, 200) if ambient._window_burst(j) is not None)
-        # The first window starts just before a burst, so it is jammed.
-        start = ambient._window_burst(index)[0] - 0.5
-        starts = np.array([start, start + 1e6])
-        calls = []
-        burst = AmbientInterference._window_burst
-
-        def counted(self, window_index):
-            calls.append(window_index)
-            return burst(self, window_index)
-
-        monkeypatch.setattr(AmbientInterference, "_window_burst", counted)
-        positions = np.zeros((2, 2))
-        windows = ambient.penalty_windows(positions, starts, duration, 26)
-        per_window = 2 + int(duration // ambient.window_ms) + 1
-        assert len(calls) <= 2 * per_window
-        assert windows[0].all()
-        for row, window_start in enumerate(starts):
-            alone = ambient.penalty_windows(positions, np.array([window_start]), duration, 26)
-            assert windows[row].tobytes() == alone[0].tobytes()
-        assert_windows_match_scalar_penalty(ambient, positions, starts, duration, 26)
-
-    @pytest.mark.parametrize("duration", [1.6, 30.0, 130.0])
-    def test_scattered_windows_match_the_scalar_reference(self, duration):
-        """Windows scattered over 1e7 ms evaluate only the indices they
-        can touch (up to the one their end lies in), and every row still
-        equals the scalar reference."""
-        ambient = AmbientInterference(rate=0.6, seed=3)
-        starts = np.random.default_rng(4).uniform(0.0, 1e7, size=60)
-        assert_windows_match_scalar_penalty(ambient, np.zeros((2, 2)), starts, duration, 26)
-
 
 def window_channels(pattern, count):
     """A ``penalty_windows`` channel argument: one channel for every

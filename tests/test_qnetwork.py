@@ -56,6 +56,51 @@ class TestForward:
         assert network.predict_action(x) == int(np.argmax(network(x)))
 
 
+class PerLayerReference:
+    """Action-masked Huber steps computed layer by layer, with per-group
+    SGD or Adam updates, on a copy of a network's weights."""
+
+    def __init__(self, network):
+        params = network.get_weights()
+        self.weights, self.biases = params["weights"], params["biases"]
+        self.groups = self.weights + self.biases
+        self.m = [np.zeros_like(p) for p in self.groups]
+        self.v = [np.zeros_like(p) for p in self.groups]
+        self.t = 0
+
+    def step(self, x, targets, actions, learning_rate, optimizer):
+        """One step; returns the mini-batch's Huber loss."""
+        last = len(self.weights) - 1
+        batch = len(x)
+        pre, post = [], [x]
+        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
+            pre.append(post[-1] @ w + b)
+            post.append(pre[-1] if layer == last else np.maximum(pre[-1], 0.0))
+        full = post[-1].copy()
+        full[np.arange(batch), actions] = targets
+        error = post[-1] - full
+        quadratic = np.minimum(np.abs(error), 1.0)
+        loss = float(np.mean(0.5 * quadratic**2 + (np.abs(error) - quadratic)))
+        upstream = np.clip(error, -1.0, 1.0) / batch
+        grads = [None] * len(self.groups)
+        for layer in range(last, -1, -1):
+            grads[layer] = post[layer].T @ upstream
+            grads[last + 1 + layer] = upstream.sum(axis=0)
+            if layer > 0:
+                upstream = (upstream @ self.weights[layer].T) * (pre[layer - 1] > 0.0)
+        self.t += 1
+        for i, (p, g) in enumerate(zip(self.groups, grads)):
+            if optimizer == "sgd":
+                p -= learning_rate * g
+                continue
+            self.m[i] = 0.9 * self.m[i] + (1 - 0.9) * g
+            self.v[i] = 0.999 * self.v[i] + (1 - 0.999) * g**2
+            m_hat = self.m[i] / (1 - 0.9**self.t)
+            v_hat = self.v[i] / (1 - 0.999**self.t)
+            p -= learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+        return loss
+
+
 class TestTraining:
     def test_training_reduces_loss_on_fixed_targets(self):
         network = QNetwork((4, 16, 2), seed=0)
@@ -83,63 +128,43 @@ class TestTraining:
 
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     def test_matches_per_layer_reference(self, optimizer):
-        # Reference: per-layer backward pass and per-group updates with
-        # the same elementwise formulas; the flat vectors must agree bit
+        # The flat vectors must agree with the per-layer reference bit
         # for bit over 20 action-masked Huber steps on a 3-layer net.
         network = QNetwork((6, 5, 4, 3), seed=0)
-        params = network.get_weights()
-        groups = params["weights"] + params["biases"]
-        m = [np.zeros_like(p) for p in groups]
-        v = [np.zeros_like(p) for p in groups]
+        reference = PerLayerReference(network)
         rng = np.random.default_rng(1)
-        for t in range(1, 21):
+        for _ in range(20):
             x = rng.normal(size=(8, 6))
             targets = rng.normal(size=8)
             actions = rng.integers(0, 3, size=8)
-            pre, post = [], [x]
-            for layer, (w, b) in enumerate(zip(params["weights"], params["biases"])):
-                pre.append(post[-1] @ w + b)
-                post.append(pre[-1] if layer == 2 else np.maximum(pre[-1], 0.0))
-            full = post[-1].copy()
-            full[np.arange(8), actions] = targets
-            upstream = np.clip(post[-1] - full, -1.0, 1.0) / 8
-            grads = [None] * 6
-            for layer in (2, 1, 0):
-                grads[layer] = post[layer].T @ upstream
-                grads[3 + layer] = upstream.sum(axis=0)
-                if layer > 0:
-                    upstream = (upstream @ params["weights"][layer].T) * (pre[layer - 1] > 0.0)
-            for i, (p, g) in enumerate(zip(groups, grads)):
-                if optimizer == "sgd":
-                    p -= 1e-2 * g
-                    continue
-                m[i] = 0.9 * m[i] + (1 - 0.9) * g
-                v[i] = 0.999 * v[i] + (1 - 0.999) * g**2
-                m_hat = m[i] / (1 - 0.9**t)
-                v_hat = v[i] / (1 - 0.999**t)
-                p -= 1e-2 * m_hat / (np.sqrt(v_hat) + 1e-8)
-            network.train_step(x, targets, actions=actions, learning_rate=1e-2, optimizer=optimizer)
-            for got, expected in zip(network.weights + network.biases, groups):
+            loss = reference.step(x, targets, actions, 1e-2, optimizer)
+            got = network.train_step(x, targets, actions=actions, learning_rate=1e-2, optimizer=optimizer)
+            assert got == loss
+            for got, expected in zip(network.weights + network.biases, reference.groups):
                 np.testing.assert_array_equal(got, expected)
 
-    def test_fit_actions_equals_action_masked_train_step(self):
+    def test_fit_actions_matches_reference_and_train_step(self):
         # The DQN step works on the taken actions only; weights and the
-        # loss from its errors equal train_step's bit for bit.
-        stepped = QNetwork((6, 5, 4, 3), seed=0)
-        fitted = stepped.clone()
+        # loss from its errors equal the per-layer reference's and
+        # train_step's bit for bit.
+        fitted = QNetwork((6, 5, 4, 3), seed=0)
+        stepped = fitted.clone()
+        reference = PerLayerReference(fitted)
         rng = np.random.default_rng(2)
         errors = np.empty(8)
         for _ in range(30):
             x = rng.normal(size=(8, 6))
             targets = rng.normal(size=8) * 3.0
             actions = rng.integers(0, 3, size=8)
+            expected_loss = reference.step(x, targets, actions, 1e-2, "adam")
             loss = stepped.train_step(x, targets, actions=actions, learning_rate=1e-2)
             fitted.fit_actions(x, actions, targets, 1e-2, errors)
             terms = np.zeros((8, 3))
             terms[np.arange(8), actions] = huber_terms(errors)
-            assert float(np.mean(terms)) == loss
-            pairs = zip(fitted.weights + fitted.biases, stepped.weights + stepped.biases)
-            for got, expected in pairs:
+            assert float(np.mean(terms)) == loss == expected_loss
+            for got, expected in zip(fitted.weights + fitted.biases, reference.groups):
+                assert got.tobytes() == expected.tobytes()
+            for got, expected in zip(stepped.weights + stepped.biases, reference.groups):
                 assert got.tobytes() == expected.tobytes()
 
     def test_unknown_optimizer_rejected(self):

@@ -146,6 +146,17 @@ class TestReplayBuffer:
         assert len(blockwise) == capacity
         assert blockwise._rng.bit_generator.state == stepwise._rng.bit_generator.state
 
+    @pytest.mark.parametrize("used", [0, 3, 10])
+    def test_undraw_leaves_the_state_of_the_rows_used(self, used):
+        drawn = ReplayBuffer(capacity=50, seed=9)
+        stepwise = ReplayBuffer(capacity=50, seed=9)
+        sizes = np.arange(20, 30)
+        drawn.draw(sizes, 4)
+        drawn.undraw(used)
+        for size in sizes[:used]:
+            stepwise._rng.integers(0, size, size=4)
+        assert drawn._rng.bit_generator.state == stepwise._rng.bit_generator.state
+
 
 class TestExp3:
     def test_initial_probabilities_uniform(self):
