@@ -35,7 +35,7 @@ cache hit for the equivalent specs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
@@ -157,13 +157,12 @@ class Session:
         its fields explicitly hashes to the same cache key under every
         session.
         """
-        names = {spec_field.name for spec_field in fields(spec)}
         updates: Dict[str, Any] = {}
-        if self.engine is not None and "engine" in names and spec.engine is UNSET:
+        if self.engine is not None and "engine" in spec.defaults and spec.engine is UNSET:
             updates["engine"] = self.engine
         if (
             self.network is not None
-            and "network" in names
+            and "network" in spec.defaults
             and spec.network is UNSET
             and getattr(spec, "protocol", None) == "dimmer"
         ):

@@ -271,13 +271,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"[error] {error}", file=sys.stderr)
         return 2
     if args.session_engine:
-        from dataclasses import fields as spec_fields
-
-        skipped = sorted({
-            spec.family
-            for spec in specs
-            if "engine" not in {f.name for f in spec_fields(spec)}
-        })
+        skipped = sorted({spec.family for spec in specs if "engine" not in spec.defaults})
         if skipped:
             print(
                 f"[warn] --engine {args.session_engine} has no effect on "

@@ -1,15 +1,10 @@
 """Declarative experiment specs.
 
-Every experiment family in this repository is ultimately "a registered
-worker function plus a JSON-able parameter dict plus a seed" — that is
-what :class:`~repro.experiments.runner.ScenarioTask` encodes and what
-the on-disk result cache hashes.  Historically each family hand-built
-those dicts in its own parallel driver, which meant each new scenario
-family duplicated the marshalling, the cache-key canonicalization and
-the grid expansion.
-
-This module replaces the hand-marshalling with frozen
-:class:`ExperimentSpec` dataclasses, one per family:
+Every experiment family in this repository is a registered worker
+function plus a JSON-able parameter dict plus a seed — that is what
+:class:`~repro.experiments.runner.ScenarioTask` encodes and what the
+on-disk result cache hashes.  This module describes each family as a
+frozen :class:`ExperimentSpec` dataclass:
 
 ``SweepSpec``
     one (protocol, interference-ratio) point of the Fig. 5 sweep;
@@ -26,13 +21,16 @@ This module replaces the hand-marshalling with frozen
 
 Specs are declarative and JSON round-trippable:
 
+* Each field is declared once, with :func:`param`: its cast and the
+  worker's default.  The worker reads its arguments through
+  :meth:`ExperimentSpec.arguments`, which fills in the declared
+  defaults and rejects undeclared parameters.
 * :meth:`ExperimentSpec.to_payload` / :func:`spec_from_payload` convert
   a spec to/from a plain JSON object (``{"family": ..., fields...}``);
   unknown fields are rejected, so stale spec files fail loudly.
 * Every field defaults to the :data:`UNSET` sentinel; only explicitly
-  set fields travel in the payload and in the task parameters, which is
-  what keeps content-hash cache keys identical to the historical
-  hand-built dicts (a key is only hashed if a caller set it).
+  set fields travel in the payload and in the task parameters, so a
+  content-hash cache key only covers the fields a caller set.
 * Field values are canonicalized on construction (numeric casts, tuples
   to lists, numpy scalars to Python) so two specs describing the same
   run compare equal — and hash to the same cache key — regardless of
@@ -58,7 +56,6 @@ runner.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -82,9 +79,8 @@ class _Unset:
     """Sentinel for "the caller did not set this field".
 
     Unset fields are omitted from payloads and task parameters, so the
-    worker function's own defaults apply and — crucially — the task's
-    content-hash cache key only covers fields a caller actually set,
-    exactly like the historical hand-built parameter dicts.
+    declared defaults apply and the task's content-hash cache key only
+    covers fields a caller actually set.
     """
 
     _instance: ClassVar[Optional["_Unset"]] = None
@@ -115,7 +111,21 @@ def register_spec(cls: Type["ExperimentSpec"]) -> Type["ExperimentSpec"]:
     if cls.family in SPEC_FAMILIES:
         raise ValueError(f"spec family {cls.family!r} registered twice")
     SPEC_FAMILIES[cls.family] = cls
+    cls.defaults = {
+        spec_field.name: spec_field.metadata["default"]
+        for spec_field in fields(cls)
+        if "cast" in spec_field.metadata
+    }
     return cls
+
+
+def param(cast: Callable[[Any], Any], default: Any) -> Any:
+    """Declare a spec field: the cast applied to a set value on
+    construction, and the worker's ``default`` for an unset one.
+
+    The dataclass field itself defaults to :data:`UNSET`.
+    """
+    return field(default=UNSET, metadata={"cast": cast, "default": default})
 
 
 # ----------------------------------------------------------------------
@@ -189,8 +199,7 @@ class ExperimentSpec:
     Subclasses set the class attributes ``family`` (payload/registry
     name) and ``experiment`` (the
     :data:`~repro.experiments.runner.EXPERIMENTS` entry executed in the
-    worker), declare their fields with :data:`UNSET` defaults, and may
-    map field names to cast callables in ``casts``.
+    worker), and declare each field with :func:`param`.
 
     ``seed`` becomes the task seed (it is hashed into the cache key
     next to the parameters, like every :class:`ScenarioTask`);
@@ -203,8 +212,8 @@ class ExperimentSpec:
     family: ClassVar[str] = ""
     #: Name of the registered runner experiment this spec executes.
     experiment: ClassVar[str] = ""
-    #: Optional per-field cast callables applied on construction.
-    casts: ClassVar[Mapping[str, Callable[[Any], Any]]] = {}
+    #: Declared field name -> worker default (set by :func:`register_spec`).
+    defaults: ClassVar[Mapping[str, Any]] = {}
 
     seed: int = 0
     label: Optional[str] = field(default=None, compare=False)
@@ -215,12 +224,22 @@ class ExperimentSpec:
             if spec_field.name in ("seed", "label"):
                 continue
             value = getattr(self, spec_field.name)
-            if value is UNSET:
-                continue
-            cast = self.casts.get(spec_field.name)
-            if cast is not None:
-                value = cast(value)
-            object.__setattr__(self, spec_field.name, _canonical(value))
+            if value is not UNSET:
+                cast = spec_field.metadata["cast"]
+                object.__setattr__(self, spec_field.name, _canonical(cast(value)))
+
+    @classmethod
+    def arguments(cls, params: Mapping[str, Any]) -> Dict[str, Any]:
+        """The worker's arguments: ``params`` (a task's parameters, with
+        or without its ``seed``) over the declared defaults, uncast.
+
+        An undeclared parameter raises :class:`TypeError` naming it, so
+        its task fails permanently.
+        """
+        unknown = sorted(set(params) - set(cls.defaults) - {"seed"})
+        if unknown:
+            raise TypeError(f"{cls.experiment} got unexpected parameter(s) {unknown}")
+        return {"seed": 0, **cls.defaults, **params}
 
     # ------------------------------------------------------------------
     # Payload round trip
@@ -363,23 +382,14 @@ class SweepSpec(ExperimentSpec):
 
     family: ClassVar[str] = "sweep"
     experiment: ClassVar[str] = "sweep_point"
-    casts: ClassVar[Mapping[str, Callable[[Any], Any]]] = {
-        "protocol": str,
-        "ratio": float,
-        "topology": _cast_topology,
-        "rounds": int,
-        "round_period_s": float,
-        "engine": str,
-        "network": _cast_network,
-    }
 
-    protocol: Any = UNSET
-    ratio: Any = UNSET
-    topology: Any = UNSET
-    rounds: Any = UNSET
-    round_period_s: Any = UNSET
-    engine: Any = UNSET
-    network: Any = UNSET
+    protocol: Any = param(str, "lwb")
+    ratio: Any = param(float, 0.0)
+    topology: Any = param(_cast_topology, None)
+    rounds: Any = param(int, 75)
+    round_period_s: Any = param(float, 4.0)
+    engine: Any = param(str, "vectorized")
+    network: Any = param(_cast_network, None)
 
     def parse(self, entry: Dict[str, Any]) -> Any:
         from repro.experiments.metrics import ExperimentMetrics
@@ -388,42 +398,13 @@ class SweepSpec(ExperimentSpec):
 
 
 @register_experiment(SweepSpec.experiment)
-def run_sweep_point(
-    seed: int = 0,
-    protocol: str = "lwb",
-    ratio: float = 0.0,
-    topology: Optional[Mapping[str, Any]] = None,
-    rounds: int = 75,
-    round_period_s: float = 4.0,
-    engine: str = "vectorized",
-    network: Optional[Mapping[str, Any]] = None,
-) -> Dict[str, Any]:
+def run_sweep_point(seed: int = 0, **params: Any) -> Dict[str, Any]:
     """One (protocol, interference-ratio) run of the Fig. 5 sweep.
 
     The one-spec case of :func:`run_sweep_points`.
     """
-    (metrics,) = run_sweep_points(
-        [
-            {
-                "seed": seed,
-                "protocol": protocol,
-                "ratio": ratio,
-                "topology": topology,
-                "rounds": rounds,
-                "round_period_s": round_period_s,
-                "engine": engine,
-                "network": network,
-            }
-        ]
-    )
+    (metrics,) = run_sweep_points([dict(params, seed=seed)])
     return metrics
-
-
-def _sweep_arguments(params: Mapping[str, Any]) -> Dict[str, Any]:
-    """``params`` bound to :func:`run_sweep_point`'s signature, defaults filled."""
-    bound = inspect.signature(run_sweep_point).bind(**params)
-    bound.apply_defaults()
-    return dict(bound.arguments)
 
 
 def _sweep_group_key(params: Mapping[str, Any]) -> Optional[str]:
@@ -435,7 +416,7 @@ def _sweep_group_key(params: Mapping[str, Any]) -> Optional[str]:
     sharing a call.
     """
     try:
-        arguments = _sweep_arguments(params)
+        arguments = SweepSpec.arguments(params)
     except TypeError:
         return None  # invalid params fail in their own shard
     if arguments["engine"] != "vectorized":
@@ -454,14 +435,14 @@ def _sweep_group_key(params: Mapping[str, Any]) -> Optional[str]:
 def run_sweep_points(params_list: Sequence[Mapping[str, Any]]) -> List[Dict[str, Any]]:
     """Fig. 5 grid points run in lock-step, one result dict per point.
 
-    Each entry of ``params_list`` holds :func:`run_sweep_point`'s
-    keyword arguments.  One simulator and protocol per point advance
-    round by round together: each round's control floods, then its data
-    floods, of every point run as one batched kernel call
-    (:func:`~repro.net.glossy.run_lockstep`).  Every point keeps its own
-    generator, links, interference and controller, so its result equals
-    its solo run bit for bit.  Each round is reduced to the two floats
-    the metrics read as soon as it ends, and its
+    Each entry of ``params_list`` holds a task's parameters and seed
+    (see :meth:`ExperimentSpec.arguments`).  One simulator and protocol
+    per point advance round by round together: each round's control
+    floods, then its data floods, of every point run as one batched
+    kernel call (:func:`~repro.net.glossy.run_lockstep`).  Every point
+    keeps its own generator, links, interference and controller, so its
+    result equals its solo run bit for bit.  Each round is reduced to
+    the two floats the metrics read as soon as it ends, and its
     :class:`~repro.net.lwb.RoundResult` is dropped, so memory does not
     grow with the round count.
     """
@@ -471,7 +452,7 @@ def run_sweep_points(params_list: Sequence[Mapping[str, Any]]) -> List[Dict[str,
     from repro.net.glossy import run_lockstep
     from repro.net.simulator import NetworkSimulator, SimulatorConfig
 
-    points = [_sweep_arguments(params) for params in params_list]
+    points = [SweepSpec.arguments(params) for params in params_list]
     topologies: Dict[str, Any] = {}
     simulators, protocols = [], []
     for point in points:
@@ -524,19 +505,12 @@ class DynamicSpec(ExperimentSpec):
 
     family: ClassVar[str] = "dynamic"
     experiment: ClassVar[str] = "dynamic_run"
-    casts: ClassVar[Mapping[str, Callable[[Any], Any]]] = {
-        "protocol": str,
-        "topology": _cast_topology,
-        "time_scale": float,
-        "round_period_s": float,
-        "network": _cast_network,
-    }
 
-    protocol: Any = UNSET
-    topology: Any = UNSET
-    time_scale: Any = UNSET
-    round_period_s: Any = UNSET
-    network: Any = UNSET
+    protocol: Any = param(str, "dimmer")
+    topology: Any = param(_cast_topology, None)
+    time_scale: Any = param(float, 1.0)
+    round_period_s: Any = param(float, 4.0)
+    network: Any = param(_cast_network, None)
 
     def parse(self, entry: Dict[str, Any]) -> Any:
         from repro.experiments.dynamic import _dynamic_result_from_task
@@ -545,25 +519,20 @@ class DynamicSpec(ExperimentSpec):
 
 
 @register_experiment(DynamicSpec.experiment)
-def run_dynamic_task(
-    seed: int = 0,
-    protocol: str = "dimmer",
-    topology: Optional[Mapping[str, Any]] = None,
-    time_scale: float = 1.0,
-    round_period_s: float = 4.0,
-    network: Optional[Mapping[str, Any]] = None,
-) -> Dict[str, Any]:
+def run_dynamic_task(seed: int = 0, **params: Any) -> Dict[str, Any]:
     """One protocol run of the §V-C dynamic-interference timeline."""
     from repro.experiments.dynamic import run_dynamic_experiment
 
-    topo = build_topology(topology or {"kind": "kiel"})
+    args = DynamicSpec.arguments(params)
+    topo = build_topology(args["topology"] or {"kind": "kiel"})
+    network = args["network"]
     net = network_from_payload(network) if network is not None else None
     result = run_dynamic_experiment(
-        protocol,
+        args["protocol"],
         network=net,
         topology=topo,
-        time_scale=time_scale,
-        round_period_s=round_period_s,
+        time_scale=args["time_scale"],
+        round_period_s=args["round_period_s"],
         seed=seed,
     )
     return {
@@ -584,23 +553,14 @@ class DCubeSpec(ExperimentSpec):
 
     family: ClassVar[str] = "dcube"
     experiment: ClassVar[str] = "dcube_point"
-    casts: ClassVar[Mapping[str, Callable[[Any], Any]]] = {
-        "protocol": str,
-        "level": int,
-        "topology": _cast_topology,
-        "num_rounds": int,
-        "num_sources": int,
-        "max_retries": int,
-        "network": _cast_network,
-    }
 
-    protocol: Any = UNSET
-    level: Any = UNSET
-    topology: Any = UNSET
-    num_rounds: Any = UNSET
-    num_sources: Any = UNSET
-    max_retries: Any = UNSET
-    network: Any = UNSET
+    protocol: Any = param(str, "lwb")
+    level: Any = param(int, 0)
+    topology: Any = param(_cast_topology, None)
+    num_rounds: Any = param(int, 200)
+    num_sources: Any = param(int, 5)
+    max_retries: Any = param(int, 5)
+    network: Any = param(_cast_network, None)
 
     def parse(self, entry: Dict[str, Any]) -> Any:
         from repro.experiments.dcube import DCubeResult
@@ -617,23 +577,17 @@ class DCubeSpec(ExperimentSpec):
 
 
 @register_experiment(DCubeSpec.experiment)
-def run_dcube_point(
-    seed: int = 0,
-    protocol: str = "lwb",
-    level: int = 0,
-    topology: Optional[Mapping[str, Any]] = None,
-    num_rounds: int = 200,
-    num_sources: int = 5,
-    max_retries: int = 5,
-    network: Optional[Mapping[str, Any]] = None,
-) -> Dict[str, Any]:
+def run_dcube_point(seed: int = 0, **params: Any) -> Dict[str, Any]:
     """One (protocol, WiFi-level) grid point of the Fig. 7 comparison."""
     from repro.experiments.dcube import run_single_dcube_point
 
-    topo = build_topology(topology or {"kind": "dcube"})
+    args = DCubeSpec.arguments(params)
+    topo = build_topology(args["topology"] or {"kind": "dcube"})
+    network = args["network"]
     net = network_from_payload(network) if network is not None else None
     result = run_single_dcube_point(
-        protocol, level, net, topo, num_rounds, num_sources, max_retries, seed
+        args["protocol"], args["level"], net, topo, args["num_rounds"],
+        args["num_sources"], args["max_retries"], seed,
     )
     return {
         "protocol": result.protocol,
@@ -653,42 +607,20 @@ class FeatureSweepSpec(ExperimentSpec):
 
     family: ClassVar[str] = "feature_sweep"
     experiment: ClassVar[str] = "feature_sweep_point"
-    casts: ClassVar[Mapping[str, Callable[[Any], Any]]] = {
-        "dimension": str,
-        "value": int,
-        "topology": _cast_topology,
-        "profile": _cast_profile,
-        "training_episodes": _cast_episode_list,
-        "evaluation_episodes": _cast_episode_list,
-        "evaluation_repeats": int,
-        "data_dir": _cast_opt_str,
-        "eval_seed": int,
-    }
 
-    dimension: Any = UNSET
-    value: Any = UNSET
-    topology: Any = UNSET
-    profile: Any = UNSET
-    training_episodes: Any = UNSET
-    evaluation_episodes: Any = UNSET
-    evaluation_repeats: Any = UNSET
-    data_dir: Any = UNSET
-    eval_seed: Any = UNSET
+    dimension: Any = param(str, "input_nodes")
+    value: Any = param(int, 10)
+    topology: Any = param(_cast_topology, None)
+    profile: Any = param(_cast_profile, None)
+    training_episodes: Any = param(_cast_episode_list, ())
+    evaluation_episodes: Any = param(_cast_episode_list, ())
+    evaluation_repeats: Any = param(int, 1)
+    data_dir: Any = param(_cast_opt_str, None)
+    eval_seed: Any = param(int, 0)
 
 
 @register_experiment(FeatureSweepSpec.experiment)
-def run_feature_sweep_point(
-    seed: int = 0,
-    dimension: str = "input_nodes",
-    value: int = 10,
-    topology: Optional[Mapping[str, Any]] = None,
-    profile: Optional[Mapping[str, Any]] = None,
-    training_episodes: Sequence[Sequence[Sequence[float]]] = (),
-    evaluation_episodes: Sequence[Sequence[Sequence[float]]] = (),
-    evaluation_repeats: int = 1,
-    data_dir: Optional[str] = None,
-    eval_seed: int = 0,
-) -> Dict[str, Any]:
+def run_feature_sweep_point(seed: int = 0, **params: Any) -> Dict[str, Any]:
     """One (value, model) point of the Fig. 4b feature sweeps.
 
     ``seed`` is the training-pipeline seed; trained weights and traces
@@ -698,30 +630,33 @@ def run_feature_sweep_point(
     from repro.experiments.feature_selection import train_and_evaluate_point
     from repro.experiments.training import TrainingProfile
 
-    topo = build_topology(topology or {"kind": "kiel"})
+    args = FeatureSweepSpec.arguments(params)
+    topo = build_topology(args["topology"] or {"kind": "kiel"})
+    profile = args["profile"]
     training_profile = TrainingProfile(**profile) if profile else TrainingProfile.fast()
     episodes = [
         tuple((int(rounds), float(ratio)) for rounds, ratio in episode)
-        for episode in training_episodes
+        for episode in args["training_episodes"]
     ]
     eval_episodes = [
         tuple((int(rounds), float(ratio)) for rounds, ratio in episode)
-        for episode in evaluation_episodes
+        for episode in args["evaluation_episodes"]
     ]
+    value, data_dir = int(args["value"]), args["data_dir"]
     reliability, radio_on_ms, dqn_size_kb = train_and_evaluate_point(
-        dimension,
-        int(value),
+        args["dimension"],
+        value,
         topo,
         training_profile,
         episodes,
         eval_episodes,
-        int(evaluation_repeats),
+        int(args["evaluation_repeats"]),
         Path(data_dir) if data_dir else None,
         train_seed=seed,
-        eval_seed=int(eval_seed),
+        eval_seed=int(args["eval_seed"]),
     )
     return {
-        "value": int(value),
+        "value": value,
         "reliability": float(reliability),
         "radio_on_ms": float(radio_on_ms),
         "dqn_size_kb": float(dqn_size_kb),
@@ -735,66 +670,28 @@ class TraceEpisodeSpec(ExperimentSpec):
 
     family: ClassVar[str] = "trace_episode"
     experiment: ClassVar[str] = "trace_episode"
-    casts: ClassVar[Mapping[str, Callable[[Any], Any]]] = {
-        "topology": _cast_topology,
-        "n_tx": int,
-        "episode": _cast_episode,
-        "ambient_rate": float,
-        "round_period_s": float,
-        "interference_seed": int,
-        "churn": _cast_churn,
-    }
 
-    topology: Any = UNSET
-    n_tx: Any = UNSET
-    episode: Any = UNSET
-    ambient_rate: Any = UNSET
-    round_period_s: Any = UNSET
-    interference_seed: Any = UNSET
-    churn: Any = UNSET
+    topology: Any = param(_cast_topology, None)
+    n_tx: Any = param(int, 3)
+    episode: Any = param(_cast_episode, ())
+    ambient_rate: Any = param(float, 0.02)
+    round_period_s: Any = param(float, 4.0)
+    interference_seed: Any = param(int, 0)
+    churn: Any = param(_cast_churn, ())
 
     def parse(self, entry: Dict[str, Any]) -> Any:
         return entry["records"]
 
 
 @register_experiment(TraceEpisodeSpec.experiment)
-def run_trace_episode(
-    seed: int = 0,
-    topology: Optional[Mapping[str, Any]] = None,
-    n_tx: int = 3,
-    episode: Sequence[Sequence[float]] = (),
-    ambient_rate: float = 0.02,
-    round_period_s: float = 4.0,
-    interference_seed: int = 0,
-    churn: Sequence[Mapping[str, Any]] = (),
-) -> Dict[str, Any]:
+def run_trace_episode(seed: int = 0, **params: Any) -> Dict[str, Any]:
     """One (episode, N_TX) slice of the trace collection.
 
     ``seed`` is the episode seed shared by all slices of a decision
     point.  The one-spec case of :func:`run_trace_episodes`.
     """
-    (records,) = run_trace_episodes(
-        [
-            {
-                "seed": seed,
-                "topology": topology,
-                "n_tx": n_tx,
-                "episode": episode,
-                "ambient_rate": ambient_rate,
-                "round_period_s": round_period_s,
-                "interference_seed": interference_seed,
-                "churn": churn,
-            }
-        ]
-    )
+    (records,) = run_trace_episodes([dict(params, seed=seed)])
     return records
-
-
-def _trace_arguments(params: Mapping[str, Any]) -> Dict[str, Any]:
-    """``params`` bound to :func:`run_trace_episode`'s signature, defaults filled."""
-    bound = inspect.signature(run_trace_episode).bind(**params)
-    bound.apply_defaults()
-    return dict(bound.arguments)
 
 
 def _trace_topology_key(arguments: Mapping[str, Any]) -> str:
@@ -809,7 +706,7 @@ def _trace_group_key(params: Mapping[str, Any]) -> Optional[str]:
     of unequal length drop out as they finish.
     """
     try:
-        arguments = _trace_arguments(params)
+        arguments = TraceEpisodeSpec.arguments(params)
     except TypeError:
         return None  # invalid params fail in their own shard
     return _trace_topology_key(arguments)
@@ -819,15 +716,15 @@ def _trace_group_key(params: Mapping[str, Any]) -> Optional[str]:
 def run_trace_episodes(params_list: Sequence[Mapping[str, Any]]) -> List[Dict[str, Any]]:
     """Trace slices run in lock-step, one result dict per slice.
 
-    Each entry of ``params_list`` holds :func:`run_trace_episode`'s
-    keyword arguments.  The slices over each topology run through one
-    :func:`~repro.rl.trace_env.record_episodes` call: one batched
-    kernel call per round step for all of them, each slice's records
-    equal to its solo run bit for bit.
+    Each entry of ``params_list`` holds a task's parameters and seed
+    (see :meth:`ExperimentSpec.arguments`).  The slices over each
+    topology run through one :func:`~repro.rl.trace_env.record_episodes`
+    call: one batched kernel call per round step for all of them, each
+    slice's records equal to its solo run bit for bit.
     """
     from repro.rl.trace_env import TraceSlice, record_episodes
 
-    arguments = [_trace_arguments(params) for params in params_list]
+    arguments = [TraceEpisodeSpec.arguments(params) for params in params_list]
     groups: Dict[str, List[int]] = {}
     for position, bound in enumerate(arguments):
         groups.setdefault(_trace_topology_key(bound), []).append(position)
@@ -858,42 +755,20 @@ class MobileJammerSpec(ExperimentSpec):
 
     family: ClassVar[str] = "mobile_jammer"
     experiment: ClassVar[str] = "mobile_jammer_run"
-    casts: ClassVar[Mapping[str, Callable[[Any], Any]]] = {
-        "topology": _cast_topology,
-        "protocol": str,
-        "n_tx": int,
-        "rounds": int,
-        "round_period_s": float,
-        "interference_ratio": float,
-        "speed_mps": float,
-        "engine": str,
-        "network": _cast_network,
-    }
 
-    topology: Any = UNSET
-    protocol: Any = UNSET
-    n_tx: Any = UNSET
-    rounds: Any = UNSET
-    round_period_s: Any = UNSET
-    interference_ratio: Any = UNSET
-    speed_mps: Any = UNSET
-    engine: Any = UNSET
-    network: Any = UNSET
+    topology: Any = param(_cast_topology, None)
+    protocol: Any = param(str, "lwb")
+    n_tx: Any = param(int, 3)
+    rounds: Any = param(int, 40)
+    round_period_s: Any = param(float, 1.0)
+    interference_ratio: Any = param(float, 0.3)
+    speed_mps: Any = param(float, 1.0)
+    engine: Any = param(str, "vectorized")
+    network: Any = param(_cast_network, None)
 
 
 @register_experiment(MobileJammerSpec.experiment)
-def run_mobile_jammer_task(
-    seed: int = 0,
-    topology: Optional[Mapping[str, Any]] = None,
-    protocol: str = "lwb",
-    n_tx: int = 3,
-    rounds: int = 40,
-    round_period_s: float = 1.0,
-    interference_ratio: float = 0.3,
-    speed_mps: float = 1.0,
-    engine: str = "vectorized",
-    network: Optional[Mapping[str, Any]] = None,
-) -> Dict[str, Any]:
+def run_mobile_jammer_task(seed: int = 0, **params: Any) -> Dict[str, Any]:
     """A protocol under a jammer patrolling across the deployment.
 
     ``protocol`` selects static LWB (default), Dimmer (needs a
@@ -904,23 +779,26 @@ def run_mobile_jammer_task(
     from repro.experiments.scenarios import MobileJammerScenario
     from repro.net.simulator import NetworkSimulator, SimulatorConfig
 
-    topo = build_topology(topology or {"kind": "kiel"})
+    args = MobileJammerSpec.arguments(params)
+    topo = build_topology(args["topology"] or {"kind": "kiel"})
+    network = args["network"]
     net = network_from_payload(network) if network is not None else None
     scenario = MobileJammerScenario.across(
-        topo, interference_ratio=interference_ratio, speed_mps=speed_mps
+        topo, interference_ratio=args["interference_ratio"], speed_mps=args["speed_mps"]
     )
     simulator = NetworkSimulator(
         topo,
         SimulatorConfig(
-            round_period_s=round_period_s, channel_hopping=False, engine=engine, seed=seed
+            round_period_s=args["round_period_s"], channel_hopping=False,
+            engine=args["engine"], seed=seed,
         ),
     )
-    runner = build_protocol(protocol, simulator, net, n_tx=n_tx)
-    for _ in range(rounds):
+    runner = build_protocol(args["protocol"], simulator, net, n_tx=args["n_tx"])
+    for _ in range(args["rounds"]):
         simulator.set_interference(scenario.interference_at(simulator.time_ms / 1000.0))
         runner.run_round()
     summary = summarize_round_results(simulator.round_history).as_dict()
-    summary["protocol"] = protocol
+    summary["protocol"] = args["protocol"]
     summary["energy_j"] = simulator.total_energy_j()
     return summary
 
@@ -932,76 +810,56 @@ class NodeChurnSpec(ExperimentSpec):
 
     family: ClassVar[str] = "node_churn"
     experiment: ClassVar[str] = "node_churn_run"
-    casts: ClassVar[Mapping[str, Callable[[Any], Any]]] = {
-        "topology": _cast_topology,
-        "protocol": str,
-        "n_tx": int,
-        "rounds": int,
-        "round_period_s": float,
-        "churn_rate": float,
-        "min_outage_rounds": int,
-        "max_outage_rounds": int,
-        "engine": str,
-        "network": _cast_network,
-    }
 
-    topology: Any = UNSET
-    protocol: Any = UNSET
-    n_tx: Any = UNSET
-    rounds: Any = UNSET
-    round_period_s: Any = UNSET
-    churn_rate: Any = UNSET
-    min_outage_rounds: Any = UNSET
-    max_outage_rounds: Any = UNSET
-    engine: Any = UNSET
-    network: Any = UNSET
+    topology: Any = param(_cast_topology, None)
+    protocol: Any = param(str, "lwb")
+    n_tx: Any = param(int, 3)
+    rounds: Any = param(int, 40)
+    round_period_s: Any = param(float, 1.0)
+    churn_rate: Any = param(float, 0.2)
+    min_outage_rounds: Any = param(int, 3)
+    max_outage_rounds: Any = param(int, 8)
+    engine: Any = param(str, "vectorized")
+    network: Any = param(_cast_network, None)
 
 
 @register_experiment(NodeChurnSpec.experiment)
-def run_node_churn_task(
-    seed: int = 0,
-    topology: Optional[Mapping[str, Any]] = None,
-    protocol: str = "lwb",
-    n_tx: int = 3,
-    rounds: int = 40,
-    round_period_s: float = 1.0,
-    churn_rate: float = 0.2,
-    min_outage_rounds: int = 3,
-    max_outage_rounds: int = 8,
-    engine: str = "vectorized",
-    network: Optional[Mapping[str, Any]] = None,
-) -> Dict[str, Any]:
+def run_node_churn_task(seed: int = 0, **params: Any) -> Dict[str, Any]:
     """A protocol while sources churn (nodes leave and rejoin the bus)."""
     from repro.experiments.dynamic import build_protocol
     from repro.experiments.metrics import summarize_round_results
     from repro.experiments.scenarios import NodeChurnScenario
     from repro.net.simulator import NetworkSimulator, SimulatorConfig
 
-    topo = build_topology(topology or {"kind": "kiel"})
+    args = NodeChurnSpec.arguments(params)
+    topo = build_topology(args["topology"] or {"kind": "kiel"})
+    network = args["network"]
     net = network_from_payload(network) if network is not None else None
     scenario = NodeChurnScenario(
         topology=topo,
-        churn_rate=churn_rate,
-        min_outage_rounds=min_outage_rounds,
-        max_outage_rounds=max_outage_rounds,
+        churn_rate=args["churn_rate"],
+        min_outage_rounds=args["min_outage_rounds"],
+        max_outage_rounds=args["max_outage_rounds"],
         seed=seed,
     )
     simulator = NetworkSimulator(
         topo,
         SimulatorConfig(
-            round_period_s=round_period_s, channel_hopping=False, engine=engine, seed=seed
+            round_period_s=args["round_period_s"], channel_hopping=False,
+            engine=args["engine"], seed=seed,
         ),
     )
-    runner = build_protocol(protocol, simulator, net, n_tx=n_tx)
+    runner = build_protocol(args["protocol"], simulator, net, n_tx=args["n_tx"])
     active_counts: List[int] = []
-    for round_index in range(rounds):
+    for round_index in range(args["rounds"]):
         sources = scenario.active_sources(round_index)
         active_counts.append(len(sources))
         simulator.set_sources(sources)
         runner.run_round(sources=sources)
     summary = summarize_round_results(simulator.round_history).as_dict()
-    summary["average_active_sources"] = float(np.mean(active_counts))
-    summary["protocol"] = protocol
+    # An empty schedule (0 rounds) averages no sources, not NaN.
+    summary["average_active_sources"] = float(np.mean(active_counts)) if active_counts else 0.0
+    summary["protocol"] = args["protocol"]
     summary["energy_j"] = simulator.total_energy_j()
     return summary
 

@@ -4,7 +4,7 @@ Everything Dimmer's learning machinery needs, implemented from scratch
 on top of numpy:
 
 * :mod:`repro.rl.qnetwork` — a small fully-connected Q-network (the
-  paper uses one 30-neuron ReLU hidden layer) with SGD/Adam training.
+  paper uses one 30-neuron ReLU hidden layer) with Adam training.
 * :mod:`repro.rl.quantized` — fixed-point quantization of a trained
   network for embedded inference on 16-bit MCUs (2-byte weights, 4-byte
   accumulators, scale 100) with flash/RAM footprint accounting.

@@ -4,8 +4,8 @@ The paper's DQN is deliberately tiny — one fully-connected hidden layer
 of 30 ReLU neurons plus a 3-neuron linear output — so that it fits the
 flash and RAM of a TelosB-class device after quantization.  This module
 implements that network (and arbitrary other layer layouts) in plain
-numpy, with enough training machinery (mini-batch gradients, SGD and
-Adam, Huber or MSE loss) to run the offline DQN training of §IV-B.
+numpy, with the one training step the offline DQN training of §IV-B
+needs: Adam on the Huber loss of the taken actions' Q-values.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class QNetwork:
         self.hidden_activation = hidden_activation
         # One contiguous parameter vector and one gradient vector; the
         # per-layer weights and biases are views into them, so the
-        # optimizers update every parameter group in one vector step.
+        # Adam step updates every parameter group in one vector step.
         pairs = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
         size = sum(fan_in * fan_out + fan_out for fan_in, fan_out in pairs)
         self._parameters = np.zeros(size)
@@ -188,68 +188,6 @@ class QNetwork:
                 hidden *= inputs > 0.0
                 delta = hidden
 
-    def gradients(
-        self,
-        states: np.ndarray,
-        targets: np.ndarray,
-        actions: Optional[np.ndarray] = None,
-        loss: str = "huber",
-    ) -> Tuple[List[np.ndarray], List[np.ndarray], float]:
-        """Compute loss gradients for a mini-batch.
-
-        When ``actions`` is given, only the Q-value of the taken action
-        contributes to the loss (the usual DQN regression); ``targets``
-        is then a vector of scalar TD targets.  Without ``actions``,
-        ``targets`` must have the full output shape.  The returned
-        gradients are views into the network's gradient buffer, which
-        the next call overwrites.
-        """
-        x = np.asarray(states, dtype=float)
-        if x.ndim == 1:
-            x = x[np.newaxis, :]
-        batch = x.shape[0]
-        output = self.forward_batch(x)
-
-        if actions is not None:
-            # The error is exactly 0 at the actions not taken.
-            actions = np.asarray(actions, dtype=int)
-            scalar_targets = np.asarray(targets, dtype=float).reshape(batch)
-            rows = np.arange(batch)
-            error = np.zeros_like(output)
-            error[rows, actions] = output[rows, actions] - scalar_targets
-        else:
-            error = output - np.asarray(targets, dtype=float).reshape(output.shape)
-
-        if loss == "mse":
-            delta = error
-            loss_value = float(np.mean(error**2))
-        elif loss == "huber":
-            delta = np.clip(error, -HUBER_CLIP, HUBER_CLIP)
-            loss_value = float(np.mean(huber_terms(error)))
-        else:
-            raise ValueError(f"unsupported loss: {loss}")
-        self._backward(x, delta / batch)
-        return self._grad_weights, self._grad_biases, loss_value
-
-    def train_step(
-        self,
-        states: np.ndarray,
-        targets: np.ndarray,
-        actions: Optional[np.ndarray] = None,
-        learning_rate: float = 1e-3,
-        optimizer: str = "adam",
-        loss: str = "huber",
-    ) -> float:
-        """Run one gradient step on a mini-batch and return the loss."""
-        _, _, loss_value = self.gradients(states, targets, actions, loss=loss)
-        if optimizer == "sgd":
-            self._parameters -= learning_rate * self._gradient
-        elif optimizer == "adam":
-            self._adam_update(learning_rate)
-        else:
-            raise ValueError(f"unsupported optimizer: {optimizer}")
-        return loss_value
-
     def fit_actions(
         self,
         states: np.ndarray,
@@ -260,12 +198,11 @@ class QNetwork:
     ) -> None:
         """One Adam step on the Huber loss of the taken actions' Q-values.
 
-        The DQN step: the same update as ``train_step(states, targets,
-        actions, learning_rate)``, bit for bit, but the loss is left to
-        the caller.  ``errors`` receives ``output[i, actions[i]] -
-        targets[i]``, from which :func:`huber_terms` gives the loss
-        terms (every other output's error is 0).  ``states`` must be a
-        float64 matrix and ``actions`` integers in ``[0, outputs)``.
+        The DQN step; the loss is left to the caller.  ``errors``
+        receives ``output[i, actions[i]] - targets[i]``, from which
+        :func:`huber_terms` gives the loss terms (every other output's
+        error is 0).  ``states`` must be a float64 matrix and
+        ``actions`` integers in ``[0, outputs)``.
         """
         batch = len(states)
         output = self.forward_batch(states)

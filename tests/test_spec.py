@@ -16,17 +16,25 @@ Four contracts:
 * **Pinned worker output** — every registered worker, with each
   protocol it runs, returns an entry whose SHA-256 digest is pinned
   per flood engine.
+* **Declared parameters** — a task with a parameter its family does not
+  declare runs alone and fails permanently with a ``TypeError``.
 """
 
 import hashlib
 import json
+import math
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.api import Session
+from repro.experiments.resilience import RetryPolicy
 from repro.experiments.runner import (
+    EXPERIMENT_GROUPS,
     EXPERIMENTS,
+    FAILURE_KEY,
     ParallelRunner,
     ScenarioTask,
     network_payload,
@@ -81,6 +89,31 @@ REPRESENTATIVES = {
     "node_churn": NodeChurnSpec(
         protocol="lwb", rounds=4, round_period_s=1.0, churn_rate=0.4, seed=2,
     ),
+}
+
+#: Cache key of every representative, recorded before the fields were
+#: declared once; a drift would silently invalidate every warmed cache
+#: directory of that family.
+REPRESENTATIVE_KEYS = {
+    "dcube": "be42ad780f11d6671c3f4ea1322f16d4a303467e",
+    "dynamic": "dc19c379f700c289b3bc4e0b93d98a68657990c5",
+    "feature_sweep": "d49258664ee374dca0f434845faa50cbe35c7e59",
+    "mobile_jammer": "fdfdf8a72223339bef779dd7ad3cecd6b3dfb40e",
+    "node_churn": "bf3b4cd64a058c0dfb4ae10554b5cc18f19f5ec3",
+    "sweep": "e4d51aa4c1278b297721c3d3038d5c846cbd7923",
+    "trace_episode": "24badd5fa8a5c72608a36095347b356b2753dbbc",
+}
+
+#: Spec count and SHA-256 of the newline-joined cache keys of every
+#: file in ``examples/specs``.
+EXAMPLE_SPECS = Path(__file__).resolve().parents[1] / "examples" / "specs"
+EXAMPLE_SPEC_KEYS = {
+    "mobile_jammer_tiny.json":
+        (2, "cddbc71109bb8594568990474070e8a88203153c055ac2cf28a90a1097bd3d5b"),
+    "sweep_tiny.json":
+        (8, "753253a2e0ccf083e34503f7659e731117bcbc68522730bb5d415d9a96f533a0"),
+    "trace_tiny.json":
+        (8, "2902493c223eeef56b23c1480fd5526733550ff13f0d98abb6b4a01ea615ec01"),
 }
 
 #: Protocols each protocol-carrying family is fingerprinted with.
@@ -330,6 +363,10 @@ class TestCacheKeys:
         assert spec.key() == "8577484b52eab6a417b1dcd74a86f4e7bf7f3392"
 
     @pytest.mark.parametrize("family", sorted(REPRESENTATIVES))
+    def test_representative_key_pinned(self, family):
+        assert REPRESENTATIVES[family].key() == REPRESENTATIVE_KEYS[family]
+
+    @pytest.mark.parametrize("family", sorted(REPRESENTATIVES))
     def test_key_independent_of_payload_field_order(self, family):
         spec = REPRESENTATIVES[family]
         payload = spec.to_payload()
@@ -493,6 +530,54 @@ class TestSessionFacade:
         assert results[1][FAILURE_KEY] is True
 
 
+class TestDeclaredParameters:
+    @pytest.mark.parametrize("family", sorted(REPRESENTATIVES))
+    def test_unknown_parameter_runs_alone_and_fails_permanently(self, family):
+        spec = REPRESENTATIVES[family]
+        group = EXPERIMENT_GROUPS.get(spec.experiment)
+        # A grouped family's valid task does get a key.
+        assert group is None or group[0](spec.params()) is not None
+        tasks = [
+            ScenarioTask(
+                experiment=spec.experiment,
+                params=dict(spec.params(), bogus_knob=1),
+                seed=seed,
+            )
+            for seed in (1, 2)
+        ]
+        assert group is None or group[0](dict(tasks[0].params)) is None
+        assert ParallelRunner._units(tasks, [0, 1], 1) == [0, 1]
+
+        runner = ParallelRunner(
+            max_workers=1, retry_policy=RetryPolicy(max_attempts=3, base_delay_s=0.0)
+        )
+        results = runner.run(tasks, collect_errors=True)
+        for result in results:
+            assert result[FAILURE_KEY] is True
+            assert result["error"].startswith("TypeError(")
+            assert "bogus_knob" in result["error"]
+        assert runner.stats.retries == 0
+
+    @pytest.mark.parametrize(
+        "experiment, params",
+        [
+            ("sweep_point", {"rounds": 0}),
+            ("dcube_point", {"num_rounds": 0}),
+            ("mobile_jammer_run", {"rounds": 0}),
+            ("node_churn_run", {"rounds": 0}),
+        ],
+        ids=["sweep", "dcube", "mobile_jammer", "node_churn"],
+    )
+    def test_zero_rounds_give_finite_results(self, experiment, params):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            entry = EXPERIMENTS[experiment](seed=2, **params)
+        numbers = [value for value in entry.values() if isinstance(value, float)]
+        assert numbers and all(math.isfinite(value) for value in numbers)
+        if experiment == "node_churn_run":
+            assert entry["average_active_sources"] == 0.0
+
+
 class TestShimEqualsSession:
     """Session results equal the direct calls and legacy grids they
     replaced."""
@@ -567,6 +652,23 @@ class TestSpecFiles:
         wrapped = tmp_path / "wrapped.json"
         wrapped.write_text(json.dumps({"specs": [{"family": "sweep", "ratio": 0.1}]}))
         assert load_specs(wrapped)[0].family == "sweep"
+
+    def test_example_files_are_the_pinned_ones(self):
+        assert sorted(path.name for path in EXAMPLE_SPECS.glob("*.json")) == sorted(
+            EXAMPLE_SPEC_KEYS
+        )
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLE_SPEC_KEYS))
+    def test_example_file_round_trips_and_keeps_its_keys(self, name):
+        specs = load_specs(EXAMPLE_SPECS / name)
+        for spec in specs:
+            clone = spec_from_payload(json.loads(json.dumps(spec.to_payload())))
+            assert clone == spec
+            assert clone.key() == spec.key()
+        keys = "\n".join(spec.key() for spec in specs)
+        assert (len(specs), hashlib.sha256(keys.encode()).hexdigest()) == (
+            EXAMPLE_SPEC_KEYS[name]
+        )
 
     def test_load_specs_rejects_garbage(self, tmp_path):
         empty = tmp_path / "empty.json"
