@@ -140,11 +140,6 @@ class ForwarderSelection:
         codes = self._role_codes.tolist()
         return sorted(node for node, code in zip(self.node_ids, codes) if code != ROLE_PASSIVE)
 
-    def passive_nodes(self) -> List[int]:
-        """Nodes whose standing role is passive receiver."""
-        codes = self._role_codes.tolist()
-        return sorted(node for node, code in zip(self.node_ids, codes) if code == ROLE_PASSIVE)
-
     # ------------------------------------------------------------------
     # Per-round protocol
     # ------------------------------------------------------------------

@@ -162,12 +162,6 @@ class StatisticsCollector:
         """Most recent view, if any round has been observed yet."""
         return self._views[-1] if self._views else None
 
-    def recent_views(self, count: int) -> List[GlobalView]:
-        """The last ``count`` views, oldest first."""
-        if count <= 0:
-            return []
-        return self._views[-count:]
-
     def calm_rounds(self) -> int:
         """Number of consecutive most-recent rounds without any losses."""
         calm = 0

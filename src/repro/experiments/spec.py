@@ -182,12 +182,6 @@ def _cast_profile(value: Any) -> Dict[str, Any]:
     return {name: type(defaults[name])(value.get(name, defaults[name])) for name in known}
 
 
-def _cast_churn(value: Any) -> List[Dict[str, Any]]:
-    from repro.rl.trace_env import interval_churn_events
-
-    return interval_churn_events(value)
-
-
 def _cast_opt_str(value: Any) -> Optional[str]:
     return None if value is None else str(value)
 
@@ -677,7 +671,6 @@ class TraceEpisodeSpec(ExperimentSpec):
     ambient_rate: Any = param(float, 0.02)
     round_period_s: Any = param(float, 4.0)
     interference_seed: Any = param(int, 0)
-    churn: Any = param(_cast_churn, ())
 
     def parse(self, entry: Dict[str, Any]) -> Any:
         return entry["records"]
@@ -738,7 +731,6 @@ def run_trace_episodes(params_list: Sequence[Mapping[str, Any]]) -> List[Dict[st
                 round_period_s=bound["round_period_s"],
                 episode_seed=bound["seed"],
                 interference_seed=int(bound["interference_seed"]),
-                churn=bound["churn"],
             )
             for bound in (arguments[p] for p in positions)
         ]

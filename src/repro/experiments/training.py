@@ -32,11 +32,9 @@ from repro.net.topology import Topology, kiel_testbed
 from repro.net.trace import TraceSet
 from repro.rl.dqn import DQNAgent, DQNConfig, EpsilonSchedule
 from repro.rl.features import FeatureConfig
-from repro.rl.qnetwork import QNetwork
 from repro.rl.reward import RewardConfig
 from repro.rl.trace_env import (
     DEFAULT_TRAINING_EPISODES,
-    ChurnSchedule,
     EpisodeSpec,
     TraceEnvironment,
     TraceRecorder,
@@ -111,10 +109,6 @@ class TrainingPipeline:
     profile: TrainingProfile = field(default_factory=TrainingProfile.standard)
     episodes: Sequence[EpisodeSpec] = DEFAULT_TRAINING_EPISODES
     ambient_rate: float = 0.02
-    #: Optional churn schedule applied to every training episode (see
-    #: :data:`~repro.rl.trace_env.ChurnSchedule`): link mutations occur
-    #: mid-episode, so the DQN's traces include node-churn conditions.
-    churn: ChurnSchedule = ()
     data_dir: Path = field(default_factory=default_data_dir)
     seed: int = 0
 
@@ -131,10 +125,6 @@ class TrainingPipeline:
             "n_max": self.feature_config.n_max,
             "seed": self.seed,
         }
-        if self.churn:
-            # Only churn-enabled pipelines extend the key, so every
-            # pre-existing cached trace file keeps its name.
-            payload["churn"] = [dict(event) for event in self.churn]
         digest = hashlib.sha1(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
         return f"traces_{self.topology.name}_{digest}.json"
 
@@ -185,7 +175,6 @@ class TrainingPipeline:
             n_max=self.feature_config.n_max,
             ambient_rate=self.ambient_rate,
             seed=self.seed,
-            churn=self.churn,
         )
         trace = recorder.record(
             episodes=self.episodes,

@@ -46,21 +46,6 @@ DEFAULT_BURST_MS = 13.0
 BURST_OVERLAP_DECODE_THRESHOLD = 0.1
 
 
-def burst_period_ms(interference_ratio: float, burst_ms: float = DEFAULT_BURST_MS) -> float:
-    """Return the burst repetition period for a target interference ratio.
-
-    A 10 % interference ratio corresponds to a 13 ms burst every 130 ms,
-    a 35 % ratio to a burst every ~37 ms (cf. §V-A of the paper).  A
-    ratio of exactly 0 means "no bursts, ever" — the clean baseline
-    point of the interference sweep — and yields an infinite period.
-    """
-    if not 0.0 <= interference_ratio <= 1.0:
-        raise ValueError("interference_ratio must be in [0, 1]")
-    if interference_ratio == 0.0:
-        return float("inf")
-    return burst_ms / interference_ratio
-
-
 def combine_penalties(penalties: Sequence[np.ndarray], shape: Tuple[int, ...]) -> np.ndarray:
     """Combine independent sources' penalties as ``1 - prod(1 - p_i)``.
 
@@ -204,7 +189,12 @@ class BurstJammer(InterferenceSource):
 
     @property
     def period_ms(self) -> float:
-        """Burst repetition period derived from the interference ratio."""
+        """Burst repetition period derived from the interference ratio.
+
+        A 10 % ratio is a 13 ms burst every 130 ms, a 35 % ratio one every
+        ~37 ms (cf. §V-A of the paper); ratio 0 (the sweep's clean
+        baseline) means no bursts, ever: an infinite period.
+        """
         if self.interference_ratio <= 0.0:
             return float("inf")
         return self.burst_ms / self.interference_ratio

@@ -96,15 +96,13 @@ class LinkModel:
         self._prr_matrix = None
         self._failure_matrix = None
 
-    def set_link_quality(
-        self, sender: int, receiver: int, prr: float, symmetric: bool = True
-    ) -> None:
-        """Override the PRR of a link (node churn / mobile obstacles).
+    def set_link_quality(self, sender: int, receiver: int, prr: float) -> None:
+        """Override the PRR of a link, in both directions.
 
-        Scenario scripts use this to degrade or sever individual links at
-        runtime.  The override invalidates the cached :meth:`prr_matrix`,
-        so both engines see the new quality on their next flood.  Pass ``symmetric=False`` to touch
-        only the ``sender -> receiver`` direction.
+        Degrades or severs one link of an otherwise distance-derived
+        medium (the lossy links the kernel and parity tests build on).
+        The override invalidates the cached :meth:`prr_matrix`, so both
+        engines see the new quality on their next flood.
         """
         if sender not in self._node_index or receiver not in self._node_index:
             raise ValueError("both link endpoints must be part of the topology")
@@ -113,27 +111,8 @@ class LinkModel:
         if not 0.0 <= prr <= 1.0:
             raise ValueError("prr must be in [0, 1]")
         self._overrides[(sender, receiver)] = prr
-        if symmetric:
-            self._overrides[(receiver, sender)] = prr
+        self._overrides[(receiver, sender)] = prr
         self.invalidate_caches()
-
-    def clear_link_quality_override(
-        self, sender: int, receiver: int, symmetric: bool = True
-    ) -> None:
-        """Remove the :meth:`set_link_quality` override of one link.
-
-        Restores the base (distance-derived) quality of exactly this
-        link, leaving every other override in place — what scenario
-        scripts with overlapping outages need.  Missing overrides are
-        ignored, so restoring twice is harmless.
-        """
-        removed = self._overrides.pop((sender, receiver), None) is not None
-        if symmetric:
-            removed = (
-                self._overrides.pop((receiver, sender), None) is not None or removed
-            )
-        if removed:
-            self.invalidate_caches()
 
     def prr_matrix(self) -> np.ndarray:
         """Interference-free PRR of every directed link as an ``(N, N)`` matrix.

@@ -166,8 +166,3 @@ class NodeStateArray:
         """Sorted ids of nodes forwarding floods (coordinator included)."""
         mask = self.role_codes != ROLE_PASSIVE
         return sorted(self.ids_array[mask].tolist())
-
-    def passive_ids(self) -> List[int]:
-        """Sorted ids of nodes currently acting as passive receivers."""
-        mask = self.role_codes == ROLE_PASSIVE
-        return sorted(self.ids_array[mask].tolist())

@@ -99,11 +99,6 @@ class Topology:
                     frontier.append(neighbor)
         return {node: lengths.get(node, -1) for node in self.node_ids}
 
-    def network_diameter_hops(self) -> int:
-        """Maximum hop distance from the coordinator to any reachable node."""
-        hops = [h for h in self.hop_distances().values() if h >= 0]
-        return max(hops) if hops else 0
-
     def is_connected(self) -> bool:
         """True when every node can reach the coordinator over the graph."""
         return all(h >= 0 for h in self.hop_distances().values())

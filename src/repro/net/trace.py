@@ -115,22 +115,6 @@ class TraceRecord:
         self.interference_ratio = interference_ratio
         self.had_losses = had_losses
 
-    def worst_nodes(self, k: int) -> List[int]:
-        """Return the ``k`` node ids with lowest reliability (ties by id).
-
-        ``k`` larger than the node count returns every node; a NaN
-        reliability (a churned node that dropped out mid-round) ranks as
-        worst-possible, so dropped-out nodes surface first.
-        """
-        if k <= 0:
-            raise ValueError("k must be positive")
-        if not self.node_ids:
-            return []
-        ids = np.asarray(self.node_ids)
-        values = np.where(np.isnan(self.reliability_array), -np.inf, self.reliability_array)
-        order = np.lexsort((ids, values))
-        return ids[order][:k].tolist()
-
 
 @dataclass
 class TraceSet:

@@ -145,10 +145,6 @@ class DQNAgent:
             return int(self._rng.integers(0, self.config.num_actions))
         return self.online.predict_action(state)
 
-    def q_values(self, state: np.ndarray) -> np.ndarray:
-        """Q-values of the online network for ``state``."""
-        return self.online.forward(state)
-
     # ------------------------------------------------------------------
     # Learning
     # ------------------------------------------------------------------
@@ -333,42 +329,6 @@ class DQNAgent:
             losses=losses,
             final_epsilon=self.epsilon(),
         )
-
-    def evaluate(
-        self,
-        environment: Environment,
-        episodes: int = 10,
-        use_quantized: bool = False,
-    ) -> Dict[str, float]:
-        """Run greedy evaluation episodes and report aggregate metrics."""
-        network = self.quantize() if use_quantized else None
-        rewards: List[float] = []
-        reliabilities: List[float] = []
-        radio_on: List[float] = []
-        for _ in range(episodes):
-            state = environment.reset()
-            total = 0.0
-            done = False
-            while not done:
-                if network is not None:
-                    action = network.predict_action(state)
-                else:
-                    action = self.act(state, greedy=True)
-                result = environment.step(action)
-                total += result.reward
-                state = result.state
-                done = result.done
-                if "reliability" in result.info:
-                    reliabilities.append(float(result.info["reliability"]))
-                if "radio_on_ms" in result.info:
-                    radio_on.append(float(result.info["radio_on_ms"]))
-            rewards.append(total)
-        metrics: Dict[str, float] = {"average_reward": float(np.mean(rewards))}
-        if reliabilities:
-            metrics["average_reliability"] = float(np.mean(reliabilities))
-        if radio_on:
-            metrics["average_radio_on_ms"] = float(np.mean(radio_on))
-        return metrics
 
     # ------------------------------------------------------------------
     # Deployment

@@ -290,12 +290,6 @@ class QNetwork:
             raise ValueError("cannot copy weights between different architectures")
         self._parameters[...] = other._parameters
 
-    def clone(self) -> "QNetwork":
-        """Return a deep copy of this network."""
-        twin = QNetwork(self.layer_sizes, hidden_activation=self.hidden_activation)
-        twin.copy_from(self)
-        return twin
-
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------

@@ -25,8 +25,8 @@ Two environments are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,117 +43,6 @@ from repro.rl.reward import RewardConfig, compute_reward
 #: interference ratio).  Ratio 0.0 means no controlled jamming (only the
 #: ambient background, if enabled).
 EpisodeSpec = Sequence[Tuple[int, float]]
-
-#: A churn schedule: link-quality mutations applied at the start of
-#: given rounds of an episode, as JSON-able interval events
-#: ``{"from": d, "until": u, "set": [[sender, receiver, prr], ...]}``:
-#: the overrides apply from round ``d`` (inclusive) to ``u``
-#: (exclusive).  When an interval expires, each of its links is
-#: restored to the base quality *unless another interval still covers
-#: it* (that interval's value is re-asserted), so concatenated outage
-#: schedules with overlapping spans and shared links compose
-#: correctly.  :func:`node_outage_schedule` emits this form and
-#: :func:`interval_churn_events` checks it.
-#:
-#: Mutations go through
-#: :meth:`~repro.net.link.LinkModel.set_link_quality` (symmetric), and
-#: schedules survive the parallel runner's process boundary and
-#: content-hash cache by construction.
-ChurnSchedule = Sequence[Mapping]
-
-
-def node_outage_schedule(
-    topology: Topology, node: int, down_round: int, up_round: int
-) -> List[Dict]:
-    """Churn schedule taking one node off the air for a span of rounds.
-
-    Severs every link touching ``node`` (PRR 0 in both directions) at
-    the start of ``down_round`` and restores the base link qualities at
-    the start of ``up_round`` — the trace-collection counterpart of the
-    evaluation-side :class:`~repro.experiments.scenarios.NodeChurnScenario`,
-    so DQN training episodes can include the mid-episode topology
-    changes the ROADMAP asks for.
-    """
-    if node == topology.coordinator:
-        raise ValueError("the coordinator cannot be churned out")
-    if not 0 <= down_round < up_round:
-        raise ValueError("require 0 <= down_round < up_round")
-    others = [other for other in topology.node_ids if other != node]
-    # One interval event: on expiry only this node's links are
-    # restored, and links shared with another still-active outage stay
-    # severed — concatenated schedules compose correctly.
-    return [
-        {
-            "from": int(down_round),
-            "until": int(up_round),
-            "set": [[int(node), int(other), 0.0] for other in others],
-        },
-    ]
-
-
-def interval_churn_events(churn: ChurnSchedule) -> List[Dict]:
-    """Copy a churn schedule, rejecting anything but interval events.
-
-    Every event needs a ``"from"`` round and may only carry the
-    ``"until"`` and ``"set"`` keys besides it.
-    """
-    events = [dict(event) for event in churn]
-    for event in events:
-        if "from" not in event or not set(event) <= {"from", "until", "set"}:
-            raise ValueError(
-                f"churn event {event!r} is not an interval event "
-                '{"from": d, "until": u, "set": [[sender, receiver, prr], ...]}'
-            )
-    return events
-
-
-def _interval_covers(event: Mapping, round_index: int) -> bool:
-    """Whether an interval event's override span includes ``round_index``."""
-    return int(event["from"]) <= round_index < int(event.get("until", round_index + 1))
-
-
-def apply_churn_events(link_model, churn: ChurnSchedule, round_in_episode: int) -> None:
-    """Apply every churn event scheduled for ``round_in_episode``.
-
-    Interval expirations run first: each expired link is restored to
-    its base quality unless another interval still covers it, in which
-    case that interval's override is re-asserted — so overlapping
-    outages never clobber each other, even on the link *between* two
-    churned nodes.  Mutations go through
-    :meth:`~repro.net.link.LinkModel.set_link_quality` /
-    :meth:`~repro.net.link.LinkModel.clear_link_quality_override`, so
-    the cached PRR/failure matrices are invalidated and both engines
-    see the new qualities on their next flood.
-    """
-    def overrides_for(event, sender, receiver):
-        for a, b, prr in event.get("set", ()):
-            if {int(a), int(b)} == {sender, receiver}:
-                yield int(a), int(b), float(prr)
-
-    for event in churn:
-        if "until" not in event or int(event["until"]) != round_in_episode:
-            continue
-        for sender, receiver, _ in event.get("set", ()):
-            sender, receiver = int(sender), int(receiver)
-            covering = next(
-                (
-                    other
-                    for other in churn
-                    if other is not event
-                    and _interval_covers(other, round_in_episode)
-                    and any(True for _ in overrides_for(other, sender, receiver))
-                ),
-                None,
-            )
-            if covering is None:
-                link_model.clear_link_quality_override(sender, receiver)
-            else:
-                for a, b, prr in overrides_for(covering, sender, receiver):
-                    link_model.set_link_quality(a, b, prr)
-    for event in churn:
-        if int(event["from"]) == round_in_episode:
-            for sender, receiver, prr in event.get("set", ()):
-                link_model.set_link_quality(int(sender), int(receiver), float(prr))
 
 #: Default library of training episodes: calm periods, light, mild and
 #: heavy jamming, and transitions between them.  Mirrors the "different
@@ -384,7 +273,6 @@ class TraceSlice(NamedTuple):
     round_period_s: float
     episode_seed: int
     interference_seed: int
-    churn: ChurnSchedule = ()
 
 
 def record_episodes(topology: Topology, slices: Sequence[TraceSlice]) -> List[List[Dict]]:
@@ -393,12 +281,11 @@ def record_episodes(topology: Topology, slices: Sequence[TraceSlice]) -> List[Li
     One simulator per slice; all advance round by round together, each
     round's control floods, then its data floods, of every slice run as
     one batched kernel call (:func:`~repro.net.glossy.run_lockstep`).
-    Before each round every slice applies its own segment interference
-    and churn events, and slices of shorter episodes drop out as they
-    finish.  Every slice keeps its own generator, links and
-    interference, so its payloads equal its solo run
-    (:func:`record_episode_for_n_tx`) bit for bit.  Each round is
-    reduced to its payload as soon as it ends and its
+    Before each round every slice applies its own segment interference,
+    and slices of shorter episodes drop out as they finish.  Every slice
+    keeps its own generator, links and interference, so its payloads
+    equal its solo run (:func:`record_episode_for_n_tx`) bit for bit.
+    Each round is reduced to its payload as soon as it ends and its
     :class:`~repro.net.lwb.RoundResult` is dropped, so memory does not
     grow with the round count.
     """
@@ -441,10 +328,6 @@ def record_episodes(topology: Topology, slices: Sequence[TraceSlice]) -> List[Li
                         seed=piece.interference_seed,
                     )
                 )
-            # Churn events mutate link qualities mid-episode; every
-            # slice of a decision point applies the same schedule, so
-            # the N_TX alternatives stay comparable.
-            apply_churn_events(simulator.link_model, piece.churn, round_in_episode)
         results = run_lockstep(
             [simulators[e].round_steps(n_tx=slices[e].n_tx) for e in running]
         )
@@ -478,7 +361,6 @@ def record_episode_for_n_tx(
     round_period_s: float,
     episode_seed: int,
     interference_seed: int,
-    churn: ChurnSchedule = (),
 ) -> List[Dict]:
     """Run one episode with a fixed ``N_TX`` and return per-round payloads.
 
@@ -491,8 +373,7 @@ def record_episode_for_n_tx(
         topology,
         [
             TraceSlice(
-                n_tx, episode, ambient_rate, round_period_s,
-                episode_seed, interference_seed, churn,
+                n_tx, episode, ambient_rate, round_period_s, episode_seed, interference_seed
             )
         ],
     )
@@ -536,7 +417,6 @@ class TraceRecorder:
         round_period_s: float = 4.0,
         seed: int = 0,
         topology_spec: Optional[Dict] = None,
-        churn: ChurnSchedule = (),
     ) -> None:
         if n_max <= 0:
             raise ValueError("n_max must be positive")
@@ -548,11 +428,6 @@ class TraceRecorder:
         self.ambient_rate = ambient_rate
         self.round_period_s = round_period_s
         self.seed = seed
-        #: Churn schedule applied to every recorded episode (see
-        #: :data:`ChurnSchedule`); every lock-stepped simulator of a
-        #: decision point replays the same link mutations, so the
-        #: recorded alternatives stay comparable.
-        self.churn: List[Dict] = interval_churn_events(churn)
 
     def _episode_payloads(
         self,
@@ -574,7 +449,6 @@ class TraceRecorder:
                             self.round_period_s,
                             episode_seed=self.seed + 101 * repetition + episode_index,
                             interference_seed=self.seed + episode_index,
-                            churn=self.churn,
                         )
                     )
         if runner is None:
@@ -585,7 +459,7 @@ class TraceRecorder:
                 "can rebuild the deployment"
             )
         from repro.api import Session
-        from repro.experiments.spec import UNSET, TraceEpisodeSpec
+        from repro.experiments.spec import TraceEpisodeSpec
 
         specs = [
             TraceEpisodeSpec(
@@ -595,11 +469,6 @@ class TraceRecorder:
                 ambient_rate=piece.ambient_rate,
                 round_period_s=piece.round_period_s,
                 interference_seed=piece.interference_seed,
-                # Only churn-enabled recordings extend the task params,
-                # so every pre-existing cached trace shard keeps its
-                # content-hash key (mirrors the trace-file key guard in
-                # TrainingPipeline).
-                churn=self.churn if self.churn else UNSET,
                 seed=piece.episode_seed,
                 label=f"trace[rep{repetition}/ep{episode_index}/ntx{n_tx}]",
             )

@@ -66,7 +66,7 @@ class TestStatisticsCollector:
         collector.build_view(round_result)
         collector.build_view(round_result)
         assert collector.calm_rounds() == 2
-        assert not any(view.had_losses for view in collector.recent_views(2))
+        assert not collector.latest_view.had_losses
 
     def test_history_window_bounded(self, kiel, round_result):
         collector = StatisticsCollector(
@@ -74,7 +74,8 @@ class TestStatisticsCollector:
         )
         for _ in range(6):
             collector.build_view(round_result)
-        assert len(collector.recent_views(10)) == 3
+        # Six calm rounds, but only the last three views are kept.
+        assert collector.calm_rounds() == 3
 
     def test_latest_view_and_reset(self, kiel, round_result):
         collector = StatisticsCollector(observer=kiel.coordinator, expected_nodes=kiel.node_ids)

@@ -92,6 +92,15 @@ class TestDQNAgent:
         state = np.zeros(5)
         assert agent.act(state, greedy=True) == agent.online.predict_action(state)
 
+    def test_greedy_act_draws_no_random_numbers(self):
+        # Greedy evaluation between training steps must not shift the
+        # exploration stream the training run draws from.
+        agent = DQNAgent(DQNConfig(state_size=5, seed=0))
+        before = agent._rng.bit_generator.state
+        for _ in range(5):
+            agent.act(np.ones(5), greedy=True)
+        assert agent._rng.bit_generator.state == before
+
     def test_exploration_at_start_is_random(self):
         agent = DQNAgent(DQNConfig(state_size=5, seed=0))
         actions = {agent.act(np.zeros(5)) for _ in range(50)}
@@ -138,11 +147,6 @@ class TestDQNAgent:
         agent = DQNAgent(DQNConfig(state_size=7, seed=0))
         with pytest.raises(ValueError):
             agent.train(CorridorEnvironment(), iterations=10)
-
-    def test_evaluate_returns_metrics(self):
-        agent = DQNAgent(DQNConfig(state_size=5, seed=0))
-        metrics = agent.evaluate(CorridorEnvironment(), episodes=2)
-        assert "average_reward" in metrics
 
     def test_quantize_produces_embedded_network(self):
         agent = DQNAgent(DQNConfig(seed=0))

@@ -13,9 +13,7 @@ from repro.rl.trace_env import (
     SimulationEnvironment,
     TraceEnvironment,
     TraceRecorder,
-    apply_churn_events,
     group_decision_points,
-    node_outage_schedule,
 )
 
 from reference_interference import is_active
@@ -64,7 +62,6 @@ def solo_slice_observables(recorder, episode, n_tx, episode_seed, interference_s
             )
         )
         for _ in range(segment_rounds):
-            apply_churn_events(simulator.link_model, recorder.churn, len(rounds))
             result = simulator.run_round(n_tx=n_tx)
             node_ids, reliabilities, radio_on, _ = observer_view_arrays(
                 result, observer=topology.coordinator
@@ -154,9 +151,8 @@ class TestTraceRecorderParallel:
 
     def test_serial_record_matches_solo_slices(self, kiel):
         # The serial path lock-steps every slice too, so it is held to
-        # each slice run on its own, churn schedule included.
-        churn = node_outage_schedule(kiel, 5, 1, 3) + node_outage_schedule(kiel, 9, 2, 4)
-        recorder = TraceRecorder(n_max=2, seed=7, round_period_s=1.0, churn=churn)
+        # each slice run on its own.
+        recorder = TraceRecorder(n_max=2, seed=7, round_period_s=1.0)
         trace = recorder.record(episodes=self.EPISODES)
         for episode_index, (episode, records) in enumerate(
             zip(self.EPISODES, trace.episodes())

@@ -16,7 +16,6 @@ from repro.net.interference import (
     InterferenceSource,
     NoInterference,
     WifiInterference,
-    burst_period_ms,
     combine_penalties,
     penalty_windows_of,
 )
@@ -30,6 +29,11 @@ def window_penalty(source, position, start_ms, duration_ms, channel):
         np.array([position], dtype=float), np.array([start_ms]), duration_ms, channel
     )
     return windows[0, 0]
+
+
+def burst_period_ms(interference_ratio):
+    """The burst period of a jammer at ``interference_ratio``."""
+    return BurstJammer(position=(0.0, 0.0), interference_ratio=interference_ratio).period_ms
 
 
 class TestBurstPeriod:

@@ -151,48 +151,49 @@ class TestLinkQualityMutation:
         assert prr(model, a, b) > 0.0
         model.set_link_quality(a, b, 0.25)
         assert prr(model, a, b) == pytest.approx(0.25)
-        assert prr(model, b, a) == pytest.approx(0.25)  # symmetric by default
+        assert prr(model, b, a) == pytest.approx(0.25)  # both directions
 
-    def test_asymmetric_override(self, kiel):
+    def test_override_leaves_other_links_untouched(self, kiel):
         model = LinkModel(kiel, seed=0)
         a, b = kiel.node_ids[0], kiel.node_ids[1]
-        reverse_before = prr(model, b, a)
-        model.set_link_quality(a, b, 0.1, symmetric=False)
-        assert prr(model, a, b) == pytest.approx(0.1)
-        assert prr(model, b, a) == reverse_before
-
-    def test_clear_overrides_restores_original(self, kiel):
-        """Clearing restores the base qualities bit for bit; clearing
-        one link's override keeps every other override in place."""
-        model = LinkModel(kiel, seed=0)
-        a, b, c = kiel.node_ids[:3]
         original = model.prr_matrix().copy()
         model.set_link_quality(a, b, 0.0)
-        model.set_link_quality(a, c, 0.5)
-        model.clear_link_quality_override(a, b)
         expected = original.copy()
-        expected[model.node_index[a], model.node_index[c]] = 0.5
-        expected[model.node_index[c], model.node_index[a]] = 0.5
+        expected[model.node_index[a], model.node_index[b]] = 0.0
+        expected[model.node_index[b], model.node_index[a]] = 0.0
         assert np.array_equal(model.prr_matrix(), expected)
-        model.clear_link_quality_override(a, c)
-        assert np.array_equal(model.prr_matrix(), original)
 
-    def test_clear_one_direction_only(self, kiel):
+    def test_last_override_wins(self, kiel):
         model = LinkModel(kiel, seed=0)
         a, b = kiel.node_ids[0], kiel.node_ids[1]
-        original = prr(model, a, b)
-        model.set_link_quality(a, b, 0.3)
-        model.clear_link_quality_override(a, b, symmetric=False)
-        assert prr(model, a, b) == original
-        assert prr(model, b, a) == 0.3
+        model.set_link_quality(a, b, 0.1)
+        model.set_link_quality(b, a, 0.6)
+        assert prr(model, a, b) == pytest.approx(0.6)
+        assert prr(model, b, a) == pytest.approx(0.6)
 
-    def test_clearing_nothing_keeps_the_cached_matrix(self, kiel):
-        """Missing overrides are ignored without dropping the cache."""
+    def test_override_drops_the_cached_matrices(self, kiel):
         model = LinkModel(kiel, seed=0)
         a, b = kiel.node_ids[0], kiel.node_ids[1]
         matrix = model.prr_matrix()
-        model.clear_link_quality_override(a, b)
-        assert model.prr_matrix() is matrix
+        model.set_link_quality(a, b, 0.4)
+        rebuilt = model.prr_matrix()
+        assert rebuilt is not matrix
+        assert np.array_equal(model._failure_matrix, 1.0 - rebuilt)
+
+    def test_invalidate_caches_keeps_overrides(self, kiel):
+        model = LinkModel(kiel, seed=0)
+        a, b = kiel.node_ids[0], kiel.node_ids[1]
+        model.set_link_quality(a, b, 0.2)
+        model.invalidate_caches()
+        assert prr(model, a, b) == pytest.approx(0.2)
+        assert prr(model, b, a) == pytest.approx(0.2)
+
+    def test_one_directional_override_is_not_offered(self, kiel):
+        model = LinkModel(kiel, seed=0)
+        a, b = kiel.node_ids[0], kiel.node_ids[1]
+        with pytest.raises(TypeError):
+            model.set_link_quality(a, b, 0.1, symmetric=False)
+        assert not hasattr(model, "clear_link_quality_override")
 
     def test_invalidate_caches_rebuilds_equal_matrices(self, kiel):
         model = LinkModel(kiel, seed=0)
@@ -215,8 +216,8 @@ class TestLinkQualityMutation:
 
     @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
     def test_mutation_then_reflood_uses_new_qualities(self, engine):
-        """Regression: node churn mutating links mid-run must reach both
-        engines on the next flood, not serve a stale cached matrix."""
+        """Regression: links mutated mid-run must reach both engines on
+        the next flood, not serve a stale cached matrix."""
         from repro.net.glossy import GlossyFlood
 
         topology = grid_topology(rows=1, cols=3, spacing_m=4.0, comm_range_m=6.0)

@@ -13,8 +13,8 @@ pinned by the scalar engine and the SHA-256 fingerprints.
   by the runner as one chunk or as two, equals every spec's solo
   ``run_sweep_point``; a scalar-engine spec is never grouped.
 * **Trace worker** — ``run_trace_episodes`` over a ``trace_episode``
-  grid (N_TX 0, multi-segment episodes of unequal length, a churned
-  grid topology), run by the runner inline or on two workers, equals
+  grid (N_TX 0, multi-segment episodes of unequal length, a second
+  topology), run by the runner inline or on two workers, equals
   every spec's solo ``run_trace_episode``.
 * **Runner** — a chunk with a failing member falls back to per-shard
   runs: the good members are cached under their own keys, the bad one
@@ -33,7 +33,6 @@ from repro.experiments.runner import (
     FAILURE_KEY,
     ParallelRunner,
     ScenarioTask,
-    build_topology,
     network_payload,
     register_experiment,
     register_group,
@@ -55,7 +54,6 @@ from repro.net.interference import (
 from repro.net.link import LinkModel
 from repro.net.radio import RadioModel
 from repro.net.topology import Topology, kiel_testbed, random_topology
-from repro.rl.trace_env import node_outage_schedule
 
 
 def gray_links(link_model, seed=4):
@@ -426,16 +424,15 @@ TINY_GRID = {"kind": "grid", "rows": 2, "cols": 3, "spacing_m": 6.0, "comm_range
 
 def trace_grid():
     """Kiel slices of a two-segment and a shorter one-segment episode
-    (N_TX 0-3, two seeds), then churned slices on the tiny grid."""
+    (N_TX 0-3, two seeds), then slices on the tiny grid."""
     specs = []
     for episode in (((2, 0.0), (2, 0.3)), ((3, 0.15),)):
         specs += TraceEpisodeSpec(
             topology={"kind": "kiel"}, episode=episode, interference_seed=3,
             round_period_s=1.0,
         ).grid(n_tx=[0, 1, 2, 3], seeds=[5, 6])
-    churn = node_outage_schedule(build_topology(TINY_GRID), 4, 1, 3)
     specs += TraceEpisodeSpec(
-        topology=TINY_GRID, episode=((2, 0.0), (3, 0.3)), churn=churn,
+        topology=TINY_GRID, episode=((2, 0.0), (3, 0.3)),
     ).grid(n_tx=[0, 2, 4], seeds=[1])
     return specs
 

@@ -153,7 +153,8 @@ class TestTraining:
 class TestWeightManagement:
     def test_clone_is_independent(self):
         network = QNetwork(seed=0)
-        twin = network.clone()
+        twin = QNetwork(network.layer_sizes, seed=1)
+        twin.copy_from(network)
         x = np.random.default_rng(0).uniform(-1, 1, 31)
         assert np.allclose(network(x), twin(x))
         twin.weights[0][0, 0] += 1.0

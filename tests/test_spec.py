@@ -116,6 +116,17 @@ EXAMPLE_SPEC_KEYS = {
         (8, "2902493c223eeef56b23c1480fd5526733550ff13f0d98abb6b4a01ea615ec01"),
 }
 
+#: (family, field, value) of an undeclared parameter per family, plus
+#: a training churn schedule, which ``trace_episode`` no longer takes.
+UNKNOWN_FIELDS = [
+    pytest.param(family, "bogus_knob", 1, id=family) for family in sorted(REPRESENTATIVES)
+] + [
+    pytest.param(
+        "trace_episode", "churn", [{"from": 1, "until": 3, "set": [[1, 2, 0.0]]}],
+        id="trace_episode-churn",
+    )
+]
+
 #: Protocols each protocol-carrying family is fingerprinted with.
 FINGERPRINT_PROTOCOLS = {
     "sweep": ("lwb", "pid", "dimmer"),
@@ -260,11 +271,11 @@ class TestPayloadRoundTrip:
         assert clone.key() == spec.key()
         assert type(clone) is type(spec)
 
-    @pytest.mark.parametrize("family", sorted(REPRESENTATIVES))
-    def test_unknown_field_rejected(self, family):
+    @pytest.mark.parametrize("family, field, value", UNKNOWN_FIELDS)
+    def test_unknown_field_rejected(self, family, field, value):
         payload = REPRESENTATIVES[family].to_payload()
-        payload["definitely_not_a_field"] = 1
-        with pytest.raises(ValueError, match="definitely_not_a_field"):
+        payload[field] = value
+        with pytest.raises(ValueError, match=field):
             spec_from_payload(payload)
 
     def test_unknown_family_rejected(self):
@@ -429,7 +440,7 @@ class TestCacheKeys:
 
     def test_trace_key_matches_legacy_recorder_params(self):
         # Byte-for-byte what TraceRecorder._episode_payloads built
-        # before (churn key omitted when empty).
+        # before.
         legacy = ScenarioTask(
             experiment="trace_episode",
             params={
@@ -457,14 +468,16 @@ class TestCacheKeys:
             {"from": 1, "until": 3, "restore": [[1, 2]]},
         ],
     )
-    def test_churn_accepts_interval_events_only(self, event):
-        """Non-interval churn events fail at construction, before they
-        could reach a cache key or a worker."""
-        interval = {"from": 1, "until": 3, "set": [[1, 2, 0.0]]}
-        spec = TraceEpisodeSpec(n_tx=2, episode=((2, 0.0),), churn=[interval])
-        assert spec.churn == [interval]
-        with pytest.raises(ValueError, match="interval event"):
-            TraceEpisodeSpec(n_tx=2, episode=((2, 0.0),), churn=[interval, event])
+    def test_churn_rejected_in_every_event_form(self, event):
+        """Trace episodes take no churn schedule: whatever its events, a
+        stale one fails at construction, before it could reach a cache
+        key or a worker."""
+        with pytest.raises(TypeError, match="churn"):
+            TraceEpisodeSpec(n_tx=2, episode=((2, 0.0),), churn=[event])
+        payload = TraceEpisodeSpec(n_tx=2, episode=((2, 0.0),)).to_payload()
+        payload["churn"] = [event]
+        with pytest.raises(ValueError, match="churn"):
+            spec_from_payload(payload)
 
     def test_cache_warmed_by_legacy_tasks_hits_for_specs(self, tmp_path):
         """A cache dir warmed pre-spec must be a full hit for specs."""
@@ -531,8 +544,8 @@ class TestSessionFacade:
 
 
 class TestDeclaredParameters:
-    @pytest.mark.parametrize("family", sorted(REPRESENTATIVES))
-    def test_unknown_parameter_runs_alone_and_fails_permanently(self, family):
+    @pytest.mark.parametrize("family, field, value", UNKNOWN_FIELDS)
+    def test_unknown_parameter_runs_alone_and_fails_permanently(self, family, field, value):
         spec = REPRESENTATIVES[family]
         group = EXPERIMENT_GROUPS.get(spec.experiment)
         # A grouped family's valid task does get a key.
@@ -540,7 +553,7 @@ class TestDeclaredParameters:
         tasks = [
             ScenarioTask(
                 experiment=spec.experiment,
-                params=dict(spec.params(), bogus_knob=1),
+                params=dict(spec.params(), **{field: value}),
                 seed=seed,
             )
             for seed in (1, 2)
@@ -555,7 +568,7 @@ class TestDeclaredParameters:
         for result in results:
             assert result[FAILURE_KEY] is True
             assert result["error"].startswith("TypeError(")
-            assert "bogus_knob" in result["error"]
+            assert field in result["error"]
         assert runner.stats.retries == 0
 
     @pytest.mark.parametrize(

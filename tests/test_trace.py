@@ -25,17 +25,27 @@ def make_record(round_index=0, n_tx=3, lossy=False):
 
 
 class TestTraceRecord:
-    def test_worst_nodes_sorted_by_reliability(self):
-        record = make_record(lossy=True)
-        assert record.worst_nodes(2) == [2, 1]
-
-    def test_worst_nodes_requires_positive_k(self):
-        with pytest.raises(ValueError):
-            make_record().worst_nodes(0)
-
-    def test_worst_nodes_ties_broken_by_id(self):
+    def test_node_ids_stored_as_tuple(self):
         record = make_record()
-        assert record.worst_nodes(3) == [0, 1, 2]
+        assert record.node_ids == (0, 1, 2)
+
+    def test_defaults_are_calm_and_lossless(self):
+        record = TraceRecord(
+            round_index=4,
+            n_tx=2,
+            node_ids=[7],
+            reliability_array=np.ones(1),
+            radio_on_array=np.full(1, 8.0),
+        )
+        assert record.interference_ratio == 0.0
+        assert record.had_losses is False
+
+    def test_slots_reject_unknown_attributes(self):
+        # Records are slotted: a trace of many rounds carries no
+        # per-record ``__dict__``, and a misspelt field fails loudly.
+        record = make_record()
+        with pytest.raises(AttributeError):
+            record.worst = [2]
 
 
 class TestTraceSet:
@@ -142,32 +152,40 @@ class TestTraceSet:
 
 
 class TestTraceRecordDegenerateInputs:
-    def test_k_larger_than_node_count_returns_all(self):
-        record = make_record(lossy=True)
-        assert record.worst_nodes(50) == [2, 1, 0]
-
-    def test_empty_reliabilities(self):
-        record = TraceRecord(
-            round_index=0,
-            n_tx=3,
-            node_ids=[],
-            reliability_array=np.zeros(0),
-            radio_on_array=np.zeros(0),
+    def test_empty_reliabilities_survive_json_roundtrip(self):
+        trace = TraceSet()
+        trace.append(
+            TraceRecord(
+                round_index=0,
+                n_tx=3,
+                node_ids=[],
+                reliability_array=np.zeros(0),
+                radio_on_array=np.zeros(0),
+            )
         )
-        assert record.worst_nodes(5) == []
+        rebuilt = TraceSet.from_dict(trace.to_dict())[0]
+        assert rebuilt.node_ids == ()
+        assert rebuilt.reliability_array.size == 0
+        assert rebuilt.radio_on_array.size == 0
 
-    def test_nan_reliabilities_rank_worst_first(self):
-        # Churned nodes that dropped out mid-round report NaN; they must
-        # surface first (deterministically, ties by id), not poison the sort.
-        record = TraceRecord(
-            round_index=0,
-            n_tx=3,
-            node_ids=[0, 1, 2, 3],
-            reliability_array=np.array([0.9, NAN, 0.1, NAN]),
-            radio_on_array=np.full(4, 8.0),
+    def test_all_nan_reliabilities_survive_save_and_load(self, tmp_path):
+        trace = TraceSet()
+        trace.append(
+            TraceRecord(
+                round_index=0,
+                n_tx=3,
+                node_ids=[0, 1, 2],
+                reliability_array=np.full(3, NAN),
+                radio_on_array=np.full(3, 8.0),
+                had_losses=True,
+            )
         )
-        assert record.worst_nodes(3) == [1, 3, 2]
-        assert record.worst_nodes(10) == [1, 3, 2, 0]
+        path = tmp_path / "trace.json"
+        trace.save(path)
+        rebuilt = TraceSet.load(path)[0]
+        assert np.isnan(rebuilt.reliability_array).all()
+        assert rebuilt.radio_on_array.tolist() == [8.0, 8.0, 8.0]
+        assert rebuilt.had_losses
 
     def test_nan_survives_json_roundtrip(self):
         trace = TraceSet()
@@ -182,7 +200,6 @@ class TestTraceRecordDegenerateInputs:
         )
         rebuilt = TraceSet.from_dict(trace.to_dict())
         assert math.isnan(rebuilt[0].reliability_array[1])
-        assert rebuilt[0].worst_nodes(1) == [1]
 
     def test_legacy_dict_format_still_loads(self):
         legacy = {
@@ -207,7 +224,6 @@ class TestTraceRecordDegenerateInputs:
         assert record.reliability_array.tolist() == [1.0, 0.5]
         assert record.radio_on_array.tolist() == [8.0, 9.0]
         assert record.interference_ratio == 0.1 and record.had_losses
-        assert record.worst_nodes(1) == [1]
         # Saved again, the record takes the array format.
         assert TraceSet.from_dict(trace.to_dict())[0].radio_on_array.tolist() == [8.0, 9.0]
 
@@ -232,8 +248,8 @@ class TestRewardPathDegenerateInputs:
         with pytest.raises(ValueError):
             compute_reward(-1, had_losses=False)
 
-    def test_reward_from_worst_nodes_of_degenerate_record(self):
-        # A record whose worst nodes all dropped out (NaN) still yields a
+    def test_reward_of_record_with_nan_reliabilities(self):
+        # A record whose nodes all report NaN still yields a
         # well-defined reward: the loss flag, not the NaNs, drives Eq. 3.
         from repro.rl.reward import compute_reward
 
@@ -245,5 +261,4 @@ class TestRewardPathDegenerateInputs:
             radio_on_array=np.array([20.0, 20.0]),
             had_losses=True,
         )
-        assert record.worst_nodes(2) == [1, 2]
         assert compute_reward(record.n_tx, record.had_losses) == 0.0

@@ -100,115 +100,66 @@ class TestPretrainedArtifact:
         assert digest(rebuilt) == digest(default_data_dir() / PRETRAINED_FILENAME)
 
 
-class TestChurnTrainingEpisodes:
-    """DQN training episodes can include node-churn conditions: the
-    churn schedule mutates link qualities mid-episode and the recorded
-    traces (the replay source) change accordingly."""
+class TestPlainTrainingEpisodes:
+    """Training traces come from jamming episodes alone: the same inputs
+    give the same traces, and a stale churn schedule fails loudly."""
 
     @pytest.fixture()
-    def churn_setup(self, tmp_path):
-        from repro.rl.trace_env import node_outage_schedule
+    def make_pipeline(self):
+        topology = grid_topology(rows=2, cols=3, spacing_m=6.0, comm_range_m=9.0, name="tiny-plain")
 
-        topology = grid_topology(
-            rows=2, cols=3, spacing_m=6.0, comm_range_m=9.0, name="tiny-churn"
-        )
-        victim = next(
-            node for node in topology.node_ids if node != topology.coordinator
-        )
-        churn = node_outage_schedule(topology, victim, down_round=1, up_round=3)
-
-        def pipeline(schedule):
+        def pipeline(data_dir, **extra):
             return TrainingPipeline(
                 topology=topology,
                 feature_config=FeatureConfig(num_input_nodes=4, history_size=1, n_max=2),
                 profile=TrainingProfile(
-                    "churn-test", trace_repetitions=1, training_iterations=60, anneal_steps=30
+                    "plain-test", trace_repetitions=1, training_iterations=60, anneal_steps=30
                 ),
-                episodes=(((4, 0.0),),),
-                data_dir=tmp_path,
+                episodes=(((4, 0.3),),),
+                data_dir=data_dir,
                 seed=0,
-                churn=schedule,
+                **extra,
             )
 
-        return pipeline, churn, victim
+        return pipeline
 
-    def test_churn_changes_replay_contents(self, churn_setup):
+    def test_traces_reproduce_across_data_dirs(self, make_pipeline, tmp_path):
         import numpy as np
 
-        pipeline, churn, victim = churn_setup
-        baseline = pipeline(()).collect_traces()
-        churned = pipeline(churn).collect_traces()
-        # Distinct cache keys: the churn schedule is part of the trace key.
-        assert pipeline(()).trace_path() != pipeline(churn).trace_path()
-        assert len(baseline) == len(churned)
-        differs = any(
-            not np.array_equal(a.reliability_array, b.reliability_array)
-            or not np.array_equal(a.radio_on_array, b.radio_on_array)
-            for a, b in zip(baseline.records, churned.records)
-        )
-        assert differs, "churn episode did not change the recorded traces"
-        # While the victim is down, a churned round reports it unreachable
-        # somewhere in the trace (reliability 0 from the observer's view).
-        assert any(
-            record.reliability_array.min() == 0.0 for record in churned.records
-        )
+        first = make_pipeline(tmp_path / "a")
+        second = make_pipeline(tmp_path / "b")
+        assert first.trace_path().name == second.trace_path().name
+        traces = first.collect_traces(), second.collect_traces()
+        assert len(traces[0]) == len(traces[1]) == 4 * 3
+        for a, b in zip(*(trace.records for trace in traces)):
+            assert np.array_equal(a.reliability_array, b.reliability_array)
+            assert np.array_equal(a.radio_on_array, b.radio_on_array)
+            assert (a.n_tx, a.had_losses) == (b.n_tx, b.had_losses)
 
-    def test_short_training_run_on_churn_episode_completes(self, churn_setup):
-        pipeline, churn, _ = churn_setup
-        agent, trace = pipeline(churn).train()
+    def test_short_training_run_completes(self, make_pipeline, tmp_path):
+        agent, trace = make_pipeline(tmp_path).train()
         assert len(trace) == 4 * 3  # 4 rounds x (n_max + 1) parameters
         assert len(agent.buffer) > 0
         assert agent.total_steps > 0
 
     @pytest.mark.parametrize(
-        "event",
-        [
-            {"round": 1, "clear": True},
-            {"round": 1, "restore": [[1, 2]]},
-            {"round": 1, "set": [[1, 2, 0.0]]},
-            {"until": 3, "set": [[1, 2, 0.0]]},
-        ],
+        "entry_point",
+        ["TraceSlice", "record_episode_for_n_tx", "TraceRecorder", "TrainingPipeline"],
     )
-    def test_recorder_rejects_non_interval_events(self, churn_setup, event):
-        from repro.rl.trace_env import TraceRecorder
+    def test_stale_churn_argument_rejected(self, make_pipeline, tmp_path, entry_point):
+        from repro.rl import trace_env
 
-        _, churn, _ = churn_setup
         topology = grid_topology(rows=2, cols=3, spacing_m=6.0, comm_range_m=9.0)
-        assert TraceRecorder(topology=topology, churn=churn).churn == churn
-        with pytest.raises(ValueError, match="interval event"):
-            TraceRecorder(topology=topology, churn=churn + [event])
-
-    def test_composed_outage_schedules_do_not_clobber_each_other(self):
-        """Concatenated outage schedules compose: B's outage survives
-        A's restoration, including on the link *between* A and B."""
-        from repro.net.link import LinkModel
-        from repro.net.topology import grid_topology as grid
-        from repro.rl.trace_env import apply_churn_events, node_outage_schedule
-
-        topology = grid(rows=2, cols=3, spacing_m=6.0, comm_range_m=9.0)
-        nodes = [n for n in topology.node_ids if n != topology.coordinator]
-        a, b, probe = nodes[0], nodes[1], nodes[-1]
-        churn = node_outage_schedule(topology, a, 1, 5) + node_outage_schedule(
-            topology, b, 3, 8
-        )
-        link = LinkModel(topology, seed=1)
-
-        def prr(sender, receiver):
-            return link.prr_matrix()[link.node_index[sender], link.node_index[receiver]]
-
-        base_a, base_b = prr(a, probe), prr(b, probe)
-        base_ab = prr(a, b)
-        assert base_a > 0.0 and base_b > 0.0
-        for round_index in range(6):
-            apply_churn_events(link, churn, round_index)
-        # After round 5 (A restored), B is still fully down: its links
-        # to the probe AND the shared (a, b) link stay severed.
-        assert prr(a, probe) == base_a
-        assert prr(b, probe) == 0.0
-        assert prr(a, b) == 0.0
-        assert prr(b, a) == 0.0
-        for round_index in range(6, 9):
-            apply_churn_events(link, churn, round_index)
-        # ... and B's restoration brings everything back.
-        assert prr(b, probe) == base_b
-        assert prr(a, b) == base_ab
+        churn = [{"from": 1, "until": 3, "set": [[1, 2, 0.0]]}]
+        calls = {
+            "TraceSlice": lambda: trace_env.TraceSlice(
+                2, ((2, 0.0),), 0.02, 4.0, 0, 0, churn=churn
+            ),
+            "record_episode_for_n_tx": lambda: trace_env.record_episode_for_n_tx(
+                topology, 2, ((2, 0.0),), 0.02, 4.0, 0, 0, churn=churn
+            ),
+            "TraceRecorder": lambda: trace_env.TraceRecorder(topology=topology, churn=churn),
+            "TrainingPipeline": lambda: make_pipeline(tmp_path, churn=churn),
+        }
+        with pytest.raises(TypeError, match="churn"):
+            calls[entry_point]()
